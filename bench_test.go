@@ -2,7 +2,7 @@
 // one benchmark per figure (6–10) plus this reproduction's ablations.
 // Figure benchmarks are thin views over the experiment registry
 // (internal/experiments): they drive the registry sweeps' own Setup —
-// the same workload construction cmd/repro and cmd/sihtm-bench measure —
+// the same workload construction cmd/repro measures —
 // through testing.B's op-count harness, and report throughput (tx/s)
 // together with the abort breakdown per operation, the two panels of the
 // paper's figures.

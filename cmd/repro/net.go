@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -11,9 +12,13 @@ import (
 	"syscall"
 	"time"
 
+	"sihtm/internal/durable"
 	"sihtm/internal/experiments"
 	"sihtm/internal/loadgen"
+	"sihtm/internal/node"
 	"sihtm/internal/results"
+	"sihtm/internal/server"
+	"sihtm/internal/tsdb"
 	"sihtm/internal/workload/engine"
 )
 
@@ -47,24 +52,57 @@ func cmdServe(args []string) error {
 	}
 	// The connection-scale ladder may aim thousands of connections here.
 	loadgen.RaiseFDLimit()
-	ns, err := experiments.StartNetServer(experiments.ServeConfig{
-		Addr:           *addr,
-		Scenario:       *scenario,
-		System:         *system,
-		ScaleName:      *scaleName,
-		Shards:         *shards,
-		BatchMax:       *batch,
-		AdmitWait:      *admitWait,
-		P99Target:      *p99Target,
-		DurableDir:     *dir,
-		Window:         *window,
-		CkptEvery:      *ckptEvery,
-		FollowAddr:     *follow,
-		LeaderLogPath:  *leaderLog,
-		MetricsAddr:    *metricsAddr,
-		ScrapeInterval: *scrapeIv,
-		TraceSlow:      *traceSlow,
-	})
+	m, backend, sys, err := experiments.BuildServed(*scenario, *system, *scaleName, *shards)
+	if err != nil {
+		return err
+	}
+	cfg := node.Config{
+		Addr:    *addr,
+		Machine: m,
+		Server: server.Config{
+			Backend:   backend,
+			System:    sys,
+			Shards:    *shards,
+			BatchMax:  *batch,
+			AdmitWait: *admitWait,
+			P99Target: *p99Target,
+			Scenario:  *scenario,
+			Scale:     *scaleName,
+			TraceSlow: *traceSlow,
+		},
+		MetricsAddr: *metricsAddr,
+		TSDB:        tsdb.Config{Interval: *scrapeIv},
+	}
+	if *follow != "" {
+		if *dir != "" {
+			return fmt.Errorf("a follower cannot also serve durably (--follow excludes --durable-dir)")
+		}
+		if err := probeLeader(*follow, *scenario, *scaleName, *shards); err != nil {
+			return err
+		}
+		leader := *follow
+		cfg.Follower.Dial = func() (net.Conn, error) { return net.Dial("tcp", leader) }
+		cfg.Server.LeaderLogPath = *leaderLog
+	}
+	if *dir != "" {
+		// meta.json makes the run directory replayable by `repro recover`,
+		// like a `repro durable` one.
+		err := experiments.WriteDurableMeta(*dir, experiments.DurableMeta{
+			Scenario: *scenario,
+			System:   *system,
+			Scale:    *scaleName,
+			Threads:  *shards,
+			WindowNS: int64(*window),
+		})
+		if err != nil {
+			return err
+		}
+		cfg.Dir = *dir
+		cfg.Durable = durable.Config{Window: *window, WaitAck: true}
+		cfg.CkptEvery = *ckptEvery
+		cfg.Server.CheckpointPath = node.CkptPath(*dir)
+	}
+	ns, err := node.Start(cfg)
 	if err != nil {
 		return err
 	}
@@ -96,9 +134,6 @@ func cmdServe(args []string) error {
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	served := make(chan error, 1)
-	go func() { served <- ns.Srv.Serve() }()
-
 	var report <-chan time.Time
 	if !*quiet {
 		t := time.NewTicker(time.Second)
@@ -117,9 +152,6 @@ func cmdServe(args []string) error {
 			if err := ns.Shutdown(); err != nil {
 				return fmt.Errorf("drain: %w", err)
 			}
-			if err := <-served; err != nil {
-				return err
-			}
 			// Final counter totals, in the same key=value shape as the
 			// startup line, so a log pair brackets the whole run.
 			st := ns.Srv.Snapshot()
@@ -134,12 +166,35 @@ func cmdServe(args []string) error {
 			}
 			fmt.Fprintf(os.Stderr, "serve: drained cleanly %s\n", totals)
 			return nil
-		case err := <-served:
-			// Listener failed outside a drain.
-			ns.Shutdown()
-			return err
+		case <-ns.Served():
+			// Listener failed outside a drain; Shutdown reports why.
+			return ns.Shutdown()
 		}
 	}
+}
+
+// probeLeader refuses to follow a leader this node cannot replicate: the
+// replica's base image must be the exact deterministic build the
+// leader's log was opened on, so a mismatched build is an error rather
+// than a silent divergence.
+func probeLeader(leader, scenario, scaleName string, shards int) error {
+	probe, err := engine.DialRemote(leader, 1)
+	if err != nil {
+		return fmt.Errorf("probing leader %s: %w", leader, err)
+	}
+	st, err := probe.Stats()
+	probe.Close()
+	if err != nil {
+		return fmt.Errorf("probing leader %s: %w", leader, err)
+	}
+	if !st.Durable {
+		return fmt.Errorf("leader %s is not durable; a volatile server has no WAL to stream", leader)
+	}
+	if st.Scenario != scenario || st.Scale != scaleName || st.Shards != shards {
+		return fmt.Errorf("build mismatch with leader %s: it runs %s/%s shards=%d, this follower %s/%s shards=%d",
+			leader, st.Scenario, st.Scale, st.Shards, scenario, scaleName, shards)
+	}
+	return nil
 }
 
 // cmdPromote asks a follower (`repro serve --follow`) to promote

@@ -273,26 +273,20 @@ func connScaleEntry() Entry {
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
 		sc = connScaleWindows(sc.withDefaults())
-		y, err := ycsbSpecByID("ycsb-a")
-		if err != nil {
-			return err
-		}
-		host, err := startNetHost(y, NetPoint{
-			Scenario: "ycsb-a", System: system,
-			Threads: connScaleShards, Shards: connScaleShards,
-			CtrlInterval: connScaleCtrlInterval(sc),
+		c, err := startCluster(clusterSpec{
+			y: ycsbA, system: system, threads: connScaleShards,
+			ctrlInterval: connScaleCtrlInterval(sc),
 		}, sc)
 		if err != nil {
 			return err
 		}
-		keys := scaledKeys(y.baseKeys, sc, 128)
-		if err := runConnScaleLadder(e, host.addr.String(), system, keys, sc, hook, nil); err != nil {
-			host.close()
+		defer c.close()
+		if err := runConnScaleLadder(e, c.addr(), system, c.keys, sc, hook, nil); err != nil {
 			return err
 		}
 		// verify drains and re-checks population conservation — the
 		// GET/RMW mix must not have created or destroyed keys.
-		return host.verify(y, NetPoint{Scenario: "ycsb-a", System: system, Threads: connScaleShards}, sc)
+		return c.verify()
 	}
 	return e
 }
@@ -308,22 +302,10 @@ func RunOpenLoop(addr string, conns int, arrival loadgen.Arrival, sc Scale, trac
 		return fail(err)
 	}
 	defer rb.Close()
-	st, err := rb.Stats()
+	st, y, buildSc, err := servedBuild(rb, addr)
 	if err != nil {
 		return fail(err)
 	}
-	if st.Scenario == "" {
-		return fail(fmt.Errorf("experiments: server at %s reports no scenario; is it `repro serve`?", addr))
-	}
-	y, err := ycsbSpecByID(st.Scenario)
-	if err != nil {
-		return fail(err)
-	}
-	buildSc, err := ScaleByName(st.Scale)
-	if err != nil {
-		return fail(fmt.Errorf("experiments: server build scale: %w", err))
-	}
-	buildSc = buildSc.withDefaults()
 	keys := scaledKeys(y.baseKeys, buildSc, 128)
 	label := st.System
 	if st.P99TargetUs > 0 {

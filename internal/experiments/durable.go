@@ -3,14 +3,16 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"sihtm/internal/durable"
 	"sihtm/internal/harness"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/node"
 	"sihtm/internal/results"
+	"sihtm/internal/server"
+	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/vacation"
@@ -33,93 +35,28 @@ const durableWindowDefault = 500 * time.Microsecond
 // durableWindows is the fsync-window ladder of the group-commit sweep.
 var durableWindows = []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
 
-// checkpointer periodically writes fuzzy checkpoints for a store until
-// halted — the one lifecycle shared by the durable cells and the
-// long-running `repro serve` instance.
-type checkpointer struct {
-	stop chan struct{}
-	done chan struct{}
-	err  error
-}
-
-// startCheckpointer spawns the ticker goroutine. Checkpoints run
-// concurrently with the measured workload, which is the point:
-// checkpoints must not perturb correctness.
-func startCheckpointer(store *durable.Store, path string, every time.Duration) *checkpointer {
-	c := &checkpointer{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				if _, err := store.WriteCheckpoint(path); err != nil {
-					c.err = err
-					return
-				}
-			}
-		}
-	}()
-	return c
-}
-
-// halt stops the ticker goroutine and reports any checkpoint failure.
-// Safe on nil and after a previous halt.
-func (c *checkpointer) halt() error {
-	if c == nil {
-		return nil
-	}
-	select {
-	case <-c.done:
-	default:
-		close(c.stop)
-		<-c.done
-	}
-	return c.err
-}
-
-// durableCell is the per-point scaffolding shared by the durable
-// entries: a transient directory holding wal.log + heap.ckpt, the
-// store, and a background fuzzy checkpointer.
-type durableCell struct {
-	dir   string
-	store *durable.Store
-	ckpt  *checkpointer
-}
-
-func openDurableCell(heap *memsim.Heap, m *htm.Machine, window time.Duration) (*durableCell, error) {
-	dir, err := os.MkdirTemp("", "sihtm-durable-")
+// startHeadlessDurable starts a headless durable node — store and fuzzy
+// checkpointer, no wire server — in a transient run directory, for the
+// cells that run transactions on node.System in process. backend may be
+// nil. cleanup shuts the node down and removes the directory.
+func startHeadlessDurable(m *htm.Machine, backend engine.Backend, sys tm.System,
+	window, ckptEvery time.Duration) (n *node.Node, dir string, cleanup func(), err error) {
+	dir, err = os.MkdirTemp("", "sihtm-durable-")
 	if err != nil {
-		return nil, err
+		return nil, "", nil, err
 	}
-	store, err := durable.Open(heap, filepath.Join(dir, "wal.log"),
-		m.Topology().MaxThreads(), durable.Config{Window: window, WaitAck: true})
+	n, err = node.Start(node.Config{
+		Machine:   m,
+		Server:    server.Config{Backend: backend, System: sys},
+		Dir:       dir,
+		Durable:   durable.Config{Window: window, WaitAck: true},
+		CkptEvery: ckptEvery,
+	})
 	if err != nil {
 		os.RemoveAll(dir)
-		return nil, err
+		return nil, "", nil, err
 	}
-	return &durableCell{dir: dir, store: store}, nil
-}
-
-func (c *durableCell) logPath() string  { return filepath.Join(c.dir, "wal.log") }
-func (c *durableCell) ckptPath() string { return filepath.Join(c.dir, "heap.ckpt") }
-
-func (c *durableCell) startCheckpointer(every time.Duration) {
-	c.ckpt = startCheckpointer(c.store, c.ckptPath(), every)
-}
-
-func (c *durableCell) stopCheckpointer() error {
-	err := c.ckpt.halt()
-	c.ckpt = nil
-	return err
-}
-
-func (c *durableCell) close() {
-	c.store.Close()
-	os.RemoveAll(c.dir)
+	return n, dir, func() { n.Shutdown(); os.RemoveAll(dir) }, nil
 }
 
 // compareHeaps verifies two heaps hold identical images.
@@ -144,51 +81,33 @@ func durableYCSBPoint(y ycsbSpec, sc Scale, system string, threads int, window t
 	if err != nil {
 		return fail(err)
 	}
-	heap := m.Heap()
-	cell, err := openDurableCell(heap, m, window)
+	sys, err := NewSystem(system, m, m.Heap(), threads)
 	if err != nil {
 		return fail(err)
 	}
-	defer cell.close()
-	dbackend := engine.NewDurableBackend(backend, cell.store)
-
-	sys, err := NewSystem(system, m, heap, threads)
+	n, dir, cleanup, err := startHeadlessDurable(m, backend, sys, window, sc.Measure/3)
 	if err != nil {
 		return fail(err)
 	}
-	dsys := cell.store.Attach(sys, m)
+	defer cleanup()
 
-	cell.startCheckpointer(sc.Measure / 3)
-	hr := harness.Run(dsys, threads, sc.Warmup, sc.Measure, d.Workers(dsys))
+	hr := harness.Run(n.System, threads, sc.Warmup, sc.Measure, d.Workers(n.System))
 	hr.System = system
-	if err := cell.stopCheckpointer(); err != nil {
-		return fail(fmt.Errorf("checkpointer: %w", err))
-	}
 	// engineCheck on the durable wrapper runs the inner structural
 	// invariants plus the log force (DurableBackend.Check), then unwraps
 	// for the population-conservation count.
-	if err := engineCheck(dbackend, d.Spec().Keys); err != nil {
+	if err := engineCheck(n.Backend, d.Spec().Keys); err != nil {
 		return fail(err)
 	}
-
-	// Recovery verification: rebuild the scenario deterministically on
-	// a fresh heap, restore checkpoint + log, compare to the live image
-	// and re-check workload invariants on the recovered state.
-	m2, backend2, d2, err := y.build(sc, threads)
-	if err != nil {
+	st := n.Store.Log().Stats()
+	// Shutdown stops the checkpointer (reporting a failed checkpoint) and
+	// closes the log; recovery then reads what a restart would.
+	if err := n.Shutdown(); err != nil {
 		return fail(err)
 	}
-	if _, err := durable.Recover(m2.Heap(), cell.ckptPath(), cell.logPath()); err != nil {
+	if err := verifyRecovery(y, sc, threads, dir, m.Heap()); err != nil {
 		return fail(err)
 	}
-	if err := compareHeaps(heap, m2.Heap()); err != nil {
-		return fail(err)
-	}
-	if err := engineCheck(backend2, d2.Spec().Keys); err != nil {
-		return fail(fmt.Errorf("recovered state: %w", err))
-	}
-
-	st := cell.store.Log().Stats()
 	batch := float64(st.Records)
 	if st.Fsyncs > 0 {
 		batch = float64(st.Records) / float64(st.Fsyncs)
@@ -199,7 +118,7 @@ func durableYCSBPoint(y ycsbSpec, sc Scale, system string, threads int, window t
 // durableYCSBEntry is durable YCSB-A: the update-heavy mix with full
 // durability (capture, group commit, ack) across the thread ladder.
 func durableYCSBEntry() Entry {
-	y := ycsbSpecs[0] // ycsb-a
+	y := ycsbA
 	e := Entry{
 		ID:           "durable-ycsb-a",
 		Title:        "Durable YCSB-A: group-commit WAL + fuzzy checkpoints + post-run recovery check",
@@ -233,7 +152,7 @@ func durableYCSBEntry() Entry {
 // fsync-expensive devices the amortization side dominates; the sweep
 // exposes both quantities so either regime is readable from the data.
 func durableWindowEntry() Entry {
-	y := ycsbSpecs[0]
+	y := ycsbA
 	const threads = 8
 	e := Entry{
 		ID:       "durable-window",
@@ -272,35 +191,31 @@ func durableVacationPoint(v vacationSpec, sc Scale, system string, threads int) 
 	if err != nil {
 		return fail(err)
 	}
-	cell, err := openDurableCell(heap, m, durableWindowDefault)
-	if err != nil {
-		return fail(err)
-	}
-	defer cell.close()
-
 	sys, err := NewSystem(system, m, heap, threads)
 	if err != nil {
 		return fail(err)
 	}
-	dsys := cell.store.Attach(sys, m)
+	n, dir, cleanup, err := startHeadlessDurable(m, nil, sys, durableWindowDefault, sc.Measure/3)
+	if err != nil {
+		return fail(err)
+	}
+	defer cleanup()
 	mkWorker := func(thread int) func() {
-		w, err := mgr.NewWorker(dsys, thread)
+		w, err := mgr.NewWorker(n.System, thread)
 		if err != nil {
 			panic(err)
 		}
 		return func() { w.Op() }
 	}
 
-	cell.startCheckpointer(sc.Measure / 3)
-	hr := harness.Run(dsys, threads, sc.Warmup, sc.Measure, mkWorker)
+	hr := harness.Run(n.System, threads, sc.Warmup, sc.Measure, mkWorker)
 	hr.System = system
-	if err := cell.stopCheckpointer(); err != nil {
-		return fail(fmt.Errorf("checkpointer: %w", err))
-	}
 	if err := mgr.CheckConsistency(); err != nil {
 		return fail(err)
 	}
-	if err := cell.store.Sync(); err != nil {
+	// Shutdown stops the checkpointer (reporting a failed checkpoint) and
+	// closes the log, which flushes it.
+	if err := n.Shutdown(); err != nil {
 		return fail(err)
 	}
 
@@ -311,7 +226,7 @@ func durableVacationPoint(v vacationSpec, sc Scale, system string, threads int) 
 	if err != nil {
 		return fail(err)
 	}
-	if _, err := durable.Recover(heap2, cell.ckptPath(), cell.logPath()); err != nil {
+	if _, err := durable.Recover(heap2, node.CkptPath(dir), node.LogPath(dir)); err != nil {
 		return fail(err)
 	}
 	if err := compareHeaps(heap, heap2); err != nil {

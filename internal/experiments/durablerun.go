@@ -6,13 +6,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"sihtm/internal/durable"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/node"
+	"sihtm/internal/server"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/vacation"
@@ -39,8 +40,23 @@ type DurableMeta struct {
 func DurableScenarioNames() []string { return []string{"ycsb-a", "vacation"} }
 
 func metaPath(dir string) string { return filepath.Join(dir, "meta.json") }
-func logPath(dir string) string  { return filepath.Join(dir, "wal.log") }
-func ckptPath(dir string) string { return filepath.Join(dir, "heap.ckpt") }
+
+// WriteDurableMeta creates the run directory dir and writes meta.json
+// into it, next to the wal.log and heap.ckpt a durable node started on
+// dir keeps there, so RecoverDurable can replay the directory later.
+func WriteDurableMeta(dir string, meta DurableMeta) error {
+	if !slices.Contains(DurableScenarioNames(), meta.Scenario) {
+		return fmt.Errorf("experiments: durable runs support scenarios %v, not %q", DurableScenarioNames(), meta.Scenario)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	mj, err := json.MarshalIndent(meta, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644)
+}
 
 // durableWorkload is the scenario-shape abstraction shared by the
 // runner and recovery: build the deterministic base (heap populated,
@@ -56,7 +72,7 @@ type durableWorkload struct {
 func buildDurableWorkload(meta DurableMeta, sc Scale) (*durableWorkload, error) {
 	switch meta.Scenario {
 	case "ycsb-a":
-		y := ycsbSpecs[0]
+		y := ycsbA
 		m, backend, d, err := y.build(sc, meta.Threads)
 		if err != nil {
 			return nil, err
@@ -99,10 +115,11 @@ func buildDurableWorkload(meta DurableMeta, sc Scale) (*durableWorkload, error) 
 }
 
 // StartDurable populates the scenario, writes meta.json, and runs the
-// durable workload against dir until duration elapses (0 = until the
-// process is killed — the crash the recovery pipeline exists for).
-// Checkpoints are written to heap.ckpt on ckptEvery intervals (0
-// disables them). progress (may be nil) receives one line per second.
+// durable workload on a headless node logging to dir until duration
+// elapses (0 = until the process is killed — the crash the recovery
+// pipeline exists for). Checkpoints are written to heap.ckpt on
+// ckptEvery intervals (0 disables them). progress (may be nil) receives
+// one line per second.
 func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duration, progress io.Writer) error {
 	sc, err := ScaleByName(meta.Scale)
 	if err != nil {
@@ -112,32 +129,7 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 	if meta.Threads <= 0 {
 		return fmt.Errorf("experiments: durable run needs a positive thread count")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// A fresh run truncates wal.log (wal.Create), so a checkpoint left
-	// by a previous run in the same directory would belong to a
-	// different history — recovery restoring it over the new log would
-	// produce a state from neither run. Remove it up front.
-	for _, stale := range []string{ckptPath(dir), ckptPath(dir) + ".tmp"} {
-		if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
 	w, err := buildDurableWorkload(meta, sc)
-	if err != nil {
-		return err
-	}
-	mj, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644); err != nil {
-		return err
-	}
-
-	store, err := durable.Open(w.heap, logPath(dir), w.machine.Topology().MaxThreads(),
-		durable.Config{Window: time.Duration(meta.WindowNS), WaitAck: true})
 	if err != nil {
 		return err
 	}
@@ -145,31 +137,26 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 	if err != nil {
 		return err
 	}
-	dsys := store.Attach(sys, w.machine)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	mk := w.mkWorker(dsys)
-	for id := 0; id < meta.Threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			op := mk(id)
-			for !stop.Load() {
-				op()
-			}
-		}(id)
+	if err := WriteDurableMeta(dir, meta); err != nil {
+		return err
 	}
+	n, err := node.Start(node.Config{
+		Machine:   w.machine,
+		Server:    server.Config{System: sys},
+		Dir:       dir,
+		Durable:   durable.Config{Window: time.Duration(meta.WindowNS), WaitAck: true},
+		CkptEvery: ckptEvery,
+	})
+	if err != nil {
+		return err
+	}
+	defer n.Shutdown()
+	stopWorkers := runWorkers(meta.Threads, w.mkWorker(n.System))
+	defer stopWorkers()
 
 	start := time.Now()
 	report := time.NewTicker(time.Second)
 	defer report.Stop()
-	var ckpt <-chan time.Time
-	if ckptEvery > 0 {
-		t := time.NewTicker(ckptEvery)
-		defer t.Stop()
-		ckpt = t.C
-	}
 	var deadline <-chan time.Time
 	if duration > 0 {
 		deadline = time.After(duration)
@@ -178,22 +165,17 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 		select {
 		case <-report.C:
 			if progress != nil {
-				st := store.Log().Stats()
+				st := n.Store.Log().Stats()
 				fmt.Fprintf(progress, "t=%s commits=%d durable_seq=%d fsyncs=%d\n",
-					time.Since(start).Round(time.Second), dsys.Collector().Snapshot().Commits,
-					store.Log().DurableSeq(), st.Fsyncs)
-			}
-		case <-ckpt:
-			if _, err := store.WriteCheckpoint(ckptPath(dir)); err != nil {
-				return err
+					time.Since(start).Round(time.Second), n.System.Collector().Snapshot().Commits,
+					n.Store.DurableSeq(), st.Fsyncs)
 			}
 		case <-deadline:
-			stop.Store(true)
-			wg.Wait()
+			stopWorkers()
 			if err := w.check(); err != nil {
 				return fmt.Errorf("experiments: post-run invariants: %w", err)
 			}
-			return store.Close()
+			return n.Shutdown()
 		}
 	}
 }
@@ -235,7 +217,7 @@ func RecoverDurable(dir string) (DurableRecovery, error) {
 	if err != nil {
 		return out, err
 	}
-	rep, err := durable.Recover(w.heap, ckptPath(dir), logPath(dir))
+	rep, err := durable.Recover(w.heap, node.CkptPath(dir), node.LogPath(dir))
 	out.CheckpointUsed = rep.CheckpointUsed
 	out.Watermark = rep.Watermark
 	out.RecoveredSeq = rep.RecoveredSeq

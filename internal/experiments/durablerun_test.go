@@ -46,7 +46,7 @@ func TestStartAndRecoverDurable(t *testing.T) {
 // including its built-in recovery equivalence check.
 func TestDurableCellPoint(t *testing.T) {
 	sc := quickScale()
-	hr, batch, err := durableYCSBPoint(ycsbSpecs[0], sc, "si-htm", 2, 200*time.Microsecond)
+	hr, batch, err := durableYCSBPoint(ycsbA, sc, "si-htm", 2, 200*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}

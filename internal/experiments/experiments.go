@@ -4,9 +4,9 @@
 // (figure, workload, systems, thread ladder, parameters) enumerable
 // without running anything, plus a cell runner that measures one
 // (entry × system) column and emits typed results.Record values. The
-// repro CLI (cmd/repro), the classic benchmark binary (cmd/sihtm-bench)
-// and the testing.B harness (bench_test.go) are all thin views over
-// this one registry, so they regenerate exactly the same runs.
+// repro CLI (cmd/repro) and the testing.B harness (bench_test.go) are
+// both thin views over this one registry, so they regenerate exactly
+// the same runs.
 package experiments
 
 import (

@@ -1,26 +1,16 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"sihtm/internal/alert"
-	"sihtm/internal/durable"
 	"sihtm/internal/harness"
-	"sihtm/internal/replica"
+	"sihtm/internal/htm"
 	"sihtm/internal/results"
-	"sihtm/internal/server"
 	"sihtm/internal/stats"
-	"sihtm/internal/telemetry"
+	"sihtm/internal/tm"
 	"sihtm/internal/topology"
-	"sihtm/internal/trace"
-	"sihtm/internal/tsdb"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/ycsb"
@@ -63,43 +53,22 @@ const (
 // of being limited by instantaneous queue depth.
 const netAdmitWait = 100 * time.Microsecond
 
-// NetPoint describes one remote measurement.
+// NetPoint describes one closed-loop measurement against a live server.
 type NetPoint struct {
 	// Scenario names the hosted YCSB build ("ycsb-a", "ycsb-b", "ycsb-c").
 	Scenario string
 	// System is the server's concurrency control; it labels the records.
 	System string
-	// Addr is the server address; empty self-hosts a loopback server for
-	// the point (build, populate, serve, measure, tear down).
+	// Addr is the server address.
 	Addr string
 	// Threads is the client worker (session) count.
 	Threads int
-	// Shards is the self-hosted server's executor count (0 = Threads).
-	// Fewer shards than clients concentrate the pipelined stream onto
-	// fewer queues, which is what lets admission batches approach large
-	// bounds: in-flight ops are capped by clients × ops/tx, and that
-	// budget spreads across the shards.
-	Shards int
-	// Conns is the client connection-pool size (0 = ⌈Threads/2⌉, so
-	// sessions share pipelined connections).
-	Conns int
 	// Batch sets the server's admission bound for the point (0 keeps the
 	// server's current bound).
 	Batch int
 	// AdmitWait sets the server's admission grace period for the point
 	// (0 keeps the server's current value).
 	AdmitWait time.Duration
-	// Durable (self-host only) attaches a WAL store, checkpoints fuzzily
-	// during the run, and verifies digest-exact recovery afterwards.
-	Durable bool
-	// Window is the durable group-commit fsync window.
-	Window time.Duration
-	// P99Target (self-host only) starts the adaptive admission
-	// controller against this server-side p99 service-latency target.
-	P99Target time.Duration
-	// CtrlInterval (self-host only) overrides the controller's
-	// adjustment interval.
-	CtrlInterval time.Duration
 }
 
 // NetExtras carries the measurements that exist only over the network.
@@ -133,6 +102,9 @@ func netSpec(y ycsbSpec, sc Scale, threads int) (engine.Spec, error) {
 	})
 }
 
+// ycsbA is the scenario every durable, net and repl cell runs.
+var ycsbA = ycsbSpecs[0]
+
 // ycsbSpecByID resolves a ycsb scenario id.
 func ycsbSpecByID(id string) (ycsbSpec, error) {
 	for _, y := range ycsbSpecs {
@@ -143,19 +115,81 @@ func ycsbSpecByID(id string) (ycsbSpec, error) {
 	return ycsbSpec{}, fmt.Errorf("experiments: unknown net scenario %q (known: ycsb-a, ycsb-b, ycsb-c)", id)
 }
 
-// RunNetPoint executes one remote measurement and returns the merged
-// harness result: client-observed commits and throughput, server-side
-// abort taxonomy, plus the latency extras.
-func RunNetPoint(p NetPoint, sc Scale) (harness.Result, NetExtras, error) {
-	return runNetPoint(p, sc, nil)
+// netClient is the client side of a closed-loop point: a pipelined
+// connection pool to one server, the scenario's workload bound to it,
+// and the RemoteSystem counting what its workers commit.
+type netClient struct {
+	*engine.RemoteBackend
+	sys     *engine.RemoteSystem
+	threads int
+	workers func(int) func()
 }
 
-// runNetPoint is RunNetPoint with an optional mid-measurement observer:
-// when non-nil, mid runs halfway through the measurement window while
-// the workers are still driving load (the net-observe cell scrapes the
-// live /metrics endpoint there). mid receives the self-hosted server (nil
-// when the point targets an external address).
-func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Result, NetExtras, error) {
+// dialClient connects threads workers to addr over ⌈threads/2⌉
+// connections, so sessions share pipelined connections.
+func dialClient(addr string, y ycsbSpec, sc Scale, system string, threads int) (*netClient, error) {
+	spec, err := netSpec(y, sc, threads)
+	if err != nil {
+		return nil, err
+	}
+	rb, err := engine.DialRemote(addr, (threads+1)/2)
+	if err != nil {
+		return nil, err
+	}
+	d, err := engine.New(spec, rb)
+	if err != nil {
+		rb.Close()
+		return nil, err
+	}
+	sys := engine.NewRemoteSystem(system, threads)
+	return &netClient{rb, sys, threads, d.Workers(sys)}, nil
+}
+
+// start launches the workers; stop quiesces them, which must happen
+// before any connection teardown (the session protocol panics on
+// transport failure).
+func (c *netClient) start() (stop func()) { return runWorkers(c.threads, c.workers) }
+
+// snapshot is what the workers have committed so far.
+func (c *netClient) snapshot() stats.Stats { return c.sys.Collector().Snapshot() }
+
+// result labels a window's client-side delta.
+func (c *netClient) result(st stats.Stats, elapsed time.Duration) harness.Result {
+	return harness.Result{
+		System: c.sys.Name(), Threads: c.threads, Elapsed: elapsed, Stats: st,
+		Throughput: float64(st.Commits) / elapsed.Seconds(),
+	}
+}
+
+// drive runs the workers for window and returns exactly that window's
+// commits.
+func (c *netClient) drive(window time.Duration) harness.Result {
+	stop := c.start()
+	s0 := c.snapshot()
+	start := time.Now()
+	time.Sleep(window)
+	stop()
+	return c.result(c.snapshot().Sub(s0), time.Since(start))
+}
+
+// latencyExtras differences two STATS replies into the window's
+// server-side service latency and achieved batch size.
+func latencyExtras(sv0, sv1 wire.ServerStats) NetExtras {
+	hist := sv1.Hist.Sub(sv0.Hist)
+	ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
+	if batches := sv1.Batches - sv0.Batches; batches > 0 {
+		ex.BatchAvg = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
+	}
+	return ex
+}
+
+// runNetPoint executes one remote measurement and returns the merged
+// harness result: client-observed commits and throughput, server-side
+// abort taxonomy, plus the latency extras. mid, when non-nil, runs
+// halfway through the measurement window while the workers are still
+// driving load (the net-observe cell scrapes the live /metrics endpoint
+// there).
+func runNetPoint(p NetPoint, sc Scale, mid func() error) (harness.Result, NetExtras, error) {
 	sc = sc.withDefaults()
 	fail := func(err error) (harness.Result, NetExtras, error) { return harness.Result{}, NetExtras{}, err }
 	y, err := ycsbSpecByID(p.Scenario)
@@ -165,24 +199,7 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 	if p.Threads <= 0 {
 		return fail(fmt.Errorf("experiments: net point needs a positive thread count"))
 	}
-	conns := p.Conns
-	if conns <= 0 {
-		conns = (p.Threads + 1) / 2
-	}
-
-	// Self-host a loopback server when no address is given.
-	addr := p.Addr
-	var host *netHost
-	if addr == "" {
-		host, err = startNetHost(y, p, sc)
-		if err != nil {
-			return fail(err)
-		}
-		defer host.close()
-		addr = host.addr.String()
-	}
-
-	rb, err := engine.DialRemote(addr, conns)
+	rb, err := dialClient(p.Addr, y, sc, p.System, p.Threads)
 	if err != nil {
 		return fail(err)
 	}
@@ -196,57 +213,31 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 			return fail(err)
 		}
 	}
-	spec, err := netSpec(y, sc, p.Threads)
-	if err != nil {
-		return fail(err)
-	}
-	d, err := engine.New(spec, rb)
-	if err != nil {
-		return fail(err)
-	}
-	csys := engine.NewRemoteSystem(p.System, p.Threads)
 
 	// The run loop mirrors harness.Run but snapshots BOTH sides at the
 	// window edges, so the server-side abort/latency delta covers exactly
 	// the client's measurement window.
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	mk := d.Workers(csys)
-	for id := 0; id < p.Threads; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			op := mk(id)
-			for !stop.Load() {
-				op()
-			}
-		}(id)
-	}
-	// Workers must be quiesced before any connection teardown (the
-	// session protocol panics on transport failure), so every exit path
-	// below stops them first.
-	stopWorkers := func() { stop.Store(true); wg.Wait() }
+	stopWorkers := rb.start()
+	defer stopWorkers()
 	time.Sleep(sc.Warmup)
 	sv0, err := rb.Stats()
 	if err != nil {
-		stopWorkers()
 		return fail(err)
 	}
-	cl0 := csys.Collector().Snapshot()
+	cl0 := rb.snapshot()
 	start := time.Now()
 	if mid == nil {
 		time.Sleep(sc.Measure)
 	} else {
 		time.Sleep(sc.Measure / 2)
-		if err := mid(host); err != nil {
-			stopWorkers()
+		if err := mid(); err != nil {
 			return fail(err)
 		}
 		time.Sleep(sc.Measure - sc.Measure/2)
 	}
 	sv1, err := rb.Stats()
 	elapsed := time.Since(start)
-	cl1 := csys.Collector().Snapshot()
+	cl1 := rb.snapshot()
 	stopWorkers()
 	if err != nil {
 		return fail(err)
@@ -254,7 +245,7 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 
 	client := cl1.Sub(cl0)
 	srvDelta := sv1.Stats.Sub(sv0.Stats)
-	merged := stats.Stats{
+	hr := rb.result(stats.Stats{
 		// Client side: committed transactions (the throughput basis) and
 		// their read-only share.
 		Commits:   client.Commits,
@@ -264,19 +255,9 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 		Aborts:    srvDelta.Aborts,
 		Fallbacks: srvDelta.Fallbacks,
 		WaitSpins: srvDelta.WaitSpins,
-	}
-	hr := harness.Result{
-		System:     p.System,
-		Threads:    p.Threads,
-		Elapsed:    elapsed,
-		Stats:      merged,
-		Throughput: float64(client.Commits) / elapsed.Seconds(),
-	}
-	hist := sv1.Hist.Sub(sv0.Hist)
-	extras := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
-	if batches := sv1.Batches - sv0.Batches; batches > 0 {
-		extras.BatchAvg = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
-	}
+	}, elapsed)
+
+	extras := latencyExtras(sv0, sv1)
 	if t1, t0 := sv1.Telemetry, sv0.Telemetry; t1 != nil && t0 != nil {
 		extras.AdmitP99 = t1.AdmitWaitHist.Sub(t0.AdmitWaitHist).Quantile(0.99)
 		extras.Fsyncs = t1.WalFsyncs - t0.WalFsyncs
@@ -288,129 +269,31 @@ func runNetPoint(p NetPoint, sc Scale, mid func(h *netHost) error) (harness.Resu
 	if err := rb.Check(); err != nil {
 		return fail(err)
 	}
-	// Self-hosted points verify in-process invariants (population
-	// conservation) and, durably, digest-exact recovery.
-	if host != nil {
-		if err := host.verify(y, p, sc); err != nil {
-			return fail(err)
-		}
-	}
 	return hr, extras, nil
 }
 
-// netHost is one self-hosted loopback server and its in-process guts.
-type netHost struct {
-	srv     *server.Server
-	addr    net.Addr
-	backend engine.Backend
-	keys    int
-	cell    *durableCell
-	served  chan error
-}
-
-// startNetHost builds the scenario, optionally attaches durability, and
-// serves it on an ephemeral loopback port.
-func startNetHost(y ycsbSpec, p NetPoint, sc Scale) (*netHost, error) {
-	m, backend, d, err := y.build(sc, p.Threads)
+// runHostedPoint self-hosts spec's cluster for one point, measures its
+// leader with p (everything but the admission knobs is filled from the
+// cluster: the client runs one worker per build thread), and verifies
+// the cluster afterwards. mid is runNetPoint's observer, handed the
+// running cluster.
+func runHostedPoint(spec clusterSpec, p NetPoint, sc Scale, mid func(*cluster) error) (harness.Result, NetExtras, error) {
+	sc = sc.withDefaults()
+	c, err := startCluster(spec, sc)
 	if err != nil {
-		return nil, err
+		return harness.Result{}, NetExtras{}, err
 	}
-	shards := p.Shards
-	if shards <= 0 {
-		shards = p.Threads
+	defer c.close()
+	p.Scenario, p.System, p.Addr, p.Threads = spec.y.id, spec.system, c.addr(), spec.threads
+	var observer func() error
+	if mid != nil {
+		observer = func() error { return mid(c) }
 	}
-	heap := m.Heap()
-	sys, err := NewSystem(p.System, m, heap, shards)
-	if err != nil {
-		return nil, err
+	hr, ex, err := runNetPoint(p, sc, observer)
+	if err == nil {
+		err = c.verify()
 	}
-	h := &netHost{backend: backend, keys: d.Spec().Keys, served: make(chan error, 1)}
-	cfg := server.Config{
-		Backend:      backend,
-		System:       sys,
-		Shards:       shards,
-		BatchMax:     netBatchDefault,
-		Scenario:     y.id,
-		P99Target:    p.P99Target,
-		CtrlInterval: p.CtrlInterval,
-	}
-	if p.Durable {
-		h.cell, err = openDurableCell(heap, m, p.Window)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Backend = engine.NewDurableBackend(backend, h.cell.store)
-		cfg.System = h.cell.store.Attach(sys, m)
-		cfg.Store = h.cell.store
-		// No drain-time checkpoint: recovery must reconstruct the live
-		// heap from the fuzzy checkpoint plus the log prefix alone — the
-		// same image a SIGKILL would leave behind.
-		h.cell.startCheckpointer(sc.Measure / 3)
-	}
-	h.srv, err = server.New(cfg)
-	if err != nil {
-		if h.cell != nil {
-			h.cell.close()
-		}
-		return nil, err
-	}
-	h.addr, err = h.srv.Listen("127.0.0.1:0")
-	if err != nil {
-		if h.cell != nil {
-			h.cell.close()
-		}
-		return nil, err
-	}
-	go func() { h.served <- h.srv.Serve() }()
-	return h, nil
-}
-
-// verify drains the server and re-checks invariants in-process; durable
-// hosts additionally prove digest-exact recovery: rebuild the
-// deterministic base, restore fuzzy checkpoint + log, compare to the
-// live heap word for word, and re-run the workload checks on the
-// recovered state.
-func (h *netHost) verify(y ycsbSpec, p NetPoint, sc Scale) error {
-	if err := h.srv.Drain(); err != nil {
-		return err
-	}
-	if err := <-h.served; err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if h.cell != nil {
-		if err := h.cell.stopCheckpointer(); err != nil {
-			return fmt.Errorf("checkpointer: %w", err)
-		}
-	}
-	if err := engineCheck(h.backend, h.keys); err != nil {
-		return err
-	}
-	if h.cell == nil {
-		return nil
-	}
-	m2, backend2, d2, err := y.build(sc, p.Threads)
-	if err != nil {
-		return err
-	}
-	if _, err := durable.Recover(m2.Heap(), h.cell.ckptPath(), h.cell.logPath()); err != nil {
-		return err
-	}
-	if err := compareHeaps(h.cell.store.Heap(), m2.Heap()); err != nil {
-		return err
-	}
-	if err := engineCheck(backend2, d2.Spec().Keys); err != nil {
-		return fmt.Errorf("recovered state: %w", err)
-	}
-	return nil
-}
-
-// close tears the host down (idempotent with verify's drain).
-func (h *netHost) close() {
-	h.srv.Drain()
-	if h.cell != nil {
-		h.cell.stopCheckpointer()
-		h.cell.close()
-	}
+	return hr, ex, err
 }
 
 // recordNet stamps a net measurement with its registry coordinates and
@@ -439,20 +322,27 @@ func netYCSBEntry() Entry {
 		ThreadLadder: topology.PaperThreadLadder,
 		Params:       fmt.Sprintf("ycsb-a over loopback batch=%d conns=threads/2", netBatchDefault),
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
+	e.run = netLadderRun(e, func(system string, threads int, _ Scale) clusterSpec {
+		return clusterSpec{y: ycsbA, system: system, threads: threads}
+	})
+	return e
+}
+
+// netLadderRun is the cell runner of the thread-ladder net entries: at
+// every rung, self-host spec's cluster, measure it at the default
+// admission bound, verify it.
+func netLadderRun(e Entry, spec func(system string, threads int, sc Scale) clusterSpec) func(string, Scale, func(results.Record)) error {
+	return func(system string, sc Scale, hook func(results.Record)) error {
 		sc = sc.withDefaults()
 		for _, n := range sc.threads(topology.PaperThreadLadder) {
-			hr, ex, err := RunNetPoint(NetPoint{
-				Scenario: "ycsb-a", System: system, Threads: n, Batch: netBatchDefault,
-			}, sc)
+			hr, ex, err := runHostedPoint(spec(system, n, sc), NetPoint{Batch: netBatchDefault}, sc, nil)
 			if err != nil {
-				return fmt.Errorf("net-ycsb-a %s/%d: %w", system, n, err)
+				return fmt.Errorf("%s %s/%d: %w", e.ID, system, n, err)
 			}
 			hook(e.recordNet("", hr, ex))
 		}
 		return nil
 	}
-	return e
 }
 
 // netWindowEntry is the admission-batch sweep: fixed client count, the
@@ -478,10 +368,8 @@ func netWindowEntry() Entry {
 			n = sc.MaxThreads
 		}
 		for _, batch := range netBatches {
-			hr, ex, err := RunNetPoint(NetPoint{
-				Scenario: "ycsb-a", System: system, Threads: n, Shards: netWindowShards, Batch: batch,
-				AdmitWait: netAdmitWait,
-			}, sc)
+			hr, ex, err := runHostedPoint(clusterSpec{y: ycsbA, system: system, threads: n, shards: netWindowShards},
+				NetPoint{Batch: batch, AdmitWait: netAdmitWait}, sc, nil)
 			if err != nil {
 				return fmt.Errorf("net-batch-window %s/batch=%d: %w", system, batch, err)
 			}
@@ -490,6 +378,16 @@ func netWindowEntry() Entry {
 		return nil
 	}
 	return e
+}
+
+// netDurableSpec is the durable single-node cluster of the
+// net-durable-ycsb-a and net-observe cells: group commit on the default
+// window, fuzzy checkpoints under traffic.
+func netDurableSpec(system string, threads int, sc Scale) clusterSpec {
+	return clusterSpec{
+		y: ycsbA, system: system, threads: threads,
+		durable: true, window: durableWindowDefault, ckptEvery: sc.Measure / 3,
+	}
 }
 
 // netDurableEntry is durable YCSB-A over the wire: every reply
@@ -505,20 +403,7 @@ func netDurableEntry() Entry {
 		ThreadLadder: topology.PaperThreadLadder,
 		Params:       fmt.Sprintf("ycsb-a over loopback batch=%d window=%s ack=fsync ckpt=fuzzy", netBatchDefault, durableWindowDefault),
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		for _, n := range sc.threads(topology.PaperThreadLadder) {
-			hr, ex, err := RunNetPoint(NetPoint{
-				Scenario: "ycsb-a", System: system, Threads: n, Batch: netBatchDefault,
-				Durable: true, Window: durableWindowDefault,
-			}, sc)
-			if err != nil {
-				return fmt.Errorf("net-durable-ycsb-a %s/%d: %w", system, n, err)
-			}
-			hook(e.recordNet("", hr, ex))
-		}
-		return nil
-	}
+	e.run = netLadderRun(e, netDurableSpec)
 	return e
 }
 
@@ -534,294 +419,32 @@ func NetEntryIDs() []string {
 	return []string{"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale"}
 }
 
-// ServeConfig assembles `repro serve`: a long-running wire server
-// hosting one scenario build.
-type ServeConfig struct {
-	// Addr is the listen address (e.g. "127.0.0.1:7654").
-	Addr string
-	// Scenario is the hosted build ("ycsb-a", "ycsb-b", "ycsb-c");
-	// durable serving requires "ycsb-a" (the recovery pipeline's
-	// deterministic rebuild covers it).
-	Scenario string
-	// System is the concurrency control.
-	System string
-	// ScaleName sizes the build and labels TStats replies.
-	ScaleName string
-	// Shards is the executor count; the build's deterministic seed
-	// derives from it, so recovery must use the same value (persisted in
-	// meta.json).
-	Shards int
-	// BatchMax is the initial admission bound.
-	BatchMax int
-	// AdmitWait is the initial admission grace period.
-	AdmitWait time.Duration
-	// P99Target, when positive, starts the adaptive admission
-	// controller: the server steers BatchMax and the admission grace
-	// online against this p99 service-latency target.
-	P99Target time.Duration
-	// DurableDir, when set, makes the server durable: wal.log +
-	// heap.ckpt + meta.json live there, mirroring `repro durable` run
-	// directories so `repro recover` replays them unchanged.
-	DurableDir string
-	// Window is the durable group-commit window.
-	Window time.Duration
-	// CkptEvery is the fuzzy checkpoint interval (0 disables periodic
-	// checkpoints; the drain-time checkpoint still happens).
-	CkptEvery time.Duration
-	// FollowAddr, when set, makes this server a read replica of the
-	// durable leader at that address: the scenario is rebuilt to the
-	// identical deterministic base image (the leader's TStats reply is
-	// probed to enforce matching build parameters), the leader's WAL
-	// stream is replayed into the local heap, and only read-only
-	// requests are admitted until promotion. Mutually exclusive with
-	// DurableDir.
-	FollowAddr string
-	// LeaderLogPath is the shared-storage path of the leader's wal.log;
-	// promotion catches up from its valid prefix, which contains every
-	// acknowledged commit.
-	LeaderLogPath string
-	// MetricsAddr, when set, serves the observability plane there:
-	// Prometheus text on /metrics, /healthz, /readyz (ready = admitting;
-	// a follower is additionally ready only while its replication
-	// watermark advances or it has been promoted), and /debug/pprof.
-	MetricsAddr string
-	// TraceSlow, when positive, logs a rate-limited per-stage lifecycle
-	// trace for every request slower end-to-end than this threshold.
-	TraceSlow time.Duration
-	// ScrapeInterval is the tsdb self-scrape / alert evaluation cadence
-	// of the observability plane (default 1s; only meaningful with
-	// MetricsAddr).
-	ScrapeInterval time.Duration
-}
-
-// NetServer is a running `repro serve` instance.
-type NetServer struct {
-	// Srv is the wire server (Serve blocks on it).
-	Srv *server.Server
-	// Addr is the bound listen address.
-	Addr net.Addr
-	// Metrics is the observability-plane HTTP server (nil unless
-	// ServeConfig.MetricsAddr was set).
-	Metrics *telemetry.Server
-
-	store  *durable.Store
-	fol    *replica.Follower
-	cfg    ServeConfig
-	ckpt   *checkpointer
-	ts     *tsdb.Store
-	alerts *alert.Engine
-}
-
-// StartNetServer builds the scenario (populated, optionally durable)
-// and binds the listener. The caller runs Serve and, on shutdown,
-// Shutdown.
-func StartNetServer(cfg ServeConfig) (*NetServer, error) {
-	sc, err := ScaleByName(cfg.ScaleName)
+// BuildServed builds what `repro serve` hosts: the named scenario,
+// populated, and its concurrency control sized for shards executors.
+// The build's deterministic seed derives from shards, so a follower and
+// a later recovery must use the leader's value.
+func BuildServed(scenario, system, scaleName string, shards int) (*htm.Machine, engine.Backend, tm.System, error) {
+	fail := func(err error) (*htm.Machine, engine.Backend, tm.System, error) { return nil, nil, nil, err }
+	sc, err := ScaleByName(scaleName)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	sc = sc.withDefaults()
-	y, err := ycsbSpecByID(cfg.Scenario)
+	y, err := ycsbSpecByID(scenario)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("experiments: serve needs a positive shard count")
+	if shards <= 0 {
+		return fail(fmt.Errorf("experiments: serve needs a positive shard count"))
 	}
-	m, backend, _, err := y.build(sc, cfg.Shards)
+	m, backend, _, err := y.build(sc.withDefaults(), shards)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	heap := m.Heap()
-	sys, err := NewSystem(cfg.System, m, heap, cfg.Shards)
+	sys, err := NewSystem(system, m, m.Heap(), shards)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-
-	ns := &NetServer{cfg: cfg}
-	scfg := server.Config{
-		Backend:   backend,
-		System:    sys,
-		Shards:    cfg.Shards,
-		BatchMax:  cfg.BatchMax,
-		AdmitWait: cfg.AdmitWait,
-		Scenario:  cfg.Scenario,
-		Scale:     cfg.ScaleName,
-		P99Target: cfg.P99Target,
-		TraceSlow: cfg.TraceSlow,
-	}
-	if cfg.FollowAddr != "" {
-		if cfg.DurableDir != "" {
-			return nil, fmt.Errorf("experiments: a follower cannot also serve durably (--follow excludes --durable-dir)")
-		}
-		// The replica's base image must be the exact deterministic build
-		// the leader's log was opened on; probe the leader and refuse a
-		// mismatched build rather than silently diverging.
-		probe, err := engine.DialRemote(cfg.FollowAddr, 1)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: probing leader %s: %w", cfg.FollowAddr, err)
-		}
-		st, err := probe.Stats()
-		probe.Close()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: probing leader %s: %w", cfg.FollowAddr, err)
-		}
-		if !st.Durable {
-			return nil, fmt.Errorf("experiments: leader %s is not durable; a volatile server has no WAL to stream", cfg.FollowAddr)
-		}
-		if st.Scenario != cfg.Scenario || st.Scale != cfg.ScaleName || st.Shards != cfg.Shards {
-			return nil, fmt.Errorf("experiments: build mismatch with leader %s: it runs %s/%s shards=%d, this follower %s/%s shards=%d",
-				cfg.FollowAddr, st.Scenario, st.Scale, st.Shards, cfg.Scenario, cfg.ScaleName, cfg.Shards)
-		}
-		leader := cfg.FollowAddr
-		ns.fol, err = replica.NewFollower(replica.FollowerConfig{
-			Heap: heap,
-			Dial: func() (net.Conn, error) { return net.Dial("tcp", leader) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		scfg.Follower = ns.fol
-		scfg.LeaderLogPath = cfg.LeaderLogPath
-	}
-	if cfg.DurableDir != "" {
-		if cfg.Scenario != "ycsb-a" {
-			return nil, fmt.Errorf("experiments: durable serving supports scenario ycsb-a, not %q", cfg.Scenario)
-		}
-		dir := cfg.DurableDir
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		// A fresh serve truncates wal.log; a checkpoint left by a previous
-		// run belongs to a different history (see StartDurable).
-		for _, stale := range []string{ckptPath(dir), ckptPath(dir) + ".tmp"} {
-			if err := os.Remove(stale); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
-		meta := DurableMeta{
-			Scenario: cfg.Scenario,
-			System:   cfg.System,
-			Scale:    cfg.ScaleName,
-			Threads:  cfg.Shards,
-			WindowNS: int64(cfg.Window),
-		}
-		mj, err := json.MarshalIndent(meta, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		store, err := durable.Open(heap, logPath(dir), m.Topology().MaxThreads(),
-			durable.Config{Window: cfg.Window, WaitAck: true})
-		if err != nil {
-			return nil, err
-		}
-		ns.store = store
-		scfg.Backend = engine.NewDurableBackend(backend, store)
-		scfg.System = store.Attach(sys, m)
-		scfg.Store = store
-		scfg.CheckpointPath = ckptPath(dir)
-	}
-	ns.Srv, err = server.New(scfg)
-	if err != nil {
-		if ns.store != nil {
-			ns.store.Close()
-		}
-		return nil, err
-	}
-	ns.Addr, err = ns.Srv.Listen(cfg.Addr)
-	if err != nil {
-		if ns.store != nil {
-			ns.store.Close()
-		}
-		return nil, err
-	}
-	if ns.store != nil && cfg.CkptEvery > 0 {
-		ns.ckpt = startCheckpointer(ns.store, ckptPath(cfg.DurableDir), cfg.CkptEvery)
-	}
-	if ns.fol != nil {
-		ns.fol.Start()
-	}
-	if cfg.MetricsAddr != "" {
-		var fp followerProbe
-		if ns.fol != nil {
-			fp = ns.fol
-		}
-		ready := readyProbe(ns.Srv.Draining, fp)
-
-		// The analysis layer: the tsdb self-scrapes the registry and the
-		// alert engine evaluates the role-appropriate rule set on every
-		// scrape. Built before the listener so /debug/timeseries and
-		// /debug/alerts are live from the first request.
-		interval := cfg.ScrapeInterval
-		if interval <= 0 {
-			interval = tsdb.DefaultInterval
-		}
-		ns.ts = tsdb.New(ns.Srv.Telemetry(), tsdb.Config{Interval: interval})
-		ns.alerts, err = alert.New(ns.ts, ns.Srv.Telemetry(), alert.DefaultRules(alert.RuleOptions{
-			System:    cfg.System,
-			Interval:  interval,
-			P99Target: cfg.P99Target,
-			Durable:   ns.store != nil,
-			Follower:  ns.fol != nil,
-			Leader:    ns.store != nil, // durable leaders own the replication publisher
-		}), os.Stderr)
-		if err != nil {
-			ns.Shutdown()
-			return nil, fmt.Errorf("experiments: alert rules: %w", err)
-		}
-		ns.ts.Start()
-		ns.Metrics, err = telemetry.ListenAndServe(cfg.MetricsAddr, ns.Srv.Telemetry(), ready,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(ns.Srv.TraceRing())},
-			telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(ns.ts)},
-			telemetry.Extra{Path: "/debug/alerts", Handler: alert.Handler(ns.alerts)})
-		if err != nil {
-			ns.Shutdown()
-			return nil, fmt.Errorf("experiments: metrics listener: %w", err)
-		}
-	}
-	return ns, nil
-}
-
-// Shutdown drains gracefully: the fuzzy checkpointer stops first (so
-// it cannot race Drain's final checkpoint on the same path), then
-// in-flight commits quiesce, replies flush, and the durable store
-// writes the final checkpoint and closes.
-func (ns *NetServer) Shutdown() error {
-	// The observability plane goes first: its readiness probe reads
-	// server and follower state that the teardown below invalidates.
-	var err error
-	if ns.Metrics != nil {
-		err = ns.Metrics.Close()
-		ns.Metrics = nil
-	}
-	if ns.ts != nil {
-		ns.ts.Close()
-		ns.ts = nil
-		ns.alerts = nil
-	}
-	if herr := ns.ckpt.halt(); err == nil {
-		err = herr
-	}
-	ns.ckpt = nil
-	if derr := ns.Srv.Drain(); err == nil {
-		err = derr
-	}
-	if ns.fol != nil {
-		if ferr := ns.fol.Close(); err == nil {
-			err = ferr
-		}
-		ns.fol = nil
-	}
-	if ns.store != nil {
-		if cerr := ns.store.Close(); err == nil {
-			err = cerr
-		}
-		ns.store = nil
-	}
-	return err
+	return m, backend, sys, nil
 }
 
 // runLoadgenBatchSweep sweeps the admission-batch bound against a live
@@ -849,10 +472,10 @@ func runLoadgenBatchSweep(addr string, e Entry, st wire.ServerStats, sc, buildSc
 		n = sc.MaxThreads
 	}
 	for _, batch := range netBatches {
-		hr, ex, perr := RunNetPoint(NetPoint{
+		hr, ex, perr := runNetPoint(NetPoint{
 			Scenario: st.Scenario, System: st.System, Addr: addr, Threads: n, Batch: batch,
 			AdmitWait: netAdmitWait,
-		}, buildSc)
+		}, buildSc, nil)
 		if perr != nil {
 			return fmt.Errorf("net-batch-window/batch=%d: %w", batch, perr)
 		}
@@ -861,6 +484,30 @@ func runLoadgenBatchSweep(addr string, e Entry, st wire.ServerStats, sc, buildSc
 			batch, hr.Throughput, ex.P50, ex.P99, ex.BatchAvg)
 	}
 	return nil
+}
+
+// servedBuild asks a live `repro serve` what it hosts: its STATS reply,
+// the scenario, and the scale the scenario's keyspace was built at.
+func servedBuild(rb *engine.RemoteBackend, addr string) (wire.ServerStats, ycsbSpec, Scale, error) {
+	fail := func(err error) (wire.ServerStats, ycsbSpec, Scale, error) {
+		return wire.ServerStats{}, ycsbSpec{}, Scale{}, err
+	}
+	st, err := rb.Stats()
+	if err != nil {
+		return fail(err)
+	}
+	if st.Scenario == "" {
+		return fail(fmt.Errorf("experiments: server at %s reports no scenario; is it `repro serve`?", addr))
+	}
+	y, err := ycsbSpecByID(st.Scenario)
+	if err != nil {
+		return fail(err)
+	}
+	buildSc, err := ScaleByName(st.Scale)
+	if err != nil {
+		return fail(fmt.Errorf("experiments: server build scale: %w", err))
+	}
+	return st, y, buildSc.withDefaults(), nil
 }
 
 // RunLoadgen drives the selected net entries against a live external
@@ -875,21 +522,13 @@ func RunLoadgen(addr string, ids []string, sc Scale, hook func(results.Record), 
 	if err != nil {
 		return err
 	}
-	st, err := probe.Stats()
+	st, y, buildSc, err := servedBuild(probe, addr)
 	probe.Close()
 	if err != nil {
 		return err
 	}
-	if st.Scenario == "" {
-		return fmt.Errorf("experiments: server at %s reports no scenario; is it `repro serve`?", addr)
-	}
 	// The server's build scale governs the keyspace the client draws
 	// from; the client's own scale only shapes windows and ladders.
-	buildSc, err := ScaleByName(st.Scale)
-	if err != nil {
-		return fmt.Errorf("experiments: server build scale: %w", err)
-	}
-	buildSc = buildSc.withDefaults()
 	buildSc.Warmup, buildSc.Measure = sc.Warmup, sc.Measure
 	note := func(format string, args ...any) {
 		if progress != nil {
@@ -910,9 +549,9 @@ func RunLoadgen(addr string, ids []string, sc Scale, hook func(results.Record), 
 				return fmt.Errorf("experiments: %s needs a durable server (serve --durable-dir)", id)
 			}
 			for _, n := range sc.threads(topology.PaperThreadLadder) {
-				hr, ex, err := RunNetPoint(NetPoint{
+				hr, ex, err := runNetPoint(NetPoint{
 					Scenario: st.Scenario, System: st.System, Addr: addr, Threads: n,
-				}, buildSc)
+				}, buildSc, nil)
 				if err != nil {
 					return fmt.Errorf("%s/%d: %w", id, n, err)
 				}
@@ -928,10 +567,6 @@ func RunLoadgen(addr string, ids []string, sc Scale, hook func(results.Record), 
 			// The ladder reconfigures the server's admission knobs per
 			// rung and leaves them at moderate defaults; the keyspace
 			// comes from the server's own build.
-			y, yerr := ycsbSpecByID(st.Scenario)
-			if yerr != nil {
-				return yerr
-			}
 			keys := scaledKeys(y.baseKeys, buildSc, 128)
 			// The window floors apply against an external server too:
 			// the uncontrolled rungs hold replies for a 10ms admission

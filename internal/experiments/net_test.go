@@ -6,8 +6,48 @@ import (
 	"testing"
 	"time"
 
+	"sihtm/internal/durable"
+	"sihtm/internal/node"
 	"sihtm/internal/results"
+	"sihtm/internal/server"
 )
+
+// startServed starts the node `repro serve` would: BuildServed's
+// si-htm ycsb-a build at ci scale, durable in dir when dir is set (with
+// meta.json, periodic and drain-time checkpoints).
+func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
+	t.Helper()
+	m, backend, sys, err := BuildServed("ycsb-a", "si-htm", "ci", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := node.Config{
+		Addr:    "127.0.0.1:0",
+		Machine: m,
+		Server: server.Config{
+			Backend: backend, System: sys, Shards: shards, BatchMax: batch,
+			Scenario: "ycsb-a", Scale: "ci",
+		},
+	}
+	if dir != "" {
+		window := 500 * time.Microsecond
+		err := WriteDurableMeta(dir, DurableMeta{
+			Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: shards, WindowNS: int64(window),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Dir = dir
+		cfg.Durable = durable.Config{Window: window, WaitAck: true}
+		cfg.CkptEvery = 200 * time.Millisecond
+		cfg.Server.CheckpointPath = node.CkptPath(dir)
+	}
+	n, err := node.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 // TestServeLoadgenRecoverPipeline is the in-process version of the CI
 // server-smoke job: start a durable `repro serve` instance, drive every
@@ -19,26 +59,12 @@ func TestServeLoadgenRecoverPipeline(t *testing.T) {
 		t.Skip("serves and measures over loopback; a few seconds")
 	}
 	dir := t.TempDir()
-	ns, err := StartNetServer(ServeConfig{
-		Addr:       "127.0.0.1:0",
-		Scenario:   "ycsb-a",
-		System:     "si-htm",
-		ScaleName:  "ci",
-		Shards:     4,
-		BatchMax:   netBatchDefault,
-		DurableDir: dir,
-		Window:     500 * time.Microsecond,
-		CkptEvery:  200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- ns.Srv.Serve() }()
+	ns := startServed(t, 4, netBatchDefault, dir)
+	defer ns.Shutdown()
 
 	sc := quickScale()
 	var recs []results.Record
-	err = RunLoadgen(ns.Addr.String(), NetEntryIDs(), sc, func(r results.Record) {
+	err := RunLoadgen(ns.Addr.String(), NetEntryIDs(), sc, func(r results.Record) {
 		recs = append(recs, r)
 	}, nil)
 	if err != nil {
@@ -68,17 +94,14 @@ func TestServeLoadgenRecoverPipeline(t *testing.T) {
 	}
 
 	// Graceful shutdown: drain, final checkpoint, store close; Serve
-	// returns nil.
+	// has returned nil.
 	if err := ns.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve returned %v after drain", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after drain")
+	case <-ns.Served():
+	default:
+		t.Fatal("Serve still running after shutdown")
 	}
 	for _, f := range []string{"meta.json", "wal.log", "heap.ckpt"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
@@ -102,16 +125,9 @@ func TestServeLoadgenRecoverPipeline(t *testing.T) {
 // TestLoadgenRejectsNonDurableServer: the durable net entry must demand
 // a durable server instead of silently measuring a volatile one.
 func TestLoadgenRejectsNonDurableServer(t *testing.T) {
-	ns, err := StartNetServer(ServeConfig{
-		Addr: "127.0.0.1:0", Scenario: "ycsb-a", System: "si-htm",
-		ScaleName: "ci", Shards: 2, BatchMax: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ns.Srv.Serve()
+	ns := startServed(t, 2, 8, "")
 	defer ns.Shutdown()
-	err = RunLoadgen(ns.Addr.String(), []string{"net-durable-ycsb-a"}, quickScale(), func(results.Record) {}, nil)
+	err := RunLoadgen(ns.Addr.String(), []string{"net-durable-ycsb-a"}, quickScale(), func(results.Record) {}, nil)
 	if err == nil {
 		t.Fatal("loadgen measured net-durable-ycsb-a against a volatile server")
 	}

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"time"
 
+	"sihtm/internal/node"
 	"sihtm/internal/results"
 	"sihtm/internal/stats"
-	"sihtm/internal/telemetry"
 )
 
 // The net-observe cell proves the observability plane end to end: a
@@ -55,41 +55,29 @@ func netObserveEntry() Entry {
 		if sc.MaxThreads > 0 && n > sc.MaxThreads {
 			n = sc.MaxThreads
 		}
-		p := NetPoint{
-			Scenario: "ycsb-a", System: system, Threads: n, Batch: netBatchDefault,
-			Durable: true, Window: durableWindowDefault,
-			P99Target: time.Millisecond, CtrlInterval: netObserveCtrlInterval,
-		}
+		// The durable node runs with its own observability plane on, so the
+		// scrape goes through the same listener, handlers and readiness
+		// probe `repro serve --metrics-addr` mounts.
+		spec := netDurableSpec(system, n, sc)
+		spec.p99Target, spec.ctrlInterval = time.Millisecond, netObserveCtrlInterval
+		spec.observe = true
 
-		// The mid-measure observer stashes the host (for the final
+		// The mid-measure observer stashes the node (for the final
 		// consistency check) and the scraped counter values.
-		var observed *netHost
+		var observed *node.Node
 		var scraped map[string]float64
-		mid := func(h *netHost) error {
-			observed = h
-			// Serve the host's registry on an ephemeral port for the scrape
-			// window only: the cell exercises the same handler stack `repro
-			// serve --metrics-addr` mounts.
-			msrv, err := telemetry.ListenAndServe("127.0.0.1:0", h.srv.Telemetry(), func() error {
-				if h.srv.Draining() {
-					return fmt.Errorf("draining")
-				}
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("net-observe: metrics listener: %w", err)
-			}
-			defer msrv.Close()
-
-			if body, err := httpGetOK(msrv.Addr(), "/healthz"); err != nil {
+		mid := func(c *cluster) error {
+			observed = c.leader.node
+			maddr := observed.Metrics.Addr()
+			if body, err := httpGetOK(maddr, "/healthz"); err != nil {
 				return fmt.Errorf("net-observe: %w", err)
 			} else if !strings.Contains(body, "ok") {
 				return fmt.Errorf("net-observe: /healthz body %q", body)
 			}
-			if _, err := httpGetOK(msrv.Addr(), "/readyz"); err != nil {
+			if _, err := httpGetOK(maddr, "/readyz"); err != nil {
 				return fmt.Errorf("net-observe: serving host not ready: %w", err)
 			}
-			body, err := httpGetOK(msrv.Addr(), "/metrics")
+			body, err := httpGetOK(maddr, "/metrics")
 			if err != nil {
 				return fmt.Errorf("net-observe: %w", err)
 			}
@@ -128,7 +116,7 @@ func netObserveEntry() Entry {
 			return nil
 		}
 
-		hr, ex, err := runNetPoint(p, sc, mid)
+		hr, ex, err := runHostedPoint(spec, NetPoint{Batch: netBatchDefault}, sc, mid)
 		if err != nil {
 			return fmt.Errorf("net-observe %s: %w", system, err)
 		}
@@ -139,7 +127,7 @@ func netObserveEntry() Entry {
 		// Counters are monotone: the mid-flight scrape must be bounded by
 		// the final totals, or the scrape path and the STATS plane are
 		// counting different events.
-		final := observed.srv.Snapshot()
+		final := observed.Srv.Snapshot()
 		for k, cause := range abortCauseLabels {
 			key := fmt.Sprintf(`sihtm_tm_aborts_total{cause=%q,system=%q}`, cause, system)
 			if got, max := scraped[key], final.Stats.Aborts[stats.AbortKind(k)]; got > float64(max) {
@@ -164,7 +152,7 @@ func netObserveEntry() Entry {
 		// The post-drain snapshot reports the target as off (stopController
 		// zeroes it); the batch/grace knobs freeze at their converged
 		// values. Record the target the run was configured with.
-		r.CtrlP99TargetUs = int(p.P99Target / time.Microsecond)
+		r.CtrlP99TargetUs = int(spec.p99Target / time.Microsecond)
 		hook(r)
 		return nil
 	}

@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sihtm/internal/harness"
-	"sihtm/internal/memsim"
 	"sihtm/internal/netchaos"
-	"sihtm/internal/replica"
 	"sihtm/internal/results"
-	"sihtm/internal/server"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/ycsb"
 )
@@ -55,151 +51,13 @@ var replFollowerLadder = []int{1, 2, 3}
 // as a dead leader and triggers reconnect-and-resume.
 const replReadTimeout = 250 * time.Millisecond
 
-// replNode is one follower: its own deterministic build of the
-// scenario, the replica applier feeding its heap, and the read-only
-// server fronting it.
-type replNode struct {
-	fol     *replica.Follower
-	srv     *server.Server
-	addr    net.Addr
-	heap    *memsim.Heap
-	backend engine.Backend
-	chaos   *netchaos.Dialer
-	served  chan error
-}
-
-// replCluster is the in-process cluster: a durable leader plus
-// followers replaying its WAL stream, each node a full wire server.
-type replCluster struct {
-	y       ycsbSpec
-	keys    int
-	cell    *durableCell
-	heap    *memsim.Heap
-	backend engine.Backend
-	srv     *server.Server
-	addr    net.Addr
-	served  chan error
-	nodes   []*replNode
-}
-
-// startReplCluster builds the leader (durable, so it is a replication
-// leader by construction) and followers many replica nodes. Every node
-// runs the identical deterministic build, so the followers' heaps start
-// from the same post-population base image the leader's log was opened
-// on — the contract stream replay (and crash recovery) relies on.
-// chaos, when non-nil, seeds a fault-injecting dialer per follower.
-func startReplCluster(y ycsbSpec, system string, sc Scale, threads, followers int, chaos *netchaos.Config) (*replCluster, error) {
-	m, backend, d, err := y.build(sc, threads)
-	if err != nil {
-		return nil, err
-	}
-	heap := m.Heap()
-	sys, err := NewSystem(system, m, heap, threads)
-	if err != nil {
-		return nil, err
-	}
-	cell, err := openDurableCell(heap, m, durableWindowDefault)
-	if err != nil {
-		return nil, err
-	}
-	c := &replCluster{
-		y: y, keys: d.Spec().Keys, cell: cell,
-		heap: heap, backend: backend, served: make(chan error, 1),
-	}
-	fail := func(err error) (*replCluster, error) {
-		c.close()
-		return nil, err
-	}
-	c.srv, err = server.New(server.Config{
-		Backend:  engine.NewDurableBackend(backend, cell.store),
-		System:   cell.store.Attach(sys, m),
-		Store:    cell.store,
-		Shards:   threads,
-		BatchMax: netBatchDefault,
-		Scenario: y.id,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if c.addr, err = c.srv.Listen("127.0.0.1:0"); err != nil {
-		return fail(err)
-	}
-	go func() { c.served <- c.srv.Serve() }()
-
-	leaderAddr := c.addr.String()
-	for i := 0; i < followers; i++ {
-		fm, fbackend, _, err := y.build(sc, threads)
-		if err != nil {
-			return fail(err)
-		}
-		fheap := fm.Heap()
-		n := &replNode{heap: fheap, backend: fbackend, served: make(chan error, 1)}
-		dial := func() (net.Conn, error) { return net.Dial("tcp", leaderAddr) }
-		if chaos != nil {
-			cfg := *chaos
-			cfg.Seed += uint64(i) * 7919 // distinct schedule per follower
-			n.chaos = netchaos.NewDialer(leaderAddr, cfg)
-			dial = n.chaos.Dial
-		}
-		n.fol, err = replica.NewFollower(replica.FollowerConfig{
-			Heap:        fheap,
-			Dial:        dial,
-			ReadTimeout: replReadTimeout,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		fsys, err := NewSystem(system, fm, fheap, threads)
-		if err != nil {
-			return fail(err)
-		}
-		n.srv, err = server.New(server.Config{
-			Backend:       fbackend,
-			System:        fsys,
-			Shards:        threads,
-			BatchMax:      netBatchDefault,
-			Scenario:      y.id,
-			Follower:      n.fol,
-			LeaderLogPath: cell.logPath(),
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if n.addr, err = n.srv.Listen("127.0.0.1:0"); err != nil {
-			return fail(err)
-		}
-		go func(n *replNode) { n.served <- n.srv.Serve() }(n)
-		n.fol.Start()
-		c.nodes = append(c.nodes, n)
-	}
-	return c, nil
-}
-
-// followerAddrs lists the follower listen addresses.
-func (c *replCluster) followerAddrs() []string {
-	addrs := make([]string, len(c.nodes))
-	for i, n := range c.nodes {
-		addrs[i] = n.addr.String()
-	}
-	return addrs
-}
-
-// close tears the cluster down, followers first (their streams end when
-// the leader drains anyway, but this keeps shutdown orderly).
-func (c *replCluster) close() {
-	for _, n := range c.nodes {
-		if n.srv != nil {
-			n.srv.Drain()
-		}
-		if n.fol != nil {
-			n.fol.Close()
-		}
-	}
-	if c.srv != nil {
-		c.srv.Drain()
-	}
-	if c.cell != nil {
-		c.cell.close()
+// replSpec is the cluster of the repl cells and net-trace: a durable
+// leader (group commit on the default window, no periodic checkpoints)
+// streaming to the given number of followers.
+func replSpec(system string, threads, followers int, chaos *netchaos.Config) clusterSpec {
+	return clusterSpec{
+		y: ycsbA, system: system, threads: threads,
+		durable: true, window: durableWindowDefault, followers: followers, chaos: chaos,
 	}
 }
 
@@ -226,25 +84,29 @@ func runWorkers(threads int, mk func(int) func()) (stop func()) {
 // replVerify checks the cluster after a point: every follower caught up
 // to the leader's durable frontier must hold a word-identical heap and
 // pass the workload's structural/population invariants. Followers are
-// stopped first so the comparison does not race the applier; callers
-// run this at the end of a point.
-func (c *replCluster) replVerify(rb *engine.ReplicaBackend) error {
+// stopped first so the comparison does not race the applier; the
+// cluster is then shut down, so a node whose listener failed during the
+// point fails it.
+func (c *cluster) replVerify(rb *engine.ReplicaBackend) error {
 	if err := rb.WaitCatchup(10 * time.Second); err != nil {
 		return err
 	}
 	if err := rb.Check(); err != nil {
 		return err
 	}
-	for i, n := range c.nodes {
-		n.fol.Stop()
-		if err := compareHeaps(c.heap, n.heap); err != nil {
+	for i, f := range c.followers {
+		f.node.Follower.Stop()
+		if err := compareHeaps(c.leader.heap, f.heap); err != nil {
 			return fmt.Errorf("follower %d diverged: %w", i, err)
 		}
-		if err := engineCheck(n.backend, c.keys); err != nil {
+		if err := engineCheck(f.backend, c.keys); err != nil {
 			return fmt.Errorf("follower %d: %w", i, err)
 		}
 	}
-	return engineCheck(c.backend, c.keys)
+	if err := engineCheck(c.leader.backend, c.keys); err != nil {
+		return err
+	}
+	return c.shutdown()
 }
 
 // runReplReadPoint measures one (system × follower count) cell of
@@ -253,10 +115,7 @@ func (c *replCluster) replVerify(rb *engine.ReplicaBackend) error {
 func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, NetExtras, error) {
 	sc = sc.withDefaults()
 	fail := func(err error) (harness.Result, NetExtras, error) { return harness.Result{}, NetExtras{}, err }
-	y, err := ycsbSpecByID("ycsb-a")
-	if err != nil {
-		return fail(err)
-	}
+	y := ycsbA
 	readers := replReadThreads
 	writers := replWriteThreads
 	if sc.MaxThreads > 0 {
@@ -267,7 +126,7 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 			writers = sc.MaxThreads
 		}
 	}
-	c, err := startReplCluster(y, system, sc, readers, followers, nil)
+	c, err := startCluster(replSpec(system, readers, followers, nil), sc)
 	if err != nil {
 		return fail(err)
 	}
@@ -275,20 +134,11 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 
 	// Write stream: the leader's own YCSB-A mix over a plain remote
 	// backend (acks ride group-commit fsyncs, records stream out).
-	wb, err := engine.DialRemote(c.addr.String(), (writers+1)/2)
+	wb, err := dialClient(c.addr(), y, sc, system, writers)
 	if err != nil {
 		return fail(err)
 	}
 	defer wb.Close()
-	wspec, err := netSpec(y, sc, readers)
-	if err != nil {
-		return fail(err)
-	}
-	wd, err := engine.New(wspec, wb)
-	if err != nil {
-		return fail(err)
-	}
-	wsys := engine.NewRemoteSystem(system, writers)
 
 	// Read population: a read-only YCSB-C-shaped mix over the same
 	// keyspace, routed to the followers by the replica backend (stale
@@ -302,7 +152,7 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 	if err != nil {
 		return fail(err)
 	}
-	rb, err := engine.DialReplica(c.addr.String(), c.followerAddrs(), (readers+1)/2)
+	rb, err := engine.DialReplica(c.addr(), c.followerAddrs(), (readers+1)/2)
 	if err != nil {
 		return fail(err)
 	}
@@ -313,13 +163,13 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 	}
 	rsys := engine.NewRemoteSystem(system, readers)
 
-	stopW := runWorkers(writers, wd.Workers(wsys))
+	stopW := wb.start()
+	defer stopW()
 	stopR := runWorkers(readers, rd.Workers(rsys))
-	stopAll := func() { stopR(); stopW() }
+	defer stopR()
 	time.Sleep(sc.Warmup)
 	sv0, err := wb.Stats()
 	if err != nil {
-		stopAll()
 		return fail(err)
 	}
 	r0 := rsys.Collector().Snapshot()
@@ -327,25 +177,17 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 	time.Sleep(sc.Measure)
 	sv1, err := wb.Stats()
 	elapsed := time.Since(start)
-	r1 := rsys.Collector().Snapshot()
-	stopAll()
+	reads := rsys.Collector().Snapshot().Sub(r0)
+	stopR()
+	stopW()
 	if err != nil {
 		return fail(err)
 	}
-
-	reads := r1.Sub(r0)
 	hr := harness.Result{
-		System:     system,
-		Threads:    readers,
-		Elapsed:    elapsed,
-		Stats:      reads,
+		System: system, Threads: readers, Elapsed: elapsed, Stats: reads,
 		Throughput: float64(reads.Commits) / elapsed.Seconds(),
 	}
-	hist := sv1.Hist.Sub(sv0.Hist)
-	ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
-	if batches := sv1.Batches - sv0.Batches; batches > 0 {
-		ex.BatchAvg = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
-	}
+	ex := latencyExtras(sv0, sv1)
 	if err := c.replVerify(rb); err != nil {
 		return fail(err)
 	}
@@ -393,35 +235,22 @@ var replChaosConfig = netchaos.Config{
 // node serving writes.
 func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)) error {
 	sc = sc.withDefaults()
-	y, err := ycsbSpecByID("ycsb-a")
-	if err != nil {
-		return err
-	}
 	writers := replWriteThreads * 2
 	if sc.MaxThreads > 0 && writers > sc.MaxThreads {
 		writers = sc.MaxThreads
 	}
 	chaos := replChaosConfig
-	c, err := startReplCluster(y, system, sc, writers, 2, &chaos)
+	c, err := startCluster(replSpec(system, writers, 2, &chaos), sc)
 	if err != nil {
 		return err
 	}
 	defer c.close()
 
-	wb, err := engine.DialRemote(c.addr.String(), (writers+1)/2)
+	wb, err := dialClient(c.addr(), ycsbA, sc, system, writers)
 	if err != nil {
 		return err
 	}
 	defer wb.Close()
-	wspec, err := netSpec(y, sc, writers)
-	if err != nil {
-		return err
-	}
-	wd, err := engine.New(wspec, wb)
-	if err != nil {
-		return err
-	}
-	wsys := engine.NewRemoteSystem(system, writers)
 
 	// Phase 1: write under chaos long enough for the schedule to cut
 	// streams and open partition windows.
@@ -429,29 +258,18 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if window < 300*time.Millisecond {
 		window = 300 * time.Millisecond
 	}
-	stopW := runWorkers(writers, wd.Workers(wsys))
-	w0 := wsys.Collector().Snapshot()
-	start := time.Now()
-	time.Sleep(window)
-	stopW()
-	elapsed := time.Since(start)
-	w1 := wsys.Collector().Snapshot()
-	pre := w1.Sub(w0)
-	hook(e.recordNet("phase=prekill", harness.Result{
-		System: system, Threads: writers, Elapsed: elapsed, Stats: pre,
-		Throughput: float64(pre.Commits) / elapsed.Seconds(),
-	}, NetExtras{}))
+	hook(e.recordNet("phase=prekill", wb.drive(window), NetExtras{}))
 
 	// The kill point: every acknowledged commit is at or below the
 	// durable frontier (acks wait for fsync), and the on-disk log's
 	// valid prefix holds all of it — that file is what a SIGKILL leaves
 	// behind, and what the promotion must recover from. The leader is
 	// abandoned from here on.
-	killSeq := c.cell.store.DurableSeq()
+	killSeq := c.leader.node.Store.DurableSeq()
 
-	promoted := c.nodes[0]
-	behind := killSeq - promoted.fol.Watermark() // informational: chaos-induced lag at the kill
-	pb, err := engine.DialRemote(promoted.addr.String(), (writers+1)/2)
+	promoted := c.followers[0]
+	behind := killSeq - promoted.node.Follower.Watermark() // informational: chaos-induced lag at the kill
+	pb, err := dialClient(promoted.node.Addr.String(), ycsbA, sc, system, writers)
 	if err != nil {
 		return err
 	}
@@ -466,7 +284,7 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if rs.Watermark < killSeq {
 		return fmt.Errorf("ACKED LOSS: promoted watermark %d < durable frontier %d at kill", rs.Watermark, killSeq)
 	}
-	if err := compareHeaps(c.heap, promoted.heap); err != nil {
+	if err := compareHeaps(c.leader.heap, promoted.heap); err != nil {
 		return fmt.Errorf("promoted state diverged: %w", err)
 	}
 	if err := engineCheck(promoted.backend, c.keys); err != nil {
@@ -477,30 +295,15 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	}
 
 	// Phase 2: the promoted node must admit and serve writes.
-	pd, err := engine.New(wspec, pb)
-	if err != nil {
-		return err
-	}
-	psys := engine.NewRemoteSystem(system, writers)
-	stopP := runWorkers(writers, pd.Workers(psys))
-	p0 := psys.Collector().Snapshot()
-	start = time.Now()
-	time.Sleep(sc.Measure)
-	stopP()
-	elapsed = time.Since(start)
-	p1 := psys.Collector().Snapshot()
-	post := p1.Sub(p0)
-	if post.Commits == 0 {
+	post := pb.drive(sc.Measure)
+	if post.Stats.Commits == 0 {
 		return fmt.Errorf("promoted node served no write commits")
 	}
 	if err := engineCheck(promoted.backend, c.keys); err != nil {
 		return fmt.Errorf("post-promotion state: %w", err)
 	}
-	hook(e.recordNet(fmt.Sprintf("phase=postpromote lag=%d", behind), harness.Result{
-		System: system, Threads: writers, Elapsed: elapsed, Stats: post,
-		Throughput: float64(post.Commits) / elapsed.Seconds(),
-	}, NetExtras{}))
-	return nil
+	hook(e.recordNet(fmt.Sprintf("phase=postpromote lag=%d", behind), post, NetExtras{}))
+	return c.shutdown()
 }
 
 // replFailoverEntry is repl-failover: kill-the-leader with chaotic

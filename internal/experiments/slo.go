@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -11,8 +10,6 @@ import (
 	"sihtm/internal/loadgen"
 	"sihtm/internal/report"
 	"sihtm/internal/results"
-	"sihtm/internal/telemetry"
-	"sihtm/internal/trace"
 	"sihtm/internal/tsdb"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
@@ -63,41 +60,22 @@ func netSLOEntry() Entry {
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
 		sc = connScaleWindows(sc.withDefaults())
-		y, err := ycsbSpecByID("ycsb-a")
-		if err != nil {
-			return err
-		}
-		host, err := startNetHost(y, NetPoint{
-			Scenario: "ycsb-a", System: system,
-			Threads: connScaleShards, Shards: connScaleShards,
+		// A volatile node with its own observability plane on: tsdb over the
+		// live registry, the default rule set (capacity rule only — no SLO
+		// target, no WAL, no replica) evaluated on every scrape, and the
+		// debug endpoints the report is collected from.
+		interval := sloScrapeInterval(sc)
+		c, err := startCluster(clusterSpec{
+			y: ycsbA, system: system, threads: connScaleShards,
+			observe: true, tsdb: tsdb.Config{Interval: interval, Retention: 1024},
 		}, sc)
 		if err != nil {
 			return err
 		}
-		verified := false
-		defer func() {
-			if !verified {
-				host.close()
-			}
-		}()
+		defer c.close()
+		eng := c.leader.node.Alerts
 
-		// The analysis stack, exactly as StartNetServer wires it for a
-		// volatile server: tsdb over the live registry, the default rule
-		// set (capacity rule only — no SLO target, no WAL, no replica),
-		// evaluation on every scrape.
-		interval := sloScrapeInterval(sc)
-		ts := tsdb.New(host.srv.Telemetry(), tsdb.Config{Interval: interval, Retention: 1024})
-		eng, err := alert.New(ts, host.srv.Telemetry(), alert.DefaultRules(alert.RuleOptions{
-			System:   system,
-			Interval: interval,
-		}), io.Discard)
-		if err != nil {
-			return err
-		}
-		ts.Start()
-		defer ts.Close()
-
-		addr := host.addr.String()
+		addr := c.addr()
 		rb, err := engine.DialRemote(addr, 1)
 		if err != nil {
 			return err
@@ -113,10 +91,9 @@ func netSLOEntry() Entry {
 		// Overload phase: open-loop arrivals the server cannot keep up
 		// with, every request trace-stamped so the firing window has
 		// exemplars in the ring.
-		keys := scaledKeys(y.baseKeys, sc, 128)
 		arrival := loadgen.Arrival{Process: "poisson", Rate: sloArrivalRate}
 		overloadStart := time.Now()
-		r, err := runOpenLoopPoint(e, rb, addr, system, keys, sloConns, arrival, sc, 1)
+		r, err := runOpenLoopPoint(e, rb, addr, system, c.keys, sloConns, arrival, sc, 1)
 		if err != nil {
 			return fmt.Errorf("net-slo overload: %w", err)
 		}
@@ -164,17 +141,9 @@ func netSLOEntry() Entry {
 			time.Sleep(interval / 2)
 		}
 
-		// Incident report, over the same HTTP surfaces `repro report`
-		// uses: serve the three debug endpoints, collect, analyze, render.
-		msrv, err := telemetry.ListenAndServe("127.0.0.1:0", host.srv.Telemetry(), nil,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(host.srv.TraceRing())},
-			telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(ts)},
-			telemetry.Extra{Path: "/debug/alerts", Handler: alert.Handler(eng)})
-		if err != nil {
-			return fmt.Errorf("net-slo: metrics listener: %w", err)
-		}
-		nd, err := report.Collect("leader", "http://"+msrv.Addr())
-		msrv.Close()
+		// Incident report, collected over the HTTP surfaces `repro report`
+		// reads.
+		nd, err := report.Collect("leader", "http://"+c.leader.node.Metrics.Addr())
 		if err != nil {
 			return fmt.Errorf("net-slo: collect: %w", err)
 		}
@@ -209,13 +178,9 @@ func netSLOEntry() Entry {
 			return fmt.Errorf("net-slo: rendered report is empty or missing the capacity rule")
 		}
 
-		// Stop scraping before the host drains, then run the standard
-		// invariant checks.
-		ts.Close()
-		if err := host.verify(y, NetPoint{Scenario: "ycsb-a", System: system, Threads: connScaleShards}, sc); err != nil {
+		if err := c.verify(); err != nil {
 			return err
 		}
-		verified = true
 
 		var firings uint64
 		for _, ev := range an.Timeline {

@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"sihtm/internal/harness"
 	"sihtm/internal/results"
-	"sihtm/internal/telemetry"
 	"sihtm/internal/trace"
-	"sihtm/internal/workload/engine"
 )
 
 // The net-trace cell proves the tracing plane end to end: a durable
@@ -69,17 +66,20 @@ func netTraceEntry() Entry {
 			threads = sc.MaxThreads
 		}
 		fail := func(err error) error { return fmt.Errorf("net-trace %s: %w", system, err) }
-		y, err := ycsbSpecByID("ycsb-a")
-		if err != nil {
-			return fail(err)
-		}
-		c, err := startReplCluster(y, system, sc, threads, 1, nil)
+		// The leader's own observability plane is on: its ring is fetched
+		// over the /debug/traces endpoint `repro serve --metrics-addr`
+		// mounts, so the HTTP query surface is exercised, not just the
+		// in-process snapshot.
+		spec := replSpec(system, threads, 1, nil)
+		spec.observe = true
+		c, err := startCluster(spec, sc)
 		if err != nil {
 			return fail(err)
 		}
 		defer c.close()
+		leader, fol := c.leader.node, c.followers[0].node
 
-		wb, err := engine.DialRemote(c.addr.String(), (threads+1)/2)
+		wb, err := dialClient(c.addr(), ycsbA, sc, system, threads)
 		if err != nil {
 			return fail(err)
 		}
@@ -87,25 +87,16 @@ func netTraceEntry() Entry {
 		// Trace every request: the cell's assertions need traced commits
 		// in the most recent ring window, not a 1/64 sample.
 		clientRing := wb.EnableTracing(1)
-		wspec, err := netSpec(y, sc, threads)
-		if err != nil {
-			return fail(err)
-		}
-		wd, err := engine.New(wspec, wb)
-		if err != nil {
-			return fail(err)
-		}
-		wsys := engine.NewRemoteSystem(system, threads)
 
-		stop := runWorkers(threads, wd.Workers(wsys))
+		stop := wb.start()
 		time.Sleep(sc.Warmup)
 		sv0, serr := wb.Stats()
-		w0 := wsys.Collector().Snapshot()
+		w0 := wb.snapshot()
 		start := time.Now()
 		time.Sleep(sc.Measure)
 		sv1, serr1 := wb.Stats()
 		elapsed := time.Since(start)
-		w1 := wsys.Collector().Snapshot()
+		w1 := wb.snapshot()
 		stop()
 		if serr != nil {
 			return fail(serr)
@@ -118,23 +109,13 @@ func netTraceEntry() Entry {
 		// frontier covers every acknowledged commit; once the follower's
 		// watermark reaches it, every traced commit still in the rings has
 		// its repl_apply span recorded.
-		frontier := c.cell.store.DurableSeq()
-		fol := c.nodes[0]
-		if !fol.fol.WaitWatermark(frontier, 10*time.Second) {
+		frontier := leader.Store.DurableSeq()
+		if !fol.Follower.WaitWatermark(frontier, 10*time.Second) {
 			return fail(fmt.Errorf("follower stuck at watermark %d, leader frontier %d",
-				fol.fol.Watermark(), frontier))
+				fol.Follower.Watermark(), frontier))
 		}
 
-		// Fetch the leader's ring over the same /debug/traces endpoint
-		// `repro serve --metrics-addr` mounts, so the HTTP query surface
-		// is exercised, not just the in-process snapshot.
-		msrv, err := telemetry.ListenAndServe("127.0.0.1:0", c.srv.Telemetry(), nil,
-			telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(c.srv.TraceRing())})
-		if err != nil {
-			return fail(err)
-		}
-		defer msrv.Close()
-		body, err := httpGetOK(msrv.Addr(), "/debug/traces")
+		body, err := httpGetOK(leader.Metrics.Addr(), "/debug/traces")
 		if err != nil {
 			return fail(err)
 		}
@@ -149,7 +130,7 @@ func netTraceEntry() Entry {
 		ix := make(traceIndex)
 		ix.add(clientRing.Snapshot(nil))
 		ix.add(leaderSpans)
-		ix.add(fol.srv.TraceRing().Snapshot(nil))
+		ix.add(fol.Srv.TraceRing().Snapshot(nil))
 		var fsyncs []trace.Span
 		for _, s := range leaderSpans {
 			if s.Kind == trace.KFsync {
@@ -200,7 +181,7 @@ func netTraceEntry() Entry {
 		}
 		if complete == 0 {
 			return fail(fmt.Errorf("no complete end-to-end trace across %d ids (client=%d leader=%d follower=%d spans)",
-				len(ix), clientRing.Total(), c.srv.TraceRing().Total(), fol.srv.TraceRing().Total()))
+				len(ix), clientRing.Total(), leader.Srv.TraceRing().Total(), fol.Srv.TraceRing().Total()))
 		}
 
 		// Cross-layer invariants on the chosen exemplar.
@@ -222,7 +203,7 @@ func netTraceEntry() Entry {
 		// an exemplar, and with every request client-traced it must be a
 		// client-originated id present in the reconstruction index.
 		hist := sv1.Hist.Sub(sv0.Hist)
-		exID := c.srv.Exemplars().ForQuantile(hist, 0.99)
+		exID := leader.Srv.Exemplars().ForQuantile(hist, 0.99)
 		if exID == 0 {
 			return fail(fmt.Errorf("p99 exemplar empty after a fully traced window"))
 		}
@@ -230,16 +211,15 @@ func netTraceEntry() Entry {
 			return fail(fmt.Errorf("p99 exemplar %d is server-origin under trace-every=1", exID))
 		}
 
-		stats := w1.Sub(w0)
-		hr := harness.Result{
-			System: system, Threads: threads, Elapsed: elapsed, Stats: stats,
-			Throughput: float64(stats.Commits) / elapsed.Seconds(),
-		}
+		hr := wb.result(w1.Sub(w0), elapsed)
 		ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
 		r := e.recordNet("", hr, ex)
-		r.TraceSpansTotal = c.srv.TraceRing().Total()
+		r.TraceSpansTotal = leader.Srv.TraceRing().Total()
 		r.TraceStageSumUs = float64(stageSum) / float64(time.Microsecond)
 		r.TraceClientUs = float64(client.Dur) / float64(time.Microsecond)
+		if err := c.shutdown(); err != nil {
+			return fail(err)
+		}
 		hook(r)
 		return nil
 	}

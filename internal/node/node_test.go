@@ -1,0 +1,290 @@
+package node
+
+import (
+	"net"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"sihtm/internal/durable"
+	"sihtm/internal/htm"
+	"sihtm/internal/memsim"
+	"sihtm/internal/replica"
+	"sihtm/internal/server"
+	"sihtm/internal/sihtm"
+	"sihtm/internal/tm"
+	"sihtm/internal/topology"
+	"sihtm/internal/workload/engine"
+)
+
+const (
+	testKeys   = 64
+	testShards = 2
+)
+
+// build is the deterministic base every test node starts from: a
+// populated hash map on a fresh machine, so a follower's heap and a
+// recovery heap begin identical to the leader's.
+func build() (*htm.Machine, *engine.HashmapBackend) {
+	spec := engine.Spec{Keys: testKeys}
+	heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, testKeys/4))
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
+	backend := engine.NewHashmapBackend(heap, testKeys/4)
+	engine.Populate(backend, spec)
+	return m, backend
+}
+
+// config is the volatile node over a fresh build; tests add a role.
+func config() Config {
+	m, backend := build()
+	return Config{
+		Addr:    "127.0.0.1:0",
+		Machine: m,
+		Server: server.Config{
+			Backend: backend,
+			System:  sihtm.NewSystem(m, testShards, sihtm.Config{}),
+			Shards:  testShards,
+		},
+	}
+}
+
+func durableConfig(dir string) Config {
+	cfg := config()
+	cfg.Dir = dir
+	cfg.Durable = durable.Config{Window: 200 * time.Microsecond, WaitAck: true}
+	return cfg
+}
+
+func mustStart(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Shutdown() })
+	return n
+}
+
+func dial(t *testing.T, n *Node) *engine.RemoteBackend {
+	t.Helper()
+	rb, err := engine.DialRemote(n.Addr.String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rb.Close() })
+	return rb
+}
+
+func sameHeap(t *testing.T, what string, want, got *memsim.Heap) {
+	t.Helper()
+	if want.Size() != got.Size() {
+		t.Fatalf("%s: heap is %d words, want %d", what, got.Size(), want.Size())
+	}
+	for a := 0; a < want.Size(); a++ {
+		if w, g := want.Load(memsim.Addr(a)), got.Load(memsim.Addr(a)); w != g {
+			t.Fatalf("%s: word %d is %d, want %d", what, a, g, w)
+		}
+	}
+}
+
+// TestRoles starts each role, has it answer a request, and shuts it
+// down twice.
+func TestRoles(t *testing.T) {
+	roles := []struct {
+		name  string
+		start func(t *testing.T) *Node
+	}{
+		{"volatile", func(t *testing.T) *Node { return mustStart(t, config()) }},
+		{"durable-leader", func(t *testing.T) *Node { return mustStart(t, durableConfig(t.TempDir())) }},
+		{"follower", func(t *testing.T) *Node {
+			leader := mustStart(t, durableConfig(t.TempDir()))
+			cfg := config()
+			addr := leader.Addr.String()
+			cfg.Follower = replica.FollowerConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
+			return mustStart(t, cfg)
+		}},
+	}
+	for _, role := range roles {
+		t.Run(role.name, func(t *testing.T) {
+			n := role.start(t)
+			rb := dial(t, n)
+			if v, ok := rb.NewSession().Read(rb.Direct(), 7); !ok || v != engine.InitialValue(7) {
+				t.Fatalf("Read(7) = (%d, %v)", v, ok)
+			}
+			st, err := rb.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := role.name == "durable-leader"; st.Durable != want {
+				t.Fatalf("STATS durable = %v, want %v", st.Durable, want)
+			}
+			for i := 0; i < 2; i++ {
+				if err := n.Shutdown(); err != nil {
+					t.Fatalf("Shutdown #%d: %v", i+1, err)
+				}
+			}
+			select {
+			case <-n.Served():
+			default:
+				t.Fatal("Serve still running after Shutdown")
+			}
+		})
+	}
+}
+
+// TestFollowerReplaysLeader: writes acknowledged by the leader reach
+// the follower's heap word for word.
+func TestFollowerReplaysLeader(t *testing.T) {
+	lcfg := durableConfig(t.TempDir())
+	leader := mustStart(t, lcfg)
+	fcfg := config()
+	addr := leader.Addr.String()
+	fcfg.Follower = replica.FollowerConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
+	fol := mustStart(t, fcfg)
+
+	rb := dial(t, leader)
+	s := rb.NewSession()
+	for k := uint64(0); k < 16; k++ {
+		s.Insert(rb.Direct(), k, 1000+k)
+	}
+	if !fol.Follower.WaitWatermark(leader.Store.DurableSeq(), 10*time.Second) {
+		t.Fatalf("follower stuck at %d, leader at %d", fol.Follower.Watermark(), leader.Store.DurableSeq())
+	}
+	fol.Follower.Stop()
+	sameHeap(t, "follower", lcfg.Machine.Heap(), fcfg.Machine.Heap())
+}
+
+// TestDurableRecovery: a stopped durable node recovers digest-exact
+// both ways it is run — from the fuzzy checkpoint plus the log prefix
+// alone (CheckpointPath unset, the registry cells' contract) and from
+// the drain-time checkpoint `repro serve` asks for.
+func TestDurableRecovery(t *testing.T) {
+	for _, drainCkpt := range []bool{false, true} {
+		name := "fuzzy-checkpoint-and-log"
+		if drainCkpt {
+			name = "drain-checkpoint"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.CkptEvery = 5 * time.Millisecond
+			if drainCkpt {
+				cfg.Server.CheckpointPath = CkptPath(dir)
+			}
+			n := mustStart(t, cfg)
+			rb := dial(t, n)
+			s := rb.NewSession()
+			deadline := time.Now().Add(50 * time.Millisecond) // several fuzzy checkpoints under writes
+			for k := uint64(0); time.Now().Before(deadline); k++ {
+				s.Insert(rb.Direct(), k%testKeys, k)
+			}
+			if err := n.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+
+			m2, _ := build()
+			rep, err := durable.Recover(m2.Heap(), CkptPath(dir), LogPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.CheckpointUsed {
+				t.Error("recovery used no checkpoint")
+			}
+			if drainCkpt && rep.Watermark != n.Store.LastSeq() {
+				t.Errorf("drain checkpoint at watermark %d, log ends at %d", rep.Watermark, n.Store.LastSeq())
+			}
+			sameHeap(t, "recovered", cfg.Machine.Heap(), m2.Heap())
+		})
+	}
+}
+
+// TestStaleCheckpointSwept: a checkpoint left in the run directory by an
+// earlier run belongs to a different history and must not survive Start.
+func TestStaleCheckpointSwept(t *testing.T) {
+	dir := t.TempDir()
+	for _, p := range []string{CkptPath(dir), CkptPath(dir) + ".tmp"} {
+		if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustStart(t, durableConfig(dir))
+	for _, p := range []string{CkptPath(dir), CkptPath(dir) + ".tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived Start (err=%v)", p, err)
+		}
+	}
+}
+
+// goroutinesIn reports whether any live goroutine has a frame whose
+// function name contains fn.
+func goroutinesIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn)
+}
+
+// TestFailedStartLeavesNothingRunning: a durable node whose listen
+// address is taken must fail to start with its store closed (the WAL's
+// group-commit daemon gone) and no checkpoint ticker left behind to
+// write into the run directory.
+func TestFailedStartLeavesNothingRunning(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Addr = taken.Addr().String()
+	cfg.CkptEvery = time.Millisecond
+	if n, err := Start(cfg); err == nil {
+		n.Shutdown()
+		t.Fatal("Start bound an address already in use")
+	}
+	for _, fn := range []string{"node.startCheckpointer", "wal.(*Log).daemon"} {
+		if goroutinesIn(fn) {
+			t.Errorf("a %s goroutine outlived the failed Start", fn)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // many checkpoint periods
+	if _, err := os.Stat(CkptPath(dir)); !os.IsNotExist(err) {
+		t.Errorf("a checkpoint appeared after the failed Start (err=%v)", err)
+	}
+}
+
+// TestHeadless: without an address the node is a store and a
+// checkpointer around the caller's System, and Shutdown closes both.
+func TestHeadless(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Addr = ""
+	cfg.CkptEvery = time.Millisecond
+	n := mustStart(t, cfg)
+	if n.Srv != nil || n.Served() != nil {
+		t.Fatal("headless node has a server")
+	}
+	s := n.Backend.NewSession()
+	for k := uint64(0); k < 32; k++ {
+		s.Prepare(1)
+		n.System.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
+			s.Reset()
+			s.Insert(ops, k, k+500)
+		})
+		s.Commit()
+	}
+	if n.Store.LastSeq() == 0 {
+		t.Fatal("commits on Node.System were not logged")
+	}
+	for i := 0; i < 2; i++ {
+		if err := n.Shutdown(); err != nil {
+			t.Fatalf("Shutdown #%d: %v", i+1, err)
+		}
+	}
+	m2, _ := build()
+	if _, err := durable.Recover(m2.Heap(), CkptPath(dir), LogPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	sameHeap(t, "recovered", cfg.Machine.Heap(), m2.Heap())
+}

@@ -264,37 +264,6 @@ func hasLatency(recs []Record) bool {
 	return false
 }
 
-// Peak returns the record with the best throughput for a system within
-// the group (the paper quotes peak-vs-peak speedups).
-func Peak(recs []Record, system string) Record {
-	var best Record
-	for _, r := range recs {
-		if r.System == system && r.Throughput > best.Throughput {
-			best = r
-		}
-	}
-	return best
-}
-
-// SpeedupSummary reports peak-vs-peak speedups of `of` over every other
-// system in the group, e.g. "si-htm peak: 1200 tx/s @ 4 threads; vs htm
-// +300%".
-func SpeedupSummary(recs []Record, of string) string {
-	var b strings.Builder
-	peak := Peak(recs, of)
-	fmt.Fprintf(&b, "%s peak: %.0f tx/s @ %d threads", of, peak.Throughput, peak.Threads)
-	for _, s := range systemsOf(recs) {
-		if s == of {
-			continue
-		}
-		other := Peak(recs, s)
-		if other.Throughput > 0 {
-			fmt.Fprintf(&b, "; vs %s %+.0f%%", s, 100*(peak.Throughput/other.Throughput-1))
-		}
-	}
-	return b.String()
-}
-
 // MarkdownReport renders the whole report: a section per experiment with
 // both panels, ready to embed in docs.
 func MarkdownReport(w io.Writer, rep *Report, titles map[string]string) {

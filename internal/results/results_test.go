@@ -248,14 +248,6 @@ func TestMarkdownAbortsAndReport(t *testing.T) {
 	}
 }
 
-func TestSpeedupSummary(t *testing.T) {
-	rep := sampleReport()
-	s := SpeedupSummary(rep.Records, "si-htm")
-	if !strings.Contains(s, "si-htm peak: 4000") || !strings.Contains(s, "vs htm +167%") {
-		t.Fatalf("SpeedupSummary = %q", s)
-	}
-}
-
 func TestAbortPercent(t *testing.T) {
 	var r Record
 	r.Commits = 50

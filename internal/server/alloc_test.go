@@ -3,6 +3,7 @@ package server_test
 import (
 	"testing"
 
+	"sihtm/internal/race"
 	"sihtm/internal/workload/engine"
 )
 
@@ -38,7 +39,7 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 		op()
 	}
 	allocs := testing.AllocsPerRun(500, op)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
 	}
 	if allocs != 0 {
@@ -67,7 +68,7 @@ func TestServerTracedRequestPathZeroAllocs(t *testing.T) {
 		op()
 	}
 	allocs := testing.AllocsPerRun(500, op)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
 	}
 	if allocs != 0 {
@@ -92,7 +93,7 @@ func TestRemoteRoundTripZeroAllocs(t *testing.T) {
 		op()
 	}
 	allocs := testing.AllocsPerRun(500, op)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
 	}
 	if allocs != 0 {

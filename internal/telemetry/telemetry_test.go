@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sihtm/internal/race"
 	"sihtm/internal/telemetry"
 )
 
@@ -240,7 +241,7 @@ func TestLabelEscaping(t *testing.T) {
 
 // Instrument updates are the hot path: one atomic op, zero allocations.
 func TestUpdateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector instruments allocations")
 	}
 	reg := telemetry.NewRegistry()

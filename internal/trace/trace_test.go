@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sihtm/internal/race"
 	"sihtm/internal/stats"
 )
 
@@ -253,7 +254,7 @@ func TestRingAddAllocs(t *testing.T) {
 		e.Note(time.Duration(span.Dur), span.Trace)
 		m.Put(uint64(span.Start), span.Trace)
 	})
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 && !race.Enabled {
 		t.Fatalf("trace hot path allocates %.2f times per span, want 0", allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sihtm/internal/race"
 	"sihtm/internal/telemetry"
 )
 
@@ -221,7 +222,7 @@ func TestScrapeZeroAllocs(t *testing.T) {
 		op()
 	}
 	allocs := testing.AllocsPerRun(500, op)
-	if raceEnabled {
+	if race.Enabled {
 		t.Skipf("race detector instrumentation allocates (measured %.1f allocs/op); numeric pin gated off", allocs)
 	}
 	if allocs != 0 {

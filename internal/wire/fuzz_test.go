@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"sihtm/internal/race"
 )
 
 // Round-trip fuzzers for the data-plane list codecs: whatever ParseOps
@@ -114,7 +116,7 @@ func TestFrameCodecsReuseBuffers(t *testing.T) {
 		buf = AppendOpsFrame(buf[:0], 1, ops)
 		buf = AppendResultsFrame(buf[:0], 2, rs)
 	})
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 && !race.Enabled {
 		t.Fatalf("framed encoders allocate %.2f times with a warm buffer, want 0", allocs)
 	}
 }
