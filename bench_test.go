@@ -26,22 +26,11 @@ import (
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
-	"sihtm/internal/workload/hashmap"
-	"sihtm/internal/workload/tpcc"
 )
 
 // benchThreads are the ladder points sampled by the figure benchmarks:
 // single-core, all-cores, and the SMT-2 region.
 var benchThreads = []int{1, 8, 16}
-
-func newBenchSystem(b *testing.B, name string, m *htm.Machine, heap *memsim.Heap, threads int) tm.System {
-	b.Helper()
-	sys, err := experiments.NewSystem(name, m, heap, threads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys
-}
 
 // reportResult attaches the figure-panel metrics to the benchmark.
 func reportResult(b *testing.B, r harness.Result) {
@@ -150,119 +139,15 @@ func BenchmarkAtomic(b *testing.B) {
 	}
 }
 
-// Ablation A1: the capacity cliff — read footprint sweep at one thread.
-func BenchmarkAblationCapacityCliff(b *testing.B) {
-	for _, system := range []string{"htm", "si-htm"} {
-		for _, footprint := range []int{16, 48, 64, 96, 192} {
-			b.Run(fmt.Sprintf("%s/lines=%d", system, footprint), func(b *testing.B) {
-				heap := memsim.NewHeapLines(footprint*2 + (1 << 12))
-				m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-				lines := make([]memsim.Addr, footprint)
-				for i := range lines {
-					lines[i] = heap.AllocLine()
-				}
-				out := heap.AllocLine()
-				sys := newBenchSystem(b, system, m, heap, 1)
-				b.ResetTimer()
-				r := harness.RunOps(sys, 1, b.N, func(int) func() {
-					return func() {
-						sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
-							var sum uint64
-							for _, a := range lines {
-								sum += ops.Read(a)
-							}
-							ops.Write(out, sum)
-						})
-					}
-				})
-				b.StopTimer()
-				reportResult(b, r)
-			})
-		}
-	}
-}
-
-// Ablation A2: TMCAM size sensitivity on the Figure 6 workload.
-func BenchmarkAblationTMCAMSize(b *testing.B) {
-	for _, system := range []string{"htm", "si-htm"} {
-		for _, size := range []int{32, 64, 128} {
-			b.Run(fmt.Sprintf("%s/tmcam=%d", system, size), func(b *testing.B) {
-				cfg := hashmap.BenchConfig{Buckets: 1000, ElementsPerBucket: 200, ReadOnlyPercent: 90, Seed: 5}
-				heap := memsim.NewHeapLines(cfg.HeapLinesNeeded() + (1 << 14))
-				m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper(), TMCAMLines: size})
-				bench, err := hashmap.NewBenchmark(heap, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				const threads = 8
-				sys := newBenchSystem(b, system, m, heap, threads)
-				b.ResetTimer()
-				r := harness.RunOps(sys, threads, b.N/threads+1, func(thread int) func() {
-					w := bench.NewWorker(sys, thread)
-					return w.Op
-				})
-				b.StopTimer()
-				reportResult(b, r)
-			})
-		}
-	}
-}
+// Ablations A1 (capacity cliff), A2 (TMCAM size) and A5 (SMT placement)
+// are registry cells, not sweeps: `repro run --id=capacity|tmcam|smt`
+// measures them (see internal/experiments/ablations.go).
 
 // Ablation A3: SI-HTM's read-only fast path on vs off.
-func BenchmarkAblationNoROFastPath(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "fastpath"
-		if disable {
-			name = "no-fastpath"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := hashmap.BenchConfig{Buckets: 1000, ElementsPerBucket: 200, ReadOnlyPercent: 90, Seed: 5}
-			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded() + (1 << 14))
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-			bench, err := hashmap.NewBenchmark(heap, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const threads = 8
-			sys := sihtm.NewSystem(m, threads, sihtm.Config{DisableROFastPath: disable})
-			b.ResetTimer()
-			r := harness.RunOps(sys, threads, b.N/threads+1, func(thread int) func() {
-				w := bench.NewWorker(sys, thread)
-				return w.Op
-			})
-			b.StopTimer()
-			reportResult(b, r)
-		})
-	}
-}
+func BenchmarkAblationNoROFastPath(b *testing.B) { benchFigure(b, "rofast", benchHashmapScale) }
 
 // Ablation A4a: the §6 killing policy under high update contention.
-func BenchmarkAblationKillerPolicy(b *testing.B) {
-	for _, killerSpins := range []int{0, 1 << 12} {
-		name := "baseline"
-		if killerSpins > 0 {
-			name = "killer"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := hashmap.BenchConfig{Buckets: 10, ElementsPerBucket: 200, ReadOnlyPercent: 50, Seed: 5}
-			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded() + (1 << 14))
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-			bench, err := hashmap.NewBenchmark(heap, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const threads = 8
-			sys := sihtm.NewSystem(m, threads, sihtm.Config{KillerSpins: killerSpins})
-			b.ResetTimer()
-			r := harness.RunOps(sys, threads, b.N/threads+1, func(thread int) func() {
-				w := bench.NewWorker(sys, thread)
-				return w.Op
-			})
-			b.StopTimer()
-			reportResult(b, r)
-		})
-	}
-}
+func BenchmarkAblationKillerPolicy(b *testing.B) { benchFigure(b, "killer", benchHashmapScale) }
 
 // Ablation A4b: the §6 batching policy — pairs of update transactions
 // merged into one ROT + one quiescence vs run individually.
@@ -299,44 +184,5 @@ func BenchmarkAblationBatchingPolicy(b *testing.B) {
 			b.StopTimer()
 			reportResult(b, r)
 		})
-	}
-}
-
-// Ablation A5: SMT placement — 8 threads spread over 8 cores vs stacked
-// on one core, on the TPC-C standard mix.
-func BenchmarkAblationSMTPlacement(b *testing.B) {
-	for _, system := range []string{"htm", "si-htm"} {
-		for _, stacked := range []bool{false, true} {
-			name := "spread"
-			topo := topology.New(8, 8)
-			if stacked {
-				name = "stacked"
-				topo = topology.New(1, 8)
-			}
-			b.Run(fmt.Sprintf("%s/%s", system, name), func(b *testing.B) {
-				cfg := tpcc.Config{Warehouses: 8, ScaleDiv: 20, OrderRing: 512, Seed: 9}
-				heap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-				m := htm.NewMachine(heap, htm.Config{Topology: topo})
-				db, err := tpcc.NewDB(heap, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				const threads = 8
-				sys := newBenchSystem(b, system, m, heap, threads)
-				b.ResetTimer()
-				r := harness.RunOps(sys, threads, b.N/threads+1, func(thread int) func() {
-					w, err := db.NewWorker(sys, thread, tpcc.StandardMix)
-					if err != nil {
-						panic(err)
-					}
-					return func() { w.Op() }
-				})
-				b.StopTimer()
-				reportResult(b, r)
-				if err := db.CheckConsistency(); err != nil {
-					b.Fatalf("post-run consistency: %v", err)
-				}
-			})
-		}
 	}
 }

@@ -118,7 +118,7 @@ serve flags:
   --metrics-addr=HOST:PORT  observability plane: /metrics, /healthz, /readyz, /debug/pprof,
                             /debug/traces, /debug/timeseries, /debug/alerts
   --scrape-interval=DUR     tsdb self-scrape / alert evaluation cadence (default 1s)
-  --trace-slow=DUR          log per-stage lifecycle traces for requests slower than DUR
+  --trace-slow=DUR          record server-origin spans (/debug/traces) for unsampled requests slower than DUR
 
 promote flags:
   --addr=HOST:PORT          follower address to promote (required)

@@ -44,7 +44,7 @@ func cmdServe(args []string) error {
 		leaderLog   = fs.String("leader-log", "", "shared-storage path of the leader's wal.log (promotion catch-up)")
 		metricsAddr = fs.String("metrics-addr", "", "observability address: /metrics, /healthz, /readyz, /debug/pprof, /debug/traces, /debug/timeseries, /debug/alerts")
 		scrapeIv    = fs.Duration("scrape-interval", 0, "time-series self-scrape cadence (0 = default 1s; needs --metrics-addr)")
-		traceSlow   = fs.Duration("trace-slow", 0, "log a per-stage lifecycle trace for requests slower than this (0 disables)")
+		traceSlow   = fs.Duration("trace-slow", 0, "record server-origin spans (see /debug/traces) for unsampled requests slower than this (0 disables)")
 		quiet       = fs.Bool("quiet", false, "suppress the per-second stats line")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -159,7 +159,7 @@ func cmdServe(args []string) error {
 				time.Since(start).Round(time.Millisecond), st.Hist.Count(),
 				st.Stats.Commits, st.Stats.CommitsRO, st.Stats.TotalAborts(), st.Stats.Fallbacks, st.Batches)
 			if t := st.Telemetry; t != nil {
-				totals += fmt.Sprintf(" frames_in=%d frames_out=%d slow_traces=%d", t.FramesIn, t.FramesOut, t.SlowTraces)
+				totals += fmt.Sprintf(" frames_in=%d frames_out=%d", t.FramesIn, t.FramesOut)
 				if st.Durable {
 					totals += fmt.Sprintf(" wal_records=%d wal_fsyncs=%d", t.WalRecords, t.WalFsyncs)
 				}

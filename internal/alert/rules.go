@@ -9,6 +9,7 @@ package alert
 import (
 	"time"
 
+	"sihtm/internal/stats"
 	"sihtm/internal/telemetry"
 )
 
@@ -22,14 +23,9 @@ const (
 	RuleDroppedSubs    = "repl-dropped-subscribers"
 )
 
-// DefaultCapacityMax mirrors the admission controller's capacity-abort
-// ceiling (server.Config.CtrlCapacityMax default): beyond a 2% share
-// the paper's capacity cliff is underway.
-const DefaultCapacityMax = 0.02
-
-// DefaultFsyncP99Max is the fsync-latency threshold: well above a
-// healthy group-commit window, low enough to catch a struggling disk.
-const DefaultFsyncP99Max = 50 * time.Millisecond
+// fsyncP99Max is the fsync-latency threshold: well above a healthy
+// group-commit window, low enough to catch a struggling disk.
+const fsyncP99Max = 50 * time.Millisecond
 
 // RuleOptions scopes DefaultRules to one node's role and knobs.
 type RuleOptions struct {
@@ -38,15 +34,9 @@ type RuleOptions struct {
 	System string
 	// Interval is the scrape cadence; every window scales from it.
 	Interval time.Duration
-	// CapacityMax overrides the capacity-abort share ceiling
-	// (default DefaultCapacityMax).
-	CapacityMax float64
 	// P99Target enables the p99 SLO rule when > 0 (the --p99-target
 	// knob), compared against the service-latency histogram.
 	P99Target time.Duration
-	// FsyncP99Max overrides the fsync threshold (default
-	// DefaultFsyncP99Max).
-	FsyncP99Max time.Duration
 	// Durable: the node has a WAL (fsync rule applies).
 	Durable bool
 	// Follower: the node streams from a leader (watermark rule).
@@ -75,14 +65,6 @@ func DefaultRules(o RuleOptions) []Rule {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
 	}
-	capMax := o.CapacityMax
-	if capMax <= 0 {
-		capMax = DefaultCapacityMax
-	}
-	fsyncMax := o.FsyncP99Max
-	if fsyncMax <= 0 {
-		fsyncMax = DefaultFsyncP99Max
-	}
 	iv := o.Interval
 	sys := telemetry.L("system", o.System)
 
@@ -102,7 +84,7 @@ func DefaultRules(o RuleOptions) []Rule {
 			Den:    attemptsSignal(o.System),
 		},
 		Op:         OpGreater,
-		Threshold:  capMax,
+		Threshold:  stats.CapacityShareMax,
 		FastWindow: 4 * iv,
 		SlowWindow: 16 * iv,
 	}}
@@ -137,7 +119,7 @@ func DefaultRules(o RuleOptions) []Rule {
 				Q:      0.99,
 			},
 			Op:        OpGreater,
-			Threshold: fsyncMax.Seconds(),
+			Threshold: fsyncP99Max.Seconds(),
 			Window:    8 * iv,
 			For:       2 * iv,
 		})

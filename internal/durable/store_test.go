@@ -15,6 +15,7 @@ import (
 	"sihtm/internal/sgl"
 	"sihtm/internal/sihtm"
 	"sihtm/internal/silo"
+	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 )
@@ -344,4 +345,54 @@ func copyFile(t *testing.T, path string) string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestAtomicBatchFallbackIsLogged: an SI-HTM batch whose write set
+// overflows the TMCAM commits on the SGL fall-back; that path must
+// publish through the commit hook like Atomic's, so the batch recovers
+// from the log.
+func TestAtomicBatchFallbackIsLogged(t *testing.T) {
+	heap := memsim.NewHeapLines(256)
+	big := heap.AllocLines(32) // 4x the 8-line TMCAM
+	base, baseAlloc := snapshotHeap(heap)
+
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2), TMCAMLines: 8})
+	sys := sihtm.NewSystem(m, 2, sihtm.Config{})
+	logPath := filepath.Join(t.TempDir(), "wal.log")
+	store, err := Open(heap, logPath, 2, Config{Window: 500 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Attach(sys, m)
+
+	bodies := make([]func(tm.Ops), 4)
+	for b := range bodies {
+		bodies[b] = func(ops tm.Ops) {
+			for l := b * 8; l < (b+1)*8; l++ {
+				a := big + memsim.Addr(l*memsim.WordsPerLine)
+				ops.Write(a, ops.Read(a)+uint64(l)+1)
+			}
+		}
+	}
+	sys.AtomicBatch(0, bodies)
+	st := sys.Collector().Snapshot()
+	if st.Fallbacks != 1 || st.Commits != 4 {
+		t.Fatalf("fallbacks = %d, commits = %d; want the batch on the fall-back: 1, 4", st.Fallbacks, st.Commits)
+	}
+	if got := st.Aborts[stats.AbortCapacity]; got != 2 {
+		t.Errorf("capacity aborts = %d, want 2 (one grace retry, then the fall-back)", got)
+	}
+	if err := store.Log().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := memsim.NewHeap(heap.Size())
+	restoreHeap(recovered, base, baseAlloc)
+	if _, err := Recover(recovered, "", logPath); err != nil {
+		t.Fatal(err)
+	}
+	heapsEqual(t, heap, recovered, "si-htm batch")
 }

@@ -17,32 +17,21 @@
 package p8tm
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
-	"sihtm/internal/clock"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/quiesce"
 	"sihtm/internal/sgl"
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 )
 
-// DefaultRetries is the ROT attempt budget before the SGL fall-back.
-const DefaultRetries = 10
-
 // Config tunes P8TM.
 type Config struct {
 	// Retries is the attempt budget per transaction before the SGL
-	// fall-back. 0 means DefaultRetries.
+	// fall-back. 0 means tm.DefaultRetries.
 	Retries int
-}
-
-// stateSlot mirrors sihtm's quiescence state array.
-type stateSlot struct {
-	v atomic.Uint64
-	_ [120]byte
 }
 
 type readLogEntry struct {
@@ -52,67 +41,46 @@ type readLogEntry struct {
 
 // workerState is the per-thread scratch (read log, write filter).
 type workerState struct {
-	readLog   []readLogEntry
-	writeSet  []memsim.Addr
-	snap      []uint64
-	validFail bool
+	readLog  []readLogEntry
+	writeSet []memsim.Addr
 }
 
-// System is the P8TM concurrency control.
+// System is the P8TM concurrency control: SI-HTM's state array and SGL
+// fall-back (the embedded tm.Fallback; ROT commits reach a commit hook
+// through the machine) plus the read log and its validation.
 type System struct {
+	tm.Fallback
 	m       *htm.Machine
-	clk     *clock.Clock
-	threads int
 	retries int
-	state   []stateSlot
 	lock    *sgl.Lock
+	state   *quiesce.Array
 	commit  sync.Mutex // serializes validate+write-back
 	col     *stats.Collector
 	workers []workerState
-
-	// hook, when set, makes the SGL fall-back publish through a
-	// tm.Recorder so its write set reaches the durability seam; ROT
-	// commits reach the hook through the machine (htm.CommitHook).
-	hook tm.CommitHook
-	recs []tm.Recorder
 }
 
 // NewSystem builds P8TM for the first `threads` hardware threads of m.
 func NewSystem(m *htm.Machine, threads int, cfg Config) *System {
-	if cfg.Retries == 0 {
-		cfg.Retries = DefaultRetries
+	lock := sgl.New(m)
+	return &System{
+		Fallback: tm.NewFallback(threads),
+		m:        m,
+		retries:  cfg.Retries,
+		lock:     lock,
+		state:    quiesce.New(lock, threads, 0),
+		col:      stats.New(threads),
+		workers:  make([]workerState, threads),
 	}
-	s := &System{
-		m:       m,
-		clk:     clock.New(),
-		threads: threads,
-		retries: cfg.Retries,
-		state:   make([]stateSlot, threads),
-		lock:    sgl.New(m),
-		col:     stats.New(threads),
-		workers: make([]workerState, threads),
-	}
-	for i := range s.workers {
-		s.workers[i].snap = make([]uint64, threads)
-	}
-	return s
 }
 
 // Name implements tm.System.
 func (s *System) Name() string { return "p8tm" }
 
 // Threads implements tm.System.
-func (s *System) Threads() int { return s.threads }
+func (s *System) Threads() int { return s.col.Threads() }
 
 // Collector implements tm.System.
 func (s *System) Collector() *stats.Collector { return s.col }
-
-// SetCommitHook implements tm.HookableSystem for the fall-back path.
-// Call before any transaction runs.
-func (s *System) SetCommitHook(h tm.CommitHook) {
-	s.hook = h
-	s.recs = make([]tm.Recorder, s.threads)
-}
 
 // instrumentedOps is the update-transaction access path: reads go through
 // the hardware (untracked, capacity-free) but are logged in software for
@@ -133,16 +101,10 @@ func (o instrumentedOps) Write(a memsim.Addr, v uint64) {
 	o.w.writeSet = append(o.w.writeSet, a)
 }
 
-func (s *System) syncWithGL(thread int, th *htm.Thread) {
-	for {
-		s.state[thread].v.Store(s.clk.Now())
-		if !s.lock.IsLocked(th) {
-			return
-		}
-		s.state[thread].v.Store(clock.Inactive)
-		s.lock.WaitUnlocked(th)
-	}
-}
+// validationFailed is what attempt reports when the read log did not
+// validate: to the paper's abort taxonomy that is a data conflict, not
+// the explicit abort the hardware saw.
+var validationFailed = &htm.Abort{Code: htm.CodeTxConflict}
 
 // Atomic implements tm.System.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
@@ -151,107 +113,58 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 
 	if kind == tm.KindReadOnly {
 		// Uninstrumented read-only path behind quiescence, as in SI-HTM.
-		s.syncWithGL(thread, th)
-		body(tm.ReadOnlyPlainOps{Th: th})
-		s.state[thread].v.Store(clock.Inactive)
+		s.state.ReadOnly(thread, th, body)
 		l.Commit(true)
 		return
 	}
 
-	// As in the other HTM-based systems, capacity aborts are treated as
-	// persistent (TEXASR hint): one grace retry, then the fall-back.
-	capacityAborts := 0
-	for attempt := 0; attempt < s.retries && capacityAborts < 2; attempt++ {
-		s.syncWithGL(thread, th)
-		ab := s.updateOnce(thread, th, l, body)
-		if ab == nil {
-			l.Commit(false)
-			return
-		}
-		if ab.Code == htm.CodeCapacity {
-			capacityAborts++
-		}
-		s.state[thread].v.Store(clock.Inactive)
-		kindOf := tm.AbortKindOf(ab.Code)
-		if s.workers[thread].validFail {
-			kindOf = stats.AbortTransactional // read validation is a data conflict
-		}
-		l.Abort(kindOf)
-		runtime.Gosched()
+	if !tm.Retry(s.retries, l, func() *htm.Abort { return s.attempt(thread, th, l, body) }) {
+		s.lock.Acquire(th)
+		s.state.Drain(thread)
+		s.RunSerial(thread, th, l, body)
+		s.lock.Release(th)
 	}
-
-	s.lock.Acquire(th)
-	s.drainOthers(thread)
-	if s.hook != nil {
-		rec := &s.recs[thread]
-		rec.Begin(tm.PlainOps{Th: th})
-		body(rec)
-		rec.Flush(thread, s.hook)
-	} else {
-		body(tm.PlainOps{Th: th})
-	}
-	s.lock.Release(th)
 	l.Commit(false)
-	l.Fallback()
 }
 
-func (s *System) updateOnce(thread int, th *htm.Thread, l stats.Thread, body func(tm.Ops)) (abort *htm.Abort) {
+// attempt runs one ROT attempt: SI-HTM's (announce, body, complete-and-
+// wait, commit, inactive) with every read logged and the log validated
+// between the safety wait and the hardware commit.
+func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(tm.Ops)) *htm.Abort {
 	w := &s.workers[thread]
 	w.readLog = w.readLog[:0]
 	w.writeSet = w.writeSet[:0]
-	w.validFail = false
 
-	l.HWBegin(true)
-	tx := th.Begin(htm.ModeROT)
+	s.state.Enter(thread, th)
+	locked, validFail := false, false
 	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := r.(*htm.Abort); ok {
-				abort = a
-				return
-			}
-			panic(r)
+		if locked {
+			s.commit.Unlock()
 		}
+		s.state.Exit(thread)
 	}()
+	l.HWBegin(true)
+	ab := htm.Run(th, htm.ModeROT, func(tx *htm.Tx) {
+		body(instrumentedOps{tx: tx, w: w})
+		s.state.CompleteAndWait(thread, tx, l)
 
-	body(instrumentedOps{tx: tx, w: w})
-
-	tx.Suspend()
-	s.state[thread].v.Store(clock.Completed)
-	tx.Resume()
-
-	snap := w.snap
-	for c := range s.state {
-		snap[c] = s.state[c].v.Load()
-	}
-	for c := range s.state {
-		if c == thread || snap[c] <= clock.Completed {
-			continue
-		}
-		spins := uint64(0)
-		for s.state[c].v.Load() == snap[c] {
-			tx.Poll()
-			spins++
-			runtime.Gosched()
-		}
-		l.WaitSpins(spins)
-	}
-
-	// Validate + write back under the commit lock so no other update
-	// transaction's write-back interleaves with our validation. Both
-	// validation reads and Commit can unwind with an abort (the
-	// transaction may still be doomed by a concurrent reader), so the
-	// unlock is deferred inside the critical closure.
-	s.commit.Lock()
-	func() {
-		defer s.commit.Unlock()
+		// Validate + write back under the commit lock so no other update
+		// transaction's write-back interleaves with our validation. Both
+		// validation reads and the commit (htm.Run's, when this closure
+		// returns) can unwind with an abort — the transaction may still
+		// be doomed by a concurrent reader — so the unlock is deferred
+		// above, around htm.Run.
+		s.commit.Lock()
+		locked = true
 		if !s.validate(tx, w) {
-			w.validFail = true
+			validFail = true
 			tx.AbortExplicit()
 		}
-		tx.Commit()
-	}()
-	s.state[thread].v.Store(clock.Inactive)
-	return nil
+	})
+	if ab != nil && validFail {
+		return validationFailed
+	}
+	return ab
 }
 
 // validate re-reads the logged read set and compares values, skipping
@@ -278,15 +191,4 @@ func (w *workerState) wrote(a memsim.Addr) bool {
 	return false
 }
 
-func (s *System) drainOthers(thread int) {
-	for c := range s.state {
-		if c == thread {
-			continue
-		}
-		for s.state[c].v.Load() != clock.Inactive {
-			runtime.Gosched()
-		}
-	}
-}
-
-var _ tm.System = (*System)(nil)
+var _ tm.HookableSystem = (*System)(nil)

@@ -1,4 +1,4 @@
-package clock
+package quiesce
 
 import (
 	"sync"
@@ -6,48 +6,37 @@ import (
 )
 
 func TestNowIsMonotonic(t *testing.T) {
-	c := New()
+	var a Array
 	prev := uint64(0)
 	for i := 0; i < 1000; i++ {
-		now := c.Now()
+		now := a.now()
 		if now <= prev {
-			t.Fatalf("Now() = %d, want > %d", now, prev)
+			t.Fatalf("now() = %d, want > %d", now, prev)
 		}
 		prev = now
 	}
 }
 
 func TestNowNeverReturnsReservedValues(t *testing.T) {
-	c := New()
+	var a Array
 	for i := 0; i < 100; i++ {
-		if now := c.Now(); now == Inactive || now == Completed {
-			t.Fatalf("Now() returned reserved value %d", now)
+		if now := a.now(); now == inactive || now == completed {
+			t.Fatalf("now() returned reserved value %d", now)
 		}
 	}
 }
 
 func TestFirstTick(t *testing.T) {
-	c := New()
-	if got := c.Now(); got != Completed+1 {
-		t.Fatalf("first Now() = %d, want %d", got, Completed+1)
-	}
-}
-
-func TestLast(t *testing.T) {
-	c := New()
-	if got := c.Last(); got != Completed {
-		t.Fatalf("Last() before any tick = %d, want %d", got, Completed)
-	}
-	want := c.Now()
-	if got := c.Last(); got != want {
-		t.Fatalf("Last() = %d, want %d", got, want)
+	var a Array
+	if got := a.now(); got != completed+1 {
+		t.Fatalf("first now() = %d, want %d", got, completed+1)
 	}
 }
 
 func TestConcurrentTicksAreUnique(t *testing.T) {
 	const goroutines = 8
 	const perGoroutine = 2000
-	c := New()
+	var a Array
 	var wg sync.WaitGroup
 	results := make([][]uint64, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -56,7 +45,7 @@ func TestConcurrentTicksAreUnique(t *testing.T) {
 			defer wg.Done()
 			out := make([]uint64, perGoroutine)
 			for i := range out {
-				out[i] = c.Now()
+				out[i] = a.now()
 			}
 			results[g] = out
 		}(g)

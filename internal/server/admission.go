@@ -20,9 +20,9 @@ import (
 //
 //   - p99 over target: back off, grace period first (it is pure added
 //     latency), then halve the batch bound — multiplicative decrease.
-//   - capacity-abort share over CtrlCapacityMax: halve the batch bound
-//     regardless of latency headroom — the footprint is at the cliff,
-//     and retries are about to ruin both latency and throughput.
+//   - capacity-abort share over stats.CapacityShareMax: halve the batch
+//     bound regardless of latency headroom — the footprint is at the
+//     cliff, and retries are about to ruin both latency and throughput.
 //   - p99 comfortably under target (≤ 80%): grow. While executors fill
 //     their batches, additive-increase the bound; once batches run dry
 //     below the bound, more batching needs more patience, so double the
@@ -156,7 +156,7 @@ func (c *controller) run() {
 			} else if batch > 1 {
 				nbatch = batch / 2
 			}
-		case capShare > s.cfg.CtrlCapacityMax:
+		case capShare > stats.CapacityShareMax:
 			if batch > 1 {
 				nbatch = batch / 2
 			}

@@ -364,16 +364,11 @@ func (c *srvConn) writeLoop() {
 		}
 		if m.t != nil {
 			// Close the lifecycle trace at the socket write: flush stage,
-			// span emission for sampled or slow requests, then the
-			// slow-request log check against the full span.
+			// then span emission for sampled or slow requests.
 			c.srv.flushHist.Observe(time.Since(m.t.tDone))
 			total := time.Since(m.t.t0)
-			slow := c.srv.traceSlow > 0 && int64(total) >= c.srv.traceSlow
-			if m.t.trace != 0 || slow {
+			if m.t.trace != 0 || c.srv.traceSlow > 0 && int64(total) >= c.srv.traceSlow {
 				c.srv.recordSpans(m.t, total)
-			}
-			if slow {
-				c.srv.noteSlow(m.t, total)
 			}
 			taskPool.Put(m.t)
 			c.taskDone()

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,10 +82,6 @@ type Config struct {
 	// each interval differences the latency histogram and abort
 	// collector and makes at most one knob move.
 	CtrlInterval time.Duration
-	// CtrlCapacityMax is the capacity-abort share (capacity aborts /
-	// attempts) above which the controller shrinks batches regardless of
-	// latency headroom — the TMCAM-cliff guard. Default 0.02.
-	CtrlCapacityMax float64
 	// Store, when non-nil, is the durability manager already attached to
 	// System; Drain forces a final checkpoint to CheckpointPath (if set)
 	// and syncs the log. A durable server is automatically a replication
@@ -112,12 +107,12 @@ type Config struct {
 	// private one (readable via Telemetry()). Instruments are always
 	// registered, so the alloc pins exercise the instrumented path.
 	Metrics *telemetry.Registry
-	// TraceSlow, when positive, samples a structured log line for every
-	// request whose admission-to-socket-write lifecycle exceeds it
-	// (rate-limited to one line per 10ms so a latency collapse cannot
-	// melt the log).
+	// TraceSlow, when positive, records server-origin spans into the
+	// trace ring for every request the client did not sample whose
+	// admission-to-socket-write lifecycle exceeds it.
 	TraceSlow time.Duration
-	// TraceLog receives slow-request lines. Default os.Stderr.
+	// TraceLog is the node's log sink: internal/node writes the alert
+	// engine's transition lines to it. Default os.Stderr.
 	TraceLog io.Writer
 }
 
@@ -145,11 +140,7 @@ type Server struct {
 	framesIn     atomic.Uint64
 	framesOut    atomic.Uint64
 	execBusy     atomic.Int64
-	slowTraces   atomic.Uint64
-	slowStage    [3]atomic.Uint64 // dominant stage of slow requests: admit, exec, flush
-	lastSlowNs   atomic.Int64
 	traceSlow    int64 // Config.TraceSlow in ns (0 = off)
-	traceLog     io.Writer
 
 	// Structured tracing: the span ring every stage records into (the
 	// WAL and an attached follower share it), the service-latency
@@ -196,10 +187,6 @@ type shard struct {
 	// at construction — a per-batch closure literal would escape and
 	// cost one heap allocation per batch.
 	body func(tm.Ops)
-	// colT is this executor's thread view of the system's collector;
-	// exec diffs it around each Atomic to attribute attempts and abort
-	// causes to the batch (for slow-request traces).
-	colT stats.Thread
 }
 
 // task is one admitted data-plane request. Tasks are pooled: the reader
@@ -221,17 +208,12 @@ type task struct {
 	// Lifecycle trace, stamped by the executor and consumed by the
 	// writer: when the batch started executing (admission wait = tExec -
 	// t0) and when the reply was encoded and handed over (reply flush =
-	// socket write time - tDone). The batch fields attribute the carrying
-	// batch's hardware behaviour to the request for slow traces. All
-	// plain scalars on the pooled struct: tracing allocates nothing.
-	tExec      time.Time
-	tDone      time.Time
-	batchOps   int32
-	hwBegins   uint32
-	abCapacity uint32
-	abConflict uint32
-	abOther    uint32
-	fallbacks  uint32
+	// socket write time - tDone). batchOps is the carrying batch's size,
+	// the exec span's argument. All plain scalars on the pooled struct:
+	// tracing allocates nothing.
+	tExec    time.Time
+	tDone    time.Time
+	batchOps int32
 }
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
@@ -254,18 +236,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CtrlInterval <= 0 {
 		cfg.CtrlInterval = 10 * time.Millisecond
 	}
-	if cfg.CtrlCapacityMax <= 0 {
-		cfg.CtrlCapacityMax = 0.02
-	}
 	s := &Server{
 		cfg:       cfg,
 		hist:      &stats.Histogram{},
 		conns:     map[*srvConn]struct{}{},
 		traceSlow: int64(cfg.TraceSlow),
-		traceLog:  cfg.TraceLog,
-	}
-	if s.traceLog == nil {
-		s.traceLog = os.Stderr
 	}
 	s.batchMax.Store(int64(cfg.BatchMax))
 	s.admitWait.Store(int64(cfg.AdmitWait))
@@ -284,7 +259,6 @@ func New(cfg Config) (*Server, error) {
 			id:   i,
 			ch:   make(chan *task, 256),
 			sess: cfg.Backend.NewSession(),
-			colT: cfg.System.Collector().Thread(i),
 		}
 		sh.body = sh.execBody
 		s.shards = append(s.shards, sh)
@@ -445,7 +419,6 @@ func (s *Server) statsSnapshot() wire.ServerStats {
 	tel := &wire.TelemetryStats{
 		FramesIn:      s.framesIn.Load(),
 		FramesOut:     s.framesOut.Load(),
-		SlowTraces:    s.slowTraces.Load(),
 		AdmitWaitHist: s.admitHist.Snapshot(),
 		FlushHist:     s.flushHist.Snapshot(),
 		BatchOpsHist:  s.batchOpsHist.Snapshot(),
@@ -598,7 +571,6 @@ func (sh *shard) exec(s *Server, opsN int) {
 	for _, t := range sh.batch {
 		s.admitHist.Observe(tExec.Sub(t.t0))
 	}
-	loc0 := sh.colT.Local()
 	s.execMu.RLock()
 	if f := s.cfg.Follower; f != nil {
 		// Replica batches run under the follower's snapshot lock: replay
@@ -632,7 +604,6 @@ func (sh *shard) exec(s *Server, opsN int) {
 	}
 	s.execMu.RUnlock()
 
-	locd := sh.colT.Local().Sub(loc0)
 	s.batches.Add(1)
 	s.batchedOps.Add(uint64(opsN))
 	s.execHist.Observe(time.Since(tExec))
@@ -665,11 +636,6 @@ func (sh *shard) exec(s *Server, opsN int) {
 		t.reply = wire.AppendResultsFrameT(t.reply[:0], t.id, t.trace, t.results)
 		t.tExec = tExec
 		t.batchOps = int32(opsN)
-		t.hwBegins = uint32(locd.HWBeginROT + locd.HWBeginHTM)
-		t.abCapacity = uint32(locd.Aborts[stats.AbortCapacity])
-		t.abConflict = uint32(locd.Aborts[stats.AbortTransactional])
-		t.abOther = uint32(locd.Aborts[stats.AbortNonTransactional] + locd.Aborts[stats.AbortExplicit] + locd.Aborts[stats.AbortOther])
-		t.fallbacks = uint32(locd.Fallbacks)
 		t.tDone = time.Now()
 		t.c.sendTask(t)
 	}

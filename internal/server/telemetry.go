@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"sihtm/internal/telemetry"
@@ -88,16 +87,6 @@ func (s *Server) registerMetrics() {
 	reg.MustCounterFunc("sihtm_ctrl_adjusts_total",
 		"Controller intervals that moved a knob.",
 		func() uint64 { return s.ctrlAdjusts.Load() })
-	reg.MustCounterFunc("sihtm_server_slow_traces_total",
-		"Requests that exceeded the slow-trace threshold.",
-		func() uint64 { return s.slowTraces.Load() })
-	reg.MustCounterFunc("sihtm_server_slow_trace_stage_total",
-		"Slow requests by dominant lifecycle stage — counted for every slow request, including those whose log line the rate limiter dropped.",
-		func() uint64 { return s.slowStage[0].Load() }, telemetry.L("stage", "admit"))
-	reg.MustCounterFunc("sihtm_server_slow_trace_stage_total", "",
-		func() uint64 { return s.slowStage[1].Load() }, telemetry.L("stage", "exec"))
-	reg.MustCounterFunc("sihtm_server_slow_trace_stage_total", "",
-		func() uint64 { return s.slowStage[2].Load() }, telemetry.L("stage", "flush"))
 	reg.MustCounterFunc("sihtm_trace_spans_total",
 		"Spans recorded into the trace ring (lossy: the ring keeps the newest).",
 		func() uint64 { return s.ring.Total() })
@@ -180,39 +169,3 @@ func (s *Server) registerMetrics() {
 // Telemetry returns the server's metrics registry — what an HTTP
 // observability endpoint serves and what embedding tests scrape.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
-// slowTraceMinGap rate-limits slow-request lines: under a latency
-// collapse every request is slow, and the log must not become the
-// second collapse.
-const slowTraceMinGap = 10 * time.Millisecond
-
-// noteSlow runs in the writer after the socket write when the request's
-// total lifecycle exceeded the threshold: count it always — including
-// which stage dominated, so a rate-limited collapse still shows where
-// the time went — and log it at most once per gap. The log line is the
-// only allocation and happens off the steady-state path by construction
-// (only slow requests reach the Fprintf).
-func (s *Server) noteSlow(t *task, total time.Duration) {
-	s.slowTraces.Add(1)
-	admit := t.tExec.Sub(t.t0)
-	exec := t.tDone.Sub(t.tExec)
-	flush := total - admit - exec
-	dom := 0
-	if exec > admit {
-		dom = 1
-	}
-	if flush > admit && flush > exec {
-		dom = 2
-	}
-	s.slowStage[dom].Add(1)
-	now := time.Now().UnixNano()
-	last := s.lastSlowNs.Load()
-	if now-last < int64(slowTraceMinGap) || !s.lastSlowNs.CompareAndSwap(last, now) {
-		return
-	}
-	fmt.Fprintf(s.traceLog,
-		"trace-slow: id=%d total=%s admit=%s exec=%s flush=%s batch_ops=%d hw_begins=%d aborts{capacity=%d conflict=%d other=%d} fallbacks=%d\n",
-		t.id, total.Round(time.Microsecond), admit.Round(time.Microsecond),
-		exec.Round(time.Microsecond), flush.Round(time.Microsecond),
-		t.batchOps, t.hwBegins, t.abCapacity, t.abConflict, t.abOther, t.fallbacks)
-}

@@ -76,41 +76,36 @@ func (l *Lock) WaitUnlocked(th *htm.Thread) {
 }
 
 // System is the all-serial concurrency control: every transaction runs
-// under the global lock. It is the degenerate baseline and the
-// correctness oracle for the others.
+// under the global lock, on the serial path the other systems fall back
+// to (the embedded tm.Fallback, which with a commit hook installed routes
+// every write set into the durability seam). It is the degenerate
+// baseline and the correctness oracle for the others.
 type System struct {
-	m       *htm.Machine
-	lock    *Lock
-	threads int
-	col     *stats.Collector
-
-	// hook, when set, routes every transaction's write set through a
-	// tm.Recorder into the durability seam.
-	hook tm.CommitHook
-	recs []tm.Recorder
+	tm.Fallback
+	m    *htm.Machine
+	lock *Lock
+	col  *stats.Collector
 }
 
 // NewSystem builds an SGL system for the first `threads` hardware threads
 // of m.
 func NewSystem(m *htm.Machine, threads int) *System {
-	return &System{m: m, lock: New(m), threads: threads, col: stats.New(threads)}
+	return &System{
+		Fallback: tm.NewFallback(threads),
+		m:        m,
+		lock:     New(m),
+		col:      stats.New(threads),
+	}
 }
 
 // Name implements tm.System.
 func (s *System) Name() string { return "sgl" }
 
 // Threads implements tm.System.
-func (s *System) Threads() int { return s.threads }
+func (s *System) Threads() int { return s.col.Threads() }
 
 // Collector implements tm.System.
 func (s *System) Collector() *stats.Collector { return s.col }
-
-// SetCommitHook implements tm.HookableSystem. Call before any
-// transaction runs.
-func (s *System) SetCommitHook(h tm.CommitHook) {
-	s.hook = h
-	s.recs = make([]tm.Recorder, s.threads)
-}
 
 // Atomic implements tm.System by serialising body under the global lock.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
@@ -118,16 +113,8 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	l := s.col.Thread(thread)
 	s.lock.Acquire(th)
 	defer s.lock.Release(th)
-	if s.hook != nil {
-		rec := &s.recs[thread]
-		rec.Begin(tm.PlainOps{Th: th})
-		body(rec)
-		rec.Flush(thread, s.hook)
-	} else {
-		body(tm.PlainOps{Th: th})
-	}
+	s.RunSerial(thread, th, l, body)
 	l.Commit(kind == tm.KindReadOnly)
-	l.Fallback()
 }
 
-var _ tm.System = (*System)(nil)
+var _ tm.HookableSystem = (*System)(nil)

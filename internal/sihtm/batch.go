@@ -1,11 +1,6 @@
 package sihtm
 
-import (
-	"runtime"
-
-	"sihtm/internal/clock"
-	"sihtm/internal/tm"
-)
+import "sihtm/internal/tm"
 
 // AtomicBatch implements the paper's §6 "batching alternative": instead of
 // idling through one safety wait per transaction, a thread runs several
@@ -13,6 +8,9 @@ import (
 // a single hardware commit for the whole group. The group commits
 // atomically; if any body's execution aborts, the whole group retries, and
 // after the retry budget the group runs serially under the global lock.
+// It is Atomic over the composite body, so the retry rule, the fall-back
+// and the commit hook are Atomic's; only the accounting differs (one
+// commit per body).
 //
 // Read-only bodies in the batch execute through the ROT as well (their
 // reads are untracked and free); an all-read-only batch still skips the
@@ -22,33 +20,9 @@ func (s *System) AtomicBatch(thread int, bodies []func(tm.Ops)) {
 	if len(bodies) == 0 {
 		return
 	}
-	th := s.m.Thread(thread)
-	l := s.col.Thread(thread)
-
-	for attempt := 0; attempt < s.cfg.Retries; attempt++ {
-		s.syncWithGL(thread, th)
-		ab := s.updateOnce(thread, th, l, func(ops tm.Ops) {
-			for _, body := range bodies {
-				body(ops)
-			}
-		})
-		if ab == nil {
-			for range bodies {
-				l.Commit(false)
-			}
-			return
+	s.update(thread, false, len(bodies), func(ops tm.Ops) {
+		for _, body := range bodies {
+			body(ops)
 		}
-		s.state[thread].v.Store(clock.Inactive)
-		l.Abort(tm.AbortKindOf(ab.Code))
-		runtime.Gosched()
-	}
-
-	s.lock.Acquire(th)
-	s.drainOthers(thread)
-	for _, body := range bodies {
-		body(tm.PlainOps{Th: th})
-		l.Commit(false)
-	}
-	s.lock.Release(th)
-	l.Fallback()
+	})
 }

@@ -137,24 +137,6 @@ func (t Thread) HWBegin(rot bool) {
 	}
 }
 
-// Local snapshots this thread's own slot. The server's batch executor
-// diffs it around one Atomic call to attribute abort causes to a single
-// batch for slow-request traces — summing the whole Collector there
-// would charge every shard's aborts to every batch.
-func (t Thread) Local() Stats {
-	var s Stats
-	s.Commits = t.slot.commits.Load()
-	s.CommitsRO = t.slot.commitsRO.Load()
-	for k := 0; k < NumAbortKinds; k++ {
-		s.Aborts[k] = t.slot.aborts[k].Load()
-	}
-	s.Fallbacks = t.slot.fallbacks.Load()
-	s.WaitSpins = t.slot.waitSpins.Load()
-	s.HWBeginROT = t.slot.hwROT.Load()
-	s.HWBeginHTM = t.slot.hwHTM.Load()
-	return s
-}
-
 // Stats is an immutable snapshot of a Collector (or a delta of two).
 type Stats struct {
 	Commits    uint64
@@ -231,6 +213,14 @@ func (s Stats) AbortShare(kind AbortKind) float64 {
 	}
 	return float64(s.Aborts[kind]) / float64(att)
 }
+
+// CapacityShareMax is the capacity-abort share of attempts
+// (AbortShare(AbortCapacity)) beyond which the paper's capacity cliff is
+// underway: footprints sit at the TMCAM edge and retries are about to
+// ruin both latency and throughput. The server's admission controller
+// shrinks batches above it and the capacity-abort-share alert fires on
+// it.
+const CapacityShareMax = 0.02
 
 // String renders a compact one-line summary.
 func (s Stats) String() string {

@@ -177,9 +177,8 @@ func TestNewValidation(t *testing.T) {
 	New(0)
 }
 
-// HWBegin feeds the mode-split hardware-attempt counters; Local reads
-// only the calling thread's slot.
-func TestHWBeginAndLocal(t *testing.T) {
+// HWBegin feeds the mode-split hardware-attempt counters.
+func TestHWBegin(t *testing.T) {
 	c := New(2)
 	t0, t1 := c.Thread(0), c.Thread(1)
 	t0.HWBegin(true)
@@ -192,15 +191,9 @@ func TestHWBeginAndLocal(t *testing.T) {
 	if s.HWBeginROT != 2 || s.HWBeginHTM != 2 {
 		t.Fatalf("snapshot hw = rot:%d htm:%d, want 2/2", s.HWBeginROT, s.HWBeginHTM)
 	}
-	l0 := t0.Local()
-	if l0.HWBeginROT != 2 || l0.HWBeginHTM != 1 || l0.Commits != 1 {
-		t.Fatalf("thread-0 local = %+v, want rot:2 htm:1 commits:1", l0)
-	}
-	if l1 := t1.Local(); l1.HWBeginROT != 0 || l1.HWBeginHTM != 1 {
-		t.Fatalf("thread-1 local = %+v, want rot:0 htm:1", l1)
-	}
-	d := s.Sub(l0)
-	if d.HWBeginROT != 0 || d.HWBeginHTM != 1 {
-		t.Fatalf("Sub hw delta = rot:%d htm:%d, want 0/1", d.HWBeginROT, d.HWBeginHTM)
+	t1.HWBegin(true)
+	d := c.Snapshot().Sub(s)
+	if d.HWBeginROT != 1 || d.HWBeginHTM != 0 {
+		t.Fatalf("Sub hw delta = rot:%d htm:%d, want 1/0", d.HWBeginROT, d.HWBeginHTM)
 	}
 }

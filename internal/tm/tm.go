@@ -78,8 +78,7 @@ func (o TxOps) Read(a memsim.Addr) uint64 { return o.Tx.Read(a) }
 func (o TxOps) Write(a memsim.Addr, v uint64) { o.Tx.Write(a, v) }
 
 // PlainOps adapts a hardware thread's plain (non-transactional) accesses
-// to Ops. It is the access path of SGL fall-backs and of SI-HTM's
-// read-only fast path.
+// to Ops. It is the access path of the SGL fall-backs.
 type PlainOps struct{ Th *htm.Thread }
 
 // Read implements Ops.
@@ -88,25 +87,14 @@ func (o PlainOps) Read(a memsim.Addr) uint64 { return o.Th.Load(a) }
 // Write implements Ops.
 func (o PlainOps) Write(a memsim.Addr, v uint64) { o.Th.Store(a, v) }
 
-// ReadOnlyOps wraps an Ops and panics on Write: systems use it to enforce
-// the KindReadOnly promise on their uninstrumented fast paths, where a
-// stray write would otherwise silently corrupt isolation.
-type ReadOnlyOps struct{ Inner Ops }
-
-// Read implements Ops.
-func (o ReadOnlyOps) Read(a memsim.Addr) uint64 { return o.Inner.Read(a) }
-
-// Write implements Ops by panicking.
-func (o ReadOnlyOps) Write(memsim.Addr, uint64) {
-	panic("tm: Write inside a transaction declared read-only")
-}
-
-// ReadOnlyPlainOps is ReadOnlyOps over PlainOps flattened to a single
-// pointer field. The flattening matters on the hot path: a one-pointer
-// struct is a direct interface type, so passing it to a body as Ops
-// stores the pointer in the interface word itself — the two-word
-// ReadOnlyOps{Inner: PlainOps{...}} composition heap-allocates a box on
-// every read-only transaction.
+// ReadOnlyPlainOps is PlainOps that panics on Write: the uninstrumented
+// read-only fast path uses it to enforce the KindReadOnly promise, where
+// a stray write would otherwise silently corrupt isolation. It is one
+// flat pointer field, not a wrapper around an inner Ops, because that
+// matters on the hot path: a one-pointer struct is a direct interface
+// type, so passing it to a body as Ops stores the pointer in the
+// interface word itself, where a two-word composition would heap-allocate
+// a box on every read-only transaction.
 type ReadOnlyPlainOps struct{ Th *htm.Thread }
 
 // Read implements Ops.

@@ -58,14 +58,14 @@ func TestOpsAdapters(t *testing.T) {
 		t.Fatal("TxOps write not committed")
 	}
 
-	// ReadOnlyOps forwards reads and rejects writes.
-	ro := tm.ReadOnlyOps{Inner: po}
+	// ReadOnlyPlainOps forwards reads and rejects writes.
+	ro := tm.ReadOnlyPlainOps{Th: th}
 	if ro.Read(a) != 6 {
-		t.Fatal("ReadOnlyOps read failed")
+		t.Fatal("ReadOnlyPlainOps read failed")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ReadOnlyOps.Write did not panic")
+			t.Fatal("ReadOnlyPlainOps.Write did not panic")
 		}
 	}()
 	ro.Write(a, 7)

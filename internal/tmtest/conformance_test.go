@@ -140,3 +140,21 @@ func TestReadOnlyFastPathNeverAborts(t *testing.T) {
 		})
 	}
 }
+
+func TestPanicLeavesNothingAnnounced(t *testing.T) {
+	// 8-line TMCAM; the 16-line write set takes the SGL fall-back.
+	for _, f := range StandardFactories(8) {
+		if f.Name != "si-htm" && f.Name != "p8tm" {
+			continue // the systems that announce in a state array
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			heap := memsim.NewHeapLines(1 << 10)
+			lines := make([]memsim.Addr, 16)
+			for i := range lines {
+				lines[i] = heap.AllocLine()
+			}
+			sys := f.New(heap, 2)
+			CheckPanicLeavesNothingAnnounced(t, sys, heap, lines)
+		})
+	}
+}

@@ -387,3 +387,58 @@ func CheckReadOnlyWritePanics(t *testing.T, sys tm.System, x memsim.Addr) {
 		ops.Write(x, 1)
 	})
 }
+
+// CheckPanicLeavesNothingAnnounced asserts that a body panic which is not
+// a hardware abort — a caller bug, such as a Write inside a transaction
+// declared read-only — unwinds out of Atomic leaving the thread neither
+// announced in the quiescence state nor inside a live hardware
+// transaction. Otherwise every peer's safety wait and the lock holder's
+// drain spin until that thread's next transaction. lines must overflow
+// the machine's TMCAM when written together, so the second transaction
+// below takes the SGL fall-back.
+func CheckPanicLeavesNothingAnnounced(t *testing.T, sys tm.System, heap *memsim.Heap, lines []memsim.Addr) {
+	t.Helper()
+	for _, kind := range []tm.Kind{tm.KindReadOnly, tm.KindUpdate} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: %s body panic did not propagate", sys.Name(), kind)
+				}
+			}()
+			sys.Atomic(0, kind, func(ops tm.Ops) {
+				ops.Write(lines[0], 1) // panics by itself when read-only
+				panic("caller bug")
+			})
+		}()
+		for _, a := range lines {
+			heap.Store(a, 0)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			sys.Atomic(1, tm.KindUpdate, func(ops tm.Ops) { // safety wait
+				ops.Write(lines[1], ops.Read(lines[1])+1)
+			})
+			sys.Atomic(1, tm.KindUpdate, func(ops tm.Ops) { // fall-back drain
+				for _, a := range lines {
+					ops.Write(a, ops.Read(a)+1)
+				}
+			})
+			sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) { // no zombie ROT
+				ops.Write(lines[0], ops.Read(lines[0])+1)
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: transactions after a %s body panic did not complete; the panicking thread is still announced",
+				sys.Name(), kind)
+		}
+		if got := heap.Load(lines[0]); got != 2 {
+			t.Errorf("%s: after %s panic, word = %d, want 2", sys.Name(), kind, got)
+		}
+	}
+	if s := sys.Collector().Snapshot(); s.Fallbacks != 2 {
+		t.Errorf("%s: fall-backs = %d, want 2", sys.Name(), s.Fallbacks)
+	}
+}

@@ -316,8 +316,6 @@ type TelemetryStats struct {
 	// FramesIn and FramesOut count wire frames across all connections.
 	FramesIn  uint64 `json:"frames_in"`
 	FramesOut uint64 `json:"frames_out"`
-	// SlowTraces counts requests that exceeded the slow-trace threshold.
-	SlowTraces uint64 `json:"slow_traces,omitempty"`
 	// AdmitWaitHist is the admission-wait stage histogram (arrival to
 	// batch execution start); FlushHist the reply-flush stage (reply
 	// encoded to socket write); BatchOpsHist the per-batch op-count
