@@ -111,7 +111,7 @@ serve flags:
   --admit-wait=DUR          admission grace: wait for fuller batches (default 0)
   --p99-target=DUR          adaptive admission control: steer batch/grace toward this p99 (default off)
   --durable-dir=DIR         serve durably (WAL + checkpoints + meta.json in DIR)
-  --window=DUR              durable group-commit fsync window (default 1ms)
+  --window=DUR              accepted for compatibility; inert (the log flushes as soon as a record is pending)
   --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
   --follow=HOST:PORT        serve as a read replica of the durable leader at ADDR
   --leader-log=PATH         shared-storage path of the leader's wal.log (for promotion)
@@ -159,7 +159,7 @@ durable flags:
   --system=si-htm           concurrency control (default si-htm)
   --threads=N               worker threads (default 4)
   --scale=ci|quick|paper    workload sizing preset (default ci)
-  --window=DUR              group-commit fsync window (default 1ms)
+  --window=DUR              accepted for compatibility; inert (the log flushes as soon as a record is pending)
   --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
   --duration=DUR            stop cleanly after DUR (default 0: run until killed)
 
@@ -513,7 +513,7 @@ func cmdDurable(args []string) error {
 		system    = fs.String("system", "si-htm", "concurrency control")
 		threads   = fs.Int("threads", 4, "worker threads")
 		scaleName = fs.String("scale", "ci", "workload sizing preset")
-		window    = fs.Duration("window", time.Millisecond, "group-commit fsync window")
+		window    = fs.Duration("window", time.Millisecond, "inert: the log flushes as soon as a record is pending")
 		ckptEvery = fs.Duration("checkpoint-every", time.Second, "fuzzy checkpoint interval (0 disables)")
 		duration  = fs.Duration("duration", 0, "stop cleanly after this long (0 = run until killed)")
 		quiet     = fs.Bool("quiet", false, "suppress the per-second progress line")

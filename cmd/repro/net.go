@@ -38,7 +38,7 @@ func cmdServe(args []string) error {
 		admitWait   = fs.Duration("admit-wait", 0, "admission grace: wait this long for a fuller batch")
 		p99Target   = fs.Duration("p99-target", 0, "adaptive admission control: steer batch/grace toward this p99 service latency")
 		dir         = fs.String("durable-dir", "", "serve durably: WAL + checkpoints + meta.json in DIR")
-		window      = fs.Duration("window", time.Millisecond, "durable group-commit fsync window")
+		window      = fs.Duration("window", time.Millisecond, "inert: the log flushes as soon as a record is pending")
 		ckptEvery   = fs.Duration("checkpoint-every", time.Second, "fuzzy checkpoint interval (0 disables)")
 		follow      = fs.String("follow", "", "serve as a read replica of the durable leader at ADDR")
 		leaderLog   = fs.String("leader-log", "", "shared-storage path of the leader's wal.log (promotion catch-up)")

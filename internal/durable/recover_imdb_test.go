@@ -91,8 +91,9 @@ func TestIMDBRecovery(t *testing.T) {
 			}
 		}(id)
 	}
-	// One fuzzy checkpoint somewhere in the middle of the run.
-	time.Sleep(5 * time.Millisecond)
+	// One fuzzy checkpoint in the middle of the run: once a quarter of
+	// the inserts are durable, with the rest still committing.
+	store.Log().WaitDurable(threads * perThread / 4)
 	if _, err := store.WriteCheckpoint(ckptPath); err != nil {
 		t.Fatal(err)
 	}

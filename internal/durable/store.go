@@ -8,7 +8,9 @@
 // buffer inside the commit bracket, sequenced, and made durable
 // asynchronously by the log's group-commit daemon, with acknowledgement
 // (the durability guarantee to the caller) deferred to the end of
-// Atomic.
+// Atomic — or, for a caller that claimed its threads (ClaimAck: the
+// wire server), handed to that caller, which commits on and holds each
+// result back until DurableSeq covers it.
 //
 // Guarantees, in terms of the commit sequence number (LSN) the store
 // assigns inside each commit's critical section:
@@ -20,9 +22,11 @@
 //     valid prefix), and conflicting transactions carry sequence
 //     numbers in their serialization order, so replaying the prefix
 //     reproduces a legal history.
-//   - Acknowledged ⇒ present: System.Atomic returns only after the
-//     transaction's record is fsynced (WaitAck mode), so every
-//     acknowledged transaction is inside the recovered prefix.
+//   - Acknowledged ⇒ present: on an unclaimed thread System.Atomic
+//     returns only after the transaction's record is fsynced (WaitAck
+//     mode); on a claimed thread the claimant releases no result before
+//     DurableSeq covers the log position it executed at. Either way
+//     every acknowledged transaction is inside the recovered prefix.
 //   - Checkpoints are fuzzy: they run concurrently with commits and
 //     never block the commit path for longer than two sequence-counter
 //     reads. See checkpoint.go for the watermark argument.
@@ -43,7 +47,7 @@ import (
 
 // Config tunes a Store.
 type Config struct {
-	// Window is the group-commit fsync window (see wal.Config.Window).
+	// Window is handed to wal.Config.Window, which is inert.
 	Window time.Duration
 	// WaitAck makes the durable System wrapper block each Atomic until
 	// the transaction's record is fsynced — the "committed means
@@ -61,9 +65,9 @@ type Config struct {
 // threadSeq is a per-thread last-assigned-sequence slot, padded so
 // worker threads do not false-share.
 type threadSeq struct {
-	seq   uint64 // owned by the thread between PreCommit and ack
-	ackNs int64  // last Atomic's fsync-acknowledgement wait (WaitAck mode)
-	_     [112]byte
+	seq     uint64 // owned by the thread between PreCommit and ack
+	claimed bool   // the thread's caller performs the durability wait (ClaimAck)
+	_       [112]byte
 }
 
 // Store is the durability manager for one heap: it implements
@@ -85,8 +89,10 @@ type Store struct {
 
 	last []threadSeq // per-thread last assigned sequence
 
-	// ackHist observes how long each WaitAck'd Atomic blocked on the
-	// group-commit fsync — the durability tax as the caller feels it.
+	// ackHist observes how long a committed result waited for the
+	// group-commit fsync before it could be acknowledged — the durability
+	// tax as the caller feels it. System.Atomic observes it for unclaimed
+	// threads, the claimant for claimed ones.
 	ackHist stats.Histogram
 }
 
@@ -150,21 +156,26 @@ func (s *Store) WaitThread(thread int) {
 	}
 }
 
-// AckWaitHist returns the live ack-wait histogram (time Atomic callers
-// spent blocked on fsync acknowledgement) for telemetry registration.
+// ClaimAck hands the durability wait of one thread's commits to the
+// thread's caller: System.Atomic on a claimed thread returns at commit,
+// and the claimant must release no result of a transaction — not even a
+// read-only one, which may have observed a committed-but-not-yet-durable
+// write — before DurableSeq covers ThreadSeq (if the transaction logged
+// a record) or LastSeq read after Atomic returned (if it did not), and
+// observes the wait into AckWaitHist. Call before the thread runs.
+func (s *Store) ClaimAck(thread int) { s.last[thread].claimed = true }
+
+// AckWaitHist returns the live ack-wait histogram: what telemetry
+// registers and what a claimant (ClaimAck) observes into.
 func (s *Store) AckWaitHist() *stats.Histogram { return &s.ackHist }
 
 // ThreadSeq returns the sequence number the thread's last committed
 // update transaction was assigned (zero before the first). Only the
 // thread itself may call this between its own Atomics — the slot is
-// thread-owned, exactly like the commit hook writes it. The server's
-// executor uses it to tag a request's trace with its commit sequence.
+// thread-owned, exactly like the commit hook writes it. A sequence drawn
+// in PreCommit is above that of every commit the transaction read from:
+// a writer draws its own before its writes are visible.
 func (s *Store) ThreadSeq(thread int) uint64 { return s.last[thread].seq }
-
-// LastAckWait returns how long the thread's last WaitAck'd Atomic
-// blocked on fsync acknowledgement, in nanoseconds. Same thread-owned
-// contract as ThreadSeq.
-func (s *Store) LastAckWait(thread int) int64 { return s.last[thread].ackNs }
 
 // LastSeq returns the highest sequence number assigned so far.
 func (s *Store) LastSeq() uint64 { return s.log.LastSeq() }
@@ -191,11 +202,11 @@ func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
 }
 
 // System is the durable tm.System wrapper: Atomic commits through the
-// inner system (whose hooks feed the store) and then, in WaitAck mode,
-// blocks until the transaction's redo record is fsynced — group-commit
-// acknowledgement. The fsync wait happens after the inner commit fully
-// published (no TM locks held), so log latency never stalls conflicting
-// threads, only the caller.
+// inner system (whose hooks feed the store) and then, in WaitAck mode
+// and on a thread nobody claimed, blocks until the transaction's redo
+// record is fsynced — group-commit acknowledgement. The fsync wait
+// happens after the inner commit fully published (no TM locks held), so
+// log latency never stalls conflicting threads, only the caller.
 type System struct {
 	inner tm.System
 	store *Store
@@ -214,12 +225,10 @@ func (d *System) Collector() *stats.Collector { return d.inner.Collector() }
 // Atomic implements tm.System.
 func (d *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	d.inner.Atomic(thread, kind, body)
-	if d.store.cfg.WaitAck {
+	if d.store.cfg.WaitAck && !d.store.last[thread].claimed {
 		t0 := time.Now()
 		d.store.WaitThread(thread)
-		wait := time.Since(t0)
-		d.store.last[thread].ackNs = int64(wait)
-		d.store.ackHist.Observe(wait)
+		d.store.ackHist.Observe(time.Since(t0))
 	}
 }
 

@@ -3,6 +3,7 @@ package durable
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,7 +308,7 @@ func TestCrashPrefixAndAcks(t *testing.T) {
 		}(id)
 	}
 
-	time.Sleep(20 * time.Millisecond)
+	store.Log().WaitDurable(100) // a crash with acknowledged history behind it
 	// "Crash": snapshot the ack count, then copy the log file while
 	// appends and fsyncs continue — exactly what a SIGKILL preserves.
 	ackedAtCrash := acked.Load()
@@ -395,4 +396,50 @@ func TestAtomicBatchFallbackIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	heapsEqual(t, heap, recovered, "si-htm batch")
+}
+
+// TestClaimAckMovesTheWait: on a claimed thread Atomic returns at commit
+// with the record not yet durable — the claimant owns the wait — while
+// an unclaimed thread of the same store keeps "return = durable".
+func TestClaimAckMovesTheWait(t *testing.T) {
+	heap := memsim.NewHeapLines(16)
+	word := heap.AllocLine()
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
+	store, err := Open(heap, filepath.Join(t.TempDir(), "wal.log"), 4, Config{NoDaemon: true, WaitAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dsys := store.Attach(sihtm.NewSystem(m, 2, sihtm.Config{}), m)
+	incr := func(ops tm.Ops) { ops.Write(word, ops.Read(word)+1) }
+
+	store.ClaimAck(0)
+	dsys.Atomic(0, tm.KindUpdate, incr) // would block for ever if it waited: nothing syncs
+	if seq := store.ThreadSeq(0); seq != 1 || store.DurableSeq() != 0 {
+		t.Fatalf("claimed commit: seq %d, durable %d; want 1 and 0", seq, store.DurableSeq())
+	}
+	if n := store.AckWaitHist().Snapshot().Count(); n != 0 {
+		t.Fatalf("a claimed Atomic observed %d ack waits; the claimant observes them", n)
+	}
+
+	returned := make(chan struct{})
+	go func() {
+		dsys.Atomic(1, tm.KindUpdate, incr)
+		close(returned)
+	}()
+	for store.LastSeq() < 2 { // thread 1 committed and is waiting
+		runtime.Gosched()
+	}
+	select {
+	case <-returned:
+		t.Fatal("unclaimed Atomic returned before its record was durable")
+	default:
+	}
+	if err := store.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	<-returned
+	if store.DurableSeq() != 2 || store.AckWaitHist().Snapshot().Count() != 1 {
+		t.Fatalf("durable %d, %d ack waits; want 2 and 1", store.DurableSeq(), store.AckWaitHist().Snapshot().Count())
+	}
 }

@@ -28,11 +28,11 @@ import (
 // word against the live heap before the workload invariants are
 // re-checked on the recovered state.
 
-// durableWindowDefault is the group-commit window the durable-ycsb-a
-// and durable-vacation entries run with.
+// durableWindowDefault is the (inert) group-commit window the
+// durable-ycsb-a and durable-vacation entries pass.
 const durableWindowDefault = 500 * time.Microsecond
 
-// durableWindows is the fsync-window ladder of the group-commit sweep.
+// durableWindows is the window ladder of durable-window.
 var durableWindows = []time.Duration{0, 200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond}
 
 // startHeadlessDurable starts a headless durable node — store and fuzzy
@@ -141,22 +141,20 @@ func durableYCSBEntry() Entry {
 	return e
 }
 
-// durableWindowEntry is the group-commit-window sweep: fixed thread
-// count, fsync window swept from flush-on-demand (0) to 5ms batches.
-// The window buys fsync amortization — the achieved batch size
-// (records per fsync, recorded in each point's parameter string) grows
-// with it — at the price of acknowledgement latency: a committer waits
-// out the rest of the window before its fsync. Which side wins depends
-// on storage: with fast fsyncs (CI tmpfs) commit admission is
-// latency-bound and throughput falls as the window grows, while on
-// fsync-expensive devices the amortization side dominates; the sweep
-// exposes both quantities so either regime is readable from the data.
+// durableWindowEntry runs durable YCSB-A at a fixed thread count over
+// a ladder of durable.Config.Window values. The window is inert — the
+// log flushes the moment a record is pending and the fsync in flight
+// forms the next group (docs/durability.md §3) — so the four points run
+// one configuration four times: the batch size in each point's
+// parameter string is what back-to-back fsyncs group on their own, and
+// the spread between the points is the cell's noise floor. The ladder
+// stays so the ids and parameter strings of earlier artifacts line up.
 func durableWindowEntry() Entry {
 	y := ycsbA
 	const threads = 8
 	e := Entry{
 		ID:       "durable-window",
-		Title:    "Group-commit window sweep: durable YCSB-A throughput vs fsync window (8 threads)",
+		Title:    "Group-commit window sweep: durable YCSB-A throughput vs the (inert) fsync window (8 threads)",
 		Workload: "durable",
 		Systems:  []string{"si-htm", "htm"},
 		Params:   fmt.Sprintf("ycsb-a windows=%v threads=%d ack=fsync", durableWindows, threads),

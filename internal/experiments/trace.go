@@ -186,7 +186,9 @@ func netTraceEntry() Entry {
 
 		// Cross-layer invariants on the chosen exemplar.
 		req := best[trace.KRequest]
-		stageSum := best[trace.KAdmit].Dur + best[trace.KExec].Dur + best[trace.KFlush].Dur
+		// admit + exec + ack + flush tile the request; a request that was
+		// never parked has no ack span, and the missing key reads as 0.
+		stageSum := best[trace.KAdmit].Dur + best[trace.KExec].Dur + best[trace.KAck].Dur + best[trace.KFlush].Dur
 		if stageSum != req.Dur {
 			return fail(fmt.Errorf("trace %d: stage sum %dns != request span %dns", req.Trace, stageSum, req.Dur))
 		}

@@ -22,28 +22,38 @@ import (
 
 // TestServerRequestPathZeroAllocs pins the TXN path: frame read →
 // admission → batched execute → reply encode → socket write, plus the
-// client's AppendOpsFrame encode and waiter round trip.
+// client's AppendOpsFrame encode and waiter round trip. On the volatile
+// server the executor sends the reply itself (no shard parks); on the
+// durable one the reply also crosses the park FIFO, the release stage
+// and a group-commit flush, and the pin is the same zero.
 func TestServerRequestPathZeroAllocs(t *testing.T) {
-	f := startFixture(t, 256, 1, 16, 0, false)
-	rb := dial(t, f, 1)
-	s := rb.NewSession().(engine.AsyncSession)
+	for name, parking := range map[string]int{"volatile": 0, "durable": 1} {
+		t.Run(name, func(t *testing.T) {
+			f := startFixture(t, 256, 1, 16, 0, parking > 0)
+			if got := f.srv.ParkingShards(); got != parking {
+				t.Fatalf("%d shards park, want %d", got, parking)
+			}
+			rb := dial(t, f, 1)
+			s := rb.NewSession().(engine.AsyncSession)
 
-	op := func() {
-		s.Reset()
-		s.ReadModifyWriteAsync(7, 1)
-		s.ReadAsync(9)
-		s.ScanAsync(3, 4)
-		s.Commit()
-	}
-	for i := 0; i < 512; i++ {
-		op()
-	}
-	allocs := testing.AllocsPerRun(500, op)
-	if race.Enabled {
-		t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state TXN round trip allocates %.2f times, want 0", allocs)
+			op := func() {
+				s.Reset()
+				s.ReadModifyWriteAsync(7, 1)
+				s.ReadAsync(9)
+				s.ScanAsync(3, 4)
+				s.Commit()
+			}
+			for i := 0; i < 512; i++ {
+				op()
+			}
+			allocs := testing.AllocsPerRun(500, op)
+			if race.Enabled {
+				t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state TXN round trip allocates %.2f times, want 0", allocs)
+			}
+		})
 	}
 }
 

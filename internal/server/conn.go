@@ -95,7 +95,7 @@ func (c *srvConn) send(frame []byte) { c.out <- outMsg{frame: frame} }
 
 // sendTask queues an answered task: its reply buffer holds the encoded
 // frame, and its inflight reference is released by the writer after the
-// write (the executor's only obligation ends here).
+// write (the executor's, or the release stage's, obligation ends here).
 func (c *srvConn) sendTask(t *task) { c.out <- outMsg{t: t} }
 
 // sendErr queues a TErr reply.
@@ -365,7 +365,7 @@ func (c *srvConn) writeLoop() {
 		if m.t != nil {
 			// Close the lifecycle trace at the socket write: flush stage,
 			// then span emission for sampled or slow requests.
-			c.srv.flushHist.Observe(time.Since(m.t.tDone))
+			c.srv.flushHist.Observe(time.Since(m.t.tDone) - time.Duration(m.t.ackNs))
 			total := time.Since(m.t.t0)
 			if m.t.trace != 0 || c.srv.traceSlow > 0 && int64(total) >= c.srv.traceSlow {
 				c.srv.recordSpans(m.t, total)

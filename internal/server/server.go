@@ -25,11 +25,26 @@
 // A batch of exclusively read-only ops launches as tm.KindReadOnly and
 // rides SI-HTM's uninstrumented read-only fast path.
 //
+// Durable serving takes the fsync off the executor. The server claims
+// its shard threads on the store (durable.Store.ClaimAck), so Atomic
+// returns at commit; the executor stamps the batch's tasks with the log
+// position their replies depend on, encodes the replies, parks them in
+// the shard's bounded FIFO and takes the next batch, while one release
+// stage per shard hands parked tasks to their connections as the log's
+// durable frontier passes their stamp. The ordering rule: no reply
+// leaves the node before DurableSeq covers the log position at which
+// its batch executed. A batch that logged a record is stamped with the
+// sequence its commit drew, which is above that of every commit it read
+// from; a batch that logged none — a read-only one above all — may have
+// observed a committed-but-not-yet-durable write, and is stamped with
+// LastSeq read after Atomic returned. A volatile server and a replica
+// stamp 0, which sends the reply from the executor itself.
+//
 // Graceful drain: Drain stops the accept loop, unblocks connection
-// readers, lets executors finish every admitted request (replies
-// included), flushes and closes connections, and — when a durable
-// store is attached — forces a final checkpoint so a restart recovers
-// without replaying the whole log.
+// readers, lets executors finish every admitted request, syncs the log
+// so the release stages empty, flushes and closes connections, and —
+// when a durable store is attached — forces a final checkpoint so a
+// restart recovers without replaying the whole log.
 package server
 
 import (
@@ -83,9 +98,11 @@ type Config struct {
 	// collector and makes at most one knob move.
 	CtrlInterval time.Duration
 	// Store, when non-nil, is the durability manager already attached to
-	// System; Drain forces a final checkpoint to CheckpointPath (if set)
-	// and syncs the log. A durable server is automatically a replication
-	// leader: TReplSub subscribers stream its log.
+	// System. The server claims thread ids 0..Shards-1 on it and holds
+	// each reply until the log covers it (package comment); Drain syncs
+	// the log and forces a final checkpoint to CheckpointPath (if set). A
+	// durable server is automatically a replication leader: TReplSub
+	// subscribers stream its log.
 	Store *durable.Store
 	// CheckpointPath receives Drain's final checkpoint.
 	CheckpointPath string
@@ -168,19 +185,31 @@ type Server struct {
 	conns    map[*srvConn]struct{}
 	draining atomic.Bool
 
-	readers sync.WaitGroup
-	execs   sync.WaitGroup
-	writers sync.WaitGroup
+	readers   sync.WaitGroup
+	execs     sync.WaitGroup
+	releasers sync.WaitGroup
+	writers   sync.WaitGroup
 
 	drainOnce sync.Once
 	drainErr  error
 }
 
+// parkDepth bounds the answered-but-not-yet-durable replies one shard
+// holds. It is far above what fits between two fsyncs at any rate the
+// executors sustain, so it binds only when the disk stalls — and then
+// the executor blocks on it and admission backs up, as it would have
+// inside Atomic.
+const parkDepth = 1024
+
 // shard is one executor: a queue, a backend session and scratch state.
 type shard struct {
-	id    int
-	ch    chan *task
-	sess  engine.Session
+	id   int
+	ch   chan *task
+	sess engine.Session
+	// park is the FIFO between the executor and the shard's release
+	// stage: tasks with their replies encoded, in stamp order, waiting
+	// for the log. Nil on a volatile server and on a replica.
+	park  chan *task
 	batch []*task
 	timer *time.Timer // admission-grace timer, reused across batches
 	// body is the transaction body handed to System.Atomic, bound once
@@ -198,8 +227,9 @@ type task struct {
 	c       *srvConn
 	id      uint64
 	trace   uint64 // client-stamped trace id (0 = unsampled)
-	seq     uint64 // commit sequence the carrying batch was assigned (update batches)
-	ackNs   int64  // fsync-acknowledgement wait inside the carrying Atomic
+	seq     uint64 // sequence of the record the carrying batch logged (0 = none)
+	stamp   uint64 // log position the reply waits for (0 = send at once)
+	ackNs   int64  // reply encoded to released by the log (0 when never parked)
 	ops     []wire.Op
 	results []wire.Result
 	reply   []byte // encoded TReply frame (wire.AppendResultsFrame)
@@ -207,8 +237,8 @@ type task struct {
 
 	// Lifecycle trace, stamped by the executor and consumed by the
 	// writer: when the batch started executing (admission wait = tExec -
-	// t0) and when the reply was encoded and handed over (reply flush =
-	// socket write time - tDone). batchOps is the carrying batch's size,
+	// t0) and when the reply was encoded (reply flush = socket write time
+	// - tDone - ackNs). batchOps is the carrying batch's size,
 	// the exec span's argument. All plain scalars on the pooled struct:
 	// tracing allocates nothing.
 	tExec    time.Time
@@ -261,6 +291,10 @@ func New(cfg Config) (*Server, error) {
 			sess: cfg.Backend.NewSession(),
 		}
 		sh.body = sh.execBody
+		if cfg.Store != nil && cfg.Follower == nil {
+			cfg.Store.ClaimAck(i)
+			sh.park = make(chan *task, parkDepth)
+		}
 		s.shards = append(s.shards, sh)
 	}
 	s.registerMetrics()
@@ -279,6 +313,10 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	for _, sh := range s.shards {
 		s.execs.Add(1)
 		go sh.run(s)
+		if sh.park != nil {
+			s.releasers.Add(1)
+			go sh.releaseLoop(s)
+		}
 	}
 	if s.cfg.P99Target > 0 {
 		if err := s.setP99Target(int(s.cfg.P99Target / time.Microsecond)); err != nil {
@@ -328,7 +366,9 @@ func (s *Server) startConn(nc net.Conn) {
 // Drain shuts the server down gracefully: no new connections or
 // requests are admitted, every already-admitted request commits and is
 // answered, connections flush and close, and a durable store gets a
-// final checkpoint. Safe to call more than once; Serve returns nil
+// final checkpoint. The order is readers exit → queues close →
+// executors finish → log synced → release stages empty → writers flush
+// → final checkpoint. Safe to call more than once; Serve returns nil
 // once draining.
 func (s *Server) Drain() error {
 	s.drainOnce.Do(func() {
@@ -354,16 +394,25 @@ func (s *Server) Drain() error {
 			close(sh.ch)
 		}
 		s.execs.Wait()
-		s.writers.Wait()
+		// Nothing appends any more, so one sync covers every parked reply.
+		// If it fails they stay unsent: an unacknowledgeable commit is
+		// never acknowledged.
 		if s.cfg.Store != nil {
-			if s.cfg.CheckpointPath != "" {
-				if _, err := s.cfg.Store.WriteCheckpoint(s.cfg.CheckpointPath); err != nil {
-					s.drainErr = fmt.Errorf("server: final checkpoint: %w", err)
-					return
-				}
-			}
 			if err := s.cfg.Store.Sync(); err != nil {
 				s.drainErr = fmt.Errorf("server: drain sync: %w", err)
+				return
+			}
+		}
+		for _, sh := range s.shards {
+			if sh.park != nil {
+				close(sh.park)
+			}
+		}
+		s.releasers.Wait()
+		s.writers.Wait()
+		if s.cfg.Store != nil && s.cfg.CheckpointPath != "" {
+			if _, err := s.cfg.Store.WriteCheckpoint(s.cfg.CheckpointPath); err != nil {
+				s.drainErr = fmt.Errorf("server: final checkpoint: %w", err)
 			}
 		}
 	})
@@ -478,9 +527,9 @@ func (s *Server) Exemplars() *trace.Exemplars { return &s.exemplars }
 // write: one span per stage plus the covering request span, all under
 // one trace id. Requests the client did not sample get spans only when
 // slow, under a fresh server-origin id. The stage spans tile the
-// request exactly (admit + exec + flush = total); the ack span nests
-// inside exec. Allocation-free: spans are stack literals into the
-// lock-free ring.
+// request exactly (admit + exec + ack + flush = total); a request that
+// was never parked has no ack span. Allocation-free: spans are stack
+// literals into the lock-free ring.
 func (s *Server) recordSpans(t *task, total time.Duration) {
 	tr := t.trace
 	if tr == 0 {
@@ -489,13 +538,13 @@ func (s *Server) recordSpans(t *task, total time.Duration) {
 	start := t.t0.UnixNano()
 	admit := int64(t.tExec.Sub(t.t0))
 	exec := int64(t.tDone.Sub(t.tExec))
-	flush := int64(total) - admit - exec
+	flush := int64(total) - admit - exec - t.ackNs
 	s.ring.Add(trace.Span{Trace: tr, Kind: trace.KAdmit, Start: start, Dur: admit})
 	s.ring.Add(trace.Span{Trace: tr, Kind: trace.KExec, Start: start + admit, Dur: exec, Arg: int64(t.batchOps)})
 	if t.ackNs > 0 {
-		s.ring.Add(trace.Span{Trace: tr, Kind: trace.KAck, Seq: t.seq, Start: t.tDone.UnixNano() - t.ackNs, Dur: t.ackNs})
+		s.ring.Add(trace.Span{Trace: tr, Kind: trace.KAck, Seq: t.stamp, Start: start + admit + exec, Dur: t.ackNs})
 	}
-	s.ring.Add(trace.Span{Trace: tr, Kind: trace.KFlush, Start: start + admit + exec, Dur: flush})
+	s.ring.Add(trace.Span{Trace: tr, Kind: trace.KFlush, Start: start + admit + exec + t.ackNs, Dur: flush})
 	s.ring.Add(trace.Span{Trace: tr, Kind: trace.KRequest, Start: start, Dur: int64(total), Arg: int64(len(t.ops)), Seq: t.seq})
 }
 
@@ -505,7 +554,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // run is the executor loop: admit one task (blocking), coalesce more up
 // to the batch bound — draining the queue opportunistically and, with a
 // non-zero admission grace, waiting briefly for stragglers — then
-// execute the batch as one transaction and answer every task.
+// execute the batch as one transaction and answer or park every task.
 func (sh *shard) run(s *Server) {
 	defer s.execs.Done()
 	for t := range sh.ch {
@@ -565,7 +614,9 @@ func (sh *shard) run(s *Server) {
 	}
 }
 
-// exec runs one batch as a single transaction and replies to each task.
+// exec runs one batch as a single transaction, encodes each task's reply
+// and sends it — or, when the reply depends on log records that are not
+// durable yet, parks it for the shard's release stage.
 func (sh *shard) exec(s *Server, opsN int) {
 	tExec := time.Now()
 	for _, t := range sh.batch {
@@ -595,6 +646,10 @@ func (sh *shard) exec(s *Server, opsN int) {
 		}
 	}
 	sh.sess.Prepare(inserts)
+	var prevSeq uint64
+	if sh.park != nil {
+		prevSeq = s.cfg.Store.ThreadSeq(sh.id)
+	}
 	s.execBusy.Add(1)
 	s.cfg.System.Atomic(sh.id, kind, sh.body)
 	s.execBusy.Add(-1)
@@ -604,41 +659,71 @@ func (sh *shard) exec(s *Server, opsN int) {
 	}
 	s.execMu.RUnlock()
 
+	// The ordering rule (package comment). seq is the record this batch
+	// logged, if any; stamp is the log position its replies wait for.
+	var seq, stamp uint64
+	if sh.park != nil {
+		stamp = s.cfg.Store.LastSeq()
+		if own := s.cfg.Store.ThreadSeq(sh.id); own != prevSeq {
+			seq, stamp = own, own
+			// The record can ship to followers as soon as it is durable,
+			// which nothing here waits for any more: its trace id has to
+			// be on file before the first task can block on a full park.
+			for _, t := range sh.batch {
+				if t.trace != 0 {
+					s.seqTraces.Put(seq, t.trace)
+				}
+			}
+		}
+	}
 	s.batches.Add(1)
 	s.batchedOps.Add(uint64(opsN))
 	s.execHist.Observe(time.Since(tExec))
 	s.batchOpsHist.Observe(time.Duration(opsN))
-	// Commit sequence and fsync-ack wait of the batch just executed
-	// (thread-owned slots, read on the same executor that ran Atomic);
-	// zero for read-only batches, which never touched the log.
-	var seq uint64
-	var ackNs int64
-	if st := s.cfg.Store; st != nil && kind == tm.KindUpdate {
-		seq = st.ThreadSeq(sh.id)
-		ackNs = st.LastAckWait(sh.id)
-	}
 	for _, t := range sh.batch {
-		// With a durable store attached, Atomic returned only after the
-		// batch's record was fsynced — the reply acknowledges durability.
 		// The framed reply is encoded straight into the task's own buffer
 		// (no intermediate payload, no copy); the writer releases the
 		// inflight reference and recycles the task after the write.
-		d := time.Since(t.t0)
-		s.hist.Observe(d)
-		t.seq = seq
-		t.ackNs = ackNs
-		if t.trace != 0 {
-			s.exemplars.Note(d, t.trace)
-			if seq != 0 {
-				s.seqTraces.Put(seq, t.trace)
-			}
-		}
+		t.seq, t.stamp, t.ackNs = seq, stamp, 0
 		t.reply = wire.AppendResultsFrameT(t.reply[:0], t.id, t.trace, t.results)
 		t.tExec = tExec
 		t.batchOps = int32(opsN)
 		t.tDone = time.Now()
-		t.c.sendTask(t)
+		if stamp == 0 {
+			s.release(t, t.tDone)
+		} else {
+			sh.park <- t
+		}
 	}
+}
+
+// releaseLoop is the shard's release stage: it takes parked tasks in
+// FIFO order — which is stamp order, one executor stamped them all —
+// and sends each once the log's durable frontier covers its stamp. The
+// wait is the request's ack stage.
+func (sh *shard) releaseLoop(s *Server) {
+	defer s.releasers.Done()
+	wlog, ackHist := s.cfg.Store.Log(), s.cfg.Store.AckWaitHist()
+	for t := range sh.park {
+		wlog.WaitDurable(t.stamp)
+		now := time.Now()
+		ack := now.Sub(t.tDone)
+		t.ackNs = int64(ack)
+		ackHist.Observe(ack)
+		s.release(t, now)
+	}
+}
+
+// release answers one task: service latency (admission to the moment the
+// reply may leave — what the admission controller and the SLO rules
+// steer on) is observed here, then the connection's writer takes over.
+func (s *Server) release(t *task, now time.Time) {
+	d := now.Sub(t.t0)
+	s.hist.Observe(d)
+	if t.trace != 0 {
+		s.exemplars.Note(d, t.trace)
+	}
+	t.c.sendTask(t)
 }
 
 // execBody is the transaction body for the shard's current batch. The

@@ -65,6 +65,17 @@ func (s slowSystem) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 // a WAL store.
 func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration, durableOn bool) *fixture {
 	t.Helper()
+	var dcfg *durable.Config
+	if durableOn {
+		dcfg = &durable.Config{Window: 200 * time.Microsecond, WaitAck: true}
+	}
+	return startFixtureStore(t, keys, shards, batchMax, delay, dcfg)
+}
+
+// startFixtureStore is startFixture with the store's configuration
+// spelled out (nil = volatile).
+func startFixtureStore(t *testing.T, keys, shards, batchMax int, delay time.Duration, dcfg *durable.Config) *fixture {
+	t.Helper()
 	spec := testSpec(keys)
 	buckets := keys / 4
 	if buckets < 1 {
@@ -84,10 +95,10 @@ func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration,
 		BatchMax: batchMax,
 		Scenario: "servertest",
 	}
-	if durableOn {
+	if dcfg != nil {
 		f.dir = t.TempDir()
 		store, err := durable.Open(heap, filepath.Join(f.dir, "wal.log"),
-			m.Topology().MaxThreads(), durable.Config{Window: 200 * time.Microsecond, WaitAck: true})
+			m.Topology().MaxThreads(), *dcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

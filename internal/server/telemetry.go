@@ -20,21 +20,21 @@ func (s *Server) registerMetrics() {
 	s.tel = reg
 
 	// Request lifecycle stage histograms. service = admission to reply
-	// encode (the controller's signal); the stages bracket it.
+	// release (the controller's signal); the stages bracket it.
 	s.admitHist = reg.MustHistogram("sihtm_server_admission_wait_seconds",
 		"Arrival to batch-execution start: time spent queued plus admission grace.",
 		telemetry.UnitSeconds)
 	s.execHist = reg.MustHistogram("sihtm_server_batch_exec_seconds",
-		"Batch execution wall time (one System.Atomic, including fsync ack when durable).",
+		"Batch execution wall time (one System.Atomic; the fsync ack is not part of it).",
 		telemetry.UnitSeconds)
 	s.flushHist = reg.MustHistogram("sihtm_server_reply_flush_seconds",
-		"Reply encode to socket write completion.",
+		"Reply release (encode, or fsync ack when durable) to socket write completion.",
 		telemetry.UnitSeconds)
 	s.batchOpsHist = reg.MustHistogram("sihtm_server_batch_ops",
 		"Operations coalesced per executed batch.",
 		telemetry.UnitCount)
 	reg.MustRegisterHistogram("sihtm_server_service_seconds",
-		"Per-op service latency, admission to reply encode (what the admission controller steers).",
+		"Per-op service latency, admission to reply release, fsync ack included (what the admission controller steers).",
 		telemetry.UnitSeconds, s.hist)
 
 	// Wire traffic and connection state.
@@ -122,7 +122,7 @@ func (s *Server) registerMetrics() {
 			"Redo records per group-commit batch.",
 			telemetry.UnitCount, l.BatchRecsHist())
 		reg.MustRegisterHistogram("sihtm_durable_ack_wait_seconds",
-			"Time Atomic callers blocked on fsync acknowledgement.",
+			"Time a committed result waited for the fsync that acknowledges it.",
 			telemetry.UnitSeconds, st.AckWaitHist())
 	}
 

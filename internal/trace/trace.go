@@ -42,9 +42,10 @@ const (
 	// KExec is the batch execution stage: HTM transaction(s) including
 	// commit-hook WAL append. Arg carries the batch's op count.
 	KExec
-	// KAck is the durability ack wait: commit to group-commit fsync
-	// covering this request's sequence (zero-duration on volatile
-	// servers; Seq carries the commit sequence).
+	// KAck is the durability ack stage: reply encoded to released by
+	// the group-commit fsync covering the log position the reply waits
+	// for (Seq). Absent on volatile servers and replicas, whose replies
+	// are never parked.
 	KAck
 	// KFlush is the reply flush stage: reply encoded to socket write.
 	KFlush

@@ -1,10 +1,11 @@
 // Package wal is the write-ahead log of the durability subsystem: an
 // append-only file of per-transaction redo records (the write set a
 // committed transaction published, captured at the commit hook), made
-// durable by a group-commit daemon that batches fsyncs over a
-// configurable window, and replayed after a crash by Replay, which
-// accepts exactly the longest valid prefix and discards the torn tail
-// via per-record CRCs.
+// durable by a group-commit daemon that starts an fsync the moment a
+// record is pending and lets everything appended during that fsync form
+// the next group, and replayed after a crash by Replay, which accepts
+// exactly the longest valid prefix and discards the torn tail via
+// per-record CRCs.
 //
 // Ordering contract: Append assigns sequence numbers under the same
 // mutex that serializes buffer writes, so file order equals sequence
@@ -33,11 +34,12 @@ import (
 
 // Config tunes a Log.
 type Config struct {
-	// Window is the group-commit fsync window: the daemon flushes and
-	// fsyncs the append buffer at most once per window, so one fsync
-	// amortizes over every transaction that arrived inside it. 0 means
-	// flush as soon as anything is pending (fsync latency itself then
-	// forms the batch). Ignored when NoDaemon is set.
+	// Window is inert: no policy reads it. The daemon flushes the moment
+	// a record is pending and the fsync in flight forms the next group,
+	// which bounds a record's added delay by one fsync; lingering any
+	// fraction of a window before a flush lost to not lingering on every
+	// workload measured (docs/durability.md §3). Kept for the callers
+	// that set it.
 	Window time.Duration
 	// NoDaemon disables the background flusher: nothing becomes durable
 	// until Sync is called. Tests and the allocation pins use this to
@@ -62,18 +64,18 @@ type Stats struct {
 
 // Log is an append-only redo log over one file.
 type Log struct {
-	mu      sync.Mutex // guards buf, bufRecs, nextSeq
-	buf     []byte     // encoded records not yet handed to the flusher
-	bufRecs uint64     // records in buf (group-commit batch in progress)
-	nextSeq uint64
+	mu      sync.Mutex    // guards buf, bufRecs; serializes sequence assignment
+	buf     []byte        // encoded records not yet handed to the flusher
+	bufRecs uint64        // records in buf (group-commit batch in progress)
+	lastSeq atomic.Uint64 // highest sequence assigned; stored under mu
 
-	f       *os.File
+	f       logFile
 	flushMu sync.Mutex // serializes flushes; held across write+fsync
 	scratch []byte     // flusher-owned swap buffer (reused)
 
 	durMu   sync.Mutex
 	durCond *sync.Cond
-	durable uint64 // highest fsynced seq; guarded by durMu
+	durable atomic.Uint64 // highest fsynced seq; stored under durMu
 
 	records atomic.Uint64
 	bytes   atomic.Uint64
@@ -94,10 +96,17 @@ type Log struct {
 	// daemon started.
 	traceRing atomic.Pointer[trace.Ring]
 
-	window time.Duration
-	kick   chan struct{} // wakes the daemon when Window == 0
-	stop   chan struct{}
-	done   chan struct{}
+	kick chan struct{} // holds one token while a record may be pending; wakes the daemon
+	stop chan struct{}
+	done chan struct{}
+}
+
+// logFile is what the log needs of its *os.File; tests substitute one
+// whose Sync stalls.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // Create creates (truncating) the log file at path.
@@ -111,15 +120,14 @@ func Create(path string, cfg Config) (*Log, error) {
 		first = 1
 	}
 	l := &Log{
-		f:       f,
-		nextSeq: first,
-		window:  cfg.Window,
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		f:    f,
+		kick: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	l.durCond = sync.NewCond(&l.durMu)
-	l.durable = first - 1
+	l.lastSeq.Store(first - 1)
+	l.durable.Store(first - 1)
 	if cfg.NoDaemon {
 		close(l.done)
 	} else {
@@ -139,8 +147,8 @@ func Create(path string, cfg Config) (*Log, error) {
 // the append buffer has grown to its steady-state capacity.
 func (l *Log) Append(entries []footprint.Entry) uint64 {
 	l.mu.Lock()
-	seq := l.nextSeq
-	l.nextSeq++
+	seq := l.lastSeq.Load() + 1
+	l.lastSeq.Store(seq)
 	before := len(l.buf)
 	l.buf = appendRecord(l.buf, seq, entries)
 	grew := len(l.buf) - before
@@ -149,34 +157,28 @@ func (l *Log) Append(entries []footprint.Entry) uint64 {
 
 	l.records.Add(1)
 	l.bytes.Add(uint64(grew))
-	if l.window == 0 {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
+	select {
+	case l.kick <- struct{}{}:
+	default: // a token is already waiting for the daemon
 	}
 	return seq
 }
 
-// LastSeq returns the highest sequence number assigned so far.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
+// LastSeq returns the highest sequence number assigned so far. Like
+// DurableSeq it is one atomic load: the server reads both per batch.
+func (l *Log) LastSeq() uint64 { return l.lastSeq.Load() }
 
 // DurableSeq returns the highest sequence number known fsynced.
-func (l *Log) DurableSeq() uint64 {
-	l.durMu.Lock()
-	defer l.durMu.Unlock()
-	return l.durable
-}
+func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
 
 // WaitDurable blocks until every record with sequence ≤ seq is fsynced.
 // With NoDaemon set, it returns only after a caller runs Sync.
 func (l *Log) WaitDurable(seq uint64) {
+	if l.durable.Load() >= seq {
+		return
+	}
 	l.durMu.Lock()
-	for l.durable < seq {
+	for l.durable.Load() < seq {
 		l.durCond.Wait()
 	}
 	l.durMu.Unlock()
@@ -196,7 +198,7 @@ func (l *Log) flush() error {
 	l.mu.Lock()
 	pending := l.buf
 	recs := l.bufRecs
-	hi := l.nextSeq - 1
+	hi := l.lastSeq.Load()
 	l.buf = l.scratch[:0] // hand the appenders the (empty) swap buffer
 	l.bufRecs = 0
 	l.mu.Unlock()
@@ -229,42 +231,30 @@ func (l *Log) flush() error {
 	}
 
 	l.durMu.Lock()
-	if hi > l.durable {
-		l.durable = hi
+	if hi > l.durable.Load() {
+		l.durable.Store(hi)
 	}
 	l.durCond.Broadcast()
 	l.durMu.Unlock()
 	return nil
 }
 
-// daemon is the group-commit loop: one flush+fsync per window (or per
-// pending batch when Window is 0).
+// daemon is the group-commit loop. It sleeps on kick and starts a flush
+// the moment a record is pending, so a record never waits for a timer
+// while the disk is idle; records appended while that fsync is in flight
+// leave a new token in kick and form the next group, which starts as
+// soon as the first returns. The fsync's own latency is the batching
+// window.
 func (l *Log) daemon() {
 	defer close(l.done)
-	var tick *time.Ticker
-	if l.window > 0 {
-		tick = time.NewTicker(l.window)
-		defer tick.Stop()
-	}
 	for {
-		if tick != nil {
-			select {
-			case <-l.stop:
-				return
-			case <-tick.C:
-			}
-		} else {
-			select {
-			case <-l.stop:
-				return
-			case <-l.kick:
-			}
+		select {
+		case <-l.stop:
+			return
+		case <-l.kick:
 		}
-		l.mu.Lock()
-		dirty := len(l.buf) > 0
-		l.mu.Unlock()
-		if !dirty {
-			continue
+		if l.PendingBytes() == 0 {
+			continue // the flush before this one already took the record
 		}
 		if err := l.flush(); err != nil {
 			// Fail-stop: we can no longer honour durability promises.

@@ -80,93 +80,154 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurabilityAck: WaitDurable returns only after the record is
-// fsynced, and the daemon acknowledges within the window.
-func TestDurabilityAck(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, Config{Window: time.Millisecond})
+// stallFile is the log's file with an fsync that stalls: every Sync
+// announces itself on entered and then waits for a token on release.
+type stallFile struct {
+	logFile
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *stallFile) Sync() error {
+	f.entered <- struct{}{}
+	<-f.release
+	return f.logFile.Sync()
+}
+
+// createStalled opens a daemon-driven log whose fsyncs the test paces.
+func createStalled(t *testing.T, path string) (*Log, *stallFile) {
+	t.Helper()
+	l, err := Create(path, Config{NoDaemon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	sf := &stallFile{logFile: l.f, entered: make(chan struct{}), release: make(chan struct{})}
+	l.f = sf
+	// NoDaemon closed done; start the daemon now that the file is swapped.
+	l.done = make(chan struct{})
+	go l.daemon()
+	return l, sf
+}
 
-	seq := l.Append(entriesOf(1, 1))
-	done := make(chan struct{})
-	go func() {
-		l.WaitDurable(seq)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitDurable did not return within 5s of a 1ms window")
-	}
-	if l.DurableSeq() < seq {
-		t.Fatalf("DurableSeq %d < acknowledged %d", l.DurableSeq(), seq)
+// TestKickStartsFlush: a record appended to an idle log is acknowledged
+// by the flush its own kick started. No timer is involved: a Window of
+// an hour changes nothing.
+func TestKickStartsFlush(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Hour} {
+		l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 10; i++ {
+				seq := l.Append(entriesOf(uint64(i), uint64(i)))
+				l.WaitDurable(seq)
+				if l.DurableSeq() < seq {
+					t.Errorf("DurableSeq %d < acknowledged %d", l.DurableSeq(), seq)
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("window %v: ten appends to an idle log not acknowledged within 5s", window)
+		}
+		st := l.Stats()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Records != 10 || st.Batches != 10 {
+			t.Fatalf("window %v: %d records in %d groups, want 10 in 10", window, st.Records, st.Batches)
+		}
 	}
 }
 
-// TestZeroWindow: the immediate-flush mode acknowledges without a timer.
-func TestZeroWindow(t *testing.T) {
+// TestGroupFormsBehindFsync: the first record starts a flush at once;
+// everything appended while that fsync is in flight is the next group,
+// and nothing else is — N racing appenders land in exactly two groups.
+func TestGroupFormsBehindFsync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, Config{Window: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		l.WaitDurable(l.Append(entriesOf(uint64(i), uint64(i))))
-	}
-	st := l.Stats()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 10 {
-		t.Fatalf("records = %d, want 10", st.Records)
-	}
-	if st.Fsyncs == 0 {
-		t.Fatal("zero-window log never fsynced")
-	}
-}
+	l, sf := createStalled(t, path)
 
-// TestGroupCommitBatches: with a wide window, many concurrent appends
-// share few fsyncs.
-func TestGroupCommitBatches(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := Create(path, Config{Window: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 8, 50
+	first := l.Append(entriesOf(0, 1))
+	<-sf.entered // the daemon is inside the first group's fsync
+	const appenders = 16
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w <= appenders; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				l.WaitDurable(l.Append(entriesOf(uint64(w*per+i), 1)))
-			}
+			l.Append(entriesOf(uint64(w), 1))
 		}(w)
 	}
 	wg.Wait()
+	if got := l.DurableSeq(); got != 0 {
+		t.Fatalf("DurableSeq = %d while the first fsync is still in flight", got)
+	}
+	sf.release <- struct{}{}
+	l.WaitDurable(first)
+	<-sf.entered // second group
+	if got := l.DurableSeq(); got != first {
+		t.Fatalf("DurableSeq = %d after the first group, want %d", got, first)
+	}
+	sf.release <- struct{}{}
+	l.WaitDurable(first + appenders)
+
 	st := l.Stats()
+	if st.Batches != 2 || st.Fsyncs != 2 {
+		t.Fatalf("%d groups, %d fsyncs for 1+%d records; want exactly 2 and 2", st.Batches, st.Fsyncs, appenders)
+	}
+	go func() { <-sf.entered; sf.release <- struct{}{} }() // Close's own flush
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Records != workers*per {
-		t.Fatalf("records = %d, want %d", st.Records, workers*per)
-	}
-	// 400 acked records in ≥20ms batches: far fewer fsyncs than records
-	// is the whole point of group commit. Bound loosely for slow CI.
-	if st.Fsyncs >= st.Records/2 {
-		t.Errorf("fsyncs = %d for %d records; group commit not batching", st.Fsyncs, st.Records)
-	}
-
 	st2, err := Replay(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Records != workers*per || st2.TailBytes != 0 {
-		t.Fatalf("replay %+v, want %d clean records", st2, workers*per)
+	if st2.Records != 1+appenders || st2.TailBytes != 0 {
+		t.Fatalf("replay %+v, want %d clean records", st2, 1+appenders)
+	}
+}
+
+// TestCloseDuringFlush: Close called while a flush is in flight waits
+// for it and flushes what was appended behind it; nothing is lost.
+func TestCloseDuringFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, sf := createStalled(t, path)
+
+	l.Append(entriesOf(1, 1))
+	<-sf.entered
+	l.Append(entriesOf(2, 2))
+	l.Append(entriesOf(3, 3))
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	// Let every fsync through: the one in flight, then the daemon's next
+	// group or Close's own flush, whichever takes the two records.
+	stop := make(chan struct{})
+	go func() {
+		sf.release <- struct{}{}
+		for {
+			select {
+			case <-sf.entered:
+				sf.release <- struct{}{}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	st, err := Replay(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 3 || st.TailBytes != 0 {
+		t.Fatalf("replay %+v, want 3 clean records", st)
 	}
 }
 
