@@ -1,8 +1,8 @@
 // Package hotbench is the simulator's hot-path microbenchmark suite: a
 // set of self-timing scenarios that measure the software cost of one
-// simulated transactional operation (Read, Write, Commit, or a full
-// sihtm Atomic block) as a function of the transaction's footprint in
-// cache lines.
+// simulated transactional operation (Read, Write, Commit, an aborted
+// attempt, two threads committing side by side, or a full sihtm Atomic
+// block) as a function of the transaction's footprint in cache lines.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"sihtm/internal/htm"
@@ -38,7 +39,8 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // Case is one microbenchmark: Setup builds a fresh simulated machine and
 // returns a runner executing n operations of the scenario.
 type Case struct {
-	// Op is the operation family: "read", "write", "commit" or "atomic".
+	// Op is the operation family: "read", "write", "commit", "abort",
+	// "commit-2t" or "atomic".
 	Op string
 	// Mode is the transaction flavour ("HTM"/"ROT"); "" for atomic.
 	Mode string
@@ -58,7 +60,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "atomic": "Atomic"}[c.Op]
+	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -147,6 +149,84 @@ func commitCase(mode htm.Mode, lines int) Case {
 	}}
 }
 
+// abortCase measures a whole aborted attempt under htm.Run: Begin,
+// `lines` writes, an explicit abort, the unwind and the clean-up that
+// hands every claimed line back. Conflict-heavy workloads pay this once
+// per retry, so it must stay as allocation-free as the commit.
+func abortCase(mode htm.Mode, lines int) Case {
+	return Case{Op: "abort", Mode: mode.String(), Lines: lines, Setup: func() func(int) {
+		heap, m := newMachine(lines)
+		addrs := allocLines(heap, lines)
+		th := m.Thread(0)
+		body := func(tx *htm.Tx) {
+			for _, a := range addrs {
+				tx.Write(a, 1)
+			}
+			tx.AbortExplicit()
+		}
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				htm.Run(th, mode, body)
+			}
+		}
+	}}
+}
+
+// commit2TCase is commitCase on two hardware threads at once: two
+// goroutines, one per core, each committing its own `lines`-line ROT
+// write set, disjoint from the other's. One op is one committed
+// transaction of either thread, so with a second CPU and nothing shared
+// between the two the figure is half of Commit/ROT's; whatever the
+// commit path makes the cores share shows up as the shortfall — the
+// cost a single-threaded suite cannot see. The two sets are allocated
+// back to back, as a workload's records are, so their ownership words
+// meet in one 64-byte cache line at the boundary (and, below 16 lines,
+// everywhere): the shortfall at small footprints is that line bouncing.
+func commit2TCase(lines int) Case {
+	return Case{Op: "commit-2t", Mode: htm.ModeROT.String(), Lines: lines, Setup: func() func(int) {
+		heap := memsim.NewHeapLines(2*lines + 64)
+		m := htm.NewMachine(heap, htm.Config{
+			Topology:   topology.New(2, 1),
+			TMCAMLines: lines + 8,
+		})
+		sets := [2][]memsim.Addr{allocLines(heap, lines), allocLines(heap, lines)}
+		commitN := func(thread, n int) {
+			th := m.Thread(thread)
+			for k := 0; k < n; k++ {
+				tx := th.Begin(htm.ModeROT)
+				for _, a := range sets[thread] {
+					tx.Write(a, uint64(k))
+				}
+				tx.Commit()
+			}
+		}
+		// Warm both threads' pooled footprint state here: a one-op
+		// warm-up batch would reach only one of them. Nothing per batch
+		// may allocate, or the suite bills it to the scenario: the peer's
+		// closure is built once, its goroutine comes off the runtime's
+		// free list, and the join spins on a flag, because parking on a
+		// channel or a WaitGroup takes a sudog that the forced collection
+		// before each measured batch has just thrown away.
+		commitN(0, 1)
+		commitN(1, 1)
+		var peerN int
+		var peerDone atomic.Bool
+		peer := func() {
+			commitN(1, peerN)
+			peerDone.Store(true)
+		}
+		return func(n int) {
+			peerN = n / 2
+			peerDone.Store(false)
+			go peer()
+			commitN(0, n-peerN)
+			for !peerDone.Load() {
+				runtime.Gosched()
+			}
+		}
+	}}
+}
+
 // atomicCase measures the end-to-end sihtm update path — ROT attempt,
 // commit, quiescence — for a transaction reading and writing `lines`
 // cache lines, through the same Atomic entry point workloads use.
@@ -173,19 +253,15 @@ func Cases(sweep []int) []Case {
 		sweep = DefaultSweep
 	}
 	var cs []Case
-	for _, op := range []string{"read", "write", "commit"} {
+	for _, mk := range []func(htm.Mode, int) Case{readCase, writeCase, commitCase, abortCase} {
 		for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
 			for _, lines := range sweep {
-				switch op {
-				case "read":
-					cs = append(cs, readCase(mode, lines))
-				case "write":
-					cs = append(cs, writeCase(mode, lines))
-				case "commit":
-					cs = append(cs, commitCase(mode, lines))
-				}
+				cs = append(cs, mk(mode, lines))
 			}
 		}
+	}
+	for _, lines := range sweep {
+		cs = append(cs, commit2TCase(lines))
 	}
 	for _, lines := range sweep {
 		cs = append(cs, atomicCase(lines))

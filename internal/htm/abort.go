@@ -37,10 +37,19 @@ func (c AbortCode) String() string {
 // Abort is the abort notification delivered when a transaction fails. It
 // is thrown as a panic from transactional operations and recovered by the
 // runtime's retry loop (see Run); it also satisfies error for callers
-// that surface it.
+// that surface it. The machine delivers one shared value per cause (an
+// abort allocates nothing), so receivers must not mutate it.
 type Abort struct {
 	// Code is the abort cause.
 	Code AbortCode
+}
+
+// aborts holds the value every abort of a given cause unwinds with.
+var aborts = [...]*Abort{
+	CodeTxConflict:    {Code: CodeTxConflict},
+	CodeNonTxConflict: {Code: CodeNonTxConflict},
+	CodeCapacity:      {Code: CodeCapacity},
+	CodeExplicit:      {Code: CodeExplicit},
 }
 
 // Error implements error.

@@ -5,6 +5,7 @@ import (
 
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/race"
 	"sihtm/internal/topology"
 )
 
@@ -44,5 +45,60 @@ func TestCommittedTxSteadyStateAllocs(t *testing.T) {
 				t.Fatal("directory not quiescent after runs")
 			}
 		})
+	}
+}
+
+// TestAbortedTxSteadyStateAllocs is the same pin for the other way out of
+// a transaction: Begin, writes, an abort of each cause a workload meets,
+// the unwind to htm.Run and the clean-up. A conflict-heavy workload
+// aborts once per retry, so an abort that allocates puts the allocator
+// back in the loop the commit pin took it out of.
+func TestAbortedTxSteadyStateAllocs(t *testing.T) {
+	const tmcam = 8
+	causes := []struct {
+		code  htm.AbortCode
+		lines int // lines the body writes before the abort lands
+		last  func(tx *htm.Tx)
+	}{
+		{htm.CodeExplicit, 4, func(tx *htm.Tx) { tx.AbortExplicit() }},
+		{htm.CodeCapacity, tmcam + 1, nil}, // the last write overflows
+		{htm.CodeTxConflict, 4, nil},       // the last write meets a live writer
+	}
+	for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
+		for _, c := range causes {
+			t.Run(mode.String()+"/"+c.code.String(), func(t *testing.T) {
+				m := newMachine(t, 2, 1, tmcam)
+				addrs := allocLines(m, c.lines)
+				var holder *htm.Tx
+				if c.code == htm.CodeTxConflict {
+					holder = m.Thread(1).Begin(mode)
+					holder.Write(addrs[len(addrs)-1], 1)
+				}
+				th := m.Thread(0)
+				body := func(tx *htm.Tx) {
+					for _, a := range addrs {
+						tx.Write(a, 1)
+					}
+					if c.last != nil {
+						c.last(tx)
+					}
+				}
+				var got *htm.Abort
+				attempt := func() { got = htm.Run(th, mode, body) }
+				attempt() // warm up the pooled footprint state
+				if got == nil || got.Code != c.code {
+					t.Fatalf("abort = %v, want %v", got, c.code)
+				}
+				if allocs := testing.AllocsPerRun(100, attempt); allocs != 0 && !race.Enabled {
+					t.Fatalf("steady-state aborted %s transaction allocates %.1f/op, want 0", mode, allocs)
+				}
+				if holder != nil {
+					holder.Commit()
+				}
+				if !m.DirectoryQuiescent() {
+					t.Fatal("directory not quiescent after runs")
+				}
+			})
+		}
 	}
 }

@@ -36,10 +36,18 @@
 // associativity, and the POWER9 L2 LVDIR read-tracking structure (the
 // paper argues it is incompatible with SMT workloads and does not use it).
 //
+// Conflict detection costs what the paper says it costs in hardware:
+// nothing shared in software. Write ownership is one atomic word per
+// heap cache line, claimed with a compare-and-swap and released with a
+// store; tracked readers live in a sparse side table that only HTM-mode
+// reads ever lock. A ROT that writes, reads untracked and commits — the
+// whole of SI-HTM — takes no mutex and touches no map (directory.go has
+// the protocol).
+//
 // Per-transaction footprint state (read/write line sets, the store
 // buffer) lives in the O(1), pooled structures of internal/footprint,
 // so the cost of a simulated access is independent of transaction size
-// and a committed transaction allocates no heap memory in steady state
-// — a property the hot-path benchmark suite (internal/hotbench,
-// docs/performance.md) guards.
+// and a transaction, committed or aborted, allocates no heap memory in
+// steady state — properties the hot-path benchmark suite
+// (internal/hotbench, docs/performance.md) guards.
 package htm

@@ -14,12 +14,15 @@ import "sihtm/internal/footprint"
 //	<write set becomes visible in the heap>
 //	hook.PostCommit(thread)         // publication finished
 //
-// Both calls happen inside the transaction's commit critical section
-// (all directory shards covering the write set are locked), which gives
-// the hook the ordering guarantee redo logging needs: if two
-// transactions conflict, the later one cannot enter PreCommit before
-// the earlier one's commit section — including its PreCommit — has
-// completed. A sequence number drawn inside PreCommit therefore orders
+// Both calls happen inside the transaction's commit critical section:
+// from the moment it turned committing until it clears the ownership
+// words of its write set — after PostCommit — no other transaction can
+// claim one of those lines (it self-aborts) and no access can read or
+// overwrite one (it waits; see directory.go). That gives the hook the
+// ordering guarantee redo logging needs: if two transactions conflict,
+// the later one cannot enter PreCommit before the earlier one's commit
+// section — including its PostCommit — has completed. A sequence number
+// drawn inside PreCommit therefore orders
 // conflicting transactions exactly as the hardware serialized them;
 // non-conflicting transactions may interleave freely, and any replay
 // order among them is equivalent.
@@ -29,7 +32,8 @@ import "sihtm/internal/footprint"
 // (or encoded) before returning. Implementations must not allocate on
 // the steady-state path — the machine's zero-allocation commit pin
 // covers the hooked path too — and must not issue transactional or
-// plain heap accesses (the caller holds directory shard locks).
+// plain heap accesses: one that touched a line of the committing write
+// set would wait for the very commit it is running inside.
 //
 // Software systems with non-hardware publication paths (the SGL
 // fall-back of SI-HTM/HTM/P8TM, the all-serial SGL system, Silo's OCC

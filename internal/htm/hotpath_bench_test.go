@@ -37,3 +37,13 @@ func BenchmarkWrite(b *testing.B) { benchCases(b, "write") }
 // BenchmarkCommit measures a full Begin + N×Write + Commit transaction;
 // ns/op grows with N by construction, allocs/op must stay at zero.
 func BenchmarkCommit(b *testing.B) { benchCases(b, "commit") }
+
+// BenchmarkAbort measures a full Begin + N×Write + explicit abort under
+// htm.Run: the unwind and the clean-up of N claimed lines, at zero
+// allocs/op.
+func BenchmarkAbort(b *testing.B) { benchCases(b, "abort") }
+
+// BenchmarkCommit2T measures two hardware threads committing disjoint
+// N-line ROT write sets side by side, in ns per committed transaction:
+// what BenchmarkCommit costs once a second core shares the directory.
+func BenchmarkCommit2T(b *testing.B) { benchCases(b, "commit-2t") }

@@ -13,9 +13,14 @@ import (
 // DefaultTMCAMLines is the paper's TMCAM: 8 KB of 128-byte lines.
 const DefaultTMCAMLines = 64
 
-// DefaultShards is the default size of the conflict-detection directory's
-// shard table.
+// DefaultShards is the default number of shards of the directory's
+// tracked-reader table.
 const DefaultShards = 1024
+
+// maxThreadIDBits bounds the hardware-thread field of an ownership word
+// (see directory.go), leaving at least 16 of its 32 bits to the
+// incarnation tag.
+const maxThreadIDBits = 16
 
 // Config parameterises a simulated machine.
 type Config struct {
@@ -25,8 +30,8 @@ type Config struct {
 	// TMCAMLines is the per-core transactional buffer capacity in cache
 	// lines, shared by the core's SMT threads. 0 means DefaultTMCAMLines.
 	TMCAMLines int
-	// Shards is the number of directory shards (rounded up to a power of
-	// two). 0 means DefaultShards.
+	// Shards is the number of shards of the directory's tracked-reader
+	// table (rounded up to a power of two). 0 means DefaultShards.
 	Shards int
 	// ROTReadTrackEvery models the footnote in §3: "due to
 	// implementation-specific reasons, the TMCAM can also track a small
@@ -75,7 +80,8 @@ type Machine struct {
 	cfg     Config
 	heap    *memsim.Heap
 	cores   []coreState
-	shards  []shard
+	owner   []atomic.Uint32 // one ownership word per heap line (directory.go)
+	shards  []shard         // tracked-reader side table
 	threads []Thread
 
 	// hook, when non-nil, brackets every committed write set's
@@ -84,9 +90,13 @@ type Machine struct {
 	hook CommitHook
 
 	// shardShift maps a line hash to its shard index (64 - log2(shards)),
-	// precomputed once here so the per-access shardOf/shardIndexOf never
-	// recompute the shard-table geometry.
+	// precomputed once here so shardOf never recomputes the shard-table
+	// geometry.
 	shardShift uint
+
+	// idMask covers the hardware-thread field of an ownership word,
+	// bits.Len(MaxThreads) wide; the incarnation tag takes the rest.
+	idMask uint32
 }
 
 // NewMachine builds a machine over the given heap.
@@ -95,12 +105,19 @@ func NewMachine(heap *memsim.Heap, cfg Config) *Machine {
 		panic("htm: NewMachine requires a heap")
 	}
 	cfg = cfg.withDefaults()
+	idBits := uint(bits.Len(uint(cfg.Topology.MaxThreads())))
+	if idBits > maxThreadIDBits {
+		panic(fmt.Sprintf("htm: topology has %d hardware threads, an ownership word can name at most %d",
+			cfg.Topology.MaxThreads(), 1<<maxThreadIDBits-1))
+	}
 	m := &Machine{
 		cfg:        cfg,
 		heap:       heap,
 		cores:      make([]coreState, cfg.Topology.Cores()),
+		owner:      make([]atomic.Uint32, (heap.Size()+memsim.WordsPerLine-1)/memsim.WordsPerLine),
 		shards:     make([]shard, cfg.Shards),
 		shardShift: uint(64 - bits.TrailingZeros(uint(cfg.Shards))),
+		idMask:     1<<idBits - 1,
 	}
 	for i := range m.shards {
 		m.shards[i].lines = make(map[memsim.Line]*lineEntry)
@@ -109,6 +126,7 @@ func NewMachine(heap *memsim.Heap, cfg Config) *Machine {
 	for i := range m.threads {
 		core, _ := cfg.Topology.Place(i)
 		m.threads[i] = Thread{m: m, id: i, core: core}
+		m.threads[i].tx.word = uint32(i + 1) // incarnation 0; Begin bumps it
 	}
 	return m
 }
@@ -139,12 +157,18 @@ func (m *Machine) CoreUsage(core int) int {
 }
 
 // DirectoryQuiescent reports whether the conflict-detection directory has
-// no registrations and no TMCAM charge anywhere — the expected state when
-// no transaction is live. Intended for tests: a false result after all
-// transactions finished indicates a bookkeeping leak.
+// no owned line, no reader registration and no TMCAM charge anywhere —
+// the expected state when no transaction is live. Intended for tests: a
+// false result after all transactions finished indicates a bookkeeping
+// leak.
 func (m *Machine) DirectoryQuiescent() bool {
 	for i := range m.cores {
 		if m.cores[i].used.Load() != 0 {
+			return false
+		}
+	}
+	for i := range m.owner {
+		if m.owner[i].Load() != 0 {
 			return false
 		}
 	}
@@ -152,9 +176,9 @@ func (m *Machine) DirectoryQuiescent() bool {
 		s := &m.shards[i]
 		s.mu.Lock()
 		n := len(s.lines)
-		w, r := s.writers.Load(), s.readers.Load()
+		r := s.readers.Load()
 		s.mu.Unlock()
-		if n != 0 || w != 0 || r != 0 {
+		if n != 0 || r != 0 {
 			return false
 		}
 	}

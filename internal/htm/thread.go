@@ -1,10 +1,6 @@
 package htm
 
-import (
-	"runtime"
-
-	"sihtm/internal/memsim"
-)
+import "sihtm/internal/memsim"
 
 // Thread is a simulated hardware thread, bound to a core by the machine
 // topology. It issues plain (non-transactional) accesses and begins
@@ -39,6 +35,7 @@ func (t *Thread) Begin(mode Mode) *Tx {
 	tx.suspended = false
 	tx.resetFootprint()
 	tx.charged = 0
+	tx.word += t.m.idMask + 1 // next incarnation, same thread field
 	tx.status.Store(statusActive)
 	return tx
 }
@@ -97,29 +94,6 @@ func (m *Machine) plainStore(a memsim.Addr, v uint64) {
 // If the writer is mid-commit, the store waits for the write-back to
 // drain (it would lose the exclusive-ownership race on real hardware).
 func (m *Machine) conflictStore(line memsim.Line) {
-	s := m.shardOf(line)
-	for {
-		// As in conflictRead, re-check the occupancy counters on every
-		// iteration so a shard that drains while this store waits on a
-		// committing writer never costs a mutex acquisition.
-		if s.writers.Load() == 0 && s.readers.Load() == 0 {
-			return
-		}
-		s.mu.Lock()
-		e, ok := s.lines[line]
-		if !ok {
-			s.mu.Unlock()
-			return
-		}
-		if w := e.writer; w != nil && !w.doom(CodeNonTxConflict) && w.isLive() {
-			s.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		for _, r := range e.readers {
-			r.doom(CodeNonTxConflict)
-		}
-		s.mu.Unlock()
-		return
-	}
+	m.conflictRead(line, nil)
+	m.doomReaders(line, nil, CodeNonTxConflict)
 }

@@ -1,8 +1,6 @@
 package htm
 
 import (
-	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"sihtm/internal/footprint"
@@ -43,40 +41,31 @@ func doomedStatus(code AbortCode) int32 { return statusDoomedBase + int32(code) 
 func isDoomedStatus(s int32) bool       { return s >= statusDoomedBase }
 func codeOfStatus(s int32) AbortCode    { return AbortCode(s - statusDoomedBase) }
 
-// maxShardOrder caps the capacity of the pooled commit lock-order
-// scratch retained across transactions (its length is bounded by the
-// number of directory shards a commit touches).
-const maxShardOrder = 4096
-
 // Tx is one hardware transaction. A Tx is obtained from Thread.Begin and
 // driven by the owning goroutine; conflicting peers may asynchronously
 // doom it, and the doom is delivered — as a panic carrying *Abort — at
 // the transaction's next operation, mirroring asynchronous hardware
 // abort delivery.
 //
-// All footprint state (the read/write line sets, the store buffer and
-// the commit scratch) lives in pooled structures recycled across the
-// thread's transactions, so a committed transaction amortizes to zero
-// heap allocations; see internal/footprint.
+// All footprint state (the read/write line sets and the store buffer)
+// lives in pooled structures recycled across the thread's transactions,
+// so a transaction, committed or aborted, amortizes to zero heap
+// allocations; see internal/footprint.
 type Tx struct {
 	th        *Thread
 	mode      Mode
 	status    atomic.Int32
 	suspended bool
 
+	// word is the ownership word this transaction claims lines with:
+	// the thread's id+1 below, a count of its Begins above (directory.go).
+	word uint32
+
 	writes     footprint.WriteBuffer // buffered stores, invisible until commit
 	writeLines footprint.LineSet     // distinct lines in the write set
 	readLines  footprint.LineSet     // distinct tracked read lines
 	charged    int64                 // TMCAM lines charged on the core
 	rotReads   int                   // ROT reads seen, for the sampling knob
-
-	// Commit's ordered shard-lock acquisition scratch: a bitmap with one
-	// bit per directory shard (marking yields sorted, deduplicated
-	// indices for free) and the flattened ascending index list. Both are
-	// pooled; shardMarks is re-zeroed as it is consumed and shardOrder is
-	// reset — capped at maxShardOrder — on every commit and abort path.
-	shardMarks []uint64
-	shardOrder []int32
 }
 
 // Mode returns the transaction's flavour.
@@ -138,7 +127,8 @@ func (tx *Tx) abort(code AbortCode) {
 	tx.abortNow()
 }
 
-// abortNow cleans up a doomed transaction and unwinds with *Abort.
+// abortNow cleans up a doomed transaction and unwinds with the shared
+// *Abort of its cause.
 func (tx *Tx) abortNow() {
 	st := tx.status.Load()
 	code := CodeExplicit
@@ -147,7 +137,7 @@ func (tx *Tx) abortNow() {
 	}
 	tx.cleanup()
 	tx.status.Store(statusAborted)
-	panic(&Abort{Code: code})
+	panic(aborts[code])
 }
 
 // forceAbortQuiet kills and cleans up a live transaction without
@@ -168,48 +158,33 @@ func (tx *Tx) forceAbortQuiet() {
 // resetFootprint returns the pooled footprint state to empty. It runs on
 // every transaction exit — commit (with or without writes) and abort —
 // so no path leaves stale scratch behind, and retained capacity is
-// bounded by the footprint package's caps plus maxShardOrder.
+// bounded by the footprint package's caps.
 func (tx *Tx) resetFootprint() {
 	tx.writes.Reset()
 	tx.writeLines.Reset()
 	tx.readLines.Reset()
-	if cap(tx.shardOrder) > maxShardOrder {
-		tx.shardOrder = nil
-	} else {
-		tx.shardOrder = tx.shardOrder[:0]
-	}
 	tx.rotReads = 0
 }
 
 // cleanup withdraws the transaction from the directory, releases its
 // TMCAM charge and discards buffered writes. Buffered stores were never
-// visible, so rollback is purely local.
+// visible, so rollback is purely local. A line stolen from this doomed
+// transaction carries the stealer's word by now and is left alone.
 func (tx *Tx) cleanup() {
 	m := tx.th.m
 	for _, line := range tx.writeLines.Lines() {
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			if e.writer == tx {
-				e.writer = nil
-				s.writers.Add(-1)
-			}
-			s.removeReader(e, tx) // read-then-write upgrades register both
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
+		m.owner[line].CompareAndSwap(tx.word, 0)
 	}
+	tx.release()
+}
+
+// release is the common tail of commit and abort: drop the read set's
+// registrations in the reader table, return the TMCAM charge and empty
+// the footprint.
+func (tx *Tx) release() {
+	m := tx.th.m
 	for _, line := range tx.readLines.Lines() {
-		if tx.writeLines.Contains(line) {
-			continue // already handled above
-		}
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			s.removeReader(e, tx)
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
+		m.shardOf(line).removeReader(line, tx)
 	}
 	m.uncharge(tx.th.core, tx.charged)
 	tx.charged = 0
@@ -263,33 +238,20 @@ func (tx *Tx) Read(a memsim.Addr) uint64 {
 }
 
 // trackRead registers tx as a reader of line, dooming any live writer
-// (last reader kills previous writer) and charging one TMCAM entry.
+// (last reader kills previous writer) and charging one TMCAM entry. The
+// registration comes first so that a writer claiming the line meanwhile
+// sees it (protocol rule 4); an abort from here on — a pending doom
+// delivered while a committing writer drains, or capacity — withdraws it
+// through cleanup.
 func (tx *Tx) trackRead(line memsim.Line) {
 	m := tx.th.m
-	s := m.shardOf(line)
-	for {
-		s.mu.Lock()
-		e := s.entry(line)
-		if w := e.writer; w != nil && w != tx && !w.doom(CodeTxConflict) && w.isLive() {
-			// Committing writer: wait for its write-back to drain.
-			s.maybeRelease(line, e)
-			s.mu.Unlock()
-			tx.checkDoomed()
-			runtime.Gosched()
-			continue
-		}
-		if !m.charge(tx.th.core, 1) {
-			s.maybeRelease(line, e)
-			s.mu.Unlock()
-			tx.abort(CodeCapacity)
-		}
-		e.readers = append(e.readers, tx)
-		s.readers.Add(1)
-		tx.readLines.Add(line)
-		tx.charged++
-		s.mu.Unlock()
-		return
+	m.shardOf(line).addReader(line, tx)
+	tx.readLines.Add(line)
+	m.conflictRead(line, tx)
+	if !m.charge(tx.th.core, 1) {
+		tx.abort(CodeCapacity)
 	}
+	tx.charged++
 }
 
 // Write performs a transactional store of v to the word at a. The store
@@ -309,42 +271,38 @@ func (tx *Tx) Write(a memsim.Addr, v uint64) {
 	tx.writes.Put(a, v)
 }
 
-// claimWrite takes exclusive transactional ownership of line: it kills
-// tracked readers of the line (invalidation), self-aborts if another live
-// writer holds it ("the last writer is killed", §2.2) and charges TMCAM
-// capacity unless the line was already tracked by this transaction's
-// read set (a read→write upgrade reuses the entry).
+// claimWrite takes exclusive transactional ownership of line: it
+// self-aborts if another live writer holds it ("the last writer is
+// killed", §2.2), charges TMCAM capacity unless the line was already
+// tracked by this transaction's read set (a read→write upgrade reuses the
+// entry), installs its ownership word — stealing the line of a doomed
+// owner that has not cleaned up yet — and kills the line's tracked
+// readers (invalidation). See directory.go for the protocol.
 func (tx *Tx) claimWrite(line memsim.Line) {
 	m := tx.th.m
-	s := m.shardOf(line)
-	s.mu.Lock()
-	e := s.entry(line)
-	if w := e.writer; w != nil && w != tx && w.isLive() {
-		s.mu.Unlock()
-		tx.abort(CodeTxConflict)
-	}
+	w := &m.owner[line]
 	needCharge := !tx.readLines.Contains(line)
-	if needCharge && !m.charge(tx.th.core, 1) {
-		if e.writer == nil {
-			s.maybeRelease(line, e)
+	for {
+		old := w.Load()
+		if old != 0 && m.ownerTx(old).isLive() {
+			if w.Load() == old {
+				tx.abort(CodeTxConflict)
+			}
+			continue // the owner we judged is gone; look again
 		}
-		s.mu.Unlock()
-		tx.abort(CodeCapacity)
-	}
-	for _, r := range e.readers {
-		if r != tx {
-			r.doom(CodeTxConflict)
+		if needCharge {
+			if !m.charge(tx.th.core, 1) {
+				tx.abort(CodeCapacity)
+			}
+			tx.charged++ // from here an abort's cleanup returns it
+			needCharge = false
+		}
+		if w.CompareAndSwap(old, tx.word) {
+			break
 		}
 	}
-	if e.writer == nil {
-		s.writers.Add(1)
-	}
-	e.writer = tx
 	tx.writeLines.Add(line)
-	if needCharge {
-		tx.charged++
-	}
-	s.mu.Unlock()
+	m.doomReaders(line, tx, CodeTxConflict)
 }
 
 // Suspend pauses transactional tracking: until Resume, the transaction's
@@ -399,38 +357,14 @@ func (tx *Tx) Commit() {
 		tx.abortNow()
 	}
 	if tx.writes.Len() > 0 {
-		// Lock every shard covering the write set, in index order, so the
-		// write-back is atomic with respect to all directory-checking
-		// accesses. Marking shard indices in the pooled bitmap and then
-		// sweeping it ascending yields the sorted, deduplicated lock
-		// order without sorting or allocating; each bitmap word is
-		// cleared as it is consumed, so the scratch is clean for the next
-		// transaction no matter what.
-		marks := tx.shardMarks
-		if len(marks) == 0 {
-			marks = make([]uint64, (len(m.shards)+63)/64)
-			tx.shardMarks = marks
-		}
-		order := tx.shardOrder[:0]
-		for _, line := range tx.writeLines.Lines() {
-			i := m.shardIndexOf(line)
-			marks[i>>6] |= 1 << (uint(i) & 63)
-		}
-		for w, word := range marks {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				order = append(order, int32(w<<6+b))
-			}
-			marks[w] = 0
-		}
-		for _, i := range order {
-			m.shards[i].mu.Lock()
-		}
-		// The commit hook brackets the write-back inside the shard-locked
-		// section: a conflicting later transaction cannot reach its own
-		// PreCommit until these locks are released, so sequence numbers
-		// drawn in PreCommit respect the hardware serialization order.
+		// A committing transaction cannot be doomed, so it owns every
+		// line of its write set until it lets go below, and every access
+		// to one of them waits for that (conflictRead, conflictStore) or
+		// self-aborts (claimWrite). The commit hook brackets the
+		// write-back inside that section: a conflicting later transaction
+		// cannot reach its own PreCommit until the words are cleared, so
+		// sequence numbers drawn in PreCommit respect the hardware
+		// serialization order.
 		if h := m.hook; h != nil {
 			h.PreCommit(tx.th.id, tx.writes.Entries())
 		}
@@ -441,36 +375,10 @@ func (tx *Tx) Commit() {
 			h.PostCommit(tx.th.id)
 		}
 		for _, line := range tx.writeLines.Lines() {
-			s := m.shardOf(line)
-			if e, ok := s.lines[line]; ok {
-				if e.writer == tx {
-					e.writer = nil
-					s.writers.Add(-1)
-				}
-				s.removeReader(e, tx)
-				s.maybeRelease(line, e)
-			}
+			m.owner[line].Store(0)
 		}
-		for i := len(order) - 1; i >= 0; i-- {
-			m.shards[order[i]].mu.Unlock()
-		}
-		tx.shardOrder = order
 	}
-	for _, line := range tx.readLines.Lines() {
-		if tx.writeLines.Contains(line) {
-			continue
-		}
-		s := m.shardOf(line)
-		s.mu.Lock()
-		if e, ok := s.lines[line]; ok {
-			s.removeReader(e, tx)
-			s.maybeRelease(line, e)
-		}
-		s.mu.Unlock()
-	}
-	m.uncharge(tx.th.core, tx.charged)
-	tx.charged = 0
-	tx.resetFootprint()
+	tx.release()
 	tx.status.Store(statusCommitted)
 	if hooked {
 		m.cores[tx.th.core].committing.Add(-1)

@@ -17,7 +17,8 @@ import (
 type BenchRecord struct {
 	// Name is the benchmark's display id, e.g. "Read/HTM/lines=1024".
 	Name string `json:"name"`
-	// Op is the operation family: "read", "write", "commit" or "atomic".
+	// Op is the operation family: "read", "write", "commit", "abort",
+	// "commit-2t" or "atomic".
 	Op string `json:"op"`
 	// Mode is the transaction flavour ("HTM", "ROT"), or "" for
 	// end-to-end benchmarks that exercise a full system.
@@ -49,8 +50,9 @@ func (r BenchRecord) Key() BenchKey { return BenchKey{Op: r.Op, Mode: r.Mode, Li
 type BenchReport struct {
 	// Tool identifies the producer (e.g. "cmd/repro bench").
 	Tool string `json:"tool"`
-	// GOMAXPROCS records the host parallelism; the suite itself is
-	// single-threaded but scheduling noise still depends on it.
+	// GOMAXPROCS records the host parallelism: the commit-2t cases run
+	// two goroutines and read as intended only at 2 or more, and
+	// scheduling noise on the single-threaded rest depends on it too.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Records holds every measurement, sorted by Sort.
 	Records []BenchRecord `json:"records"`
@@ -79,7 +81,8 @@ func (rep *BenchReport) Sort() {
 }
 
 // benchOpRank presents operations in hot-path order: the per-access
-// primitives first, then commit, then end-to-end.
+// primitives first, then whole transactions (committed, aborted, two
+// threads at once), then end-to-end.
 func benchOpRank(op string) int {
 	switch op {
 	case "read":
@@ -88,10 +91,14 @@ func benchOpRank(op string) int {
 		return 1
 	case "commit":
 		return 2
-	case "atomic":
+	case "abort":
 		return 3
-	default:
+	case "commit-2t":
 		return 4
+	case "atomic":
+		return 5
+	default:
+		return 6
 	}
 }
 
