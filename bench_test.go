@@ -1,11 +1,11 @@
 // Benchmarks regenerating the paper's evaluation under `go test -bench`:
 // one benchmark per figure (6–10) plus this reproduction's ablations.
 // Figure benchmarks are thin views over the experiment registry
-// (internal/experiments): they drive the registry sweeps' own Setup —
-// the same workload construction cmd/repro measures —
-// through testing.B's op-count harness, and report throughput (tx/s)
-// together with the abort breakdown per operation, the two panels of the
-// paper's figures.
+// (internal/experiments): they build the registry entries' own
+// workloads (Entry.BuildPoint — the same construction cmd/repro
+// measures), drive them through testing.B's op-count harness, and
+// report throughput (tx/s) together with the abort breakdown per
+// operation, the two panels of the paper's figures.
 //
 // The full thread ladder and long windows live in cmd/repro; here each
 // figure is sampled at representative thread counts so the whole suite
@@ -45,18 +45,18 @@ func reportResult(b *testing.B, r harness.Result) {
 	b.ReportMetric(float64(r.Stats.Fallbacks), "fallbacks")
 }
 
-// benchFigure runs one registry figure panel through testing.B: for
-// every (system, sampled thread count) cell it builds the workload with
-// the registry sweep's own Setup and drives it with RunOps.
+// benchFigure runs one registry entry through testing.B: for every
+// (system, sampled thread count) cell it builds the entry's workload
+// with BuildPoint and drives it with RunOps.
 func benchFigure(b *testing.B, id string, sc experiments.Scale) {
-	sweep, ok := experiments.SweepFor(id, sc)
+	e, ok := experiments.Lookup(id)
 	if !ok {
-		b.Fatalf("registry entry %q is not sweep-backed", id)
+		b.Fatalf("no registry entry %q", id)
 	}
-	for _, system := range sweep.Systems {
+	for _, system := range e.Systems {
 		for _, threads := range benchThreads {
 			b.Run(fmt.Sprintf("%s/threads=%d", system, threads), func(b *testing.B) {
-				sys, mkWorker, check, err := sweep.Setup(system, threads)
+				sys, mkWorker, check, err := e.BuildPoint(system, threads, sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -65,10 +65,8 @@ func benchFigure(b *testing.B, id string, sc experiments.Scale) {
 				r := harness.RunOps(sys, threads, perThread, mkWorker)
 				b.StopTimer()
 				reportResult(b, r)
-				if check != nil {
-					if err := check(); err != nil {
-						b.Fatalf("post-run check: %v", err)
-					}
+				if err := check(); err != nil {
+					b.Fatalf("post-run check: %v", err)
 				}
 			})
 		}
@@ -140,8 +138,9 @@ func BenchmarkAtomic(b *testing.B) {
 }
 
 // Ablations A1 (capacity cliff), A2 (TMCAM size) and A5 (SMT placement)
-// are registry cells, not sweeps: `repro run --id=capacity|tmcam|smt`
-// measures them (see internal/experiments/ablations.go).
+// sweep a parameter, not the thread count: `repro run
+// --id=capacity|tmcam|smt` measures them (see
+// internal/experiments/ablations.go).
 
 // Ablation A3: SI-HTM's read-only fast path on vs off.
 func BenchmarkAblationNoROFastPath(b *testing.B) { benchFigure(b, "rofast", benchHashmapScale) }

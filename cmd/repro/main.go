@@ -99,7 +99,7 @@ commands:
   trace                     merge /debug/traces rings into a Chrome trace_event file
   monitor                   live terminal dashboard over /debug/timeseries + /debug/alerts
   report                    post-run incident report from timeseries + alerts + traces
-  compare                   compare two result files for regressions
+  compare                   compare two result files; a regression or a vanished (experiment, system) cell fails
 
 serve flags:
   --addr=HOST:PORT          listen address (default 127.0.0.1:7654)
@@ -111,7 +111,6 @@ serve flags:
   --admit-wait=DUR          admission grace: wait for fuller batches (default 0)
   --p99-target=DUR          adaptive admission control: steer batch/grace toward this p99 (default off)
   --durable-dir=DIR         serve durably (WAL + checkpoints + meta.json in DIR)
-  --window=DUR              accepted for compatibility; inert (the log flushes as soon as a record is pending)
   --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
   --follow=HOST:PORT        serve as a read replica of the durable leader at ADDR
   --leader-log=PATH         shared-storage path of the leader's wal.log (for promotion)
@@ -159,7 +158,6 @@ durable flags:
   --system=si-htm           concurrency control (default si-htm)
   --threads=N               worker threads (default 4)
   --scale=ci|quick|paper    workload sizing preset (default ci)
-  --window=DUR              accepted for compatibility; inert (the log flushes as soon as a record is pending)
   --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
   --duration=DUR            stop cleanly after DUR (default 0: run until killed)
 
@@ -513,7 +511,6 @@ func cmdDurable(args []string) error {
 		system    = fs.String("system", "si-htm", "concurrency control")
 		threads   = fs.Int("threads", 4, "worker threads")
 		scaleName = fs.String("scale", "ci", "workload sizing preset")
-		window    = fs.Duration("window", time.Millisecond, "inert: the log flushes as soon as a record is pending")
 		ckptEvery = fs.Duration("checkpoint-every", time.Second, "fuzzy checkpoint interval (0 disables)")
 		duration  = fs.Duration("duration", 0, "stop cleanly after this long (0 = run until killed)")
 		quiet     = fs.Bool("quiet", false, "suppress the per-second progress line")
@@ -529,14 +526,12 @@ func cmdDurable(args []string) error {
 		System:   *system,
 		Scale:    *scaleName,
 		Threads:  *threads,
-		WindowNS: int64(*window),
 	}
 	var progress io.Writer
 	if !*quiet {
 		progress = os.Stderr
 	}
-	fmt.Fprintf(os.Stderr, "durable run: %s on %s, %d threads, window %s → %s\n",
-		*scenario, *system, *threads, *window, *dir)
+	fmt.Fprintf(os.Stderr, "durable run: %s on %s, %d threads → %s\n", *scenario, *system, *threads, *dir)
 	return experiments.StartDurable(*dir, meta, *duration, *ckptEvery, progress)
 }
 
@@ -597,6 +592,9 @@ func cmdCompare(args []string) error {
 	}
 	c := results.Compare(base, cur, *tolerance, *minCommits)
 	c.WriteText(os.Stdout)
+	if len(c.MissingPairs) > 0 {
+		return fmt.Errorf("%d baseline (experiment, system) pair(s) have no record in current: %v", len(c.MissingPairs), c.MissingPairs)
+	}
 	if len(c.Regressions) > 0 {
 		return fmt.Errorf("%d throughput regression(s)", len(c.Regressions))
 	}

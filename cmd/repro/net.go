@@ -38,7 +38,6 @@ func cmdServe(args []string) error {
 		admitWait   = fs.Duration("admit-wait", 0, "admission grace: wait this long for a fuller batch")
 		p99Target   = fs.Duration("p99-target", 0, "adaptive admission control: steer batch/grace toward this p99 service latency")
 		dir         = fs.String("durable-dir", "", "serve durably: WAL + checkpoints + meta.json in DIR")
-		window      = fs.Duration("window", time.Millisecond, "inert: the log flushes as soon as a record is pending")
 		ckptEvery   = fs.Duration("checkpoint-every", time.Second, "fuzzy checkpoint interval (0 disables)")
 		follow      = fs.String("follow", "", "serve as a read replica of the durable leader at ADDR")
 		leaderLog   = fs.String("leader-log", "", "shared-storage path of the leader's wal.log (promotion catch-up)")
@@ -92,13 +91,12 @@ func cmdServe(args []string) error {
 			System:   *system,
 			Scale:    *scaleName,
 			Threads:  *shards,
-			WindowNS: int64(*window),
 		})
 		if err != nil {
 			return err
 		}
 		cfg.Dir = *dir
-		cfg.Durable = durable.Config{Window: *window, WaitAck: true}
+		cfg.Durable = durable.Config{WaitAck: true}
 		cfg.CkptEvery = *ckptEvery
 		cfg.Server.CheckpointPath = node.CkptPath(*dir)
 	}
@@ -119,7 +117,7 @@ func cmdServe(args []string) error {
 	fields := fmt.Sprintf("addr=%s scenario=%s system=%s scale=%s shards=%d mode=%s batch_max=%d admit_wait=%s p99_target=%s",
 		ns.Addr, *scenario, *system, *scaleName, *shards, mode, *batch, *admitWait, *p99Target)
 	if *dir != "" {
-		fields += fmt.Sprintf(" durable_dir=%s window=%s", *dir, *window)
+		fields += fmt.Sprintf(" durable_dir=%s", *dir)
 	}
 	if *follow != "" {
 		fields += fmt.Sprintf(" leader=%s", *follow)

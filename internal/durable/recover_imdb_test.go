@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"sihtm/internal/htm"
 	"sihtm/internal/imdb"
@@ -51,7 +50,7 @@ func TestIMDBRecovery(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "wal.log")
 	ckptPath := filepath.Join(dir, "heap.ckpt")
-	store, err := Open(heap, logPath, 16, Config{Window: 300 * time.Microsecond, WaitAck: true})
+	store, err := Open(heap, logPath, 16, Config{WaitAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}

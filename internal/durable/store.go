@@ -47,7 +47,9 @@ import (
 
 // Config tunes a Store.
 type Config struct {
-	// Window is handed to wal.Config.Window, which is inert.
+	// Window is read by nothing: the log flushes the moment a record is
+	// pending. The field stays because bench/seam.go, which is frozen,
+	// sets it; nothing else does.
 	Window time.Duration
 	// WaitAck makes the durable System wrapper block each Atomic until
 	// the transaction's record is fsynced — the "committed means
@@ -104,7 +106,6 @@ func Open(heap *memsim.Heap, logPath string, threads int, cfg Config) (*Store, e
 		return nil, fmt.Errorf("durable: thread count must be positive, got %d", threads)
 	}
 	l, err := wal.Create(logPath, wal.Config{
-		Window:   cfg.Window,
 		NoDaemon: cfg.NoDaemon,
 		FirstSeq: cfg.FirstSeq,
 	})

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sihtm/internal/htm"
 	"sihtm/internal/htmtm"
@@ -112,7 +111,7 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 
 			sys, m := f.mk(heap, threads)
 			logPath := filepath.Join(t.TempDir(), "wal.log")
-			store, err := Open(heap, logPath, 16, Config{Window: 500 * time.Microsecond, WaitAck: true})
+			store, err := Open(heap, logPath, 16, Config{WaitAck: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +197,7 @@ func TestFuzzyCheckpointEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "wal.log")
 	ckptPath := filepath.Join(dir, "heap.ckpt")
-	store, err := Open(heap, logPath, 16, Config{Window: 200 * time.Microsecond, WaitAck: true})
+	store, err := Open(heap, logPath, 16, Config{WaitAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +263,49 @@ func TestFuzzyCheckpointEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointExcludesHeldLock: a fuzzy checkpoint taken while a
+// thread holds the SGL must image the lock word as free. Acquire and
+// release are plain accesses that nothing logs, so a captured hold
+// would survive replay and the recovered heap would differ from the
+// live one in exactly that word.
+func TestCheckpointExcludesHeldLock(t *testing.T) {
+	build := func() (*memsim.Heap, *htm.Machine, tm.System, *sgl.Lock, memsim.Addr) {
+		heap := memsim.NewHeapLines(64)
+		cell := heap.AllocLine()
+		m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
+		return heap, m, sihtm.NewSystem(m, 2, sihtm.Config{}), sgl.New(m), cell
+	}
+	heap, m, sys, lock, cell := build()
+	dir := t.TempDir()
+	logPath, ckptPath := filepath.Join(dir, "wal.log"), filepath.Join(dir, "heap.ckpt")
+	store, err := Open(heap, logPath, 4, Config{WaitAck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsys := store.Attach(sys, m)
+	dsys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) { ops.Write(cell, 7) })
+
+	th := m.Thread(1)
+	lock.Acquire(th)
+	if _, err := store.WriteCheckpoint(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	lock.Release(th)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered, _, _, _, _ := build()
+	rep, err := Recover(recovered, ckptPath, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.CheckpointUsed {
+		t.Fatal("recovery did not use the checkpoint")
+	}
+	heapsEqual(t, heap, recovered, "held-lock checkpoint vs live")
+}
+
 // waitGroupDone adapts a WaitGroup to a select-able channel.
 func waitGroupDone(wg *sync.WaitGroup) <-chan struct{} {
 	ch := make(chan struct{})
@@ -286,7 +328,7 @@ func TestCrashPrefixAndAcks(t *testing.T) {
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2)})
 	sys := htmtm.NewSystem(m, threads, htmtm.Config{})
 	logPath := filepath.Join(t.TempDir(), "wal.log")
-	store, err := Open(heap, logPath, 16, Config{Window: 200 * time.Microsecond, WaitAck: true})
+	store, err := Open(heap, logPath, 16, Config{WaitAck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +402,7 @@ func TestAtomicBatchFallbackIsLogged(t *testing.T) {
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2), TMCAMLines: 8})
 	sys := sihtm.NewSystem(m, 2, sihtm.Config{})
 	logPath := filepath.Join(t.TempDir(), "wal.log")
-	store, err := Open(heap, logPath, 2, Config{Window: 500 * time.Microsecond})
+	store, err := Open(heap, logPath, 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

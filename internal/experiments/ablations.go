@@ -3,30 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"sihtm/internal/harness"
-	"sihtm/internal/htm"
-	"sihtm/internal/memsim"
-	"sihtm/internal/results"
-	"sihtm/internal/tm"
 	"sihtm/internal/topology"
-	"sihtm/internal/workload/hashmap"
 	"sihtm/internal/workload/tpcc"
 )
 
 // The ablations are this reproduction's additions to the paper's
 // figures: parameter sweeps that isolate individual mechanisms (the
 // capacity cliff, TMCAM sizing, the read-only fast path, the §6 killing
-// policy, SMT placement). Sweep-shaped ablations (rofast, killer) reuse
-// the figure machinery; the rest emit one record per swept parameter
-// value with the Param field carrying the x-axis.
-
-// sweepAblations maps the sweep-backed ablation ids to their sweep
-// builders — the single place that records which ablations SweepFor can
-// serve. Keep in lockstep with the sweepAblationEntry wiring below.
-var sweepAblations = map[string]func(Scale) *harness.Sweep{
-	"rofast": roFastPathSweep,
-	"killer": killerSweep,
-}
+// policy, SMT placement). rofast and killer are thread ladders over a
+// figure's workload under two variants of SI-HTM; the rest emit one
+// record per swept parameter value with the Param field carrying the
+// x-axis.
 
 // capacityFootprints is the read-footprint x-axis of ablation A1,
 // straddling the 64-line TMCAM.
@@ -38,43 +25,20 @@ var capacityFootprints = []int{8, 16, 32, 48, 60, 64, 72, 96, 128, 256}
 // (write-set-bounded → flat). This isolates the paper's §2.2/§3
 // capacity claim from all concurrency effects.
 func capacityEntry() Entry {
-	e := Entry{
+	return Entry{
 		ID:       "capacity",
 		Title:    "Ablation A1: read-footprint sweep (single thread, TMCAM = 64 lines)",
 		Workload: "synthetic",
-		Systems:  []string{"htm", "si-htm"},
+		Systems:  htmVsSIHTM,
 		Params:   fmt.Sprintf("footprint=%v writes=1", capacityFootprints),
+		axis: func(Scale) []point {
+			var ps []point
+			for _, fp := range capacityFootprints {
+				ps = append(ps, point{param: fmt.Sprintf("footprint=%d", fp), threads: 1, w: capacityWorkload(fp), short: true})
+			}
+			return ps
+		},
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		for _, fp := range capacityFootprints {
-			heap, m := machine(fp*4 + 1<<12)
-			lines := make([]memsim.Addr, fp)
-			for i := range lines {
-				lines[i] = heap.AllocLine()
-			}
-			out := heap.AllocLine()
-			sys, err := NewSystem(system, m, heap, 1)
-			if err != nil {
-				return err
-			}
-			mkWorker := func(int) func() {
-				return func() {
-					sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
-						var sum uint64
-						for _, a := range lines {
-							sum += ops.Read(a)
-						}
-						ops.Write(out, sum)
-					})
-				}
-			}
-			hr := harness.Run(sys, 1, sc.Warmup/4, sc.Measure/2, mkWorker)
-			hook(e.record(fmt.Sprintf("footprint=%d", fp), hr))
-		}
-		return nil
-	}
-	return e
 }
 
 // tmcamSizes is the TMCAM x-axis of ablation A2.
@@ -85,98 +49,55 @@ var tmcamSizes = []int{16, 32, 64, 128, 256}
 // of both systems to the hardware buffer.
 func tmcamEntry() Entry {
 	const threads = 8
-	e := Entry{
+	h := hashmapSpec{buckets: lowBuckets, chain: largeChain, roPct: roHeavy, seed: 5}
+	return Entry{
 		ID:       "tmcam",
 		Title:    "Ablation A2: TMCAM size sweep (hash-map large 90% RO, 8 threads)",
 		Workload: "hashmap",
-		Systems:  []string{"htm", "si-htm"},
-		Params:   fmt.Sprintf("tmcam=%v threads=%d buckets=%d chain=%d ro=%d%%", tmcamSizes, threads, lowBuckets, largeChain, roHeavy),
+		Systems:  htmVsSIHTM,
+		Params:   fmt.Sprintf("tmcam=%v threads=%d %s", tmcamSizes, threads, h.params()),
+		axis: func(Scale) []point {
+			var ps []point
+			for _, size := range tmcamSizes {
+				sized := h
+				sized.tmcam = size
+				ps = append(ps, point{param: fmt.Sprintf("tmcam=%d", size), threads: threads, w: sized.build})
+			}
+			return ps
+		},
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		cfg := hashmap.BenchConfig{
-			Buckets:           lowBuckets,
-			ElementsPerBucket: largeChain / sc.WorkloadDiv,
-			ReadOnlyPercent:   roHeavy,
-			Seed:              5,
-		}
-		if cfg.ElementsPerBucket < 2 {
-			cfg.ElementsPerBucket = 2
-		}
-		for _, size := range tmcamSizes {
-			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded() + (1 << 14))
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper(), TMCAMLines: size})
-			bench, err := hashmap.NewBenchmark(heap, cfg)
-			if err != nil {
-				return err
-			}
-			sys, err := NewSystem(system, m, heap, threads)
-			if err != nil {
-				return err
-			}
-			mkWorker := func(thread int) func() {
-				w := bench.NewWorker(sys, thread)
-				return w.Op
-			}
-			hr := harness.Run(sys, threads, sc.Warmup, sc.Measure, mkWorker)
-			hook(e.record(fmt.Sprintf("tmcam=%d", size), hr))
-		}
-		return nil
-	}
-	return e
 }
 
-// roFastPathSweep is ablation A3 as a sweep: SI-HTM with and without the
-// read-only fast path on the read-heavy hash-map, isolating the
-// quiescence the fast path saves.
-func roFastPathSweep(sc Scale) *harness.Sweep {
-	return HashmapSweep("rofast",
-		"Ablation A3: SI-HTM read-only fast path on vs off (hash-map large 90% RO, low contention)",
-		lowBuckets, largeChain, roHeavy,
-		[]string{"si-htm", "si-htm-noro"}, sc)
-}
-
-func roFastPathEntry() Entry {
-	return sweepAblationEntry(Entry{
-		ID:           "rofast",
-		Title:        "Ablation A3: SI-HTM read-only fast path on vs off (hash-map large 90% RO, low contention)",
+// siHTMVariant is a thread-ladder ablation comparing SI-HTM with one
+// mechanism switched, on a figure's hash-map workload.
+func siHTMVariant(id, title, variant string, h hashmapSpec) Entry {
+	return Entry{
+		ID:           id,
+		Title:        title,
 		Workload:     "hashmap",
-		Systems:      []string{"si-htm", "si-htm-noro"},
+		Systems:      []string{"si-htm", variant},
 		ThreadLadder: topology.PaperThreadLadder,
-		Params:       fmt.Sprintf("buckets=%d chain=%d ro=%d%%", lowBuckets, largeChain, roHeavy),
-	}, roFastPathSweep)
+		Params:       h.params(),
+		axis:         ladder(h.build),
+	}
 }
 
-// killerSweep is ablation A4a as a sweep: the §6 killing policy on the
+// roFastPathEntry is ablation A3: SI-HTM with and without the read-only
+// fast path on the read-heavy hash-map, isolating the quiescence the
+// fast path saves.
+func roFastPathEntry() Entry {
+	return siHTMVariant("rofast",
+		"Ablation A3: SI-HTM read-only fast path on vs off (hash-map large 90% RO, low contention)",
+		"si-htm-noro", hashmapSpec{buckets: lowBuckets, chain: largeChain, roPct: roHeavy})
+}
+
+// killerEntry is ablation A4a: the §6 killing policy on the
 // high-contention 50% update hash-map, where laggards prolong
 // quiescence.
-func killerSweep(sc Scale) *harness.Sweep {
-	return HashmapSweep("killer",
-		"Ablation A4a: §6 killing policy (hash-map large 50% RO, high contention)",
-		highBuckets, largeChain, roBalanced,
-		[]string{"si-htm", "si-htm-killer"}, sc)
-}
-
 func killerEntry() Entry {
-	return sweepAblationEntry(Entry{
-		ID:           "killer",
-		Title:        "Ablation A4a: §6 killing policy (hash-map large 50% RO, high contention)",
-		Workload:     "hashmap",
-		Systems:      []string{"si-htm", "si-htm-killer"},
-		ThreadLadder: topology.PaperThreadLadder,
-		Params:       fmt.Sprintf("buckets=%d chain=%d ro=%d%%", highBuckets, largeChain, roBalanced),
-	}, killerSweep)
-}
-
-// sweepAblationEntry wires a sweep-backed ablation's run closure.
-func sweepAblationEntry(e Entry, build func(sc Scale) *harness.Sweep) Entry {
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		_, err := build(sc).ExecuteSystem(system, func(_ string, hr harness.Result) {
-			hook(e.record("", hr))
-		})
-		return err
-	}
-	return e
+	return siHTMVariant("killer",
+		"Ablation A4a: §6 killing policy (hash-map large 50% RO, high contention)",
+		"si-htm-killer", hashmapSpec{buckets: highBuckets, chain: largeChain, roPct: roBalanced})
 }
 
 // smtEntry is ablation A5: a fixed 8-thread TPC-C run placed either one
@@ -184,47 +105,18 @@ func sweepAblationEntry(e Entry, build func(sc Scale) *harness.Sweep) Entry {
 // the cost of TMCAM sharing directly.
 func smtEntry() Entry {
 	const threads = 8
-	e := Entry{
+	placement := func(name string, topo topology.Topology) point {
+		t := tpccSpec{mix: tpcc.StandardMix, warehouses: 8, seed: 9, topo: topo}
+		return point{param: "placement=" + name, threads: threads, w: t.build}
+	}
+	return Entry{
 		ID:       "smt",
 		Title:    "Ablation A5: SMT placement (TPC-C standard mix, 8 threads, spread vs stacked)",
 		Workload: "tpcc",
-		Systems:  []string{"htm", "si-htm"},
+		Systems:  htmVsSIHTM,
 		Params:   "placement={spread,stacked} warehouses=8 mix=standard",
+		axis: func(Scale) []point {
+			return []point{placement("spread", topology.New(8, 8)), placement("stacked", topology.New(1, 8))}
+		},
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		for _, stacked := range []bool{false, true} {
-			topo := topology.New(8, 8)
-			placement := "spread"
-			if stacked {
-				topo = topology.New(1, 8)
-				placement = "stacked"
-			}
-			cfg := tpcc.Config{Warehouses: 8, ScaleDiv: 10 * sc.WorkloadDiv, Seed: 9}
-			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-			m := htm.NewMachine(heap, htm.Config{Topology: topo})
-			db, err := tpcc.NewDB(heap, cfg)
-			if err != nil {
-				return err
-			}
-			sys, err := NewSystem(system, m, heap, threads)
-			if err != nil {
-				return err
-			}
-			mkWorker := func(thread int) func() {
-				w, err := db.NewWorker(sys, thread, tpcc.StandardMix)
-				if err != nil {
-					panic(err)
-				}
-				return func() { w.Op() }
-			}
-			hr := harness.Run(sys, threads, sc.Warmup, sc.Measure, mkWorker)
-			if err := db.CheckConsistency(); err != nil {
-				return fmt.Errorf("smt %s/%s: %w", system, placement, err)
-			}
-			hook(e.record(fmt.Sprintf("placement=%s", placement), hr))
-		}
-		return nil
-	}
-	return e
 }

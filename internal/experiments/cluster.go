@@ -15,7 +15,6 @@ import (
 	"sihtm/internal/replica"
 	"sihtm/internal/server"
 	"sihtm/internal/tsdb"
-	"sihtm/internal/workload/engine"
 )
 
 // clusterSpec describes the loopback cluster a net or repl cell
@@ -32,12 +31,11 @@ type clusterSpec struct {
 	threads int
 	shards  int
 	// durable gives the leader a WAL in a transient run directory
-	// (followers need one to stream), flushed on window and checkpointed
-	// fuzzily on ckptEvery (0 = never). The drain writes no checkpoint:
-	// recovery must reconstruct the live heap from the fuzzy checkpoint
-	// plus the log prefix alone — the image a SIGKILL would leave.
+	// (followers need one to stream), checkpointed fuzzily on ckptEvery
+	// (0 = never). The drain writes no checkpoint: recovery must
+	// reconstruct the live heap from the fuzzy checkpoint plus the log
+	// prefix alone — the image a SIGKILL would leave.
 	durable   bool
-	window    time.Duration
 	ckptEvery time.Duration
 	// followers is the replica count; chaos, when set, streams each one
 	// through its own seeded fault-injecting dialer.
@@ -54,13 +52,15 @@ type clusterSpec struct {
 	tsdb    tsdb.Config
 }
 
-// member is one node of the cluster and the in-process build behind it.
+// member is one node of the cluster and the in-process build behind it
+// (bare, so its check runs after the store closed).
 type member struct {
-	node    *node.Node
-	heap    *memsim.Heap
-	backend engine.Backend // the bare build: checkable after the store closed
-	chaos   *netchaos.Dialer
+	node  *node.Node
+	built *built
+	chaos *netchaos.Dialer
 }
+
+func (m *member) heap() *memsim.Heap { return m.built.machine.Heap() }
 
 // cluster is a running clusterSpec.
 type cluster struct {
@@ -74,7 +74,7 @@ type cluster struct {
 
 // startCluster starts the leader, then the followers against it.
 func startCluster(spec clusterSpec, sc Scale) (*cluster, error) {
-	c := &cluster{spec: spec, sc: sc}
+	c := &cluster{spec: spec, sc: sc, keys: spec.y.keys(sc)}
 	fail := func(err error) (*cluster, error) {
 		c.close()
 		return nil, err
@@ -86,7 +86,7 @@ func startCluster(spec clusterSpec, sc Scale) (*cluster, error) {
 			return nil, err
 		}
 		lcfg.Dir = c.dir
-		lcfg.Durable = durable.Config{Window: spec.window, WaitAck: true}
+		lcfg.Durable = durable.Config{WaitAck: true}
 		lcfg.CkptEvery = spec.ckptEvery
 	}
 	if spec.observe {
@@ -123,22 +123,21 @@ func startCluster(spec clusterSpec, sc Scale) (*cluster, error) {
 // carries the node's role, the rest is the same for every member.
 func (c *cluster) startMember(cfg node.Config) (*member, error) {
 	spec := c.spec
-	m, backend, d, err := spec.y.build(c.sc, spec.threads)
+	b, err := spec.y.build(c.sc, spec.threads)
 	if err != nil {
 		return nil, err
 	}
-	c.keys = d.Spec().Keys
 	shards := spec.shards
 	if shards <= 0 {
 		shards = spec.threads
 	}
-	sys, err := NewSystem(spec.system, m, m.Heap(), shards)
+	sys, err := NewSystem(spec.system, b.machine, b.machine.Heap(), shards)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Machine = m
-	cfg.Server.Backend = backend
+	cfg.Machine = b.machine
+	cfg.Server.Backend = b.backend
 	cfg.Server.System = sys
 	cfg.Server.Shards = shards
 	cfg.Server.BatchMax = netBatchDefault
@@ -150,7 +149,7 @@ func (c *cluster) startMember(cfg node.Config) (*member, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &member{node: n, heap: m.Heap(), backend: backend}, nil
+	return &member{node: n, built: b}, nil
 }
 
 // addr is the leader's listen address.
@@ -200,32 +199,11 @@ func (c *cluster) verify() error {
 	if err := c.shutdown(); err != nil {
 		return err
 	}
-	if err := engineCheck(c.leader.backend, c.keys); err != nil {
+	if err := c.leader.built.check(); err != nil {
 		return err
 	}
 	if c.dir == "" {
 		return nil
 	}
-	return verifyRecovery(c.spec.y, c.sc, c.spec.threads, c.dir, c.leader.heap)
-}
-
-// verifyRecovery proves digest-exact recovery of a stopped durable
-// node: rebuild the deterministic base, restore fuzzy checkpoint + log
-// from dir, compare to the live heap word for word, and re-run the
-// workload checks on the recovered state.
-func verifyRecovery(y ycsbSpec, sc Scale, threads int, dir string, live *memsim.Heap) error {
-	m, backend, d, err := y.build(sc, threads)
-	if err != nil {
-		return err
-	}
-	if _, err := durable.Recover(m.Heap(), node.CkptPath(dir), node.LogPath(dir)); err != nil {
-		return err
-	}
-	if err := compareHeaps(live, m.Heap()); err != nil {
-		return err
-	}
-	if err := engineCheck(backend, d.Spec().Keys); err != nil {
-		return fmt.Errorf("recovered state: %w", err)
-	}
-	return nil
+	return verifyRecovery(c.spec.y.build, c.sc, c.spec.threads, c.dir, c.leader.heap())
 }

@@ -156,8 +156,7 @@ func runOpenLoopPoint(e Entry, rb *engine.RemoteBackend, addr, sysLabel string,
 		Throughput: res.Throughput,
 	}
 	r := e.record("", hr)
-	r.LatencyP50Us = float64(res.Hist.Quantile(0.5)) / float64(time.Microsecond)
-	r.LatencyP99Us = float64(res.Hist.Quantile(0.99)) / float64(time.Microsecond)
+	r.LatencyP50Us, r.LatencyP99Us = us(res.Hist.Quantile(0.5)), us(res.Hist.Quantile(0.99))
 	if batches := sv1.Batches - sv0.Batches; batches > 0 {
 		r.BatchAvgOps = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
 	}
@@ -272,7 +271,7 @@ func connScaleEntry() Entry {
 			connScaleShards, connScaleUncontrolledBatch, connScaleUncontrolledGrace),
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = connScaleWindows(sc.withDefaults())
+		sc = connScaleWindows(sc)
 		c, err := startCluster(clusterSpec{
 			y: ycsbA, system: system, threads: connScaleShards,
 			ctrlInterval: connScaleCtrlInterval(sc),
@@ -306,7 +305,7 @@ func RunOpenLoop(addr string, conns int, arrival loadgen.Arrival, sc Scale, trac
 	if err != nil {
 		return fail(err)
 	}
-	keys := scaledKeys(y.baseKeys, buildSc, 128)
+	keys := y.keys(buildSc)
 	label := st.System
 	if st.P99TargetUs > 0 {
 		label += "+ctrl"

@@ -109,9 +109,11 @@ func TestConnScaleCell(t *testing.T) {
 func TestConnScaleMarkdown(t *testing.T) {
 	recs := []results.Record{
 		{Experiment: "net-connscale", System: "si-htm", Threads: 32, Throughput: 1000,
-			LatencyP50Us: 100, LatencyP99Us: 900, CtrlBatchMax: 256, CtrlAdmitWaitUs: 1000},
+			NetExtras:  results.NetExtras{LatencyP50Us: 100, LatencyP99Us: 900},
+			CtrlExtras: results.CtrlExtras{CtrlBatchMax: 256, CtrlAdmitWaitUs: 1000}},
 		{Experiment: "net-connscale", System: "si-htm+ctrl", Threads: 32, Throughput: 1100,
-			LatencyP50Us: 80, LatencyP99Us: 500, CtrlBatchMax: 16, CtrlAdmitWaitUs: 40, CtrlP99TargetUs: 5000},
+			NetExtras:  results.NetExtras{LatencyP50Us: 80, LatencyP99Us: 500},
+			CtrlExtras: results.CtrlExtras{CtrlBatchMax: 16, CtrlAdmitWaitUs: 40, CtrlP99TargetUs: 5000}},
 	}
 	var b strings.Builder
 	results.MarkdownController(&b, "net-connscale", recs)

@@ -10,13 +10,8 @@ import (
 	"time"
 
 	"sihtm/internal/durable"
-	"sihtm/internal/htm"
-	"sihtm/internal/memsim"
 	"sihtm/internal/node"
 	"sihtm/internal/server"
-	"sihtm/internal/tm"
-	"sihtm/internal/topology"
-	"sihtm/internal/workload/vacation"
 )
 
 // This file is the crash-recovery pipeline behind `repro durable` and
@@ -33,11 +28,24 @@ type DurableMeta struct {
 	System   string `json:"system"`
 	Scale    string `json:"scale"`
 	Threads  int    `json:"threads"`
-	WindowNS int64  `json:"window_ns"`
 }
 
+// durableScenarios are the scenarios StartDurable accepts: the
+// registry's own workloads, so a run directory replays against the same
+// deterministic base the durable cells are built on.
+var durableScenarios = []struct {
+	name string
+	w    workload
+}{{"ycsb-a", ycsbA.build}, {"vacation", vacationLow.build}}
+
 // DurableScenarioNames lists the scenarios StartDurable accepts.
-func DurableScenarioNames() []string { return []string{"ycsb-a", "vacation"} }
+func DurableScenarioNames() []string {
+	var names []string
+	for _, s := range durableScenarios {
+		names = append(names, s.name)
+	}
+	return names
+}
 
 func metaPath(dir string) string { return filepath.Join(dir, "meta.json") }
 
@@ -58,60 +66,21 @@ func WriteDurableMeta(dir string, meta DurableMeta) error {
 	return os.WriteFile(metaPath(dir), append(mj, '\n'), 0o644)
 }
 
-// durableWorkload is the scenario-shape abstraction shared by the
-// runner and recovery: build the deterministic base (heap populated,
-// machine ready) and check invariants on a (possibly recovered) state.
-type durableWorkload struct {
-	heap     *memsim.Heap
-	machine  *htm.Machine
-	mkWorker func(sys tm.System) func(thread int) func()
-	check    func() error
-}
-
-// buildDurableWorkload constructs a scenario's deterministic base state.
-func buildDurableWorkload(meta DurableMeta, sc Scale) (*durableWorkload, error) {
-	switch meta.Scenario {
-	case "ycsb-a":
-		y := ycsbA
-		m, backend, d, err := y.build(sc, meta.Threads)
-		if err != nil {
-			return nil, err
-		}
-		return &durableWorkload{
-			heap:    m.Heap(),
-			machine: m,
-			mkWorker: func(sys tm.System) func(thread int) func() {
-				return d.Workers(sys)
-			},
-			check: func() error { return engineCheck(backend, d.Spec().Keys) },
-		}, nil
-	case "vacation":
-		v := vacationSpecs[0]
-		cfg := v.config(sc, meta.Threads)
-		heap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-		m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-		mgr, err := vacation.NewManager(heap, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &durableWorkload{
-			heap:    heap,
-			machine: m,
-			mkWorker: func(sys tm.System) func(thread int) func() {
-				return func(thread int) func() {
-					w, err := mgr.NewWorker(sys, thread)
-					if err != nil {
-						panic(err)
-					}
-					return func() { w.Op() }
-				}
-			},
-			check: mgr.CheckConsistency,
-		}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown durable scenario %q (known: %v)",
-			meta.Scenario, DurableScenarioNames())
+// buildDurable builds the deterministic base state meta describes.
+func buildDurable(meta DurableMeta) (*built, error) {
+	sc, err := ScaleByName(meta.Scale)
+	if err != nil {
+		return nil, err
 	}
+	if meta.Threads <= 0 {
+		return nil, fmt.Errorf("experiments: durable run needs a positive thread count")
+	}
+	for _, s := range durableScenarios {
+		if s.name == meta.Scenario {
+			return s.w(sc.withDefaults(), meta.Threads)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown durable scenario %q (known: %v)", meta.Scenario, DurableScenarioNames())
 }
 
 // StartDurable populates the scenario, writes meta.json, and runs the
@@ -121,19 +90,11 @@ func buildDurableWorkload(meta DurableMeta, sc Scale) (*durableWorkload, error) 
 // ckptEvery intervals (0 disables them). progress (may be nil) receives
 // one line per second.
 func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duration, progress io.Writer) error {
-	sc, err := ScaleByName(meta.Scale)
+	b, err := buildDurable(meta)
 	if err != nil {
 		return err
 	}
-	sc = sc.withDefaults()
-	if meta.Threads <= 0 {
-		return fmt.Errorf("experiments: durable run needs a positive thread count")
-	}
-	w, err := buildDurableWorkload(meta, sc)
-	if err != nil {
-		return err
-	}
-	sys, err := NewSystem(meta.System, w.machine, w.heap, meta.Threads)
+	sys, err := NewSystem(meta.System, b.machine, b.machine.Heap(), meta.Threads)
 	if err != nil {
 		return err
 	}
@@ -141,17 +102,17 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 		return err
 	}
 	n, err := node.Start(node.Config{
-		Machine:   w.machine,
+		Machine:   b.machine,
 		Server:    server.Config{System: sys},
 		Dir:       dir,
-		Durable:   durable.Config{Window: time.Duration(meta.WindowNS), WaitAck: true},
+		Durable:   durable.Config{WaitAck: true},
 		CkptEvery: ckptEvery,
 	})
 	if err != nil {
 		return err
 	}
 	defer n.Shutdown()
-	stopWorkers := runWorkers(meta.Threads, w.mkWorker(n.System))
+	stopWorkers := runWorkers(meta.Threads, b.workers(n.System))
 	defer stopWorkers()
 
 	start := time.Now()
@@ -172,7 +133,7 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 			}
 		case <-deadline:
 			stopWorkers()
-			if err := w.check(); err != nil {
+			if err := b.check(); err != nil {
 				return fmt.Errorf("experiments: post-run invariants: %w", err)
 			}
 			return n.Shutdown()
@@ -208,16 +169,11 @@ func RecoverDurable(dir string) (DurableRecovery, error) {
 	if err := json.Unmarshal(mj, &out.Meta); err != nil {
 		return out, fmt.Errorf("experiments: recover: meta.json: %w", err)
 	}
-	sc, err := ScaleByName(out.Meta.Scale)
+	b, err := buildDurable(out.Meta)
 	if err != nil {
 		return out, err
 	}
-	sc = sc.withDefaults()
-	w, err := buildDurableWorkload(out.Meta, sc)
-	if err != nil {
-		return out, err
-	}
-	rep, err := durable.Recover(w.heap, node.CkptPath(dir), node.LogPath(dir))
+	rep, err := durable.Recover(b.machine.Heap(), node.CkptPath(dir), node.LogPath(dir))
 	out.CheckpointUsed = rep.CheckpointUsed
 	out.Watermark = rep.Watermark
 	out.RecoveredSeq = rep.RecoveredSeq
@@ -228,7 +184,7 @@ func RecoverDurable(dir string) (DurableRecovery, error) {
 		out.Detail = err.Error()
 		return out, err
 	}
-	if err := w.check(); err != nil {
+	if err := b.check(); err != nil {
 		out.Detail = err.Error()
 		return out, fmt.Errorf("experiments: recovered state violates invariants: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"testing"
 	"time"
 )
@@ -20,7 +21,6 @@ func TestStartAndRecoverDurable(t *testing.T) {
 				System:   "si-htm",
 				Scale:    "ci",
 				Threads:  2,
-				WindowNS: int64(200 * time.Microsecond),
 			}
 			if err := StartDurable(dir, meta, 250*time.Millisecond, 100*time.Millisecond, nil); err != nil {
 				t.Fatal(err)
@@ -42,18 +42,43 @@ func TestStartAndRecoverDurable(t *testing.T) {
 	}
 }
 
-// TestDurableCellPoint smokes one registry durable cell point,
-// including its built-in recovery equivalence check.
+// TestDurableCellPoint runs one point of each durable scenario through
+// runPoint on the durable host, including its built-in recovery
+// equivalence check. sgl is included because it holds the global lock
+// for every transaction: a fuzzy checkpoint that imaged the lock word
+// held would fail the word-for-word comparison (CI draws this 50 times).
 func TestDurableCellPoint(t *testing.T) {
 	sc := quickScale()
-	hr, batch, err := durableYCSBPoint(ycsbA, sc, "si-htm", 2, 200*time.Microsecond)
+	for _, e := range durableEntries() {
+		for _, system := range []string{"si-htm", "sgl"} {
+			hr, err := runPoint(point{threads: 2, w: e.axis(sc)[0].w}, system, sc, true)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", e.ID, system, err)
+			}
+			if hr.Stats.Commits == 0 {
+				t.Fatalf("%s/%s: no commits measured", e.ID, system)
+			}
+		}
+	}
+}
+
+// TestOldMetaStillLoads: a meta.json written before the window knob was
+// deleted carries a window_ns key; recovery must ignore it.
+func TestOldMetaStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	meta := DurableMeta{Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: 2}
+	if err := StartDurable(dir, meta, 50*time.Millisecond, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	old := `{"scenario":"ycsb-a","system":"si-htm","scale":"ci","threads":2,"window_ns":200000}`
+	if err := os.WriteFile(metaPath(dir), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RecoverDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hr.Stats.Commits == 0 {
-		t.Fatal("no commits measured")
-	}
-	if batch <= 0 {
-		t.Fatalf("batch size %f", batch)
+	if rep.Meta != meta {
+		t.Fatalf("meta = %+v, want %+v", rep.Meta, meta)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func quickScale() Scale {
 
 func TestRegistryIsComplete(t *testing.T) {
 	entries := Registry()
-	if len(entries) != 33 { // 10 figure panels + 6 scenarios + 3 durable + 7 net + 2 repl + 5 ablations
-		t.Fatalf("Registry() = %d entries, want 33", len(entries))
+	if len(entries) != 32 { // 10 figure panels + 6 scenarios + 2 durable + 7 net + 2 repl + 5 ablations
+		t.Fatalf("Registry() = %d entries, want 32", len(entries))
 	}
 	seen := map[string]bool{}
 	figures := map[int]bool{}
@@ -40,7 +41,7 @@ func TestRegistryIsComplete(t *testing.T) {
 		if len(e.Systems) < 2 && e.ID != "net-connscale" && e.ID != "net-slo" {
 			t.Errorf("entry %q compares %d systems, want >= 2", e.ID, len(e.Systems))
 		}
-		if e.run == nil {
+		if e.run == nil && e.axis == nil && e.netAxis == nil {
 			t.Errorf("entry %q has no runner", e.ID)
 		}
 		if e.Figure > 0 {
@@ -90,7 +91,7 @@ func TestLookupAndSelect(t *testing.T) {
 		sel  string
 		want int
 	}{
-		{"all", 33},
+		{"all", 32},
 		{"figures", 10},
 		{"scenarios", 6},
 		{"ablations", 5},
@@ -101,12 +102,12 @@ func TestLookupAndSelect(t *testing.T) {
 		{"ycsb", 3},
 		{"vacation", 2},
 		{"zipf", 1},
-		{"durable", 3},
+		{"durable", 2},
 		{"net", 7},
 		{"repl", 2},
 		{"fig6,fig9-low,capacity", 4},
 		{"ycsb,vacation,zipf", 6},
-		{"scenarios,durable,net", 16},
+		{"scenarios,durable,net", 15},
 	}
 	for _, c := range cases {
 		got, err := Select(c.sel)
@@ -187,22 +188,77 @@ func TestRunCellRejectsUnknownSystem(t *testing.T) {
 	}
 }
 
-func TestSweepForCoversSweepEntries(t *testing.T) {
-	ids := append(append([]string{}, FigureOrder...), "rofast", "killer",
-		"ycsb-a", "ycsb-b", "ycsb-c", "vacation-low", "vacation-high")
-	for _, id := range ids {
-		s, ok := SweepFor(id, quickScale())
-		if !ok || s == nil {
-			t.Errorf("SweepFor(%q) missing", id)
+// BuildPoint — the hook bench_test.go drives through testing.B — must
+// serve every entry that measures in process, at a thread count of the
+// caller's choosing, and refuse the net and repl cells, which have no
+// in-process workload.
+func TestBuildPointCoversInProcessEntries(t *testing.T) {
+	for _, e := range Registry() {
+		sys, mkWorker, check, err := e.BuildPoint(e.Systems[0], 2, quickScale())
+		if e.Workload == "net" || e.Workload == "repl" {
+			if err == nil {
+				t.Errorf("%s: BuildPoint built a %s cell", e.ID, e.Workload)
+			}
 			continue
 		}
-		if s.ID != id || s.Setup == nil {
-			t.Errorf("SweepFor(%q) malformed: %+v", id, s)
+		if err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+			continue
+		}
+		if sys.Threads() != 2 {
+			t.Errorf("%s: system sized for %d threads, want 2", e.ID, sys.Threads())
+		}
+		mkWorker(1)()
+		if err := check(); err != nil {
+			t.Errorf("%s: check after one op: %v", e.ID, err)
 		}
 	}
-	for _, id := range []string{"capacity", "zipf"} {
-		if _, ok := SweepFor(id, quickScale()); ok {
-			t.Errorf("%s is not sweep-backed; SweepFor returned one", id)
+}
+
+// Every workload is deterministic in (scale, threads): two builds of any
+// in-process point hold word-identical heaps. Recovery, cluster
+// followers and `repro recover` rebuild their base image this way.
+func TestWorkloadBuildsAreReproducible(t *testing.T) {
+	sc := quickScale()
+	for _, e := range Registry() {
+		if e.axis == nil {
+			continue
+		}
+		for _, p := range e.axis(sc) {
+			first, err := p.w(sc, p.threads)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.ID, where(p.threads, p.param), err)
+			}
+			second, err := p.w(sc, p.threads)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.ID, where(p.threads, p.param), err)
+			}
+			if err := compareHeaps(first.machine.Heap(), second.machine.Heap()); err != nil {
+				t.Errorf("%s %s: two builds differ: %v", e.ID, where(p.threads, p.param), err)
+			}
+		}
+	}
+}
+
+// A workload that fails to build fails the cell, and the error says
+// which point: entry id, system, thread count and param.
+func TestBuildErrorNamesThePoint(t *testing.T) {
+	e := Entry{
+		ID:      "broken",
+		Systems: []string{"htm"},
+		axis: func(Scale) []point {
+			return []point{{param: "x=3", threads: 2, w: func(Scale, int) (*built, error) {
+				return nil, errors.New("no memory")
+			}}}
+		},
+	}
+	_, err := e.RunCell("htm", quickScale(), nil)
+	if err == nil {
+		t.Fatal("RunCell swallowed the build error")
+	}
+	for _, want := range []string{"broken", "htm", "2 threads", "x=3", "no memory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sihtm/internal/topology"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
-	"sihtm/internal/workload/ycsb"
 )
 
 // The net scenario entries measure the workload engine over the
@@ -69,41 +68,9 @@ type NetPoint struct {
 	// AdmitWait sets the server's admission grace period for the point
 	// (0 keeps the server's current value).
 	AdmitWait time.Duration
+	// param labels a swept-parameter point ("batch=16").
+	param string
 }
-
-// NetExtras carries the measurements that exist only over the network.
-type NetExtras struct {
-	// P50 and P99 are per-op service-latency percentiles (server-side,
-	// admission to reply encode), over the measurement window.
-	P50, P99 time.Duration
-	// BatchAvg is the achieved ops-per-transaction of the admission
-	// batching during the window.
-	BatchAvg float64
-	// AdmitP99 is the p99 of the admission-wait stage (arrival to batch
-	// execution start) over the window.
-	AdmitP99 time.Duration
-	// Fsyncs counts the window's fsyncs and FsyncP99/AckP99 the p99 of
-	// fsync wall time and of the commit-acknowledgement wait (durable
-	// servers only; zero otherwise).
-	Fsyncs   uint64
-	FsyncP99 time.Duration
-	AckP99   time.Duration
-}
-
-// netSpec rebuilds the client-side Spec matching a server build: the
-// same keyspace sizing rule build() uses, so keys drawn by remote
-// workers always exist server-side.
-func netSpec(y ycsbSpec, sc Scale, threads int) (engine.Spec, error) {
-	return ycsb.Spec(ycsb.Config{
-		Workload: y.workload,
-		Keys:     scaledKeys(y.baseKeys, sc, 128),
-		OpsPerTx: y.opsPerTx,
-		Seed:     uint64(threads)*19 + 5,
-	})
-}
-
-// ycsbA is the scenario every durable, net and repl cell runs.
-var ycsbA = ycsbSpecs[0]
 
 // ycsbSpecByID resolves a ycsb scenario id.
 func ycsbSpecByID(id string) (ycsbSpec, error) {
@@ -128,7 +95,7 @@ type netClient struct {
 // dialClient connects threads workers to addr over ⌈threads/2⌉
 // connections, so sessions share pipelined connections.
 func dialClient(addr string, y ycsbSpec, sc Scale, system string, threads int) (*netClient, error) {
-	spec, err := netSpec(y, sc, threads)
+	spec, err := y.spec(sc, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -172,26 +139,28 @@ func (c *netClient) drive(window time.Duration) harness.Result {
 	return c.result(c.snapshot().Sub(s0), time.Since(start))
 }
 
+// us converts a duration to the records' microsecond unit.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
 // latencyExtras differences two STATS replies into the window's
 // server-side service latency and achieved batch size.
-func latencyExtras(sv0, sv1 wire.ServerStats) NetExtras {
+func latencyExtras(sv0, sv1 wire.ServerStats) results.NetExtras {
 	hist := sv1.Hist.Sub(sv0.Hist)
-	ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
+	ex := results.NetExtras{LatencyP50Us: us(hist.Quantile(0.5)), LatencyP99Us: us(hist.Quantile(0.99))}
 	if batches := sv1.Batches - sv0.Batches; batches > 0 {
-		ex.BatchAvg = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
+		ex.BatchAvgOps = float64(sv1.BatchedOps-sv0.BatchedOps) / float64(batches)
 	}
 	return ex
 }
 
-// runNetPoint executes one remote measurement and returns the merged
-// harness result: client-observed commits and throughput, server-side
-// abort taxonomy, plus the latency extras. mid, when non-nil, runs
-// halfway through the measurement window while the workers are still
-// driving load (the net-observe cell scrapes the live /metrics endpoint
-// there).
-func runNetPoint(p NetPoint, sc Scale, mid func() error) (harness.Result, NetExtras, error) {
-	sc = sc.withDefaults()
-	fail := func(err error) (harness.Result, NetExtras, error) { return harness.Result{}, NetExtras{}, err }
+// runNetPoint executes one remote measurement and returns e's record of
+// it: client-observed commits and throughput, server-side abort
+// taxonomy, plus the latency and telemetry extras. mid, when non-nil,
+// runs halfway through the measurement window while the workers are
+// still driving load (the net-observe cell scrapes the live /metrics
+// endpoint there).
+func runNetPoint(e Entry, p NetPoint, sc Scale, mid func() error) (results.Record, error) {
+	fail := func(err error) (results.Record, error) { return results.Record{}, err }
 	y, err := ycsbSpecByID(p.Scenario)
 	if err != nil {
 		return fail(err)
@@ -257,91 +226,84 @@ func runNetPoint(p NetPoint, sc Scale, mid func() error) (harness.Result, NetExt
 		WaitSpins: srvDelta.WaitSpins,
 	}, elapsed)
 
-	extras := latencyExtras(sv0, sv1)
+	r := e.record(p.param, hr)
+	r.NetExtras = latencyExtras(sv0, sv1)
 	if t1, t0 := sv1.Telemetry, sv0.Telemetry; t1 != nil && t0 != nil {
-		extras.AdmitP99 = t1.AdmitWaitHist.Sub(t0.AdmitWaitHist).Quantile(0.99)
-		extras.Fsyncs = t1.WalFsyncs - t0.WalFsyncs
-		extras.FsyncP99 = t1.FsyncHist.Sub(t0.FsyncHist).Quantile(0.99)
-		extras.AckP99 = t1.AckWaitHist.Sub(t0.AckWaitHist).Quantile(0.99)
+		r.AdmitWaitP99Us = us(t1.AdmitWaitHist.Sub(t0.AdmitWaitHist).Quantile(0.99))
+		r.FsyncsTotal = t1.WalFsyncs - t0.WalFsyncs
+		r.FsyncP99Us = us(t1.FsyncHist.Sub(t0.FsyncHist).Quantile(0.99))
+		r.AckWaitP99Us = us(t1.AckWaitHist.Sub(t0.AckWaitHist).Quantile(0.99))
 	}
 
 	// Server-side structural check over the wire (quiesces executors).
 	if err := rb.Check(); err != nil {
 		return fail(err)
 	}
-	return hr, extras, nil
+	return r, nil
 }
 
 // runHostedPoint self-hosts spec's cluster for one point, measures its
-// leader with p (everything but the admission knobs is filled from the
-// cluster: the client runs one worker per build thread), and verifies
-// the cluster afterwards. mid is runNetPoint's observer, handed the
-// running cluster.
-func runHostedPoint(spec clusterSpec, p NetPoint, sc Scale, mid func(*cluster) error) (harness.Result, NetExtras, error) {
-	sc = sc.withDefaults()
+// leader with p (the scenario, system and address are the cluster's),
+// and verifies the cluster afterwards. mid is runNetPoint's observer,
+// handed the running cluster.
+func runHostedPoint(e Entry, spec clusterSpec, p NetPoint, sc Scale, mid func(*cluster) error) (results.Record, error) {
 	c, err := startCluster(spec, sc)
 	if err != nil {
-		return harness.Result{}, NetExtras{}, err
+		return results.Record{}, err
 	}
 	defer c.close()
-	p.Scenario, p.System, p.Addr, p.Threads = spec.y.id, spec.system, c.addr(), spec.threads
+	p.Scenario, p.System, p.Addr = spec.y.id, spec.system, c.addr()
 	var observer func() error
 	if mid != nil {
 		observer = func() error { return mid(c) }
 	}
-	hr, ex, err := runNetPoint(p, sc, observer)
+	r, err := runNetPoint(e, p, sc, observer)
 	if err == nil {
 		err = c.verify()
 	}
-	return hr, ex, err
+	return r, err
 }
 
-// recordNet stamps a net measurement with its registry coordinates and
-// latency extras.
-func (e Entry) recordNet(param string, hr harness.Result, ex NetExtras) results.Record {
-	r := e.record(param, hr)
-	r.LatencyP50Us = float64(ex.P50) / float64(time.Microsecond)
-	r.LatencyP99Us = float64(ex.P99) / float64(time.Microsecond)
-	r.BatchAvgOps = ex.BatchAvg
-	r.AdmitWaitP99Us = float64(ex.AdmitP99) / float64(time.Microsecond)
-	r.FsyncsTotal = ex.Fsyncs
-	r.FsyncP99Us = float64(ex.FsyncP99) / float64(time.Microsecond)
-	r.AckWaitP99Us = float64(ex.AckP99) / float64(time.Microsecond)
-	return r
+// runNetAxis is the cell runner of the closed-loop net entries: at
+// every axis point, self-host the entry's cluster (one build thread per
+// client worker), measure it, verify it.
+func (e Entry) runNetAxis(system string, sc Scale, hook func(results.Record)) error {
+	for _, p := range e.netAxis(sc) {
+		r, err := runHostedPoint(e, e.hosted(system, p.Threads, sc), p, sc, nil)
+		if err != nil {
+			return fmt.Errorf("%s: %w", where(p.Threads, p.param), err)
+		}
+		hook(r)
+	}
+	return nil
+}
+
+// netLadder is the axis of the thread-ladder net entries: one point per
+// rung, at whatever admission bound the server runs with (a self-hosted
+// cluster starts at netBatchDefault; an external one keeps its --batch).
+func netLadder(sc Scale) []NetPoint {
+	var ps []NetPoint
+	for _, n := range sc.threads(topology.PaperThreadLadder) {
+		ps = append(ps, NetPoint{Threads: n})
+	}
+	return ps
 }
 
 // netYCSBEntry is YCSB-A over the wire across the thread ladder: the
 // full service path — pipelined connections, admission batching,
 // per-shard execution — compared across concurrency controls.
 func netYCSBEntry() Entry {
-	e := Entry{
+	return Entry{
 		ID:           "net-ycsb-a",
 		Title:        "Networked YCSB-A: remote driver over the wire protocol, admission-batched transactions",
 		Workload:     "net",
 		Systems:      scenarioSystems,
 		ThreadLadder: topology.PaperThreadLadder,
 		Params:       fmt.Sprintf("ycsb-a over loopback batch=%d conns=threads/2", netBatchDefault),
-	}
-	e.run = netLadderRun(e, func(system string, threads int, _ Scale) clusterSpec {
-		return clusterSpec{y: ycsbA, system: system, threads: threads}
-	})
-	return e
-}
-
-// netLadderRun is the cell runner of the thread-ladder net entries: at
-// every rung, self-host spec's cluster, measure it at the default
-// admission bound, verify it.
-func netLadderRun(e Entry, spec func(system string, threads int, sc Scale) clusterSpec) func(string, Scale, func(results.Record)) error {
-	return func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		for _, n := range sc.threads(topology.PaperThreadLadder) {
-			hr, ex, err := runHostedPoint(spec(system, n, sc), NetPoint{Batch: netBatchDefault}, sc, nil)
-			if err != nil {
-				return fmt.Errorf("%s %s/%d: %w", e.ID, system, n, err)
-			}
-			hook(e.recordNet("", hr, ex))
-		}
-		return nil
+		netAxis:      netLadder,
+		hosted: func(system string, threads int, _ Scale) clusterSpec {
+			return clusterSpec{y: ycsbA, system: system, threads: threads}
+		},
 	}
 }
 
@@ -353,40 +315,36 @@ func netLadderRun(e Entry, spec func(system string, threads int, sc Scale) clust
 // footprints untracked — the paper's capacity trade-off, measured
 // through the service layer with client-visible p50/p99 latency.
 func netWindowEntry() Entry {
-	e := Entry{
+	return Entry{
 		ID:       "net-batch-window",
 		Title:    fmt.Sprintf("Admission-batch sweep: throughput and p50/p99 latency vs batch bound (%d client threads)", netWindowThreads),
 		Workload: "net",
 		Systems:  []string{"si-htm", "htm"},
 		Params: fmt.Sprintf("ycsb-a over loopback batches=%v threads=%d shards=%d admit-wait=%s",
 			netBatches, netWindowThreads, netWindowShards, netAdmitWait),
-	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		n := netWindowThreads
-		if sc.MaxThreads > 0 && n > sc.MaxThreads {
-			n = sc.MaxThreads
-		}
-		for _, batch := range netBatches {
-			hr, ex, err := runHostedPoint(clusterSpec{y: ycsbA, system: system, threads: n, shards: netWindowShards},
-				NetPoint{Batch: batch, AdmitWait: netAdmitWait}, sc, nil)
-			if err != nil {
-				return fmt.Errorf("net-batch-window %s/batch=%d: %w", system, batch, err)
+		netAxis: func(sc Scale) []NetPoint {
+			var ps []NetPoint
+			for _, batch := range netBatches {
+				ps = append(ps, NetPoint{
+					Threads: sc.cap(netWindowThreads), Batch: batch, AdmitWait: netAdmitWait,
+					param: fmt.Sprintf("batch=%d", batch),
+				})
 			}
-			hook(e.recordNet(fmt.Sprintf("batch=%d", batch), hr, ex))
-		}
-		return nil
+			return ps
+		},
+		hosted: func(system string, threads int, _ Scale) clusterSpec {
+			return clusterSpec{y: ycsbA, system: system, threads: threads, shards: netWindowShards}
+		},
 	}
-	return e
 }
 
 // netDurableSpec is the durable single-node cluster of the
-// net-durable-ycsb-a and net-observe cells: group commit on the default
-// window, fuzzy checkpoints under traffic.
+// net-durable-ycsb-a and net-observe cells: group commit, fuzzy
+// checkpoints under traffic.
 func netDurableSpec(system string, threads int, sc Scale) clusterSpec {
 	return clusterSpec{
 		y: ycsbA, system: system, threads: threads,
-		durable: true, window: durableWindowDefault, ckptEvery: sc.Measure / 3,
+		durable: true, ckptEvery: sc.Measure / 3,
 	}
 }
 
@@ -395,16 +353,16 @@ func netDurableSpec(system string, threads int, sc Scale) clusterSpec {
 // traffic, and each point proves digest-exact recovery of the live heap
 // from checkpoint + log.
 func netDurableEntry() Entry {
-	e := Entry{
+	return Entry{
 		ID:           "net-durable-ycsb-a",
 		Title:        "Networked durable YCSB-A: replies acknowledge group-commit fsyncs, digest-exact recovery per point",
 		Workload:     "net",
 		Systems:      scenarioSystems,
 		ThreadLadder: topology.PaperThreadLadder,
-		Params:       fmt.Sprintf("ycsb-a over loopback batch=%d window=%s ack=fsync ckpt=fuzzy", netBatchDefault, durableWindowDefault),
+		Params:       fmt.Sprintf("ycsb-a over loopback batch=%d ack=fsync ckpt=fuzzy", netBatchDefault),
+		netAxis:      netLadder,
+		hosted:       netDurableSpec,
 	}
-	e.run = netLadderRun(e, netDurableSpec)
-	return e
 }
 
 // netEntries builds the networked scenario entries in presentation
@@ -436,24 +394,23 @@ func BuildServed(scenario, system, scaleName string, shards int) (*htm.Machine, 
 	if shards <= 0 {
 		return fail(fmt.Errorf("experiments: serve needs a positive shard count"))
 	}
-	m, backend, _, err := y.build(sc.withDefaults(), shards)
+	b, err := y.build(sc.withDefaults(), shards)
 	if err != nil {
 		return fail(err)
 	}
-	sys, err := NewSystem(system, m, m.Heap(), shards)
+	sys, err := NewSystem(system, b.machine, b.machine.Heap(), shards)
 	if err != nil {
 		return fail(err)
 	}
-	return m, backend, sys, nil
+	return b.machine, b.backend, sys, nil
 }
 
-// runLoadgenBatchSweep sweeps the admission-batch bound against a live
-// server, restoring the operator's knobs afterwards even when a point
-// fails mid-sweep (the server outlives the load generator).
-func runLoadgenBatchSweep(addr string, e Entry, st wire.ServerStats, sc, buildSc Scale,
+// runLoadgenAxis measures e's closed-loop axis against a live external
+// server, putting the operator's admission knobs back afterwards even
+// when a point fails mid-axis (the server outlives the load generator).
+func runLoadgenAxis(addr string, e Entry, st wire.ServerStats, sc, buildSc Scale,
 	hook func(results.Record), note func(string, ...any)) (err error) {
 	defer func() {
-		// Put the knobs back where the operator set them.
 		restore, derr := engine.DialRemote(addr, 1)
 		if derr == nil {
 			wait := st.AdmitWaitUs
@@ -464,24 +421,18 @@ func runLoadgenBatchSweep(addr string, e Entry, st wire.ServerStats, sc, buildSc
 			restore.Close()
 		}
 		if derr != nil && err == nil {
-			err = fmt.Errorf("net-batch-window: restoring server knobs: %w", derr)
+			err = fmt.Errorf("%s: restoring server knobs: %w", e.ID, derr)
 		}
 	}()
-	n := netWindowThreads
-	if sc.MaxThreads > 0 && n > sc.MaxThreads {
-		n = sc.MaxThreads
-	}
-	for _, batch := range netBatches {
-		hr, ex, perr := runNetPoint(NetPoint{
-			Scenario: st.Scenario, System: st.System, Addr: addr, Threads: n, Batch: batch,
-			AdmitWait: netAdmitWait,
-		}, buildSc, nil)
+	for _, p := range e.netAxis(sc) {
+		p.Scenario, p.System, p.Addr = st.Scenario, st.System, addr
+		r, perr := runNetPoint(e, p, buildSc, nil)
 		if perr != nil {
-			return fmt.Errorf("net-batch-window/batch=%d: %w", batch, perr)
+			return fmt.Errorf("%s: %s: %w", e.ID, where(p.Threads, p.param), perr)
 		}
-		hook(e.recordNet(fmt.Sprintf("batch=%d", batch), hr, ex))
-		note("  net-batch-window batch=%d: %.0f tx/s p50=%s p99=%s achieved=%.1f",
-			batch, hr.Throughput, ex.P50, ex.P99, ex.BatchAvg)
+		hook(r)
+		note("  %s %s: %.0f tx/s p50=%.0fµs p99=%.0fµs batch=%.1f",
+			e.ID, where(p.Threads, p.param), r.Throughput, r.LatencyP50Us, r.LatencyP99Us, r.BatchAvgOps)
 	}
 	return nil
 }
@@ -543,31 +494,19 @@ func RunLoadgen(addr string, ids []string, sc Scale, hook func(results.Record), 
 		if !ok {
 			return fmt.Errorf("experiments: unknown net entry %q (known: %v)", id, NetEntryIDs())
 		}
-		switch id {
-		case "net-ycsb-a", "net-durable-ycsb-a":
+		switch {
+		case e.netAxis != nil:
 			if id == "net-durable-ycsb-a" && !st.Durable {
 				return fmt.Errorf("experiments: %s needs a durable server (serve --durable-dir)", id)
 			}
-			for _, n := range sc.threads(topology.PaperThreadLadder) {
-				hr, ex, err := runNetPoint(NetPoint{
-					Scenario: st.Scenario, System: st.System, Addr: addr, Threads: n,
-				}, buildSc, nil)
-				if err != nil {
-					return fmt.Errorf("%s/%d: %w", id, n, err)
-				}
-				hook(e.recordNet("", hr, ex))
-				note("  %s threads=%d: %.0f tx/s p50=%s p99=%s batch=%.1f",
-					id, n, hr.Throughput, ex.P50, ex.P99, ex.BatchAvg)
-			}
-		case "net-batch-window":
-			if err := runLoadgenBatchSweep(addr, e, st, sc, buildSc, hook, note); err != nil {
+			if err := runLoadgenAxis(addr, e, st, sc, buildSc, hook, note); err != nil {
 				return err
 			}
-		case "net-connscale":
+		case id == "net-connscale":
 			// The ladder reconfigures the server's admission knobs per
 			// rung and leaves them at moderate defaults; the keyspace
 			// comes from the server's own build.
-			keys := scaledKeys(y.baseKeys, buildSc, 128)
+			keys := y.keys(buildSc)
 			// The window floors apply against an external server too:
 			// the uncontrolled rungs hold replies for a 10ms admission
 			// grace, so a tens-of-milliseconds window could close

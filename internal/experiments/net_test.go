@@ -30,15 +30,14 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 		},
 	}
 	if dir != "" {
-		window := 500 * time.Microsecond
 		err := WriteDurableMeta(dir, DurableMeta{
-			Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: shards, WindowNS: int64(window),
+			Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Dir = dir
-		cfg.Durable = durable.Config{Window: window, WaitAck: true}
+		cfg.Durable = durable.Config{WaitAck: true}
 		cfg.CkptEvery = 200 * time.Millisecond
 		cfg.Server.CheckpointPath = node.CkptPath(dir)
 	}

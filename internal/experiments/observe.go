@@ -46,15 +46,11 @@ func netObserveEntry() Entry {
 		// All five concurrency controls: the telemetry seam's contract is
 		// that every system reports the identical family set.
 		Systems: []string{"htm", "si-htm", "p8tm", "silo", "sgl"},
-		Params: fmt.Sprintf("ycsb-a durable over loopback batch=%d window=%s ctrl-interval=%s scrape=mid-measure",
-			netBatchDefault, durableWindowDefault, netObserveCtrlInterval),
+		Params: fmt.Sprintf("ycsb-a durable over loopback batch=%d ctrl-interval=%s scrape=mid-measure",
+			netBatchDefault, netObserveCtrlInterval),
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		n := netObserveThreads
-		if sc.MaxThreads > 0 && n > sc.MaxThreads {
-			n = sc.MaxThreads
-		}
+		n := sc.cap(netObserveThreads)
 		// The durable node runs with its own observability plane on, so the
 		// scrape goes through the same listener, handlers and readiness
 		// probe `repro serve --metrics-addr` mounts.
@@ -116,7 +112,7 @@ func netObserveEntry() Entry {
 			return nil
 		}
 
-		hr, ex, err := runHostedPoint(spec, NetPoint{Batch: netBatchDefault}, sc, mid)
+		r, err := runHostedPoint(e, spec, NetPoint{Threads: n}, sc, mid)
 		if err != nil {
 			return fmt.Errorf("net-observe %s: %w", system, err)
 		}
@@ -146,7 +142,6 @@ func netObserveEntry() Entry {
 			return fmt.Errorf("net-observe %s: scraped commits %v exceed final total %d", system, got, max)
 		}
 
-		r := e.recordNet("", hr, ex)
 		r.CtrlBatchMax = final.BatchMax
 		r.CtrlAdmitWaitUs = final.AdmitWaitUs
 		// The post-drain snapshot reports the target as off (stopController

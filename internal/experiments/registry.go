@@ -9,6 +9,7 @@ import (
 
 	"sihtm/internal/harness"
 	"sihtm/internal/results"
+	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 )
 
@@ -37,10 +38,18 @@ type Entry struct {
 	// (e.g. "buckets=1000 chain=200 ro=90%").
 	Params string
 
-	// run measures one (entry × system) cell at the given scale,
-	// invoking hook for every record produced. Set by the constructors
-	// in this package.
-	run func(system string, sc Scale, hook func(results.Record)) error
+	// What RunCell measures; a constructor in this package sets exactly
+	// one. axis makes the entry a table row over the workload table: its
+	// x-axis as in-process points, each measured by runPoint — on a
+	// headless durable node, with recovery proved per point, when
+	// durableHost is set. netAxis is the closed-loop wire axis, measured
+	// against hosted's self-hosted cluster here and against an external
+	// server by RunLoadgen. run is a cell with a protocol of its own.
+	axis        func(Scale) []point
+	durableHost bool
+	netAxis     func(Scale) []NetPoint
+	hosted      func(system string, threads int, sc Scale) clusterSpec
+	run         func(system string, sc Scale, hook func(results.Record)) error
 }
 
 // RunCell measures one (entry × system) cell — the unit of parallelism
@@ -64,10 +73,60 @@ func (e Entry) RunCell(system string, sc Scale, hook func(results.Record)) ([]re
 			hook(r)
 		}
 	}
-	if err := e.run(system, sc, collect); err != nil {
+	// The one door to every cell runner: they all see a complete scale.
+	sc = sc.withDefaults()
+	run := e.run
+	switch {
+	case e.axis != nil:
+		run = e.runAxis
+	case e.netAxis != nil:
+		run = e.runNetAxis
+	}
+	if err := run(system, sc, collect); err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", e.ID, system, err)
 	}
 	return recs, nil
+}
+
+// where names a point inside its cell for error messages.
+func where(threads int, param string) string {
+	if param == "" {
+		return fmt.Sprintf("%d threads", threads)
+	}
+	return fmt.Sprintf("%d threads, %s", threads, param)
+}
+
+// runAxis is the cell runner of the in-process entries: one runPoint
+// per axis position.
+func (e Entry) runAxis(system string, sc Scale, hook func(results.Record)) error {
+	for _, p := range e.axis(sc) {
+		hr, err := runPoint(p, system, sc, e.durableHost)
+		if err != nil {
+			return fmt.Errorf("%s: %w", where(p.threads, p.param), err)
+		}
+		hook(e.record(p.param, hr))
+	}
+	return nil
+}
+
+// BuildPoint builds the entry's workload at an arbitrary thread count
+// — the first point of its axis, volatile even for a durable-host entry
+// — and binds it to a fresh system: what bench_test.go drives through
+// testing.B's op-count loop. Entries without an in-process axis (the net
+// and repl cells) return an error.
+func (e Entry) BuildPoint(system string, threads int, sc Scale) (sys tm.System, mkWorker func(thread int) func(), check func() error, err error) {
+	if e.axis == nil {
+		return nil, nil, nil, fmt.Errorf("experiments: %s has no in-process workload to build", e.ID)
+	}
+	sc = sc.withDefaults()
+	b, err := e.axis(sc)[0].w(sc, threads)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if sys, err = NewSystem(system, b.machine, b.machine.Heap(), threads); err != nil {
+		return nil, nil, nil, err
+	}
+	return sys, b.workers(sys), b.check, nil
 }
 
 // Run measures every system of the entry sequentially. hook may be nil.
@@ -97,7 +156,7 @@ func (e Entry) record(param string, hr harness.Result) results.Record {
 // reports render in it too.
 var registryIDs = append(append(append([]string{}, FigureOrder...),
 	"ycsb-a", "ycsb-b", "ycsb-c", "zipf", "vacation-low", "vacation-high",
-	"durable-ycsb-a", "durable-vacation", "durable-window",
+	"durable-ycsb-a", "durable-vacation",
 	"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale", "net-observe", "net-trace", "net-slo",
 	"repl-ycsb-c", "repl-failover"),
 	"capacity", "tmcam", "rofast", "killer", "smt")
@@ -116,9 +175,7 @@ var registryRank = func() map[string]int {
 // freshly built; callers may modify their copy.
 func Registry() []Entry {
 	entries := make([]Entry, 0, len(registryIDs))
-	for _, id := range FigureOrder {
-		entries = append(entries, figureEntry(id))
-	}
+	entries = append(entries, figureEntries()...)
 	entries = append(entries, scenarioEntries()...)
 	entries = append(entries, durableEntries()...)
 	entries = append(entries, netEntries()...)

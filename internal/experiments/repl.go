@@ -52,12 +52,12 @@ var replFollowerLadder = []int{1, 2, 3}
 const replReadTimeout = 250 * time.Millisecond
 
 // replSpec is the cluster of the repl cells and net-trace: a durable
-// leader (group commit on the default window, no periodic checkpoints)
-// streaming to the given number of followers.
+// leader (group commit, no periodic checkpoints) streaming to the given
+// number of followers.
 func replSpec(system string, threads, followers int, chaos *netchaos.Config) clusterSpec {
 	return clusterSpec{
 		y: ycsbA, system: system, threads: threads,
-		durable: true, window: durableWindowDefault, followers: followers, chaos: chaos,
+		durable: true, followers: followers, chaos: chaos,
 	}
 }
 
@@ -96,14 +96,14 @@ func (c *cluster) replVerify(rb *engine.ReplicaBackend) error {
 	}
 	for i, f := range c.followers {
 		f.node.Follower.Stop()
-		if err := compareHeaps(c.leader.heap, f.heap); err != nil {
+		if err := compareHeaps(c.leader.heap(), f.heap()); err != nil {
 			return fmt.Errorf("follower %d diverged: %w", i, err)
 		}
-		if err := engineCheck(f.backend, c.keys); err != nil {
+		if err := f.built.check(); err != nil {
 			return fmt.Errorf("follower %d: %w", i, err)
 		}
 	}
-	if err := engineCheck(c.leader.backend, c.keys); err != nil {
+	if err := c.leader.built.check(); err != nil {
 		return err
 	}
 	return c.shutdown()
@@ -112,20 +112,10 @@ func (c *cluster) replVerify(rb *engine.ReplicaBackend) error {
 // runReplReadPoint measures one (system × follower count) cell of
 // repl-ycsb-c: read throughput over the replicas while a write stream
 // holds the leader, plus the leader's service-latency percentiles.
-func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, NetExtras, error) {
-	sc = sc.withDefaults()
-	fail := func(err error) (harness.Result, NetExtras, error) { return harness.Result{}, NetExtras{}, err }
+func runReplReadPoint(e Entry, system string, sc Scale, followers int) (results.Record, error) {
+	fail := func(err error) (results.Record, error) { return results.Record{}, err }
 	y := ycsbA
-	readers := replReadThreads
-	writers := replWriteThreads
-	if sc.MaxThreads > 0 {
-		if readers > sc.MaxThreads {
-			readers = sc.MaxThreads
-		}
-		if writers > sc.MaxThreads {
-			writers = sc.MaxThreads
-		}
-	}
+	readers, writers := sc.cap(replReadThreads), sc.cap(replWriteThreads)
 	c, err := startCluster(replSpec(system, readers, followers, nil), sc)
 	if err != nil {
 		return fail(err)
@@ -187,11 +177,12 @@ func runReplReadPoint(system string, sc Scale, followers int) (harness.Result, N
 		System: system, Threads: readers, Elapsed: elapsed, Stats: reads,
 		Throughput: float64(reads.Commits) / elapsed.Seconds(),
 	}
-	ex := latencyExtras(sv0, sv1)
+	r := e.record(fmt.Sprintf("followers=%d", followers), hr)
+	r.NetExtras = latencyExtras(sv0, sv1)
 	if err := c.replVerify(rb); err != nil {
 		return fail(err)
 	}
-	return hr, ex, nil
+	return r, nil
 }
 
 // replYCSBEntry is repl-ycsb-c: read throughput against the replica
@@ -202,16 +193,16 @@ func replYCSBEntry() Entry {
 		Title:    "Replicated reads: YCSB-C read throughput vs replica count, writes held at the leader",
 		Workload: "repl",
 		Systems:  []string{"si-htm", "sgl"},
-		Params: fmt.Sprintf("followers=%v readers=%d writers=%d window=%s ack=fsync reads=stale-snapshot",
-			replFollowerLadder, replReadThreads, replWriteThreads, durableWindowDefault),
+		Params: fmt.Sprintf("followers=%v readers=%d writers=%d ack=fsync reads=stale-snapshot",
+			replFollowerLadder, replReadThreads, replWriteThreads),
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
 		for _, followers := range replFollowerLadder {
-			hr, ex, err := runReplReadPoint(system, sc, followers)
+			r, err := runReplReadPoint(e, system, sc, followers)
 			if err != nil {
-				return fmt.Errorf("repl-ycsb-c %s/followers=%d: %w", system, followers, err)
+				return fmt.Errorf("followers=%d: %w", followers, err)
 			}
-			hook(e.recordNet(fmt.Sprintf("followers=%d", followers), hr, ex))
+			hook(r)
 		}
 		return nil
 	}
@@ -234,11 +225,7 @@ var replChaosConfig = netchaos.Config{
 // acknowledged loss and digest-exact state, then measure the promoted
 // node serving writes.
 func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)) error {
-	sc = sc.withDefaults()
-	writers := replWriteThreads * 2
-	if sc.MaxThreads > 0 && writers > sc.MaxThreads {
-		writers = sc.MaxThreads
-	}
+	writers := sc.cap(replWriteThreads * 2)
 	chaos := replChaosConfig
 	c, err := startCluster(replSpec(system, writers, 2, &chaos), sc)
 	if err != nil {
@@ -258,7 +245,7 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if window < 300*time.Millisecond {
 		window = 300 * time.Millisecond
 	}
-	hook(e.recordNet("phase=prekill", wb.drive(window), NetExtras{}))
+	hook(e.record("phase=prekill", wb.drive(window)))
 
 	// The kill point: every acknowledged commit is at or below the
 	// durable frontier (acks wait for fsync), and the on-disk log's
@@ -284,10 +271,10 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if rs.Watermark < killSeq {
 		return fmt.Errorf("ACKED LOSS: promoted watermark %d < durable frontier %d at kill", rs.Watermark, killSeq)
 	}
-	if err := compareHeaps(c.leader.heap, promoted.heap); err != nil {
+	if err := compareHeaps(c.leader.heap(), promoted.heap()); err != nil {
 		return fmt.Errorf("promoted state diverged: %w", err)
 	}
-	if err := engineCheck(promoted.backend, c.keys); err != nil {
+	if err := promoted.built.check(); err != nil {
 		return fmt.Errorf("promoted state: %w", err)
 	}
 	if promoted.chaos != nil && promoted.chaos.Cuts() == 0 && rs.Reconnects == 0 {
@@ -299,10 +286,10 @@ func runReplFailover(e Entry, system string, sc Scale, hook func(results.Record)
 	if post.Stats.Commits == 0 {
 		return fmt.Errorf("promoted node served no write commits")
 	}
-	if err := engineCheck(promoted.backend, c.keys); err != nil {
+	if err := promoted.built.check(); err != nil {
 		return fmt.Errorf("post-promotion state: %w", err)
 	}
-	hook(e.recordNet(fmt.Sprintf("phase=postpromote lag=%d", behind), post, NetExtras{}))
+	hook(e.record(fmt.Sprintf("phase=postpromote lag=%d", behind), post))
 	return c.shutdown()
 }
 
@@ -315,14 +302,10 @@ func replFailoverEntry() Entry {
 		Title:    "Leader failover: chaotic WAL streams, promote a follower, zero acknowledged loss, digest-exact state",
 		Workload: "repl",
 		Systems:  []string{"si-htm", "sgl"},
-		Params: fmt.Sprintf("followers=2 writers=%d chaos=cuts/tears/partitions window=%s ack=fsync",
-			replWriteThreads*2, durableWindowDefault),
+		Params:   fmt.Sprintf("followers=2 writers=%d chaos=cuts/tears/partitions ack=fsync", replWriteThreads*2),
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		if err := runReplFailover(e, system, sc, hook); err != nil {
-			return fmt.Errorf("repl-failover %s: %w", system, err)
-		}
-		return nil
+		return runReplFailover(e, system, sc, hook)
 	}
 	return e
 }

@@ -3,14 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"sihtm/internal/harness"
-	"sihtm/internal/htm"
-	"sihtm/internal/memsim"
-	"sihtm/internal/results"
-	"sihtm/internal/tm"
 	"sihtm/internal/topology"
-	"sihtm/internal/workload/engine"
-	"sihtm/internal/workload/vacation"
 	"sihtm/internal/workload/ycsb"
 )
 
@@ -36,16 +29,6 @@ func scaledKeys(base int, sc Scale, floor int) int {
 	return n
 }
 
-// ycsbSpec declares one YCSB registry entry.
-type ycsbSpec struct {
-	id, title string
-	workload  ycsb.Workload
-	backend   string // "hashmap" or "btree"
-	baseKeys  int
-	chain     int // hashmap: target chain length (buckets = keys/chain)
-	opsPerTx  int
-}
-
 var ycsbSpecs = []ycsbSpec{
 	{id: "ycsb-a", workload: ycsb.A, backend: "hashmap", baseKeys: 8192, chain: 8, opsPerTx: 8,
 		title: "YCSB-A: update-heavy 50r/50rmw, zipf(0.99), hash-map backend"},
@@ -55,94 +38,8 @@ var ycsbSpecs = []ycsbSpec{
 		title: "YCSB-C: read-only 90r/10scan, zipf(0.99), B+tree index backend"},
 }
 
-// buildYCSB constructs the workload of one (spec × threads) point.
-func (y ycsbSpec) build(sc Scale, threads int) (*htm.Machine, engine.Backend, *engine.Driver, error) {
-	keys := scaledKeys(y.baseKeys, sc, 128)
-	spec, err := ycsb.Spec(ycsb.Config{
-		Workload: y.workload,
-		Keys:     keys,
-		OpsPerTx: y.opsPerTx,
-		Seed:     uint64(threads)*19 + 5,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var (
-		heap    *memsim.Heap
-		backend engine.Backend
-	)
-	if y.backend == "btree" {
-		heap = memsim.NewHeapLines(engine.BTreeHeapLines(spec))
-		backend = engine.NewBTreeBackend(heap)
-	} else {
-		buckets := keys / y.chain
-		if buckets < 1 {
-			buckets = 1
-		}
-		heap = memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-		backend = engine.NewHashmapBackend(heap, buckets)
-	}
-	m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-	engine.Populate(backend, spec)
-	d, err := engine.New(spec, backend)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return m, backend, d, nil
-}
-
-// engineCheck verifies a backend after a run: structural invariants
-// plus exact population conservation for insert/delete-free mixes (all
-// the YCSB mixes only read and overwrite, so the key count must not
-// move).
-func engineCheck(backend engine.Backend, keys int) error {
-	if err := backend.Check(); err != nil {
-		return err
-	}
-	if d, ok := backend.(*engine.DurableBackend); ok {
-		backend = d.Unwrap()
-	}
-	var got int
-	switch b := backend.(type) {
-	case *engine.HashmapBackend:
-		got = b.Map().Size()
-	case *engine.BTreeBackend:
-		got = b.Tree().Count(b.Direct())
-	default:
-		return nil
-	}
-	if got != keys {
-		return fmt.Errorf("population drifted: %d keys, want %d", got, keys)
-	}
-	return nil
-}
-
-// ycsbSweep builds the thread-ladder sweep of one YCSB entry.
-func ycsbSweep(y ycsbSpec, sc Scale) *harness.Sweep {
-	sc = sc.withDefaults()
-	return &harness.Sweep{
-		ID:           y.id,
-		Title:        y.title,
-		Systems:      scenarioSystems,
-		ThreadCounts: sc.threads(topology.PaperThreadLadder),
-		Warmup:       sc.Warmup,
-		Measure:      sc.Measure,
-		Setup: func(system string, threads int) (tm.System, func(int) func(), func() error, error) {
-			m, backend, d, err := y.build(sc, threads)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			heap := m.Heap()
-			sys, err := NewSystem(system, m, heap, threads)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			keys := d.Spec().Keys
-			check := func() error { return engineCheck(backend, keys) }
-			return sys, d.Workers(sys), check, nil
-		},
-	}
-}
+// ycsbA is the scenario every durable, net and repl cell runs.
+var ycsbA = ycsbSpecs[0]
 
 // ycsbEntry builds the registry entry for one YCSB spec.
 func ycsbEntry(y ycsbSpec) Entry {
@@ -150,29 +47,15 @@ func ycsbEntry(y ycsbSpec) Entry {
 	if err != nil {
 		panic(err)
 	}
-	e := Entry{
+	return Entry{
 		ID:           y.id,
 		Title:        y.title,
 		Workload:     "ycsb",
 		Systems:      scenarioSystems,
 		ThreadLadder: topology.PaperThreadLadder,
 		Params:       fmt.Sprintf("%s backend=%s", spec.Params(), y.backend),
+		axis:         ladder(y.build),
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		_, err := ycsbSweep(y, sc).ExecuteSystem(system, func(_ string, hr harness.Result) {
-			hook(e.record("", hr))
-		})
-		return err
-	}
-	return e
-}
-
-// vacationSpec declares one vacation registry entry.
-type vacationSpec struct {
-	id, title                    string
-	queryN, rangePct             int
-	browse, reserve, del, upd    int
-	baseRelations, baseCustomers int
 }
 
 var vacationSpecs = []vacationSpec{
@@ -186,58 +69,12 @@ var vacationSpecs = []vacationSpec{
 		title: "Vacation (high contention): 8-item tasks over 10% of the tables"},
 }
 
-// config builds the scaled vacation configuration of one point.
-func (v vacationSpec) config(sc Scale, threads int) vacation.Config {
-	return vacation.Config{
-		Relations:         scaledKeys(v.baseRelations, sc, 64),
-		Customers:         scaledKeys(v.baseCustomers, sc, 16),
-		QueryN:            v.queryN,
-		QueryRangePct:     v.rangePct,
-		BrowsePct:         v.browse,
-		ReservePct:        v.reserve,
-		DeleteCustomerPct: v.del,
-		UpdateTablesPct:   v.upd,
-		Seed:              uint64(threads)*23 + 9,
-	}
-}
-
-// vacationSweep builds the thread-ladder sweep of one vacation entry.
-func vacationSweep(v vacationSpec, sc Scale) *harness.Sweep {
-	sc = sc.withDefaults()
-	return &harness.Sweep{
-		ID:           v.id,
-		Title:        v.title,
-		Systems:      scenarioSystems,
-		ThreadCounts: sc.threads(topology.PaperThreadLadder),
-		Warmup:       sc.Warmup,
-		Measure:      sc.Measure,
-		Setup: func(system string, threads int) (tm.System, func(int) func(), func() error, error) {
-			cfg := v.config(sc, threads)
-			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-			mgr, err := vacation.NewManager(heap, cfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sys, err := NewSystem(system, m, heap, threads)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			mkWorker := func(thread int) func() {
-				w, err := mgr.NewWorker(sys, thread)
-				if err != nil {
-					panic(err)
-				}
-				return func() { w.Op() }
-			}
-			return sys, mkWorker, mgr.CheckConsistency, nil
-		},
-	}
-}
+// vacationLow is the configuration the durable vacation cells run.
+var vacationLow = vacationSpecs[0]
 
 // vacationEntry builds the registry entry for one vacation spec.
 func vacationEntry(v vacationSpec) Entry {
-	e := Entry{
+	return Entry{
 		ID:           v.id,
 		Title:        v.title,
 		Workload:     "vacation",
@@ -245,14 +82,8 @@ func vacationEntry(v vacationSpec) Entry {
 		ThreadLadder: topology.PaperThreadLadder,
 		Params: fmt.Sprintf("relations=%d customers=%d queryN=%d range=%d%% mix=%d/%d/%d/%d",
 			v.baseRelations, v.baseCustomers, v.queryN, v.rangePct, v.browse, v.reserve, v.del, v.upd),
+		axis: ladder(v.build),
 	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		_, err := vacationSweep(v, sc).ExecuteSystem(system, func(_ string, hr harness.Result) {
-			hook(e.record("", hr))
-		})
-		return err
-	}
-	return e
 }
 
 // zipfThetas is the skew x-axis of the Zipfian sweep.
@@ -268,61 +99,25 @@ var zipfThetas = []float64{0, 0.4, 0.7, 0.9, 0.99}
 // while SI-HTM stays flat throughout (read-only batches are
 // uninstrumented and ROT reads untracked).
 func zipfEntry() Entry {
-	const (
-		threads  = 8
-		baseKeys = 4096
-		chain    = 8
-		opsPerTx = 16
-	)
-	e := Entry{
+	const threads = 8
+	y := ycsbSpec{workload: ycsb.B, backend: "hashmap", baseKeys: 4096, chain: 8, opsPerTx: 16, seed: 31}
+	return Entry{
 		ID:       "zipf",
 		Title:    "Zipfian-θ sweep: capacity-abort rate vs access skew (YCSB-B, 16 ops/tx, 8 threads)",
 		Workload: "ycsb",
 		Systems:  scenarioSystems,
-		Params:   fmt.Sprintf("theta=%v keys=%d chain=%d ops/tx=%d threads=%d", zipfThetas, baseKeys, chain, opsPerTx, threads),
-	}
-	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		n := threads
-		if sc.MaxThreads > 0 && n > sc.MaxThreads {
-			n = sc.MaxThreads
-		}
-		for _, theta := range zipfThetas {
-			keys := scaledKeys(baseKeys, sc, 128)
-			spec, err := ycsb.Spec(ycsb.Config{
-				Workload: ycsb.B,
-				Keys:     keys,
-				Theta:    theta,
+		Params:   fmt.Sprintf("theta=%v keys=%d chain=%d ops/tx=%d threads=%d", zipfThetas, y.baseKeys, y.chain, y.opsPerTx, threads),
+		axis: func(sc Scale) []point {
+			var ps []point
+			for _, theta := range zipfThetas {
+				skewed := y
 				// Theta 0 must stay uniform rather than defaulting.
-				UniformKeys: theta == 0,
-				OpsPerTx:    opsPerTx,
-				Seed:        31,
-			})
-			if err != nil {
-				return err
+				skewed.theta, skewed.uniform = theta, theta == 0
+				ps = append(ps, point{param: fmt.Sprintf("theta=%.2f", theta), threads: sc.cap(threads), w: skewed.build})
 			}
-			buckets := keys / chain
-			heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-			backend := engine.NewHashmapBackend(heap, buckets)
-			engine.Populate(backend, spec)
-			d, err := engine.New(spec, backend)
-			if err != nil {
-				return err
-			}
-			sys, err := NewSystem(system, m, heap, n)
-			if err != nil {
-				return err
-			}
-			hr := harness.Run(sys, n, sc.Warmup, sc.Measure, d.Workers(sys))
-			if err := engineCheck(backend, keys); err != nil {
-				return fmt.Errorf("zipf %s/theta=%.2f: %w", system, theta, err)
-			}
-			hook(e.record(fmt.Sprintf("theta=%.2f", theta), hr))
-		}
-		return nil
+			return ps
+		},
 	}
-	return e
 }
 
 // scenarioEntries builds all scenario entries in presentation order.
@@ -337,17 +132,3 @@ func scenarioEntries() []Entry {
 	}
 	return entries
 }
-
-// scenarioSweeps serves SweepFor for the sweep-backed scenario entries.
-var scenarioSweeps = func() map[string]func(Scale) *harness.Sweep {
-	m := map[string]func(Scale) *harness.Sweep{}
-	for _, y := range ycsbSpecs {
-		y := y
-		m[y.id] = func(sc Scale) *harness.Sweep { return ycsbSweep(y, sc) }
-	}
-	for _, v := range vacationSpecs {
-		v := v
-		m[v.id] = func(sc Scale) *harness.Sweep { return vacationSweep(v, sc) }
-	}
-	return m
-}()

@@ -59,7 +59,7 @@ func netSLOEntry() Entry {
 			connScaleShards, connScaleUncontrolledBatch, connScaleUncontrolledGrace),
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = connScaleWindows(sc.withDefaults())
+		sc = connScaleWindows(sc)
 		// A volatile node with its own observability plane on: tsdb over the
 		// live registry, the default rule set (capacity rule only — no SLO
 		// target, no WAL, no replica) evaluated on every scrape, and the

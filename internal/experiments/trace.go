@@ -56,15 +56,10 @@ func netTraceEntry() Entry {
 		Title:    "End-to-end tracing: one reconstructed trace from client through server stages, fsync and follower replay",
 		Workload: "net",
 		Systems:  []string{"si-htm", "sgl"},
-		Params: fmt.Sprintf("ycsb-a durable leader + 1 follower, trace-every=1, window=%s ack=fsync",
-			durableWindowDefault),
+		Params:   "ycsb-a durable leader + 1 follower, trace-every=1, ack=fsync",
 	}
 	e.run = func(system string, sc Scale, hook func(results.Record)) error {
-		sc = sc.withDefaults()
-		threads := netTraceThreads
-		if sc.MaxThreads > 0 && threads > sc.MaxThreads {
-			threads = sc.MaxThreads
-		}
+		threads := sc.cap(netTraceThreads)
 		fail := func(err error) error { return fmt.Errorf("net-trace %s: %w", system, err) }
 		// The leader's own observability plane is on: its ring is fetched
 		// over the /debug/traces endpoint `repro serve --metrics-addr`
@@ -213,12 +208,11 @@ func netTraceEntry() Entry {
 			return fail(fmt.Errorf("p99 exemplar %d is server-origin under trace-every=1", exID))
 		}
 
-		hr := wb.result(w1.Sub(w0), elapsed)
-		ex := NetExtras{P50: hist.Quantile(0.5), P99: hist.Quantile(0.99)}
-		r := e.recordNet("", hr, ex)
+		r := e.record("", wb.result(w1.Sub(w0), elapsed))
+		r.LatencyP50Us, r.LatencyP99Us = us(hist.Quantile(0.5)), us(hist.Quantile(0.99))
 		r.TraceSpansTotal = leader.Srv.TraceRing().Total()
-		r.TraceStageSumUs = float64(stageSum) / float64(time.Microsecond)
-		r.TraceClientUs = float64(client.Dur) / float64(time.Microsecond)
+		r.TraceStageSumUs = us(time.Duration(stageSum))
+		r.TraceClientUs = us(time.Duration(client.Dur))
 		if err := c.shutdown(); err != nil {
 			return fail(err)
 		}

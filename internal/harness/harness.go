@@ -1,12 +1,11 @@
-// Package harness runs the paper's experiments: timed, multi-threaded
-// sweeps over (system × thread-count) with warm-up and per-window
-// statistics deltas. Each measurement is a structured Result, streamed
-// to an Observer as it completes; rendering lives in internal/results.
+// Package harness is the one measuring loop: it drives worker closures
+// against a tm.System for a timed window after a warm-up (Run) or for a
+// fixed op count (RunOps) and reports the window's statistics delta as
+// a structured Result. What to build and measure is the registry's
+// business (internal/experiments); rendering lives in internal/results.
 package harness
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,14 +54,7 @@ func Run(sys tm.System, threads int, warmup, measure time.Duration, mkWorker fun
 	stop.Store(true)
 	wg.Wait()
 
-	delta := after.Sub(before)
-	return Result{
-		System:     sys.Name(),
-		Threads:    threads,
-		Elapsed:    elapsed,
-		Stats:      delta,
-		Throughput: float64(delta.Commits) / elapsed.Seconds(),
-	}
+	return result(sys, threads, elapsed, after.Sub(before))
 }
 
 // RunOps drives the workers for a fixed op count per thread instead of a
@@ -83,7 +75,10 @@ func RunOps(sys tm.System, threads, opsPerThread int, mkWorker func(thread int) 
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	delta := sys.Collector().Snapshot().Sub(before)
+	return result(sys, threads, elapsed, sys.Collector().Snapshot().Sub(before))
+}
+
+func result(sys tm.System, threads int, elapsed time.Duration, delta stats.Stats) Result {
 	return Result{
 		System:     sys.Name(),
 		Threads:    threads,
@@ -92,88 +87,3 @@ func RunOps(sys tm.System, threads, opsPerThread int, mkWorker func(thread int) 
 		Throughput: float64(delta.Commits) / elapsed.Seconds(),
 	}
 }
-
-// Sweep is a full experiment: for every thread count and system, Setup
-// builds a fresh workload and the harness measures it.
-type Sweep struct {
-	// ID and Title identify the experiment (e.g. "fig6-low", "Hash-map
-	// 90% large read-only txs, low contention").
-	ID, Title string
-	// Systems are benchmark names in display order.
-	Systems []string
-	// ThreadCounts is the x-axis (the paper: 1,2,4,8,16,32,40,80).
-	ThreadCounts []int
-	// Warmup and Measure are the run windows per point.
-	Warmup, Measure time.Duration
-	// Setup builds a fresh system + workload for one run. The returned
-	// check (may be nil) runs quiescently after the run; a non-nil error
-	// fails the sweep.
-	Setup func(system string, threads int) (sys tm.System, mkWorker func(thread int) func(), check func() error, err error)
-}
-
-// Observer receives one structured event per completed measurement.
-// Observers replace ad-hoc progress printing: the harness reports what
-// happened, callers decide how (or whether) to render it. A nil Observer
-// is always allowed.
-type Observer func(sweepID string, r Result)
-
-// Execute runs the sweep over every system, invoking obs (if non-nil)
-// after each measurement, and returns all results.
-func (s *Sweep) Execute(obs Observer) ([]Result, error) {
-	var results []Result
-	for _, name := range s.Systems {
-		rs, err := s.ExecuteSystem(name, obs)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, rs...)
-	}
-	sortResults(results, s)
-	return results, nil
-}
-
-// ExecuteSystem runs one system's column of the sweep — the independent
-// cell unit the reproduction pipeline parallelizes over — walking the
-// full thread ladder.
-func (s *Sweep) ExecuteSystem(system string, obs Observer) ([]Result, error) {
-	var results []Result
-	for _, n := range s.ThreadCounts {
-		sys, mkWorker, check, err := s.Setup(system, n)
-		if err != nil {
-			return nil, fmt.Errorf("%s: setup %s/%d: %w", s.ID, system, n, err)
-		}
-		r := Run(sys, n, s.Warmup, s.Measure, mkWorker)
-		// Label with the sweep's system key: variant sweeps (e.g. the
-		// killer-policy ablation) compare two configurations of one
-		// system, which share a Name().
-		r.System = system
-		if check != nil {
-			if err := check(); err != nil {
-				return nil, fmt.Errorf("%s: %s/%d threads: post-run check: %w", s.ID, system, n, err)
-			}
-		}
-		results = append(results, r)
-		if obs != nil {
-			obs(s.ID, r)
-		}
-	}
-	return results, nil
-}
-
-// sortResults restores the sweep's canonical (thread-count, system)
-// ordering after per-system execution.
-func sortResults(results []Result, s *Sweep) {
-	rank := make(map[string]int, len(s.Systems))
-	for i, name := range s.Systems {
-		rank[name] = i
-	}
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Threads != results[j].Threads {
-			return results[i].Threads < results[j].Threads
-		}
-		return rank[results[i].System] < rank[results[j].System]
-	})
-}
-
-// Table rendering and peak/speedup summaries live in internal/results,
-// which consumes the typed records built from these Results.

@@ -1,14 +1,12 @@
 package harness_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"sihtm/internal/harness"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
-	"sihtm/internal/sgl"
 	"sihtm/internal/sihtm"
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
@@ -65,115 +63,11 @@ func TestRunOpsIsExact(t *testing.T) {
 	}
 }
 
-func TestSweepExecuteAndTables(t *testing.T) {
-	s := &harness.Sweep{
-		ID:           "test",
-		Title:        "test sweep",
-		Systems:      []string{"sgl", "si-htm"},
-		ThreadCounts: []int{1, 2},
-		Warmup:       5 * time.Millisecond,
-		Measure:      30 * time.Millisecond,
-		Setup: func(system string, threads int) (tm.System, func(int) func(), func() error, error) {
-			heap := memsim.NewHeapLines(1 << 8)
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
-			var sys tm.System
-			if system == "sgl" {
-				sys = sgl.NewSystem(m, threads)
-			} else {
-				sys = sihtm.NewSystem(m, threads, sihtm.Config{})
-			}
-			x := heap.AllocLine()
-			mk := func(thread int) func() {
-				return func() {
-					sys.Atomic(thread, tm.KindUpdate, func(ops tm.Ops) {
-						ops.Write(x, ops.Read(x)+1)
-					})
-				}
-			}
-			return sys, mk, func() error { return nil }, nil
-		},
-	}
-	var events []string
-	obs := func(sweepID string, r harness.Result) {
-		events = append(events, sweepID+"/"+r.System)
-	}
-	results, err := s.Execute(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d, want 4 (2 systems × 2 thread counts)", len(results))
-	}
-	if len(events) != 4 || events[0] != "test/sgl" {
-		t.Errorf("observer events = %v", events)
-	}
-	// Execute restores canonical (threads, system) order even though it
-	// runs system columns independently.
-	if results[0].Threads != 1 || results[0].System != "sgl" || results[1].System != "si-htm" {
-		t.Errorf("result order: %+v", results[:2])
-	}
-}
-
-func TestExecuteSystemRunsOneColumn(t *testing.T) {
-	s := &harness.Sweep{
-		ID:           "col",
-		Systems:      []string{"sgl", "si-htm"},
-		ThreadCounts: []int{1, 2},
-		Warmup:       time.Millisecond,
-		Measure:      10 * time.Millisecond,
-		Setup: func(system string, threads int) (tm.System, func(int) func(), func() error, error) {
-			heap := memsim.NewHeapLines(1 << 8)
-			m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
-			sys := tm.System(sgl.NewSystem(m, threads))
-			if system == "si-htm" {
-				sys = sihtm.NewSystem(m, threads, sihtm.Config{})
-			}
-			x := heap.AllocLine()
-			mk := func(thread int) func() {
-				return func() {
-					sys.Atomic(thread, tm.KindUpdate, func(ops tm.Ops) {
-						ops.Write(x, ops.Read(x)+1)
-					})
-				}
-			}
-			return sys, mk, nil, nil
-		},
-	}
-	results, err := s.ExecuteSystem("si-htm", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2 (one system × 2 thread counts)", len(results))
-	}
-	for i, n := range []int{1, 2} {
-		if results[i].System != "si-htm" || results[i].Threads != n {
-			t.Errorf("result %d = %s/%d, want si-htm/%d", i, results[i].System, results[i].Threads, n)
-		}
-	}
-}
-
 func TestAbortPercent(t *testing.T) {
 	var r harness.Result
 	r.Stats.Commits = 50
 	r.Stats.Aborts[stats.AbortCapacity] = 50
 	if got := r.AbortPercent(stats.AbortCapacity); got != 50 {
 		t.Fatalf("AbortPercent = %v, want 50", got)
-	}
-}
-
-func TestSweepSetupErrorPropagates(t *testing.T) {
-	s := &harness.Sweep{
-		ID:           "broken",
-		Systems:      []string{"x"},
-		ThreadCounts: []int{1},
-		Warmup:       time.Millisecond,
-		Measure:      time.Millisecond,
-		Setup: func(string, int) (tm.System, func(int) func(), func() error, error) {
-			return nil, nil, nil, strings.NewReader("").UnreadRune()
-		},
-	}
-	if _, err := s.Execute(nil); err == nil {
-		t.Fatal("setup error swallowed")
 	}
 }

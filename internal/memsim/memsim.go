@@ -18,6 +18,7 @@ package memsim
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -65,6 +66,9 @@ func LinesSpanned(a Addr, words int) int {
 type Heap struct {
 	words []uint64
 	next  atomic.Uint64 // bump pointer, in words
+
+	volatileMu sync.Mutex
+	volatile   []Line // lines handed out by AllocVolatileLine
 }
 
 // NewHeap creates a heap holding the given number of words. The first word
@@ -119,6 +123,25 @@ func (h *Heap) Alloc(size int) Addr {
 // "one element ≈ one cache line" footprint accounting).
 func (h *Heap) AllocLine() Addr {
 	return h.AllocAligned(WordsPerLine, WordsPerLine)
+}
+
+// AllocVolatileLine is AllocLine for a line whose contents are not part
+// of the heap's persistent state (a lock word: acquire and release are
+// plain accesses no log records). The line's address and the allocation
+// order are AllocLine's; a checkpoint writes its words as zero.
+func (h *Heap) AllocVolatileLine() Addr {
+	a := h.AllocLine()
+	h.volatileMu.Lock()
+	h.volatile = append(h.volatile, LineOf(a))
+	h.volatileMu.Unlock()
+	return a
+}
+
+// VolatileLines returns the lines handed out by AllocVolatileLine.
+func (h *Heap) VolatileLines() []Line {
+	h.volatileMu.Lock()
+	defer h.volatileMu.Unlock()
+	return append([]Line(nil), h.volatile...)
 }
 
 // AllocLines reserves n full cache lines, line-aligned.

@@ -53,7 +53,7 @@ func config() Config {
 func durableConfig(dir string) Config {
 	cfg := config()
 	cfg.Dir = dir
-	cfg.Durable = durable.Config{Window: 200 * time.Microsecond, WaitAck: true}
+	cfg.Durable = durable.Config{WaitAck: true}
 	return cfg
 }
 

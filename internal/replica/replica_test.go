@@ -30,7 +30,7 @@ type testLeader struct {
 func newTestLeader(t *testing.T) *testLeader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "leader.log")
-	l, err := wal.Create(path, wal.Config{Window: 0}) // daemon, fsync per batch
+	l, err := wal.Create(path, wal.Config{}) // daemon, fsync per batch
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,10 @@ type Comparison struct {
 	// MissingInCurrent counts baseline cells the current report lacks —
 	// a coverage regression, reported separately from slowdowns.
 	MissingInCurrent int
+	// MissingPairs lists the "experiment/system" pairs of the baseline
+	// with no record at all in the current report: a cell that vanished,
+	// where a single missing param ("lag=17") is run-to-run variation.
+	MissingPairs []string
 	// Regressions are matched cells slower than tolerance allows.
 	Regressions []Regression
 	// Warnings flag comparability problems (scale or shard-count
@@ -46,8 +50,10 @@ type Comparison struct {
 // as noise.
 func Compare(baseline, current *Report, tolerance float64, minCommits uint64) Comparison {
 	cur := make(map[Key]Record, len(current.Records))
+	pairs := map[string]bool{}
 	for _, r := range current.Records {
 		cur[r.Key()] = r
+		pairs[r.Experiment+"/"+r.System] = true
 	}
 	var c Comparison
 	if baseline.Scale != current.Scale {
@@ -60,6 +66,10 @@ func Compare(baseline, current *Report, tolerance float64, minCommits uint64) Co
 		now, ok := cur[b.Key()]
 		if !ok {
 			c.MissingInCurrent++
+			if pair := b.Experiment + "/" + b.System; !pairs[pair] {
+				pairs[pair] = true // report each once
+				c.MissingPairs = append(c.MissingPairs, pair)
+			}
 			continue
 		}
 		c.Matched++
@@ -86,7 +96,8 @@ func (c Comparison) WriteText(w io.Writer) {
 	for _, warn := range c.Warnings {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
-	fmt.Fprintf(w, "compared %d cells (%d baseline cells missing in current)\n", c.Matched, c.MissingInCurrent)
+	fmt.Fprintf(w, "compared %d cells (%d baseline cells missing in current, %d whole (experiment, system) pairs: %v)\n",
+		c.Matched, c.MissingInCurrent, len(c.MissingPairs), c.MissingPairs)
 	if len(c.Regressions) == 0 {
 		fmt.Fprintln(w, "no throughput regressions")
 		return

@@ -68,17 +68,18 @@ func find(recs []Record, system, label string, byParam bool) (Record, bool) {
 	return Record{}, false
 }
 
-// MarkdownThroughput renders one experiment's throughput panel as a
-// GitHub-flavored markdown table: one row per x-axis point (threads or
-// swept param), one column per system.
-func MarkdownThroughput(w io.Writer, title string, recs []Record) {
+// table renders one panel as a GitHub-flavored markdown table: caption,
+// one row per x-axis point (threads or swept param), one column per
+// system, each cell rendered by cell ("" = no such record or nothing to
+// show, drawn as a dash).
+func table(w io.Writer, caption string, recs []Record, cell func(Record) string) {
 	labels, byParam := axisLabels(recs)
 	systems := systemsOf(recs)
 	axis := "threads"
 	if byParam {
 		axis = "param"
 	}
-	fmt.Fprintf(w, "**%s — throughput (tx/s)**\n\n", title)
+	fmt.Fprintf(w, "**%s**\n\n", caption)
 	fmt.Fprintf(w, "| %s |", axis)
 	for _, s := range systems {
 		fmt.Fprintf(w, " %s |", s)
@@ -88,76 +89,47 @@ func MarkdownThroughput(w io.Writer, title string, recs []Record) {
 	for _, label := range labels {
 		fmt.Fprintf(w, "| %s |", label)
 		for _, s := range systems {
+			text := ""
 			if r, ok := find(recs, s, label, byParam); ok {
-				fmt.Fprintf(w, " %.0f |", r.Throughput)
-			} else {
-				fmt.Fprintf(w, " – |")
+				text = cell(r)
 			}
+			if text == "" {
+				text = "–"
+			}
+			fmt.Fprintf(w, " %s |", text)
 		}
 		fmt.Fprintln(w)
 	}
 }
 
+// MarkdownThroughput renders one experiment's throughput panel.
+func MarkdownThroughput(w io.Writer, title string, recs []Record) {
+	table(w, title+" — throughput (tx/s)", recs, func(r Record) string {
+		return fmt.Sprintf("%.0f", r.Throughput)
+	})
+}
+
 // MarkdownAborts renders one experiment's abort-breakdown panel: per
 // cell, "tx/non-tx/capacity" percentages of attempts.
 func MarkdownAborts(w io.Writer, title string, recs []Record) {
-	labels, byParam := axisLabels(recs)
-	systems := systemsOf(recs)
-	axis := "threads"
-	if byParam {
-		axis = "param"
-	}
-	fmt.Fprintf(w, "**%s — aborts (%% of attempts: transactional/non-transactional/capacity)**\n\n", title)
-	fmt.Fprintf(w, "| %s |", axis)
-	for _, s := range systems {
-		fmt.Fprintf(w, " %s |", s)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(systems)))
-	for _, label := range labels {
-		fmt.Fprintf(w, "| %s |", label)
-		for _, s := range systems {
-			if r, ok := find(recs, s, label, byParam); ok {
-				fmt.Fprintf(w, " %.1f/%.1f/%.1f |",
-					r.AbortPercent(r.AbortsTransactional),
-					r.AbortPercent(r.AbortsNonTransactional),
-					r.AbortPercent(r.AbortsCapacity))
-			} else {
-				fmt.Fprintf(w, " – |")
-			}
-		}
-		fmt.Fprintln(w)
-	}
+	table(w, title+" — aborts (% of attempts: transactional/non-transactional/capacity)", recs, func(r Record) string {
+		return fmt.Sprintf("%.1f/%.1f/%.1f",
+			r.AbortPercent(r.AbortsTransactional),
+			r.AbortPercent(r.AbortsNonTransactional),
+			r.AbortPercent(r.AbortsCapacity))
+	})
 }
 
 // MarkdownLatency renders one experiment's service-latency panel —
 // per cell "p50/p99 µs (avg batch ops)" — for records carrying the
 // networked layer's latency fields.
 func MarkdownLatency(w io.Writer, title string, recs []Record) {
-	labels, byParam := axisLabels(recs)
-	systems := systemsOf(recs)
-	axis := "threads"
-	if byParam {
-		axis = "param"
-	}
-	fmt.Fprintf(w, "**%s — per-op latency (p50/p99 µs, avg ops per transaction)**\n\n", title)
-	fmt.Fprintf(w, "| %s |", axis)
-	for _, s := range systems {
-		fmt.Fprintf(w, " %s |", s)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(systems)))
-	for _, label := range labels {
-		fmt.Fprintf(w, "| %s |", label)
-		for _, s := range systems {
-			if r, ok := find(recs, s, label, byParam); ok && r.LatencyP99Us > 0 {
-				fmt.Fprintf(w, " %.0f/%.0f (%.1f) |", r.LatencyP50Us, r.LatencyP99Us, r.BatchAvgOps)
-			} else {
-				fmt.Fprintf(w, " – |")
-			}
+	table(w, title+" — per-op latency (p50/p99 µs, avg ops per transaction)", recs, func(r Record) string {
+		if r.LatencyP99Us <= 0 {
+			return ""
 		}
-		fmt.Fprintln(w)
-	}
+		return fmt.Sprintf("%.0f/%.0f (%.1f)", r.LatencyP50Us, r.LatencyP99Us, r.BatchAvgOps)
+	})
 }
 
 // MarkdownController renders the admission-knob panel for cells whose
@@ -165,34 +137,16 @@ func MarkdownLatency(w io.Writer, title string, recs []Record) {
 // bound, the grace period and — when the adaptive controller ran — the
 // p99 target it steered toward.
 func MarkdownController(w io.Writer, title string, recs []Record) {
-	labels, byParam := axisLabels(recs)
-	systems := systemsOf(recs)
-	axis := "threads"
-	if byParam {
-		axis = "param"
-	}
-	fmt.Fprintf(w, "**%s — admission knobs at window end (batch bound / grace µs / p99 target µs)**\n\n", title)
-	fmt.Fprintf(w, "| %s |", axis)
-	for _, s := range systems {
-		fmt.Fprintf(w, " %s |", s)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(systems)))
-	for _, label := range labels {
-		fmt.Fprintf(w, "| %s |", label)
-		for _, s := range systems {
-			r, ok := find(recs, s, label, byParam)
-			switch {
-			case !ok || r.CtrlBatchMax == 0:
-				fmt.Fprintf(w, " – |")
-			case r.CtrlP99TargetUs > 0:
-				fmt.Fprintf(w, " %d / %d / %d |", r.CtrlBatchMax, r.CtrlAdmitWaitUs, r.CtrlP99TargetUs)
-			default:
-				fmt.Fprintf(w, " %d / %d / off |", r.CtrlBatchMax, r.CtrlAdmitWaitUs)
-			}
+	table(w, title+" — admission knobs at window end (batch bound / grace µs / p99 target µs)", recs, func(r Record) string {
+		switch {
+		case r.CtrlBatchMax == 0:
+			return ""
+		case r.CtrlP99TargetUs > 0:
+			return fmt.Sprintf("%d / %d / %d", r.CtrlBatchMax, r.CtrlAdmitWaitUs, r.CtrlP99TargetUs)
+		default:
+			return fmt.Sprintf("%d / %d / off", r.CtrlBatchMax, r.CtrlAdmitWaitUs)
 		}
-		fmt.Fprintln(w)
-	}
+	})
 }
 
 // MarkdownTelemetry renders the server-telemetry panel for cells that
@@ -200,35 +154,16 @@ func MarkdownController(w io.Writer, title string, recs []Record) {
 // p99 and, on durable servers, the window's fsync count, fsync p99 and
 // commit-ack wait p99.
 func MarkdownTelemetry(w io.Writer, title string, recs []Record) {
-	labels, byParam := axisLabels(recs)
-	systems := systemsOf(recs)
-	axis := "threads"
-	if byParam {
-		axis = "param"
-	}
-	fmt.Fprintf(w, "**%s — server telemetry (admit-wait p99 µs; fsyncs, fsync p99 µs, ack-wait p99 µs)**\n\n", title)
-	fmt.Fprintf(w, "| %s |", axis)
-	for _, s := range systems {
-		fmt.Fprintf(w, " %s |", s)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "|---|%s\n", strings.Repeat("---|", len(systems)))
-	for _, label := range labels {
-		fmt.Fprintf(w, "| %s |", label)
-		for _, s := range systems {
-			r, ok := find(recs, s, label, byParam)
-			switch {
-			case !ok || (r.AdmitWaitP99Us == 0 && r.FsyncsTotal == 0):
-				fmt.Fprintf(w, " – |")
-			case r.FsyncsTotal > 0:
-				fmt.Fprintf(w, " %.0f; %d, %.0f, %.0f |",
-					r.AdmitWaitP99Us, r.FsyncsTotal, r.FsyncP99Us, r.AckWaitP99Us)
-			default:
-				fmt.Fprintf(w, " %.0f; volatile |", r.AdmitWaitP99Us)
-			}
+	table(w, title+" — server telemetry (admit-wait p99 µs; fsyncs, fsync p99 µs, ack-wait p99 µs)", recs, func(r Record) string {
+		switch {
+		case r.AdmitWaitP99Us == 0 && r.FsyncsTotal == 0:
+			return ""
+		case r.FsyncsTotal > 0:
+			return fmt.Sprintf("%.0f; %d, %.0f, %.0f", r.AdmitWaitP99Us, r.FsyncsTotal, r.FsyncP99Us, r.AckWaitP99Us)
+		default:
+			return fmt.Sprintf("%.0f; volatile", r.AdmitWaitP99Us)
 		}
-		fmt.Fprintln(w)
-	}
+	})
 }
 
 // hasTelemetry reports whether any record carries scraped server

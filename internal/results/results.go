@@ -66,42 +66,60 @@ type Record struct {
 	// AbortRate is total aborts / attempts (attempts = commits + aborts).
 	AbortRate float64 `json:"abort_rate"`
 
-	// Networked-cell extras, zero elsewhere: per-op service latency
-	// percentiles measured server-side (admission to reply encode) and
-	// the achieved operations per transaction of the admission batching.
-	// Open-loop cells (net-connscale) instead fill the latency fields
-	// with the client-observed, coordinated-omission-safe distribution.
+	// The per-cell field groups, zero outside the cells that fill them.
+	// Embedded, so the JSON stays flat.
+	NetExtras
+	TelemetryExtras
+	CtrlExtras
+	TraceExtras
+	AlertExtras
+}
+
+// NetExtras are the networked cells' per-op service latency percentiles
+// measured server-side (admission to reply encode) and the achieved
+// operations per transaction of the admission batching. Open-loop cells
+// (net-connscale) instead fill the latency fields with the
+// client-observed, coordinated-omission-safe distribution.
+type NetExtras struct {
 	LatencyP50Us float64 `json:"latency_p50_us,omitempty"`
 	LatencyP99Us float64 `json:"latency_p99_us,omitempty"`
 	BatchAvgOps  float64 `json:"batch_avg_ops,omitempty"`
+}
 
-	// Telemetry extras scraped from the server's instrument registry over
-	// the measurement window, zero elsewhere: admission-wait p99, the
-	// window's fsync count and wall-time p99, and the commit-ack wait p99
-	// (the durability tax a client pays on top of execution). The fsync
-	// and ack fields stay zero on volatile servers.
+// TelemetryExtras are scraped from the server's instrument registry
+// over the measurement window: admission-wait p99, the window's fsync
+// count and wall-time p99, and the commit-ack wait p99 (the durability
+// tax a client pays on top of execution). The fsync and ack fields stay
+// zero on volatile servers.
+type TelemetryExtras struct {
 	AdmitWaitP99Us float64 `json:"admit_wait_p99_us,omitempty"`
 	FsyncsTotal    uint64  `json:"fsyncs_total,omitempty"`
 	FsyncP99Us     float64 `json:"fsync_p99_us,omitempty"`
 	AckWaitP99Us   float64 `json:"ack_wait_p99_us,omitempty"`
+}
 
-	// Admission-controller extras: the server's converged (or manually
-	// fixed) admission knobs at the end of the point's window, and the
-	// p99 target the controller steered toward (zero = controller off).
+// CtrlExtras are the server's converged (or manually fixed) admission
+// knobs at the end of the point's window, and the p99 target the
+// controller steered toward (zero = controller off).
+type CtrlExtras struct {
 	CtrlBatchMax    int `json:"ctrl_batch_max,omitempty"`
 	CtrlAdmitWaitUs int `json:"ctrl_admit_wait_us,omitempty"`
 	CtrlP99TargetUs int `json:"ctrl_p99_target_us,omitempty"`
+}
 
-	// Tracing extras (net-trace only): spans the leader recorded over
-	// the run, and the reconstructed exemplar trace's server-side stage
-	// sum versus the client-observed round trip for the same trace id.
+// TraceExtras (net-trace only): spans the leader recorded over the run,
+// and the reconstructed exemplar trace's server-side stage sum versus
+// the client-observed round trip for the same trace id.
+type TraceExtras struct {
 	TraceSpansTotal uint64  `json:"trace_spans_total,omitempty"`
 	TraceStageSumUs float64 `json:"trace_stage_sum_us,omitempty"`
 	TraceClientUs   float64 `json:"trace_client_us,omitempty"`
+}
 
-	// Alerting extras (net-slo only): firing transitions the rule engine
-	// recorded over the point, time from overload start to the capacity
-	// alert firing, and time from load drop to its resolution.
+// AlertExtras (net-slo only): firing transitions the rule engine
+// recorded over the point, time from overload start to the capacity
+// alert firing, and time from load drop to its resolution.
+type AlertExtras struct {
 	AlertsFired          uint64  `json:"alerts_fired,omitempty"`
 	AlertTimeToFireMs    float64 `json:"alert_ttf_ms,omitempty"`
 	AlertTimeToResolveMs float64 `json:"alert_ttr_ms,omitempty"`

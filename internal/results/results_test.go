@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -190,6 +191,45 @@ func TestCompareReportsMissingCells(t *testing.T) {
 	c := Compare(baseline, current, 0.5, 0)
 	if c.MissingInCurrent != 2 {
 		t.Fatalf("missing = %d, want 2", c.MissingInCurrent)
+	}
+}
+
+// A whole (experiment, system) pair gone from the current report is a
+// cell that vanished from the registry; a single param of a pair that is
+// still present ("lag=17" one run, "lag=23" the next) is not.
+func TestCompareNamesVanishedPairs(t *testing.T) {
+	baseline := sampleReport()
+	baseline.Records[3].Param = "lag=17"
+	current := sampleReport()
+	current.Records[3].Param = "lag=23"
+	if c := Compare(baseline, current, 0.5, 0); c.MissingInCurrent != 1 || len(c.MissingPairs) != 0 {
+		t.Fatalf("a differing param tripped the gate: %+v", c)
+	}
+	current.Records = current.Records[:2] // every si-htm record gone
+	c := Compare(baseline, current, 0.5, 0)
+	if len(c.MissingPairs) != 1 || c.MissingPairs[0] != "fig6-low/si-htm" {
+		t.Fatalf("MissingPairs = %v, want [fig6-low/si-htm]", c.MissingPairs)
+	}
+}
+
+// Record's per-cell groups are embedded structs; the committed artifact
+// must decode and re-encode to the same bytes, or the schema moved.
+func TestCommittedArtifactRoundTripsByteForByte(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH_repro.json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("BENCH_repro.json does not round-trip: %d bytes in, %d out", len(want), got.Len())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sihtm/internal/durable"
 	"sihtm/internal/htm"
@@ -48,7 +47,7 @@ func remoteMaker(durableOn bool) enginetest.Maker {
 			dir := t.TempDir()
 			var err error
 			store, err = durable.Open(heap, filepath.Join(dir, "wal.log"),
-				m.Topology().MaxThreads(), durable.Config{Window: 100 * time.Microsecond, WaitAck: true})
+				m.Topology().MaxThreads(), durable.Config{WaitAck: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +122,7 @@ func replicaMaker() enginetest.Maker {
 		m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
 		backend := engine.NewHashmapBackend(heap, buckets)
 		store, err := durable.Open(heap, filepath.Join(t.TempDir(), "wal.log"),
-			m.Topology().MaxThreads(), durable.Config{Window: 100 * time.Microsecond, WaitAck: true})
+			m.Topology().MaxThreads(), durable.Config{WaitAck: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration,
 	t.Helper()
 	var dcfg *durable.Config
 	if durableOn {
-		dcfg = &durable.Config{Window: 200 * time.Microsecond, WaitAck: true}
+		dcfg = &durable.Config{WaitAck: true}
 	}
 	return startFixtureStore(t, keys, shards, batchMax, delay, dcfg)
 }

@@ -29,9 +29,11 @@ type Lock struct {
 	addr memsim.Addr
 }
 
-// New allocates the lock word on its own cache line of m's heap.
+// New allocates the lock word on its own cache line of m's heap. The
+// line is volatile: a hold is not logged, so a checkpoint must not
+// capture one.
 func New(m *htm.Machine) *Lock {
-	return &Lock{addr: m.Heap().AllocLine()}
+	return &Lock{addr: m.Heap().AllocVolatileLine()}
 }
 
 // Addr returns the lock word's address, which transactions read to

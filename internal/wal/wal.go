@@ -34,13 +34,6 @@ import (
 
 // Config tunes a Log.
 type Config struct {
-	// Window is inert: no policy reads it. The daemon flushes the moment
-	// a record is pending and the fsync in flight forms the next group,
-	// which bounds a record's added delay by one fsync; lingering any
-	// fraction of a window before a flush lost to not lingering on every
-	// workload measured (docs/durability.md §3). Kept for the callers
-	// that set it.
-	Window time.Duration
 	// NoDaemon disables the background flusher: nothing becomes durable
 	// until Sync is called. Tests and the allocation pins use this to
 	// keep all I/O off the measured path.

@@ -110,37 +110,34 @@ func createStalled(t *testing.T, path string) (*Log, *stallFile) {
 }
 
 // TestKickStartsFlush: a record appended to an idle log is acknowledged
-// by the flush its own kick started. No timer is involved: a Window of
-// an hour changes nothing.
+// by the flush its own kick started; no timer is involved.
 func TestKickStartsFlush(t *testing.T) {
-	for _, window := range []time.Duration{0, time.Hour} {
-		l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{Window: window})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 10; i++ {
-				seq := l.Append(entriesOf(uint64(i), uint64(i)))
-				l.WaitDurable(seq)
-				if l.DurableSeq() < seq {
-					t.Errorf("DurableSeq %d < acknowledged %d", l.DurableSeq(), seq)
-				}
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10; i++ {
+			seq := l.Append(entriesOf(uint64(i), uint64(i)))
+			l.WaitDurable(seq)
+			if l.DurableSeq() < seq {
+				t.Errorf("DurableSeq %d < acknowledged %d", l.DurableSeq(), seq)
 			}
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("window %v: ten appends to an idle log not acknowledged within 5s", window)
 		}
-		st := l.Stats()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if st.Records != 10 || st.Batches != 10 {
-			t.Fatalf("window %v: %d records in %d groups, want 10 in 10", window, st.Records, st.Batches)
-		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ten appends to an idle log not acknowledged within 5s")
+	}
+	st := l.Stats()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 10 || st.Batches != 10 {
+		t.Fatalf("%d records in %d groups, want 10 in 10", st.Records, st.Batches)
 	}
 }
 

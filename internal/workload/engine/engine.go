@@ -89,7 +89,7 @@ func (d *Driver) NewWorker(sys tm.System, thread int) *Worker {
 }
 
 // Workers returns the harness-shaped per-thread worker factory
-// (harness.Run / harness.Sweep.Setup's mkWorker).
+// (harness.Run's mkWorker).
 func (d *Driver) Workers(sys tm.System) func(thread int) func() {
 	return func(thread int) func() {
 		w := d.NewWorker(sys, thread)

@@ -3,7 +3,6 @@ package enginetest
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sihtm/internal/durable"
 	"sihtm/internal/htm"
@@ -48,9 +47,7 @@ func durableMaker(inner Maker) Maker {
 	return func(t *testing.T, keys, threads int) Instance {
 		in := inner(t, keys, threads)
 		store, err := durable.Open(in.Heap, filepath.Join(t.TempDir(), "wal.log"),
-			in.Machine.Topology().MaxThreads(), durable.Config{
-				Window: 200 * time.Microsecond, WaitAck: true,
-			})
+			in.Machine.Topology().MaxThreads(), durable.Config{WaitAck: true})
 		if err != nil {
 			t.Fatal(err)
 		}
