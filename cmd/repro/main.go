@@ -470,6 +470,7 @@ func cmdBench(args []string) error {
 	rep := &results.BenchReport{
 		Tool:       "cmd/repro bench",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		THP:        results.HostTHP(),
 	}
 	if *baseline != "" {
 		base, err := results.ReadBenchFile(*baseline)

@@ -2,7 +2,10 @@
 // set of self-timing scenarios that measure the software cost of one
 // simulated transactional operation (Read, Write, Commit, an aborted
 // attempt, two threads committing side by side, or a full sihtm Atomic
-// block) as a function of the transaction's footprint in cache lines.
+// block) as a function of the transaction's footprint in cache lines,
+// plus two fixed-size cases about the simulated memory itself: a
+// dependent pointer chase over a data set larger than cache, and the
+// linear-time load of the Fig. 6 hash map.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -27,9 +30,11 @@ import (
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/results"
+	"sihtm/internal/rng"
 	isihtm "sihtm/internal/sihtm"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
+	"sihtm/internal/workload/engine"
 )
 
 // DefaultSweep is the footprint ladder, in cache lines: from well under
@@ -40,11 +45,12 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // returns a runner executing n operations of the scenario.
 type Case struct {
 	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t" or "atomic".
+	// "commit-2t", "atomic", "chase" or "populate".
 	Op string
-	// Mode is the transaction flavour ("HTM"/"ROT"); "" for atomic.
+	// Mode is the transaction flavour ("HTM"/"ROT"); "" for the rest.
 	Mode string
-	// Lines is the transaction footprint in cache lines.
+	// Lines is the transaction footprint in cache lines; for chase and
+	// populate, the size of the data set.
 	Lines int
 	// Setup constructs the scenario and returns its runner.
 	Setup func() func(n int)
@@ -60,7 +66,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic"}[c.Op]
+	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "populate": "Populate"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -247,6 +253,60 @@ func atomicCase(lines int) Case {
 	}}
 }
 
+// chaseSizes are the chase family's ring sizes in lines: 2 MB, which
+// the last-level cache holds and 512 TLB entries of 4 KB cover, and
+// 32 MB, the Fig. 6 data set's order of magnitude, which neither does.
+var chaseSizes = []int{16384, 262144}
+
+// chaseCase measures what one node of a chain walk costs outside any
+// transaction: one thread follows a randomly permuted ring of `lines`
+// one-line nodes with plain Thread.Load, key word then next word per
+// node, as hashmap.Map.Lookup does. Every load depends on the one
+// before, so the figure is the memory's latency, the host's page walk
+// included: the number the heap's huge-page advice moves (memsim).
+func chaseCase(lines int) Case {
+	return Case{Op: "chase", Lines: lines, Setup: func() func(int) {
+		heap := memsim.NewHeapLines(lines + 64)
+		m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1)})
+		nodes := allocLines(heap, lines)
+		order := make([]int, lines)
+		rng.New(1).Perm(order)
+		for i, at := range order {
+			heap.Store(nodes[at], uint64(at))
+			heap.Store(nodes[at]+2, uint64(nodes[order[(i+1)%lines]]))
+		}
+		th := m.Thread(0)
+		node := nodes[0]
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				th.Load(node)
+				node = memsim.Addr(th.Load(node + 2))
+			}
+		}
+	}}
+}
+
+// populateCase measures engine.Populate on the Fig. 6 hash map, 1000
+// chains of 200: one op is one key loaded (a line allocated and linked
+// at its chain head), amortised over whole 200 000-key loads into a
+// map whose chains were just emptied.
+func populateCase() Case {
+	const buckets, chain = 1000, 200
+	spec := engine.Spec{Keys: buckets * chain}
+	return Case{Op: "populate", Lines: spec.Keys, Setup: func() func(int) {
+		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
+		b := engine.NewHashmapBackend(heap, buckets)
+		empty := heap.Allocated()
+		return func(n int) {
+			for ; n > 0; n -= spec.Keys {
+				heap.Zero(0, empty)
+				heap.RestoreAllocated(empty)
+				engine.Populate(b, engine.Spec{Keys: min(n, spec.Keys)})
+			}
+		}
+	}}
+}
+
 // Cases enumerates the full suite over the given footprint sweep.
 func Cases(sweep []int) []Case {
 	if len(sweep) == 0 {
@@ -266,7 +326,10 @@ func Cases(sweep []int) []Case {
 	for _, lines := range sweep {
 		cs = append(cs, atomicCase(lines))
 	}
-	return cs
+	for _, lines := range chaseSizes {
+		cs = append(cs, chaseCase(lines))
+	}
+	return append(cs, populateCase())
 }
 
 // CasesFor returns the suite restricted to one operation family.

@@ -47,3 +47,8 @@ func BenchmarkAbort(b *testing.B) { benchCases(b, "abort") }
 // N-line ROT write sets side by side, in ns per committed transaction:
 // what BenchmarkCommit costs once a second core shares the directory.
 func BenchmarkCommit2T(b *testing.B) { benchCases(b, "commit-2t") }
+
+// BenchmarkChase measures one node of a dependent pointer chase with
+// plain Thread.Load over rings of 16 384 and 262 144 lines: the cost of
+// the simulated memory itself, host page walk included.
+func BenchmarkChase(b *testing.B) { benchCases(b, "chase") }

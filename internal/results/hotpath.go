@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -18,12 +19,13 @@ type BenchRecord struct {
 	// Name is the benchmark's display id, e.g. "Read/HTM/lines=1024".
 	Name string `json:"name"`
 	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t" or "atomic".
+	// "commit-2t", "atomic", "chase" or "populate".
 	Op string `json:"op"`
 	// Mode is the transaction flavour ("HTM", "ROT"), or "" for
 	// end-to-end benchmarks that exercise a full system.
 	Mode string `json:"mode,omitempty"`
-	// Lines is the transaction footprint in cache lines at this point.
+	// Lines is the transaction footprint in cache lines at this point
+	// (chase, populate: the size of the data set).
 	Lines int `json:"lines"`
 	// Iters is how many operations the measurement averaged over.
 	Iters uint64 `json:"iters"`
@@ -54,11 +56,25 @@ type BenchReport struct {
 	// two goroutines and read as intended only at 2 or more, and
 	// scheduling noise on the single-threaded rest depends on it too.
 	GOMAXPROCS int `json:"gomaxprocs"`
+	// THP is the host's transparent-huge-page mode (HostTHP): the chase
+	// cases, and anything else that walks a heap larger than the TLB
+	// covers, read differently under "never".
+	THP string `json:"thp,omitempty"`
 	// Records holds every measurement, sorted by Sort.
 	Records []BenchRecord `json:"records"`
 	// Baseline optionally embeds the records of a previous run (the
 	// pre-optimisation numbers), so one artifact carries before/after.
 	Baseline []BenchRecord `json:"baseline,omitempty"`
+}
+
+// HostTHP returns the selected word of the kernel's transparent-huge-page
+// switch ("always", "madvise" or "never"), or "" where there is none
+// (off linux, or a kernel built without THP).
+func HostTHP() string {
+	b, _ := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	_, after, _ := strings.Cut(string(b), "[")
+	mode, _, _ := strings.Cut(after, "]")
+	return mode
 }
 
 // Sort orders records by (op, mode, lines) so serialized reports are
@@ -97,8 +113,12 @@ func benchOpRank(op string) int {
 		return 4
 	case "atomic":
 		return 5
-	default:
+	case "chase":
 		return 6
+	case "populate":
+		return 7
+	default:
+		return 8
 	}
 }
 

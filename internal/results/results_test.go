@@ -300,3 +300,27 @@ func TestAbortPercent(t *testing.T) {
 		t.Fatalf("zero-attempt AbortPercent = %v", got)
 	}
 }
+
+// The bench report carries the host's THP mode beside gomaxprocs; a
+// report written off linux (or before the field existed) omits it.
+func TestBenchReportCarriesTHPMode(t *testing.T) {
+	switch mode := HostTHP(); mode {
+	case "", "always", "madvise", "never":
+	default:
+		t.Fatalf("HostTHP() = %q, want a THP mode or empty", mode)
+	}
+	var buf bytes.Buffer
+	if err := (&BenchReport{Tool: "t", GOMAXPROCS: 2, THP: "madvise"}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"thp": "madvise"`) {
+		t.Fatalf("thp field missing from:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := (&BenchReport{Tool: "t", GOMAXPROCS: 2}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "thp") {
+		t.Fatalf("empty thp field serialized:\n%s", buf.String())
+	}
+}

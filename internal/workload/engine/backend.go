@@ -22,6 +22,13 @@ type Backend interface {
 	Check() error
 }
 
+// Loader is an optional Backend capability for quiescent bulk loading:
+// Load stores value under a key the caller guarantees absent, without
+// the duplicate search a Session.Insert must make. Populate prefers it.
+type Loader interface {
+	Load(key, value uint64)
+}
+
 // Session is one thread's view of a Backend. The driver's protocol per
 // transaction:
 //

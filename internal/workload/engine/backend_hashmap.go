@@ -38,6 +38,12 @@ func (b *HashmapBackend) Map() *hashmap.Map { return b.m }
 // Direct implements Backend.
 func (b *HashmapBackend) Direct() tm.Ops { return DirectOps{Heap: b.heap} }
 
+// Load implements Loader: a fresh node prepended to key's chain — the
+// line and the four stores a session insert of an absent key makes.
+func (b *HashmapBackend) Load(key, value uint64) {
+	b.m.Prepend(key, value, b.heap.AllocLine())
+}
+
 // Check implements Backend: every chain must terminate (no cycles).
 func (b *HashmapBackend) Check() error {
 	if _, ok := b.m.WalkBounded(1 << 24); !ok {

@@ -89,6 +89,18 @@ func (m *Map) Insert(ops tm.Ops, key, value uint64, freeNode memsim.Addr) bool {
 	return true
 }
 
+// Prepend links node (a fresh line-aligned node) at the head of key's
+// chain with plain heap stores. Quiescent loading only: the caller
+// guarantees key is absent, so no chain is walked and building a map is
+// linear in its keys.
+func (m *Map) Prepend(key, value uint64, node memsim.Addr) {
+	head := m.bucketOf(key)
+	m.heap.Store(node+nodeKey, key)
+	m.heap.Store(node+nodeValue, value)
+	m.heap.Store(node+nodeNext, m.heap.Load(head))
+	m.heap.Store(head, uint64(node))
+}
+
 // Remove deletes key, returning the unlinked node's address (0 if the key
 // was absent). The caller may recycle the node after the transaction
 // commits.
@@ -224,12 +236,7 @@ func NewBenchmark(heap *memsim.Heap, cfg BenchConfig) (*Benchmark, error) {
 	// Populate non-transactionally: even keys present, odd keys absent.
 	space := cfg.KeySpace()
 	for key := uint64(0); key < space; key += 2 {
-		head := m.bucketOf(key)
-		node := heap.AllocLine()
-		heap.Store(node+nodeKey, key)
-		heap.Store(node+nodeValue, key*10)
-		heap.Store(node+nodeNext, heap.Load(head))
-		heap.Store(head, uint64(node))
+		m.Prepend(key, key*10, heap.AllocLine())
 	}
 	return b, nil
 }

@@ -108,6 +108,36 @@ func TestBenchmarkPopulation(t *testing.T) {
 	}
 }
 
+// NewBenchmark loads through Map.Prepend; the image must be the one a
+// transactional Insert of each (absent) even key into a fresh node
+// leaves, which is what its hand-written stores produced before.
+func TestBenchmarkImageMatchesInserts(t *testing.T) {
+	for _, cfg := range []hashmap.BenchConfig{
+		{Buckets: 16, ElementsPerBucket: 10, ReadOnlyPercent: 90},
+		{Buckets: 3, ElementsPerBucket: 50, ReadOnlyPercent: 50},
+	} {
+		got := memsim.NewHeapLines(cfg.HeapLinesNeeded())
+		if _, err := hashmap.NewBenchmark(got, cfg); err != nil {
+			t.Fatal(err)
+		}
+		want := memsim.NewHeapLines(cfg.HeapLinesNeeded())
+		m := hashmap.New(want, cfg.Buckets)
+		for key := uint64(0); key < cfg.KeySpace(); key += 2 {
+			if !m.Insert(plainOps{want}, key, key*10, want.AllocLine()) {
+				t.Fatalf("reference insert of key %d found it present", key)
+			}
+		}
+		if want.Allocated() != got.Allocated() {
+			t.Fatalf("%+v: %d words allocated, want %d", cfg, got.Allocated(), want.Allocated())
+		}
+		for a := memsim.Addr(0); int(a) < want.Size(); a++ {
+			if w, g := want.Load(a), got.Load(a); w != g {
+				t.Fatalf("%+v: word %d is %d, want %d", cfg, a, g, w)
+			}
+		}
+	}
+}
+
 func TestBenchConfigValidation(t *testing.T) {
 	bad := []hashmap.BenchConfig{
 		{Buckets: 0, ElementsPerBucket: 1},
