@@ -63,20 +63,15 @@ func Recover(heap *memsim.Heap, ckptPath, logPath string) (Report, error) {
 		}
 	}
 
-	maxAddr := memsim.Addr(0)
 	st, err := wal.Replay(logPath, func(seq uint64, entries []footprint.Entry) error {
 		if seq <= rep.Watermark {
 			rep.Skipped++
 			return nil
 		}
-		for _, e := range entries {
-			if int(e.Addr) >= heap.Size() {
-				return fmt.Errorf("redo address %d beyond heap size %d", e.Addr, heap.Size())
-			}
-			heap.Store(e.Addr, e.Val)
-			if e.Addr > maxAddr {
-				maxAddr = e.Addr
-			}
+		// Redo also advances the allocation watermark past the record's
+		// lines: nodes allocated after the checkpoint stay reserved.
+		if err := wal.Redo(heap, entries); err != nil {
+			return err
 		}
 		rep.Applied++
 		return nil
@@ -92,17 +87,6 @@ func Recover(heap *memsim.Heap, ckptPath, logPath string) (Report, error) {
 		// it means the log and checkpoint do not belong together.
 		return rep, fmt.Errorf("durable: log prefix ends at seq %d but checkpoint watermark is %d",
 			rep.RecoveredSeq, rep.Watermark)
-	}
-
-	// Replayed records may reference heap past the restored allocation
-	// watermark (nodes allocated after the checkpoint): advance the bump
-	// pointer over the containing line so post-recovery allocations
-	// cannot overlap replayed data.
-	if rep.Applied > 0 {
-		end := (memsim.LineOf(maxAddr) + 1).FirstAddr()
-		if int(end) > heap.Allocated() {
-			heap.RestoreAllocated(int(end))
-		}
 	}
 	return rep, nil
 }

@@ -55,7 +55,12 @@ type Follower struct {
 
 	watermark atomic.Uint64 // highest applied sequence (published under mu)
 	leaderSeq atomic.Uint64 // durable frontier the leader last advertised
-	maxAddr   memsim.Addr   // highest replayed address (guarded by mu)
+
+	// Decode buffers the stream loop reuses from batch to batch: the
+	// trace list (wire.ParseReplBatch) and one record's entries
+	// (wal.ParseRecord, under mu).
+	traces  []wire.ReplTrace
+	entries []footprint.Entry
 
 	promoted   atomic.Bool
 	reconnects atomic.Uint64
@@ -211,10 +216,16 @@ func (f *Follower) Promote(leaderLogPath string) (uint64, error) {
 // stream first (Promote does).
 func (f *Follower) CatchUp(path string) error {
 	_, err := wal.Replay(path, func(seq uint64, entries []footprint.Entry) error {
-		if seq <= f.watermark.Load() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		wm := f.watermark.Load()
+		if seq <= wm {
 			return nil
 		}
-		return f.applyOne(seq, entries)
+		if seq != wm+1 {
+			return fmt.Errorf("replica: catch-up gap: got seq %d at watermark %d", seq, wm)
+		}
+		return f.applyLocked(seq, entries)
 	})
 	return err
 }
@@ -274,20 +285,20 @@ func (f *Follower) follow(conn net.Conn) error {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
 		var (
 			t       wire.Type
-			flags   byte
 			payload []byte
 			err     error
 		)
-		_, t, flags, _, payload, buf, err = wire.ReadFrameT(conn, buf)
+		_, t, payload, buf, err = wire.ReadFrame(conn, buf)
 		if err != nil {
 			return err
 		}
 		switch t {
 		case wire.TReplBatch:
-			b, err := wire.ParseReplBatchFlags(payload, flags)
+			b, err := wire.ParseReplBatch(payload, f.traces)
 			if err != nil {
 				return err
 			}
+			f.traces = b.Traces
 			if err := f.applyBatch(b); err != nil {
 				return err
 			}
@@ -299,10 +310,13 @@ func (f *Follower) follow(conn net.Conn) error {
 	}
 }
 
-// applyBatch applies one stream batch under the write lock. Records at
-// or below the watermark are skipped (a resumed stream may overlap);
-// a gap is a stream error — the reconnect path resubscribes from the
-// watermark and heals it.
+// applyBatch applies one stream batch under the write lock, decoding
+// its records straight from the payload with the WAL's parser. Records
+// at or below the watermark are skipped (a resumed stream may overlap).
+// A gap, or a records section that does not parse to its end — a
+// damaged or truncated record, trailing bytes — is a stream error:
+// every record before it stays applied, and the reconnect path
+// resubscribes from the watermark and heals it.
 func (f *Follower) applyBatch(b wire.ReplBatch) error {
 	if b.Watermark > f.leaderSeq.Load() {
 		f.leaderSeq.Store(b.Watermark)
@@ -313,86 +327,63 @@ func (f *Follower) applyBatch(b wire.ReplBatch) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ring := f.traceRing.Load()
-	for _, rec := range b.Records {
+	traces := b.Traces
+	for rest := b.Records; len(rest) > 0; {
+		seq, entries, size, ok := wal.ParseRecord(rest, f.entries)
+		if !ok {
+			return fmt.Errorf("replica: damaged record in stream at watermark %d", f.watermark.Load())
+		}
+		f.entries = entries
+		rest = rest[size:]
 		wm := f.watermark.Load()
-		if rec.Seq <= wm {
+		if seq <= wm {
 			// Idempotent resume overlap: already applied, so the span for
 			// this record was already emitted (or never will be) — a
 			// reconnect replaying the overlap must not duplicate it.
 			continue
 		}
-		if rec.Seq != wm+1 {
-			return fmt.Errorf("replica: stream gap: got seq %d at watermark %d", rec.Seq, wm)
+		if seq != wm+1 {
+			return fmt.Errorf("replica: stream gap: got seq %d at watermark %d", seq, wm)
 		}
-		traced := ring != nil && rec.Trace != 0
+		for len(traces) > 0 && traces[0].Seq < seq {
+			traces = traces[1:]
+		}
+		var tr uint64
+		if len(traces) > 0 && traces[0].Seq == seq {
+			tr = traces[0].Trace
+		}
+		traced := ring != nil && tr != 0
 		var t0 time.Time
 		if traced {
 			t0 = time.Now()
 		}
-		if err := f.applyPairsLocked(rec.Seq, rec.Pairs); err != nil {
+		if err := f.applyLocked(seq, entries); err != nil {
 			return err
 		}
 		if traced {
 			ring.Add(trace.Span{
-				Trace: rec.Trace,
+				Trace: tr,
 				Kind:  trace.KReplApply,
-				Seq:   rec.Seq,
+				Seq:   seq,
 				Start: t0.UnixNano(),
 				Dur:   int64(time.Since(t0)),
-				Arg:   int64(f.watermark.Load()),
+				Arg:   int64(seq),
 			})
 		}
 	}
 	return nil
 }
 
-// applyOne applies one record from a log replay (CatchUp), taking the
-// write lock per record.
-func (f *Follower) applyOne(seq uint64, entries []footprint.Entry) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	wm := f.watermark.Load()
-	if seq != wm+1 {
-		return fmt.Errorf("replica: catch-up gap: got seq %d at watermark %d", seq, wm)
-	}
-	pairs := make([]wire.ReplPair, len(entries))
-	for i, e := range entries {
-		pairs[i] = wire.ReplPair{Addr: uint64(e.Addr), Val: e.Val}
-	}
-	return f.applyPairsLocked(seq, pairs)
-}
-
-// applyPairsLocked redoes one record into the heap, mirrors it into the
-// follower's own log, advances the allocation watermark past replayed
-// lines (the same rule recovery applies) and publishes the new
-// watermark. Callers hold mu.
-func (f *Follower) applyPairsLocked(seq uint64, pairs []wire.ReplPair) error {
-	var entries []footprint.Entry
-	if f.ownLog != nil {
-		entries = make([]footprint.Entry, len(pairs))
-	}
-	for i, pr := range pairs {
-		a := memsim.Addr(pr.Addr)
-		if int(a) >= f.heap.Size() {
-			return fmt.Errorf("replica: redo address %d beyond heap size %d", a, f.heap.Size())
-		}
-		f.heap.Store(a, pr.Val)
-		if a > f.maxAddr {
-			f.maxAddr = a
-		}
-		if entries != nil {
-			entries[i] = footprint.Entry{Addr: a, Val: pr.Val}
-		}
+// applyLocked redoes one record into the heap by the rule recovery
+// applies (wal.Redo), mirrors it into the follower's own log and
+// publishes the new watermark. Callers hold mu.
+func (f *Follower) applyLocked(seq uint64, entries []footprint.Entry) error {
+	if err := wal.Redo(f.heap, entries); err != nil {
+		return fmt.Errorf("replica: seq %d: %w", seq, err)
 	}
 	if f.ownLog != nil {
 		if got := f.ownLog.Append(entries); got != seq {
 			return fmt.Errorf("replica: own log assigned seq %d for record %d", got, seq)
-		}
-	}
-	if len(pairs) > 0 {
-		end := (memsim.LineOf(f.maxAddr) + 1).FirstAddr()
-		if int(end) > f.heap.Allocated() {
-			f.heap.RestoreAllocated(int(end))
 		}
 	}
 	f.applied.Add(1)

@@ -37,9 +37,9 @@ import (
 	"sihtm/internal/wire"
 )
 
-// streamChunkBytes bounds one TReplBatch payload; large commits still
-// ship (a single record is never split), the bound only decides where
-// record runs are cut into frames.
+// streamChunkBytes bounds the records section of one TReplBatch
+// payload; large commits still ship (a record is never split), the
+// bound only decides where record runs are cut into frames.
 const streamChunkBytes = 128 << 10
 
 // heartbeatEvery is the idle bound on the stream: a publisher with
@@ -63,8 +63,8 @@ type Publisher struct {
 
 	// traceLookup, when set, maps a record's commit sequence number to
 	// the trace id of the request that produced it (zero when unknown or
-	// evicted). Streams then ship traced record headers (FlagReplTrace)
-	// so followers can close the replication leg of an end-to-end trace.
+	// evicted). Each frame's trace list carries the nonzero ones, so
+	// followers can close the replication leg of an end-to-end trace.
 	traceLookup atomic.Pointer[func(uint64) uint64]
 }
 
@@ -97,8 +97,10 @@ func (p *Publisher) SetTraceLookup(fn func(uint64) uint64) {
 
 // Stream serves one subscriber: TReplBatch frames carrying consecutive
 // records from fromSeq onward, bounded by the durable frontier, written
-// to w until the write fails or stop reports true. Every frame carries
-// the frontier as its watermark; idle periods are bridged by heartbeat
+// to w until the write fails or stop reports true. The records are the
+// log's own bytes, copied out of the file by a tailer; every frame
+// carries the frontier as its watermark and a trace id for each of its
+// records the lookup knows. Idle periods are bridged by heartbeat
 // frames so the subscriber's liveness timeout holds.
 func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) error {
 	t, err := wal.OpenTailer(p.logPath, fromSeq)
@@ -109,80 +111,40 @@ func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) er
 	p.subs.Add(1)
 	defer p.subs.Add(-1)
 
-	var recs []wal.Record
+	var b wire.ReplBatch
 	var payload, frame []byte
 	var advertised uint64
 	lastSend := time.Now()
-
-	// The traced layout is decided once per stream: a lookup installed
-	// mid-stream takes effect on the next subscription, so every frame a
-	// follower sees on one connection uses one record-header layout.
-	lookup := p.traceLookup.Load()
-	recHeader := 12
-	if lookup != nil {
-		recHeader = 20
-	}
-
-	emit := func(b wire.ReplBatch) error {
-		if lookup != nil {
-			payload = wire.AppendReplBatchT(payload[:0], b)
-			frame = wire.AppendFrameT(frame[:0], id, wire.TReplBatch, wire.FlagReplTrace, 0, payload)
-		} else {
-			payload = wire.AppendReplBatch(payload[:0], b)
-			frame = wire.AppendFrame(frame[:0], id, wire.TReplBatch, payload)
-		}
-		if _, err := w.Write(frame); err != nil {
-			p.drops.Add(1)
-			return err
-		}
-		advertised = b.Watermark
-		lastSend = time.Now()
-		return nil
-	}
-
 	for {
 		if stop != nil && stop() {
 			return nil
 		}
 		limit := p.log.DurableSeq()
-		recs, err = t.Next(limit, recs[:0])
+		first := t.NextSeq()
+		b.Records, err = t.Next(limit, b.Records[:0], streamChunkBytes)
 		if err != nil {
 			return err
 		}
-		if len(recs) == 0 {
-			if limit > advertised || time.Since(lastSend) >= heartbeatEvery {
-				if err := emit(wire.ReplBatch{Watermark: limit}); err != nil {
-					return err
-				}
-				continue
-			}
+		if len(b.Records) == 0 && limit <= advertised && time.Since(lastSend) < heartbeatEvery {
 			time.Sleep(pollEvery)
 			continue
 		}
-		// Chunk the run into bounded frames; a record is never split.
-		batch := wire.ReplBatch{Watermark: limit}
-		size := 0
-		for _, r := range recs {
-			rec := wire.ReplRecord{Seq: r.Seq, Pairs: make([]wire.ReplPair, len(r.Entries))}
-			if lookup != nil {
-				rec.Trace = (*lookup)(r.Seq)
-			}
-			for i, e := range r.Entries {
-				rec.Pairs[i] = wire.ReplPair{Addr: uint64(e.Addr), Val: e.Val}
-			}
-			recBytes := recHeader + len(rec.Pairs)*16
-			if len(batch.Records) > 0 && (size+recBytes > streamChunkBytes || len(batch.Records) >= wire.MaxReplRecords) {
-				if err := emit(batch); err != nil {
-					return err
+		b.Watermark = limit
+		b.Traces = b.Traces[:0]
+		if lookup := p.traceLookup.Load(); lookup != nil {
+			for seq := first; seq < t.NextSeq(); seq++ {
+				if tr := (*lookup)(seq); tr != 0 {
+					b.Traces = append(b.Traces, wire.ReplTrace{Seq: seq, Trace: tr})
 				}
-				batch = wire.ReplBatch{Watermark: limit}
-				size = 0
 			}
-			batch.Records = append(batch.Records, rec)
-			size += recBytes
 		}
-		if err := emit(batch); err != nil {
+		payload = wire.AppendReplBatch(payload[:0], b)
+		frame = wire.AppendFrame(frame[:0], id, wire.TReplBatch, payload)
+		if _, err := w.Write(frame); err != nil {
+			p.drops.Add(1)
 			return err
 		}
+		advertised = limit
+		lastSend = time.Now()
 	}
 }

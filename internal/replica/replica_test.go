@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"net"
 	"os"
 	"path/filepath"
@@ -111,6 +112,37 @@ func newTestFollower(t *testing.T, tl *testLeader, dial func() (net.Conn, error)
 	return f
 }
 
+// waitApplied waits until seq is durable on the leader, then until the
+// follower has applied it.
+func waitApplied(t *testing.T, tl *testLeader, f *Follower, seq uint64, chaos *netchaos.Dialer) {
+	t.Helper()
+	tl.log.WaitDurable(seq)
+	if !f.WaitWatermark(seq, 20*time.Second) {
+		t.Fatalf("watermark %d never reached %d (reconnects %d, cuts %d)",
+			f.Watermark(), seq, f.Reconnects(), chaos.Cuts())
+	}
+}
+
+// walRecord returns the bytes a leader's log holds for one record:
+// what its publisher ships.
+func walRecord(t *testing.T, seq uint64, entries ...footprint.Entry) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "record.log")
+	l, err := wal.Create(path, wal.Config{NoDaemon: true, FirstSeq: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(entries)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func checkHeap(t *testing.T, f *Follower, model []uint64) {
 	t.Helper()
 	f.RLock()
@@ -173,14 +205,10 @@ func TestChaosResume(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		last = tl.commit(t, model, r)
 		if i%40 == 0 {
-			time.Sleep(2 * time.Millisecond) // let the stream interleave with the cuts
+			waitApplied(t, tl, f, last, chaos) // let the stream interleave with the cuts
 		}
 	}
-	tl.log.WaitDurable(last)
-	if !f.WaitWatermark(last, 20*time.Second) {
-		t.Fatalf("watermark %d never reached %d (reconnects %d, cuts %d)",
-			f.Watermark(), last, f.Reconnects(), chaos.Cuts())
-	}
+	waitApplied(t, tl, f, last, chaos)
 	checkHeap(t, f, model)
 	if chaos.Cuts() == 0 {
 		t.Fatal("chaos schedule never cut the stream; the test proved nothing")
@@ -261,11 +289,8 @@ func TestFollowerOwnLog(t *testing.T) {
 
 	// Replay the follower's own log onto a fresh heap: digest-exact.
 	replayed := memsim.NewHeap(testHeapWords)
-	st, err := wal.Replay(ownPath, func(seq uint64, entries []footprint.Entry) error {
-		for _, e := range entries {
-			replayed.Store(e.Addr, e.Val)
-		}
-		return nil
+	st, err := wal.Replay(ownPath, func(_ uint64, entries []footprint.Entry) error {
+		return wal.Redo(replayed, entries)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,5 +387,68 @@ func TestCatchUpMutilation(t *testing.T) {
 			t.Fatalf("round %d: watermark %d is not a clean prefix", round, f.Watermark())
 		}
 		f.Close()
+	}
+}
+
+// TestDamagedBatchIsAStreamError: the follower decodes stream records
+// with the WAL's parser, so every way a records section can be wrong —
+// a flipped bit inside a pair (the per-record CRC), a truncated record,
+// bytes trailing the last record, a sequence gap inside the batch — is
+// a stream error that leaves the watermark and the heap exactly at the
+// last good record, from which a reconnect resumes.
+func TestDamagedBatchIsAStreamError(t *testing.T) {
+	// Record k writes its own word and overwrites a shared one, so every
+	// prefix has a distinct heap.
+	rec := func(t *testing.T, seq uint64) []byte {
+		return walRecord(t, seq,
+			footprint.Entry{Addr: memsim.Addr(seq), Val: 100 + seq},
+			footprint.Entry{Addr: 50, Val: seq})
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name    string
+		records func(t *testing.T) []byte
+		wantWM  uint64
+	}{
+		{"bit-flipped pair", func(t *testing.T) []byte {
+			r4 := rec(t, 4)
+			r4[16+8] ^= 0x04 // first pair's value
+			return join(rec(t, 3), r4)
+		}, 3},
+		{"truncated record", func(t *testing.T) []byte {
+			r4 := rec(t, 4)
+			return join(rec(t, 3), r4[:len(r4)-5])
+		}, 3},
+		{"trailing garbage", func(t *testing.T) []byte {
+			return join(rec(t, 3), rec(t, 4), []byte("junk"))
+		}, 4},
+		{"mid-batch seq gap", func(t *testing.T) []byte {
+			return join(rec(t, 3), rec(t, 5), rec(t, 6))
+		}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := NewFollower(FollowerConfig{
+				Heap: memsim.NewHeap(testHeapWords),
+				Dial: func() (net.Conn, error) { return nil, os.ErrClosed },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := f.applyBatch(wire.ReplBatch{Watermark: 2, Records: join(rec(t, 1), rec(t, 2))}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.applyBatch(wire.ReplBatch{Watermark: 6, Records: c.records(t)}); err == nil {
+				t.Fatal("damaged batch applied without a stream error")
+			}
+			if f.Watermark() != c.wantWM || f.Applied() != c.wantWM {
+				t.Fatalf("watermark %d, %d applied; want the last good record %d", f.Watermark(), f.Applied(), c.wantWM)
+			}
+			want := make([]uint64, testHeapWords)
+			for seq := uint64(1); seq <= c.wantWM; seq++ {
+				want[seq], want[50] = 100+seq, seq
+			}
+			checkHeap(t, f, want)
+		})
 	}
 }

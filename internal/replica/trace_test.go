@@ -4,15 +4,14 @@ import (
 	"net"
 	"os"
 	"testing"
-	"time"
 
+	"sihtm/internal/footprint"
 	"sihtm/internal/memsim"
 	"sihtm/internal/netchaos"
 	"sihtm/internal/rng"
 	"sihtm/internal/trace"
+	"sihtm/internal/wire"
 )
-
-import "sihtm/internal/wire"
 
 // traceForSeq is the deterministic seq → trace mapping the trace tests
 // hang on the publisher: nonzero for every sequence.
@@ -46,14 +45,10 @@ func TestChaosTracePropagation(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		last = tl.commit(t, model, r)
 		if i%40 == 0 {
-			time.Sleep(2 * time.Millisecond) // let the stream interleave with the cuts
+			waitApplied(t, tl, f, last, chaos) // let the stream interleave with the cuts
 		}
 	}
-	tl.log.WaitDurable(last)
-	if !f.WaitWatermark(last, 20*time.Second) {
-		t.Fatalf("watermark %d never reached %d (reconnects %d, cuts %d)",
-			f.Watermark(), last, f.Reconnects(), chaos.Cuts())
-	}
+	waitApplied(t, tl, f, last, chaos)
 	checkHeap(t, f, model)
 	if chaos.Cuts() == 0 || f.Reconnects() == 0 {
 		t.Fatalf("chaos never engaged (cuts %d, reconnects %d); the test proved nothing",
@@ -86,10 +81,10 @@ func TestChaosTracePropagation(t *testing.T) {
 }
 
 // TestDuplicateBatchSkipsSpans forces the idempotent-resume branch
-// directly: redelivering an already-applied batch (exactly what a
-// reconnect overlap looks like) must neither reapply records nor emit
-// a second round of repl_apply spans, and unsampled records must never
-// emit any.
+// directly on a batch built from real log bytes: redelivering an
+// already-applied batch (exactly what a reconnect overlap looks like)
+// must neither reapply records nor emit a second round of repl_apply
+// spans, and unsampled records must never emit any.
 func TestDuplicateBatchSkipsSpans(t *testing.T) {
 	f, err := NewFollower(FollowerConfig{
 		Heap: memsim.NewHeap(testHeapWords),
@@ -102,19 +97,32 @@ func TestDuplicateBatchSkipsSpans(t *testing.T) {
 	ring := trace.NewRing(64)
 	f.SetTraceRing(ring)
 
-	b := wire.ReplBatch{Watermark: 3, Records: []wire.ReplRecord{
-		{Seq: 1, Trace: 101, Pairs: []wire.ReplPair{{Addr: 1, Val: 11}}},
-		{Seq: 2, Trace: 102, Pairs: []wire.ReplPair{{Addr: 2, Val: 22}}},
-		{Seq: 3, Pairs: []wire.ReplPair{{Addr: 3, Val: 33}}}, // unsampled
-	}}
+	var records []byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		records = append(records, walRecord(t, seq, footprint.Entry{Addr: memsim.Addr(seq), Val: seq * 11})...)
+	}
+	payload := wire.AppendReplBatch(nil, wire.ReplBatch{
+		Watermark: 3,
+		Traces:    []wire.ReplTrace{{Seq: 1, Trace: 101}, {Seq: 2, Trace: 102}}, // seq 3 unsampled
+		Records:   records,
+	})
+	b, err := wire.ParseReplBatch(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.applyBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.applyBatch(b); err != nil { // reconnect overlap: full redelivery
 		t.Fatal(err)
 	}
-	if f.Watermark() != 3 {
-		t.Fatalf("watermark %d after redelivery, want 3", f.Watermark())
+	if f.Watermark() != 3 || f.Applied() != 3 {
+		t.Fatalf("watermark %d and %d applied after redelivery, want 3 and 3", f.Watermark(), f.Applied())
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if got := f.heap.Load(memsim.Addr(seq)); got != seq*11 {
+			t.Fatalf("addr %d = %d, want %d", seq, got, seq*11)
+		}
 	}
 
 	spans := ring.Snapshot(nil)

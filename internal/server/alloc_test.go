@@ -1,9 +1,13 @@
 package server_test
 
 import (
+	"net"
 	"testing"
+	"time"
 
+	"sihtm/internal/memsim"
 	"sihtm/internal/race"
+	"sihtm/internal/replica"
 	"sihtm/internal/workload/engine"
 )
 
@@ -25,13 +29,43 @@ import (
 // client's AppendOpsFrame encode and waiter round trip. On the volatile
 // server the executor sends the reply itself (no shard parks); on the
 // durable one the reply also crosses the park FIFO, the release stage
-// and a group-commit flush, and the pin is the same zero.
+// and a group-commit flush, and the pin is the same zero. With a
+// follower subscribed, every request's commit is also tailed out of the
+// log, shipped as a TReplBatch and applied to the follower's heap, and
+// the process still allocates nothing per request.
 func TestServerRequestPathZeroAllocs(t *testing.T) {
-	for name, parking := range map[string]int{"volatile": 0, "durable": 1} {
-		t.Run(name, func(t *testing.T) {
-			f := startFixture(t, 256, 1, 16, 0, parking > 0)
-			if got := f.srv.ParkingShards(); got != parking {
-				t.Fatalf("%d shards park, want %d", got, parking)
+	for _, c := range []struct {
+		name              string
+		durable, follower bool
+	}{{"volatile", false, false}, {"durable", true, false}, {"durable-follower", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := startFixture(t, 256, 1, 16, 0, c.durable)
+			if got, want := f.srv.ParkingShards(), map[bool]int{false: 0, true: 1}[c.durable]; got != want {
+				t.Fatalf("%d shards park, want %d", got, want)
+			}
+			var fol *replica.Follower
+			if c.follower {
+				addr := f.addr.String()
+				var err error
+				fol, err = replica.NewFollower(replica.FollowerConfig{
+					Heap: memsim.NewHeap(f.heap.Size()),
+					Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fol.Start()
+				t.Cleanup(func() { fol.Close() })
+			}
+			caughtUp := func() uint64 {
+				if fol == nil {
+					return 0
+				}
+				last := f.store.LastSeq()
+				if !fol.WaitWatermark(last, 10*time.Second) {
+					t.Fatalf("follower stuck at %d, leader at %d", fol.Watermark(), last)
+				}
+				return last
 			}
 			rb := dial(t, f, 1)
 			s := rb.NewSession().(engine.AsyncSession)
@@ -46,7 +80,11 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 512; i++ {
 				op()
 			}
+			before := caughtUp()
 			allocs := testing.AllocsPerRun(500, op)
+			if shipped := caughtUp() - before; fol != nil && shipped < 500 {
+				t.Fatalf("the follower applied %d records during the measurement, want one per request", shipped)
+			}
 			if race.Enabled {
 				t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
 			}

@@ -470,21 +470,14 @@ func (s *Server) statsSnapshot() wire.ServerStats {
 		FramesOut:     s.framesOut.Load(),
 		AdmitWaitHist: s.admitHist.Snapshot(),
 		FlushHist:     s.flushHist.Snapshot(),
-		BatchOpsHist:  s.batchOpsHist.Snapshot(),
 	}
 	if st := s.cfg.Store; st != nil {
 		ws := st.Log().Stats()
 		tel.WalRecords = ws.Records
 		tel.WalBytes = ws.Bytes
-		tel.WalBatches = ws.Batches
 		tel.WalFsyncs = ws.Fsyncs
 		tel.FsyncHist = st.Log().FsyncHist().Snapshot()
 		tel.AckWaitHist = st.AckWaitHist().Snapshot()
-		tel.BatchRecHist = st.Log().BatchRecsHist().Snapshot()
-	}
-	if s.pub != nil {
-		tel.Subscribers = s.pub.Subscribers()
-		tel.Dropped = s.pub.Dropped()
 	}
 	return wire.ServerStats{
 		Repl:        repl,

@@ -122,8 +122,8 @@ func Build(dir string, threads, perThread int) (*Harness, error) {
 	h.Bounds = append(h.Bounds, 0)
 	h.digests = append(h.digests, digest(replayHeap))
 	st, err := wal.ReplayBytes(h.Image, func(seq uint64, entries []footprint.Entry) error {
-		for _, e := range entries {
-			replayHeap.Store(e.Addr, e.Val)
+		if err := wal.Redo(replayHeap, entries); err != nil {
+			return err
 		}
 		h.Records++
 		h.digests = append(h.digests, digest(replayHeap))
@@ -196,14 +196,8 @@ func digest(h *memsim.Heap) uint64 {
 func (h *Harness) CheckImage(img []byte, minRecords int) error {
 	heap := memsim.NewHeap(h.heapWords)
 	h.restoreBase(heap)
-	st, err := wal.ReplayBytes(img, func(seq uint64, entries []footprint.Entry) error {
-		for _, e := range entries {
-			if int(e.Addr) >= heap.Size() {
-				return fmt.Errorf("redo address %d out of range", e.Addr)
-			}
-			heap.Store(e.Addr, e.Val)
-		}
-		return nil
+	st, err := wal.ReplayBytes(img, func(_ uint64, entries []footprint.Entry) error {
+		return wal.Redo(heap, entries)
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 
 	"sihtm/internal/footprint"
@@ -22,7 +23,8 @@ import (
 // One record is one committed transaction's redo image. The framing is
 // self-validating: replay accepts the longest prefix of records whose
 // magic, CRC and sequence continuity all check out, and discards the
-// torn tail a crash mid-write leaves behind.
+// torn tail a crash mid-write leaves behind. The same bytes are the
+// replication format (see the package comment).
 const (
 	recordMagic   = uint32(0x57414C52) // "WALR"
 	headerBytes   = 16
@@ -76,43 +78,74 @@ const (
 	recBad
 )
 
-// parseRecordPrefix decodes the record at the head of b, distinguishing
-// "need more bytes" from "corrupt" so a tailer following a live file can
-// park on a partial flush without mistaking it for damage. entries is
-// freshly allocated (no aliasing of b).
-func parseRecordPrefix(b []byte) (seq uint64, entries []footprint.Entry, size int, st recStatus) {
+// frameRecord validates the record at the head of b without decoding
+// it, distinguishing "need more bytes" from "corrupt" so a tailer
+// following a live file can park on a partial flush without mistaking
+// it for damage.
+func frameRecord(b []byte) (seq uint64, size int, st recStatus) {
 	if len(b) < recordMinSize {
-		return 0, nil, 0, recShort
+		return 0, 0, recShort
 	}
 	if binary.LittleEndian.Uint32(b[0:]) != recordMagic {
-		return 0, nil, 0, recBad
+		return 0, 0, recBad
 	}
-	seq = binary.LittleEndian.Uint64(b[4:])
 	count := binary.LittleEndian.Uint32(b[12:])
 	if count > maxPairs {
-		return 0, nil, 0, recBad
+		return 0, 0, recBad
 	}
 	size = recordSize(int(count))
 	if len(b) < size {
-		return 0, nil, 0, recShort
+		return 0, 0, recShort
 	}
 	want := binary.LittleEndian.Uint32(b[size-trailerBytes:])
 	if crc32.Checksum(b[:size-trailerBytes], castagnoli) != want {
-		return 0, nil, 0, recBad
+		return 0, 0, recBad
 	}
-	entries = make([]footprint.Entry, count)
-	for i := range entries {
-		off := headerBytes + i*pairBytes
-		entries[i].Addr = memsim.Addr(binary.LittleEndian.Uint64(b[off:]))
-		entries[i].Val = binary.LittleEndian.Uint64(b[off+8:])
-	}
-	return seq, entries, size, recOK
+	return binary.LittleEndian.Uint64(b[4:]), size, recOK
 }
 
-// parseRecord decodes the record at the head of b. ok is false when the
-// bytes do not frame a valid record (short buffer, bad magic, absurd
-// count or CRC mismatch) — the torn-tail signal.
-func parseRecord(b []byte) (seq uint64, entries []footprint.Entry, size int, ok bool) {
-	seq, entries, size, st := parseRecordPrefix(b)
-	return seq, entries, size, st == recOK
+// ParseRecord decodes the record at the head of b into dst (reused when
+// capacity allows), as wire.ParseOps does. ok is false when the bytes do
+// not frame a valid record (short buffer, bad magic, absurd count or CRC
+// mismatch): the torn-tail signal in a file, a damaged stream on the
+// wire. It is the one decoder of the format, for log files and for the
+// replication stream, which ships these bytes verbatim.
+func ParseRecord(b []byte, dst []footprint.Entry) (seq uint64, entries []footprint.Entry, size int, ok bool) {
+	seq, size, st := frameRecord(b)
+	if st != recOK {
+		return 0, dst, 0, false
+	}
+	dst = dst[:0]
+	for off := headerBytes; off < size-trailerBytes; off += pairBytes {
+		dst = append(dst, footprint.Entry{
+			Addr: memsim.Addr(binary.LittleEndian.Uint64(b[off:])),
+			Val:  binary.LittleEndian.Uint64(b[off+8:]),
+		})
+	}
+	return seq, dst, size, true
+}
+
+// Redo applies one record's entries to heap: the rule crash recovery,
+// log catch-up and the replication stream share. Every address is
+// bounds-checked before any is stored, so a record lands whole or not
+// at all, and the allocation watermark is advanced past the highest
+// line the record wrote, so allocations after the replay cannot overlap
+// replayed data.
+func Redo(heap *memsim.Heap, entries []footprint.Entry) error {
+	var hi memsim.Addr
+	for _, e := range entries {
+		if e.Addr >= memsim.Addr(heap.Size()) {
+			return fmt.Errorf("wal: redo address %d beyond heap size %d", e.Addr, heap.Size())
+		}
+		hi = max(hi, e.Addr)
+	}
+	for _, e := range entries {
+		heap.Store(e.Addr, e.Val)
+	}
+	if len(entries) > 0 {
+		if end := min(int((memsim.LineOf(hi) + 1).FirstAddr()), heap.Size()); end > heap.Allocated() {
+			heap.RestoreAllocated(end)
+		}
+	}
+	return nil
 }

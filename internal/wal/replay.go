@@ -35,7 +35,8 @@ func (s ReplayStats) String() string {
 // gap means the commit order cannot be reconstructed. A non-nil error
 // from fn aborts the replay.
 //
-// entries passed to fn alias the file image; copy them out to retain.
+// entries passed to fn alias a decode buffer the next record reuses;
+// copy them out to retain.
 func Replay(path string, fn func(seq uint64, entries []footprint.Entry) error) (ReplayStats, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -48,15 +49,17 @@ func Replay(path string, fn func(seq uint64, entries []footprint.Entry) error) (
 // tests corrupt copies of the image directly).
 func ReplayBytes(data []byte, fn func(seq uint64, entries []footprint.Entry) error) (ReplayStats, error) {
 	var st ReplayStats
+	var entries []footprint.Entry
 	off := 0
 	for {
-		seq, entries, size, ok := parseRecord(data[off:])
+		seq, es, size, ok := ParseRecord(data[off:], entries)
 		if !ok {
 			break
 		}
 		if st.Records > 0 && seq != st.LastSeq+1 {
 			break // continuity break: treat like a torn tail
 		}
+		entries = es
 		if fn != nil {
 			if err := fn(seq, entries); err != nil {
 				return st, fmt.Errorf("wal: replay seq %d: %w", seq, err)

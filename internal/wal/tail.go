@@ -5,16 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"sihtm/internal/footprint"
 )
-
-// Record is one redo record surfaced by a Tailer: the unit a leader
-// ships to its replicas.
-type Record struct {
-	Seq     uint64
-	Entries []footprint.Entry
-}
 
 // ErrTailCorrupt reports damage in the tailed log: a complete record
 // whose magic, count bound or CRC fails. A live log never produces it
@@ -57,31 +48,38 @@ func OpenTailer(path string, fromSeq uint64) (*Tailer, error) {
 // NextSeq returns the next sequence number the tailer will surface.
 func (t *Tailer) NextSeq() uint64 { return t.next }
 
-// Next returns every newly available record with sequence ≤ limit, in
-// sequence order, appended to dst. It reads to the current end of file
-// and returns (possibly empty) rather than blocking; callers poll as
-// the writer's durable watermark advances. A record that parses but
-// exceeds limit stays buffered for a later call.
+// Next appends to dst the bytes of every newly available whole record
+// with sequence ≤ limit, in sequence order and exactly as the log
+// framed them, stopping before a record that would take the appended
+// bytes past budget (the first one always goes: a record is never
+// split). The records appended run from NextSeq before the call up to,
+// not including, NextSeq after it. Next checks each record's framing,
+// CRC and sequence continuity but does not decode it. It reads to the
+// current end of file and returns (possibly nothing) rather than
+// blocking; callers poll as the writer's durable watermark advances. A
+// record past limit or budget stays buffered for a later call.
 //
 // Errors: ErrTailCorrupt for damaged bytes, a sequence-continuity
 // violation for a log that skips numbers, I/O errors otherwise. All
 // are terminal for this tailer.
-func (t *Tailer) Next(limit uint64, dst []Record) ([]Record, error) {
+func (t *Tailer) Next(limit uint64, dst []byte, budget int) ([]byte, error) {
+	start := len(dst)
 	for {
 		// Drain whole records already buffered.
 		for {
-			seq, entries, size, st := parseRecordPrefix(t.buf[t.off:])
+			seq, size, st := frameRecord(t.buf[t.off:])
 			if st == recShort {
 				break
 			}
 			if st == recBad {
 				return dst, ErrTailCorrupt
 			}
-			if seq >= t.next && seq > limit {
-				// Durable frontier reached: leave the record buffered (the
-				// re-parse on the next call is cheap).
+			if seq >= t.next && (seq > limit || len(dst) > start && len(dst)-start+size > budget) {
+				// Durable frontier or budget reached: leave the record
+				// buffered (the re-check on the next call is cheap).
 				return dst, nil
 			}
+			rec := t.buf[t.off : t.off+size]
 			t.off += size
 			if seq < t.next {
 				continue // prefix the follower already holds
@@ -90,7 +88,7 @@ func (t *Tailer) Next(limit uint64, dst []Record) ([]Record, error) {
 				return dst, fmt.Errorf("wal: tail: sequence gap: got %d, want %d", seq, t.next)
 			}
 			t.next++
-			dst = append(dst, Record{Seq: seq, Entries: entries})
+			dst = append(dst, rec...)
 		}
 		// Compact consumed bytes, then try to read more.
 		if t.off > 0 {

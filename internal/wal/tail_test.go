@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sihtm/internal/footprint"
@@ -18,6 +19,27 @@ func tailerLog(t *testing.T) (*Log, string) {
 	}
 	t.Cleanup(func() { l.Close() })
 	return l, path
+}
+
+// shipped is one record as a tailer handed it out, decoded back.
+type shipped struct {
+	Seq     uint64
+	Entries []footprint.Entry
+}
+
+// decodeShipped parses the bytes Next appended; they must be whole,
+// consecutive records and nothing else.
+func decodeShipped(t *testing.T, b []byte) []shipped {
+	t.Helper()
+	var recs []shipped
+	st, err := ReplayBytes(b, func(seq uint64, entries []footprint.Entry) error {
+		recs = append(recs, shipped{seq, slices.Clone(entries)})
+		return nil
+	})
+	if err != nil || st.TailBytes != 0 {
+		t.Fatalf("tailer bytes are not whole records: %s, %v", st, err)
+	}
+	return recs
 }
 
 func entriesFor(seq uint64) []footprint.Entry {
@@ -39,9 +61,9 @@ func TestTailerFollowsDurableFrontier(t *testing.T) {
 	defer tl.Close()
 
 	// Nothing written yet.
-	recs, err := tl.Next(100, nil)
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("empty log: (%d records, %v)", len(recs), err)
+	buf, err := tl.Next(100, nil, 1<<20)
+	if err != nil || len(buf) != 0 {
+		t.Fatalf("empty log: (%d bytes, %v)", len(buf), err)
 	}
 
 	var want uint64 = 1
@@ -53,11 +75,12 @@ func TestTailerFollowsDurableFrontier(t *testing.T) {
 			t.Fatal(err)
 		}
 		limit := l.DurableSeq()
-		recs, err = tl.Next(limit, recs[:0])
+		buf, err = tl.Next(limit, buf[:0], 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 7 {
+		recs := decodeShipped(t, buf)
+		if len(recs) != 7 || tl.NextSeq() != limit+1 {
 			t.Fatalf("stage %d: %d records, want 7", stage, len(recs))
 		}
 		for _, r := range recs {
@@ -89,17 +112,48 @@ func TestTailerHoldsBackPastLimit(t *testing.T) {
 	}
 	defer tl.Close()
 
-	recs, err := tl.Next(4, nil)
-	if err != nil || len(recs) != 4 {
+	buf, err := tl.Next(4, nil, 1<<20)
+	if recs := decodeShipped(t, buf); err != nil || len(recs) != 4 {
 		t.Fatalf("limit 4: (%d records, %v)", len(recs), err)
 	}
-	recs, err = tl.Next(4, recs[:0])
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("limit 4 again: (%d records, %v)", len(recs), err)
+	buf, err = tl.Next(4, buf[:0], 1<<20)
+	if err != nil || len(buf) != 0 {
+		t.Fatalf("limit 4 again: (%d bytes, %v)", len(buf), err)
 	}
-	recs, err = tl.Next(10, recs[:0])
-	if err != nil || len(recs) != 6 || recs[0].Seq != 5 || recs[5].Seq != 10 {
+	buf, err = tl.Next(10, buf[:0], 1<<20)
+	if recs := decodeShipped(t, buf); err != nil || len(recs) != 6 || recs[0].Seq != 5 || recs[5].Seq != 10 {
 		t.Fatalf("limit 10: (%d records, %v)", len(recs), err)
+	}
+}
+
+// TestTailerByteBudget: a budget cuts the run between whole records,
+// never inside one, and the first record goes even when it alone is
+// over budget; the rest follows on later calls, in order.
+func TestTailerByteBudget(t *testing.T) {
+	l, path := tailerLog(t)
+	for i := 0; i < 10; i++ {
+		l.Append(entriesFor(uint64(i + 1)))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	tl, err := OpenTailer(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	size := recordSize(len(entriesFor(1)))
+	for _, c := range []struct {
+		budget    int
+		wantFirst uint64
+		wantRecs  int
+	}{{1, 1, 1}, {3*size - 1, 2, 2}, {3 * size, 4, 3}, {1 << 20, 7, 4}} {
+		buf, err := tl.Next(10, nil, c.budget)
+		recs := decodeShipped(t, buf)
+		if err != nil || len(recs) != c.wantRecs || recs[0].Seq != c.wantFirst {
+			t.Fatalf("budget %d: %d records up to seq %d (%v), want %d from %d",
+				c.budget, len(recs), tl.NextSeq()-1, err, c.wantRecs, c.wantFirst)
+		}
 	}
 }
 
@@ -118,7 +172,8 @@ func TestTailerResumeFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	recs, err := tl.Next(l.DurableSeq(), nil)
+	buf, err := tl.Next(l.DurableSeq(), nil, 1<<20)
+	recs := decodeShipped(t, buf)
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("resume from 8: (%d records, %v)", len(recs), err)
 	}
@@ -151,11 +206,11 @@ func TestTailerCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	recs, err := tl.Next(6, nil)
+	buf, err := tl.Next(6, nil, 1<<20)
 	if err == nil {
-		t.Fatalf("corruption not detected (%d records)", len(recs))
+		t.Fatalf("corruption not detected (%d bytes)", len(buf))
 	}
-	for _, r := range recs {
+	for _, r := range decodeShipped(t, buf) {
 		exp := entriesFor(r.Seq)
 		if r.Entries[0] != exp[0] || r.Entries[1] != exp[1] {
 			t.Fatalf("corrupt record surfaced: seq %d %+v", r.Seq, r.Entries)

@@ -7,6 +7,13 @@
 // exactly the longest valid prefix and discards the torn tail via
 // per-record CRCs.
 //
+// The record framing is also the replication format. A leader's
+// publisher reads whole records out of this file with a Tailer and
+// ships their bytes unchanged; a follower decodes them with
+// ParseRecord, the decoder Replay uses, and applies them with Redo, the
+// rule crash recovery applies. One redo record, one parser and one
+// apply rule run from commit to the follower's heap.
+//
 // Ordering contract: Append assigns sequence numbers under the same
 // mutex that serializes buffer writes, so file order equals sequence
 // order; callers (internal/durable.Store) invoke Append inside the TM

@@ -332,3 +332,31 @@ func TestFirstSeq(t *testing.T) {
 		t.Fatalf("replay %+v, want first seq 100", st)
 	}
 }
+
+// TestRedoIsWholeOrNothing: a record with any address beyond the heap
+// (including one whose int conversion would be negative) is refused
+// before any word is stored; an accepted record lands whole and moves
+// the allocation watermark past its highest line, never backwards.
+func TestRedoIsWholeOrNothing(t *testing.T) {
+	heap := memsim.NewHeapLines(8)
+	alloc := heap.Allocated()
+	for _, bad := range []uint64{uint64(heap.Size()), 1 << 63, ^uint64(0)} {
+		if err := Redo(heap, entriesOf(5, 55, bad, 1)); err == nil {
+			t.Fatalf("address %#x accepted on a %d-word heap", bad, heap.Size())
+		}
+		if heap.Load(5) != 0 || heap.Allocated() != alloc {
+			t.Fatalf("refused record with address %#x left word 5 = %d, allocated %d", bad, heap.Load(5), heap.Allocated())
+		}
+	}
+	line := uint64(memsim.WordsPerLine)
+	if err := Redo(heap, entriesOf(5, 55, 3*line+2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if heap.Load(5) != 55 || heap.Load(memsim.Addr(3*line+2)) != 7 || heap.Allocated() != int(4*line) {
+		t.Fatalf("accepted record: words %d, %d, allocated %d; want 55, 7, %d",
+			heap.Load(5), heap.Load(memsim.Addr(3*line+2)), heap.Allocated(), 4*line)
+	}
+	if err := Redo(heap, entriesOf(1, 9)); err != nil || heap.Allocated() != int(4*line) {
+		t.Fatalf("a record below the watermark moved it to %d (%v)", heap.Allocated(), err)
+	}
+}

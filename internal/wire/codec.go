@@ -318,22 +318,15 @@ type TelemetryStats struct {
 	FramesOut uint64 `json:"frames_out"`
 	// AdmitWaitHist is the admission-wait stage histogram (arrival to
 	// batch execution start); FlushHist the reply-flush stage (reply
-	// encoded to socket write); BatchOpsHist the per-batch op-count
-	// distribution (dimensionless buckets).
+	// encoded to socket write).
 	AdmitWaitHist stats.HistogramSnapshot `json:"admit_wait_hist"`
 	FlushHist     stats.HistogramSnapshot `json:"flush_hist"`
-	BatchOpsHist  stats.HistogramSnapshot `json:"batch_ops_hist"`
 	// WAL counters and histograms (zero/empty on non-durable servers).
-	WalRecords   uint64                  `json:"wal_records,omitempty"`
-	WalBytes     uint64                  `json:"wal_bytes,omitempty"`
-	WalBatches   uint64                  `json:"wal_batches,omitempty"`
-	WalFsyncs    uint64                  `json:"wal_fsyncs,omitempty"`
-	FsyncHist    stats.HistogramSnapshot `json:"fsync_hist,omitzero"`
-	AckWaitHist  stats.HistogramSnapshot `json:"ack_wait_hist,omitzero"`
-	BatchRecHist stats.HistogramSnapshot `json:"batch_rec_hist,omitzero"`
-	// Subscribers/Dropped describe the leader's replication streams.
-	Subscribers int    `json:"subscribers,omitempty"`
-	Dropped     uint64 `json:"dropped_subscribers,omitempty"`
+	WalRecords  uint64                  `json:"wal_records,omitempty"`
+	WalBytes    uint64                  `json:"wal_bytes,omitempty"`
+	WalFsyncs   uint64                  `json:"wal_fsyncs,omitempty"`
+	FsyncHist   stats.HistogramSnapshot `json:"fsync_hist,omitzero"`
+	AckWaitHist stats.HistogramSnapshot `json:"ack_wait_hist,omitzero"`
 }
 
 // EncodeJSON marshals a control-plane payload (Ctrl, ServerStats).

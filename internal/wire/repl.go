@@ -6,84 +6,52 @@ import (
 )
 
 // Replication payload codecs. A leader ships committed WAL records to
-// its followers as TReplBatch frames; the payload re-frames the log's
-// (addr, val) redo pairs without the per-record magic/CRC — the wire
-// frame's CRC already covers the whole batch — and prepends the
-// leader's durable watermark so a follower can publish how far behind
-// it is even when a batch carries no records.
+// its followers as TReplBatch frames, and the records travel exactly as
+// the log framed them (magic, seq, count, pairs, CRC — internal/wal), so
+// the stream has no second encoding of a write set to keep in step with
+// the log: this package carries the records section as opaque bytes and
+// the follower decodes it with the WAL's own parser. What the payload
+// adds is the leader's durable watermark, so a follower can publish how
+// far behind it is even when a batch carries no records, and the trace
+// list, which ties shipped sequences to the sampled client requests
+// whose commits they carry.
 //
 // TReplBatch payload layout (all fields little-endian):
 //
-//	offset  size  field
-//	0       8     watermark — the leader's highest fsynced sequence
-//	8       4     count     — number of records
-//	12      ...   records, each:
-//	                seq    u64 — commit sequence number
-//	                npairs u32 — redo pair count
-//	                pairs  16·n — addr u64, val u64
+//	offset   size  field
+//	0        8     watermark — the leader's highest fsynced sequence
+//	8        4     ntraces
+//	12       16·n  traces, each: seq u64, trace u64 (nonzero);
+//	               seqs strictly increasing
+//	12+16·n  ...   records — whole WAL-framed records, verbatim
 //
-// The encoding is canonical (fixed-width fields, exact counts, no
-// trailing bytes), so any payload ParseReplBatch accepts re-encodes
-// byte-identically — the property FuzzParseReplFrame pins.
-
-// MaxReplRecords bounds the records of one TReplBatch.
-const MaxReplRecords = 1 << 12
+// The header and the trace list have one valid encoding per value, so
+// any payload ParseReplBatch accepts re-encodes byte-identically — the
+// property FuzzParseReplFrame pins. The records section is validated
+// record by record (magic, CRC, continuity) when the follower applies
+// it.
 
 const (
-	replBatchHeader = 12 // watermark u64 + count u32
-	replRecHeader   = 12 // seq u64 + npairs u32
-	// replRecHeaderT is the record header under FlagReplTrace: the legacy
-	// header plus a trace u64 (the id of the client request whose commit
-	// the record carries; zero when the commit was unsampled).
-	replRecHeaderT = 20
-	replPairBytes  = 16
+	replBatchHeader = 12 // watermark u64 + ntraces u32
+	replTraceBytes  = 16 // seq u64 + trace u64
 )
 
-// ReplPair is one redo word: the (address, value) unit of a WAL record.
-type ReplPair struct {
-	Addr uint64
-	Val  uint64
+// ReplTrace ties one shipped record to the sampled client request its
+// commit carried; the follower closes that request's replication span
+// when it applies the record.
+type ReplTrace struct {
+	Seq, Trace uint64
 }
 
-// ReplRecord is one committed transaction's redo image in flight:
-// first-write order, last-write-wins values, exactly as the WAL framed
-// it.
-type ReplRecord struct {
-	Seq   uint64
-	Pairs []ReplPair
-	// Trace is the id of the sampled client request this commit
-	// contained (zero when unsampled or when the batch was encoded
-	// without FlagReplTrace). The follower closes the request's
-	// replication span when it applies the record.
-	Trace uint64
-}
-
-// ReplBatch is the TReplBatch payload: the leader's durable watermark
-// plus a run of consecutive records (Records[i].Seq strictly
-// increasing by 1 when non-empty; the parser does not enforce
-// continuity — the follower does, against its own watermark).
+// ReplBatch is the TReplBatch payload.
 type ReplBatch struct {
 	Watermark uint64
-	Records   []ReplRecord
-}
-
-// EncodedSize returns the payload bytes AppendReplBatch would produce.
-func (b ReplBatch) EncodedSize() int {
-	n := replBatchHeader
-	for _, r := range b.Records {
-		n += replRecHeader + len(r.Pairs)*replPairBytes
-	}
-	return n
-}
-
-// EncodedSizeT returns the payload bytes AppendReplBatchT would
-// produce (traced record headers).
-func (b ReplBatch) EncodedSizeT() int {
-	n := replBatchHeader
-	for _, r := range b.Records {
-		n += replRecHeaderT + len(r.Pairs)*replPairBytes
-	}
-	return n
+	// Traces lists, in sequence order, the shipped records that carry a
+	// trace id; a record absent from it was unsampled.
+	Traces []ReplTrace
+	// Records is a run of whole WAL-framed records: consecutive
+	// sequence numbers on a healthy stream, which the follower checks.
+	Records []byte
 }
 
 // AppendReplSub encodes a TReplSub payload: the first sequence number
@@ -106,106 +74,41 @@ func ParseReplSub(p []byte) (uint64, error) {
 func AppendReplBatch(p []byte, b ReplBatch) []byte {
 	var hdr [replBatchHeader]byte
 	binary.LittleEndian.PutUint64(hdr[0:], b.Watermark)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Records)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Traces)))
 	p = append(p, hdr[:]...)
-	for _, r := range b.Records {
-		var rh [replRecHeader]byte
-		binary.LittleEndian.PutUint64(rh[0:], r.Seq)
-		binary.LittleEndian.PutUint32(rh[8:], uint32(len(r.Pairs)))
-		p = append(p, rh[:]...)
-		for _, pr := range r.Pairs {
-			var pb [replPairBytes]byte
-			binary.LittleEndian.PutUint64(pb[0:], pr.Addr)
-			binary.LittleEndian.PutUint64(pb[8:], pr.Val)
-			p = append(p, pb[:]...)
-		}
+	for _, t := range b.Traces {
+		var tb [replTraceBytes]byte
+		binary.LittleEndian.PutUint64(tb[0:], t.Seq)
+		binary.LittleEndian.PutUint64(tb[8:], t.Trace)
+		p = append(p, tb[:]...)
 	}
-	return p
+	return append(p, b.Records...)
 }
 
-// AppendReplBatchT encodes a TReplBatch payload with traced record
-// headers; the enclosing frame must carry FlagReplTrace so the parser
-// picks the matching layout. Like the legacy encoding it is canonical:
-// one valid byte sequence per value.
-func AppendReplBatchT(p []byte, b ReplBatch) []byte {
-	var hdr [replBatchHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:], b.Watermark)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Records)))
-	p = append(p, hdr[:]...)
-	for _, r := range b.Records {
-		var rh [replRecHeaderT]byte
-		binary.LittleEndian.PutUint64(rh[0:], r.Seq)
-		binary.LittleEndian.PutUint32(rh[8:], uint32(len(r.Pairs)))
-		binary.LittleEndian.PutUint64(rh[12:], r.Trace)
-		p = append(p, rh[:]...)
-		for _, pr := range r.Pairs {
-			var pb [replPairBytes]byte
-			binary.LittleEndian.PutUint64(pb[0:], pr.Addr)
-			binary.LittleEndian.PutUint64(pb[8:], pr.Val)
-			p = append(p, pb[:]...)
-		}
-	}
-	return p
-}
-
-// ParseReplBatch decodes a TReplBatch payload. The parse is strict —
-// record and pair counts must account for every byte, with nothing
-// trailing — so a truncated or padded payload is rejected rather than
-// silently misapplied to a replica's heap.
-func ParseReplBatch(p []byte) (ReplBatch, error) {
-	return parseReplBatch(p, false)
-}
-
-// ParseReplBatchFlags decodes a TReplBatch payload using the layout the
-// enclosing frame's flags announce (FlagReplTrace selects the traced
-// record headers).
-func ParseReplBatchFlags(p []byte, flags uint8) (ReplBatch, error) {
-	return parseReplBatch(p, flags&FlagReplTrace != 0)
-}
-
-func parseReplBatch(p []byte, traced bool) (ReplBatch, error) {
-	var b ReplBatch
-	recHeader := replRecHeader
-	if traced {
-		recHeader = replRecHeaderT
-	}
+// ParseReplBatch decodes a TReplBatch payload, the trace list into
+// traces (reused when capacity allows). The header and the trace list
+// are parsed strictly: the count must fit the payload, sequences must
+// strictly increase and every trace must be nonzero. Records aliases
+// the rest of p.
+func ParseReplBatch(p []byte, traces []ReplTrace) (ReplBatch, error) {
 	if len(p) < replBatchHeader {
-		return b, fmt.Errorf("%w: repl batch payload of %d bytes", ErrBadFrame, len(p))
+		return ReplBatch{}, fmt.Errorf("%w: repl batch payload of %d bytes", ErrBadFrame, len(p))
 	}
-	b.Watermark = binary.LittleEndian.Uint64(p[0:])
-	count := binary.LittleEndian.Uint32(p[8:])
-	if count > MaxReplRecords {
-		return b, fmt.Errorf("%w: %d repl records exceeds %d", ErrBadFrame, count, MaxReplRecords)
+	n := binary.LittleEndian.Uint32(p[8:])
+	if int64(n) > int64((len(p)-replBatchHeader)/replTraceBytes) {
+		return ReplBatch{}, fmt.Errorf("%w: repl batch claims %d traces in %d bytes", ErrBadFrame, n, len(p))
 	}
+	b := ReplBatch{Watermark: binary.LittleEndian.Uint64(p), Traces: traces[:0]}
 	off := replBatchHeader
-	if count > 0 {
-		b.Records = make([]ReplRecord, 0, count)
+	for i := 0; i < int(n); i++ {
+		t := ReplTrace{Seq: binary.LittleEndian.Uint64(p[off:]), Trace: binary.LittleEndian.Uint64(p[off+8:])}
+		if t.Trace == 0 || i > 0 && t.Seq <= b.Traces[i-1].Seq {
+			return ReplBatch{}, fmt.Errorf("%w: repl trace %d (seq %d, trace %d) out of order or zero", ErrBadFrame, i, t.Seq, t.Trace)
+		}
+		b.Traces = append(b.Traces, t)
+		off += replTraceBytes
 	}
-	for i := uint32(0); i < count; i++ {
-		if len(p)-off < recHeader {
-			return b, fmt.Errorf("%w: truncated repl record header", ErrBadFrame)
-		}
-		seq := binary.LittleEndian.Uint64(p[off:])
-		npairs := binary.LittleEndian.Uint32(p[off+8:])
-		var trace uint64
-		if traced {
-			trace = binary.LittleEndian.Uint64(p[off+12:])
-		}
-		off += recHeader
-		if int(npairs) > (len(p)-off)/replPairBytes {
-			return b, fmt.Errorf("%w: repl record claims %d pairs, %d bytes remain", ErrBadFrame, npairs, len(p)-off)
-		}
-		pairs := make([]ReplPair, npairs)
-		for j := range pairs {
-			pairs[j].Addr = binary.LittleEndian.Uint64(p[off:])
-			pairs[j].Val = binary.LittleEndian.Uint64(p[off+8:])
-			off += replPairBytes
-		}
-		b.Records = append(b.Records, ReplRecord{Seq: seq, Pairs: pairs, Trace: trace})
-	}
-	if off != len(p) {
-		return b, fmt.Errorf("%w: %d trailing bytes after repl batch", ErrBadFrame, len(p)-off)
-	}
+	b.Records = p[off:]
 	return b, nil
 }
 

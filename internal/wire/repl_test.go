@@ -2,20 +2,48 @@ package wire
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"sihtm/internal/footprint"
+	"sihtm/internal/memsim"
 	"sihtm/internal/rng"
+	"sihtm/internal/wal"
 )
 
-// buildReplBatch frames a deterministic batch for round-trip tests.
-func buildReplBatch(r *rng.Rand, firstSeq uint64, records int) ReplBatch {
-	b := ReplBatch{Watermark: firstSeq + uint64(records) - 1}
-	for i := 0; i < records; i++ {
-		rec := ReplRecord{Seq: firstSeq + uint64(i)}
-		for j := 0; j < r.Intn(8); j++ {
-			rec.Pairs = append(rec.Pairs, ReplPair{Addr: r.Uint64() % 4096, Val: r.Uint64()})
+// walRecords returns the bytes of a real log holding records firstSeq..
+// firstSeq+n-1 — what a publisher copies into a batch.
+func walRecords(tb testing.TB, r *rng.Rand, firstSeq uint64, n int) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "wal.log")
+	l, err := wal.Create(path, wal.Config{NoDaemon: true, FirstSeq: firstSeq})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		var es []footprint.Entry
+		for j := r.Intn(8); j > 0; j-- {
+			es = append(es, footprint.Entry{Addr: memsim.Addr(r.Uint64() % 4096), Val: r.Uint64()})
 		}
-		b.Records = append(b.Records, rec)
+		l.Append(es)
+	}
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// buildReplBatch frames a deterministic batch for round-trip tests:
+// records firstSeq.., every other one traced.
+func buildReplBatch(tb testing.TB, r *rng.Rand, firstSeq uint64, records int) ReplBatch {
+	b := ReplBatch{Watermark: firstSeq + uint64(records) - 1, Records: walRecords(tb, r, firstSeq, records)}
+	for i := 0; i < records; i += 2 {
+		b.Traces = append(b.Traces, ReplTrace{Seq: firstSeq + uint64(i), Trace: r.Uint64() | 1})
 	}
 	return b
 }
@@ -30,84 +58,105 @@ func TestReplSubRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplBatchRoundTrip: watermark and trace list survive the round
+// trip, and the records section comes back as the log's own bytes,
+// aliasing the payload rather than copied out of it.
 func TestReplBatchRoundTrip(t *testing.T) {
 	r := rng.New(77)
 	for _, records := range []int{0, 1, 5, 40} {
-		b := buildReplBatch(r, 10, records)
+		b := buildReplBatch(t, r, 10, records)
 		p := AppendReplBatch(nil, b)
-		if len(p) != b.EncodedSize() {
-			t.Fatalf("%d records: encoded %d bytes, EncodedSize says %d", records, len(p), b.EncodedSize())
+		if want := replBatchHeader + len(b.Traces)*replTraceBytes + len(b.Records); len(p) != want {
+			t.Fatalf("%d records: encoded %d bytes, want %d", records, len(p), want)
 		}
-		got, err := ParseReplBatch(p)
+		got, err := ParseReplBatch(p, nil)
 		if err != nil {
 			t.Fatalf("%d records: %v", records, err)
 		}
-		if got.Watermark != b.Watermark || len(got.Records) != len(b.Records) {
+		if got.Watermark != b.Watermark || len(got.Traces) != len(b.Traces) || !bytes.Equal(got.Records, b.Records) {
 			t.Fatalf("%d records: parsed %+v", records, got)
 		}
-		for i, rec := range b.Records {
-			g := got.Records[i]
-			if g.Seq != rec.Seq || len(g.Pairs) != len(rec.Pairs) {
-				t.Fatalf("record %d: %+v != %+v", i, g, rec)
+		for i := range b.Traces {
+			if got.Traces[i] != b.Traces[i] {
+				t.Fatalf("trace %d: %+v != %+v", i, got.Traces[i], b.Traces[i])
 			}
-			for j := range rec.Pairs {
-				if g.Pairs[j] != rec.Pairs[j] {
-					t.Fatalf("record %d pair %d: %+v != %+v", i, j, g.Pairs[j], rec.Pairs[j])
-				}
-			}
+		}
+		if len(got.Records) > 0 && &got.Records[0] != &p[len(p)-len(got.Records)] {
+			t.Fatalf("%d records: records section was copied out of the payload", records)
+		}
+		st, err := wal.ReplayBytes(got.Records, nil)
+		if err != nil || st.Records != records || st.TailBytes != 0 {
+			t.Fatalf("%d records: records section replays as %s (%v)", records, st, err)
 		}
 	}
 }
 
+// TestReplBatchValidation: the header and the trace list are parsed
+// strictly; the records section is the WAL parser's to judge.
 func TestReplBatchValidation(t *testing.T) {
 	r := rng.New(9)
-	p := AppendReplBatch(nil, buildReplBatch(r, 1, 6))
+	b := buildReplBatch(t, r, 1, 6)
+	p := AppendReplBatch(nil, b)
 
-	// Truncation anywhere must be rejected (strict, no-trailing parse).
-	for cut := 0; cut < len(p); cut++ {
-		if _, err := ParseReplBatch(p[:cut]); err == nil {
+	// Truncation inside the header or the trace list must be rejected.
+	for cut := 0; cut < replBatchHeader+len(b.Traces)*replTraceBytes; cut++ {
+		if _, err := ParseReplBatch(p[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	// So must trailing garbage.
-	if _, err := ParseReplBatch(append(append([]byte{}, p...), 0xAA)); err == nil {
-		t.Error("trailing byte accepted")
+	mutate := func(what string, fn func(q []byte)) {
+		t.Helper()
+		q := bytes.Clone(p)
+		fn(q)
+		if _, err := ParseReplBatch(q, nil); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	// And an absurd record count.
-	bad := append([]byte{}, p...)
-	bad[8] = 0xFF
-	bad[9] = 0xFF
-	bad[10] = 0xFF
-	bad[11] = 0xFF
-	if _, err := ParseReplBatch(bad); err == nil {
-		t.Error("absurd record count accepted")
-	}
+	mutate("absurd trace count", func(q []byte) { copy(q[8:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) })
+	mutate("zero trace id", func(q []byte) { clear(q[replBatchHeader+8 : replBatchHeader+16]) })
+	mutate("out-of-order trace seqs", func(q []byte) { q[replBatchHeader+replTraceBytes] = 0 })
+	mutate("repeated trace seq", func(q []byte) {
+		copy(q[replBatchHeader+replTraceBytes:], q[replBatchHeader:replBatchHeader+8])
+	})
 }
 
 // FuzzParseReplFrame mirrors FuzzParseFrame for the replication stream:
 // the batch parser must never panic, and any payload it accepts must
-// re-encode byte-identically (the encoding is canonical). When the
+// re-encode byte-identically (the header and trace list are canonical).
+// The records section it hands back then goes through the WAL parser,
+// exactly as a follower walks it, which must not panic either. When the
 // input happens to frame as a whole TReplBatch wire frame, the payload
 // must survive the same round trip.
 func FuzzParseReplFrame(f *testing.F) {
 	r := rng.New(3)
-	b := buildReplBatch(r, 1, 3)
+	b := buildReplBatch(f, r, 1, 3)
 	f.Add(AppendReplBatch(nil, b))
 	f.Add(AppendReplBatch(nil, ReplBatch{Watermark: 9}))
 	f.Add(AppendFrame(nil, 1, TReplBatch, AppendReplBatch(nil, b)))
 	f.Add(AppendReplSub(nil, 42))
 	f.Add([]byte("garbage"))
+	var traces []ReplTrace
+	var entries []footprint.Entry
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if b, err := ParseReplBatch(data); err == nil {
+		if b, err := ParseReplBatch(data, traces); err == nil {
+			traces = b.Traces
 			if re := AppendReplBatch(nil, b); !bytes.Equal(re, data) {
 				t.Fatalf("accepted repl batch does not re-encode identically")
+			}
+			for rest := b.Records; len(rest) > 0; {
+				_, es, size, ok := wal.ParseRecord(rest, entries)
+				if !ok {
+					break
+				}
+				entries = es
+				rest = rest[size:]
 			}
 		}
 		id, typ, payload, _, err := ParseFrame(data)
 		if err != nil || typ != TReplBatch {
 			return
 		}
-		b, err := ParseReplBatch(payload)
+		b, err := ParseReplBatch(payload, nil)
 		if err != nil {
 			return
 		}

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"sihtm/internal/race"
 )
 
 // The trace frame extension's contract: zero trace degenerates to the
@@ -57,67 +59,46 @@ func TestTraceFrameRoundTrip(t *testing.T) {
 
 func TestUnknownFlagBitsRejected(t *testing.T) {
 	frame := AppendFrame(nil, 1, TTxn, AppendOps(nil, nil))
-	frame[17] = 0x80
-	// Re-seal so only the flag byte is wrong, not the CRC.
-	frame = sealFrameExt(frame[:len(frame)-trailerBytes], 0, 0)
-	if _, _, _, _, _, _, err := ParseFrameT(frame); err == nil {
-		t.Fatal("unknown flag bits accepted")
-	}
-	if _, _, _, _, _, _, err := ReadFrameT(bytes.NewReader(frame), nil); err == nil {
-		t.Fatal("unknown flag bits accepted by the stream reader")
+	// 0x02 was the retired per-record trace layout of TReplBatch.
+	for _, bit := range []byte{0x80, 0x02} {
+		frame[17] = bit
+		// Re-seal so only the flag byte is wrong, not the CRC.
+		frame = sealFrameExt(frame[:len(frame)-trailerBytes], 0, 0)
+		if _, _, _, _, _, _, err := ParseFrameT(frame); err == nil {
+			t.Fatalf("unknown flag bits %#x accepted", bit)
+		}
+		if _, _, _, _, _, _, err := ReadFrameT(bytes.NewReader(frame), nil); err == nil {
+			t.Fatalf("unknown flag bits %#x accepted by the stream reader", bit)
+		}
 	}
 }
 
+// TestReplBatchTracedRoundTrip: trace ids ride the batch's trace list,
+// sparse (unsampled records are simply absent), decoded into the
+// caller's buffer without reallocating it once it is large enough.
 func TestReplBatchTracedRoundTrip(t *testing.T) {
 	b := ReplBatch{
-		Watermark: 10,
-		Records: []ReplRecord{
-			{Seq: 11, Pairs: []ReplPair{{Addr: 1, Val: 2}}, Trace: 0xfeed},
-			{Seq: 12, Pairs: nil, Trace: 0},
-			{Seq: 13, Pairs: []ReplPair{{Addr: 3, Val: 4}, {Addr: 5, Val: 6}}, Trace: 0xbeef},
-		},
+		Watermark: 13,
+		Traces:    []ReplTrace{{Seq: 11, Trace: 0xfeed}, {Seq: 13, Trace: 0xbeef}},
+		Records:   []byte("opaque to this package"),
 	}
-	p := AppendReplBatchT(nil, b)
-	if len(p) != b.EncodedSizeT() {
-		t.Fatalf("EncodedSizeT %d != encoded %d", b.EncodedSizeT(), len(p))
-	}
-	back, err := ParseReplBatchFlags(p, FlagReplTrace)
+	p := AppendReplBatch(nil, b)
+	scratch := make([]ReplTrace, 0, 8)
+	back, err := ParseReplBatch(p, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Watermark != b.Watermark || len(back.Records) != len(b.Records) {
+	if back.Watermark != b.Watermark || len(back.Traces) != 2 || back.Traces[0] != b.Traces[0] ||
+		back.Traces[1] != b.Traces[1] || !bytes.Equal(back.Records, b.Records) {
 		t.Fatalf("traced batch round trip: %+v", back)
 	}
-	for i, r := range back.Records {
-		want := b.Records[i]
-		if r.Seq != want.Seq || r.Trace != want.Trace || len(r.Pairs) != len(want.Pairs) {
-			t.Fatalf("record %d = %+v, want %+v", i, r, want)
-		}
+	if &back.Traces[0] != &scratch[:1][0] {
+		t.Fatal("trace list was not decoded into the caller's buffer")
 	}
-	// Canonical: re-encode is byte-identical.
-	if re := AppendReplBatchT(nil, back); !bytes.Equal(re, p) {
+	if re := AppendReplBatch(nil, back); !bytes.Equal(re, p) {
 		t.Fatal("traced repl batch does not re-encode identically")
 	}
-	// Without the flag the traced payload must be rejected (its record
-	// headers don't tile the legacy layout), never silently misparsed
-	// into wrong pairs... unless a coincidental parse succeeds — then it
-	// must at least not be trusted for this batch shape.
-	if legacy, err := ParseReplBatchFlags(p, 0); err == nil {
-		if len(legacy.Records) == len(b.Records) && legacy.Records[0].Seq == b.Records[0].Seq &&
-			len(legacy.Records[0].Pairs) == len(b.Records[0].Pairs) {
-			t.Fatal("traced payload parsed identically under the legacy layout")
-		}
-	}
-	// Legacy encoding drops traces; parsing it with the flag cleared
-	// round-trips with zero traces.
-	lp := AppendReplBatch(nil, b)
-	lb, err := ParseReplBatchFlags(lp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range lb.Records {
-		if r.Trace != 0 {
-			t.Fatalf("legacy record %d carries trace %#x", i, r.Trace)
-		}
+	if allocs := testing.AllocsPerRun(100, func() { back, _ = ParseReplBatch(p, back.Traces) }); allocs != 0 && !race.Enabled {
+		t.Fatalf("ParseReplBatch into a reused buffer allocates %.2f times", allocs)
 	}
 }

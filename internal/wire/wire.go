@@ -67,16 +67,12 @@ const (
 	// FlagTrace marks a frame carrying an 8-byte trace id between the
 	// payload and the CRC. The id propagates a request's identity across
 	// process boundaries: loadgen → server on TTxn, echoed back on
-	// TReply, leader → follower on TReplBatch frames.
+	// TReply. (Leader → follower, ids ride the TReplBatch trace list.)
 	FlagTrace uint8 = 0x01
-	// FlagReplTrace marks a TReplBatch payload whose record headers carry
-	// a per-record trace id (the id of the last client request contained
-	// in that commit) — see AppendReplBatchT.
-	FlagReplTrace uint8 = 0x02
 
 	// flagsKnown is every bit this version understands; anything else is
 	// corruption or a future version this receiver cannot frame.
-	flagsKnown = FlagTrace | FlagReplTrace
+	flagsKnown = FlagTrace
 
 	// traceExtBytes is the size of the FlagTrace extension.
 	traceExtBytes = 8
@@ -128,8 +124,9 @@ const (
 	TReply Type = 0x81
 	// TErr reports a failed request; payload: UTF-8 message.
 	TErr Type = 0x82
-	// TReplBatch is one replication-stream message; payload: a watermark
-	// plus zero or more redo records (AppendReplBatch).
+	// TReplBatch is one replication-stream message; payload: a watermark,
+	// a trace list and zero or more WAL-framed redo records
+	// (AppendReplBatch).
 	TReplBatch Type = 0x83
 )
 
