@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"sihtm/internal/node"
 	"sihtm/internal/replica"
 	"sihtm/internal/server"
-	"sihtm/internal/tsdb"
 )
 
 // clusterSpec describes the loopback cluster a net or repl cell
@@ -45,11 +43,6 @@ type clusterSpec struct {
 	// overrides its adjustment interval.
 	p99Target    time.Duration
 	ctrlInterval time.Duration
-	// observe mounts the leader's observability plane on an ephemeral
-	// loopback port, scraping on tsdb's cadence — the stack `repro serve
-	// --metrics-addr` mounts.
-	observe bool
-	tsdb    tsdb.Config
 }
 
 // member is one node of the cluster and the in-process build behind it
@@ -88,10 +81,6 @@ func startCluster(spec clusterSpec, sc Scale) (*cluster, error) {
 		lcfg.Dir = c.dir
 		lcfg.Durable = durable.Config{WaitAck: true}
 		lcfg.CkptEvery = spec.ckptEvery
-	}
-	if spec.observe {
-		lcfg.MetricsAddr = "127.0.0.1:0"
-		lcfg.TSDB = spec.tsdb
 	}
 	if c.leader, err = c.startMember(lcfg); err != nil {
 		return fail(err)
@@ -144,7 +133,6 @@ func (c *cluster) startMember(cfg node.Config) (*member, error) {
 	cfg.Server.Scenario = spec.y.id
 	cfg.Server.P99Target = spec.p99Target
 	cfg.Server.CtrlInterval = spec.ctrlInterval
-	cfg.Server.TraceLog = io.Discard // alert transitions are asserted, not printed
 	n, err := node.Start(cfg)
 	if err != nil {
 		return nil, err

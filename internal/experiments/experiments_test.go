@@ -20,8 +20,8 @@ func quickScale() Scale {
 
 func TestRegistryIsComplete(t *testing.T) {
 	entries := Registry()
-	if len(entries) != 32 { // 10 figure panels + 6 scenarios + 2 durable + 7 net + 2 repl + 5 ablations
-		t.Fatalf("Registry() = %d entries, want 32", len(entries))
+	if len(entries) != 29 { // 10 figure panels + 6 scenarios + 2 durable + 4 net + 2 repl + 5 ablations
+		t.Fatalf("Registry() = %d entries, want 29", len(entries))
 	}
 	seen := map[string]bool{}
 	figures := map[int]bool{}
@@ -35,10 +35,8 @@ func TestRegistryIsComplete(t *testing.T) {
 		}
 		// net-connscale compares within its one cell: every rung is
 		// measured with the admission controller off and on, labeled
-		// system vs system+"+ctrl". net-slo is htm-only by design: the
-		// capacity cliff it must alert on exists only for plain HTM —
-		// si-htm's untracked ROT reads would hide it.
-		if len(e.Systems) < 2 && e.ID != "net-connscale" && e.ID != "net-slo" {
+		// system vs system+"+ctrl".
+		if len(e.Systems) < 2 && e.ID != "net-connscale" {
 			t.Errorf("entry %q compares %d systems, want >= 2", e.ID, len(e.Systems))
 		}
 		if e.run == nil && e.axis == nil && e.netAxis == nil {
@@ -91,7 +89,7 @@ func TestLookupAndSelect(t *testing.T) {
 		sel  string
 		want int
 	}{
-		{"all", 32},
+		{"all", 29},
 		{"figures", 10},
 		{"scenarios", 6},
 		{"ablations", 5},
@@ -103,11 +101,11 @@ func TestLookupAndSelect(t *testing.T) {
 		{"vacation", 2},
 		{"zipf", 1},
 		{"durable", 2},
-		{"net", 7},
+		{"net", 4},
 		{"repl", 2},
 		{"fig6,fig9-low,capacity", 4},
 		{"ycsb,vacation,zipf", 6},
-		{"scenarios,durable,net", 15},
+		{"scenarios,durable,net", 12},
 	}
 	for _, c := range cases {
 		got, err := Select(c.sel)

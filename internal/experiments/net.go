@@ -155,11 +155,8 @@ func latencyExtras(sv0, sv1 wire.ServerStats) results.NetExtras {
 
 // runNetPoint executes one remote measurement and returns e's record of
 // it: client-observed commits and throughput, server-side abort
-// taxonomy, plus the latency and telemetry extras. mid, when non-nil,
-// runs halfway through the measurement window while the workers are
-// still driving load (the net-observe cell scrapes the live /metrics
-// endpoint there).
-func runNetPoint(e Entry, p NetPoint, sc Scale, mid func() error) (results.Record, error) {
+// taxonomy, plus the latency and telemetry extras.
+func runNetPoint(e Entry, p NetPoint, sc Scale) (results.Record, error) {
 	fail := func(err error) (results.Record, error) { return results.Record{}, err }
 	y, err := ycsbSpecByID(p.Scenario)
 	if err != nil {
@@ -195,15 +192,7 @@ func runNetPoint(e Entry, p NetPoint, sc Scale, mid func() error) (results.Recor
 	}
 	cl0 := rb.snapshot()
 	start := time.Now()
-	if mid == nil {
-		time.Sleep(sc.Measure)
-	} else {
-		time.Sleep(sc.Measure / 2)
-		if err := mid(); err != nil {
-			return fail(err)
-		}
-		time.Sleep(sc.Measure - sc.Measure/2)
-	}
+	time.Sleep(sc.Measure)
 	sv1, err := rb.Stats()
 	elapsed := time.Since(start)
 	cl1 := rb.snapshot()
@@ -244,20 +233,15 @@ func runNetPoint(e Entry, p NetPoint, sc Scale, mid func() error) (results.Recor
 
 // runHostedPoint self-hosts spec's cluster for one point, measures its
 // leader with p (the scenario, system and address are the cluster's),
-// and verifies the cluster afterwards. mid is runNetPoint's observer,
-// handed the running cluster.
-func runHostedPoint(e Entry, spec clusterSpec, p NetPoint, sc Scale, mid func(*cluster) error) (results.Record, error) {
+// and verifies the cluster afterwards.
+func runHostedPoint(e Entry, spec clusterSpec, p NetPoint, sc Scale) (results.Record, error) {
 	c, err := startCluster(spec, sc)
 	if err != nil {
 		return results.Record{}, err
 	}
 	defer c.close()
 	p.Scenario, p.System, p.Addr = spec.y.id, spec.system, c.addr()
-	var observer func() error
-	if mid != nil {
-		observer = func() error { return mid(c) }
-	}
-	r, err := runNetPoint(e, p, sc, observer)
+	r, err := runNetPoint(e, p, sc)
 	if err == nil {
 		err = c.verify()
 	}
@@ -269,7 +253,7 @@ func runHostedPoint(e Entry, spec clusterSpec, p NetPoint, sc Scale, mid func(*c
 // client worker), measure it, verify it.
 func (e Entry) runNetAxis(system string, sc Scale, hook func(results.Record)) error {
 	for _, p := range e.netAxis(sc) {
-		r, err := runHostedPoint(e, e.hosted(system, p.Threads, sc), p, sc, nil)
+		r, err := runHostedPoint(e, e.hosted(system, p.Threads, sc), p, sc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", where(p.Threads, p.param), err)
 		}
@@ -339,8 +323,8 @@ func netWindowEntry() Entry {
 }
 
 // netDurableSpec is the durable single-node cluster of the
-// net-durable-ycsb-a and net-observe cells: group commit, fuzzy
-// checkpoints under traffic.
+// net-durable-ycsb-a cell: group commit, fuzzy checkpoints under
+// traffic.
 func netDurableSpec(system string, threads int, sc Scale) clusterSpec {
 	return clusterSpec{
 		y: ycsbA, system: system, threads: threads,
@@ -368,7 +352,7 @@ func netDurableEntry() Entry {
 // netEntries builds the networked scenario entries in presentation
 // order.
 func netEntries() []Entry {
-	return []Entry{netYCSBEntry(), netWindowEntry(), netDurableEntry(), connScaleEntry(), netObserveEntry(), netTraceEntry(), netSLOEntry()}
+	return []Entry{netYCSBEntry(), netWindowEntry(), netDurableEntry(), connScaleEntry()}
 }
 
 // NetEntryIDs lists the networked registry entries `repro loadgen` can
@@ -426,7 +410,7 @@ func runLoadgenAxis(addr string, e Entry, st wire.ServerStats, sc, buildSc Scale
 	}()
 	for _, p := range e.netAxis(sc) {
 		p.Scenario, p.System, p.Addr = st.Scenario, st.System, addr
-		r, perr := runNetPoint(e, p, buildSc, nil)
+		r, perr := runNetPoint(e, p, buildSc)
 		if perr != nil {
 			return fmt.Errorf("%s: %s: %w", e.ID, where(p.Threads, p.param), perr)
 		}

@@ -157,7 +157,7 @@ func (e Entry) record(param string, hr harness.Result) results.Record {
 var registryIDs = append(append(append([]string{}, FigureOrder...),
 	"ycsb-a", "ycsb-b", "ycsb-c", "zipf", "vacation-low", "vacation-high",
 	"durable-ycsb-a", "durable-vacation",
-	"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale", "net-observe", "net-trace", "net-slo",
+	"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale",
 	"repl-ycsb-c", "repl-failover"),
 	"capacity", "tmcam", "rofast", "killer", "smt")
 

@@ -51,9 +51,9 @@ var replFollowerLadder = []int{1, 2, 3}
 // as a dead leader and triggers reconnect-and-resume.
 const replReadTimeout = 250 * time.Millisecond
 
-// replSpec is the cluster of the repl cells and net-trace: a durable
-// leader (group commit, no periodic checkpoints) streaming to the given
-// number of followers.
+// replSpec is the cluster of the repl cells: a durable leader (group
+// commit, no periodic checkpoints) streaming to the given number of
+// followers.
 func replSpec(system string, threads, followers int, chaos *netchaos.Config) clusterSpec {
 	return clusterSpec{
 		y: ycsbA, system: system, threads: threads,

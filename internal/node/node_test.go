@@ -10,17 +10,23 @@ import (
 
 	"sihtm/internal/durable"
 	"sihtm/internal/htm"
+	"sihtm/internal/htmtm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/p8tm"
 	"sihtm/internal/replica"
 	"sihtm/internal/server"
+	"sihtm/internal/sgl"
 	"sihtm/internal/sihtm"
+	"sihtm/internal/silo"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
 )
 
+// testKeys is large enough that the overloaded htm batches of
+// TestCapacityAlertFiresResolvesAndIsReported overrun the TMCAM.
 const (
-	testKeys   = 64
+	testKeys   = 512
 	testShards = 2
 )
 
@@ -36,24 +42,47 @@ func build() (*htm.Machine, *engine.HashmapBackend) {
 	return m, backend
 }
 
-// config is the volatile node over a fresh build; tests add a role.
-func config() Config {
+// systems builds each concurrency control over a node's machine, sized
+// for the node's executors.
+var systems = map[string]func(m *htm.Machine) tm.System{
+	"htm":    func(m *htm.Machine) tm.System { return htmtm.NewSystem(m, testShards, htmtm.Config{}) },
+	"si-htm": func(m *htm.Machine) tm.System { return sihtm.NewSystem(m, testShards, sihtm.Config{}) },
+	"p8tm":   func(m *htm.Machine) tm.System { return p8tm.NewSystem(m, testShards, p8tm.Config{}) },
+	"silo":   func(m *htm.Machine) tm.System { return silo.NewSystem(m.Heap(), testShards) },
+	"sgl":    func(m *htm.Machine) tm.System { return sgl.NewSystem(m, testShards) },
+}
+
+// config is the volatile si-htm node over a fresh build; tests add a
+// role.
+func config() Config { return systemConfig("si-htm") }
+
+// systemConfig is config running the named concurrency control.
+func systemConfig(system string) Config {
 	m, backend := build()
 	return Config{
 		Addr:    "127.0.0.1:0",
 		Machine: m,
 		Server: server.Config{
 			Backend: backend,
-			System:  sihtm.NewSystem(m, testShards, sihtm.Config{}),
+			System:  systems[system](m),
 			Shards:  testShards,
 		},
 	}
 }
 
-func durableConfig(dir string) Config {
-	cfg := config()
+func durableConfig(dir string) Config { return durableOf(config(), dir) }
+
+// durableOf makes cfg a durable leader logging into dir.
+func durableOf(cfg Config, dir string) Config {
 	cfg.Dir = dir
 	cfg.Durable = durable.Config{WaitAck: true}
+	return cfg
+}
+
+// following makes cfg a follower streaming from leader.
+func following(cfg Config, leader *Node) Config {
+	addr := leader.Addr.String()
+	cfg.Follower = replica.FollowerConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
 	return cfg
 }
 
@@ -100,10 +129,7 @@ func TestRoles(t *testing.T) {
 		{"durable-leader", func(t *testing.T) *Node { return mustStart(t, durableConfig(t.TempDir())) }},
 		{"follower", func(t *testing.T) *Node {
 			leader := mustStart(t, durableConfig(t.TempDir()))
-			cfg := config()
-			addr := leader.Addr.String()
-			cfg.Follower = replica.FollowerConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
-			return mustStart(t, cfg)
+			return mustStart(t, following(config(), leader))
 		}},
 	}
 	for _, role := range roles {
@@ -139,9 +165,7 @@ func TestRoles(t *testing.T) {
 func TestFollowerReplaysLeader(t *testing.T) {
 	lcfg := durableConfig(t.TempDir())
 	leader := mustStart(t, lcfg)
-	fcfg := config()
-	addr := leader.Addr.String()
-	fcfg.Follower = replica.FollowerConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
+	fcfg := following(config(), leader)
 	fol := mustStart(t, fcfg)
 
 	rb := dial(t, leader)
@@ -243,12 +267,12 @@ func TestFailedStartLeavesNothingRunning(t *testing.T) {
 		n.Shutdown()
 		t.Fatal("Start bound an address already in use")
 	}
+	// No checkpointer goroutine is left, so none can write one later.
 	for _, fn := range []string{"node.startCheckpointer", "wal.(*Log).daemon"} {
 		if goroutinesIn(fn) {
 			t.Errorf("a %s goroutine outlived the failed Start", fn)
 		}
 	}
-	time.Sleep(20 * time.Millisecond) // many checkpoint periods
 	if _, err := os.Stat(CkptPath(dir)); !os.IsNotExist(err) {
 		t.Errorf("a checkpoint appeared after the failed Start (err=%v)", err)
 	}

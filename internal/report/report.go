@@ -3,10 +3,10 @@
 // (/debug/alerts), and trace rings (/debug/traces) into an
 // incident-style markdown report — SLO compliance, the alert timeline,
 // the worst request traces inside each firing window, and abort-cause
-// attribution. Analyze produces the joined facts as data (the `net-slo`
-// cell asserts on them directly); Render turns them into markdown;
-// Build is both. Collect fetches a node's three surfaces over HTTP —
-// the shared path of `repro report` and the registry cell.
+// attribution. Analyze produces the joined facts as data (internal/node's
+// capacity-alert test asserts on them directly); Render turns them into
+// markdown; Build is both. Collect fetches a node's three surfaces over
+// HTTP, the path `repro report` and that test share.
 package report
 
 import (

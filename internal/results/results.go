@@ -71,8 +71,6 @@ type Record struct {
 	NetExtras
 	TelemetryExtras
 	CtrlExtras
-	TraceExtras
-	AlertExtras
 }
 
 // NetExtras are the networked cells' per-op service latency percentiles
@@ -105,24 +103,6 @@ type CtrlExtras struct {
 	CtrlBatchMax    int `json:"ctrl_batch_max,omitempty"`
 	CtrlAdmitWaitUs int `json:"ctrl_admit_wait_us,omitempty"`
 	CtrlP99TargetUs int `json:"ctrl_p99_target_us,omitempty"`
-}
-
-// TraceExtras (net-trace only): spans the leader recorded over the run,
-// and the reconstructed exemplar trace's server-side stage sum versus
-// the client-observed round trip for the same trace id.
-type TraceExtras struct {
-	TraceSpansTotal uint64  `json:"trace_spans_total,omitempty"`
-	TraceStageSumUs float64 `json:"trace_stage_sum_us,omitempty"`
-	TraceClientUs   float64 `json:"trace_client_us,omitempty"`
-}
-
-// AlertExtras (net-slo only): firing transitions the rule engine
-// recorded over the point, time from overload start to the capacity
-// alert firing, and time from load drop to its resolution.
-type AlertExtras struct {
-	AlertsFired          uint64  `json:"alerts_fired,omitempty"`
-	AlertTimeToFireMs    float64 `json:"alert_ttf_ms,omitempty"`
-	AlertTimeToResolveMs float64 `json:"alert_ttr_ms,omitempty"`
 }
 
 // Key identifies a record's cell for matching between reports.

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,16 +163,14 @@ func TestControllerStopsAtDrain(t *testing.T) {
 	if err := rb.Ctrl(wire.Ctrl{P99TargetUs: 10_000}); err != nil {
 		t.Fatal(err)
 	}
-	var done atomic.Bool
+	done := make(chan struct{})
 	go func() {
 		f.srv.Drain()
-		done.Store(true)
+		close(done)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for !done.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("Drain did not complete with controller running")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not complete with controller running")
 	}
 }

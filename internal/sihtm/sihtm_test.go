@@ -144,13 +144,14 @@ func TestKillerPolicyUnblocksWaiter(t *testing.T) {
 	z := heap.AllocLine()
 
 	var released atomic.Bool
-	var laggardStarted atomic.Bool
+	laggardStarted := make(chan struct{})
+	var startOnce sync.Once
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // the laggard: reads in a loop until released
 		defer wg.Done()
 		sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
-			laggardStarted.Store(true)
+			startOnce.Do(func() { close(laggardStarted) }) // the kill re-runs the body
 			for !released.Load() {
 				_ = ops.Read(z) // abort delivery point for the kill
 			}
@@ -159,9 +160,7 @@ func TestKillerPolicyUnblocksWaiter(t *testing.T) {
 	}()
 	go func() { // the writer that must not wait forever
 		defer wg.Done()
-		for !laggardStarted.Load() {
-			time.Sleep(time.Millisecond)
-		}
+		<-laggardStarted
 		sys.Atomic(1, tm.KindUpdate, func(ops tm.Ops) {
 			ops.Write(x, 42)
 		})
