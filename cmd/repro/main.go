@@ -3,7 +3,8 @@
 // reproduction's ablations), runs any subset of it across all systems —
 // independent (experiment × system) cells execute in parallel worker
 // shards — and emits machine-readable results (BENCH_repro.json) plus
-// markdown tables ready to embed in docs.
+// markdown tables ready to embed in docs. Comparing two result files is
+// `repro compare`'s job alone.
 //
 // Usage:
 //
@@ -11,8 +12,7 @@
 //	repro run --all --scale=ci               # smoke-run everything
 //	repro run --figure=6 --scale=quick       # both panels of Figure 6
 //	repro run --id=fig9-low,capacity         # explicit entries
-//	repro run --all --baseline=old.json      # run + regression check
-//	repro compare --baseline=a.json --current=b.json
+//	repro compare --baseline=a.json --current=b.json   # regression check
 //
 // Scales: ci (seconds, smoke), quick (minutes), paper (the full ladder
 // to 80 threads; hours). The simulator's absolute throughput depends on
@@ -182,13 +182,15 @@ run flags:
   --shards=N                parallel (experiment × system) cells (default GOMAXPROCS)
   --out=FILE                JSON results (default BENCH_repro.json)
   --md=FILE                 markdown tables ('-' = stdout, '' = none; default BENCH_repro.md)
-  --baseline=FILE           compare against a previous JSON result file
-  --tolerance=F             regression tolerance as a fraction (default 0.5)
-  --min-commits=N           skip baseline cells with fewer commits (default 100)
-  --fail-on-regression      exit non-zero if the baseline comparison flags cells
   --cpuprofile=FILE         write a pprof CPU profile of the run
   --memprofile=FILE         write a pprof heap profile after the run
   --quiet                   suppress per-cell progress
+
+compare flags (the only result comparison; check a run with it):
+  --baseline=FILE           previous JSON result file (required)
+  --current=FILE            fresh JSON result file (required)
+  --tolerance=F             regression tolerance as a fraction (default 0.5)
+  --min-commits=N           skip baseline cells with fewer commits (default 100)
 `)
 }
 
@@ -235,10 +237,6 @@ func cmdRun(args []string) error {
 		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "parallel cells")
 		out        = fs.String("out", "BENCH_repro.json", "JSON output path")
 		md         = fs.String("md", "BENCH_repro.md", "markdown output path ('-' = stdout, '' = none)")
-		baseline   = fs.String("baseline", "", "baseline JSON to compare against")
-		tolerance  = fs.Float64("tolerance", 0.5, "regression tolerance fraction")
-		minCommits = fs.Uint64("min-commits", 100, "skip baseline cells with fewer commits (noise)")
-		failOnReg  = fs.Bool("fail-on-regression", false, "exit non-zero on flagged regressions")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile after the run")
 		quiet      = fs.Bool("quiet", false, "suppress per-cell progress")
@@ -352,18 +350,6 @@ func cmdRun(args []string) error {
 
 	if runErr != nil {
 		return fmt.Errorf("run aborted after %d record(s): %w", len(rep.Records), runErr)
-	}
-
-	if *baseline != "" {
-		base, err := results.ReadFile(*baseline)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		c := results.Compare(base, rep, *tolerance, *minCommits)
-		c.WriteText(os.Stdout)
-		if *failOnReg && len(c.Regressions) > 0 {
-			return fmt.Errorf("%d throughput regression(s) beyond %.0f%% tolerance", len(c.Regressions), 100**tolerance)
-		}
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"sihtm/internal/durable"
 	"sihtm/internal/experiments"
 	"sihtm/internal/loadgen"
 	"sihtm/internal/node"
@@ -96,7 +95,6 @@ func cmdServe(args []string) error {
 			return err
 		}
 		cfg.Dir = *dir
-		cfg.Durable = durable.Config{WaitAck: true}
 		cfg.CkptEvery = *ckptEvery
 		cfg.Server.CheckpointPath = node.CkptPath(*dir)
 	}

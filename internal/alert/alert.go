@@ -31,11 +31,10 @@ import (
 type RuleKind int
 
 const (
-	// KindThreshold compares one reduced value over Window.
+	// KindThreshold compares one reduced value over Window — a level
+	// (ReduceValue, ReduceQuantile) or a progress rate (ReduceDelta,
+	// ReduceRate: the stall rules).
 	KindThreshold RuleKind = iota
-	// KindRateOfChange is threshold over a delta/rate reduce — named
-	// separately because its intent (progress/stall detection) differs.
-	KindRateOfChange
 	// KindBurnRate evaluates the signal over FastWindow and SlowWindow;
 	// both must breach to fire, fast recovery resolves.
 	KindBurnRate
@@ -45,8 +44,6 @@ func (k RuleKind) String() string {
 	switch k {
 	case KindThreshold:
 		return "threshold"
-	case KindRateOfChange:
-		return "rate-of-change"
 	case KindBurnRate:
 		return "burn-rate"
 	default:
@@ -121,8 +118,8 @@ type Rule struct {
 	Op        Op
 	Threshold float64
 
-	// Window is the reduce window for threshold and rate-of-change
-	// rules; Fast/SlowWindow are the burn-rate pair.
+	// Window is the reduce window for threshold rules; Fast/SlowWindow
+	// are the burn-rate pair.
 	Window     time.Duration
 	FastWindow time.Duration
 	SlowWindow time.Duration

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,10 +37,18 @@ func newHarness(t *testing.T, build func(reg *telemetry.Registry)) *harness {
 // tick scrapes once; the engine's OnScrape hook evaluates.
 func (h *harness) tick() { h.at = h.at.Add(step); h.store.ScrapeAt(h.at) }
 
+// gauge registers a settable gauge: a scrape-time function over a
+// local atomic.
+func gauge(reg *telemetry.Registry, name, help string) *atomic.Int64 {
+	v := new(atomic.Int64)
+	reg.MustGaugeFunc(name, help, func() float64 { return float64(v.Load()) })
+	return v
+}
+
 func TestThresholdHysteresis(t *testing.T) {
-	var g *telemetry.Gauge
+	var g *atomic.Int64
 	h := newHarness(t, func(reg *telemetry.Registry) {
-		g = reg.MustGauge("t_depth", "depth")
+		g = gauge(reg, "t_depth", "depth")
 	})
 	var logBuf bytes.Buffer
 	eng, err := New(h.store, h.reg, []Rule{{
@@ -60,14 +69,14 @@ func TestThresholdHysteresis(t *testing.T) {
 	}
 	h.tick()
 	mustState(StateInactive)
-	g.Set(500)
+	g.Store(500)
 	h.tick() // breach #1 → pending
 	mustState(StatePending)
 	h.tick() // breach held 1 step < For
 	mustState(StatePending)
 	h.tick() // held 2 steps >= For → firing
 	mustState(StateFiring)
-	g.Set(10)
+	g.Store(10)
 	h.tick()
 	mustState(StateInactive)
 
@@ -84,10 +93,10 @@ func TestThresholdHysteresis(t *testing.T) {
 		t.Fatalf("log lines missing transitions:\n%s", logs)
 	}
 	// A bounce that clears before For never fires.
-	g.Set(500)
+	g.Store(500)
 	h.tick()
 	mustState(StatePending)
-	g.Set(0)
+	g.Store(0)
 	h.tick()
 	mustState(StateInactive)
 	if got := eng.Dump(); len(got.Events) != 2 {
@@ -165,13 +174,13 @@ func TestBurnRateShare(t *testing.T) {
 }
 
 func TestGatedStallRule(t *testing.T) {
-	var wm, lag *telemetry.Gauge
+	var wm, lag *atomic.Int64
 	h := newHarness(t, func(reg *telemetry.Registry) {
-		wm = reg.MustGauge("t_watermark", "applied seq")
-		lag = reg.MustGauge("t_lag", "records behind")
+		wm = gauge(reg, "t_watermark", "applied seq")
+		lag = gauge(reg, "t_lag", "records behind")
 	})
 	eng, err := New(h.store, h.reg, []Rule{{
-		Name: "stall", Severity: "page", Kind: KindRateOfChange,
+		Name: "stall", Severity: "page", Kind: KindThreshold,
 		Signal:    Signal{Series: []Series{{Name: "t_watermark"}}, Reduce: ReduceDelta},
 		Op:        OpLess,
 		Threshold: 1,
@@ -193,7 +202,7 @@ func TestGatedStallRule(t *testing.T) {
 		t.Fatalf("caught-up follower alerted: %v", st)
 	}
 	// Behind and stuck: lag > 0, watermark flat → fires.
-	lag.Set(50)
+	lag.Store(50)
 	for i := 0; i < 6; i++ {
 		h.tick()
 	}
@@ -222,9 +231,9 @@ func TestNewRejectsUnknownSeries(t *testing.T) {
 }
 
 func TestHandlerAndMetrics(t *testing.T) {
-	var g *telemetry.Gauge
+	var g *atomic.Int64
 	h := newHarness(t, func(reg *telemetry.Registry) {
-		g = reg.MustGauge("t_depth", "depth")
+		g = gauge(reg, "t_depth", "depth")
 	})
 	eng, err := New(h.store, h.reg, []Rule{{
 		Name: "deep-queue", Severity: "warn", Kind: KindThreshold,
@@ -235,7 +244,7 @@ func TestHandlerAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Set(200)
+	g.Store(200)
 	h.tick()
 	srv := httptest.NewServer(Handler(eng))
 	defer srv.Close()

@@ -130,7 +130,7 @@ func DefaultRules(o RuleOptions) []Rule {
 			Name:     RuleWatermarkStall,
 			Help:     "Follower watermark not advancing while behind the leader's frontier.",
 			Severity: "page",
-			Kind:     KindRateOfChange,
+			Kind:     KindThreshold,
 			Signal: Signal{
 				Series: []Series{{Name: "sihtm_repl_watermark"}},
 				Reduce: ReduceDelta,
@@ -152,7 +152,7 @@ func DefaultRules(o RuleOptions) []Rule {
 			Name:     RuleDroppedSubs,
 			Help:     "Replication subscribers dropped for falling behind the stream.",
 			Severity: "warn",
-			Kind:     KindRateOfChange,
+			Kind:     KindThreshold,
 			Signal: Signal{
 				Series: []Series{{Name: "sihtm_repl_dropped_subscribers_total"}},
 				Reduce: ReduceDelta,

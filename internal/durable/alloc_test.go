@@ -14,8 +14,9 @@ import (
 
 // TestDurableCommitZeroAllocs pins the acceptance criterion: a
 // steady-state durable commit adds zero heap allocations on the TM hot
-// path. The log runs without its daemon and with acknowledgement off,
-// so the measurement covers exactly the capture path — PreCommit
+// path. The log runs without its daemon and the thread is claimed
+// (ClaimAck), so Atomic returns at commit and the measurement covers
+// exactly the capture path — PreCommit
 // (barrier + sequencing + record encoding into the retained append
 // buffer), write-back, PostCommit — with all file I/O excluded; Sync
 // between warm-up and measurement resets the buffer length while
@@ -32,12 +33,12 @@ func TestDurableCommitZeroAllocs(t *testing.T) {
 			} else {
 				sys = sihtm.NewSystem(m, 1, sihtm.Config{})
 			}
-			store, err := Open(heap, filepath.Join(t.TempDir(), "wal.log"), 4,
-				Config{NoDaemon: true, WaitAck: false})
+			store, err := Open(heap, filepath.Join(t.TempDir(), "wal.log"), 4, Config{NoDaemon: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer store.Close()
+			store.ClaimAck(0)
 			dsys := store.Attach(sys, m)
 
 			// The transaction body is hoisted out of the op loop so the

@@ -23,9 +23,9 @@
 //     numbers in their serialization order, so replaying the prefix
 //     reproduces a legal history.
 //   - Acknowledged ⇒ present: on an unclaimed thread System.Atomic
-//     returns only after the transaction's record is fsynced (WaitAck
-//     mode); on a claimed thread the claimant releases no result before
-//     DurableSeq covers the log position it executed at. Either way
+//     returns only after the transaction's record is fsynced; on a
+//     claimed thread the claimant releases no result before DurableSeq
+//     covers the log position it executed at. Either way
 //     every acknowledged transaction is inside the recovered prefix.
 //   - Checkpoints are fuzzy: they run concurrently with commits and
 //     never block the commit path for longer than two sequence-counter
@@ -47,21 +47,15 @@ import (
 
 // Config tunes a Store.
 type Config struct {
-	// Window is read by nothing: the log flushes the moment a record is
-	// pending. The field stays because bench/seam.go, which is frozen,
-	// sets it; nothing else does.
-	Window time.Duration
-	// WaitAck makes the durable System wrapper block each Atomic until
-	// the transaction's record is fsynced — the "committed means
-	// durable" contract. Disable only for fire-and-forget benchmarking
-	// of the capture path.
+	// Window and WaitAck are read by nothing. The log flushes the moment
+	// a record is pending, and Atomic on an unclaimed thread always
+	// waits for its record's fsync. The fields stay because
+	// bench/seam.go, which is frozen, sets them.
+	Window  time.Duration
 	WaitAck bool
 	// NoDaemon disables the log's background flusher (tests drive Sync
 	// manually). Implies no acknowledgements until Sync.
 	NoDaemon bool
-	// FirstSeq numbers the first commit (default 1); a store opened
-	// after recovering to sequence S uses S+1.
-	FirstSeq uint64
 }
 
 // threadSeq is a per-thread last-assigned-sequence slot, padded so
@@ -80,7 +74,6 @@ type Store struct {
 	heap    *memsim.Heap
 	log     *wal.Log
 	logPath string
-	cfg     Config
 
 	// barrier is the checkpoint barrier: every capture+publish runs
 	// under RLock (PreCommit takes it, PostCommit releases it), so a
@@ -105,14 +98,11 @@ func Open(heap *memsim.Heap, logPath string, threads int, cfg Config) (*Store, e
 	if threads <= 0 {
 		return nil, fmt.Errorf("durable: thread count must be positive, got %d", threads)
 	}
-	l, err := wal.Create(logPath, wal.Config{
-		NoDaemon: cfg.NoDaemon,
-		FirstSeq: cfg.FirstSeq,
-	})
+	l, err := wal.Create(logPath, wal.Config{NoDaemon: cfg.NoDaemon})
 	if err != nil {
 		return nil, err
 	}
-	return &Store{heap: heap, log: l, logPath: logPath, cfg: cfg, last: make([]threadSeq, threads)}, nil
+	return &Store{heap: heap, log: l, logPath: logPath, last: make([]threadSeq, threads)}, nil
 }
 
 // Log exposes the underlying write-ahead log (stats, manual Sync).
@@ -203,11 +193,11 @@ func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
 }
 
 // System is the durable tm.System wrapper: Atomic commits through the
-// inner system (whose hooks feed the store) and then, in WaitAck mode
-// and on a thread nobody claimed, blocks until the transaction's redo
-// record is fsynced — group-commit acknowledgement. The fsync wait
-// happens after the inner commit fully published (no TM locks held), so
-// log latency never stalls conflicting threads, only the caller.
+// inner system (whose hooks feed the store) and then, on a thread
+// nobody claimed, blocks until the transaction's redo record is
+// fsynced — group-commit acknowledgement. The fsync wait happens after
+// the inner commit fully published (no TM locks held), so log latency
+// never stalls conflicting threads, only the caller.
 type System struct {
 	inner tm.System
 	store *Store
@@ -226,7 +216,7 @@ func (d *System) Collector() *stats.Collector { return d.inner.Collector() }
 // Atomic implements tm.System.
 func (d *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	d.inner.Atomic(thread, kind, body)
-	if d.store.cfg.WaitAck && !d.store.last[thread].claimed {
+	if !d.store.last[thread].claimed {
 		t0 := time.Now()
 		d.store.WaitThread(thread)
 		d.store.ackHist.Observe(time.Since(t0))

@@ -111,7 +111,7 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 
 			sys, m := f.mk(heap, threads)
 			logPath := filepath.Join(t.TempDir(), "wal.log")
-			store, err := Open(heap, logPath, 16, Config{WaitAck: true})
+			store, err := Open(heap, logPath, 16, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestFuzzyCheckpointEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "wal.log")
 	ckptPath := filepath.Join(dir, "heap.ckpt")
-	store, err := Open(heap, logPath, 16, Config{WaitAck: true})
+	store, err := Open(heap, logPath, 16, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCheckpointExcludesHeldLock(t *testing.T) {
 	heap, m, sys, lock, cell := build()
 	dir := t.TempDir()
 	logPath, ckptPath := filepath.Join(dir, "wal.log"), filepath.Join(dir, "heap.ckpt")
-	store, err := Open(heap, logPath, 4, Config{WaitAck: true})
+	store, err := Open(heap, logPath, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCrashPrefixAndAcks(t *testing.T) {
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2)})
 	sys := htmtm.NewSystem(m, threads, htmtm.Config{})
 	logPath := filepath.Join(t.TempDir(), "wal.log")
-	store, err := Open(heap, logPath, 16, Config{WaitAck: true})
+	store, err := Open(heap, logPath, 16, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestClaimAckMovesTheWait(t *testing.T) {
 	heap := memsim.NewHeapLines(16)
 	word := heap.AllocLine()
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
-	store, err := Open(heap, filepath.Join(t.TempDir(), "wal.log"), 4, Config{NoDaemon: true, WaitAck: true})
+	store, err := Open(heap, filepath.Join(t.TempDir(), "wal.log"), 4, Config{NoDaemon: true})
 	if err != nil {
 		t.Fatal(err)
 	}

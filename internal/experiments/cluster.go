@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"sihtm/internal/durable"
 	"sihtm/internal/memsim"
 	"sihtm/internal/netchaos"
 	"sihtm/internal/node"
@@ -79,7 +78,6 @@ func startCluster(spec clusterSpec, sc Scale) (*cluster, error) {
 			return nil, err
 		}
 		lcfg.Dir = c.dir
-		lcfg.Durable = durable.Config{WaitAck: true}
 		lcfg.CkptEvery = spec.ckptEvery
 	}
 	if c.leader, err = c.startMember(lcfg); err != nil {

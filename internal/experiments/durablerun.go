@@ -105,7 +105,6 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 		Machine:   b.machine,
 		Server:    server.Config{System: sys},
 		Dir:       dir,
-		Durable:   durable.Config{WaitAck: true},
 		CkptEvery: ckptEvery,
 	})
 	if err != nil {

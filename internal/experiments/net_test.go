@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sihtm/internal/durable"
 	"sihtm/internal/node"
 	"sihtm/internal/results"
 	"sihtm/internal/server"
@@ -37,7 +36,6 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 			t.Fatal(err)
 		}
 		cfg.Dir = dir
-		cfg.Durable = durable.Config{WaitAck: true}
 		cfg.CkptEvery = 200 * time.Millisecond
 		cfg.Server.CheckpointPath = node.CkptPath(dir)
 	}

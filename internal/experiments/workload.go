@@ -362,7 +362,6 @@ func runPoint(p point, system string, sc Scale, durableHost bool) (harness.Resul
 			Machine:   b.machine,
 			Server:    server.Config{Backend: b.backend, System: sys},
 			Dir:       dir,
-			Durable:   durable.Config{WaitAck: true},
 			CkptEvery: sc.Measure / 3,
 		})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"net"
 	"time"
 
-	"sihtm/internal/trace"
 	"sihtm/internal/wire"
 )
 
@@ -118,13 +117,11 @@ func (c *loadConn) sendLoop() {
 }
 
 // recvLoop demultiplexes nothing: every reply's id is its request's
-// scheduled send time, so latency is now − id directly. The server
-// echoes the trace extension, so a traced reply closes its KClient span
-// here with no per-request bookkeeping either.
+// scheduled send time, so latency is now − id directly.
 func (c *loadConn) recvLoop() {
 	var buf []byte
 	for {
-		id, t, _, tr, _, nbuf, err := wire.ReadFrameT(c.nc, buf)
+		id, t, _, nbuf, err := wire.ReadFrame(c.nc, buf)
 		if err != nil {
 			if !c.g.stopped.Load() && !errors.Is(err, io.EOF) {
 				c.g.fail(err)
@@ -134,17 +131,8 @@ func (c *loadConn) recvLoop() {
 		buf = nbuf
 		switch t {
 		case wire.TReply:
-			lat := time.Since(c.g.epoch) - time.Duration(id)
-			c.g.hist.Observe(lat)
+			c.g.hist.Observe(time.Since(c.g.epoch) - time.Duration(id))
 			c.g.replies.Add(1)
-			if tr != 0 && c.g.ring != nil {
-				c.g.ring.Add(trace.Span{
-					Trace: tr,
-					Kind:  trace.KClient,
-					Start: c.g.epoch.Add(time.Duration(id)).UnixNano(),
-					Dur:   int64(lat),
-				})
-			}
 		case wire.TErr:
 			c.g.errs.Add(1)
 		}

@@ -80,8 +80,6 @@ type Config struct {
 	Warmup, Measure time.Duration
 	// Seed perturbs the per-connection arrival and key streams.
 	Seed uint64
-	// DialConcurrency bounds parallel dials during ramp-up (default 64).
-	DialConcurrency int
 	// AtWindow, when set, is called synchronously at the two window
 	// edges (start=true at warmup end, start=false at measure end) so a
 	// caller can snapshot server-side stats over exactly the client's
@@ -91,13 +89,13 @@ type Config struct {
 	// trace id (head-based sampling; 1 traces everything). The id rides
 	// the frame's trace extension — the request id keeps carrying the
 	// scheduled send time, so coordinated-omission accounting is
-	// untouched.
+	// untouched. The generator ships ids only: the server's stage spans
+	// carry them, and no client span is recorded.
 	TraceEvery int
-	// TraceRing, when set alongside TraceEvery, receives one KClient
-	// span per traced reply: the client-observed request latency under
-	// the same trace id the server's stage spans carry.
-	TraceRing *trace.Ring
 }
+
+// dialConcurrency bounds parallel dials during ramp-up.
+const dialConcurrency = 64
 
 // Result is one run's measurement, all counters restricted to the
 // measurement window.
@@ -131,11 +129,9 @@ type gen struct {
 	stop  chan struct{}
 
 	// sampler/ids drive head-based trace sampling (nil when TraceEvery
-	// is zero); ring receives client spans (may be nil even when
-	// sampling — ids still ship so the server traces its side).
+	// is zero).
 	sampler *trace.Sampler
 	ids     *trace.IDGen
-	ring    *trace.Ring
 
 	hist    stats.Histogram
 	sent    atomic.Uint64
@@ -171,9 +167,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.ReadFrac == 0 {
 		cfg.ReadFrac = 0.5
 	}
-	if cfg.DialConcurrency <= 0 {
-		cfg.DialConcurrency = 64
-	}
 	raiseFDLimit()
 
 	conns, err := dialAll(cfg)
@@ -194,7 +187,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.TraceEvery > 0 {
 		g.sampler = trace.NewSampler(cfg.TraceEvery)
 		g.ids = trace.NewIDGen(cfg.Seed ^ uint64(g.epoch.UnixNano()))
-		g.ring = cfg.TraceRing
 	}
 	var wg sync.WaitGroup
 	for i, nc := range conns {
@@ -248,7 +240,7 @@ func Run(cfg Config) (Result, error) {
 // dialAll ramps up the connection set with bounded dial parallelism.
 func dialAll(cfg Config) ([]net.Conn, error) {
 	conns := make([]net.Conn, cfg.Conns)
-	sem := make(chan struct{}, cfg.DialConcurrency)
+	sem := make(chan struct{}, dialConcurrency)
 	var wg sync.WaitGroup
 	var dialErr atomic.Pointer[error]
 	for i := range conns {

@@ -2,11 +2,11 @@
 // tests, in the mould of internal/tmtest: a net.Conn wrapper driven by
 // a seeded deterministic schedule that kills connections after a drawn
 // number of I/O calls (optionally tearing the final write or read so
-// the peer sees a partial frame), refuses dials for a drawn window
-// after each kill (a partition), and injects small delays. Because the
-// schedule is drawn from internal/rng with a caller-chosen seed and
-// advances on I/O counts — never wall-clock — a test that fails under a
-// given seed fails the same way every run.
+// the peer sees a partial frame) and refuses dials for a drawn window
+// after each kill (a partition). Because the schedule is drawn from
+// internal/rng with a caller-chosen seed and advances on I/O counts —
+// never wall-clock — a test that fails under a given seed fails the
+// same way every run.
 //
 // The replication tests are the package's reason to exist: a follower
 // dialing its leader through a chaos Dialer loses the stream at seeded
@@ -19,7 +19,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sihtm/internal/rng"
 )
@@ -47,11 +46,6 @@ type Config struct {
 	// PartitionMin/Max bound the dial-refusal window after each cut:
 	// the next drawn number of Dial calls fail with ErrPartitioned.
 	PartitionMin, PartitionMax int
-	// DelayEvery injects Delay before every n-th I/O call on a
-	// connection (0 disables).
-	DelayEvery int
-	// Delay is the injected delay length.
-	Delay time.Duration
 }
 
 // Dialer dials through the chaos schedule. All randomness is drawn
@@ -150,7 +144,6 @@ type chaosConn struct {
 	net.Conn
 	d      *Dialer
 	mu     sync.Mutex
-	ios    int
 	budget int
 	tear   bool
 	dead   bool
@@ -162,10 +155,6 @@ func (c *chaosConn) charge() (cut, dead bool) {
 	defer c.mu.Unlock()
 	if c.dead {
 		return false, true
-	}
-	c.ios++
-	if c.d.cfg.DelayEvery > 0 && c.ios%c.d.cfg.DelayEvery == 0 && c.d.cfg.Delay > 0 {
-		time.Sleep(c.d.cfg.Delay)
 	}
 	if c.budget >= 0 {
 		c.budget--

@@ -82,9 +82,8 @@ type Config struct {
 	// receives the alert engine's transition lines.
 	Server server.Config
 	// Dir, when set, makes the node a durable leader logging to
-	// LogPath(Dir) under Durable's flush policy.
-	Dir     string
-	Durable durable.Config
+	// LogPath(Dir).
+	Dir string
 	// CkptEvery is the fuzzy checkpoint interval into CkptPath(Dir)
 	// (0 = no periodic checkpoints).
 	CkptEvery time.Duration
@@ -154,7 +153,7 @@ func Start(cfg Config) (*Node, error) {
 				return fail(err)
 			}
 		}
-		n.Store, err = durable.Open(heap, LogPath(cfg.Dir), cfg.Machine.Topology().MaxThreads(), cfg.Durable)
+		n.Store, err = durable.Open(heap, LogPath(cfg.Dir), cfg.Machine.Topology().MaxThreads(), durable.Config{})
 		if err != nil {
 			return fail(err)
 		}

@@ -75,7 +75,6 @@ func durableConfig(dir string) Config { return durableOf(config(), dir) }
 // durableOf makes cfg a durable leader logging into dir.
 func durableOf(cfg Config, dir string) Config {
 	cfg.Dir = dir
-	cfg.Durable = durable.Config{WaitAck: true}
 	return cfg
 }
 

@@ -20,33 +20,25 @@ type FollowerConfig struct {
 	// base image (the same post-population state the leader's log was
 	// started from — the contract crash recovery also relies on).
 	Heap *memsim.Heap
-	// From is the first sequence number to apply (default 1). A
-	// follower restarted after recovering its own log to sequence S
-	// resumes with From = S+1.
-	From uint64
 	// Dial opens a connection to the leader. Tests and chaos harnesses
 	// inject fault-wrapped dialers here.
 	Dial func() (net.Conn, error)
-	// OwnLogPath, when set, persists every applied record into the
-	// follower's own WAL: the promoted follower then owns a complete
-	// log (verification replays it; new followers could tail it).
-	OwnLogPath string
 	// ReadTimeout bounds one stream read; it doubles as the liveness
 	// timeout (the leader heartbeats far more often). Default 1s.
 	ReadTimeout time.Duration
-	// RetryEvery paces reconnect attempts. Default 5ms.
-	RetryEvery time.Duration
 }
 
-// Follower replays the leader's stream into its own heap and publishes
-// how far it got. Reads served off the heap take RLock so they observe
-// a consistent prefix (apply holds the write lock per batch); the
-// watermark a read observes is the sequence number its snapshot
-// corresponds to.
+// retryEvery paces reconnect attempts.
+const retryEvery = 5 * time.Millisecond
+
+// Follower replays the leader's stream into its own heap, from sequence
+// 1 on, and publishes how far it got. Reads served off the heap take
+// RLock so they observe a consistent prefix (apply holds the write lock
+// per batch); the watermark a read observes is the sequence number its
+// snapshot corresponds to.
 type Follower struct {
-	cfg    FollowerConfig
-	heap   *memsim.Heap
-	ownLog *wal.Log
+	cfg  FollowerConfig
+	heap *memsim.Heap
 
 	// mu excludes batch application from snapshot readers: apply holds
 	// Lock across a whole batch, readers hold RLock across a whole
@@ -84,30 +76,15 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Heap == nil || cfg.Dial == nil {
 		return nil, fmt.Errorf("replica: FollowerConfig needs Heap and Dial")
 	}
-	if cfg.From == 0 {
-		cfg.From = 1
-	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = time.Second
 	}
-	if cfg.RetryEvery <= 0 {
-		cfg.RetryEvery = 5 * time.Millisecond
-	}
-	f := &Follower{
+	return &Follower{
 		cfg:  cfg,
 		heap: cfg.Heap,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	f.watermark.Store(cfg.From - 1)
-	if cfg.OwnLogPath != "" {
-		l, err := wal.Create(cfg.OwnLogPath, wal.Config{NoDaemon: true, FirstSeq: cfg.From})
-		if err != nil {
-			return nil, err
-		}
-		f.ownLog = l
-	}
-	return f, nil
+	}, nil
 }
 
 // Start launches the streaming loop: dial, subscribe from the
@@ -124,12 +101,9 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Close stops the follower and closes its own log, syncing it first.
+// Close is Stop; it never fails.
 func (f *Follower) Close() error {
 	f.Stop()
-	if f.ownLog != nil {
-		return f.ownLog.Close()
-	}
 	return nil
 }
 
@@ -202,11 +176,6 @@ func (f *Follower) Promote(leaderLogPath string) (uint64, error) {
 			return f.watermark.Load(), err
 		}
 	}
-	if f.ownLog != nil {
-		if err := f.ownLog.Sync(); err != nil {
-			return f.watermark.Load(), err
-		}
-	}
 	f.promoted.Store(true)
 	return f.watermark.Load(), nil
 }
@@ -261,7 +230,7 @@ func (f *Follower) run() {
 func (f *Follower) pause() {
 	select {
 	case <-f.stop:
-	case <-time.After(f.cfg.RetryEvery):
+	case <-time.After(retryEvery):
 	}
 }
 
@@ -375,16 +344,10 @@ func (f *Follower) applyBatch(b wire.ReplBatch) error {
 }
 
 // applyLocked redoes one record into the heap by the rule recovery
-// applies (wal.Redo), mirrors it into the follower's own log and
-// publishes the new watermark. Callers hold mu.
+// applies (wal.Redo) and publishes the new watermark. Callers hold mu.
 func (f *Follower) applyLocked(seq uint64, entries []footprint.Entry) error {
 	if err := wal.Redo(f.heap, entries); err != nil {
 		return fmt.Errorf("replica: seq %d: %w", seq, err)
-	}
-	if f.ownLog != nil {
-		if got := f.ownLog.Append(entries); got != seq {
-			return fmt.Errorf("replica: own log assigned seq %d for record %d", got, seq)
-		}
 	}
 	f.applied.Add(1)
 	f.watermark.Store(seq)

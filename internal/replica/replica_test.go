@@ -103,7 +103,6 @@ func newTestFollower(t *testing.T, tl *testLeader, dial func() (net.Conn, error)
 		Heap:        memsim.NewHeap(testHeapWords),
 		Dial:        dial,
 		ReadTimeout: 250 * time.Millisecond,
-		RetryEvery:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,57 +251,6 @@ func TestPromoteCatchUp(t *testing.T) {
 		t.Fatal("follower not marked promoted")
 	}
 	checkHeap(t, f, model)
-}
-
-// TestFollowerOwnLog: a follower with its own WAL ends up with a log
-// whose replay reproduces its heap exactly — the digest-exact
-// verification hook the failover scenario uses.
-func TestFollowerOwnLog(t *testing.T) {
-	tl := newTestLeader(t)
-	model := make([]uint64, testHeapWords)
-	r := rng.New(47)
-	ownPath := filepath.Join(t.TempDir(), "follower.log")
-	addr := tl.ln.Addr().String()
-	f, err := NewFollower(FollowerConfig{
-		Heap:        memsim.NewHeap(testHeapWords),
-		Dial:        func() (net.Conn, error) { return net.Dial("tcp", addr) },
-		OwnLogPath:  ownPath,
-		ReadTimeout: 250 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	f.Start()
-
-	var last uint64
-	for i := 0; i < 200; i++ {
-		last = tl.commit(t, model, r)
-	}
-	tl.log.WaitDurable(last)
-	if !f.WaitWatermark(last, 5*time.Second) {
-		t.Fatalf("watermark %d never reached %d", f.Watermark(), last)
-	}
-	if _, err := f.Promote(""); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay the follower's own log onto a fresh heap: digest-exact.
-	replayed := memsim.NewHeap(testHeapWords)
-	st, err := wal.Replay(ownPath, func(_ uint64, entries []footprint.Entry) error {
-		return wal.Redo(replayed, entries)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LastSeq != last {
-		t.Fatalf("own log replays to seq %d, want %d", st.LastSeq, last)
-	}
-	for a := 0; a < testHeapWords; a++ {
-		if replayed.Load(memsim.Addr(a)) != f.heap.Load(memsim.Addr(a)) {
-			t.Fatalf("own-log replay diverges at addr %d", a)
-		}
-	}
 }
 
 // TestCatchUpMutilation is the crashtest-style satellite: the leader's

@@ -124,9 +124,9 @@ func TestServerTracedRequestPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRemoteRoundTripZeroAllocs pins the point-frame path (TGet/TPut
-// compact layouts through decodeData) via the synchronous plain
-// Session, the RemoteBackend conformance surface.
+// TestRemoteRoundTripZeroAllocs pins the synchronous plain Session, the
+// RemoteBackend conformance surface: each Read and Insert ships as a
+// one-op TXN and waits for its reply.
 func TestRemoteRoundTripZeroAllocs(t *testing.T) {
 	f := startFixture(t, 256, 1, 16, 0, false)
 	rb := dial(t, f, 1)
@@ -145,6 +145,6 @@ func TestRemoteRoundTripZeroAllocs(t *testing.T) {
 		t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)
 	}
 	if allocs != 0 {
-		t.Fatalf("steady-state point round trip allocates %.2f times, want 0", allocs)
+		t.Fatalf("steady-state one-op TXN round trip allocates %.2f times, want 0", allocs)
 	}
 }

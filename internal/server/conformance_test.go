@@ -47,7 +47,7 @@ func remoteMaker(durableOn bool) enginetest.Maker {
 			dir := t.TempDir()
 			var err error
 			store, err = durable.Open(heap, filepath.Join(dir, "wal.log"),
-				m.Topology().MaxThreads(), durable.Config{WaitAck: true})
+				m.Topology().MaxThreads(), durable.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,14 +115,14 @@ func replicaMaker() enginetest.Maker {
 			buckets = 1
 		}
 
-		// Leader: the standard durable server (WaitAck pins every
-		// acknowledged commit at or below the WAL's durable frontier,
-		// which is what makes the catch-up gate sufficient).
+		// Leader: the standard durable server (every acknowledged commit
+		// sits at or below the WAL's durable frontier, which is what makes
+		// the catch-up gate sufficient).
 		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
 		m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
 		backend := engine.NewHashmapBackend(heap, buckets)
 		store, err := durable.Open(heap, filepath.Join(t.TempDir(), "wal.log"),
-			m.Topology().MaxThreads(), durable.Config{WaitAck: true})
+			m.Topology().MaxThreads(), durable.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,8 @@ var (
 )
 
 // hasWrite reports whether any op mutates — the replica's admission
-// gate (GET/SCAN point reads and read-only TXNs pass, everything else
-// is refused until promotion).
+// gate (read-only TXNs pass, everything else is refused until
+// promotion).
 func hasWrite(ops []wire.Op) bool {
 	for _, op := range ops {
 		if !op.Kind.ReadOnly() {
@@ -160,12 +160,12 @@ func (c *srvConn) readLoop() {
 		}
 		c.srv.framesIn.Add(1)
 		switch t {
-		case wire.TGet, wire.TPut, wire.TDel, wire.TScan, wire.TTxn:
+		case wire.TTxn:
 			// Decode straight into a pooled task's op slice; the task (ops,
 			// results and reply buffers included) cycles reader → shard →
 			// writer → pool, so a steady-state request allocates nothing.
 			tsk := taskPool.Get().(*task)
-			tsk.ops, err = decodeData(t, payload, tsk.ops[:0])
+			tsk.ops, err = wire.ParseOps(payload, tsk.ops[:0])
 			if err != nil {
 				taskPool.Put(tsk)
 				c.sendErr(id, err)
@@ -262,43 +262,10 @@ func (c *srvConn) readLoop() {
 			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(rs)))
 
 		default:
+			// Unknown types and the reserved codes 0x01–0x04 alike: the
+			// frame was well formed, so the connection stays usable.
 			c.sendErr(id, fmt.Errorf("server: unexpected message type %v", t))
 		}
-	}
-}
-
-// decodeData normalizes a data-plane payload into an op list.
-func decodeData(t wire.Type, payload []byte, dst []wire.Op) ([]wire.Op, error) {
-	switch t {
-	case wire.TGet:
-		key, err := wire.ParseKey(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, wire.Op{Kind: wire.OpGet, Key: key}), nil
-	case wire.TPut:
-		key, val, err := wire.ParseKeyArg(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, wire.Op{Kind: wire.OpPut, Key: key, Arg: val}), nil
-	case wire.TDel:
-		key, err := wire.ParseKey(payload)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, wire.Op{Kind: wire.OpDel, Key: key}), nil
-	case wire.TScan:
-		key, n, err := wire.ParseKeyArg(payload)
-		if err != nil {
-			return nil, err
-		}
-		if n > wire.MaxScanLen {
-			return nil, fmt.Errorf("server: scan length %d exceeds %d", n, wire.MaxScanLen)
-		}
-		return append(dst, wire.Op{Kind: wire.OpScan, Key: key, Arg: n}), nil
-	default: // wire.TTxn
-		return wire.ParseOps(payload, dst)
 	}
 }
 

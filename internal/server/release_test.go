@@ -25,7 +25,7 @@ import (
 // startManualSync serves a durable fixture whose log only Sync flushes.
 func startManualSync(t *testing.T, shards, batchMax int) *fixture {
 	t.Helper()
-	return startFixtureStore(t, 128, shards, batchMax, 0, &durable.Config{NoDaemon: true, WaitAck: true})
+	return startFixtureStore(t, 128, shards, batchMax, 0, &durable.Config{NoDaemon: true})
 }
 
 // rawClient pipelines frames on one connection without waiting for

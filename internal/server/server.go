@@ -5,7 +5,7 @@
 //
 // The interesting part is the admission/batching stage. Client
 // connections are read by per-connection goroutines that route each
-// request — a point op or a multi-op TXN — to one of a fixed set of
+// request — a TXN of one or more ops — to one of a fixed set of
 // per-shard executor goroutines (shard = hash of the request's first
 // key, so hot keys serialize onto one executor instead of conflicting
 // across all of them). An executor drains its queue opportunistically
@@ -119,11 +119,6 @@ type Config struct {
 	// replies, so remote load generators can rebuild the matching Spec.
 	Scenario string
 	Scale    string
-	// Metrics, when non-nil, is the telemetry registry the server
-	// registers every instrument on; nil makes the server create a
-	// private one (readable via Telemetry()). Instruments are always
-	// registered, so the alloc pins exercise the instrumented path.
-	Metrics *telemetry.Registry
 	// TraceSlow, when positive, records server-origin spans into the
 	// trace ring for every request the client did not sample whose
 	// admission-to-socket-write lifecycle exceeds it.

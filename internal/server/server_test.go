@@ -3,6 +3,7 @@ package server_test
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,7 +68,7 @@ func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration,
 	t.Helper()
 	var dcfg *durable.Config
 	if durableOn {
-		dcfg = &durable.Config{WaitAck: true}
+		dcfg = &durable.Config{}
 	}
 	return startFixtureStore(t, keys, shards, batchMax, delay, dcfg)
 }
@@ -141,6 +142,8 @@ func dial(t *testing.T, f *fixture, conns int) *engine.RemoteBackend {
 	return rb
 }
 
+// TestPointOpsOverLoopback: the synchronous session's single ops, each
+// shipped as a one-op TXN, have exact key-value semantics.
 func TestPointOpsOverLoopback(t *testing.T) {
 	f := startFixture(t, 64, 2, 16, 0, false)
 	rb := dial(t, f, 1)
@@ -327,6 +330,54 @@ func TestBadFrameClosesConnection(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := nc.Read(buf); err == nil {
 		t.Fatal("server answered a garbage frame instead of closing")
+	}
+}
+
+// TestReservedCodesAnswerErr: the codes 0x01–0x04 once named single-op
+// point requests and are reserved now. A well-formed frame of each gets
+// a TErr naming its type, and the connection keeps serving: a TXN
+// pipelined behind it is answered.
+func TestReservedCodesAnswerErr(t *testing.T) {
+	f := startFixture(t, 64, 1, 16, 0, false)
+	nc, err := net.Dial("tcp", f.addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	var buf []byte
+	for code := wire.Type(0x01); code <= 0x04; code++ {
+		// A payload in the retired key+arg layout.
+		req := wire.AppendFrame(nil, uint64(code), code, make([]byte, 16))
+		req = wire.AppendOpsFrame(req, 100+uint64(code), []wire.Op{{Kind: wire.OpGet, Key: 7}})
+		if _, err := nc.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]wire.Type{}
+		for i := 0; i < 2; i++ {
+			id, typ, payload, nbuf, err := wire.ReadFrame(nc, buf)
+			if err != nil {
+				t.Fatalf("code %#x: connection broke: %v", uint8(code), err)
+			}
+			buf = nbuf
+			got[id] = typ
+			switch id {
+			case uint64(code):
+				if typ != wire.TErr || !strings.Contains(string(payload), code.String()) {
+					t.Fatalf("code %#x answered %v %q, want a TErr naming %v", uint8(code), typ, payload, code)
+				}
+			case 100 + uint64(code):
+				rs, err := wire.ParseResults(payload, nil)
+				if typ != wire.TReply || err != nil || len(rs) != 1 || rs[0] != (wire.Result{OK: true, Val: engine.InitialValue(7)}) {
+					t.Fatalf("TXN behind code %#x answered %v %v %+v", uint8(code), typ, err, rs)
+				}
+			default:
+				t.Fatalf("reply for unknown id %d", id)
+			}
+		}
+		if len(got) != 2 {
+			t.Fatalf("code %#x: replies %v, want one per request", uint8(code), got)
+		}
 	}
 }
 

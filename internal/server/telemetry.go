@@ -7,16 +7,14 @@ import (
 	"sihtm/internal/tm"
 )
 
-// registerMetrics wires every instrument onto the server's registry
-// (Config.Metrics, or a private one). Called once from New — before any
-// connection exists — so all hot-path instruments are plain field loads
-// by the time traffic arrives. The families registered here are the
-// contract documented in docs/observability.md.
+// registerMetrics wires every instrument onto the server's own
+// registry (readable via Telemetry()). Called once from New — before
+// any connection exists — so all hot-path instruments are plain field
+// loads by the time traffic arrives, and the alloc pins exercise the
+// instrumented path. The families registered here are the contract
+// documented in docs/observability.md.
 func (s *Server) registerMetrics() {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	s.tel = reg
 
 	// Request lifecycle stage histograms. service = admission to reply

@@ -44,11 +44,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels, ""), v)
 			case KindGauge:
-				if s.gaugeFn != nil {
-					fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(s.gaugeFn()))
-				} else {
-					fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels, ""), s.gauge.Value())
-				}
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(s.gaugeFn()))
 			case KindHistogram:
 				writeHistogram(bw, f, s)
 			}

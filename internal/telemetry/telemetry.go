@@ -1,8 +1,9 @@
 // Package telemetry is the repo's metrics registry: named, labeled
 // instruments over the same primitives the hot paths already use —
-// atomic counters/gauges and the lock-free stats.Histogram — so that
-// instrumenting the server, TM systems, WAL, and replication layers
-// costs one atomic add per event and zero allocations at steady state.
+// atomic counters, scrape-time gauge functions and the lock-free
+// stats.Histogram — so that instrumenting the server, TM systems, WAL,
+// and replication layers costs one atomic add per event and zero
+// allocations at steady state.
 //
 // Registration happens once at wiring time (server construction) and
 // may allocate; updates never do. Scraping (WritePrometheus) walks the
@@ -81,29 +82,15 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous series value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // series is one labeled member of a family. Exactly one of the value
-// sources is set, matching the family kind.
+// sources is set, matching the family kind; a gauge is always computed
+// at scrape time (GaugeFunc) from state its subsystem already keeps.
 type series struct {
 	labels []Label
 	sig    string // canonical "k1=v1,k2=v2" signature, sorted by key
 
 	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *stats.Histogram
 }
@@ -268,24 +255,6 @@ func (r *Registry) MustCounterFunc(name, help string, fn func() uint64, labels .
 	}
 }
 
-// Gauge registers and returns a new gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) (*Gauge, error) {
-	g := &Gauge{}
-	if err := r.register(name, help, KindGauge, 0, labels, &series{gauge: g}); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// MustGauge is Gauge, panicking on error.
-func (r *Registry) MustGauge(name, help string, labels ...Label) *Gauge {
-	g, err := r.Gauge(name, help, labels...)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // GaugeFunc registers a gauge series computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) error {
 	return r.register(name, help, KindGauge, 0, labels, &series{gaugeFn: fn})
@@ -389,9 +358,6 @@ func (r *Registry) Readers() []SeriesReader {
 			case s.counterFn != nil:
 				fn := s.counterFn
 				rd.Value = func() float64 { return float64(fn()) }
-			case s.gauge != nil:
-				g := s.gauge
-				rd.Value = func() float64 { return float64(g.Value()) }
 			default:
 				rd.Value = s.gaugeFn
 			}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +22,9 @@ import (
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	// Register out of order to prove the renderer sorts.
-	g := reg.MustGauge("zz_gauge", "A gauge.")
-	g.Set(-3)
+	var g atomic.Int64
+	reg.MustGaugeFunc("zz_gauge", "A gauge.", func() float64 { return float64(g.Load()) })
+	g.Store(-3)
 	b := reg.MustCounter("aa_requests_total", "Requests by kind.", telemetry.L("kind", "write"))
 	a := reg.MustCounter("aa_requests_total", "", telemetry.L("kind", "read"))
 	a.Add(41)
@@ -147,7 +149,8 @@ func TestHistogramUnitCount(t *testing.T) {
 func TestConcurrentIncrements(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.MustCounter("hits_total", "")
-	g := reg.MustGauge("level", "")
+	var g atomic.Int64
+	reg.MustGaugeFunc("level", "", func() float64 { return float64(g.Load()) })
 	h := reg.MustHistogram("obs_seconds", "", telemetry.UnitSeconds)
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
@@ -179,8 +182,8 @@ func TestConcurrentIncrements(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %d, want %d", g.Value(), workers*per)
+	if g.Load() != workers*per {
+		t.Fatalf("gauge = %d, want %d", g.Load(), workers*per)
 	}
 	if n := h.Snapshot().Count(); n != workers*per {
 		t.Fatalf("histogram count = %d, want %d", n, workers*per)
@@ -221,7 +224,7 @@ func TestRegistrationErrors(t *testing.T) {
 	if _, err := reg.Counter("x2_total", "", telemetry.L("a", "1"), telemetry.L("a", "2")); err == nil {
 		t.Fatal("duplicate label key in one series accepted")
 	}
-	if _, err := reg.Gauge("dup_total", ""); err == nil {
+	if err := reg.GaugeFunc("dup_total", "", func() float64 { return 0 }); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
 }
@@ -246,13 +249,9 @@ func TestUpdateZeroAllocs(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	c := reg.MustCounter("c_total", "")
-	g := reg.MustGauge("g", "")
 	h := reg.MustHistogram("h_seconds", "", telemetry.UnitSeconds)
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Fatalf("Counter.Inc allocates %v/op", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set(7) }); n != 0 {
-		t.Fatalf("Gauge.Set allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(time.Microsecond) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v/op", n)

@@ -33,8 +33,8 @@ type Kind uint8
 // request's trace id; process-scoped spans (KFsync) are keyed by
 // sequence number and joined to requests at query time.
 const (
-	// KClient is the client's whole round trip: send scheduled to reply
-	// received (loadgen / RemoteBackend side).
+	// KClient is the client's whole round trip: request sent to reply
+	// received (RemoteBackend.EnableTracing).
 	KClient Kind = iota
 	// KAdmit is the server admission stage: frame decoded to batch
 	// execution start.

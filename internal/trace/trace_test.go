@@ -186,6 +186,66 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL feeds the span decoder that `repro trace` and `repro
+// report` run over /debug/traces bodies and saved files. Property: an
+// error, never a panic; and any accepted input re-encodes through
+// WriteJSONL, each span under its own node label, to a stream that
+// parses back to the same spans and labels.
+func FuzzReadJSONL(f *testing.F) {
+	r := NewRing(16)
+	for k := KClient; k < NumKinds; k++ {
+		r.Add(Span{Trace: 1000 + uint64(k), Kind: k, Seq: uint64(k), Start: 1_700_000_000_000_000_000 + int64(k), Dur: 250, Arg: int64(k)})
+	}
+	r.Add(Span{Kind: KFsync, Seq: 9, Start: 5, Dur: 6, Arg: 3})
+	r.Add(Span{Trace: 7 | ServerOriginBit, Kind: KRequest, Start: 8, Dur: 9})
+	var dump bytes.Buffer
+	if err := WriteJSONL(&dump, r.Snapshot(nil), "leader"); err != nil {
+		f.Fatal(err)
+	}
+	img := dump.Bytes()
+	f.Add(append([]byte(nil), img...))
+	f.Add(append([]byte(nil), img[:len(img)/2]...)) // truncated mid-line
+	garbled := append([]byte(nil), img...)
+	garbled[len(garbled)/3] ^= 0x20
+	f.Add(garbled)
+	f.Add([]byte("{\"kind\":\"exec\",\"start_ns\":1,\"dur_ns\":2}\n\n{\"kind\":\"nope\"}\n"))
+	f.Add([]byte("{\"trace\":\"18446744073709551616\",\"kind\":\"client\"}\n"))
+	f.Add([]byte("not json at all"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		spans, nodes, err := ReadJSONL(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		if len(b) > (1<<20)/6 {
+			// Re-encoding HTML-escapes '<' into a six-byte \u escape, so only
+			// inputs this small are sure to stay under the reader's 1 MiB
+			// line limit the second time round.
+			return
+		}
+		if len(nodes) != len(spans) {
+			t.Fatalf("%d spans carry %d node labels", len(spans), len(nodes))
+		}
+		var re bytes.Buffer
+		for i := range spans {
+			if err := WriteJSONL(&re, spans[i:i+1], nodes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spans2, nodes2, err := ReadJSONL(&re)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		if len(spans2) != len(spans) {
+			t.Fatalf("re-encoding kept %d of %d spans", len(spans2), len(spans))
+		}
+		for i := range spans {
+			if spans2[i] != spans[i] || nodes2[i] != nodes[i] {
+				t.Fatalf("span %d: %+v@%q re-parsed as %+v@%q", i, spans[i], nodes[i], spans2[i], nodes2[i])
+			}
+		}
+	})
+}
+
 func TestChromeTraceMerge(t *testing.T) {
 	leader := NodeSpans{Node: "leader", Spans: []Span{
 		{Trace: 9, Kind: KRequest, Start: 100, Dur: 900},

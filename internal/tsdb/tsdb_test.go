@@ -3,6 +3,7 @@ package tsdb
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,11 +14,12 @@ import (
 // fixture builds a registry with one of every instrument shape and a
 // small store over it. Scrapes are driven manually with synthetic
 // timestamps so window math is exact.
-func fixture(t *testing.T, retention int) (*telemetry.Registry, *Store, *telemetry.Counter, *telemetry.Gauge, func(d time.Duration)) {
+func fixture(t *testing.T, retention int) (*telemetry.Registry, *Store, *telemetry.Counter, *atomic.Int64, func(d time.Duration)) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	c := reg.MustCounter("t_ops_total", "ops", telemetry.L("kind", "w"))
-	g := reg.MustGauge("t_depth", "queue depth")
+	g := new(atomic.Int64)
+	reg.MustGaugeFunc("t_depth", "queue depth", func() float64 { return float64(g.Load()) })
 	h := reg.MustHistogram("t_lat_seconds", "latency", telemetry.UnitSeconds)
 	var fnv uint64
 	reg.MustCounterFunc("t_fn_total", "fn counter", func() uint64 { return fnv })
@@ -39,7 +41,7 @@ func TestWindowMath(t *testing.T) {
 	// histogram observes 1ms then 2ms alternating.
 	for i := 0; i < 10; i++ {
 		c.Add(5)
-		g.Set(int64(i))
+		g.Store(int64(i))
 		d := time.Millisecond
 		if i%2 == 1 {
 			d = 2 * time.Millisecond
@@ -135,7 +137,7 @@ func TestDumpAndHandler(t *testing.T) {
 	_, s, c, g, step := fixture(t, 16)
 	for i := 0; i < 6; i++ {
 		c.Add(10)
-		g.Set(int64(i * 2))
+		g.Store(int64(i * 2))
 		step(3 * time.Millisecond)
 	}
 	d := s.Dump(0, "")
@@ -205,7 +207,8 @@ func TestDumpAndHandler(t *testing.T) {
 func TestScrapeZeroAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.MustCounter("t_ops_total", "ops")
-	g := reg.MustGauge("t_depth", "depth")
+	var g atomic.Int64
+	reg.MustGaugeFunc("t_depth", "depth", func() float64 { return float64(g.Load()) })
 	h := reg.MustHistogram("t_lat_seconds", "latency", telemetry.UnitSeconds)
 	var fnv uint64
 	reg.MustCounterFunc("t_fn_total", "fn", func() uint64 { return fnv })
@@ -213,7 +216,7 @@ func TestScrapeZeroAllocs(t *testing.T) {
 	s := New(reg, Config{Interval: time.Second, Retention: 64})
 	op := func() {
 		c.Inc()
-		g.Set(3)
+		g.Store(3)
 		fnv++
 		h.Observe(time.Millisecond)
 		s.Scrape()

@@ -68,7 +68,7 @@ func Build(dir string, threads, perThread int) (*Harness, error) {
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2), TMCAMLines: 8})
 	sys := sihtm.NewSystem(m, threads, sihtm.Config{})
 	logPath := filepath.Join(dir, "crash.log")
-	store, err := durable.Open(heap, logPath, 8, durable.Config{WaitAck: true})
+	store, err := durable.Open(heap, logPath, 8, durable.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -208,40 +208,6 @@ func ParseResults(p []byte, dst []Result) ([]Result, error) {
 	return dst, nil
 }
 
-// Single-op payload codecs: the point-request types carry compact fixed
-// layouts instead of an op list.
-
-// AppendKey encodes a TGet/TDel payload.
-func AppendKey(p []byte, key uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], key)
-	return append(p, b[:]...)
-}
-
-// ParseKey decodes a TGet/TDel payload.
-func ParseKey(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("%w: key payload of %d bytes", ErrBadFrame, len(p))
-	}
-	return binary.LittleEndian.Uint64(p), nil
-}
-
-// AppendKeyArg encodes a TPut/TScan payload (key + value/count).
-func AppendKeyArg(p []byte, key, arg uint64) []byte {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:], key)
-	binary.LittleEndian.PutUint64(b[8:], arg)
-	return append(p, b[:]...)
-}
-
-// ParseKeyArg decodes a TPut/TScan payload.
-func ParseKeyArg(p []byte) (key, arg uint64, err error) {
-	if len(p) != 16 {
-		return 0, 0, fmt.Errorf("%w: key+arg payload of %d bytes", ErrBadFrame, len(p))
-	}
-	return binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:]), nil
-}
-
 // Ctrl is the TCtrl payload: live server reconfiguration. Zero fields
 // mean "leave unchanged".
 type Ctrl struct {

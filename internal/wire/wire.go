@@ -1,9 +1,12 @@
 // Package wire is the binary protocol of the networked service layer:
 // length-prefixed, CRC-framed messages (in the mould of the WAL's
-// record framing) carrying the key-value vocabulary of the workload
-// engine — GET/PUT/DEL/SCAN point requests, TXN multi-op transactions —
-// plus the control plane (batch-knob updates, server statistics, the
-// quiescent invariant check).
+// record framing). The data plane is one request type, TXN: an op list
+// over the workload engine's key-value vocabulary (get, put, del, scan,
+// rmw), executed atomically — a single operation is a one-op TXN. The
+// control plane carries batch-knob updates, server statistics, the
+// quiescent invariant check and replication. Type codes 0x01–0x04 are
+// reserved (they once named single-op point requests); a server answers
+// them, like any unknown type, with TErr.
 //
 // Frame layout (all fields little-endian):
 //
@@ -85,18 +88,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // response types have the high bit set.
 type Type uint8
 
-// The message vocabulary.
+// The message vocabulary. Codes 0x01–0x04 are reserved.
 const (
-	// TGet is a point lookup; payload: key u64.
-	TGet Type = 0x01
-	// TPut is an upsert; payload: key u64, value u64.
-	TPut Type = 0x02
-	// TDel is a removal; payload: key u64.
-	TDel Type = 0x03
-	// TScan visits entries from key onward; payload: key u64, n u64.
-	TScan Type = 0x04
-	// TTxn is a multi-op transaction, executed atomically; payload: an
-	// op list (AppendOps).
+	// TTxn is the data-plane request: a transaction of one or more ops,
+	// executed atomically; payload: an op list (AppendOps).
 	TTxn Type = 0x05
 	// TCtrl reconfigures the server; payload: JSON Ctrl.
 	TCtrl Type = 0x06
@@ -133,14 +128,6 @@ const (
 // String implements fmt.Stringer.
 func (t Type) String() string {
 	switch t {
-	case TGet:
-		return "GET"
-	case TPut:
-		return "PUT"
-	case TDel:
-		return "DEL"
-	case TScan:
-		return "SCAN"
 	case TTxn:
 		return "TXN"
 	case TCtrl:

@@ -92,23 +92,6 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSinglePayloadRoundTrip(t *testing.T) {
-	k, err := ParseKey(AppendKey(nil, 77))
-	if err != nil || k != 77 {
-		t.Fatalf("key round trip: (%d, %v)", k, err)
-	}
-	key, arg, err := ParseKeyArg(AppendKeyArg(nil, 5, 50))
-	if err != nil || key != 5 || arg != 50 {
-		t.Fatalf("key+arg round trip: (%d, %d, %v)", key, arg, err)
-	}
-	if _, err := ParseKey([]byte{1, 2}); err == nil {
-		t.Error("short key payload accepted")
-	}
-	if _, _, err := ParseKeyArg([]byte{1}); err == nil {
-		t.Error("short key+arg payload accepted")
-	}
-}
-
 func TestControlPayloadRoundTrip(t *testing.T) {
 	st := ServerStats{System: "si-htm", Shards: 4, BatchMax: 32, Batches: 10, BatchedOps: 55}
 	var got ServerStats
@@ -135,21 +118,18 @@ func buildStream(r *rng.Rand, frames int) (img []byte, bounds []int) {
 	for i := 0; i < frames; i++ {
 		var payload []byte
 		var typ Type
-		switch r.Intn(4) {
+		switch r.Intn(3) {
 		case 0:
-			typ = TGet
-			payload = AppendKey(nil, r.Uint64())
+			typ = TCtrl
+			payload = EncodeJSON(Ctrl{BatchMax: 1 + r.Intn(256)})
 		case 1:
-			typ = TPut
-			payload = AppendKeyArg(nil, r.Uint64(), r.Uint64())
-		case 2:
 			typ = TTxn
 			ops := make([]Op, 1+r.Intn(8))
 			for j := range ops {
 				ops[j] = Op{Kind: OpKind(r.Intn(int(numOpKinds))), Key: r.Uint64(), Arg: uint64(r.Intn(16))}
 			}
 			payload = AppendOps(nil, ops)
-		case 3:
+		case 2:
 			typ = TStats
 		}
 		img = AppendFrame(img, uint64(i+1), typ, payload)
@@ -252,20 +232,22 @@ func TestTornStream(t *testing.T) {
 }
 
 // FuzzParseFrame asserts the parser never panics and never accepts a
-// frame whose re-encoding differs — CRC integrity as an invariant.
+// frame whose re-encoding differs — CRC integrity as an invariant, the
+// trace extension included.
 func FuzzParseFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, 1, TGet, AppendKey(nil, 9)))
-	f.Add(AppendFrame(nil, 2, TTxn, AppendOps(nil, []Op{{Kind: OpRMW, Key: 3, Arg: 1}})))
+	f.Add(AppendFrame(nil, 1, TCtrl, EncodeJSON(Ctrl{BatchMax: 64})))
+	f.Add(AppendOpsFrame(nil, 2, []Op{{Kind: OpRMW, Key: 3, Arg: 1}, {Kind: OpGet, Key: 9}}))
 	f.Add([]byte("garbage"))
+	f.Add(AppendOpsFrameT(nil, 4, 0xfeed, []Op{{Kind: OpScan, Key: 5, Arg: 8}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		id, typ, payload, size, err := ParseFrame(b)
+		id, typ, flags, trace, payload, size, err := ParseFrameT(b)
 		if err != nil {
 			return
 		}
 		if size > len(b) {
 			t.Fatalf("size %d beyond input %d", size, len(b))
 		}
-		re := AppendFrame(nil, id, typ, payload)
+		re := AppendFrameT(nil, id, typ, flags, trace, payload)
 		if !bytes.Equal(re, b[:size]) {
 			t.Fatalf("accepted frame does not re-encode identically")
 		}

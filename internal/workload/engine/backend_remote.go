@@ -85,8 +85,8 @@ type clientTracer struct {
 
 // EnableTracing samples every n-th transaction with a fresh trace id
 // (1 traces everything): the id rides the TXN frame's trace extension,
-// the server threads it through its stages, and the synchronous client
-// records a KClient span per traced round trip into the returned ring.
+// the server threads it through its stages, and the client records a
+// KClient span per traced TXN round trip into the returned ring.
 // Call before traffic starts.
 func (b *RemoteBackend) EnableTracing(every int) *trace.Ring {
 	tr := &clientTracer{
@@ -192,7 +192,6 @@ type remoteSession struct {
 	w       *waiter
 	pending []wire.Op
 	results []wire.Result
-	payload []byte
 }
 
 // Prepare implements Session; pool sizing happens server-side, per
@@ -210,46 +209,11 @@ func (s *remoteSession) Commit() {
 	}
 }
 
-// flush ships the pending ops as a single atomic request and fills
-// s.results. Single plain ops use the compact point-request frames so
-// the whole protocol surface stays exercised; everything else is a TXN,
-// encoded straight into the connection's write buffer (no intermediate
-// payload slice).
+// flush ships the pending ops as one TXN, encoded straight into the
+// connection's write buffer (no intermediate payload slice), and fills
+// s.results.
 func (s *remoteSession) flush() {
-	var (
-		t       wire.Type
-		txn     bool
-		payload = s.payload[:0]
-	)
-	if len(s.pending) == 1 {
-		op := s.pending[0]
-		switch op.Kind {
-		case wire.OpGet:
-			t, payload = wire.TGet, wire.AppendKey(payload, op.Key)
-		case wire.OpPut:
-			t, payload = wire.TPut, wire.AppendKeyArg(payload, op.Key, op.Arg)
-		case wire.OpDel:
-			t, payload = wire.TDel, wire.AppendKey(payload, op.Key)
-		case wire.OpScan:
-			t, payload = wire.TScan, wire.AppendKeyArg(payload, op.Key, op.Arg)
-		default:
-			txn = true
-		}
-	} else {
-		txn = true
-	}
-	s.payload = payload
-
-	var (
-		rt  wire.Type
-		rp  []byte
-		err error
-	)
-	if txn {
-		rt, rp, err = s.c.do(s.w, 0, nil, s.pending)
-	} else {
-		rt, rp, err = s.c.do(s.w, t, payload, nil)
-	}
+	rt, rp, err := s.c.do(s.w, 0, nil, s.pending)
 	if err != nil {
 		panic(fmt.Sprintf("engine: remote session: %v", err))
 	}

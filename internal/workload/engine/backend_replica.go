@@ -34,9 +34,10 @@ type ReplicaBackend struct {
 
 	// SyncReads gates follower reads on catch-up (see above).
 	SyncReads bool
-	// CatchupTimeout bounds one SyncReads wait (default 10s).
-	CatchupTimeout time.Duration
 }
+
+// catchupTimeout bounds one catch-up wait: a SyncReads gate or Check.
+const catchupTimeout = 10 * time.Second
 
 // DialReplica connects to a leader and its followers, with conns
 // pipelined connections to each node.
@@ -48,7 +49,7 @@ func DialReplica(leaderAddr string, followerAddrs []string, conns int) (*Replica
 	if err != nil {
 		return nil, err
 	}
-	b := &ReplicaBackend{leader: leader, CatchupTimeout: 10 * time.Second}
+	b := &ReplicaBackend{leader: leader}
 	for _, addr := range followerAddrs {
 		f, err := DialRemote(addr, conns)
 		if err != nil {
@@ -103,7 +104,7 @@ func (b *ReplicaBackend) Check() error {
 	if err := b.leader.Check(); err != nil {
 		return err
 	}
-	if err := b.WaitCatchup(b.catchupTimeout()); err != nil {
+	if err := b.WaitCatchup(catchupTimeout); err != nil {
 		return err
 	}
 	for i, f := range b.followers {
@@ -112,13 +113,6 @@ func (b *ReplicaBackend) Check() error {
 		}
 	}
 	return nil
-}
-
-func (b *ReplicaBackend) catchupTimeout() time.Duration {
-	if b.CatchupTimeout > 0 {
-		return b.CatchupTimeout
-	}
-	return 10 * time.Second
 }
 
 // LeaderSeq fetches the leader's durable frontier.
@@ -199,7 +193,7 @@ func (s *replicaSession) waitSync() {
 	if !s.b.SyncReads {
 		return
 	}
-	if err := s.b.WaitCatchup(s.b.catchupTimeout()); err != nil {
+	if err := s.b.WaitCatchup(catchupTimeout); err != nil {
 		panic(fmt.Sprintf("engine: replica session: %v", err))
 	}
 }

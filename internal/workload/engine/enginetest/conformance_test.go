@@ -47,7 +47,7 @@ func durableMaker(inner Maker) Maker {
 	return func(t *testing.T, keys, threads int) Instance {
 		in := inner(t, keys, threads)
 		store, err := durable.Open(in.Heap, filepath.Join(t.TempDir(), "wal.log"),
-			in.Machine.Topology().MaxThreads(), durable.Config{WaitAck: true})
+			in.Machine.Topology().MaxThreads(), durable.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func TestBTreeRecovery(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "wal.log")
 	ckptPath := filepath.Join(dir, "heap.ckpt")
-	store, err := durable.Open(heap, logPath, m.Topology().MaxThreads(), durable.Config{WaitAck: true})
+	store, err := durable.Open(heap, logPath, m.Topology().MaxThreads(), durable.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
