@@ -18,6 +18,7 @@ import (
 	"sihtm/internal/results"
 	"sihtm/internal/server"
 	"sihtm/internal/tsdb"
+	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 )
 
@@ -50,7 +51,12 @@ func cmdServe(args []string) error {
 	}
 	// The connection-scale ladder may aim thousands of connections here.
 	loadgen.RaiseFDLimit()
-	m, backend, sys, err := experiments.BuildServed(*scenario, *system, *scaleName, *shards)
+	m, backend, err := experiments.BuildServed(*scenario, *scaleName, *shards)
+	if err != nil {
+		return err
+	}
+	digest := m.Heap().Digest()
+	sys, err := experiments.NewSystem(*system, m, m.Heap(), *shards)
 	if err != nil {
 		return err
 	}
@@ -58,15 +64,16 @@ func cmdServe(args []string) error {
 		Addr:    *addr,
 		Machine: m,
 		Server: server.Config{
-			Backend:   backend,
-			System:    sys,
-			Shards:    *shards,
-			BatchMax:  *batch,
-			AdmitWait: *admitWait,
-			P99Target: *p99Target,
-			Scenario:  *scenario,
-			Scale:     *scaleName,
-			TraceSlow: *traceSlow,
+			Backend:    backend,
+			System:     sys,
+			Shards:     *shards,
+			BatchMax:   *batch,
+			AdmitWait:  *admitWait,
+			P99Target:  *p99Target,
+			Scenario:   *scenario,
+			Scale:      *scaleName,
+			BaseDigest: digest,
+			TraceSlow:  *traceSlow,
 		},
 		MetricsAddr: *metricsAddr,
 		TSDB:        tsdb.Config{Interval: *scrapeIv},
@@ -75,7 +82,7 @@ func cmdServe(args []string) error {
 		if *dir != "" {
 			return fmt.Errorf("a follower cannot also serve durably (--follow excludes --durable-dir)")
 		}
-		if err := probeLeader(*follow, *scenario, *scaleName, *shards); err != nil {
+		if err := probeLeader(*follow, *scenario, *scaleName, *shards, digest); err != nil {
 			return err
 		}
 		leader := *follow
@@ -86,10 +93,11 @@ func cmdServe(args []string) error {
 		// meta.json makes the run directory replayable by `repro recover`,
 		// like a `repro durable` one.
 		err := experiments.WriteDurableMeta(*dir, experiments.DurableMeta{
-			Scenario: *scenario,
-			System:   *system,
-			Scale:    *scaleName,
-			Threads:  *shards,
+			Scenario:   *scenario,
+			System:     *system,
+			Scale:      *scaleName,
+			Threads:    *shards,
+			BaseDigest: digest,
 		})
 		if err != nil {
 			return err
@@ -112,8 +120,8 @@ func cmdServe(args []string) error {
 	case *follow != "":
 		mode = "follower"
 	}
-	fields := fmt.Sprintf("addr=%s scenario=%s system=%s scale=%s shards=%d mode=%s batch_max=%d admit_wait=%s p99_target=%s",
-		ns.Addr, *scenario, *system, *scaleName, *shards, mode, *batch, *admitWait, *p99Target)
+	fields := fmt.Sprintf("addr=%s scenario=%s system=%s scale=%s base_digest=%s shards=%d mode=%s batch_max=%d admit_wait=%s p99_target=%s",
+		ns.Addr, *scenario, *system, *scaleName, digest, *shards, mode, *batch, *admitWait, *p99Target)
 	if *dir != "" {
 		fields += fmt.Sprintf(" durable_dir=%s", *dir)
 	}
@@ -169,11 +177,9 @@ func cmdServe(args []string) error {
 	}
 }
 
-// probeLeader refuses to follow a leader this node cannot replicate: the
-// replica's base image must be the exact deterministic build the
-// leader's log was opened on, so a mismatched build is an error rather
-// than a silent divergence.
-func probeLeader(leader, scenario, scaleName string, shards int) error {
+// probeLeader asks a leader for its STATS and refuses to follow it
+// unless followable.
+func probeLeader(leader, scenario, scaleName string, shards int, digest string) error {
 	probe, err := engine.DialRemote(leader, 1)
 	if err != nil {
 		return fmt.Errorf("probing leader %s: %w", leader, err)
@@ -183,12 +189,23 @@ func probeLeader(leader, scenario, scaleName string, shards int) error {
 	if err != nil {
 		return fmt.Errorf("probing leader %s: %w", leader, err)
 	}
+	return followable(leader, st, scenario, scaleName, shards, digest)
+}
+
+// followable refuses a leader this node cannot replicate: the replica's
+// base image must be the exact deterministic build the leader's log was
+// opened on, down to where every node sits (the digest), so a
+// mismatched build is an error rather than a silent divergence.
+func followable(leader string, st wire.ServerStats, scenario, scaleName string, shards int, digest string) error {
 	if !st.Durable {
 		return fmt.Errorf("leader %s is not durable; a volatile server has no WAL to stream", leader)
 	}
 	if st.Scenario != scenario || st.Scale != scaleName || st.Shards != shards {
 		return fmt.Errorf("build mismatch with leader %s: it runs %s/%s shards=%d, this follower %s/%s shards=%d",
 			leader, st.Scenario, st.Scale, st.Shards, scenario, scaleName, shards)
+	}
+	if err := experiments.SameBase(st.BaseDigest, digest); err != nil {
+		return fmt.Errorf("leader %s: %w", leader, err)
 	}
 	return nil
 }

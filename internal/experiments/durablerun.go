@@ -22,12 +22,16 @@ import (
 // and re-checks the workload invariants on the recovered state.
 
 // DurableMeta is the run descriptor persisted as meta.json — everything
-// recovery needs to rebuild the scenario's deterministic base state.
+// recovery needs to rebuild the scenario's deterministic base state, and
+// the digest (memsim.Heap.Digest) of the base the log was written over,
+// so a rebuild that lays the heap out differently is refused instead of
+// replayed onto.
 type DurableMeta struct {
-	Scenario string `json:"scenario"` // "ycsb-a" or "vacation"
-	System   string `json:"system"`
-	Scale    string `json:"scale"`
-	Threads  int    `json:"threads"`
+	Scenario   string `json:"scenario"` // "ycsb-a" or "vacation"
+	System     string `json:"system"`
+	Scale      string `json:"scale"`
+	Threads    int    `json:"threads"`
+	BaseDigest string `json:"base_digest"`
 }
 
 // durableScenarios are the scenarios StartDurable accepts: the
@@ -56,6 +60,9 @@ func WriteDurableMeta(dir string, meta DurableMeta) error {
 	if !slices.Contains(DurableScenarioNames(), meta.Scenario) {
 		return fmt.Errorf("experiments: durable runs support scenarios %v, not %q", DurableScenarioNames(), meta.Scenario)
 	}
+	if meta.BaseDigest == "" {
+		return fmt.Errorf("experiments: meta.json needs the base image's digest")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -83,7 +90,8 @@ func buildDurable(meta DurableMeta) (*built, error) {
 	return nil, fmt.Errorf("experiments: unknown durable scenario %q (known: %v)", meta.Scenario, DurableScenarioNames())
 }
 
-// StartDurable populates the scenario, writes meta.json, and runs the
+// StartDurable populates the scenario, writes meta.json (with the fresh
+// base image's digest in place of meta's), and runs the
 // durable workload on a headless node logging to dir until duration
 // elapses (0 = until the process is killed — the crash the recovery
 // pipeline exists for). Checkpoints are written to heap.ckpt on
@@ -94,6 +102,7 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 	if err != nil {
 		return err
 	}
+	meta.BaseDigest = b.machine.Heap().Digest()
 	sys, err := NewSystem(meta.System, b.machine, b.machine.Heap(), meta.Threads)
 	if err != nil {
 		return err
@@ -155,10 +164,11 @@ type DurableRecovery struct {
 }
 
 // RecoverDurable crash-replays a run directory: it rebuilds the
-// scenario's deterministic base from meta.json, restores heap.ckpt (if
-// the crash left one) plus the wal.log valid prefix, and re-checks the
-// scenario invariants on the recovered state. The returned error is
-// non-nil when recovery itself fails or the invariants do not hold.
+// scenario's deterministic base from meta.json, refuses it unless its
+// digest is the one meta.json recorded, restores heap.ckpt (if the crash
+// left one) plus the wal.log valid prefix, and re-checks the scenario
+// invariants on the recovered state. The returned error is non-nil when
+// recovery itself fails or the invariants do not hold.
 func RecoverDurable(dir string) (DurableRecovery, error) {
 	var out DurableRecovery
 	mj, err := os.ReadFile(metaPath(dir))
@@ -170,6 +180,11 @@ func RecoverDurable(dir string) (DurableRecovery, error) {
 	}
 	b, err := buildDurable(out.Meta)
 	if err != nil {
+		return out, err
+	}
+	if err := SameBase(out.Meta.BaseDigest, b.machine.Heap().Digest()); err != nil {
+		err = fmt.Errorf("experiments: recover: meta.json: %w", err)
+		out.Detail = err.Error()
 		return out, err
 	}
 	rep, err := durable.Recover(b.machine.Heap(), node.CkptPath(dir), node.LogPath(dir))
@@ -190,4 +205,20 @@ func RecoverDurable(dir string) (DurableRecovery, error) {
 	out.InvariantsOK = true
 	out.Detail = rep.String()
 	return out, nil
+}
+
+// SameBase refuses to replay a log recorded over the base image with
+// digest recorded onto a rebuilt base with digest built: the log's
+// records name heap words, so a base laid out differently would take
+// them somewhere else without any error. A missing digest (a log from
+// before digests existed) cannot be checked, and is refused too.
+func SameBase(recorded, built string) error {
+	switch recorded {
+	case built:
+		return nil
+	case "":
+		return fmt.Errorf("no base image digest recorded, so this build's (%s) cannot be checked against it", built)
+	default:
+		return fmt.Errorf("base image digest %s recorded, this build's is %s", recorded, built)
+	}
 }

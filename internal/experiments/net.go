@@ -9,7 +9,6 @@ import (
 	"sihtm/internal/htm"
 	"sihtm/internal/results"
 	"sihtm/internal/stats"
-	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
@@ -361,12 +360,14 @@ func NetEntryIDs() []string {
 	return []string{"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale"}
 }
 
-// BuildServed builds what `repro serve` hosts: the named scenario,
-// populated, and its concurrency control sized for shards executors.
+// BuildServed builds the base image `repro serve` hosts: the named
+// scenario, populated for shards executors, before any concurrency
+// control exists (NewSystem sized for shards comes next), so its heap's
+// digest is the one StartDurable records and RecoverDurable rebuilds.
 // The build's deterministic seed derives from shards, so a follower and
 // a later recovery must use the leader's value.
-func BuildServed(scenario, system, scaleName string, shards int) (*htm.Machine, engine.Backend, tm.System, error) {
-	fail := func(err error) (*htm.Machine, engine.Backend, tm.System, error) { return nil, nil, nil, err }
+func BuildServed(scenario, scaleName string, shards int) (*htm.Machine, engine.Backend, error) {
+	fail := func(err error) (*htm.Machine, engine.Backend, error) { return nil, nil, err }
 	sc, err := ScaleByName(scaleName)
 	if err != nil {
 		return fail(err)
@@ -382,11 +383,7 @@ func BuildServed(scenario, system, scaleName string, shards int) (*htm.Machine, 
 	if err != nil {
 		return fail(err)
 	}
-	sys, err := NewSystem(system, b.machine, b.machine.Heap(), shards)
-	if err != nil {
-		return fail(err)
-	}
-	return b.machine, b.backend, sys, nil
+	return b.machine, b.backend, nil
 }
 
 // runLoadgenAxis measures e's closed-loop axis against a live external

@@ -16,7 +16,12 @@ import (
 // meta.json, periodic and drain-time checkpoints).
 func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 	t.Helper()
-	m, backend, sys, err := BuildServed("ycsb-a", "si-htm", "ci", shards)
+	m, backend, err := BuildServed("ycsb-a", "ci", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := m.Heap().Digest()
+	sys, err := NewSystem("si-htm", m, m.Heap(), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +36,7 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 	if dir != "" {
 		err := WriteDurableMeta(dir, DurableMeta{
 			Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: shards,
+			BaseDigest: digest,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,9 +3,9 @@
 // simulated transactional operation (Read, Write, Commit, an aborted
 // attempt, two threads committing side by side, or a full sihtm Atomic
 // block) as a function of the transaction's footprint in cache lines,
-// plus two fixed-size cases about the simulated memory itself: a
-// dependent pointer chase over a data set larger than cache, and the
-// linear-time load of the Fig. 6 hash map.
+// plus fixed-size cases about the simulated memory itself: a dependent
+// pointer chase over a data set larger than cache, and two over the
+// Fig. 6 hash map, one lookup and the linear-time load.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -45,12 +45,12 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // returns a runner executing n operations of the scenario.
 type Case struct {
 	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t", "atomic", "chase" or "populate".
+	// "commit-2t", "atomic", "chase", "lookup" or "populate".
 	Op string
 	// Mode is the transaction flavour ("HTM"/"ROT"); "" for the rest.
 	Mode string
-	// Lines is the transaction footprint in cache lines; for chase and
-	// populate, the size of the data set.
+	// Lines is the transaction footprint in cache lines; for chase,
+	// lookup and populate, the size of the data set.
 	Lines int
 	// Setup constructs the scenario and returns its runner.
 	Setup func() func(n int)
@@ -66,7 +66,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "populate": "Populate"}[c.Op]
+	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "populate": "Populate"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -286,16 +286,40 @@ func chaseCase(lines int) Case {
 	}}
 }
 
-// populateCase measures engine.Populate on the Fig. 6 hash map, 1000
-// chains of 200: one op is one key loaded (a line allocated and linked
-// at its chain head), amortised over whole 200 000-key loads into a
-// map whose chains were just emptied.
+// fig6Buckets and fig6Keys shape the Fig. 6 hash map the lookup and
+// populate cases build: 1000 chains of 200, keys 0..199 999.
+const fig6Buckets, fig6Keys = 1000, 1000 * 200
+
+// lookupCase measures one read-only hashmap.Map.Lookup of a uniformly
+// drawn key over the populated Fig. 6 map, through the uninstrumented
+// tm.ReadOnlyPlainOps that SI-HTM's read-only path hands a body: a walk
+// of about 100 nodes, so the figure is the chain walk itself, the one
+// the map's layout decides (compare it with Chase per node).
+func lookupCase() Case {
+	return Case{Op: "lookup", Lines: fig6Keys, Setup: func() func(int) {
+		spec := engine.Spec{Keys: fig6Keys}
+		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, fig6Buckets))
+		m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1)})
+		b := engine.NewHashmapBackend(heap, fig6Buckets)
+		engine.Populate(b, spec)
+		var ops tm.Ops = tm.ReadOnlyPlainOps{Th: m.Thread(0)}
+		r := rng.New(1)
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				b.Map().Lookup(ops, r.Uint64()%fig6Keys)
+			}
+		}
+	}}
+}
+
+// populateCase measures engine.Populate on the Fig. 6 hash map: one op
+// is one key loaded, amortised over whole 200 000-key loads into a map
+// whose chains were just emptied.
 func populateCase() Case {
-	const buckets, chain = 1000, 200
-	spec := engine.Spec{Keys: buckets * chain}
+	spec := engine.Spec{Keys: fig6Keys}
 	return Case{Op: "populate", Lines: spec.Keys, Setup: func() func(int) {
-		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-		b := engine.NewHashmapBackend(heap, buckets)
+		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, fig6Buckets))
+		b := engine.NewHashmapBackend(heap, fig6Buckets)
 		empty := heap.Allocated()
 		return func(n int) {
 			for ; n > 0; n -= spec.Keys {
@@ -329,7 +353,7 @@ func Cases(sweep []int) []Case {
 	for _, lines := range chaseSizes {
 		cs = append(cs, chaseCase(lines))
 	}
-	return append(cs, populateCase())
+	return append(cs, lookupCase(), populateCase())
 }
 
 // CasesFor returns the suite restricted to one operation family.

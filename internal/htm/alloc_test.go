@@ -3,6 +3,7 @@ package htm_test
 import (
 	"testing"
 
+	"sihtm/internal/hotbench"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/race"
@@ -45,6 +46,17 @@ func TestCommittedTxSteadyStateAllocs(t *testing.T) {
 				t.Fatal("directory not quiescent after runs")
 			}
 		})
+	}
+}
+
+// TestLookupAllocs pins the Fig. 6 read-only lookup (hotbench's lookup
+// case: a chain walk of ~100 plain loads through tm.ReadOnlyPlainOps) at
+// zero allocations: the walk is the whole of hashmap-large's read path.
+func TestLookupAllocs(t *testing.T) {
+	run := hotbench.CasesFor("lookup", nil)[0].Setup()
+	run(1)
+	if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {
+		t.Fatalf("a Fig. 6 lookup allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -52,3 +52,8 @@ func BenchmarkCommit2T(b *testing.B) { benchCases(b, "commit-2t") }
 // plain Thread.Load over rings of 16 384 and 262 144 lines: the cost of
 // the simulated memory itself, host page walk included.
 func BenchmarkChase(b *testing.B) { benchCases(b, "chase") }
+
+// BenchmarkLookup measures one read-only hash-map lookup of a uniformly
+// drawn key over the populated Fig. 6 map (1000 chains of 200) through
+// tm.ReadOnlyPlainOps: the chain walk SI-HTM's read-only path runs.
+func BenchmarkLookup(b *testing.B) { benchCases(b, "lookup") }

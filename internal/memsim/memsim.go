@@ -193,6 +193,20 @@ func (h *Heap) RestoreAllocated(words int) {
 	h.next.Store(uint64(words))
 }
 
+// Digest fingerprints the heap image: FNV-1a over every word, then the
+// allocation watermark, as 16 hex digits. Two builds that are meant to
+// be the same base image (a leader's and its follower's, a run's and its
+// recovery's) must have the same digest. Quiescent use only.
+func (h *Heap) Digest() string {
+	const prime = 1099511628211
+	d := uint64(14695981039346656037)
+	for i := range h.words {
+		d = (d ^ h.Load(Addr(i))) * prime
+	}
+	d = (d ^ uint64(h.Allocated())) * prime
+	return fmt.Sprintf("%016x", d)
+}
+
 // Zero clears size words starting at a. Setup-time helper; not atomic as a
 // unit (each word store is atomic).
 func (h *Heap) Zero(a Addr, size int) {

@@ -180,3 +180,27 @@ func TestNewHeapValidation(t *testing.T) {
 	}()
 	NewHeap(0)
 }
+
+// Equal images digest alike; one word or the watermark apart, they do
+// not.
+func TestDigest(t *testing.T) {
+	build := func() *Heap {
+		h := NewHeapLines(8)
+		a := h.AllocLine()
+		h.Store(a+3, 42)
+		return h
+	}
+	want := build().Digest()
+	if got := build().Digest(); got != want {
+		t.Fatalf("two equal builds digest %s and %s", want, got)
+	}
+	word := build()
+	word.Store(40, 1)
+	bump := build()
+	bump.AllocLine()
+	for name, h := range map[string]*Heap{"one word": word, "the watermark": bump} {
+		if h.Digest() == want {
+			t.Errorf("heaps %s apart share digest %s", name, want)
+		}
+	}
+}

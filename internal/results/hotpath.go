@@ -19,13 +19,13 @@ type BenchRecord struct {
 	// Name is the benchmark's display id, e.g. "Read/HTM/lines=1024".
 	Name string `json:"name"`
 	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t", "atomic", "chase" or "populate".
+	// "commit-2t", "atomic", "chase", "lookup" or "populate".
 	Op string `json:"op"`
 	// Mode is the transaction flavour ("HTM", "ROT"), or "" for
 	// end-to-end benchmarks that exercise a full system.
 	Mode string `json:"mode,omitempty"`
 	// Lines is the transaction footprint in cache lines at this point
-	// (chase, populate: the size of the data set).
+	// (chase, lookup, populate: the size of the data set).
 	Lines int `json:"lines"`
 	// Iters is how many operations the measurement averaged over.
 	Iters uint64 `json:"iters"`
@@ -115,10 +115,12 @@ func benchOpRank(op string) int {
 		return 5
 	case "chase":
 		return 6
-	case "populate":
+	case "lookup":
 		return 7
-	default:
+	case "populate":
 		return 8
+	default:
+		return 9
 	}
 }
 

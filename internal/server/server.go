@@ -116,9 +116,12 @@ type Config struct {
 	// zero-acked-loss step. Empty skips catch-up.
 	LeaderLogPath string
 	// Scenario and Scale label the hosted workload build in TStats
-	// replies, so remote load generators can rebuild the matching Spec.
-	Scenario string
-	Scale    string
+	// replies, so remote load generators can rebuild the matching Spec;
+	// BaseDigest is that build's base image digest (memsim.Heap.Digest),
+	// which a follower compares with its own before it replays the log.
+	Scenario   string
+	Scale      string
+	BaseDigest string
 	// TraceSlow, when positive, records server-origin spans into the
 	// trace ring for every request the client did not sample whose
 	// admission-to-socket-write lifecycle exceeds it.
@@ -479,6 +482,7 @@ func (s *Server) statsSnapshot() wire.ServerStats {
 		System:      s.cfg.System.Name(),
 		Scenario:    s.cfg.Scenario,
 		Scale:       s.cfg.Scale,
+		BaseDigest:  s.cfg.BaseDigest,
 		Shards:      len(s.shards),
 		BatchMax:    int(s.batchMax.Load()),
 		AdmitWaitUs: int(time.Duration(s.admitWait.Load()) / time.Microsecond),

@@ -235,9 +235,11 @@ type ServerStats struct {
 	// System is the concurrency control the server runs ("si-htm", ...).
 	System string `json:"system"`
 	// Scenario and Scale describe the hosted workload build, so a remote
-	// load generator can reconstruct the matching Spec.
-	Scenario string `json:"scenario,omitempty"`
-	Scale    string `json:"scale,omitempty"`
+	// load generator can reconstruct the matching Spec. BaseDigest is the
+	// digest of that build's base image, which a follower must match.
+	Scenario   string `json:"scenario,omitempty"`
+	Scale      string `json:"scale,omitempty"`
+	BaseDigest string `json:"base_digest,omitempty"`
 	// Shards is the executor count; BatchMax and AdmitWaitUs the current
 	// admission bound and grace period.
 	Shards      int `json:"shards"`

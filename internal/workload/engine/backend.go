@@ -23,10 +23,13 @@ type Backend interface {
 }
 
 // Loader is an optional Backend capability for quiescent bulk loading:
-// Load stores value under a key the caller guarantees absent, without
-// the duplicate search a Session.Insert must make. Populate prefers it.
+// Load fills an empty backend with keys 0..keys-1, each holding
+// InitialValue(key), in one pass that knows the whole key set. The
+// structure must be the one Populate's session inserts would build; the
+// image may differ from theirs only in where nodes are placed. Populate
+// prefers it.
 type Loader interface {
-	Load(key, value uint64)
+	Load(keys int)
 }
 
 // Session is one thread's view of a Backend. The driver's protocol per

@@ -38,10 +38,11 @@ func (b *HashmapBackend) Map() *hashmap.Map { return b.m }
 // Direct implements Backend.
 func (b *HashmapBackend) Direct() tm.Ops { return DirectOps{Heap: b.heap} }
 
-// Load implements Loader: a fresh node prepended to key's chain — the
-// line and the four stores a session insert of an absent key makes.
-func (b *HashmapBackend) Load(key, value uint64) {
-	b.m.Prepend(key, value, b.heap.AllocLine())
+// Load implements Loader: hashmap.Map.Load of Populate's keys in
+// Populate's order, highest first, so each chain holds what the session
+// inserts would link, laid out head first on consecutive lines.
+func (b *HashmapBackend) Load(keys int) {
+	b.m.Load(keys, func(i int) uint64 { return uint64(keys - 1 - i) }, InitialValue)
 }
 
 // Check implements Backend: every chain must terminate (no cycles).

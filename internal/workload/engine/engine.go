@@ -197,9 +197,11 @@ func InitialValue(key uint64) uint64 { return key * 10 }
 
 // Populate inserts every key of the spec's keyspace into the backend
 // quiescently, so reads always hit and chain/leaf occupancy is exactly
-// Keys. Call before handing the backend to workers. A Loader backend
-// links each key in O(1), so the load is O(Keys); any other takes one
-// session insert per key through DirectOps. The heap image is the same.
+// Keys. Call before handing the backend to workers. A Loader backend is
+// handed the key count once and loads in O(Keys); any other takes one
+// session insert per key through DirectOps. The two images are the same
+// up to node placement: the same structure, the same keys in the same
+// order, the same number of words allocated.
 //
 // Keys are inserted highest-first: on the prepend-style hash-map
 // backend that leaves the lowest keys at chain heads, so Zipfian-hot
@@ -208,19 +210,15 @@ func InitialValue(key uint64) uint64 { return key * 10 }
 // transaction's distinct-line footprint genuinely shrink with skew in
 // the Zipfian-θ sweeps.
 func Populate(b Backend, spec Spec) {
-	var load func(key, value uint64)
 	if l, ok := b.(Loader); ok {
-		load = l.Load
-	} else {
-		s, ops := b.NewSession(), b.Direct()
-		load = func(key, value uint64) {
-			s.Prepare(1)
-			s.Reset()
-			s.Insert(ops, key, value)
-			s.Commit()
-		}
+		l.Load(spec.Keys)
+		return
 	}
+	s, ops := b.NewSession(), b.Direct()
 	for k := spec.Keys - 1; k >= 0; k-- {
-		load(uint64(k), InitialValue(uint64(k)))
+		s.Prepare(1)
+		s.Reset()
+		s.Insert(ops, uint64(k), InitialValue(uint64(k)))
+		s.Commit()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sihtm/internal/memsim"
+	"sihtm/internal/workload/hashmap"
 )
 
 // referencePopulate is the loop Populate ran before backends could offer
@@ -35,10 +36,14 @@ func sameImage(t *testing.T, want, got *memsim.Heap) {
 	}
 }
 
-// The linear-time load must leave the heap the session inserts left:
-// recovery base images, follower heaps and every seeded run start from
-// it. The backend only sees Populate's keys in Populate's order, so this
-// also pins highest-key-first and prepend-at-head.
+// The linear-time load must leave the image the session inserts left,
+// up to where the chain nodes sit: the same chains holding the same keys
+// in the same order, and as many words allocated. The backend only sees
+// Populate's key count, so this also pins highest-key-first and
+// prepend-at-head. Each chain must sit on consecutive lines in chain
+// order, which is the point of the load. And two loads must leave the
+// same image word for word: recovery base images and follower heaps are
+// rebuilt, not copied.
 func TestPopulateImageMatchesSessionInserts(t *testing.T) {
 	shapes := []struct{ keys, buckets int }{
 		{8192, 1024},
@@ -49,37 +54,53 @@ func TestPopulateImageMatchesSessionInserts(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("keys=%d,buckets=%d", sh.keys, sh.buckets), func(t *testing.T) {
 			spec := Spec{Keys: sh.keys}
-			build := func(populate func(Backend, Spec)) *memsim.Heap {
+			build := func(populate func(Backend, Spec)) (*memsim.Heap, *hashmap.Map) {
 				heap := memsim.NewHeapLines(HashmapHeapLines(spec, sh.buckets))
-				populate(NewHashmapBackend(heap, sh.buckets), spec)
-				return heap
+				b := NewHashmapBackend(heap, sh.buckets)
+				populate(b, spec)
+				return heap, b.Map()
 			}
-			sameImage(t, build(referencePopulate), build(Populate))
+			_, want := build(referencePopulate)
+			heap, got := build(Populate)
+			if err := hashmap.SameUpToPlacement(want, got); err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < got.Buckets(); b++ {
+				chain := got.Chain(b)
+				for i := 1; i < len(chain); i++ {
+					if chain[i] != chain[i-1]+memsim.WordsPerLine {
+						t.Fatalf("bucket %d node %d at word %d, not the line after node %d at %d", b, i, chain[i], i-1, chain[i-1])
+					}
+				}
+			}
+			again, _ := build(Populate)
+			sameImage(t, heap, again)
 		})
 	}
 }
 
-// Populate must take the Loader when a backend offers one: the chain
-// walk it saves is the whole point. (TestPopulate covers the session
-// path, on the B+tree.)
+// Populate must hand a Loader backend the key count once and open no
+// session: the per-key path is what the Loader replaces. (TestPopulate
+// covers the session path, on the B+tree.)
 func TestPopulatePrefersLoader(t *testing.T) {
 	spec := Spec{Keys: 64}
 	heap := memsim.NewHeapLines(HashmapHeapLines(spec, 4))
 	b := &countingLoader{HashmapBackend: NewHashmapBackend(heap, 4)}
 	Populate(b, spec)
-	if b.loads != spec.Keys || b.sessions != 0 {
-		t.Fatalf("Populate made %d loads and %d sessions on a Loader backend, want %d and 0", b.loads, b.sessions, spec.Keys)
+	if len(b.loads) != 1 || b.loads[0] != spec.Keys || b.sessions != 0 {
+		t.Fatalf("Populate made loads %v and %d sessions on a Loader backend, want [%d] and 0", b.loads, b.sessions, spec.Keys)
 	}
 }
 
 type countingLoader struct {
 	*HashmapBackend
-	loads, sessions int
+	loads    []int
+	sessions int
 }
 
-func (c *countingLoader) Load(key, value uint64) {
-	c.loads++
-	c.HashmapBackend.Load(key, value)
+func (c *countingLoader) Load(keys int) {
+	c.loads = append(c.loads, keys)
+	c.HashmapBackend.Load(keys)
 }
 
 func (c *countingLoader) NewSession() Session {

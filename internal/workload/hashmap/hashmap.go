@@ -8,6 +8,13 @@
 // every chain node occupies exactly one cache line, so traversing a chain
 // of n nodes reads n lines; bucket heads are padded to one line each so
 // that only same-bucket operations contend.
+//
+// Where the nodes sit is the simulator's business, not the paper's: a
+// bulk-loaded map (Load, NewBenchmark) lays each chain on consecutive
+// lines in chain order, so walking it costs the host sequential loads
+// rather than a cache miss per node. The lines a transaction touches,
+// and so every footprint, capacity and conflict count, are the ones a
+// map built by inserts would give.
 package hashmap
 
 import (
@@ -50,10 +57,13 @@ func New(heap *memsim.Heap, buckets int) *Map {
 func (m *Map) Buckets() int { return len(m.buckets) }
 
 // bucketOf hashes a key to its bucket head address.
-func (m *Map) bucketOf(key uint64) memsim.Addr {
+func (m *Map) bucketOf(key uint64) memsim.Addr { return m.buckets[m.bucket(key)] }
+
+// bucket hashes a key to its bucket index.
+func (m *Map) bucket(key uint64) int {
 	// Fibonacci scrambling so sequential keys spread across buckets.
 	h := key * 0x9e3779b97f4a7c15
-	return m.buckets[h%uint64(len(m.buckets))]
+	return int(h % uint64(len(m.buckets)))
 }
 
 // Lookup returns the value stored under key.
@@ -89,16 +99,64 @@ func (m *Map) Insert(ops tm.Ops, key, value uint64, freeNode memsim.Addr) bool {
 	return true
 }
 
-// Prepend links node (a fresh line-aligned node) at the head of key's
-// chain with plain heap stores. Quiescent loading only: the caller
-// guarantees key is absent, so no chain is walked and building a map is
-// linear in its keys.
-func (m *Map) Prepend(key, value uint64, node memsim.Addr) {
-	head := m.bucketOf(key)
-	m.heap.Store(node+nodeKey, key)
-	m.heap.Store(node+nodeValue, value)
-	m.heap.Store(node+nodeNext, m.heap.Load(head))
-	m.heap.Store(head, uint64(node))
+// Load fills an empty map with n distinct keys using plain heap stores:
+// key(0), ..., key(n-1) in the order successive prepends would link
+// them (each at its chain's head), each holding value(key). Every chain
+// ends up with the keys, in the order, the prepends would leave.
+//
+// Only the placement differs: Load counting-sorts the keys by bucket,
+// takes the n node lines with one AllocLines and writes them in address
+// order, chain by chain in bucket order, each chain head first on
+// consecutive lines. A lookup then walks memory in address order instead
+// of hopping across the heap. The load is linear in n; its scratch (one
+// int per bucket, one word per key) is garbage when it returns.
+// Quiescent loading only.
+func (m *Map) Load(n int, key func(i int) uint64, value func(key uint64) uint64) {
+	for _, head := range m.buckets {
+		if m.heap.Load(head) != 0 {
+			panic("hashmap: Load into a non-empty map")
+		}
+	}
+	if n == 0 {
+		return
+	}
+	// Counting sort: at[b] counts bucket b's keys, then (prefix sums)
+	// marks where its chain ends. Dealing the keys in prepend order from
+	// each chain's end backwards puts the last prepend, the head, first
+	// and leaves at[b] where the chain starts; at[len(buckets)] stays n.
+	at := make([]int, len(m.buckets)+1)
+	for i := 0; i < n; i++ {
+		at[m.bucket(key(i))]++
+	}
+	for b := 1; b < len(at); b++ {
+		at[b] += at[b-1]
+	}
+	chained := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		b := m.bucket(k)
+		at[b]--
+		chained[at[b]] = k
+	}
+	base := m.heap.AllocLines(n)
+	line := func(j int) memsim.Addr { return base + memsim.Addr(j*memsim.WordsPerLine) }
+	for b, head := range m.buckets {
+		first, end := at[b], at[b+1]
+		if first == end {
+			continue
+		}
+		m.heap.Store(head, uint64(line(first)))
+		for j := first; j < end; j++ {
+			next := line(j + 1)
+			if j+1 == end {
+				next = 0
+			}
+			node := line(j)
+			m.heap.Store(node+nodeKey, chained[j])
+			m.heap.Store(node+nodeValue, value(chained[j]))
+			m.heap.Store(node+nodeNext, uint64(next))
+		}
+	}
 }
 
 // Remove deletes key, returning the unlinked node's address (0 if the key
@@ -174,6 +232,72 @@ func (m *Map) WalkBounded(maxSteps int) (keys []uint64, ok bool) {
 	return keys, true
 }
 
+// Chain returns the node addresses of bucket b's chain, head first.
+// Verification helper; non-transactional.
+func (m *Map) Chain(b int) []memsim.Addr {
+	var nodes []memsim.Addr
+	for node := memsim.Addr(m.heap.Load(m.buckets[b])); node != 0; node = memsim.Addr(m.heap.Load(node + nodeNext)) {
+		nodes = append(nodes, node)
+	}
+	return nodes
+}
+
+// SameUpToPlacement returns nil if got's heap is want's up to where the
+// chain nodes sit, and the first difference otherwise. Walking every
+// chain of both maps together pairs each of want's node lines with one
+// of got's; every other line pairs with itself. The pairing must be one
+// to one, every word of every line must equal its partner's (a link as
+// the partner of the line it points to), and both heaps must have
+// handed out as many words. Verification helper; non-transactional.
+func SameUpToPlacement(want, got *Map) error {
+	wh, gh := want.heap, got.heap
+	if wh.Size() != gh.Size() || wh.Allocated() != gh.Allocated() {
+		return fmt.Errorf("heap of %d words with %d allocated, want %d with %d", gh.Size(), gh.Allocated(), wh.Size(), wh.Allocated())
+	}
+	if len(want.buckets) != len(got.buckets) {
+		return fmt.Errorf("%d buckets, want %d", len(got.buckets), len(want.buckets))
+	}
+	pair := make([]memsim.Line, wh.Size()/memsim.WordsPerLine)
+	for l := range pair {
+		pair[l] = memsim.Line(l)
+	}
+	link := map[memsim.Addr]bool{}
+	for b, head := range want.buckets {
+		if got.buckets[b] != head {
+			return fmt.Errorf("bucket %d head at word %d, want %d", b, got.buckets[b], head)
+		}
+		link[head] = true
+		wc, gc := want.Chain(b), got.Chain(b)
+		if len(wc) != len(gc) {
+			return fmt.Errorf("bucket %d chain has %d nodes, want %d", b, len(gc), len(wc))
+		}
+		for i, node := range wc {
+			pair[memsim.LineOf(node)] = memsim.LineOf(gc[i])
+			link[node+nodeNext] = true
+		}
+	}
+	taken := make([]bool, len(pair))
+	for l, p := range pair {
+		if taken[p] {
+			return fmt.Errorf("line %d is the partner of two lines (one is %d)", p, l)
+		}
+		taken[p] = true
+	}
+	for l, p := range pair {
+		for w := 0; w < memsim.WordsPerLine; w++ {
+			a := memsim.Line(l).FirstAddr() + memsim.Addr(w)
+			wv, gv := wh.Load(a), gh.Load(p.FirstAddr()+memsim.Addr(w))
+			if to := memsim.Addr(wv); link[a] && to != 0 {
+				wv = uint64(pair[memsim.LineOf(to)].FirstAddr() + memsim.Addr(memsim.WordInLine(to)))
+			}
+			if wv != gv {
+				return fmt.Errorf("line %d word %d is %d, want %d (line %d's partner)", p, w, gv, wv, l)
+			}
+		}
+	}
+	return nil
+}
+
 // Benchmark is the paper's workload driver around Map: a configurable mix
 // of lookups (read-only transactions) and insert/remove pairs (update
 // transactions) over a key space sized so chains keep their configured
@@ -233,11 +357,11 @@ func NewBenchmark(heap *memsim.Heap, cfg BenchConfig) (*Benchmark, error) {
 	}
 	m := New(heap, cfg.Buckets)
 	b := &Benchmark{Map: m, cfg: cfg}
-	// Populate non-transactionally: even keys present, odd keys absent.
-	space := cfg.KeySpace()
-	for key := uint64(0); key < space; key += 2 {
-		m.Prepend(key, key*10, heap.AllocLine())
-	}
+	// Populate non-transactionally: even keys present, odd keys absent,
+	// linked lowest first.
+	m.Load(int(cfg.KeySpace()/2),
+		func(i int) uint64 { return 2 * uint64(i) },
+		func(key uint64) uint64 { return key * 10 })
 	return b, nil
 }
 

@@ -108,31 +108,48 @@ func TestBenchmarkPopulation(t *testing.T) {
 	}
 }
 
-// NewBenchmark loads through Map.Prepend; the image must be the one a
-// transactional Insert of each (absent) even key into a fresh node
-// leaves, which is what its hand-written stores produced before.
+// NewBenchmark bulk-loads through Map.Load. The reference is a
+// transactional Insert of each (absent) even key into a fresh node: the
+// load must leave that image up to node placement, with every chain on
+// consecutive lines in chain order, and two loads must leave the same
+// image word for word.
 func TestBenchmarkImageMatchesInserts(t *testing.T) {
 	for _, cfg := range []hashmap.BenchConfig{
 		{Buckets: 16, ElementsPerBucket: 10, ReadOnlyPercent: 90},
 		{Buckets: 3, ElementsPerBucket: 50, ReadOnlyPercent: 50},
+		{Buckets: 64, ElementsPerBucket: 1, ReadOnlyPercent: 90}, // some chains empty
 	} {
-		got := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-		if _, err := hashmap.NewBenchmark(got, cfg); err != nil {
-			t.Fatal(err)
+		build := func() (*memsim.Heap, *hashmap.Map) {
+			heap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
+			b, err := hashmap.NewBenchmark(heap, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return heap, b.Map
 		}
-		want := memsim.NewHeapLines(cfg.HeapLinesNeeded())
-		m := hashmap.New(want, cfg.Buckets)
+		heap, got := build()
+		wantHeap := memsim.NewHeapLines(cfg.HeapLinesNeeded())
+		want := hashmap.New(wantHeap, cfg.Buckets)
 		for key := uint64(0); key < cfg.KeySpace(); key += 2 {
-			if !m.Insert(plainOps{want}, key, key*10, want.AllocLine()) {
+			if !want.Insert(plainOps{wantHeap}, key, key*10, wantHeap.AllocLine()) {
 				t.Fatalf("reference insert of key %d found it present", key)
 			}
 		}
-		if want.Allocated() != got.Allocated() {
-			t.Fatalf("%+v: %d words allocated, want %d", cfg, got.Allocated(), want.Allocated())
+		if err := hashmap.SameUpToPlacement(want, got); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
 		}
-		for a := memsim.Addr(0); int(a) < want.Size(); a++ {
-			if w, g := want.Load(a), got.Load(a); w != g {
-				t.Fatalf("%+v: word %d is %d, want %d", cfg, a, g, w)
+		for b := 0; b < got.Buckets(); b++ {
+			chain := got.Chain(b)
+			for i := 1; i < len(chain); i++ {
+				if chain[i] != chain[i-1]+memsim.WordsPerLine {
+					t.Fatalf("%+v: bucket %d node %d at word %d, not the line after node %d at %d", cfg, b, i, chain[i], i-1, chain[i-1])
+				}
+			}
+		}
+		again, _ := build()
+		for a := memsim.Addr(0); int(a) < heap.Size(); a++ {
+			if w, g := heap.Load(a), again.Load(a); w != g {
+				t.Fatalf("%+v: second load differs at word %d: %d, want %d", cfg, a, g, w)
 			}
 		}
 	}
