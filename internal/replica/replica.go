@@ -48,10 +48,6 @@ const streamChunkBytes = 128 << 10
 // multiple of this).
 const heartbeatEvery = 50 * time.Millisecond
 
-// pollEvery is the publisher's poll quantum against the durable
-// frontier.
-const pollEvery = 500 * time.Microsecond
-
 // Publisher is the leader side of WAL shipping: it serves any number of
 // subscribers, each tailing the leader's log file from the subscriber's
 // own resume point, bounded by the durable frontier.
@@ -61,18 +57,20 @@ type Publisher struct {
 	subs    atomic.Int64
 	drops   atomic.Uint64
 
-	// traceLookup, when set, maps a record's commit sequence number to
-	// the trace id of the request that produced it (zero when unknown or
+	// traceOf, when set, maps a record's commit sequence number to the
+	// trace id of the request that produced it (zero when unknown or
 	// evicted). Each frame's trace list carries the nonzero ones, so
 	// followers can close the replication leg of an end-to-end trace.
-	traceLookup atomic.Pointer[func(uint64) uint64]
+	traceOf func(uint64) uint64
 }
 
 // NewPublisher builds a publisher over the leader's log. logPath is the
 // same file the log appends to; each subscriber gets its own read-only
-// tailer over it.
-func NewPublisher(logPath string, log *wal.Log) *Publisher {
-	return &Publisher{logPath: logPath, log: log}
+// tailer over it. traceOf (nil disables traced shipping) is the
+// seq→trace mapping every stream consults — the server's lossy
+// SeqTraces table.
+func NewPublisher(logPath string, log *wal.Log, traceOf func(uint64) uint64) *Publisher {
+	return &Publisher{logPath: logPath, log: log, traceOf: traceOf}
 }
 
 // Subscribers returns the number of live streams.
@@ -83,26 +81,15 @@ func (p *Publisher) Subscribers() int { return int(p.subs.Load()) }
 // closing cleanly before a frame was in flight.
 func (p *Publisher) Dropped() uint64 { return p.drops.Load() }
 
-// SetTraceLookup installs the seq→trace mapping future streams consult
-// (the server wires its lossy SeqTraces table here). Nil disables traced
-// shipping. Safe to call while streams are live; each frame snapshots
-// the pointer.
-func (p *Publisher) SetTraceLookup(fn func(uint64) uint64) {
-	if fn == nil {
-		p.traceLookup.Store(nil)
-		return
-	}
-	p.traceLookup.Store(&fn)
-}
-
 // Stream serves one subscriber: TReplBatch frames carrying consecutive
 // records from fromSeq onward, bounded by the durable frontier, written
-// to w until the write fails or stop reports true. The records are the
-// log's own bytes, copied out of the file by a tailer; every frame
-// carries the frontier as its watermark and a trace id for each of its
-// records the lookup knows. Idle periods are bridged by heartbeat
-// frames so the subscriber's liveness timeout holds.
-func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) error {
+// to w until the write fails or stop closes. The records are the log's
+// own bytes, copied out of the file by a tailer; every frame carries the
+// frontier as its watermark and a trace id for each of its records the
+// lookup knows. An idle stream sleeps on the log's flush signal
+// (Log.Notify) and bridges quiet periods with heartbeat frames so the
+// subscriber's liveness timeout holds.
+func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop <-chan struct{}) error {
 	t, err := wal.OpenTailer(p.logPath, fromSeq)
 	if err != nil {
 		return err
@@ -110,14 +97,20 @@ func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) er
 	defer t.Close()
 	p.subs.Add(1)
 	defer p.subs.Add(-1)
+	flushed := make(chan struct{}, 1)
+	p.log.Notify(flushed)
+	defer p.log.StopNotify(flushed)
+	heartbeat := time.NewTimer(heartbeatEvery)
+	defer heartbeat.Stop()
 
 	var b wire.ReplBatch
 	var payload, frame []byte
 	var advertised uint64
-	lastSend := time.Now()
 	for {
-		if stop != nil && stop() {
+		select {
+		case <-stop:
 			return nil
+		default:
 		}
 		limit := p.log.DurableSeq()
 		first := t.NextSeq()
@@ -125,15 +118,20 @@ func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) er
 		if err != nil {
 			return err
 		}
-		if len(b.Records) == 0 && limit <= advertised && time.Since(lastSend) < heartbeatEvery {
-			time.Sleep(pollEvery)
-			continue
+		if len(b.Records) == 0 && limit <= advertised {
+			select {
+			case <-stop:
+				return nil
+			case <-flushed:
+				continue
+			case <-heartbeat.C:
+			}
 		}
 		b.Watermark = limit
 		b.Traces = b.Traces[:0]
-		if lookup := p.traceLookup.Load(); lookup != nil {
+		if p.traceOf != nil {
 			for seq := first; seq < t.NextSeq(); seq++ {
-				if tr := (*lookup)(seq); tr != 0 {
+				if tr := p.traceOf(seq); tr != 0 {
 					b.Traces = append(b.Traces, wire.ReplTrace{Seq: seq, Trace: tr})
 				}
 			}
@@ -145,6 +143,6 @@ func (p *Publisher) Stream(w io.Writer, id, fromSeq uint64, stop func() bool) er
 			return err
 		}
 		advertised = limit
-		lastSend = time.Now()
+		heartbeat.Reset(heartbeatEvery)
 	}
 }

@@ -28,7 +28,9 @@ type testLeader struct {
 	stop chan struct{}
 }
 
-func newTestLeader(t *testing.T) *testLeader {
+// newTestLeader starts a leader whose publisher maps sequences to trace
+// ids with traceOf (nil = untraced).
+func newTestLeader(t *testing.T, traceOf func(uint64) uint64) *testLeader {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "leader.log")
 	l, err := wal.Create(path, wal.Config{}) // daemon, fsync per batch
@@ -39,7 +41,7 @@ func newTestLeader(t *testing.T) *testLeader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := &testLeader{log: l, path: path, pub: NewPublisher(path, l), ln: ln, stop: make(chan struct{})}
+	tl := &testLeader{log: l, path: path, pub: NewPublisher(path, l, traceOf), ln: ln, stop: make(chan struct{})}
 	go tl.serve()
 	t.Cleanup(func() {
 		close(tl.stop)
@@ -65,16 +67,8 @@ func (tl *testLeader) serve() {
 			if err != nil {
 				return
 			}
-			stopped := func() bool {
-				select {
-				case <-tl.stop:
-					return true
-				default:
-					return false
-				}
-			}
 			c.SetWriteDeadline(time.Time{})
-			tl.pub.Stream(c, 1, from, stopped)
+			tl.pub.Stream(c, 1, from, tl.stop)
 		}(c)
 	}
 }
@@ -156,7 +150,7 @@ func checkHeap(t *testing.T, f *Follower, model []uint64) {
 // TestStreamAndApply: records appended on the leader arrive, in order,
 // on the follower; the watermark tracks the durable frontier.
 func TestStreamAndApply(t *testing.T) {
-	tl := newTestLeader(t)
+	tl := newTestLeader(t, nil)
 	model := make([]uint64, testHeapWords)
 	r := rng.New(11)
 	f := newTestFollower(t, tl, nil)
@@ -187,7 +181,7 @@ func TestStreamAndApply(t *testing.T) {
 // converge to the exact leader state — the satellite's survivability
 // requirement.
 func TestChaosResume(t *testing.T) {
-	tl := newTestLeader(t)
+	tl := newTestLeader(t, nil)
 	model := make([]uint64, testHeapWords)
 	r := rng.New(23)
 
@@ -221,7 +215,7 @@ func TestChaosResume(t *testing.T) {
 // leader's log on disk — the follower must catch up to the full valid
 // prefix (zero acknowledged loss) and report itself promoted.
 func TestPromoteCatchUp(t *testing.T) {
-	tl := newTestLeader(t)
+	tl := newTestLeader(t, nil)
 	model := make([]uint64, testHeapWords)
 	r := rng.New(31)
 

@@ -25,8 +25,7 @@ func traceForSeq(seq uint64) uint64 { return seq ^ 0xabcd_0001_0000_0001 }
 // duplicate a span, a fault must not orphan (lose) one, and every span
 // must carry the id the leader's lookup stamped on its sequence.
 func TestChaosTracePropagation(t *testing.T) {
-	tl := newTestLeader(t)
-	tl.pub.SetTraceLookup(traceForSeq)
+	tl := newTestLeader(t, traceForSeq)
 	model := make([]uint64, testHeapWords)
 	r := rng.New(77)
 

@@ -27,9 +27,10 @@ import (
 // TestServerRequestPathZeroAllocs pins the TXN path: frame read →
 // admission → batched execute → reply encode → socket write, plus the
 // client's AppendOpsFrame encode and waiter round trip. On the volatile
-// server the executor sends the reply itself (no shard parks); on the
-// durable one the reply also crosses the park FIFO, the release stage
-// and a group-commit flush, and the pin is the same zero. With a
+// server the writer sends the reply as soon as it takes it; on the
+// durable one the writer first waits for the group-commit flush that
+// covers the reply's stamp, and the pin is the same zero — the ack-wait
+// count proves every measured reply crossed that wait. With a
 // follower subscribed, every request's commit is also tailed out of the
 // log, shipped as a TReplBatch and applied to the follower's heap, and
 // the process still allocates nothing per request.
@@ -40,8 +41,8 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 	}{{"volatile", false, false}, {"durable", true, false}, {"durable-follower", true, true}} {
 		t.Run(c.name, func(t *testing.T) {
 			f := startFixture(t, 256, 1, 16, 0, c.durable)
-			if got, want := f.srv.ParkingShards(), map[bool]int{false: 0, true: 1}[c.durable]; got != want {
-				t.Fatalf("%d shards park, want %d", got, want)
+			if got, want := f.srv.ClaimedShards(), map[bool]int{false: 0, true: 1}[c.durable]; got != want {
+				t.Fatalf("%d shards claimed their ack, want %d", got, want)
 			}
 			var fol *replica.Follower
 			if c.follower {
@@ -80,10 +81,19 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 512; i++ {
 				op()
 			}
-			before := caughtUp()
+			ackWaits := func() uint64 {
+				if f.store == nil {
+					return 0
+				}
+				return f.store.AckWaitHist().Snapshot().Count()
+			}
+			before, waitsBefore := caughtUp(), ackWaits()
 			allocs := testing.AllocsPerRun(500, op)
 			if shipped := caughtUp() - before; fol != nil && shipped < 500 {
 				t.Fatalf("the follower applied %d records during the measurement, want one per request", shipped)
+			}
+			if waits := ackWaits() - waitsBefore; c.durable && waits < 500 {
+				t.Fatalf("%d replies waited for the log during the measurement, want one per request", waits)
 			}
 			if race.Enabled {
 				t.Skipf("race detector instrumentation allocates; path exercised, pin skipped (measured %.2f)", allocs)

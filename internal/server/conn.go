@@ -48,6 +48,11 @@ var connIOPool = sync.Pool{New: func() any {
 	}
 }}
 
+// replyQueueDepth bounds a connection's queued replies. Executors block
+// on a full queue: the backpressure against a slow client and, while
+// the writer holds a reply for the log, against a stalled disk.
+const replyQueueDepth = 256
+
 // outMsg is one queued reply: either a pooled task whose reply buffer
 // holds the encoded frame (data plane — the writer recycles the task
 // after the write), or a standalone encoded frame (control plane).
@@ -84,7 +89,7 @@ func newSrvConn(s *Server, nc net.Conn) *srvConn {
 		srv: s,
 		c:   nc,
 		io:  io,
-		out: make(chan outMsg, 256),
+		out: make(chan outMsg, replyQueueDepth),
 	}
 }
 
@@ -95,7 +100,7 @@ func (c *srvConn) send(frame []byte) { c.out <- outMsg{frame: frame} }
 
 // sendTask queues an answered task: its reply buffer holds the encoded
 // frame, and its inflight reference is released by the writer after the
-// write (the executor's, or the release stage's, obligation ends here).
+// write (the executor's obligation ends here).
 func (c *srvConn) sendTask(t *task) { c.out <- outMsg{t: t} }
 
 // sendErr queues a TErr reply.
@@ -210,7 +215,7 @@ func (c *srvConn) readLoop() {
 			c.sendEmptyReply(id)
 
 		case wire.TStats:
-			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(c.srv.statsSnapshot())))
+			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(c.srv.Snapshot())))
 
 		case wire.TCheck:
 			// Quiesce the executors (batches run under RLock) — and, on a
@@ -244,8 +249,8 @@ func (c *srvConn) readLoop() {
 			// The subscription hijacks the connection (protocol contract:
 			// TReplSub is the only request ever sent on it), so the reader
 			// goroutine itself becomes the stream pump, writing frames
-			// straight to the socket. Drain stops it via the stop hook.
-			c.streamRepl(id, from)
+			// straight to the socket until Drain closes drained.
+			c.srv.pub.Stream(deadlineWriter{c.c}, id, from, c.srv.drained)
 			return
 
 		case wire.TReplPromote:
@@ -269,16 +274,6 @@ func (c *srvConn) readLoop() {
 	}
 }
 
-// streamRepl pumps the replication stream on a hijacked connection.
-// Frames are written directly to the socket (the writer queue is idle:
-// nothing else was, or will be, requested on this connection), each
-// write bounded by writeTimeout; drain stops the pump.
-func (c *srvConn) streamRepl(id, from uint64) {
-	c.srv.pub.Stream(deadlineWriter{c.c}, id, from, func() bool {
-		return c.srv.draining.Load()
-	})
-}
-
 // deadlineWriter arms writeTimeout before every socket write.
 type deadlineWriter struct{ c net.Conn }
 
@@ -293,10 +288,11 @@ func (w deadlineWriter) Write(p []byte) (int, error) {
 // would otherwise wedge Drain forever behind one stalled peer.
 const writeTimeout = 10 * time.Second
 
-// writeLoop streams reply frames, flushing whenever the queue runs dry
-// (coalesced flushes across pipelined replies). A write error stops
-// output but keeps draining the queue — releasing inflight references
-// and recycling tasks — so executors never block on a dead connection.
+// writeLoop streams reply frames, each task once Server.release lets it
+// go, flushing whenever the queue runs dry (coalesced flushes across
+// pipelined replies). A write error stops output but keeps draining the
+// queue — releasing inflight references and recycling tasks — so
+// executors never block on a dead connection.
 // The writer exits last (out closes only after the reader is gone and
 // inflight hits zero), so it owns returning the connection's pooled
 // I/O state.
@@ -317,6 +313,12 @@ func (c *srvConn) writeLoop() {
 		frame := m.frame
 		if m.t != nil {
 			frame = m.t.reply
+			// Before waiting for the log, send what is buffered: it may
+			// leave now, and would otherwise wait an fsync behind this one.
+			if werr == nil && bw.Buffered() > 0 && m.t.stamp != 0 && c.srv.cfg.Store.DurableSeq() < m.t.stamp {
+				werr = bw.Flush()
+			}
+			c.srv.release(m.t)
 		}
 		if werr == nil {
 			c.c.SetWriteDeadline(time.Now().Add(writeTimeout))

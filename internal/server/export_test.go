@@ -1,14 +1,14 @@
 package server
 
-// ParkDepth is the per-shard park FIFO's capacity.
-const ParkDepth = parkDepth
+// ReplyQueueDepth is a connection's reply-queue capacity.
+const ReplyQueueDepth = replyQueueDepth
 
-// ParkingShards counts the shards that have a park FIFO and a release
-// stage: all of them on a durable leader, none otherwise.
-func (s *Server) ParkingShards() int {
+// ClaimedShards counts the shards whose thread claimed its durability
+// wait on the store: all of them on a durable leader, none otherwise.
+func (s *Server) ClaimedShards() int {
 	n := 0
 	for _, sh := range s.shards {
-		if sh.park != nil {
+		if sh.claimed {
 			n++
 		}
 	}

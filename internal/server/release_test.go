@@ -101,8 +101,8 @@ func get(key uint64) wire.Op { return wire.Op{Kind: wire.OpGet, Key: key} }
 // answered until the log covers them; one Sync then answers all three.
 func TestNoReplyBeforeDurable(t *testing.T) {
 	f := startManualSync(t, 2, 16)
-	if got := f.srv.ParkingShards(); got != 2 {
-		t.Fatalf("%d of 2 shards park on a durable leader", got)
+	if got := f.srv.ClaimedShards(); got != 2 {
+		t.Fatalf("%d of 2 shards claimed their ack on a durable leader", got)
 	}
 	c := dialRaw(t, f)
 	want := engine.InitialValue(7) + 1
@@ -132,21 +132,22 @@ func TestNoReplyBeforeDurable(t *testing.T) {
 	}
 	st = waitSnap(t, f.srv, "the replies to be counted", func(s wire.ServerStats) bool { return s.Telemetry.FramesOut == 3 })
 	if n := st.Telemetry.AckWaitHist.Count(); n != 3 {
-		t.Fatalf("%d ack waits observed for 3 parked replies", n)
+		t.Fatalf("%d ack waits observed for 3 held replies", n)
 	}
 }
 
-// TestParkFullBlocksExecutor: with more requests in flight than the park
-// FIFO holds the executor blocks — batches stop, nothing is dropped —
-// and one Sync answers everything, the requests behind the blockage
+// TestReplyQueueFullBlocksExecutor: with more requests in flight than
+// the connection's reply queue holds while its writer waits for the log,
+// the executor blocks — batches stop, nothing is dropped — and one Sync
+// answers everything in order, the requests behind the blockage
 // included (they are reads: once run they wait for nothing newer).
-func TestParkFullBlocksExecutor(t *testing.T) {
+func TestReplyQueueFullBlocksExecutor(t *testing.T) {
 	f := startManualSync(t, 1, 1) // one request per batch: Batches counts requests
 	c := dialRaw(t, f)
 	const writes = 100
-	// The FIFO, the task the release stage holds, the task the executor
-	// is stuck parking — and 100 more that stay queued behind it.
-	const stuck = server.ParkDepth + 2
+	// The queue, the task the writer holds, the task the executor is
+	// stuck queueing — and 100 more that stay queued behind it.
+	const stuck = server.ReplyQueueDepth + 2
 	const total = stuck + 100
 	for i := 1; i <= total; i++ {
 		if i <= writes {
@@ -156,12 +157,12 @@ func TestParkFullBlocksExecutor(t *testing.T) {
 		}
 	}
 	blocked := func(s wire.ServerStats) bool { return s.Telemetry.FramesIn == total && s.Batches == stuck }
-	waitSnap(t, f.srv, "the executor to block on a full park", blocked)
+	waitSnap(t, f.srv, "the executor to block on a full reply queue", blocked)
 	for i := 0; i < 100; i++ { // it stays blocked
 		runtime.Gosched()
 	}
 	if st := f.srv.Snapshot(); !blocked(st) || st.Telemetry.FramesOut != 0 {
-		t.Fatalf("batches=%d (want %d) out=%d (want 0) with the park full", st.Batches, uint64(stuck), st.Telemetry.FramesOut)
+		t.Fatalf("batches=%d (want %d) out=%d (want 0) with the reply queue full", st.Batches, uint64(stuck), st.Telemetry.FramesOut)
 	}
 
 	if err := f.store.Sync(); err != nil {
@@ -178,7 +179,7 @@ func TestParkFullBlocksExecutor(t *testing.T) {
 }
 
 // TestDrainDeliversParkedReplies: Drain syncs the log itself, so every
-// parked reply is delivered before the connection closes.
+// reply a writer holds is delivered before the connection closes.
 func TestDrainDeliversParkedReplies(t *testing.T) {
 	f := startManualSync(t, 2, 16)
 	c := dialRaw(t, f)

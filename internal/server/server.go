@@ -28,21 +28,21 @@
 // Durable serving takes the fsync off the executor. The server claims
 // its shard threads on the store (durable.Store.ClaimAck), so Atomic
 // returns at commit; the executor stamps the batch's tasks with the log
-// position their replies depend on, encodes the replies, parks them in
-// the shard's bounded FIFO and takes the next batch, while one release
-// stage per shard hands parked tasks to their connections as the log's
-// durable frontier passes their stamp. The ordering rule: no reply
-// leaves the node before DurableSeq covers the log position at which
-// its batch executed. A batch that logged a record is stamped with the
-// sequence its commit drew, which is above that of every commit it read
-// from; a batch that logged none — a read-only one above all — may have
+// position their replies depend on, encodes the replies, queues them on
+// their connections and takes the next batch. Each connection's writer
+// holds a stamped reply, asleep on the log's flush signal, until the
+// durable frontier passes the stamp. The ordering rule: no reply leaves
+// the node before DurableSeq covers the log position at which its batch
+// executed. A batch that logged a record is stamped with the sequence
+// its commit drew, which is above that of every commit it read from; a
+// batch that logged none — a read-only one above all — may have
 // observed a committed-but-not-yet-durable write, and is stamped with
 // LastSeq read after Atomic returned. A volatile server and a replica
-// stamp 0, which sends the reply from the executor itself.
+// stamp 0: their writers never wait.
 //
 // Graceful drain: Drain stops the accept loop, unblocks connection
 // readers, lets executors finish every admitted request, syncs the log
-// so the release stages empty, flushes and closes connections, and —
+// so no writer waits any more, flushes and closes connections, and —
 // when a durable store is attached — forces a final checkpoint so a
 // restart recovers without replaying the whole log.
 package server
@@ -182,34 +182,26 @@ type Server struct {
 	mu       sync.Mutex
 	conns    map[*srvConn]struct{}
 	draining atomic.Bool
+	drained  chan struct{} // closed when Drain starts: stops replication streams
 
-	readers   sync.WaitGroup
-	execs     sync.WaitGroup
-	releasers sync.WaitGroup
-	writers   sync.WaitGroup
+	readers sync.WaitGroup
+	execs   sync.WaitGroup
+	writers sync.WaitGroup
 
 	drainOnce sync.Once
 	drainErr  error
 }
-
-// parkDepth bounds the answered-but-not-yet-durable replies one shard
-// holds. It is far above what fits between two fsyncs at any rate the
-// executors sustain, so it binds only when the disk stalls — and then
-// the executor blocks on it and admission backs up, as it would have
-// inside Atomic.
-const parkDepth = 1024
 
 // shard is one executor: a queue, a backend session and scratch state.
 type shard struct {
 	id   int
 	ch   chan *task
 	sess engine.Session
-	// park is the FIFO between the executor and the shard's release
-	// stage: tasks with their replies encoded, in stamp order, waiting
-	// for the log. Nil on a volatile server and on a replica.
-	park  chan *task
-	batch []*task
-	timer *time.Timer // admission-grace timer, reused across batches
+	// claimed is set on a durable leader: the shard's thread returns from
+	// Atomic at commit and its replies are stamped for the writer's wait.
+	claimed bool
+	batch   []*task
+	timer   *time.Timer // admission-grace timer, reused across batches
 	// body is the transaction body handed to System.Atomic, bound once
 	// at construction — a per-batch closure literal would escape and
 	// cost one heap allocation per batch.
@@ -227,7 +219,7 @@ type task struct {
 	trace   uint64 // client-stamped trace id (0 = unsampled)
 	seq     uint64 // sequence of the record the carrying batch logged (0 = none)
 	stamp   uint64 // log position the reply waits for (0 = send at once)
-	ackNs   int64  // reply encoded to released by the log (0 when never parked)
+	ackNs   int64  // reply encoded to released by the log (0 when unstamped)
 	ops     []wire.Op
 	results []wire.Result
 	reply   []byte // encoded TReply frame (wire.AppendResultsFrame)
@@ -268,6 +260,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		hist:      &stats.Histogram{},
 		conns:     map[*srvConn]struct{}{},
+		drained:   make(chan struct{}),
 		traceSlow: int64(cfg.TraceSlow),
 	}
 	s.batchMax.Store(int64(cfg.BatchMax))
@@ -275,8 +268,7 @@ func New(cfg Config) (*Server, error) {
 	s.ring = trace.NewRing(trace.DefaultRingSpans)
 	s.idGen = trace.NewIDGen(uint64(time.Now().UnixNano()))
 	if cfg.Store != nil {
-		s.pub = replica.NewPublisher(cfg.Store.LogPath(), cfg.Store.Log())
-		s.pub.SetTraceLookup(s.seqTraces.Get)
+		s.pub = replica.NewPublisher(cfg.Store.LogPath(), cfg.Store.Log(), s.seqTraces.Get)
 		cfg.Store.Log().SetTraceRing(s.ring)
 	}
 	if cfg.Follower != nil {
@@ -291,7 +283,7 @@ func New(cfg Config) (*Server, error) {
 		sh.body = sh.execBody
 		if cfg.Store != nil && cfg.Follower == nil {
 			cfg.Store.ClaimAck(i)
-			sh.park = make(chan *task, parkDepth)
+			sh.claimed = true
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -311,10 +303,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	for _, sh := range s.shards {
 		s.execs.Add(1)
 		go sh.run(s)
-		if sh.park != nil {
-			s.releasers.Add(1)
-			go sh.releaseLoop(s)
-		}
 	}
 	if s.cfg.P99Target > 0 {
 		if err := s.setP99Target(int(s.cfg.P99Target / time.Microsecond)); err != nil {
@@ -365,13 +353,13 @@ func (s *Server) startConn(nc net.Conn) {
 // requests are admitted, every already-admitted request commits and is
 // answered, connections flush and close, and a durable store gets a
 // final checkpoint. The order is readers exit → queues close →
-// executors finish → log synced → release stages empty → writers flush
-// → final checkpoint. Safe to call more than once; Serve returns nil
-// once draining.
+// executors finish → log synced → writers flush → final checkpoint.
+// Safe to call more than once; Serve returns nil once draining.
 func (s *Server) Drain() error {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining.Store(true)
+		close(s.drained)
 		for c := range s.conns {
 			// Unblock readers parked in a frame read; they observe the
 			// draining flag and exit without admitting further requests.
@@ -392,21 +380,15 @@ func (s *Server) Drain() error {
 			close(sh.ch)
 		}
 		s.execs.Wait()
-		// Nothing appends any more, so one sync covers every parked reply.
-		// If it fails they stay unsent: an unacknowledgeable commit is
-		// never acknowledged.
+		// Nothing appends any more, so one sync covers every reply a writer
+		// holds. If it fails they stay unsent: an unacknowledgeable commit
+		// is never acknowledged.
 		if s.cfg.Store != nil {
 			if err := s.cfg.Store.Sync(); err != nil {
 				s.drainErr = fmt.Errorf("server: drain sync: %w", err)
 				return
 			}
 		}
-		for _, sh := range s.shards {
-			if sh.park != nil {
-				close(sh.park)
-			}
-		}
-		s.releasers.Wait()
 		s.writers.Wait()
 		if s.cfg.Store != nil && s.cfg.CheckpointPath != "" {
 			if _, err := s.cfg.Store.WriteCheckpoint(s.cfg.CheckpointPath); err != nil {
@@ -450,8 +432,9 @@ func (s *Server) setAdmitWait(us int) error {
 	return nil
 }
 
-// statsSnapshot builds the TStats reply.
-func (s *Server) statsSnapshot() wire.ServerStats {
+// Snapshot builds the full TStats payload — the wire reply, and what a
+// drain log or an embedding test reads in process.
+func (s *Server) Snapshot() wire.ServerStats {
 	var repl *wire.ReplStats
 	if f := s.cfg.Follower; f != nil {
 		rs := f.Stats()
@@ -498,10 +481,6 @@ func (s *Server) statsSnapshot() wire.ServerStats {
 	}
 }
 
-// Snapshot exposes the full TStats payload in-process — what a drain
-// log or an embedding test reads without a wire round trip.
-func (s *Server) Snapshot() wire.ServerStats { return s.statsSnapshot() }
-
 // Hist exposes the per-op latency histogram (tests and in-process
 // loadgen cells read it directly).
 func (s *Server) Hist() *stats.Histogram { return s.hist }
@@ -519,9 +498,9 @@ func (s *Server) Exemplars() *trace.Exemplars { return &s.exemplars }
 // write: one span per stage plus the covering request span, all under
 // one trace id. Requests the client did not sample get spans only when
 // slow, under a fresh server-origin id. The stage spans tile the
-// request exactly (admit + exec + ack + flush = total); a request that
-// was never parked has no ack span. Allocation-free: spans are stack
-// literals into the lock-free ring.
+// request exactly (admit + exec + ack + flush = total); an unstamped
+// request has no ack span. Allocation-free: spans are stack literals
+// into the lock-free ring.
 func (s *Server) recordSpans(t *task, total time.Duration) {
 	tr := t.trace
 	if tr == 0 {
@@ -546,7 +525,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // run is the executor loop: admit one task (blocking), coalesce more up
 // to the batch bound — draining the queue opportunistically and, with a
 // non-zero admission grace, waiting briefly for stragglers — then
-// execute the batch as one transaction and answer or park every task.
+// execute the batch as one transaction and queue every reply.
 func (sh *shard) run(s *Server) {
 	defer s.execs.Done()
 	for t := range sh.ch {
@@ -606,9 +585,9 @@ func (sh *shard) run(s *Server) {
 	}
 }
 
-// exec runs one batch as a single transaction, encodes each task's reply
-// and sends it — or, when the reply depends on log records that are not
-// durable yet, parks it for the shard's release stage.
+// exec runs one batch as a single transaction, stamps each task with the
+// log position its reply waits for, encodes the reply and queues it on
+// its connection.
 func (sh *shard) exec(s *Server, opsN int) {
 	tExec := time.Now()
 	for _, t := range sh.batch {
@@ -639,7 +618,7 @@ func (sh *shard) exec(s *Server, opsN int) {
 	}
 	sh.sess.Prepare(inserts)
 	var prevSeq uint64
-	if sh.park != nil {
+	if sh.claimed {
 		prevSeq = s.cfg.Store.ThreadSeq(sh.id)
 	}
 	s.execBusy.Add(1)
@@ -654,13 +633,13 @@ func (sh *shard) exec(s *Server, opsN int) {
 	// The ordering rule (package comment). seq is the record this batch
 	// logged, if any; stamp is the log position its replies wait for.
 	var seq, stamp uint64
-	if sh.park != nil {
+	if sh.claimed {
 		stamp = s.cfg.Store.LastSeq()
 		if own := s.cfg.Store.ThreadSeq(sh.id); own != prevSeq {
 			seq, stamp = own, own
 			// The record can ship to followers as soon as it is durable,
-			// which nothing here waits for any more: its trace id has to
-			// be on file before the first task can block on a full park.
+			// which nothing here waits for: its trace id has to be on file
+			// before the first task can block on a full reply queue.
 			for _, t := range sh.batch {
 				if t.trace != 0 {
 					s.seqTraces.Put(seq, t.trace)
@@ -674,48 +653,35 @@ func (sh *shard) exec(s *Server, opsN int) {
 	s.batchOpsHist.Observe(time.Duration(opsN))
 	for _, t := range sh.batch {
 		// The framed reply is encoded straight into the task's own buffer
-		// (no intermediate payload, no copy); the writer releases the
-		// inflight reference and recycles the task after the write.
+		// (no intermediate payload, no copy); the writer owns the task
+		// from here, and recycles it after the write.
 		t.seq, t.stamp, t.ackNs = seq, stamp, 0
 		t.reply = wire.AppendResultsFrameT(t.reply[:0], t.id, t.trace, t.results)
 		t.tExec = tExec
 		t.batchOps = int32(opsN)
 		t.tDone = time.Now()
-		if stamp == 0 {
-			s.release(t, t.tDone)
-		} else {
-			sh.park <- t
-		}
+		t.c.sendTask(t)
 	}
 }
 
-// releaseLoop is the shard's release stage: it takes parked tasks in
-// FIFO order — which is stamp order, one executor stamped them all —
-// and sends each once the log's durable frontier covers its stamp. The
-// wait is the request's ack stage.
-func (sh *shard) releaseLoop(s *Server) {
-	defer s.releasers.Done()
-	wlog, ackHist := s.cfg.Store.Log(), s.cfg.Store.AckWaitHist()
-	for t := range sh.park {
-		wlog.WaitDurable(t.stamp)
-		now := time.Now()
+// release holds a task until the log covers its stamp — the request's
+// ack stage — then observes service latency (admission to the moment
+// the reply may leave: what the admission controller and the SLO rules
+// steer on). It runs on the connection's writer, just before the write.
+func (s *Server) release(t *task) {
+	now := t.tDone
+	if t.stamp != 0 {
+		s.cfg.Store.Log().WaitDurable(t.stamp)
+		now = time.Now()
 		ack := now.Sub(t.tDone)
 		t.ackNs = int64(ack)
-		ackHist.Observe(ack)
-		s.release(t, now)
+		s.cfg.Store.AckWaitHist().Observe(ack)
 	}
-}
-
-// release answers one task: service latency (admission to the moment the
-// reply may leave — what the admission controller and the SLO rules
-// steer on) is observed here, then the connection's writer takes over.
-func (s *Server) release(t *task, now time.Time) {
 	d := now.Sub(t.t0)
 	s.hist.Observe(d)
 	if t.trace != 0 {
 		s.exemplars.Note(d, t.trace)
 	}
-	t.c.sendTask(t)
 }
 
 // execBody is the transaction body for the shard's current batch. The

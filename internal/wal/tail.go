@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -27,13 +28,14 @@ type Tailer struct {
 	buf   []byte // unconsumed file bytes
 	off   int    // parse offset into buf
 	next  uint64 // next sequence number to surface
+	after uint64 // sequence the next framed record must carry (0 before the first)
 	chunk []byte // read scratch
 }
 
 // OpenTailer opens the log at path for following. Records with
 // sequence numbers below fromSeq are skipped (the follower already has
-// them); the first record surfaced is exactly fromSeq, and continuity
-// is enforced from there on.
+// them); the first record surfaced is exactly fromSeq. Every record,
+// skipped or not, must follow its predecessor, as in Replay's prefix.
 func OpenTailer(path string, fromSeq uint64) (*Tailer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -56,7 +58,7 @@ func (t *Tailer) NextSeq() uint64 { return t.next }
 // not including, NextSeq after it. Next checks each record's framing,
 // CRC and sequence continuity but does not decode it. It reads to the
 // current end of file and returns (possibly nothing) rather than
-// blocking; callers poll as the writer's durable watermark advances. A
+// blocking; callers call again after Log.Notify signals a flush. A
 // record past limit or budget stays buffered for a later call.
 //
 // Errors: ErrTailCorrupt for damaged bytes, a sequence-continuity
@@ -74,18 +76,19 @@ func (t *Tailer) Next(limit uint64, dst []byte, budget int) ([]byte, error) {
 			if st == recBad {
 				return dst, ErrTailCorrupt
 			}
-			if seq >= t.next && (seq > limit || len(dst) > start && len(dst)-start+size > budget) {
+			if t.after != 0 && seq != t.after || seq > t.next {
+				return dst, fmt.Errorf("wal: tail: sequence gap: got %d, want %d", seq, cmp.Or(t.after, t.next))
+			}
+			if seq == t.next && (seq > limit || len(dst) > start && len(dst)-start+size > budget) {
 				// Durable frontier or budget reached: leave the record
 				// buffered (the re-check on the next call is cheap).
 				return dst, nil
 			}
 			rec := t.buf[t.off : t.off+size]
 			t.off += size
+			t.after = seq + 1
 			if seq < t.next {
 				continue // prefix the follower already holds
-			}
-			if seq != t.next {
-				return dst, fmt.Errorf("wal: tail: sequence gap: got %d, want %d", seq, t.next)
 			}
 			t.next++
 			dst = append(dst, rec...)

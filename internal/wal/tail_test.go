@@ -217,3 +217,38 @@ func TestTailerCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestTailerStopsAtValidPrefix: a file whose records run 1, 2, 1, 3 has
+// the valid prefix 1, 2 — Replay stops at the repeat — and a tailer must
+// surface exactly that prefix and report the gap, whether it starts at
+// the head or skips records below its floor.
+func TestTailerStopsAtValidPrefix(t *testing.T) {
+	var img []byte
+	for _, seq := range []uint64{1, 2, 1, 3} {
+		img = appendRecord(img, seq, entriesFor(seq))
+	}
+	st, err := ReplayBytes(img, nil)
+	if err != nil || st.Records != 2 {
+		t.Fatalf("replay of 1, 2, 1, 3: %s, %v; want the 2-record prefix", st, err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []uint64{1, 2, 3} {
+		tl, err := OpenTailer(path, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := tl.Next(^uint64(0), nil, 1<<20)
+		tl.Close()
+		if err == nil {
+			t.Errorf("from %d: the repeated record 1 was not reported", from)
+		}
+		for _, r := range decodeShipped(t, buf) {
+			if r.Seq < from || r.Seq > 2 {
+				t.Errorf("from %d: tailer surfaced record %d past the valid prefix", from, r.Seq)
+			}
+		}
+	}
+}

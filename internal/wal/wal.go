@@ -14,6 +14,10 @@
 // rule crash recovery applies. One redo record, one parser and one
 // apply rule run from commit to the follower's heap.
 //
+// The flush is the one signal that the durable prefix advanced: it
+// stores DurableSeq, then sends a token to every Notify channel. Every
+// durability wait sleeps on it; nothing polls.
+//
 // Ordering contract: Append assigns sequence numbers under the same
 // mutex that serializes buffer writes, so file order equals sequence
 // order; callers (internal/durable.Store) invoke Append inside the TM
@@ -30,6 +34,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +78,9 @@ type Log struct {
 	flushMu sync.Mutex // serializes flushes; held across write+fsync
 	scratch []byte     // flusher-owned swap buffer (reused)
 
-	durMu   sync.Mutex
-	durCond *sync.Cond
-	durable atomic.Uint64 // highest fsynced seq; stored under durMu
+	durable  atomic.Uint64 // highest fsynced seq; stored by flush only
+	notifyMu sync.Mutex
+	notify   []chan struct{} // Notify's registrations; each gets a token per flush
 
 	records atomic.Uint64
 	bytes   atomic.Uint64
@@ -125,7 +130,6 @@ func Create(path string, cfg Config) (*Log, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	l.durCond = sync.NewCond(&l.durMu)
 	l.lastSeq.Store(first - 1)
 	l.durable.Store(first - 1)
 	if cfg.NoDaemon {
@@ -171,17 +175,40 @@ func (l *Log) LastSeq() uint64 { return l.lastSeq.Load() }
 // DurableSeq returns the highest sequence number known fsynced.
 func (l *Log) DurableSeq() uint64 { return l.durable.Load() }
 
+// Notify registers ch for a token after every flush, daemon or Sync.
+// The send never blocks (a full ch keeps the token it holds), so give ch
+// capacity 1 and re-read DurableSeq after each token.
+func (l *Log) Notify(ch chan struct{}) {
+	l.notifyMu.Lock()
+	l.notify = append(l.notify, ch)
+	l.notifyMu.Unlock()
+}
+
+// StopNotify unregisters ch: no flush sends to it after this returns.
+func (l *Log) StopNotify(ch chan struct{}) {
+	l.notifyMu.Lock()
+	if i := slices.Index(l.notify, ch); i >= 0 {
+		l.notify = slices.Delete(l.notify, i, i+1)
+	}
+	l.notifyMu.Unlock()
+}
+
+// waitChans recycles WaitDurable's channels; a stale token costs a re-check.
+var waitChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
 // WaitDurable blocks until every record with sequence ≤ seq is fsynced.
 // With NoDaemon set, it returns only after a caller runs Sync.
 func (l *Log) WaitDurable(seq uint64) {
 	if l.durable.Load() >= seq {
 		return
 	}
-	l.durMu.Lock()
+	ch := waitChans.Get().(chan struct{})
+	l.Notify(ch)
 	for l.durable.Load() < seq {
-		l.durCond.Wait()
+		<-ch
 	}
-	l.durMu.Unlock()
+	l.StopNotify(ch)
+	waitChans.Put(ch)
 }
 
 // Sync flushes everything appended so far and fsyncs the file. It is
@@ -230,12 +257,15 @@ func (l *Log) flush() error {
 		}
 	}
 
-	l.durMu.Lock()
-	if hi > l.durable.Load() {
-		l.durable.Store(hi)
+	l.durable.Store(hi) // flushes are serialized: hi never moves backwards
+	l.notifyMu.Lock()
+	for _, ch := range l.notify {
+		select {
+		case ch <- struct{}{}:
+		default: // the receiver has not taken the last token yet
+		}
 	}
-	l.durCond.Broadcast()
-	l.durMu.Unlock()
+	l.notifyMu.Unlock()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +359,127 @@ func TestRedoIsWholeOrNothing(t *testing.T) {
 	}
 	if err := Redo(heap, entriesOf(1, 9)); err != nil || heap.Allocated() != int(4*line) {
 		t.Fatalf("a record below the watermark moved it to %d (%v)", heap.Allocated(), err)
+	}
+}
+
+// TestNotifyTokenPerSync: a registered channel holds a token after
+// every flush, Sync included, and DurableSeq already covers the records
+// that flush wrote when the token arrives.
+func TestNotifyTokenPerSync(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{NoDaemon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ch := make(chan struct{}, 1)
+	l.Notify(ch)
+	for i := uint64(1); i <= 3; i++ {
+		seq := l.Append(entriesOf(i, i))
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ch:
+		default:
+			t.Fatalf("no token after Sync %d", i)
+		}
+		if got := l.DurableSeq(); got < seq {
+			t.Fatalf("token for Sync %d with DurableSeq %d behind %d", i, got, seq)
+		}
+	}
+}
+
+// TestNotifyFullChannelNeverBlocksFlush: a receiver that never takes its
+// token costs the flush nothing — the channel keeps the one token it
+// holds and later flushes complete.
+func TestNotifyFullChannelNeverBlocksFlush(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{NoDaemon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	full := make(chan struct{}, 1)
+	full <- struct{}{}
+	l.Notify(full)
+	unbuffered := make(chan struct{})
+	l.Notify(unbuffered)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 5; i++ {
+			l.Append(entriesOf(1, 1))
+			if err := l.Sync(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a flush blocked on a channel nobody reads")
+	}
+	if len(full) != 1 || l.DurableSeq() != 5 {
+		t.Fatalf("%d tokens held, DurableSeq %d; want 1 and 5", len(full), l.DurableSeq())
+	}
+}
+
+// TestStopNotifyEndsDelivery: once StopNotify returns, no flush sends
+// to the channel, while another registration keeps its tokens.
+func TestStopNotifyEndsDelivery(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{NoDaemon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	gone, kept := make(chan struct{}, 1), make(chan struct{}, 1)
+	l.Notify(gone)
+	l.Notify(kept)
+	l.StopNotify(gone)
+	l.Append(entriesOf(1, 1))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gone) != 0 || len(kept) != 1 {
+		t.Fatalf("tokens: %d after StopNotify (want 0), %d still registered (want 1)", len(gone), len(kept))
+	}
+}
+
+// TestWaitDurableWakesOnSync: with no daemon, WaitDurable blocks until
+// another goroutine's Sync covers the sequence, then returns.
+func TestWaitDurableWakesOnSync(t *testing.T) {
+	l, err := Create(filepath.Join(t.TempDir(), "wal.log"), Config{NoDaemon: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	seq := l.Append(entriesOf(1, 1))
+	woke := make(chan uint64, 1)
+	go func() {
+		l.WaitDurable(seq)
+		woke <- l.DurableSeq()
+	}()
+	// Once the waiter has registered it can only leave through a flush.
+	for registered := 0; registered == 0; runtime.Gosched() {
+		l.notifyMu.Lock()
+		registered = len(l.notify)
+		l.notifyMu.Unlock()
+	}
+	if len(woke) != 0 {
+		t.Fatalf("WaitDurable(%d) returned before any Sync", seq)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d := <-woke:
+		if d < seq {
+			t.Fatalf("WaitDurable(%d) returned with DurableSeq %d", seq, d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitDurable did not return after Sync")
 	}
 }
