@@ -94,7 +94,7 @@ commands:
   durable                   run a durable workload against a WAL directory (crashable)
   recover                   crash-replay a durable run directory and check invariants
   serve                     run the networked transaction server (SIGTERM drains)
-  loadgen                   drive the net-* cells against a live server, write results
+  loadgen                   drive one open-loop point against a live server, print its result line
   promote                   promote a follower after leader death (zero acked loss)
   trace                     merge /debug/traces rings into a Chrome trace_event file
   monitor                   live terminal dashboard over /debug/timeseries + /debug/alerts
@@ -138,19 +138,15 @@ monitor flags + args:
 report flags + args:
   --out=FILE                markdown output (default report.md; '-' = stdout)
   --title=STR               report title (default "run")
-  --bench=FILE              attach final stats from a BENCH JSON file
   NODE=URL ...              metrics listeners to collect from (timeseries + alerts + traces)
 
-loadgen flags:
+loadgen flags (exits non-zero on an error reply or an empty window):
   --addr=HOST:PORT          server address (required)
-  --id=a,b                  net entries (default: all, incl. net-connscale)
-  --scale=ci|quick|paper    client scale: conn/thread ladders + run windows (default ci)
-  --conns=N                 open-loop mode: drive N connections at --arrival instead of --id
-  --arrival=poisson:RATE    open-loop arrival process, total ops/sec (or uniform:RATE)
-  --trace-every=N           open-loop mode: stamp every n-th request with a trace id (1 = all)
-  --window=DUR              open-loop mode: override the scale preset's measurement window
-  --out=FILE                JSON results (default BENCH_repro.json)
-  --md=FILE                 markdown tables ('-' = stdout, '' = none; default BENCH_repro.md)
+  --conns=N                 connections to drive at --arrival (default 32)
+  --arrival=poisson:RATE    arrival process, total ops/sec (or uniform:RATE; default poisson:20000)
+  --scale=ci|quick|paper    client scale: run windows (default ci)
+  --window=DUR              override the scale preset's measurement window
+  --trace-every=N           stamp every n-th request with a trace id (1 = all)
 
 durable flags:
   --dir=DIR                 run directory (meta.json + wal.log + heap.ckpt)

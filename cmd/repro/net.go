@@ -3,19 +3,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"sihtm/internal/experiments"
 	"sihtm/internal/loadgen"
 	"sihtm/internal/node"
-	"sihtm/internal/results"
 	"sihtm/internal/server"
 	"sihtm/internal/tsdb"
 	"sihtm/internal/wire"
@@ -49,7 +45,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// The connection-scale ladder may aim thousands of connections here.
+	// An open-loop load generator may aim thousands of connections here.
 	loadgen.RaiseFDLimit()
 	m, backend, err := experiments.BuildServed(*scenario, *scaleName, *shards)
 	if err != nil {
@@ -246,21 +242,20 @@ func cmdPromote(args []string) error {
 	return nil
 }
 
-// cmdLoadgen drives the networked registry cells against a live `repro
-// serve` address and writes the usual BENCH artifacts.
+// cmdLoadgen drives one open-loop point against a live `repro serve`
+// address and prints its result line: --conns connections offering
+// --arrival, coordinated-omission-safe latency, the server's admission
+// knobs left exactly as the operator set them. A window with an error
+// reply or with no reply at all exits non-zero.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", "", "server address (required; see 'repro serve')")
-		ids       = fs.String("id", strings.Join(experiments.NetEntryIDs(), ","), "net entries to measure")
-		scaleName = fs.String("scale", "ci", "client scale preset (ladder caps, run windows)")
-		conns     = fs.Int("conns", 0, "open-loop mode: drive this many connections at --arrival")
-		arrival   = fs.String("arrival", "poisson:20000", "open-loop arrival process: poisson:RATE or uniform:RATE (total ops/sec)")
-		traceEv   = fs.Int("trace-every", 0, "open-loop mode: stamp every n-th request with a trace id (1 = all, 0 = off)")
-		window    = fs.Duration("window", 0, "open-loop mode: override the scale preset's measurement window")
-		out       = fs.String("out", "BENCH_repro.json", "JSON output path")
-		md        = fs.String("md", "BENCH_repro.md", "markdown output path ('-' = stdout, '' = none)")
-		quiet     = fs.Bool("quiet", false, "suppress per-point progress")
+		scaleName = fs.String("scale", "ci", "client scale preset (run windows)")
+		conns     = fs.Int("conns", 32, "connections to drive at --arrival")
+		arrival   = fs.String("arrival", "poisson:20000", "arrival process: poisson:RATE or uniform:RATE (total ops/sec)")
+		traceEv   = fs.Int("trace-every", 0, "stamp every n-th request with a trace id (1 = all, 0 = off)")
+		window    = fs.Duration("window", 0, "override the scale preset's measurement window")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -272,69 +267,26 @@ func cmdLoadgen(args []string) error {
 	if err != nil {
 		return err
 	}
-	var progress io.Writer
-	if !*quiet {
-		progress = os.Stderr
+	a, err := loadgen.ParseArrival(*arrival)
+	if err != nil {
+		return err
 	}
-	var recs []results.Record
-	var runErr error
-	if *conns > 0 {
-		// Open-loop single point: N connections at the given arrival
-		// rate, coordinated-omission-safe latency, server knobs left
-		// exactly as the operator set them.
-		a, err := loadgen.ParseArrival(*arrival)
-		if err != nil {
-			return err
-		}
-		if *window > 0 {
-			sc.Measure = *window
-		}
-		r, err := experiments.RunOpenLoop(*addr, *conns, a, sc, *traceEv)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, r)
-		if progress != nil {
-			fmt.Fprintf(progress, "open-loop %s conns=%d %s: %.0f ops/s p50=%.0fµs p99=%.0fµs batch<=%d wait=%dµs target=%dµs\n",
-				r.System, r.Threads, a, r.Throughput, r.LatencyP50Us, r.LatencyP99Us,
-				r.CtrlBatchMax, r.CtrlAdmitWaitUs, r.CtrlP99TargetUs)
-		}
-	} else {
-		runErr = experiments.RunLoadgen(*addr, strings.Split(*ids, ","), sc,
-			func(r results.Record) { recs = append(recs, r) }, progress)
+	if *window > 0 {
+		sc.Measure = *window
 	}
-
-	if len(recs) > 0 {
-		rep := &results.Report{
-			Tool:       "cmd/repro loadgen",
-			Scale:      *scaleName,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Machine:    experiments.MachineDescription(),
-			Partial:    runErr != nil,
-			Records:    recs,
-		}
-		rep.Sort()
-		if *out != "" {
-			if err := rep.WriteFile(*out); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d records)\n", *out, len(recs))
-		}
-		switch *md {
-		case "":
-		case "-":
-			results.MarkdownReport(os.Stdout, rep, experiments.Titles())
-		default:
-			f, err := os.Create(*md)
-			if err != nil {
-				return err
-			}
-			results.MarkdownReport(f, rep, experiments.Titles())
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *md)
-		}
+	res, st, err := experiments.RunOpenLoop(*addr, *conns, a, sc, *traceEv)
+	if err != nil {
+		return err
 	}
-	return runErr
+	label := st.System
+	if st.P99TargetUs > 0 {
+		label += "+ctrl"
+	}
+	fmt.Printf("open-loop %s conns=%d %s: %.0f ops/s p50=%.0fµs p99=%.0fµs batch<=%d wait=%dµs target=%dµs\n",
+		label, res.Conns, a, res.Throughput, us(res.Hist.Quantile(0.5)), us(res.Hist.Quantile(0.99)),
+		st.BatchMax, st.AdmitWaitUs, st.P99TargetUs)
+	return nil
 }
+
+// us converts a duration to microseconds.
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }

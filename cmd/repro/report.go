@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"sihtm/internal/report"
-	"sihtm/internal/results"
 )
 
 // cmdReport builds the post-run incident report: it collects every
@@ -19,7 +18,6 @@ func cmdReport(args []string) error {
 	var (
 		out   = fs.String("out", "report.md", "markdown output path ('-' = stdout)")
 		title = fs.String("title", "run", "report title")
-		bench = fs.String("bench", "", "attach final stats from a BENCH_repro.json file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -36,13 +34,6 @@ func cmdReport(args []string) error {
 			return fmt.Errorf("collect %s: %w", n.Name, err)
 		}
 		in.Nodes = append(in.Nodes, nd)
-	}
-	if *bench != "" {
-		rep, err := results.ReadFile(*bench)
-		if err != nil {
-			return fmt.Errorf("bench %s: %w", *bench, err)
-		}
-		in.Bench = rep
 	}
 
 	w := io.Writer(os.Stdout)

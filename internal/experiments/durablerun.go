@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sihtm/internal/durable"
@@ -35,8 +37,8 @@ type DurableMeta struct {
 }
 
 // durableScenarios are the scenarios StartDurable accepts: the
-// registry's own workloads, so a run directory replays against the same
-// deterministic base the durable cells are built on.
+// registry's own workload builds, so a run directory replays against
+// the same deterministic base its run started from.
 var durableScenarios = []struct {
 	name string
 	w    workload
@@ -147,6 +149,23 @@ func StartDurable(dir string, meta DurableMeta, duration, ckptEvery time.Duratio
 			return n.Shutdown()
 		}
 	}
+}
+
+// runWorkers drives mk-built workers until the returned stop, which
+// waits for them to return.
+func runWorkers(threads int, mk func(int) func()) (stop func()) {
+	var halt atomic.Bool
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func(op func()) {
+			defer wg.Done()
+			for !halt.Load() {
+				op()
+			}
+		}(mk(id))
+	}
+	return func() { halt.Store(true); wg.Wait() }
 }
 
 // DurableRecovery is the JSON-serializable outcome of RecoverDurable —

@@ -1,14 +1,15 @@
 // Package experiments is the declarative registry of the paper's
 // evaluation (§4, Figures 6–10) plus this reproduction's ablations.
-// Every run the repository can perform is one registry Entry — metadata
-// (figure, workload, systems, thread ladder, parameters) enumerable
-// without running anything, plus what RunCell measures for one
-// (entry × system) column, emitting typed results.Record values. An
-// in-process entry is an axis of points over the workload table
-// (workload.go), all measured by the one runPoint. The repro CLI
-// (cmd/repro) and the testing.B harness (bench_test.go) are both thin
-// views over this one registry, so they regenerate exactly the same
-// runs.
+// Every measured run is one registry Entry — metadata (figure, workload,
+// systems, thread ladder, parameters) enumerable without running
+// anything, plus what RunCell measures for one (entry × system) column,
+// emitting typed results.Record values. An entry is an axis of points
+// over the workload table (workload.go), all measured by the one
+// runPoint. The repro CLI (cmd/repro) and the testing.B harness
+// (bench_test.go) are both thin views over this one registry, so they
+// regenerate exactly the same runs. The package also builds what `repro
+// serve` hosts, drives `repro loadgen`'s open-loop point, and runs the
+// `repro durable`/`recover` crash loop.
 package experiments
 
 import (

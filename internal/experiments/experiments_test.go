@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"sihtm/internal/harness"
+	"sihtm/internal/memsim"
 	"sihtm/internal/results"
+	"sihtm/internal/stats"
 )
 
 func quickScale() Scale {
@@ -20,8 +24,8 @@ func quickScale() Scale {
 
 func TestRegistryIsComplete(t *testing.T) {
 	entries := Registry()
-	if len(entries) != 29 { // 10 figure panels + 6 scenarios + 2 durable + 4 net + 2 repl + 5 ablations
-		t.Fatalf("Registry() = %d entries, want 29", len(entries))
+	if len(entries) != 21 { // 10 figure panels + 6 scenarios + 5 ablations
+		t.Fatalf("Registry() = %d entries, want 21", len(entries))
 	}
 	seen := map[string]bool{}
 	figures := map[int]bool{}
@@ -33,14 +37,11 @@ func TestRegistryIsComplete(t *testing.T) {
 		if e.ID == "" || e.Title == "" || e.Workload == "" {
 			t.Errorf("entry %+v missing metadata", e)
 		}
-		// net-connscale compares within its one cell: every rung is
-		// measured with the admission controller off and on, labeled
-		// system vs system+"+ctrl".
-		if len(e.Systems) < 2 && e.ID != "net-connscale" {
+		if len(e.Systems) < 2 {
 			t.Errorf("entry %q compares %d systems, want >= 2", e.ID, len(e.Systems))
 		}
-		if e.run == nil && e.axis == nil && e.netAxis == nil {
-			t.Errorf("entry %q has no runner", e.ID)
+		if e.axis == nil {
+			t.Errorf("entry %q has no axis", e.ID)
 		}
 		if e.Figure > 0 {
 			figures[e.Figure] = true
@@ -89,7 +90,7 @@ func TestLookupAndSelect(t *testing.T) {
 		sel  string
 		want int
 	}{
-		{"all", 29},
+		{"all", 21},
 		{"figures", 10},
 		{"scenarios", 6},
 		{"ablations", 5},
@@ -100,12 +101,9 @@ func TestLookupAndSelect(t *testing.T) {
 		{"ycsb", 3},
 		{"vacation", 2},
 		{"zipf", 1},
-		{"durable", 2},
-		{"net", 4},
-		{"repl", 2},
 		{"fig6,fig9-low,capacity", 4},
 		{"ycsb,vacation,zipf", 6},
-		{"scenarios,durable,net", 12},
+		{"scenarios,ablations", 11},
 	}
 	for _, c := range cases {
 		got, err := Select(c.sel)
@@ -117,8 +115,10 @@ func TestLookupAndSelect(t *testing.T) {
 			t.Errorf("Select(%q) = %d entries, want %d", c.sel, len(got), c.want)
 		}
 	}
-	if _, err := Select("figNaN"); err == nil {
-		t.Error("bogus selector accepted")
+	for _, gone := range []string{"figNaN", "durable", "net", "repl"} {
+		if _, err := Select(gone); err == nil {
+			t.Errorf("selector %q accepted", gone)
+		}
 	}
 	if _, err := Select(""); err == nil {
 		t.Error("empty selector accepted")
@@ -187,18 +187,10 @@ func TestRunCellRejectsUnknownSystem(t *testing.T) {
 }
 
 // BuildPoint — the hook bench_test.go drives through testing.B — must
-// serve every entry that measures in process, at a thread count of the
-// caller's choosing, and refuse the net and repl cells, which have no
-// in-process workload.
+// serve every entry at a thread count of the caller's choosing.
 func TestBuildPointCoversInProcessEntries(t *testing.T) {
 	for _, e := range Registry() {
 		sys, mkWorker, check, err := e.BuildPoint(e.Systems[0], 2, quickScale())
-		if e.Workload == "net" || e.Workload == "repl" {
-			if err == nil {
-				t.Errorf("%s: BuildPoint built a %s cell", e.ID, e.Workload)
-			}
-			continue
-		}
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
@@ -213,15 +205,25 @@ func TestBuildPointCoversInProcessEntries(t *testing.T) {
 	}
 }
 
+// compareHeaps verifies two heaps hold identical images.
+func compareHeaps(want, got *memsim.Heap) error {
+	if want.Size() != got.Size() {
+		return fmt.Errorf("heap geometry differs: %d vs %d words", want.Size(), got.Size())
+	}
+	for a := 0; a < want.Size(); a++ {
+		if w, g := want.Load(memsim.Addr(a)), got.Load(memsim.Addr(a)); w != g {
+			return fmt.Errorf("heaps differ at word %d: %d, want %d", a, g, w)
+		}
+	}
+	return nil
+}
+
 // Every workload is deterministic in (scale, threads): two builds of any
-// in-process point hold word-identical heaps. Recovery, cluster
-// followers and `repro recover` rebuild their base image this way.
+// point hold word-identical heaps. Recovery, a served node's followers
+// and `repro recover` rebuild their base image this way.
 func TestWorkloadBuildsAreReproducible(t *testing.T) {
 	sc := quickScale()
 	for _, e := range Registry() {
-		if e.axis == nil {
-			continue
-		}
 		for _, p := range e.axis(sc) {
 			first, err := p.w(sc, p.threads)
 			if err != nil {
@@ -285,9 +287,7 @@ func TestEveryEntryRunsAtCIScale(t *testing.T) {
 					t.Errorf("hook saw %d records, returned %d", streamed, len(recs))
 				}
 				for _, r := range recs {
-					// Paired-variant cells suffix the system label
-					// ("+ctrl") to render the comparison as columns.
-					if r.Experiment != e.ID || (r.System != system && r.System != system+"+ctrl") {
+					if r.Experiment != e.ID || r.System != system {
 						t.Errorf("record mis-stamped: %+v", r)
 					}
 					if r.Workload != e.Workload {
@@ -372,6 +372,60 @@ func TestZipfSkewShape(t *testing.T) {
 		if rate != 0 {
 			t.Errorf("si-htm capacity-abort rate at %s is %.1f%%, want 0", param, rate)
 		}
+	}
+}
+
+// A server's admission stage coalesces pending requests into one
+// System.Atomic, so the batch bound trades begin/commit amortization
+// against footprint. This is that trade in process and deterministic:
+// one thread drives the ycsb-a build at ci scale with batch single-op
+// YCSB-A requests per transaction. Plain HTM tracks every chain read in
+// the TMCAM, so it fits at batch 1 and overflows by batch 16 (the size
+// loopback admission actually reaches); SI-HTM's ROT reads are
+// untracked and its write set stays far below 64 lines, so it never
+// aborts on capacity.
+func TestAdmissionBatchCapacityShape(t *testing.T) {
+	sc, err := ScaleByName("ci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.withDefaults()
+	for _, system := range []string{"htm", "si-htm"} {
+		t.Run(system, func(t *testing.T) {
+			capAborts := map[int]uint64{}
+			for _, batch := range []int{1, 4, 16} {
+				y := ycsbA
+				y.opsPerTx = batch
+				b, err := y.build(sc, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys, err := NewSystem(system, b.machine, b.machine.Heap(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hr := harness.RunOps(sys, 1, 500, b.workers(sys))
+				if err := b.check(); err != nil {
+					t.Fatalf("batch=%d: %v", batch, err)
+				}
+				capAborts[batch] = hr.Stats.Aborts[stats.AbortCapacity]
+			}
+			t.Logf("capacity aborts over 500 transactions, by batch: %v", capAborts)
+			if system == "si-htm" {
+				for batch, n := range capAborts {
+					if n != 0 {
+						t.Errorf("%d capacity aborts at batch %d, want 0", n, batch)
+					}
+				}
+				return
+			}
+			if capAborts[1] != 0 {
+				t.Errorf("%d capacity aborts at batch 1, want 0", capAborts[1])
+			}
+			if capAborts[16] == 0 {
+				t.Error("no capacity aborts at batch 16, want the TMCAM overflowed")
+			}
+		})
 	}
 }
 

@@ -3,11 +3,12 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"sihtm/internal/loadgen"
 	"sihtm/internal/node"
-	"sihtm/internal/results"
 	"sihtm/internal/server"
 )
 
@@ -53,47 +54,30 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 }
 
 // TestServeLoadgenRecoverPipeline is the in-process version of the CI
-// server-smoke job: start a durable `repro serve` instance, drive every
-// net entry against it with the loadgen path, shut the server down
-// gracefully (final checkpoint), and crash-replay the run directory
-// through the existing recovery pipeline.
+// server-smoke job: start a durable `repro serve` instance, drive an
+// open-loop point against it the way `repro loadgen` does, shut the
+// server down gracefully (final checkpoint), and crash-replay the run
+// directory through the existing recovery pipeline.
 func TestServeLoadgenRecoverPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves and measures over loopback; a few seconds")
 	}
 	dir := t.TempDir()
-	ns := startServed(t, 4, netBatchDefault, dir)
+	ns := startServed(t, 4, 32, dir)
 	defer ns.Shutdown()
 
 	sc := quickScale()
-	var recs []results.Record
-	err := RunLoadgen(ns.Addr.String(), NetEntryIDs(), sc, func(r results.Record) {
-		recs = append(recs, r)
-	}, nil)
+	sc.Measure = 200 * time.Millisecond // spans a periodic checkpoint
+	res, st, err := RunOpenLoop(ns.Addr.String(), 8, loadgen.Arrival{Process: "poisson", Rate: 2000}, sc, 0)
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
 	}
-	byID := map[string]int{}
-	for _, r := range recs {
-		byID[r.Experiment]++
-		if r.System != "si-htm" && r.System != "si-htm+ctrl" {
-			t.Errorf("record %s labeled system %q, want the server's si-htm (or +ctrl variant)", r.Experiment, r.System)
-		}
-		if r.Commits == 0 {
-			t.Errorf("record %s/%s/%d committed nothing", r.Experiment, r.Param, r.Threads)
-		}
-		if r.LatencyP99Us <= 0 || r.LatencyP50Us > r.LatencyP99Us {
-			t.Errorf("record %s/%s/%d has malformed latency p50=%.1f p99=%.1f",
-				r.Experiment, r.Param, r.Threads, r.LatencyP50Us, r.LatencyP99Us)
-		}
+	if st.System != "si-htm" || st.BatchMax != 32 || st.P99TargetUs != 0 {
+		t.Errorf("window-end STATS report system %q batch %d target %d, want the server's si-htm, 32, off",
+			st.System, st.BatchMax, st.P99TargetUs)
 	}
-	for _, id := range NetEntryIDs() {
-		if byID[id] == 0 {
-			t.Errorf("loadgen produced no %s records", id)
-		}
-	}
-	if byID["net-batch-window"] != len(netBatches) {
-		t.Errorf("batch sweep produced %d records, want %d", byID["net-batch-window"], len(netBatches))
+	if p50, p99 := res.Hist.Quantile(0.5), res.Hist.Quantile(0.99); p99 <= 0 || p50 > p99 {
+		t.Errorf("malformed latency p50=%s p99=%s", p50, p99)
 	}
 
 	// Graceful shutdown: drain, final checkpoint, store close; Serve
@@ -123,15 +107,20 @@ func TestServeLoadgenRecoverPipeline(t *testing.T) {
 	if !rep.CheckpointUsed {
 		t.Error("drain-time checkpoint not used by recovery")
 	}
+	if rep.RecoveredSeq == 0 {
+		t.Error("no logged transaction recovered")
+	}
 }
 
-// TestLoadgenRejectsNonDurableServer: the durable net entry must demand
-// a durable server instead of silently measuring a volatile one.
-func TestLoadgenRejectsNonDurableServer(t *testing.T) {
+// A window in which the server answered nothing is a failed point, not
+// a measurement of zero: one connection offering one request a second
+// has no reply inside a 20 ms window.
+func TestRunOpenLoopFailsOnEmptyWindow(t *testing.T) {
 	ns := startServed(t, 2, 8, "")
 	defer ns.Shutdown()
-	err := RunLoadgen(ns.Addr.String(), []string{"net-durable-ycsb-a"}, quickScale(), func(results.Record) {}, nil)
-	if err == nil {
-		t.Fatal("loadgen measured net-durable-ycsb-a against a volatile server")
+	sc := Scale{Warmup: 5 * time.Millisecond, Measure: 20 * time.Millisecond}
+	res, _, err := RunOpenLoop(ns.Addr.String(), 1, loadgen.Arrival{Process: "uniform", Rate: 1}, sc, 0)
+	if err == nil || !strings.Contains(err.Error(), "no replies") {
+		t.Fatalf("RunOpenLoop over an empty window = (%d replies, %v), want a no-replies error", res.Replies, err)
 	}
 }

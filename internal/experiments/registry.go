@@ -15,8 +15,8 @@ import (
 
 // Entry is one row of the experiment registry: a declarative description
 // of a figure panel or ablation — its identity, workload, systems and
-// thread ladder are enumerable without running anything — plus the cell
-// runner that measures one (entry × system) column.
+// thread ladder are enumerable without running anything — plus the axis
+// of in-process points RunCell measures for one (entry × system) column.
 type Entry struct {
 	// ID is the registry key ("fig6-low", "capacity", ...).
 	ID string
@@ -38,18 +38,9 @@ type Entry struct {
 	// (e.g. "buckets=1000 chain=200 ro=90%").
 	Params string
 
-	// What RunCell measures; a constructor in this package sets exactly
-	// one. axis makes the entry a table row over the workload table: its
-	// x-axis as in-process points, each measured by runPoint — on a
-	// headless durable node, with recovery proved per point, when
-	// durableHost is set. netAxis is the closed-loop wire axis, measured
-	// against hosted's self-hosted cluster here and against an external
-	// server by RunLoadgen. run is a cell with a protocol of its own.
-	axis        func(Scale) []point
-	durableHost bool
-	netAxis     func(Scale) []NetPoint
-	hosted      func(system string, threads int, sc Scale) clusterSpec
-	run         func(system string, sc Scale, hook func(results.Record)) error
+	// axis is the entry's x-axis as points over the workload table, each
+	// measured by runPoint.
+	axis func(Scale) []point
 }
 
 // RunCell measures one (entry × system) cell — the unit of parallelism
@@ -73,16 +64,7 @@ func (e Entry) RunCell(system string, sc Scale, hook func(results.Record)) ([]re
 			hook(r)
 		}
 	}
-	// The one door to every cell runner: they all see a complete scale.
-	sc = sc.withDefaults()
-	run := e.run
-	switch {
-	case e.axis != nil:
-		run = e.runAxis
-	case e.netAxis != nil:
-		run = e.runNetAxis
-	}
-	if err := run(system, sc, collect); err != nil {
+	if err := e.runAxis(system, sc.withDefaults(), collect); err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s: %w", e.ID, system, err)
 	}
 	return recs, nil
@@ -96,11 +78,10 @@ func where(threads int, param string) string {
 	return fmt.Sprintf("%d threads, %s", threads, param)
 }
 
-// runAxis is the cell runner of the in-process entries: one runPoint
-// per axis position.
+// runAxis is the cell runner: one runPoint per axis position.
 func (e Entry) runAxis(system string, sc Scale, hook func(results.Record)) error {
 	for _, p := range e.axis(sc) {
-		hr, err := runPoint(p, system, sc, e.durableHost)
+		hr, err := runPoint(p, system, sc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", where(p.threads, p.param), err)
 		}
@@ -110,14 +91,9 @@ func (e Entry) runAxis(system string, sc Scale, hook func(results.Record)) error
 }
 
 // BuildPoint builds the entry's workload at an arbitrary thread count
-// — the first point of its axis, volatile even for a durable-host entry
-// — and binds it to a fresh system: what bench_test.go drives through
-// testing.B's op-count loop. Entries without an in-process axis (the net
-// and repl cells) return an error.
+// — the first point of its axis — and binds it to a fresh system: what
+// bench_test.go drives through testing.B's op-count loop.
 func (e Entry) BuildPoint(system string, threads int, sc Scale) (sys tm.System, mkWorker func(thread int) func(), check func() error, err error) {
-	if e.axis == nil {
-		return nil, nil, nil, fmt.Errorf("experiments: %s has no in-process workload to build", e.ID)
-	}
 	sc = sc.withDefaults()
 	b, err := e.axis(sc)[0].w(sc, threads)
 	if err != nil {
@@ -151,14 +127,11 @@ func (e Entry) record(param string, hr harness.Result) results.Record {
 
 // registryIDs is the presentation order of the whole registry: figures
 // first, then the workload-engine scenarios (YCSB, the Zipfian-θ sweep,
-// vacation), the durable and networked cells, then ablations A1..A5.
+// vacation), then ablations A1..A5.
 // Registry() builds entries in this order and records carry the rank so
 // reports render in it too.
 var registryIDs = append(append(append([]string{}, FigureOrder...),
-	"ycsb-a", "ycsb-b", "ycsb-c", "zipf", "vacation-low", "vacation-high",
-	"durable-ycsb-a", "durable-vacation",
-	"net-ycsb-a", "net-batch-window", "net-durable-ycsb-a", "net-connscale",
-	"repl-ycsb-c", "repl-failover"),
+	"ycsb-a", "ycsb-b", "ycsb-c", "zipf", "vacation-low", "vacation-high"),
 	"capacity", "tmcam", "rofast", "killer", "smt")
 
 // registryRank maps entry id → presentation rank.
@@ -177,9 +150,6 @@ func Registry() []Entry {
 	entries := make([]Entry, 0, len(registryIDs))
 	entries = append(entries, figureEntries()...)
 	entries = append(entries, scenarioEntries()...)
-	entries = append(entries, durableEntries()...)
-	entries = append(entries, netEntries()...)
-	entries = append(entries, replEntries()...)
 	entries = append(entries,
 		capacityEntry(),
 		tmcamEntry(),
@@ -202,19 +172,11 @@ func Lookup(id string) (Entry, bool) {
 
 // Group classifies the entry for selectors and `repro list`:
 // "figures" (paper figure panels), "scenarios" (workload-engine YCSB /
-// Zipf / vacation), "durable" (WAL-backed cells), "net" (networked
-// service-layer cells), "repl" (replicated-cluster cells) or
-// "ablations".
+// Zipf / vacation) or "ablations".
 func (e Entry) Group() string {
 	switch {
 	case e.Figure > 0:
 		return "figures"
-	case e.Workload == "durable":
-		return "durable"
-	case e.Workload == "net":
-		return "net"
-	case e.Workload == "repl":
-		return "repl"
 	case scenarioWorkloads[e.Workload]:
 		return "scenarios"
 	default:
@@ -224,7 +186,7 @@ func (e Entry) Group() string {
 
 // Groups lists the selector groups in presentation order.
 func Groups() []string {
-	return []string{"figures", "scenarios", "durable", "net", "repl", "ablations"}
+	return []string{"figures", "scenarios", "ablations"}
 }
 
 // Select resolves a selector to registry entries, in registry order:
@@ -232,7 +194,6 @@ func Groups() []string {
 //	"all"               every entry
 //	"figures"           every figN-* entry
 //	"scenarios"         the workload-engine entries (ycsb-*, zipf, vacation-*)
-//	"durable" / "net"   the durability / networked service-layer cells
 //	"ablations"         everything else (no figure, no scenario group)
 //	"fig6" / "6"        both panels of one figure
 //	"ycsb" / "vacation" every entry of the prefix

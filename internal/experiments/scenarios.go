@@ -16,7 +16,7 @@ import (
 var scenarioSystems = []string{"htm", "si-htm", "sgl"}
 
 // scenarioWorkloads marks the workload families of the "scenarios"
-// selector group (the durable and net families form their own groups).
+// selector group.
 var scenarioWorkloads = map[string]bool{"ycsb": true, "vacation": true}
 
 // scaledKeys shrinks a base keyspace by the scale's divisor, keeping a
@@ -38,7 +38,7 @@ var ycsbSpecs = []ycsbSpec{
 		title: "YCSB-C: read-only 90r/10scan, zipf(0.99), B+tree index backend"},
 }
 
-// ycsbA is the scenario every durable, net and repl cell runs.
+// ycsbA is the scenario `repro durable` runs by default.
 var ycsbA = ycsbSpecs[0]
 
 // ycsbEntry builds the registry entry for one YCSB spec.
@@ -69,7 +69,8 @@ var vacationSpecs = []vacationSpec{
 		title: "Vacation (high contention): 8-item tasks over 10% of the tables"},
 }
 
-// vacationLow is the configuration the durable vacation cells run.
+// vacationLow is the configuration `repro durable --scenario=vacation`
+// runs.
 var vacationLow = vacationSpecs[0]
 
 // vacationEntry builds the registry entry for one vacation spec.

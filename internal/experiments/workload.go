@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
-	"sihtm/internal/durable"
 	"sihtm/internal/harness"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
-	"sihtm/internal/node"
-	"sihtm/internal/server"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
@@ -22,12 +18,12 @@ import (
 // A workload builds one measurable point: a fresh heap and machine,
 // populated, with the workers that drive it and the check that holds
 // afterwards. It is deterministic in its arguments — two calls give
-// word-identical heaps — which is what crash recovery, cluster
-// followers and `repro recover` rely on: each rebuilds the base image
-// by calling the workload again. sc has its defaults applied.
+// word-identical heaps — which is what `repro recover` and a served
+// node's followers rely on: each rebuilds the base image by calling the
+// workload again. sc has its defaults applied.
 //
 // The four workload families and the synthetic capacity loop are stated
-// once each below; every in-process registry entry is an axis of points
+// once each below; every registry entry is an axis of points
 // over them, measured by the one runPoint.
 type workload func(sc Scale, threads int) (*built, error)
 
@@ -336,12 +332,7 @@ func capacityWorkload(footprint int) workload {
 
 // runPoint measures one point under system: build, make the system,
 // drive it for the scale's windows with the one measuring loop, check.
-// On a durable host the transactions run on a headless durable node —
-// every update's write set captured at the commit hook, group-commit
-// fsynced and acknowledged before Atomic returns, fuzzy checkpoints
-// every third of the window — and the point ends by proving recovery of
-// the live heap from what the node left on disk.
-func runPoint(p point, system string, sc Scale, durableHost bool) (harness.Result, error) {
+func runPoint(p point, system string, sc Scale) (harness.Result, error) {
 	fail := func(err error) (harness.Result, error) { return harness.Result{}, err }
 	b, err := p.w(sc, p.threads)
 	if err != nil {
@@ -350,25 +341,6 @@ func runPoint(p point, system string, sc Scale, durableHost bool) (harness.Resul
 	sys, err := NewSystem(system, b.machine, b.machine.Heap(), p.threads)
 	if err != nil {
 		return fail(err)
-	}
-	var n *node.Node
-	var dir string
-	if durableHost {
-		if dir, err = os.MkdirTemp("", "sihtm-durable-"); err != nil {
-			return fail(err)
-		}
-		defer os.RemoveAll(dir)
-		n, err = node.Start(node.Config{
-			Machine:   b.machine,
-			Server:    server.Config{Backend: b.backend, System: sys},
-			Dir:       dir,
-			CkptEvery: sc.Measure / 3,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		defer n.Shutdown()
-		sys = n.System
 	}
 	warmup, measure := sc.Warmup, sc.Measure
 	if p.short {
@@ -381,50 +353,5 @@ func runPoint(p point, system string, sc Scale, durableHost bool) (harness.Resul
 	if err := b.check(); err != nil {
 		return fail(fmt.Errorf("post-run check: %w", err))
 	}
-	if durableHost {
-		// Shutdown stops the checkpointer (reporting a failed checkpoint)
-		// and closes the log; recovery then reads what a restart would.
-		if err := n.Shutdown(); err != nil {
-			return fail(err)
-		}
-		if err := verifyRecovery(p.w, sc, p.threads, dir, b.machine.Heap()); err != nil {
-			return fail(err)
-		}
-	}
 	return hr, nil
-}
-
-// verifyRecovery proves digest-exact recovery of a stopped durable
-// node: rebuild the deterministic base by calling w again, restore
-// fuzzy checkpoint + log from dir, compare to the live heap word for
-// word, and re-run the workload's check on the recovered state.
-func verifyRecovery(w workload, sc Scale, threads int, dir string, live *memsim.Heap) error {
-	b, err := w(sc, threads)
-	if err != nil {
-		return err
-	}
-	heap := b.machine.Heap()
-	if _, err := durable.Recover(heap, node.CkptPath(dir), node.LogPath(dir)); err != nil {
-		return err
-	}
-	if err := compareHeaps(live, heap); err != nil {
-		return err
-	}
-	if err := b.check(); err != nil {
-		return fmt.Errorf("recovered state: %w", err)
-	}
-	return nil
-}
-
-// compareHeaps verifies two heaps hold identical images.
-func compareHeaps(live, recovered *memsim.Heap) error {
-	if live.Size() != recovered.Size() {
-		return fmt.Errorf("heap geometry differs: %d vs %d words", live.Size(), recovered.Size())
-	}
-	for a := 0; a < live.Size(); a++ {
-		if w, g := live.Load(memsim.Addr(a)), recovered.Load(memsim.Addr(a)); w != g {
-			return fmt.Errorf("recovered heap differs at word %d: %d, want %d", a, g, w)
-		}
-	}
-	return nil
 }

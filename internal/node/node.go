@@ -2,8 +2,8 @@
 // machine, backend and tm.System: the durable store, the replication
 // follower, the wire server, the fuzzy checkpointer and the
 // observability plane, with one start order and one teardown order.
-// `repro serve` and every self-hosted registry cell start their nodes
-// here; nothing else calls the layer constructors.
+// `repro serve`, `repro durable` and the serving tests start their
+// nodes here; nothing else calls the layer constructors.
 //
 // Start order — each step depends on the ones before it:
 //

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -21,6 +22,7 @@ import (
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
+	"sihtm/internal/workload/ycsb"
 )
 
 // testKeys is large enough that the overloaded htm batches of
@@ -117,6 +119,20 @@ func sameHeap(t *testing.T, what string, want, got *memsim.Heap) {
 	}
 }
 
+// checkPopulation runs the backend's structural check on a quiescent
+// heap and holds the hash map to exactly the populated keyspace: the
+// YCSB mixes only read and overwrite, so no key may appear or vanish.
+func checkPopulation(t *testing.T, what string, b engine.Backend) {
+	t.Helper()
+	hb := b.(*engine.HashmapBackend)
+	if err := hb.Check(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := hb.Map().Size(); got != testKeys {
+		t.Fatalf("%s: population drifted: %d keys, want %d", what, got, testKeys)
+	}
+}
+
 // TestRoles starts each role, has it answer a request, and shuts it
 // down twice.
 func TestRoles(t *testing.T) {
@@ -159,30 +175,76 @@ func TestRoles(t *testing.T) {
 	}
 }
 
-// TestFollowerReplaysLeader: writes acknowledged by the leader reach
-// the follower's heap word for word.
+// TestFollowerReplaysLeader: while a writer drives YCSB-A at the
+// leader, concurrent YCSB-C readers run on the followers' replayed
+// snapshots through the routing ReplicaBackend. Once every follower has
+// caught the leader's durable frontier, each must pass the check over
+// the wire, hold the leader's heap word for word, and keep the
+// population. Read scaling across followers is not asserted: a
+// two-core host cannot show it.
 func TestFollowerReplaysLeader(t *testing.T) {
-	lcfg := durableConfig(t.TempDir())
-	leader := mustStart(t, lcfg)
-	fcfg := following(config(), leader)
-	fol := mustStart(t, fcfg)
-
-	rb := dial(t, leader)
-	s := rb.NewSession()
-	for k := uint64(0); k < 16; k++ {
-		s.Insert(rb.Direct(), k, 1000+k)
+	for _, followers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("followers=%d", followers), func(t *testing.T) {
+			for _, system := range []string{"si-htm", "sgl"} {
+				t.Run(system, func(t *testing.T) { replicateUnderReads(t, system, followers) })
+			}
+		})
 	}
-	if !fol.Follower.WaitWatermark(leader.Store.DurableSeq(), 10*time.Second) {
-		t.Fatalf("follower stuck at %d, leader at %d", fol.Follower.Watermark(), leader.Store.DurableSeq())
-	}
-	fol.Follower.Stop()
-	sameHeap(t, "follower", lcfg.Machine.Heap(), fcfg.Machine.Heap())
 }
 
-// TestDurableRecovery: a stopped durable node recovers digest-exact
-// both ways it is run — from the fuzzy checkpoint plus the log prefix
-// alone (CheckpointPath unset, the registry cells' contract) and from
-// the drain-time checkpoint `repro serve` asks for.
+// replicateUnderReads is one TestFollowerReplaysLeader case: a durable
+// leader running system, and followers streaming from it.
+func replicateUnderReads(t *testing.T, system string, followers int) {
+	lcfg := durableOf(systemConfig(system), t.TempDir())
+	leader := mustStart(t, lcfg)
+	var fcfgs []Config
+	var fols []*Node
+	var addrs []string
+	for i := 0; i < followers; i++ {
+		fcfg := following(systemConfig(system), leader)
+		fol := mustStart(t, fcfg)
+		fcfgs, fols, addrs = append(fcfgs, fcfg), append(fols, fol), append(addrs, fol.Addr.String())
+	}
+	rb, err := engine.DialReplica(leader.Addr.String(), addrs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rb.Close() })
+
+	stopW := driveYCSB(t, dial(t, leader), ycsb.A, system, 2)
+	stopR := driveYCSB(t, rb, ycsb.C, system, 4)
+	waitFor(t, "durable writes and replica reads", func() bool {
+		for _, fol := range fols {
+			if fol.Srv.Snapshot().Stats.Commits < 16 {
+				return false
+			}
+		}
+		return leader.Store.DurableSeq() >= 64
+	})
+	stopR()
+	stopW()
+
+	if err := rb.WaitCatchup(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := rb.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for i, fol := range fols {
+		fol.Follower.Stop()
+		what := fmt.Sprintf("follower %d", i)
+		sameHeap(t, what, lcfg.Machine.Heap(), fcfgs[i].Machine.Heap())
+		checkPopulation(t, what, fcfgs[i].Server.Backend)
+	}
+}
+
+// TestDurableRecovery: a durable node under concurrent pipelined
+// YCSB-A load, with fuzzy checkpoints during it, passes the server-side
+// check over the wire and, once stopped, recovers digest-exact both ways
+// it is run — from the fuzzy checkpoint plus the log prefix alone
+// (CheckpointPath unset: the image a SIGKILL leaves) and from the
+// drain-time checkpoint `repro serve` asks for — under plain HTM,
+// SI-HTM and the single global lock.
 func TestDurableRecovery(t *testing.T) {
 	for _, drainCkpt := range []bool{false, true} {
 		name := "fuzzy-checkpoint-and-log"
@@ -190,35 +252,42 @@ func TestDurableRecovery(t *testing.T) {
 			name = "drain-checkpoint"
 		}
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableConfig(dir)
-			cfg.CkptEvery = 5 * time.Millisecond
-			if drainCkpt {
-				cfg.Server.CheckpointPath = CkptPath(dir)
-			}
-			n := mustStart(t, cfg)
-			rb := dial(t, n)
-			s := rb.NewSession()
-			deadline := time.Now().Add(50 * time.Millisecond) // several fuzzy checkpoints under writes
-			for k := uint64(0); time.Now().Before(deadline); k++ {
-				s.Insert(rb.Direct(), k%testKeys, k)
-			}
-			if err := n.Shutdown(); err != nil {
-				t.Fatal(err)
-			}
+			for _, system := range []string{"htm", "si-htm", "sgl"} {
+				t.Run(system, func(t *testing.T) {
+					dir := t.TempDir()
+					cfg := durableOf(systemConfig(system), dir)
+					cfg.CkptEvery = 5 * time.Millisecond
+					if drainCkpt {
+						cfg.Server.CheckpointPath = CkptPath(dir)
+					}
+					n := mustStart(t, cfg)
+					rb := dial(t, n)
+					stop := driveYCSB(t, rb, ycsb.A, system, 4)
+					time.Sleep(50 * time.Millisecond) // several fuzzy checkpoints under writes
+					waitFor(t, "durable commits", func() bool { return n.Store.DurableSeq() >= 64 })
+					stop()
+					if err := rb.Check(); err != nil {
+						t.Fatal(err)
+					}
+					if err := n.Shutdown(); err != nil {
+						t.Fatal(err)
+					}
 
-			m2, _ := build()
-			rep, err := durable.Recover(m2.Heap(), CkptPath(dir), LogPath(dir))
-			if err != nil {
-				t.Fatal(err)
+					m2, backend2 := build()
+					rep, err := durable.Recover(m2.Heap(), CkptPath(dir), LogPath(dir))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.CheckpointUsed {
+						t.Error("recovery used no checkpoint")
+					}
+					if drainCkpt && rep.Watermark != n.Store.LastSeq() {
+						t.Errorf("drain checkpoint at watermark %d, log ends at %d", rep.Watermark, n.Store.LastSeq())
+					}
+					sameHeap(t, "recovered", cfg.Machine.Heap(), m2.Heap())
+					checkPopulation(t, "recovered", backend2)
+				})
 			}
-			if !rep.CheckpointUsed {
-				t.Error("recovery used no checkpoint")
-			}
-			if drainCkpt && rep.Watermark != n.Store.LastSeq() {
-				t.Errorf("drain checkpoint at watermark %d, log ends at %d", rep.Watermark, n.Store.LastSeq())
-			}
-			sameHeap(t, "recovered", cfg.Machine.Heap(), m2.Heap())
 		})
 	}
 }

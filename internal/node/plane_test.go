@@ -28,16 +28,17 @@ import (
 // STATS totals, one trace reconstructed from client to follower replay,
 // and the capacity alert's detect → resolve → explain loop.
 
-// driveYCSBA runs threads closed-loop YCSB-A sessions over rb until
-// stop, which quiesces them; it runs at cleanup too, before rb closes,
-// since the session protocol panics on transport failure.
-func driveYCSBA(t *testing.T, rb *engine.RemoteBackend, system string, threads int) (stop func()) {
+// driveYCSB runs threads closed-loop sessions of the YCSB mix w over b
+// (a remote or replica backend) until stop, which quiesces them; it runs
+// at cleanup too, before b closes, since the session protocol panics on
+// transport failure.
+func driveYCSB(t *testing.T, b engine.Backend, w ycsb.Workload, system string, threads int) (stop func()) {
 	t.Helper()
-	spec, err := ycsb.Spec(ycsb.Config{Workload: ycsb.A, Keys: testKeys, Seed: 5})
+	spec, err := ycsb.Spec(ycsb.Config{Workload: w, Keys: testKeys, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := engine.New(spec, rb)
+	d, err := engine.New(spec, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestScrapeUnderLoadMatchesFinalStats(t *testing.T) {
 			cfg.MetricsAddr = "127.0.0.1:0"
 			cfg.Server.P99Target, cfg.Server.CtrlInterval = time.Millisecond, 5*time.Millisecond
 			n := mustStart(t, cfg)
-			stop := driveYCSBA(t, dial(t, n), system, 4)
+			stop := driveYCSB(t, dial(t, n), ycsb.A, system, 4)
 
 			// Mid-load: acknowledged writes are durable and the
 			// controller has closed an epoch.
@@ -246,7 +247,7 @@ func TestTraceReconstructedClientToReplica(t *testing.T) {
 
 			rb := dial(t, leader)
 			clientRing := rb.EnableTracing(1)
-			stop := driveYCSBA(t, rb, system, 4)
+			stop := driveYCSB(t, rb, ycsb.A, system, 4)
 			sv0 := leader.Srv.Snapshot()
 			from := leader.Store.DurableSeq()
 			waitFor(t, "traced durable commits", func() bool { return leader.Store.DurableSeq() >= from+64 })
@@ -447,11 +448,5 @@ func TestCapacityAlertFiresResolvesAndIsReported(t *testing.T) {
 	if err := n.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	backend := cfg.Server.Backend.(*engine.HashmapBackend)
-	if err := backend.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if got := backend.Map().Size(); got != testKeys {
-		t.Fatalf("population drifted: %d keys, want %d", got, testKeys)
-	}
+	checkPopulation(t, "after the overload", cfg.Server.Backend)
 }

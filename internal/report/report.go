@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"sihtm/internal/alert"
-	"sihtm/internal/results"
 	"sihtm/internal/trace"
 	"sihtm/internal/tsdb"
 )
@@ -36,8 +35,6 @@ type NodeData struct {
 type Inputs struct {
 	Title string
 	Nodes []NodeData
-	// Bench optionally attaches the run's final BENCH records.
-	Bench *results.Report
 }
 
 // TimelineEvent is one alert transition placed on the run's time axis.
@@ -347,16 +344,6 @@ func Render(w io.Writer, in Inputs, a Analysis) error {
 		fmt.Fprintf(w, "|---|---|---|---|\n")
 		for _, ac := range a.Aborts {
 			fmt.Fprintf(w, "| %s | %s | %.0f | %.2f%% |\n", ac.Node, ac.Cause, ac.Count, 100*ac.Share)
-		}
-	}
-
-	if in.Bench != nil && len(in.Bench.Records) > 0 {
-		fmt.Fprintf(w, "\n## Final stats\n\n")
-		fmt.Fprintf(w, "| experiment | system | threads | throughput | p50 | p99 |\n")
-		fmt.Fprintf(w, "|---|---|---|---|---|---|\n")
-		for _, r := range in.Bench.Records {
-			fmt.Fprintf(w, "| %s | %s | %d | %.0f tx/s | %.0fµs | %.0fµs |\n",
-				r.Experiment, r.System, r.Threads, r.Throughput, r.LatencyP50Us, r.LatencyP99Us)
 		}
 	}
 	return nil

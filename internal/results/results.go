@@ -65,44 +65,6 @@ type Record struct {
 	Fallbacks              uint64 `json:"fallbacks"`
 	// AbortRate is total aborts / attempts (attempts = commits + aborts).
 	AbortRate float64 `json:"abort_rate"`
-
-	// The per-cell field groups, zero outside the cells that fill them.
-	// Embedded, so the JSON stays flat.
-	NetExtras
-	TelemetryExtras
-	CtrlExtras
-}
-
-// NetExtras are the networked cells' per-op service latency percentiles
-// measured server-side (admission to reply encode) and the achieved
-// operations per transaction of the admission batching. Open-loop cells
-// (net-connscale) instead fill the latency fields with the
-// client-observed, coordinated-omission-safe distribution.
-type NetExtras struct {
-	LatencyP50Us float64 `json:"latency_p50_us,omitempty"`
-	LatencyP99Us float64 `json:"latency_p99_us,omitempty"`
-	BatchAvgOps  float64 `json:"batch_avg_ops,omitempty"`
-}
-
-// TelemetryExtras are scraped from the server's instrument registry
-// over the measurement window: admission-wait p99, the window's fsync
-// count and wall-time p99, and the commit-ack wait p99 (the durability
-// tax a client pays on top of execution). The fsync and ack fields stay
-// zero on volatile servers.
-type TelemetryExtras struct {
-	AdmitWaitP99Us float64 `json:"admit_wait_p99_us,omitempty"`
-	FsyncsTotal    uint64  `json:"fsyncs_total,omitempty"`
-	FsyncP99Us     float64 `json:"fsync_p99_us,omitempty"`
-	AckWaitP99Us   float64 `json:"ack_wait_p99_us,omitempty"`
-}
-
-// CtrlExtras are the server's converged (or manually fixed) admission
-// knobs at the end of the point's window, and the p99 target the
-// controller steered toward (zero = controller off).
-type CtrlExtras struct {
-	CtrlBatchMax    int `json:"ctrl_batch_max,omitempty"`
-	CtrlAdmitWaitUs int `json:"ctrl_admit_wait_us,omitempty"`
-	CtrlP99TargetUs int `json:"ctrl_p99_target_us,omitempty"`
 }
 
 // Key identifies a record's cell for matching between reports.

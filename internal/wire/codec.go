@@ -278,8 +278,8 @@ type ServerStats struct {
 
 // TelemetryStats is the deep-telemetry slice of a TStats reply: the
 // same counters the /metrics endpoint scrapes, shipped through the wire
-// control plane so load generators and registry cells can fold them
-// into BENCH records without an HTTP round trip.
+// control plane so a client can difference them over its measurement
+// window without an HTTP round trip.
 type TelemetryStats struct {
 	// FramesIn and FramesOut count wire frames across all connections.
 	FramesIn  uint64 `json:"frames_in"`
