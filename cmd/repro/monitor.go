@@ -4,36 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"sihtm/internal/monitor"
+	"sihtm/internal/report"
 )
 
-// parseMonitorNodes resolves NODE=URL args into named nodes. A bare URL
-// gets a positional name ("node-0", ...).
-func parseMonitorNodes(args []string) ([]monitor.Node, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("need at least one NODE=URL arg (e.g. leader=http://127.0.0.1:9464)")
-	}
-	nodes := make([]monitor.Node, 0, len(args))
-	for i, arg := range args {
-		name := fmt.Sprintf("node-%d", i)
-		base := arg
-		if n, rest, ok := strings.Cut(arg, "="); ok && n != "" && !strings.HasPrefix(arg, "http") {
-			name, base = n, rest
-		}
-		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-			return nil, fmt.Errorf("node %s: base %q is not an http(s) URL", name, base)
-		}
-		nodes = append(nodes, monitor.Node{Name: name, Base: base})
-	}
-	return nodes, nil
-}
-
 // cmdMonitor is the live terminal dashboard: it polls every node's
-// /debug/timeseries and /debug/alerts on an interval and redraws a
-// compact per-node panel — throughput, abort mix, stage p99s, WAL and
+// /debug/timeseries and /debug/alerts on an interval and redraws
+// report's live panel — throughput, abort mix, stage p99s, WAL and
 // replication state, and the active alert set.
 func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
@@ -46,20 +24,20 @@ func cmdMonitor(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	nodes, err := parseMonitorNodes(fs.Args())
+	nodes, err := report.ParseNodes(fs.Args())
 	if err != nil {
 		return err
 	}
 
-	poll := func() []monitor.Frame {
-		frames := make([]monitor.Frame, len(nodes))
+	poll := func() []report.Frame {
+		frames := make([]report.Frame, len(nodes))
 		for i, n := range nodes {
-			frames[i] = monitor.Poll(n, *window)
+			frames[i] = report.Poll(n, *window)
 		}
 		return frames
 	}
 	if *once {
-		monitor.Render(os.Stdout, poll(), *window)
+		report.RenderPanel(os.Stdout, poll(), *window)
 		return nil
 	}
 
@@ -74,7 +52,7 @@ func cmdMonitor(args []string) error {
 		fmt.Fprint(os.Stdout, "\033[H\033[2J")
 		fmt.Fprintf(os.Stdout, "repro monitor — %s  (window %s, refresh %s)\n\n",
 			time.Now().Format("15:04:05"), window, interval)
-		monitor.Render(os.Stdout, frames, *window)
+		report.RenderPanel(os.Stdout, frames, *window)
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil
 		}

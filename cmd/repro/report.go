@@ -22,14 +22,14 @@ func cmdReport(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	nodes, err := parseMonitorNodes(fs.Args())
+	nodes, err := report.ParseNodes(fs.Args())
 	if err != nil {
 		return err
 	}
 
 	in := report.Inputs{Title: *title}
 	for _, n := range nodes {
-		nd, err := report.Collect(n.Name, n.Base)
+		nd, err := report.Collect(n)
 		if err != nil {
 			return fmt.Errorf("collect %s: %w", n.Name, err)
 		}

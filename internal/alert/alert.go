@@ -9,9 +9,9 @@
 //
 // The engine evaluates synchronously from the store's OnScrape hook, so
 // alert latency is exactly one scrape interval. Transitions are
-// exported three ways: counters + a per-rule state gauge on the same
-// registry, structured log lines, and the /debug/alerts JSON surface
-// (current rule states plus a bounded ring of transition events).
+// exported two ways: structured log lines, and the /debug/alerts JSON
+// surface (current rule states plus a bounded ring of transition
+// events).
 package alert
 
 import (
@@ -196,8 +196,6 @@ type ruleState struct {
 	state State
 	since int64 // unix ns the current state was entered
 	value float64
-	fired *telemetry.Counter
-	reslv *telemetry.Counter
 }
 
 // Engine evaluates a fixed rule set against a Store.
@@ -214,11 +212,10 @@ type Engine struct {
 }
 
 // New resolves every rule's series against the store's scrape layout
-// (missing series are a wiring error), registers the engine's own
-// transition metrics on reg, installs evaluation as the store's
-// OnScrape hook, and returns the engine. logw receives one structured
-// line per transition (io.Discard silences).
-func New(store *tsdb.Store, reg *telemetry.Registry, rules []Rule, logw io.Writer) (*Engine, error) {
+// (missing series are a wiring error), installs evaluation as the
+// store's OnScrape hook, and returns the engine. logw receives one
+// structured line per transition (io.Discard silences).
+func New(store *tsdb.Store, rules []Rule, logw io.Writer) (*Engine, error) {
 	if logw == nil {
 		logw = io.Discard
 	}
@@ -244,27 +241,6 @@ func New(store *tsdb.Store, reg *telemetry.Registry, rules []Rule, logw io.Write
 		} else {
 			e.gates = append(e.gates, nil)
 		}
-		idx := i
-		if err := reg.GaugeFunc("sihtm_alert_state",
-			"Rule state: 0 inactive, 1 pending, 2 firing.",
-			func() float64 {
-				e.mu.Lock()
-				defer e.mu.Unlock()
-				return float64(e.states[idx].state)
-			}, telemetry.L("rule", r.Name)); err != nil {
-			return nil, err
-		}
-		fired, err := reg.Counter("sihtm_alert_transitions_total",
-			"Alert state transitions.", telemetry.L("rule", r.Name), telemetry.L("to", "firing"))
-		if err != nil {
-			return nil, err
-		}
-		reslv, err := reg.Counter("sihtm_alert_transitions_total",
-			"Alert state transitions.", telemetry.L("rule", r.Name), telemetry.L("to", "resolved"))
-		if err != nil {
-			return nil, err
-		}
-		e.states[i].fired, e.states[i].reslv = fired, reslv
 	}
 	store.OnScrape(e.Eval)
 	return e, nil
@@ -444,18 +420,15 @@ func (e *Engine) Eval(at time.Time) {
 }
 
 // transition moves rule i to firing or resolved under the lock,
-// recording the event in every export channel.
+// recording the event in both export channels.
 func (e *Engine) transition(i int, to State, now int64, v float64) {
 	r := &e.rules[i]
 	st := &e.states[i]
 	st.state, st.since = to, now
 	word := "resolved"
-	ctr := st.reslv
 	if to == StateFiring {
 		word = "firing"
-		ctr = st.fired
 	}
-	ctr.Inc()
 	if len(e.events) >= maxEvents {
 		copy(e.events, e.events[1:])
 		e.events = e.events[:maxEvents-1]

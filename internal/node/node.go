@@ -26,8 +26,9 @@
 // Shutdown is the reverse, and the only teardown path (Start calls it
 // on a half-started node):
 //
-//  1. The HTTP listener and the scrape loop: the readiness probe reads
-//     server and follower state the steps below invalidate.
+//  1. The HTTP listener and the scrape loop: the readiness probe and the
+//     scraped gauges read server and follower state the steps below
+//     invalidate.
 //  2. The checkpointer, before the drain: it must not race Drain's
 //     final checkpoint on the same path, nor outlive the store.
 //  3. Drain the server — admitted requests commit and are answered, a
@@ -209,7 +210,7 @@ func (n *Node) observe(cfg Config) error {
 		logw = os.Stderr
 	}
 	var err error
-	n.Alerts, err = alert.New(n.TS, reg, alert.DefaultRules(alert.RuleOptions{
+	n.Alerts, err = alert.New(n.TS, alert.DefaultRules(alert.RuleOptions{
 		System:    n.System.Name(),
 		Interval:  n.TS.Interval(),
 		P99Target: cfg.Server.P99Target,
@@ -221,11 +222,7 @@ func (n *Node) observe(cfg Config) error {
 		return fmt.Errorf("node: alert rules: %w", err)
 	}
 	n.TS.Start()
-	var fol followerProbe
-	if n.Follower != nil {
-		fol = n.Follower
-	}
-	n.Metrics, err = telemetry.ListenAndServe(cfg.MetricsAddr, reg, readyProbe(n.Srv.Draining, fol),
+	n.Metrics, err = telemetry.ListenAndServe(cfg.MetricsAddr, reg, readyProbe(n.Srv.Draining, n.Alerts),
 		telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(n.Srv.TraceRing())},
 		telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(n.TS)},
 		telemetry.Extra{Path: "/debug/alerts", Handler: alert.Handler(n.Alerts)})
@@ -233,6 +230,23 @@ func (n *Node) observe(cfg Config) error {
 		return fmt.Errorf("node: metrics listener: %w", err)
 	}
 	return nil
+}
+
+// readyProbe builds the /readyz callback: a draining server admits
+// nothing, and a follower whose watermark-stall rule fires serves an
+// ever-staler snapshot. The rule is the one stall detector, so the
+// alert and readiness are the same signal; every other role has no such
+// rule and reads ready until it drains.
+func readyProbe(draining func() bool, alerts *alert.Engine) func() error {
+	return func() error {
+		if draining() {
+			return errors.New("draining")
+		}
+		if st, _ := alerts.State(alert.RuleWatermarkStall); st == alert.StateFiring {
+			return fmt.Errorf("replication stalled: %s is firing", alert.RuleWatermarkStall)
+		}
+		return nil
+	}
 }
 
 // Served is closed once the accept loop has returned; before Shutdown

@@ -54,7 +54,6 @@ func TestConnScaleLadder(t *testing.T) {
 // system.
 func connScaleLadder(t *testing.T, system string) {
 	cfg := systemConfig(system)
-	cfg.Server.CtrlInterval = 10 * time.Millisecond
 	n := mustStart(t, cfg)
 	addr := n.Addr.String()
 	rb := dial(t, n)

@@ -1,12 +1,20 @@
-// Package report is the post-run incident analyzer: it joins one or
-// more nodes' time-series dumps (/debug/timeseries), alert transitions
-// (/debug/alerts), and trace rings (/debug/traces) into an
-// incident-style markdown report — SLO compliance, the alert timeline,
-// the worst request traces inside each firing window, and abort-cause
-// attribution. Analyze produces the joined facts as data (internal/node's
-// capacity-alert test asserts on them directly); Render turns them into
-// markdown; Build is both. Collect fetches a node's three surfaces over
-// HTTP, the path `repro report` and that test share.
+// Package report is the one reader of the observability plane. It
+// decodes nodes' time-series dumps (/debug/timeseries) and alert states
+// (/debug/alerts), and renders them two ways:
+//
+//   - the live panel behind `repro monitor` (Poll, RenderPanel):
+//     throughput, abort-cause mix, stage latencies, WAL and replication
+//     state, and the active alert set, per node;
+//   - the post-run incident report behind `repro report` (Collect,
+//     Analyze, Render, Build), which also joins the trace rings
+//     (/debug/traces): SLO compliance, the alert timeline, the worst
+//     request traces inside each firing window, and abort-cause
+//     attribution. Analyze produces the joined facts as data
+//     (internal/node's capacity-alert test asserts on them directly).
+//
+// Rates and shares are computed here from the dumped counter
+// trajectories, so both views need nothing beyond the JSON endpoints
+// and read a live node and a replayed dump alike.
 package report
 
 import (
@@ -23,12 +31,123 @@ import (
 	"sihtm/internal/tsdb"
 )
 
-// NodeData is one node's raw observability surfaces.
+// Node names one metrics listener.
+type Node struct {
+	Name string
+	Base string // "http://host:port"
+}
+
+// ParseNodes resolves NODE=URL args into named nodes. A bare URL gets a
+// positional name ("node-0", ...).
+func ParseNodes(args []string) ([]Node, error) {
+	if len(args) == 0 {
+		return nil, fmt.Errorf("need at least one NODE=URL arg (e.g. leader=http://127.0.0.1:9464)")
+	}
+	nodes := make([]Node, 0, len(args))
+	for i, arg := range args {
+		name := fmt.Sprintf("node-%d", i)
+		base := arg
+		if n, rest, ok := strings.Cut(arg, "="); ok && n != "" && !strings.HasPrefix(arg, "http") {
+			name, base = n, rest
+		}
+		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
+			return nil, fmt.Errorf("node %s: base %q is not an http(s) URL", name, base)
+		}
+		nodes = append(nodes, Node{Name: name, Base: strings.TrimSuffix(base, "/")})
+	}
+	return nodes, nil
+}
+
+// NodeData is one node's raw observability surfaces. Spans is filled by
+// Collect only: the live panel does not read traces.
 type NodeData struct {
-	Name   string
+	Node
 	TS     tsdb.Dump
 	Alerts alert.Dump
 	Spans  []trace.Span
+}
+
+// Frame is one node's polled state. Err is set when the poll failed;
+// the panel renders it in place of the node's lines.
+type Frame struct {
+	NodeData
+	Err error
+}
+
+// Poll fetches one node's time-series dump, trimmed to the trailing
+// window (0 = everything held), and its alert states.
+func Poll(n Node, window time.Duration) Frame {
+	f := Frame{NodeData: NodeData{Node: n}}
+	url := n.Base + "/debug/timeseries"
+	if window > 0 {
+		url += "?window=" + window.String()
+	}
+	if f.Err = get(url, decodeJSON(&f.TS)); f.Err == nil {
+		f.Err = get(n.Base+"/debug/alerts", decodeJSON(&f.Alerts))
+	}
+	return f
+}
+
+// Collect fetches one node's three observability surfaces: the whole
+// time-series dump, the alert states and the trace ring.
+func Collect(n Node) (NodeData, error) {
+	f := Poll(n, 0)
+	if f.Err != nil {
+		return f.NodeData, f.Err
+	}
+	err := get(n.Base+"/debug/traces", func(r io.Reader) (err error) {
+		f.Spans, _, err = trace.ReadJSONL(r)
+		return err
+	})
+	return f.NodeData, err
+}
+
+// decodeJSON is how a /debug/timeseries or /debug/alerts body becomes
+// its dump: one JSON value into v.
+func decodeJSON(v any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(v) }
+}
+
+// get fetches url and hands a 200 body to decode.
+func get(url string, decode func(io.Reader) error) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	if err := decode(resp.Body); err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
+	return nil
+}
+
+// abortShares is each abort cause's count and share of attempts
+// (commits plus aborts) over the trailing window of one node's dump,
+// 0 meaning the whole dump, in dump order. Every series of a dump
+// shares its points, so a share of deltas is also the share of rates.
+func abortShares(n *NodeData, window time.Duration) []AbortCause {
+	var attempts float64
+	for _, ds := range n.TS.Find("sihtm_tm_commits_total") {
+		if d, ok := n.TS.ScalarDelta(ds, window); ok {
+			attempts += d
+		}
+	}
+	var out []AbortCause
+	for _, ds := range n.TS.Find("sihtm_tm_aborts_total") {
+		if d, ok := n.TS.ScalarDelta(ds, window); ok {
+			attempts += d
+			out = append(out, AbortCause{Node: n.Name, Cause: ds.Labels["cause"], Count: d})
+		}
+	}
+	for i := range out {
+		if attempts > 0 {
+			out[i].Share = out[i].Count / attempts
+		}
+	}
+	return out
 }
 
 // Inputs is everything a report joins.
@@ -65,7 +184,7 @@ type AbortCause struct {
 	Node  string
 	Cause string
 	Count float64
-	Share float64 // of attempts (commits + aborts) over the dump
+	Share float64 // of attempts (commits + aborts) over the window
 }
 
 // SLOCompliance summarizes service p99 against an alert threshold.
@@ -120,7 +239,9 @@ func Analyze(in Inputs) Analysis {
 			}
 		}
 		a.Exemplars = append(a.Exemplars, exemplars(n)...)
-		a.Aborts = append(a.Aborts, abortAttribution(n)...)
+		aborts := abortShares(&n, 0)
+		sort.SliceStable(aborts, func(i, j int) bool { return aborts[i].Count > aborts[j].Count })
+		a.Aborts = append(a.Aborts, aborts...)
 		a.SLO = append(a.SLO, sloCompliance(n)...)
 	}
 	sort.Slice(a.Timeline, func(i, j int) bool { return a.Timeline[i].AtNs < a.Timeline[j].AtNs })
@@ -206,34 +327,6 @@ func exemplars(n NodeData) []Exemplar {
 		return out[i].Dur > out[j].Dur
 	})
 	return out
-}
-
-// abortAttribution computes each cause's count and share of attempts
-// over the whole dump.
-func abortAttribution(n NodeData) []AbortCause {
-	var attempts float64
-	for _, ds := range n.TS.Find("sihtm_tm_commits_total") {
-		if d, ok := n.TS.ScalarDelta(ds, 0); ok {
-			attempts += d
-		}
-	}
-	causes := n.TS.Find("sihtm_tm_aborts_total")
-	var deltas []AbortCause
-	for _, ds := range causes {
-		d, ok := n.TS.ScalarDelta(ds, 0)
-		if !ok {
-			continue
-		}
-		attempts += d
-		deltas = append(deltas, AbortCause{Node: n.Name, Cause: ds.Labels["cause"], Count: d})
-	}
-	for i := range deltas {
-		if attempts > 0 {
-			deltas[i].Share = deltas[i].Count / attempts
-		}
-	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Count > deltas[j].Count })
-	return deltas
 }
 
 // sloCompliance measures the service-latency histogram against any
@@ -352,47 +445,4 @@ func Render(w io.Writer, in Inputs, a Analysis) error {
 // Build is Analyze + Render.
 func Build(w io.Writer, in Inputs) error {
 	return Render(w, in, Analyze(in))
-}
-
-// Collect fetches one node's three observability surfaces from the
-// metrics listener base URL ("http://host:port").
-func Collect(name, base string) (NodeData, error) {
-	n := NodeData{Name: name}
-	base = strings.TrimSuffix(base, "/")
-	body, err := httpGet(base + "/debug/timeseries")
-	if err != nil {
-		return n, err
-	}
-	if err := json.Unmarshal(body, &n.TS); err != nil {
-		return n, fmt.Errorf("report: %s/debug/timeseries: %w", base, err)
-	}
-	body, err = httpGet(base + "/debug/alerts")
-	if err != nil {
-		return n, err
-	}
-	if err := json.Unmarshal(body, &n.Alerts); err != nil {
-		return n, fmt.Errorf("report: %s/debug/alerts: %w", base, err)
-	}
-	body, err = httpGet(base + "/debug/traces")
-	if err != nil {
-		return n, err
-	}
-	spans, _, err := trace.ReadJSONL(strings.NewReader(string(body)))
-	if err != nil {
-		return n, fmt.Errorf("report: %s/debug/traces: %w", base, err)
-	}
-	n.Spans = spans
-	return n, nil
-}
-
-func httpGet(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("report: GET %s: %s", url, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }

@@ -55,7 +55,7 @@ func fixtureNode() NodeData {
 		// Outside every firing window.
 		{Trace: 77, Kind: trace.KRequest, Start: times[4], Dur: int64(5 * time.Millisecond)},
 	}
-	return NodeData{Name: "leader", TS: ts, Alerts: al, Spans: spans}
+	return NodeData{Node: Node{Name: "leader"}, TS: ts, Alerts: al, Spans: spans}
 }
 
 func TestAnalyze(t *testing.T) {

@@ -33,6 +33,10 @@ import (
 // decrease) is the classic AIMD shape: converge gently, retreat fast.
 
 const (
+	// ctrlInterval is the controller's sampling interval: each interval
+	// differences the latency histogram and abort collector and makes at
+	// most one knob move.
+	ctrlInterval = 10 * time.Millisecond
 	// ctrlMinWindowOps is the minimum histogram observations an interval
 	// needs before its quantiles are trusted; thinner windows hold.
 	ctrlMinWindowOps = 16
@@ -103,7 +107,7 @@ func (s *Server) stopController() {
 func (c *controller) run() {
 	defer close(c.done)
 	s := c.s
-	tick := time.NewTicker(s.cfg.CtrlInterval)
+	tick := time.NewTicker(ctrlInterval)
 	defer tick.Stop()
 	prevHist := s.hist.Snapshot()
 	prevStats := s.cfg.System.Collector().Snapshot()

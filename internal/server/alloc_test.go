@@ -107,7 +107,7 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 
 // TestServerTracedRequestPathZeroAllocs pins the same TXN path with
 // tracing at full rate: every request carries a trace id, the server
-// records five stage spans plus an exemplar per request, and the client
+// records five stage spans per request, and the client
 // closes its round-trip span — all of it ring stores into preallocated
 // slots, so the pin must stay at exactly zero.
 func TestServerTracedRequestPathZeroAllocs(t *testing.T) {

@@ -93,10 +93,6 @@ type Config struct {
 	// them when either budget is blown. Also settable live via
 	// Ctrl.P99TargetUs.
 	P99Target time.Duration
-	// CtrlInterval is the controller's sampling interval. Default 10ms;
-	// each interval differences the latency histogram and abort
-	// collector and makes at most one knob move.
-	CtrlInterval time.Duration
 	// Store, when non-nil, is the durability manager already attached to
 	// System. The server claims thread ids 0..Shards-1 on it and holds
 	// each reply until the log covers it (package comment); Drain syncs
@@ -145,25 +141,21 @@ type Server struct {
 	batchedOps atomic.Uint64
 
 	// Telemetry: the registry (tel), the lifecycle stage histograms
-	// beyond hist (admission wait, per-batch exec, reply flush, batch op
-	// count), and the raw hot-path counters the registry scrapes.
-	tel          *telemetry.Registry
-	admitHist    *stats.Histogram
-	execHist     *stats.Histogram
-	flushHist    *stats.Histogram
-	batchOpsHist *stats.Histogram // dimensionless: ops per batch
-	framesIn     atomic.Uint64
-	framesOut    atomic.Uint64
-	execBusy     atomic.Int64
-	traceSlow    int64 // Config.TraceSlow in ns (0 = off)
+	// beyond hist (admission wait, per-batch exec, reply flush), and the
+	// frame counters the STATS reply carries.
+	tel       *telemetry.Registry
+	admitHist *stats.Histogram
+	execHist  *stats.Histogram
+	flushHist *stats.Histogram
+	framesIn  atomic.Uint64
+	framesOut atomic.Uint64
+	traceSlow int64 // Config.TraceSlow in ns (0 = off)
 
 	// Structured tracing: the span ring every stage records into (the
-	// WAL and an attached follower share it), the service-latency
-	// exemplar table, the seq→trace map the replication publisher
-	// consults, and the id generator for server-origin ids (slow
-	// requests the client did not sample).
+	// WAL and an attached follower share it), the seq→trace map the
+	// replication publisher consults, and the id generator for
+	// server-origin ids (slow requests the client did not sample).
 	ring      *trace.Ring
-	exemplars trace.Exemplars
 	seqTraces trace.SeqTraces
 	idGen     *trace.IDGen
 
@@ -252,9 +244,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 16
-	}
-	if cfg.CtrlInterval <= 0 {
-		cfg.CtrlInterval = 10 * time.Millisecond
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -490,10 +479,6 @@ func (s *Server) Hist() *stats.Histogram { return s.hist }
 // and an attached follower's replay spans land in the same ring.
 func (s *Server) TraceRing() *trace.Ring { return s.ring }
 
-// Exemplars exposes the service-latency exemplar table: per histogram
-// bucket, the most recent traced request that landed in it.
-func (s *Server) Exemplars() *trace.Exemplars { return &s.exemplars }
-
 // recordSpans closes a request's lifecycle trace after the socket
 // write: one span per stage plus the covering request span, all under
 // one trace id. Requests the client did not sample get spans only when
@@ -621,9 +606,7 @@ func (sh *shard) exec(s *Server, opsN int) {
 	if sh.claimed {
 		prevSeq = s.cfg.Store.ThreadSeq(sh.id)
 	}
-	s.execBusy.Add(1)
 	s.cfg.System.Atomic(sh.id, kind, sh.body)
-	s.execBusy.Add(-1)
 	sh.sess.Commit()
 	if f := s.cfg.Follower; f != nil {
 		f.RUnlock()
@@ -650,7 +633,6 @@ func (sh *shard) exec(s *Server, opsN int) {
 	s.batches.Add(1)
 	s.batchedOps.Add(uint64(opsN))
 	s.execHist.Observe(time.Since(tExec))
-	s.batchOpsHist.Observe(time.Duration(opsN))
 	for _, t := range sh.batch {
 		// The framed reply is encoded straight into the task's own buffer
 		// (no intermediate payload, no copy); the writer owns the task
@@ -677,11 +659,7 @@ func (s *Server) release(t *task) {
 		t.ackNs = int64(ack)
 		s.cfg.Store.AckWaitHist().Observe(ack)
 	}
-	d := now.Sub(t.t0)
-	s.hist.Observe(d)
-	if t.trace != 0 {
-		s.exemplars.Note(d, t.trace)
-	}
+	s.hist.Observe(now.Sub(t.t0))
 }
 
 // execBody is the transaction body for the shard's current batch. The

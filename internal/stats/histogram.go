@@ -198,14 +198,3 @@ const NumHistogramBuckets = histSlots
 // Prometheus text format) that must translate bucket counts back into
 // value boundaries.
 func HistogramBucketBounds(slot int) (loNs, hiNs uint64) { return histBounds(slot) }
-
-// HistogramSlot returns the bucket slot Observe(d) would count into,
-// exported so exemplar tables (trace.Exemplars) can key recent trace
-// ids by the exact bucket a scraped quantile lands in.
-func HistogramSlot(d time.Duration) int {
-	ns := uint64(0)
-	if d > 0 {
-		ns = uint64(d.Nanoseconds())
-	}
-	return histSlot(ns)
-}

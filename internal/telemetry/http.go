@@ -20,8 +20,8 @@ type Extra struct {
 //	/metrics        Prometheus text exposition of reg
 //	/healthz        200 while the process is up (liveness)
 //	/readyz         200 while ready() returns nil (readiness); the
-//	                server wires "admission open" and, on followers,
-//	                "watermark advancing" into it
+//	                node wires "not draining" and "the follower
+//	                watermark-stall rule is not firing" into it
 //	/debug/pprof/*  the standard Go profiling endpoints
 //
 // ready may be nil, in which case /readyz behaves like /healthz.

@@ -36,13 +36,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, s := range series {
 			switch f.kind {
 			case KindCounter:
-				v := uint64(0)
-				if s.counterFn != nil {
-					v = s.counterFn()
-				} else {
-					v = s.counter.Value()
-				}
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels, ""), v)
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels, ""), s.counterFn())
 			case KindGauge:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(s.gaugeFn()))
 			case KindHistogram:
@@ -72,27 +66,15 @@ func writeHistogram(bw *bufio.Writer, f *family, s *series) {
 		if !octaveEdge {
 			continue
 		}
-		le := scaleBound(hi, f.unit)
+		le := formatFloat(float64(hi) / 1e9)
 		fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, renderLabels(s.labels, le), cum)
 	}
 	fmt.Fprintf(bw, "%s_bucket%s %d\n", f.name, renderLabels(s.labels, "+Inf"), cum)
-	sum := float64(snap.SumNs)
-	if f.unit == UnitSeconds {
-		sum /= 1e9
-	}
-	fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(sum))
+	fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, renderLabels(s.labels, ""), formatFloat(float64(snap.SumNs)/1e9))
 	fmt.Fprintf(bw, "%s_count%s %d\n", f.name, renderLabels(s.labels, ""), cum)
 }
 
 func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
-
-// scaleBound renders a bucket upper bound in the family's unit.
-func scaleBound(hiNs uint64, u Unit) string {
-	if u == UnitSeconds {
-		return formatFloat(float64(hiNs) / 1e9)
-	}
-	return formatFloat(float64(hiNs))
-}
 
 // renderLabels renders {k="v",...}, appending le when non-empty. No
 // labels and no le renders as the empty string.

@@ -1,9 +1,9 @@
 // Package telemetry is the repo's metrics registry: named, labeled
 // instruments over the same primitives the hot paths already use —
-// atomic counters, scrape-time gauge functions and the lock-free
-// stats.Histogram — so that instrumenting the server, TM systems, WAL,
-// and replication layers costs one atomic add per event and zero
-// allocations at steady state.
+// scrape-time counter and gauge functions over state a subsystem already
+// keeps, and the lock-free stats.Histogram — so that instrumenting the
+// server, TM systems, WAL, and replication layers costs at most one
+// atomic add per event and zero allocations at steady state.
 //
 // Registration happens once at wiring time (server construction) and
 // may allocate; updates never do. Scraping (WritePrometheus) walks the
@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"sihtm/internal/stats"
 )
@@ -47,17 +46,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Unit declares how a histogram's raw nanosecond-domain buckets should
-// be rendered: durations scale to seconds (Prometheus base unit),
-// dimensionless distributions (batch sizes) render the bucket bounds
-// verbatim.
-type Unit int
-
-const (
-	UnitSeconds Unit = iota
-	UnitCount
-)
-
 // Label is one name=value pair on a series.
 type Label struct {
 	Key   string
@@ -67,29 +55,14 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing series value. The zero value is
-// ready; Add/Inc are one atomic add.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 // series is one labeled member of a family. Exactly one of the value
-// sources is set, matching the family kind; a gauge is always computed
-// at scrape time (GaugeFunc) from state its subsystem already keeps.
+// sources is set, matching the family kind; counters and gauges are
+// always computed at scrape time from state their subsystem already
+// keeps.
 type series struct {
 	labels []Label
 	sig    string // canonical "k1=v1,k2=v2" signature, sorted by key
 
-	counter   *Counter
 	counterFn func() uint64
 	gaugeFn   func() float64
 	hist      *stats.Histogram
@@ -100,13 +73,12 @@ type family struct {
 	name   string
 	help   string
 	kind   Kind
-	unit   Unit // histograms only
 	series []*series
 }
 
 // DefaultSeriesLimit bounds the label cardinality of one family. The
 // instruments here are all low-cardinality by construction (abort
-// causes, TM system names, frame directions); hitting the limit means a
+// causes, TM system names, commit paths); hitting the limit means a
 // caller is minting labels from request data, which is a bug.
 const DefaultSeriesLimit = 64
 
@@ -114,27 +86,13 @@ const DefaultSeriesLimit = 64
 // safe for concurrent use, though registration normally happens once at
 // wiring time.
 type Registry struct {
-	mu          sync.Mutex
-	families    map[string]*family
-	seriesLimit int
-
-	selfOnce sync.Once
-	selfHist *stats.Histogram // SelfObserve's scrape-duration histogram
+	mu       sync.Mutex
+	families map[string]*family
 }
 
-// NewRegistry returns an empty registry with DefaultSeriesLimit.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families:    make(map[string]*family),
-		seriesLimit: DefaultSeriesLimit,
-	}
-}
-
-// SetSeriesLimit overrides the per-family label cardinality bound.
-func (r *Registry) SetSeriesLimit(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seriesLimit = n
+	return &Registry{families: make(map[string]*family)}
 }
 
 func validName(s string) bool {
@@ -184,7 +142,7 @@ func signature(labels []Label) (string, error) {
 
 // register validates and inserts one series, enforcing kind consistency
 // across a family, series uniqueness, and the cardinality bound.
-func (r *Registry) register(name, help string, kind Kind, unit Unit, labels []Label, s *series) error {
+func (r *Registry) register(name, help string, kind Kind, labels []Label, s *series) error {
 	if !validName(name) {
 		return fmt.Errorf("telemetry: invalid metric name %q", name)
 	}
@@ -200,55 +158,32 @@ func (r *Registry) register(name, help string, kind Kind, unit Unit, labels []La
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind, unit: unit}
+		f = &family{name: name, help: help, kind: kind}
 		r.families[name] = f
-	} else {
-		if f.kind != kind {
-			return fmt.Errorf("telemetry: %s already registered as %s, not %s", name, f.kind, kind)
-		}
-		if kind == KindHistogram && f.unit != unit {
-			return fmt.Errorf("telemetry: %s already registered with a different unit", name)
-		}
+	} else if f.kind != kind {
+		return fmt.Errorf("telemetry: %s already registered as %s, not %s", name, f.kind, kind)
 	}
 	for _, have := range f.series {
 		if have.sig == sig {
 			return fmt.Errorf("telemetry: duplicate series %s{%s}", name, sig)
 		}
 	}
-	if len(f.series) >= r.seriesLimit {
-		return fmt.Errorf("telemetry: family %s exceeds series limit %d — label values must be bounded, not request-derived", name, r.seriesLimit)
+	if len(f.series) >= DefaultSeriesLimit {
+		return fmt.Errorf("telemetry: family %s exceeds series limit %d — label values must be bounded, not request-derived", name, DefaultSeriesLimit)
 	}
 	f.series = append(f.series, s)
 	return nil
-}
-
-// Counter registers and returns a new counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) (*Counter, error) {
-	c := &Counter{}
-	if err := r.register(name, help, KindCounter, 0, labels, &series{counter: c}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// MustCounter is Counter, panicking on registration error. Wiring-time
-// registration failures are programming errors.
-func (r *Registry) MustCounter(name, help string, labels ...Label) *Counter {
-	c, err := r.Counter(name, help, labels...)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
 // scrape time — the bridge to counters a subsystem already maintains
 // (stats.Collector slots, WAL record counts) without double counting.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) error {
-	return r.register(name, help, KindCounter, 0, labels, &series{counterFn: fn})
+	return r.register(name, help, KindCounter, labels, &series{counterFn: fn})
 }
 
-// MustCounterFunc is CounterFunc, panicking on error.
+// MustCounterFunc is CounterFunc, panicking on error. Wiring-time
+// registration failures are programming errors.
 func (r *Registry) MustCounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	if err := r.CounterFunc(name, help, fn, labels...); err != nil {
 		panic(err)
@@ -257,7 +192,7 @@ func (r *Registry) MustCounterFunc(name, help string, fn func() uint64, labels .
 
 // GaugeFunc registers a gauge series computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) error {
-	return r.register(name, help, KindGauge, 0, labels, &series{gaugeFn: fn})
+	return r.register(name, help, KindGauge, labels, &series{gaugeFn: fn})
 }
 
 // MustGaugeFunc is GaugeFunc, panicking on error.
@@ -267,35 +202,20 @@ func (r *Registry) MustGaugeFunc(name, help string, fn func() float64, labels ..
 	}
 }
 
-// Histogram registers a fresh stats.Histogram series and returns it;
-// callers Observe durations on it directly (UnitSeconds) or feed counts
-// through time.Duration units (UnitCount — Observe(time.Duration(n))).
-func (r *Registry) Histogram(name, help string, unit Unit, labels ...Label) (*stats.Histogram, error) {
+// MustHistogram registers a fresh stats.Histogram series and returns it;
+// callers Observe durations on it directly. Every histogram family is a
+// duration, rendered in seconds.
+func (r *Registry) MustHistogram(name, help string, labels ...Label) *stats.Histogram {
 	h := &stats.Histogram{}
-	if err := r.RegisterHistogram(name, help, unit, h, labels...); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// MustHistogram is Histogram, panicking on error.
-func (r *Registry) MustHistogram(name, help string, unit Unit, labels ...Label) *stats.Histogram {
-	h, err := r.Histogram(name, help, unit, labels...)
-	if err != nil {
-		panic(err)
-	}
+	r.MustRegisterHistogram(name, help, h, labels...)
 	return h
 }
 
-// RegisterHistogram attaches an existing histogram (the server's live
-// service-latency histogram, the WAL's fsync histogram) as a series.
-func (r *Registry) RegisterHistogram(name, help string, unit Unit, h *stats.Histogram, labels ...Label) error {
-	return r.register(name, help, KindHistogram, unit, labels, &series{hist: h})
-}
-
-// MustRegisterHistogram is RegisterHistogram, panicking on error.
-func (r *Registry) MustRegisterHistogram(name, help string, unit Unit, h *stats.Histogram, labels ...Label) {
-	if err := r.RegisterHistogram(name, help, unit, h, labels...); err != nil {
+// MustRegisterHistogram attaches an existing histogram (the server's
+// live service-latency histogram, the WAL's fsync histogram) as a
+// series, panicking on error.
+func (r *Registry) MustRegisterHistogram(name, help string, h *stats.Histogram, labels ...Label) {
+	if err := r.register(name, help, KindHistogram, labels, &series{hist: h}); err != nil {
 		panic(err)
 	}
 }
@@ -312,12 +232,11 @@ func (r *Registry) sortedFamilies() []*family {
 	return fams
 }
 
-// SeriesInfo identifies one registered series: family name, kind, unit
-// (histograms only), and the sorted label set.
+// SeriesInfo identifies one registered series: family name, kind and
+// the sorted label set.
 type SeriesInfo struct {
 	Name   string
 	Kind   Kind
-	Unit   Unit
 	Labels []Label
 }
 
@@ -346,15 +265,11 @@ func (r *Registry) Readers() []SeriesReader {
 			rd := SeriesReader{Info: SeriesInfo{
 				Name:   f.name,
 				Kind:   f.kind,
-				Unit:   f.unit,
 				Labels: append([]Label(nil), s.labels...),
 			}}
 			switch {
 			case s.hist != nil:
 				rd.Hist = s.hist
-			case s.counter != nil:
-				c := s.counter
-				rd.Value = func() float64 { return float64(c.Value()) }
 			case s.counterFn != nil:
 				fn := s.counterFn
 				rd.Value = func() float64 { return float64(fn()) }
@@ -365,41 +280,4 @@ func (r *Registry) Readers() []SeriesReader {
 		}
 	}
 	return out
-}
-
-// Self-observability instrument names: the registry watching itself.
-const (
-	// ScrapeDurationName is the histogram of full-registry scrape
-	// durations, observed in microseconds (UnitCount domain).
-	ScrapeDurationName = "sihtm_telemetry_scrape_duration_us"
-	// SeriesTotalName is the gauge counting registered series across
-	// all families, computed at scrape time.
-	SeriesTotalName = "sihtm_telemetry_series_total"
-)
-
-// SelfObserve registers the registry's own meta-instruments — the
-// scrape-duration histogram and the series-count gauge — and returns
-// the histogram for scrapers to feed. Idempotent: repeated calls return
-// the same histogram. Opt-in rather than part of NewRegistry so that
-// registries which are never scraped stay exactly as before.
-func (r *Registry) SelfObserve() *stats.Histogram {
-	r.selfOnce.Do(func() {
-		r.selfHist = r.MustHistogram(ScrapeDurationName,
-			"Duration of one full-registry scrape in microseconds.", UnitCount)
-		r.MustGaugeFunc(SeriesTotalName,
-			"Registered series across all families.",
-			func() float64 { return float64(r.numSeries()) })
-	})
-	return r.selfHist
-}
-
-// numSeries counts every registered series across families.
-func (r *Registry) numSeries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, f := range r.families {
-		n += len(f.series)
-	}
-	return n
 }

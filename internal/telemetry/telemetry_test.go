@@ -25,10 +25,10 @@ func TestWritePrometheusGolden(t *testing.T) {
 	var g atomic.Int64
 	reg.MustGaugeFunc("zz_gauge", "A gauge.", func() float64 { return float64(g.Load()) })
 	g.Store(-3)
-	b := reg.MustCounter("aa_requests_total", "Requests by kind.", telemetry.L("kind", "write"))
-	a := reg.MustCounter("aa_requests_total", "", telemetry.L("kind", "read"))
-	a.Add(41)
-	a.Inc()
+	var a, b atomic.Uint64
+	reg.MustCounterFunc("aa_requests_total", "Requests by kind.", b.Load, telemetry.L("kind", "write"))
+	reg.MustCounterFunc("aa_requests_total", "", a.Load, telemetry.L("kind", "read"))
+	a.Add(42)
 	b.Add(7)
 	reg.MustGaugeFunc("mm_ratio", "A computed gauge.", func() float64 { return 0.25 })
 
@@ -59,7 +59,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 // output scrape over scrape.
 func TestWritePrometheusHistogram(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := reg.MustHistogram("lat_seconds", "Latency.", telemetry.UnitSeconds)
+	h := reg.MustHistogram("lat_seconds", "Latency.")
 	for _, d := range []time.Duration{3, 1000, 1000, 250000, time.Second} {
 		h.Observe(d)
 	}
@@ -124,38 +124,18 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	}
 }
 
-// UnitCount histograms render bucket bounds verbatim, not divided by 1e9.
-func TestHistogramUnitCount(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := reg.MustHistogram("batch_ops", "Batch sizes.", telemetry.UnitCount)
-	h.Observe(time.Duration(16))
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	// 16 lands in bucket [16,20), rendered at the le=32 octave edge; the
-	// le=16 bucket (exclusive upper bound) must not contain it.
-	if !strings.Contains(sb.String(), `batch_ops_bucket{le="16"} 0`) ||
-		!strings.Contains(sb.String(), `batch_ops_bucket{le="32"} 1`) {
-		t.Fatalf("16-op observation misplaced:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "batch_ops_sum 16\n") {
-		t.Fatalf("sum not rendered verbatim:\n%s", sb.String())
-	}
-}
-
-// Concurrent increments across goroutines must not lose counts (run
-// under -race in CI).
+// A scraper racing the writers of every instrument shape must render
+// well-formed output and lose no counts (run under -race in CI).
 func TestConcurrentIncrements(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := reg.MustCounter("hits_total", "")
+	var c atomic.Uint64
+	reg.MustCounterFunc("hits_total", "", c.Load)
 	var g atomic.Int64
 	reg.MustGaugeFunc("level", "", func() float64 { return float64(g.Load()) })
-	h := reg.MustHistogram("obs_seconds", "", telemetry.UnitSeconds)
+	h := reg.MustHistogram("obs_seconds", "")
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// A scraper races the writers: output must stay well-formed.
 	go func() {
 		for {
 			select {
@@ -171,7 +151,7 @@ func TestConcurrentIncrements(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				h.Observe(time.Microsecond)
 			}
@@ -179,14 +159,18 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if c.Value() != workers*per {
-		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if g.Load() != workers*per {
-		t.Fatalf("gauge = %d, want %d", g.Load(), workers*per)
-	}
-	if n := h.Snapshot().Count(); n != workers*per {
-		t.Fatalf("histogram count = %d, want %d", n, workers*per)
+	for _, want := range []string{
+		fmt.Sprintf("hits_total %d\n", workers*per),
+		fmt.Sprintf("level %d\n", workers*per),
+		fmt.Sprintf("obs_seconds_count %d\n", workers*per),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 
@@ -194,14 +178,14 @@ func TestConcurrentIncrements(t *testing.T) {
 // registration error, not a silent series explosion.
 func TestSeriesLimit(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.SetSeriesLimit(4)
-	for i := 0; i < 4; i++ {
-		if _, err := reg.Counter("bounded_total", "", telemetry.L("k", fmt.Sprint(i))); err != nil {
+	zero := func() uint64 { return 0 }
+	for i := 0; i < telemetry.DefaultSeriesLimit; i++ {
+		if err := reg.CounterFunc("bounded_total", "", zero, telemetry.L("k", fmt.Sprint(i))); err != nil {
 			t.Fatalf("series %d rejected early: %v", i, err)
 		}
 	}
-	if _, err := reg.Counter("bounded_total", "", telemetry.L("k", "overflow")); err == nil {
-		t.Fatal("5th series accepted past limit 4")
+	if err := reg.CounterFunc("bounded_total", "", zero, telemetry.L("k", "overflow")); err == nil {
+		t.Fatalf("series accepted past limit %d", telemetry.DefaultSeriesLimit)
 	} else if !strings.Contains(err.Error(), "series limit") {
 		t.Fatalf("unhelpful limit error: %v", err)
 	}
@@ -209,19 +193,20 @@ func TestSeriesLimit(t *testing.T) {
 
 func TestRegistrationErrors(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	if _, err := reg.Counter("bad name", ""); err == nil {
+	zero := func() uint64 { return 0 }
+	if err := reg.CounterFunc("bad name", "", zero); err == nil {
 		t.Fatal("invalid metric name accepted")
 	}
-	if _, err := reg.Counter("x_total", "", telemetry.L("0bad", "v")); err == nil {
+	if err := reg.CounterFunc("x_total", "", zero, telemetry.L("0bad", "v")); err == nil {
 		t.Fatal("invalid label key accepted")
 	}
-	if _, err := reg.Counter("dup_total", "", telemetry.L("a", "1")); err != nil {
+	if err := reg.CounterFunc("dup_total", "", zero, telemetry.L("a", "1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Counter("dup_total", "", telemetry.L("a", "1")); err == nil {
+	if err := reg.CounterFunc("dup_total", "", zero, telemetry.L("a", "1")); err == nil {
 		t.Fatal("duplicate series accepted")
 	}
-	if _, err := reg.Counter("x2_total", "", telemetry.L("a", "1"), telemetry.L("a", "2")); err == nil {
+	if err := reg.CounterFunc("x2_total", "", zero, telemetry.L("a", "1"), telemetry.L("a", "2")); err == nil {
 		t.Fatal("duplicate label key in one series accepted")
 	}
 	if err := reg.GaugeFunc("dup_total", "", func() float64 { return 0 }); err == nil {
@@ -232,7 +217,7 @@ func TestRegistrationErrors(t *testing.T) {
 // Label values with quotes, backslashes and newlines must be escaped.
 func TestLabelEscaping(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.MustCounter("esc_total", "", telemetry.L("v", "a\"b\\c\nd"))
+	reg.MustCounterFunc("esc_total", "", func() uint64 { return 0 }, telemetry.L("v", "a\"b\\c\nd"))
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -242,17 +227,15 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// Instrument updates are the hot path: one atomic op, zero allocations.
+// Instrument updates are the hot path: a registered histogram's Observe
+// is atomic adds and zero allocations (counters and gauges are
+// scrape-time functions, so their update is the subsystem's own).
 func TestUpdateZeroAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instruments allocations")
 	}
 	reg := telemetry.NewRegistry()
-	c := reg.MustCounter("c_total", "")
-	h := reg.MustHistogram("h_seconds", "", telemetry.UnitSeconds)
-	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
-		t.Fatalf("Counter.Inc allocates %v/op", n)
-	}
+	h := reg.MustHistogram("h_seconds", "")
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(time.Microsecond) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %v/op", n)
 	}
@@ -262,7 +245,7 @@ func TestUpdateZeroAllocs(t *testing.T) {
 // follows the callback, pprof answers.
 func TestHTTPEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.MustCounter("up_total", "").Add(3)
+	reg.MustCounterFunc("up_total", "", func() uint64 { return 3 })
 	ready := true
 	var mu sync.Mutex
 	srv, err := telemetry.ListenAndServe("127.0.0.1:0", reg, func() error {

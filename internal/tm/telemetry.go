@@ -5,13 +5,12 @@ import (
 	"sihtm/internal/telemetry"
 )
 
-// RegisterMetrics exposes a System's abort accounting as one uniform
-// set of telemetry families, labeled by system name. Every system —
-// si-htm, htm, p8tm, sgl, silo — funnels through the same
-// stats.Collector seam, so the families are identical across systems:
-// software-only systems simply report zero hardware begins, which is
-// exactly the signal an operator uses to tell an SGL-serialized run
-// from a hardware-backed one.
+// RegisterMetrics exposes a System's commit and abort accounting as one
+// uniform set of telemetry families, labeled by system name. Every
+// system — si-htm, htm, p8tm, sgl, silo — funnels through the same
+// stats.Collector seam, so the families are identical across systems.
+// The rest of the collector (fallbacks, hardware begins, wait spins)
+// travels in the STATS reply, which carries the whole snapshot.
 //
 // All series are scrape-time functions over the collector's padded
 // per-thread slots: registering metrics adds zero cost to the
@@ -36,22 +35,6 @@ func RegisterMetrics(reg *telemetry.Registry, sys System) {
 			func() uint64 { return col.Snapshot().Aborts[kind] },
 			sysL, telemetry.L("cause", causeLabel(kind)))
 	}
-
-	reg.MustCounterFunc("sihtm_tm_fallbacks_total",
-		"Commits executed under the single-global-lock fallback path.",
-		func() uint64 { return col.Snapshot().Fallbacks },
-		sysL)
-	reg.MustCounterFunc("sihtm_tm_hw_begins_total",
-		"Hardware transaction begins by mode (POWER rollback-only vs regular HTM).",
-		func() uint64 { return col.Snapshot().HWBeginROT },
-		sysL, telemetry.L("mode", "rot"))
-	reg.MustCounterFunc("sihtm_tm_hw_begins_total", "",
-		func() uint64 { return col.Snapshot().HWBeginHTM },
-		sysL, telemetry.L("mode", "htm"))
-	reg.MustCounterFunc("sihtm_tm_wait_spins_total",
-		"Quiescence/safety-wait spin iterations.",
-		func() uint64 { return col.Snapshot().WaitSpins },
-		sysL)
 }
 
 // causeLabel maps an AbortKind to its metric label value: the String()

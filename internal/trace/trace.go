@@ -8,8 +8,7 @@
 //     recording one is a handful of atomic stores into a preallocated
 //     ring slot. The server/client AllocsPerRun pins hold with sampling
 //     enabled.
-//   - No dependencies. Only the standard library and the repo's own
-//     stats package (for exemplar bucket geometry).
+//   - No dependencies. Only the standard library.
 //   - Head-based sampling. The client decides at send time whether a
 //     request carries a trace id (rate-based, default 1 in
 //     DefaultSampleEvery); the server additionally self-assigns ids to

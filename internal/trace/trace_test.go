@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sihtm/internal/race"
-	"sihtm/internal/stats"
 )
 
 func TestIDGenNonZeroNoOriginBit(t *testing.T) {
@@ -139,23 +138,6 @@ func TestSeqTraces(t *testing.T) {
 	}
 	if got := m.Get(7 + seqTraceSlots); got != 0xdef {
 		t.Fatalf("Get(colliding) = %#x", got)
-	}
-}
-
-func TestExemplars(t *testing.T) {
-	var e Exemplars
-	var h stats.Histogram
-	h.Observe(time.Millisecond)
-	e.Note(time.Millisecond, 0x111)
-	snap := h.Snapshot()
-	if got := e.ForQuantile(snap, 0.99); got != 0x111 {
-		t.Fatalf("p99 exemplar = %#x, want 0x111", got)
-	}
-	if got := e.Trace(stats.HistogramSlot(time.Millisecond)); got != 0x111 {
-		t.Fatalf("bucket exemplar = %#x", got)
-	}
-	if got := e.Trace(0); got != 0 {
-		t.Fatalf("empty bucket exemplar = %#x", got)
 	}
 }
 
@@ -294,13 +276,12 @@ func TestHandlerServesJSONLAndFilters(t *testing.T) {
 }
 
 // TestRingAddAllocs pins the hot-path contract: recording a span into
-// the ring, sampling, id generation and exemplar notes are all
+// the ring, sampling, id generation and the seq→trace map are all
 // allocation-free.
 func TestRingAddAllocs(t *testing.T) {
 	r := NewRing(1024)
 	g := NewIDGen(1)
 	s := NewSampler(DefaultSampleEvery)
-	var e Exemplars
 	var m SeqTraces
 	span := Span{Trace: 1, Kind: KExec, Start: 1, Dur: 2, Arg: 3}
 	for i := 0; i < 512; i++ {
@@ -311,7 +292,6 @@ func TestRingAddAllocs(t *testing.T) {
 			span.Trace = g.Next()
 		}
 		r.Add(span)
-		e.Note(time.Duration(span.Dur), span.Trace)
 		m.Put(uint64(span.Start), span.Trace)
 	})
 	if allocs != 0 && !race.Enabled {

@@ -1,8 +1,8 @@
 // The /debug/timeseries surface: a JSON dump of the ring, one value per
 // scrape point per series, with per-point interval quantiles for
-// histograms. The same types are what `repro monitor` and `repro
-// report` parse back, so the wire shape is the package's public
-// contract, not an implementation detail.
+// histograms. The same types are what internal/report (the live panel
+// and the incident report) parses back, so the wire shape is the
+// package's public contract, not an implementation detail.
 package tsdb
 
 import (
@@ -171,10 +171,11 @@ func (ds DumpSeries) Last() float64 {
 }
 
 // LastP99Us returns the most recent non-zero interval p99 (µs) of a
-// histogram series, looking back at most n points — "the latest latency
-// the server actually saw", skipping idle intervals.
-func (ds DumpSeries) LastP99Us(n int) float64 {
-	for i := len(ds.P99Us) - 1; i >= 0 && i >= len(ds.P99Us)-n; i-- {
+// histogram series — "the latest latency the server actually saw",
+// skipping idle intervals. Trim the dump to a window to bound how far
+// back that looks.
+func (ds DumpSeries) LastP99Us() float64 {
+	for i := len(ds.P99Us) - 1; i >= 0; i-- {
 		if ds.P99Us[i] > 0 {
 			return ds.P99Us[i]
 		}

@@ -62,7 +62,6 @@ type Store struct {
 	scalars     []telemetry.SeriesReader
 	hists       []telemetry.SeriesReader
 	byKey       map[string]Ref
-	scrapeDur   *stats.Histogram // the registry's own SelfObserve histogram
 	afterScrape func(time.Time)
 
 	mu    sync.RWMutex
@@ -101,10 +100,9 @@ func seriesKey(name string, labels []telemetry.Label) string {
 	return b.String()
 }
 
-// New builds a store over every series currently registered in reg,
-// registering the registry's self-observability instruments first so
-// they land in the scrape layout too. Series registered after New are
-// rendered by /metrics but not captured in the ring.
+// New builds a store over every series currently registered in reg.
+// Series registered after New are rendered by /metrics but not captured
+// in the ring.
 func New(reg *telemetry.Registry, cfg Config) *Store {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -113,11 +111,10 @@ func New(reg *telemetry.Registry, cfg Config) *Store {
 		cfg.Retention = DefaultRetention
 	}
 	s := &Store{
-		interval:  cfg.Interval,
-		scrapeDur: reg.SelfObserve(),
-		byKey:     make(map[string]Ref),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		interval: cfg.Interval,
+		byKey:    make(map[string]Ref),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, rd := range reg.Readers() {
 		if rd.Hist != nil {
@@ -141,16 +138,6 @@ func New(reg *telemetry.Registry, cfg Config) *Store {
 
 // Interval returns the configured scrape cadence.
 func (s *Store) Interval() time.Duration { return s.interval }
-
-// Retention returns the ring capacity in snapshots.
-func (s *Store) Retention() int { return len(s.slots) }
-
-// Len returns the number of snapshots currently held.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
-}
 
 // Overruns counts scrapes that took longer than the interval — the
 // self-observed bound on scrape overhead.
@@ -190,9 +177,7 @@ func (s *Store) ScrapeAt(at time.Time) {
 		s.count++
 	}
 	s.mu.Unlock()
-	d := time.Since(start)
-	s.scrapeDur.Observe(time.Duration(d.Microseconds()))
-	if d > s.interval {
+	if time.Since(start) > s.interval {
 		s.overruns.Add(1)
 	}
 	if s.afterScrape != nil {
@@ -281,10 +266,10 @@ func (s *Store) LatestScalar(ref Ref) (float64, bool) {
 	return s.slots[last].scalars[ref.idx], true
 }
 
-// ScalarWindow returns the first and last samples of a scalar series
+// scalarWindow returns the first and last samples of a scalar series
 // within the trailing window plus the wall time between them. ok
 // demands at least two samples in the window.
-func (s *Store) ScalarWindow(ref Ref, window time.Duration) (first, last float64, dt time.Duration, ok bool) {
+func (s *Store) scalarWindow(ref Ref, window time.Duration) (first, last float64, dt time.Duration, ok bool) {
 	if ref.hist {
 		return 0, 0, 0, false
 	}
@@ -300,14 +285,14 @@ func (s *Store) ScalarWindow(ref Ref, window time.Duration) (first, last float64
 
 // Delta returns last-first of a scalar series over the trailing window.
 func (s *Store) Delta(ref Ref, window time.Duration) (float64, bool) {
-	first, last, _, ok := s.ScalarWindow(ref, window)
+	first, last, _, ok := s.scalarWindow(ref, window)
 	return last - first, ok
 }
 
 // Rate returns the per-second increase of a scalar series over the
 // trailing window.
 func (s *Store) Rate(ref Ref, window time.Duration) (float64, bool) {
-	first, last, dt, ok := s.ScalarWindow(ref, window)
+	first, last, dt, ok := s.scalarWindow(ref, window)
 	if !ok || dt <= 0 {
 		return 0, false
 	}
@@ -329,15 +314,4 @@ func (s *Store) HistWindow(ref Ref, window time.Duration) (stats.HistogramSnapsh
 	}
 	a, b := sel[0], sel[len(sel)-1]
 	return b.hists[ref.idx].Sub(a.hists[ref.idx]), time.Duration(b.at - a.at), true
-}
-
-// QuantileOver returns the q-quantile of a histogram series over the
-// observations in the trailing window. ok is false when the window has
-// too few snapshots or saw no observations at all.
-func (s *Store) QuantileOver(ref Ref, q float64, window time.Duration) (time.Duration, bool) {
-	delta, _, ok := s.HistWindow(ref, window)
-	if !ok {
-		return 0, false
-	}
-	return delta.QuantileOK(q)
 }

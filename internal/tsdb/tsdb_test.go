@@ -14,13 +14,14 @@ import (
 // fixture builds a registry with one of every instrument shape and a
 // small store over it. Scrapes are driven manually with synthetic
 // timestamps so window math is exact.
-func fixture(t *testing.T, retention int) (*telemetry.Registry, *Store, *telemetry.Counter, *atomic.Int64, func(d time.Duration)) {
+func fixture(t *testing.T, retention int) (*telemetry.Registry, *Store, *atomic.Uint64, *atomic.Int64, func(d time.Duration)) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	c := reg.MustCounter("t_ops_total", "ops", telemetry.L("kind", "w"))
+	c := new(atomic.Uint64)
+	reg.MustCounterFunc("t_ops_total", "ops", c.Load, telemetry.L("kind", "w"))
 	g := new(atomic.Int64)
 	reg.MustGaugeFunc("t_depth", "queue depth", func() float64 { return float64(g.Load()) })
-	h := reg.MustHistogram("t_lat_seconds", "latency", telemetry.UnitSeconds)
+	h := reg.MustHistogram("t_lat_seconds", "latency")
 	var fnv uint64
 	reg.MustCounterFunc("t_fn_total", "fn counter", func() uint64 { return fnv })
 	reg.MustGaugeFunc("t_fn_gauge", "fn gauge", func() float64 { return 7.5 })
@@ -48,8 +49,8 @@ func TestWindowMath(t *testing.T) {
 		}
 		step(d)
 	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", s.Len())
+	if s.count != 10 {
+		t.Fatalf("count = %d, want 10", s.count)
 	}
 	cref, ok := s.Lookup("t_ops_total", telemetry.L("kind", "w"))
 	if !ok {
@@ -88,12 +89,12 @@ func TestWindowMath(t *testing.T) {
 	if delta.Count() != 5 {
 		t.Fatalf("HistWindow count = %d want 5", delta.Count())
 	}
-	if q, ok := s.QuantileOver(href, 0.99, 50*time.Millisecond); !ok || q < time.Millisecond {
-		t.Fatalf("QuantileOver = %v,%v", q, ok)
+	if q, ok := delta.QuantileOK(0.99); !ok || q < time.Millisecond {
+		t.Fatalf("HistWindow p99 = %v,%v", q, ok)
 	}
 	// Too few points in a tiny window.
-	if _, _, _, ok := s.ScalarWindow(cref, time.Millisecond); ok {
-		t.Fatal("ScalarWindow with one point should not be ok")
+	if _, ok := s.Delta(cref, time.Millisecond); ok {
+		t.Fatal("Delta with one point should not be ok")
 	}
 	// Unknown series.
 	if _, ok := s.Lookup("t_missing"); ok {
@@ -107,29 +108,13 @@ func TestRingWrap(t *testing.T) {
 		c.Add(1)
 		step(time.Millisecond)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want retention 4", s.Len())
+	if s.count != 4 {
+		t.Fatalf("count = %d, want retention 4", s.count)
 	}
 	cref, _ := s.Lookup("t_ops_total", telemetry.L("kind", "w"))
 	// Ring holds scrapes 7..10: counter values 7,8,9,10.
 	if d, ok := s.Delta(cref, 0); !ok || d != 3 {
 		t.Fatalf("Delta over wrapped ring = %v,%v want 3,true", d, ok)
-	}
-}
-
-func TestSelfObserveInRing(t *testing.T) {
-	_, s, _, _, step := fixture(t, 8)
-	step(time.Millisecond)
-	step(time.Millisecond)
-	if _, ok := s.Lookup(telemetry.ScrapeDurationName); !ok {
-		t.Fatal("scrape-duration histogram not in scrape layout")
-	}
-	ref, ok := s.Lookup(telemetry.SeriesTotalName)
-	if !ok {
-		t.Fatal("series-count gauge not in scrape layout")
-	}
-	if v, _ := s.LatestScalar(ref); v < 5 {
-		t.Fatalf("series total = %v, want >= 5", v)
 	}
 }
 
@@ -164,7 +149,7 @@ func TestDumpAndHandler(t *testing.T) {
 	if hs[0].Counts[5] != 6 {
 		t.Fatalf("cumulative count = %d want 6", hs[0].Counts[5])
 	}
-	if hs[0].LastP99Us(6) <= 0 {
+	if hs[0].LastP99Us() <= 0 {
 		t.Fatal("LastP99Us = 0, want a positive interval p99")
 	}
 	// Prefix filter drops the t_* series.
@@ -206,16 +191,17 @@ func TestDumpAndHandler(t *testing.T) {
 // matches CI's alloc-pin filter (-run 'Alloc|ReuseBuffers').
 func TestScrapeZeroAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := reg.MustCounter("t_ops_total", "ops")
+	var c atomic.Uint64
+	reg.MustCounterFunc("t_ops_total", "ops", c.Load)
 	var g atomic.Int64
 	reg.MustGaugeFunc("t_depth", "depth", func() float64 { return float64(g.Load()) })
-	h := reg.MustHistogram("t_lat_seconds", "latency", telemetry.UnitSeconds)
+	h := reg.MustHistogram("t_lat_seconds", "latency")
 	var fnv uint64
 	reg.MustCounterFunc("t_fn_total", "fn", func() uint64 { return fnv })
 	reg.MustGaugeFunc("t_fn_gauge", "fn", func() float64 { return 1 })
 	s := New(reg, Config{Interval: time.Second, Retention: 64})
 	op := func() {
-		c.Inc()
+		c.Add(1)
 		g.Store(3)
 		fnv++
 		h.Observe(time.Millisecond)

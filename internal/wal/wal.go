@@ -87,12 +87,9 @@ type Log struct {
 	batches atomic.Uint64
 	fsyncs  atomic.Uint64
 
-	// fsyncHist observes the wall time of each fsync; batchRecsHist
-	// observes records-per-written-batch (dimensionless, one count per
-	// flush that had data). Both are lock-free and cost nothing until
-	// a telemetry registry scrapes them.
-	fsyncHist     stats.Histogram
-	batchRecsHist stats.Histogram
+	// fsyncHist observes the wall time of each fsync. It is lock-free
+	// and costs nothing until a telemetry registry scrapes it.
+	fsyncHist stats.Histogram
 
 	// traceRing, when set, receives one KFsync span per group-commit
 	// flush that wrote data (Seq = highest sequence made durable, Arg =
@@ -236,7 +233,6 @@ func (l *Log) flush() error {
 			return fmt.Errorf("wal: write: %w", err)
 		}
 		l.batches.Add(1)
-		l.batchRecsHist.Observe(time.Duration(recs))
 	}
 	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
@@ -321,10 +317,6 @@ func (l *Log) Stats() Stats {
 // FsyncHist returns the live fsync-latency histogram for telemetry
 // registration. Callers must only snapshot it.
 func (l *Log) FsyncHist() *stats.Histogram { return &l.fsyncHist }
-
-// BatchRecsHist returns the records-per-group-commit-batch histogram
-// (dimensionless: Observe'd as time.Duration(records)).
-func (l *Log) BatchRecsHist() *stats.Histogram { return &l.batchRecsHist }
 
 // SetTraceRing attaches a span ring: every subsequent group-commit
 // flush that writes data records a KFsync span into it. Nil detaches.
