@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,8 +51,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "bench":
 		err = cmdBench(os.Args[2:])
-	case "durable":
-		err = cmdDurable(os.Args[2:])
 	case "recover":
 		err = cmdRecover(os.Args[2:])
 	case "serve":
@@ -91,8 +88,7 @@ commands:
   list                      enumerate the experiment registry
   run                       run experiments, write JSON + markdown results
   bench                     run the hot-path microbenchmark suite (BENCH_hotpath.json)
-  durable                   run a durable workload against a WAL directory (crashable)
-  recover                   crash-replay a durable run directory and check invariants
+  recover                   crash-replay a served run directory (serve --durable-dir) and check invariants
   serve                     run the networked transaction server (SIGTERM drains)
   loadgen                   drive one open-loop point against a live server, print its result line
   promote                   promote a follower after leader death (zero acked loss)
@@ -148,17 +144,8 @@ loadgen flags (exits non-zero on an error reply or an empty window):
   --window=DUR              override the scale preset's measurement window
   --trace-every=N           stamp every n-th request with a trace id (1 = all)
 
-durable flags:
-  --dir=DIR                 run directory (meta.json + wal.log + heap.ckpt)
-  --scenario=ycsb-a         workload: ycsb-a or vacation
-  --system=si-htm           concurrency control (default si-htm)
-  --threads=N               worker threads (default 4)
-  --scale=ci|quick|paper    workload sizing preset (default ci)
-  --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
-  --duration=DUR            stop cleanly after DUR (default 0: run until killed)
-
 recover flags:
-  --dir=DIR                 run directory written by 'repro durable'
+  --dir=DIR                 run directory written by 'repro serve --durable-dir'
   --out=FILE                JSON recovery report (default BENCH_recover.json; '' = none)
 
 bench flags:
@@ -483,48 +470,13 @@ func cmdBench(args []string) error {
 	return nil
 }
 
-// cmdDurable runs a durable workload against an on-disk WAL directory,
-// either for a fixed duration or until the process is killed — the
-// crash half of the recovery pipeline.
-func cmdDurable(args []string) error {
-	fs := flag.NewFlagSet("durable", flag.ExitOnError)
-	var (
-		dir       = fs.String("dir", "", "run directory (required)")
-		scenario  = fs.String("scenario", "ycsb-a", "workload: "+strings.Join(experiments.DurableScenarioNames(), "|"))
-		system    = fs.String("system", "si-htm", "concurrency control")
-		threads   = fs.Int("threads", 4, "worker threads")
-		scaleName = fs.String("scale", "ci", "workload sizing preset")
-		ckptEvery = fs.Duration("checkpoint-every", time.Second, "fuzzy checkpoint interval (0 disables)")
-		duration  = fs.Duration("duration", 0, "stop cleanly after this long (0 = run until killed)")
-		quiet     = fs.Bool("quiet", false, "suppress the per-second progress line")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("durable needs --dir")
-	}
-	meta := experiments.DurableMeta{
-		Scenario: *scenario,
-		System:   *system,
-		Scale:    *scaleName,
-		Threads:  *threads,
-	}
-	var progress io.Writer
-	if !*quiet {
-		progress = os.Stderr
-	}
-	fmt.Fprintf(os.Stderr, "durable run: %s on %s, %d threads → %s\n", *scenario, *system, *threads, *dir)
-	return experiments.StartDurable(*dir, meta, *duration, *ckptEvery, progress)
-}
-
-// cmdRecover crash-replays a durable run directory: rebuild the
-// scenario base, restore checkpoint + log, verify invariants, and write
-// the recovery report.
+// cmdRecover crash-replays a served run directory: rebuild the served
+// base, restore checkpoint + log, verify invariants, and write the
+// recovery report.
 func cmdRecover(args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ExitOnError)
 	var (
-		dir = fs.String("dir", "", "run directory written by 'repro durable' (required)")
+		dir = fs.String("dir", "", "run directory written by 'repro serve --durable-dir' (required)")
 		out = fs.String("out", "BENCH_recover.json", "JSON recovery report ('' = none)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -86,8 +86,7 @@ func cmdServe(args []string) error {
 		cfg.Server.LeaderLogPath = *leaderLog
 	}
 	if *dir != "" {
-		// meta.json makes the run directory replayable by `repro recover`,
-		// like a `repro durable` one.
+		// meta.json makes the run directory replayable by `repro recover`.
 		err := experiments.WriteDurableMeta(*dir, experiments.DurableMeta{
 			Scenario:   *scenario,
 			System:     *system,
@@ -108,7 +107,7 @@ func cmdServe(args []string) error {
 	}
 	// One structured line with everything an operator needs to find this
 	// process again: addresses, build, and every knob that shapes the
-	// run.
+	// run, as the server runs with it (a zero --batch means 16).
 	mode := "volatile"
 	switch {
 	case *dir != "":
@@ -116,8 +115,10 @@ func cmdServe(args []string) error {
 	case *follow != "":
 		mode = "follower"
 	}
+	st := ns.Srv.Snapshot()
 	fields := fmt.Sprintf("addr=%s scenario=%s system=%s scale=%s base_digest=%s shards=%d mode=%s batch_max=%d admit_wait=%s p99_target=%s",
-		ns.Addr, *scenario, *system, *scaleName, digest, *shards, mode, *batch, *admitWait, *p99Target)
+		ns.Addr, *scenario, *system, *scaleName, digest, *shards, mode,
+		st.BatchMax, time.Duration(st.AdmitWaitUs)*time.Microsecond, time.Duration(st.P99TargetUs)*time.Microsecond)
 	if *dir != "" {
 		fields += fmt.Sprintf(" durable_dir=%s", *dir)
 	}

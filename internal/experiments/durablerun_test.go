@@ -11,48 +11,10 @@ import (
 
 	"sihtm/internal/durable"
 	"sihtm/internal/harness"
+	"sihtm/internal/loadgen"
 	"sihtm/internal/node"
 	"sihtm/internal/server"
 )
-
-// TestStartAndRecoverDurable drives the crash-recovery pipeline behind
-// `repro durable` / `repro recover` end to end (with a clean stop
-// standing in for the SIGKILL CI applies): run, then rebuild + replay
-// + invariant check from the run directory alone.
-func TestStartAndRecoverDurable(t *testing.T) {
-	for _, scenario := range DurableScenarioNames() {
-		scenario := scenario
-		t.Run(scenario, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			meta := DurableMeta{
-				Scenario: scenario,
-				System:   "si-htm",
-				Scale:    "ci",
-				Threads:  2,
-			}
-			if err := StartDurable(dir, meta, 250*time.Millisecond, 100*time.Millisecond, nil); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := RecoverDurable(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.InvariantsOK {
-				t.Fatalf("invariants not verified: %+v", rep)
-			}
-			if rep.RecoveredSeq == 0 {
-				t.Fatal("no transactions recovered")
-			}
-			if rep.Meta.BaseDigest == "" {
-				t.Fatal("meta.json records no base image digest")
-			}
-			if meta.BaseDigest = rep.Meta.BaseDigest; rep.Meta != meta {
-				t.Fatalf("meta round-trip: %+v != %+v", rep.Meta, meta)
-			}
-		})
-	}
-}
 
 // runDurablePoint measures one point of w under system on a headless
 // durable node — every update's write set captured at the commit hook,
@@ -108,15 +70,20 @@ func runDurablePoint(t *testing.T, w workload, system string, threads int, sc Sc
 	return rep
 }
 
-// TestDurableCellPoint runs one point of each durable scenario under
-// each scenario system on a headless durable node, with fuzzy
-// checkpoints during the window and a word-for-word recovery check after
-// it. sgl holds the global lock for every transaction: a fuzzy
-// checkpoint that imaged the lock word held would fail the comparison
-// (CI draws this 50 times).
+// TestDurableCellPoint runs one point of YCSB-A and of low-contention
+// vacation under each scenario system on a headless durable node, with
+// fuzzy checkpoints during the window and a word-for-word recovery check
+// after it. Headless, no server claims the store's threads, so each
+// Atomic waits for its own record to be durable. sgl holds the global
+// lock for every transaction: a fuzzy checkpoint that imaged the lock
+// word held would fail the comparison (CI draws this 50 times).
 func TestDurableCellPoint(t *testing.T) {
 	sc := quickScale()
-	for _, s := range durableScenarios {
+	points := []struct {
+		name string
+		w    workload
+	}{{"ycsb-a", ycsbSpecs[0].build}, {"vacation", vacationSpecs[0].build}}
+	for _, s := range points {
 		for _, system := range scenarioSystems {
 			t.Run(s.name+"/"+system, func(t *testing.T) {
 				if rep := runDurablePoint(t, s.w, system, 2, sc); rep.RecoveredSeq == 0 {
@@ -127,19 +94,26 @@ func TestDurableCellPoint(t *testing.T) {
 	}
 }
 
-// startShortDurable runs a 50 ms durable ycsb-a into a fresh run
-// directory and returns it with the meta.json it wrote.
+// startShortDurable serves ycsb-a durably into a fresh run directory
+// for one short open-loop point, drains the node, and returns the
+// directory with the meta.json it wrote.
 func startShortDurable(t testing.TB) (string, DurableMeta) {
 	t.Helper()
 	dir := t.TempDir()
-	meta := DurableMeta{Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: 2}
-	if err := StartDurable(dir, meta, 50*time.Millisecond, 0, nil); err != nil {
+	ns := startServed(t, "ycsb-a", 2, 32, dir)
+	defer ns.Shutdown()
+	sc := Scale{Warmup: 5 * time.Millisecond, Measure: 50 * time.Millisecond}
+	if _, _, err := RunOpenLoop(ns.Addr.String(), 4, loadgen.Arrival{Process: "poisson", Rate: 2000}, sc, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 	mj, err := os.ReadFile(metaPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var meta DurableMeta
 	if err := json.Unmarshal(mj, &meta); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +181,7 @@ func TestRecoverRefusesMissingBaseDigest(t *testing.T) {
 // FuzzRecoverDurableMeta feeds RecoverDurable a run directory whose
 // wal.log is real and whose meta.json is arbitrary bytes. It must return
 // an error or a report, never panic, and a meta it accepts must name a
-// base it can rebuild whose digest passes SameBase.
+// base BuildServed can rebuild whose digest passes SameBase.
 func FuzzRecoverDurableMeta(f *testing.F) {
 	src, meta := startShortDurable(f)
 	good, err := os.ReadFile(metaPath(src))
@@ -238,6 +212,12 @@ func FuzzRecoverDurableMeta(f *testing.F) {
 	for _, threads := range []int{0, -3, math.MaxInt} {
 		f.Add(variant(func(m *DurableMeta) { m.Threads = threads }))
 	}
+	// The other served scenarios under the ycsb-a digest. ycsb-c builds a
+	// B+tree, another image, and is refused; ycsb-b builds the very hash
+	// map ycsb-a does (the two differ only in the clients' mix), so the
+	// digest is its own and the log replays.
+	f.Add(variant(func(m *DurableMeta) { m.Scenario = "ycsb-b" }))
+	f.Add(variant(func(m *DurableMeta) { m.Scenario = "ycsb-c" }))
 	f.Fuzz(func(t *testing.T, mj []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(node.LogPath(dir), log, 0o644); err != nil {
@@ -250,11 +230,11 @@ func FuzzRecoverDurableMeta(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, err := buildDurable(rep.Meta)
+		m, _, err := BuildServed(rep.Meta.Scenario, rep.Meta.Scale, rep.Meta.Threads)
 		if err != nil {
 			t.Fatalf("accepted meta %+v names no buildable base: %v", rep.Meta, err)
 		}
-		if err := SameBase(rep.Meta.BaseDigest, b.machine.Heap().Digest()); err != nil {
+		if err := SameBase(rep.Meta.BaseDigest, m.Heap().Digest()); err != nil {
 			t.Fatalf("accepted meta %+v: %v", rep.Meta, err)
 		}
 		if !rep.InvariantsOK {

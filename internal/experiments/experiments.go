@@ -8,8 +8,8 @@
 // runPoint. The repro CLI (cmd/repro) and the testing.B harness
 // (bench_test.go) are both thin views over this one registry, so they
 // regenerate exactly the same runs. The package also builds what `repro
-// serve` hosts, drives `repro loadgen`'s open-loop point, and runs the
-// `repro durable`/`recover` crash loop.
+// serve` hosts, drives `repro loadgen`'s open-loop point, and replays a
+// served run directory for `repro recover`.
 package experiments
 
 import (

@@ -394,7 +394,7 @@ func TestAdmissionBatchCapacityShape(t *testing.T) {
 		t.Run(system, func(t *testing.T) {
 			capAborts := map[int]uint64{}
 			for _, batch := range []int{1, 4, 16} {
-				y := ycsbA
+				y := ycsbSpecs[0]
 				y.opsPerTx = batch
 				b, err := y.build(sc, 1)
 				if err != nil {

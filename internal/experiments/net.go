@@ -26,10 +26,12 @@ func ycsbSpecByID(id string) (ycsbSpec, error) {
 
 // BuildServed builds the base image `repro serve` hosts: the named
 // scenario, populated for shards executors, before any concurrency
-// control exists (NewSystem sized for shards comes next), so its heap's
-// digest is the one StartDurable records and RecoverDurable rebuilds.
-// The build's deterministic seed derives from shards, so a follower and
-// a later recovery must use the leader's value.
+// control exists (NewSystem sized for shards comes next). It is the one
+// builder of a served base: the leader's, a follower's and the one
+// RecoverDurable replays a run directory onto, whose meta.json records
+// this build's digest. The build's deterministic seed derives from
+// shards, so a follower and a later recovery must use the leader's
+// value.
 func BuildServed(scenario, scaleName string, shards int) (*htm.Machine, engine.Backend, error) {
 	fail := func(err error) (*htm.Machine, engine.Backend, error) { return nil, nil, err }
 	sc, err := ScaleByName(scaleName)

@@ -12,12 +12,12 @@ import (
 	"sihtm/internal/server"
 )
 
-// startServed starts the node `repro serve` would: BuildServed's
-// si-htm ycsb-a build at ci scale, durable in dir when dir is set (with
+// startServed starts the node `repro serve` would: BuildServed's si-htm
+// build of scenario at ci scale, durable in dir when dir is set (with
 // meta.json, periodic and drain-time checkpoints).
-func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
+func startServed(t testing.TB, scenario string, shards, batch int, dir string) *node.Node {
 	t.Helper()
-	m, backend, err := BuildServed("ycsb-a", "ci", shards)
+	m, backend, err := BuildServed(scenario, "ci", shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +31,12 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 		Machine: m,
 		Server: server.Config{
 			Backend: backend, System: sys, Shards: shards, BatchMax: batch,
-			Scenario: "ycsb-a", Scale: "ci",
+			Scenario: scenario, Scale: "ci",
 		},
 	}
 	if dir != "" {
 		err := WriteDurableMeta(dir, DurableMeta{
-			Scenario: "ycsb-a", System: "si-htm", Scale: "ci", Threads: shards,
+			Scenario: scenario, System: "si-htm", Scale: "ci", Threads: shards,
 			BaseDigest: digest,
 		})
 		if err != nil {
@@ -54,16 +54,23 @@ func startServed(t *testing.T, shards, batch int, dir string) *node.Node {
 }
 
 // TestServeLoadgenRecoverPipeline is the in-process version of the CI
-// server-smoke job: start a durable `repro serve` instance, drive an
-// open-loop point against it the way `repro loadgen` does, shut the
-// server down gracefully (final checkpoint), and crash-replay the run
-// directory through the existing recovery pipeline.
+// server-smoke job, for every served scenario: start a durable `repro
+// serve` instance, drive an open-loop point against it the way `repro
+// loadgen` does, shut the server down gracefully (final checkpoint),
+// and crash-replay the run directory through the recovery pipeline.
 func TestServeLoadgenRecoverPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serves and measures over loopback; a few seconds")
 	}
+	for _, scenario := range []string{"ycsb-a", "ycsb-b", "ycsb-c"} {
+		t.Run(scenario, func(t *testing.T) { serveLoadgenRecover(t, scenario) })
+	}
+}
+
+// serveLoadgenRecover is one TestServeLoadgenRecoverPipeline case.
+func serveLoadgenRecover(t *testing.T, scenario string) {
 	dir := t.TempDir()
-	ns := startServed(t, 4, 32, dir)
+	ns := startServed(t, scenario, 4, 32, dir)
 	defer ns.Shutdown()
 
 	sc := quickScale()
@@ -110,13 +117,17 @@ func TestServeLoadgenRecoverPipeline(t *testing.T) {
 	if rep.RecoveredSeq == 0 {
 		t.Error("no logged transaction recovered")
 	}
+	want := DurableMeta{Scenario: scenario, System: "si-htm", Scale: "ci", Threads: 4, BaseDigest: rep.Meta.BaseDigest}
+	if rep.Meta.BaseDigest == "" || rep.Meta != want {
+		t.Errorf("meta.json round trip: %+v, want %+v with a base image digest", rep.Meta, want)
+	}
 }
 
 // A window in which the server answered nothing is a failed point, not
 // a measurement of zero: one connection offering one request a second
 // has no reply inside a 20 ms window.
 func TestRunOpenLoopFailsOnEmptyWindow(t *testing.T) {
-	ns := startServed(t, 2, 8, "")
+	ns := startServed(t, "ycsb-a", 2, 8, "")
 	defer ns.Shutdown()
 	sc := Scale{Warmup: 5 * time.Millisecond, Measure: 20 * time.Millisecond}
 	res, _, err := RunOpenLoop(ns.Addr.String(), 1, loadgen.Arrival{Process: "uniform", Rate: 1}, sc, 0)

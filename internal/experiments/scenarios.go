@@ -38,9 +38,6 @@ var ycsbSpecs = []ycsbSpec{
 		title: "YCSB-C: read-only 90r/10scan, zipf(0.99), B+tree index backend"},
 }
 
-// ycsbA is the scenario `repro durable` runs by default.
-var ycsbA = ycsbSpecs[0]
-
 // ycsbEntry builds the registry entry for one YCSB spec.
 func ycsbEntry(y ycsbSpec) Entry {
 	spec, err := ycsb.Spec(ycsb.Config{Workload: y.workload, Keys: y.baseKeys, OpsPerTx: y.opsPerTx})
@@ -68,10 +65,6 @@ var vacationSpecs = []vacationSpec{
 		baseRelations: 2048, baseCustomers: 256,
 		title: "Vacation (high contention): 8-item tasks over 10% of the tables"},
 }
-
-// vacationLow is the configuration `repro durable --scenario=vacation`
-// runs.
-var vacationLow = vacationSpecs[0]
 
 // vacationEntry builds the registry entry for one vacation spec.
 func vacationEntry(v vacationSpec) Entry {

@@ -244,19 +244,21 @@ func engineCheck(backend engine.Backend, keys int) error {
 	if err := backend.Check(); err != nil {
 		return err
 	}
-	var got int
-	switch b := backend.(type) {
-	case *engine.HashmapBackend:
-		got = b.Map().Size()
-	case *engine.BTreeBackend:
-		got = b.Tree().Count(b.Direct())
-	default:
-		return nil
-	}
-	if got != keys {
+	if got := population(backend); got != keys {
 		return fmt.Errorf("population drifted: %d keys, want %d", got, keys)
 	}
 	return nil
+}
+
+// population counts the keys a YCSB backend holds.
+func population(backend engine.Backend) int {
+	switch b := backend.(type) {
+	case *engine.HashmapBackend:
+		return b.Map().Size()
+	case *engine.BTreeBackend:
+		return b.Tree().Count(b.Direct())
+	}
+	panic(fmt.Sprintf("experiments: no key count for %T", backend))
 }
 
 // vacationSpec is one configuration of the vacation travel-reservation

@@ -84,10 +84,9 @@ type shard struct {
 	_       [64]byte
 }
 
-// shardOf maps a line to its shard with a Fibonacci hash. The shift is
-// precomputed in NewMachine.
+// shardOf maps a line to its shard with a Fibonacci hash.
 func (m *Machine) shardOf(line memsim.Line) *shard {
-	return &m.shards[uint64(line)*0x9e3779b97f4a7c15>>m.shardShift]
+	return &m.shards[uint64(line)*0x9e3779b97f4a7c15>>dirShardShift]
 }
 
 // addReader registers tx as a tracked reader of line.

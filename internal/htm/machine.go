@@ -13,9 +13,13 @@ import (
 // DefaultTMCAMLines is the paper's TMCAM: 8 KB of 128-byte lines.
 const DefaultTMCAMLines = 64
 
-// DefaultShards is the default number of shards of the directory's
-// tracked-reader table.
-const DefaultShards = 1024
+// dirShards is the number of shards of the directory's tracked-reader
+// table, a power of two; dirShardShift maps a line hash to its shard
+// index (64 - log2(dirShards)).
+const (
+	dirShards     = 1024
+	dirShardShift = 64 - 10
+)
 
 // maxThreadIDBits bounds the hardware-thread field of an ownership word
 // (see directory.go), leaving at least 16 of its 32 bits to the
@@ -30,9 +34,6 @@ type Config struct {
 	// TMCAMLines is the per-core transactional buffer capacity in cache
 	// lines, shared by the core's SMT threads. 0 means DefaultTMCAMLines.
 	TMCAMLines int
-	// Shards is the number of shards of the directory's tracked-reader
-	// table (rounded up to a power of two). 0 means DefaultShards.
-	Shards int
 	// ROTReadTrackEvery models the footnote in §3: "due to
 	// implementation-specific reasons, the TMCAM can also track a small
 	// fraction of reads in a ROT". If > 0, every n-th distinct line read
@@ -47,16 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TMCAMLines == 0 {
 		c.TMCAMLines = DefaultTMCAMLines
-	}
-	if c.Shards == 0 {
-		c.Shards = DefaultShards
-	}
-	if c.Shards&(c.Shards-1) != 0 { // round up to power of two
-		n := 1
-		for n < c.Shards {
-			n <<= 1
-		}
-		c.Shards = n
 	}
 	return c
 }
@@ -89,11 +80,6 @@ type Machine struct {
 	// unsynchronized on the commit hot path.
 	hook CommitHook
 
-	// shardShift maps a line hash to its shard index (64 - log2(shards)),
-	// precomputed once here so shardOf never recomputes the shard-table
-	// geometry.
-	shardShift uint
-
 	// idMask covers the hardware-thread field of an ownership word,
 	// bits.Len(MaxThreads) wide; the incarnation tag takes the rest.
 	idMask uint32
@@ -111,13 +97,12 @@ func NewMachine(heap *memsim.Heap, cfg Config) *Machine {
 			cfg.Topology.MaxThreads(), 1<<maxThreadIDBits-1))
 	}
 	m := &Machine{
-		cfg:        cfg,
-		heap:       heap,
-		cores:      make([]coreState, cfg.Topology.Cores()),
-		owner:      make([]atomic.Uint32, (heap.Size()+memsim.WordsPerLine-1)/memsim.WordsPerLine),
-		shards:     make([]shard, cfg.Shards),
-		shardShift: uint(64 - bits.TrailingZeros(uint(cfg.Shards))),
-		idMask:     1<<idBits - 1,
+		cfg:    cfg,
+		heap:   heap,
+		cores:  make([]coreState, cfg.Topology.Cores()),
+		owner:  make([]atomic.Uint32, (heap.Size()+memsim.WordsPerLine-1)/memsim.WordsPerLine),
+		shards: make([]shard, dirShards),
+		idMask: 1<<idBits - 1,
 	}
 	for i := range m.shards {
 		m.shards[i].lines = make(map[memsim.Line]*lineEntry)

@@ -2,8 +2,8 @@
 // machine, backend and tm.System: the durable store, the replication
 // follower, the wire server, the fuzzy checkpointer and the
 // observability plane, with one start order and one teardown order.
-// `repro serve`, `repro durable` and the serving tests start their
-// nodes here; nothing else calls the layer constructors.
+// `repro serve` and the serving tests start their nodes here; nothing
+// else calls the layer constructors.
 //
 // Start order — each step depends on the ones before it:
 //
@@ -68,8 +68,9 @@ func CkptPath(dir string) string { return filepath.Join(dir, "heap.ckpt") }
 type Config struct {
 	// Addr is the wire listen address ("127.0.0.1:0" picks an ephemeral
 	// loopback port). Empty starts the node headless: a durable store and
-	// its checkpointer without a wire server, for callers that run
-	// transactions on Node.System in process.
+	// its checkpointer without a wire server, for tests that run
+	// transactions on Node.System in process. No server claims the
+	// store's threads there, so Atomic itself waits for the log.
 	Addr string
 	// Machine is the simulated machine Server.System runs on; its heap is
 	// what the store logs and what a follower replays into.

@@ -18,7 +18,6 @@ import (
 	"sihtm/internal/stats"
 	"sihtm/internal/trace"
 	"sihtm/internal/tsdb"
-	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/ycsb"
 )
@@ -392,11 +391,8 @@ func TestCapacityAlertFiresResolvesAndIsReported(t *testing.T) {
 		t.Fatal("capacity alert never fired under overload")
 	}
 
-	// Recovery: the load is gone; moderate knobs drain the backlog, and
+	// Recovery: the load is gone, the executors drain the backlog, and
 	// the fast burn window ages the cliff out.
-	if err := dial(t, n).Ctrl(wire.Ctrl{BatchMax: 32, AdmitWaitUs: -1}); err != nil {
-		t.Fatal(err)
-	}
 	waitFor(t, "the capacity alert to resolve", func() bool {
 		st, ok := n.Alerts.State(alert.RuleCapacityShare)
 		return ok && st != alert.StateFiring

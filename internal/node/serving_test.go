@@ -18,7 +18,7 @@ import (
 // replication network.
 
 // quiesce waits until the node's executors stop consuming ops, so one
-// rung's backlog is gone before the next rung's knobs apply.
+// rung's backlog is gone before the next rung starts.
 func quiesce(t *testing.T, n *Node) {
 	t.Helper()
 	prev, settled := n.Srv.Snapshot().BatchedOps, 0
@@ -35,14 +35,14 @@ func quiesce(t *testing.T, n *Node) {
 }
 
 // TestConnScaleLadder walks an open-loop connection ladder, 32, 128 and
-// 512 connections each offering 100 requests a second, and measures
-// every rung twice: with the admission controller off and aggressive
-// fixed knobs (batch 256, 10 ms grace: batches pushed over the TMCAM as
-// queues build), and with the controller steering toward a 5 ms p99.
+// 512 connections each offering 100 requests a second, on two nodes: one
+// with the admission controller off and aggressive fixed knobs (batch
+// 256, 10 ms grace: batches pushed over the TMCAM as queues build), and
+// one with the controller steering toward a 5 ms p99 from batch 32.
 // Every rung must answer without an error reply, answer something, and
-// report the knobs it ran with over STATS; after the drain the map must
-// pass its check and keep its population. The controller steers batches
-// against the TMCAM, so the ladder runs on si-htm.
+// report the knobs it ran with over STATS; after each node's drain the
+// map must pass its check and keep its population. The controller steers
+// batches against the TMCAM, so the ladder runs on si-htm.
 func TestConnScaleLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six half-second open-loop windows, up to 512 connections")
@@ -50,32 +50,23 @@ func TestConnScaleLadder(t *testing.T) {
 	t.Run("si-htm", func(t *testing.T) { connScaleLadder(t, "si-htm") })
 }
 
-// connScaleLadder is one TestConnScaleLadder case, the node running
+// connScaleLadder is one TestConnScaleLadder case, the nodes running
 // system.
 func connScaleLadder(t *testing.T, system string) {
-	cfg := systemConfig(system)
-	n := mustStart(t, cfg)
-	addr := n.Addr.String()
-	rb := dial(t, n)
 	const targetUs = 5000
-	for _, conns := range []int{32, 128, 512} {
-		for _, ctrlOn := range []bool{false, true} {
+	for _, ctrlOn := range []bool{false, true} {
+		cfg := systemConfig(system)
+		if ctrlOn {
+			// The moderate defaults the controller adapts from.
+			cfg.Server.BatchMax, cfg.Server.P99Target = 32, targetUs*time.Microsecond
+		} else {
+			cfg.Server.BatchMax, cfg.Server.AdmitWait = 256, 10*time.Millisecond
+		}
+		n := mustStart(t, cfg)
+		addr := n.Addr.String()
+		rb := dial(t, n)
+		for _, conns := range []int{32, 128, 512} {
 			quiesce(t, n)
-			if ctrlOn {
-				// The moderate defaults the controller adapts from.
-				if err := rb.Ctrl(wire.Ctrl{BatchMax: 32, AdmitWaitUs: -1, P99TargetUs: targetUs}); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				// Stop the controller first so it cannot overwrite the
-				// fixed knobs.
-				if err := rb.Ctrl(wire.Ctrl{P99TargetUs: -1}); err != nil {
-					t.Fatal(err)
-				}
-				if err := rb.Ctrl(wire.Ctrl{BatchMax: 256, AdmitWaitUs: 10000}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			rung := fmt.Sprintf("conns=%d ctrl=%v", conns, ctrlOn)
 			var sv0, sv1 wire.ServerStats
 			var serr error
@@ -120,11 +111,11 @@ func connScaleLadder(t *testing.T, system string) {
 			t.Logf("%s: %.0f ops/s p50=%s p99=%s batch<=%d wait=%dµs", rung, res.Throughput,
 				res.Hist.Quantile(0.5), res.Hist.Quantile(0.99), sv1.BatchMax, sv1.AdmitWaitUs)
 		}
+		if err := n.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		checkPopulation(t, fmt.Sprintf("after the ladder (ctrl=%v)", ctrlOn), cfg.Server.Backend)
 	}
-	if err := n.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	checkPopulation(t, "after the ladder", cfg.Server.Backend)
 }
 
 // TestPromotionUnderChaos kills a durable leader mid-load and promotes

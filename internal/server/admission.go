@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"sihtm/internal/stats"
@@ -56,49 +55,12 @@ func ctrlMaxGrace(target time.Duration) time.Duration {
 	return g
 }
 
-// controller is one running control loop; at most one exists per
-// server (guarded by Server.ctrlMu).
+// controller is the running control loop: Listen starts it when
+// Config.P99Target is set, and Drain stops it.
 type controller struct {
 	s    *Server
 	stop chan struct{}
 	done chan struct{}
-}
-
-// setP99Target applies the control plane's p99-target knob
-// (microseconds): positive sets the target and starts the controller if
-// it is not running, negative stops it (knobs freeze at their converged
-// values).
-func (s *Server) setP99Target(us int) error {
-	if us < 0 {
-		s.stopController()
-		return nil
-	}
-	if us > int(time.Minute/time.Microsecond) {
-		return fmt.Errorf("p99_target_us %d exceeds 60s", us)
-	}
-	s.p99Target.Store(int64(time.Duration(us) * time.Microsecond))
-	s.ctrlMu.Lock()
-	defer s.ctrlMu.Unlock()
-	if s.ctrl == nil && !s.draining.Load() {
-		c := &controller{s: s, stop: make(chan struct{}), done: make(chan struct{})}
-		s.ctrl = c
-		go c.run()
-	}
-	return nil
-}
-
-// stopController stops a running control loop and waits it out; the
-// target resets to zero (reported as "off" in stats).
-func (s *Server) stopController() {
-	s.ctrlMu.Lock()
-	c := s.ctrl
-	s.ctrl = nil
-	s.ctrlMu.Unlock()
-	s.p99Target.Store(0)
-	if c != nil {
-		close(c.stop)
-		<-c.done
-	}
 }
 
 // run is the control loop: each interval differences the latency
@@ -136,10 +98,7 @@ func (c *controller) run() {
 			continue
 		}
 		prevHist, prevStats, prevBatches, prevOps = hist, st, batches, ops
-		target := time.Duration(s.p99Target.Load())
-		if target <= 0 {
-			continue
-		}
+		target := s.cfg.P99Target
 		p99 := wh.Quantile(0.99)
 		capShare := ws.AbortShare(stats.AbortCapacity)
 		batch := int(s.batchMax.Load())

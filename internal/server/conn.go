@@ -188,32 +188,6 @@ func (c *srvConn) readLoop() {
 			c.inflight.Add(1)
 			c.srv.shardFor(tsk.ops).ch <- tsk
 
-		case wire.TCtrl:
-			var ctrl wire.Ctrl
-			if err := wire.DecodeJSON(payload, &ctrl); err != nil {
-				c.sendErr(id, err)
-				continue
-			}
-			if ctrl.BatchMax != 0 {
-				if err := c.srv.setBatchMax(ctrl.BatchMax); err != nil {
-					c.sendErr(id, err)
-					continue
-				}
-			}
-			if ctrl.AdmitWaitUs != 0 {
-				if err := c.srv.setAdmitWait(ctrl.AdmitWaitUs); err != nil {
-					c.sendErr(id, err)
-					continue
-				}
-			}
-			if ctrl.P99TargetUs != 0 {
-				if err := c.srv.setP99Target(ctrl.P99TargetUs); err != nil {
-					c.sendErr(id, err)
-					continue
-				}
-			}
-			c.sendEmptyReply(id)
-
 		case wire.TStats:
 			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(c.srv.Snapshot())))
 
@@ -267,8 +241,9 @@ func (c *srvConn) readLoop() {
 			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(rs)))
 
 		default:
-			// Unknown types and the reserved codes 0x01–0x04 alike: the
-			// frame was well formed, so the connection stays usable.
+			// Unknown types and the reserved codes 0x01–0x04 and 0x06
+			// alike: the frame was well formed, so the connection stays
+			// usable.
 			c.sendErr(id, fmt.Errorf("server: unexpected message type %v", t))
 		}
 	}

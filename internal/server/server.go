@@ -16,7 +16,7 @@
 // commit amortizes the begin/commit cost — and, with a durable store
 // attached, the group-commit fsync — over more client operations,
 // while pushing the transaction closer to the TMCAM capacity cliff.
-// Sweeping BatchMax (live, via the wire control plane) reproduces the
+// Sweeping BatchMax (one server per setting) reproduces the
 // capacity-vs-abort trade-off over the network.
 //
 // Atomicity is preserved per request: a TXN's ops always land in the
@@ -78,20 +78,23 @@ type Config struct {
 	// 0..Shards-1). Default 4.
 	Shards int
 	// BatchMax bounds the operations coalesced into one transaction —
-	// the footprint knob. Default 16; reconfigurable live via TCtrl.
+	// the footprint knob. 0 means 16; otherwise 1..wire.MaxTxnOps.
 	BatchMax int
 	// AdmitWait is the admission grace period: how long an executor
 	// holding a non-full batch waits for more pipelined requests before
 	// committing. Zero (the default) commits as soon as the queue runs
 	// dry; small values trade per-op latency for fuller batches (and,
-	// durably, fuller group commits). Reconfigurable live via TCtrl.
+	// durably, fuller group commits). At most one second.
 	AdmitWait time.Duration
 	// P99Target, when positive, starts the adaptive admission controller
 	// at Listen: a control loop that owns BatchMax and AdmitWait online,
 	// growing batches while the server-side p99 service latency holds
 	// under the target and the capacity-abort share stays low, shrinking
-	// them when either budget is blown. Also settable live via
-	// Ctrl.P99TargetUs.
+	// them when either budget is blown. Drain stops it. At most 60 s.
+	//
+	// The three admission knobs are set here once: New refuses a value
+	// outside its range, and nothing changes them later but the
+	// controller.
 	P99Target time.Duration
 	// Store, when non-nil, is the durability manager already attached to
 	// System. The server claims thread ids 0..Shards-1 on it and holds
@@ -159,12 +162,10 @@ type Server struct {
 	seqTraces trace.SeqTraces
 	idGen     *trace.IDGen
 
-	// Adaptive admission controller state (admission.go). p99Target is
-	// the live target in nanoseconds (zero = controller off).
-	p99Target   atomic.Int64
+	// Adaptive admission controller state (admission.go); ctrl is nil
+	// when Config.P99Target is zero.
 	ctrlEpochs  atomic.Uint64
 	ctrlAdjusts atomic.Uint64
-	ctrlMu      sync.Mutex
 	ctrl        *controller
 
 	// execMu lets the control plane quiesce the executors: every batch
@@ -242,8 +243,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards > cfg.System.Threads() {
 		return nil, fmt.Errorf("server: %d shards exceed the system's %d threads", cfg.Shards, cfg.System.Threads())
 	}
-	if cfg.BatchMax <= 0 {
+	if cfg.BatchMax == 0 {
 		cfg.BatchMax = 16
+	}
+	switch {
+	case cfg.BatchMax < 1 || cfg.BatchMax > wire.MaxTxnOps:
+		return nil, fmt.Errorf("server: batch_max %d out of range 1..%d", cfg.BatchMax, wire.MaxTxnOps)
+	case cfg.AdmitWait < 0 || cfg.AdmitWait > time.Second:
+		return nil, fmt.Errorf("server: admit_wait %s out of range 0..1s", cfg.AdmitWait)
+	case cfg.P99Target < 0 || cfg.P99Target > time.Minute:
+		return nil, fmt.Errorf("server: p99_target %s out of range 0..60s", cfg.P99Target)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -294,10 +303,8 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		go sh.run(s)
 	}
 	if s.cfg.P99Target > 0 {
-		if err := s.setP99Target(int(s.cfg.P99Target / time.Microsecond)); err != nil {
-			ln.Close()
-			return nil, err
-		}
+		s.ctrl = &controller{s: s, stop: make(chan struct{}), done: make(chan struct{})}
+		go s.ctrl.run()
 	}
 	return ln.Addr(), nil
 }
@@ -355,9 +362,10 @@ func (s *Server) Drain() error {
 			c.c.SetReadDeadline(time.Now())
 		}
 		s.mu.Unlock()
-		// Draining is set, so a racing TCtrl cannot restart the controller
-		// after this stop.
-		s.stopController()
+		if c := s.ctrl; c != nil {
+			close(c.stop)
+			<-c.done
+		}
 		if s.ln != nil {
 			s.ln.Close()
 		}
@@ -399,28 +407,6 @@ func (s *Server) shardFor(ops []wire.Op) *shard {
 	return s.shards[int(h>>33)%len(s.shards)]
 }
 
-// setBatchMax applies the control plane's batch knob.
-func (s *Server) setBatchMax(n int) error {
-	if n <= 0 || n > wire.MaxTxnOps {
-		return fmt.Errorf("batch_max %d out of range 1..%d", n, wire.MaxTxnOps)
-	}
-	s.batchMax.Store(int64(n))
-	return nil
-}
-
-// setAdmitWait applies the control plane's admission-grace knob
-// (microseconds; negative clears to zero).
-func (s *Server) setAdmitWait(us int) error {
-	if us < 0 {
-		us = 0
-	}
-	if us > int(time.Second/time.Microsecond) {
-		return fmt.Errorf("admit_wait_us %d exceeds 1s", us)
-	}
-	s.admitWait.Store(int64(time.Duration(us) * time.Microsecond))
-	return nil
-}
-
 // Snapshot builds the full TStats payload — the wire reply, and what a
 // drain log or an embedding test reads in process.
 func (s *Server) Snapshot() wire.ServerStats {
@@ -458,7 +444,7 @@ func (s *Server) Snapshot() wire.ServerStats {
 		Shards:      len(s.shards),
 		BatchMax:    int(s.batchMax.Load()),
 		AdmitWaitUs: int(time.Duration(s.admitWait.Load()) / time.Microsecond),
-		P99TargetUs: int(time.Duration(s.p99Target.Load()) / time.Microsecond),
+		P99TargetUs: int(s.cfg.P99Target / time.Microsecond),
 		CtrlEpochs:  s.ctrlEpochs.Load(),
 		CtrlAdjusts: s.ctrlAdjusts.Load(),
 		Durable:     s.cfg.Store != nil,
@@ -470,8 +456,8 @@ func (s *Server) Snapshot() wire.ServerStats {
 	}
 }
 
-// Hist exposes the per-op latency histogram (tests and in-process
-// loadgen cells read it directly).
+// Hist exposes the per-op service-latency histogram: `repro serve`'s
+// per-second line and the tests read it directly.
 func (s *Server) Hist() *stats.Histogram { return s.hist }
 
 // TraceRing exposes the server's span ring — what /debug/traces serves

@@ -70,12 +70,13 @@ func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration,
 	if durableOn {
 		dcfg = &durable.Config{}
 	}
-	return startFixtureStore(t, keys, shards, batchMax, delay, dcfg)
+	return startFixtureStore(t, keys, shards, server.Config{BatchMax: batchMax}, delay, dcfg)
 }
 
-// startFixtureStore is startFixture with the store's configuration
+// startFixtureStore is startFixture with the admission knobs taken from
+// knobs (BatchMax, AdmitWait, P99Target) and the store's configuration
 // spelled out (nil = volatile).
-func startFixtureStore(t *testing.T, keys, shards, batchMax int, delay time.Duration, dcfg *durable.Config) *fixture {
+func startFixtureStore(t *testing.T, keys, shards int, knobs server.Config, delay time.Duration, dcfg *durable.Config) *fixture {
 	t.Helper()
 	spec := testSpec(keys)
 	buckets := keys / 4
@@ -90,11 +91,13 @@ func startFixtureStore(t *testing.T, keys, shards, batchMax int, delay time.Dura
 	var sys tm.System = sihtm.NewSystem(m, shards, sihtm.Config{})
 	f := &fixture{backend: backend, heap: heap, machine: m, served: make(chan error, 1)}
 	cfg := server.Config{
-		Backend:  backend,
-		System:   sys,
-		Shards:   shards,
-		BatchMax: batchMax,
-		Scenario: "servertest",
+		Backend:   backend,
+		System:    sys,
+		Shards:    shards,
+		BatchMax:  knobs.BatchMax,
+		AdmitWait: knobs.AdmitWait,
+		P99Target: knobs.P99Target,
+		Scenario:  "servertest",
 	}
 	if dcfg != nil {
 		f.dir = t.TempDir()
@@ -276,44 +279,6 @@ func TestReadOnlyBatchesRideTheFastPath(t *testing.T) {
 	}
 }
 
-func TestCtrlBatchKnob(t *testing.T) {
-	f := startFixture(t, 64, 1, 16, 0, false)
-	rb := dial(t, f, 1)
-	if err := rb.Ctrl(wire.Ctrl{BatchMax: 128}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := rb.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BatchMax != 128 {
-		t.Fatalf("BatchMax = %d after ctrl, want 128", st.BatchMax)
-	}
-	if err := rb.Ctrl(wire.Ctrl{BatchMax: -3}); err == nil {
-		t.Error("negative batch_max accepted")
-	}
-	if err := rb.Ctrl(wire.Ctrl{BatchMax: wire.MaxTxnOps + 1}); err == nil {
-		t.Error("oversized batch_max accepted")
-	}
-
-	// Admission grace: set, observe, clear.
-	if err := rb.Ctrl(wire.Ctrl{AdmitWaitUs: 250}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := rb.Stats(); st.AdmitWaitUs != 250 {
-		t.Fatalf("AdmitWaitUs = %d after ctrl, want 250", st.AdmitWaitUs)
-	}
-	if err := rb.Ctrl(wire.Ctrl{AdmitWaitUs: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := rb.Stats(); st.AdmitWaitUs != 0 {
-		t.Fatalf("AdmitWaitUs not cleared: %d", st.AdmitWaitUs)
-	}
-	if err := rb.Ctrl(wire.Ctrl{AdmitWaitUs: int(2 * time.Second / time.Microsecond)}); err == nil {
-		t.Error("oversized admit_wait accepted")
-	}
-}
-
 // TestBadFrameClosesConnection: a framing violation is fatal to the
 // connection, not resynchronized past.
 func TestBadFrameClosesConnection(t *testing.T) {
@@ -334,9 +299,10 @@ func TestBadFrameClosesConnection(t *testing.T) {
 }
 
 // TestReservedCodesAnswerErr: the codes 0x01–0x04 once named single-op
-// point requests and are reserved now. A well-formed frame of each gets
-// a TErr naming its type, and the connection keeps serving: a TXN
-// pipelined behind it is answered.
+// point requests, and 0x06 a live change of the admission knobs; all are
+// reserved now. A well-formed frame of each gets a TErr naming its type,
+// and the connection keeps serving: a TXN pipelined behind it is
+// answered.
 func TestReservedCodesAnswerErr(t *testing.T) {
 	f := startFixture(t, 64, 1, 16, 0, false)
 	nc, err := net.Dial("tcp", f.addr.String())
@@ -346,9 +312,13 @@ func TestReservedCodesAnswerErr(t *testing.T) {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(5 * time.Second))
 	var buf []byte
-	for code := wire.Type(0x01); code <= 0x04; code++ {
-		// A payload in the retired key+arg layout.
-		req := wire.AppendFrame(nil, uint64(code), code, make([]byte, 16))
+	for _, code := range []wire.Type{0x01, 0x02, 0x03, 0x04, 0x06} {
+		// A payload in the retired layout: key+arg, or the knobs' JSON.
+		payload := make([]byte, 16)
+		if code == 0x06 {
+			payload = []byte(`{"batch_max":128}`)
+		}
+		req := wire.AppendFrame(nil, uint64(code), code, payload)
 		req = wire.AppendOpsFrame(req, 100+uint64(code), []wire.Op{{Kind: wire.OpGet, Key: 7}})
 		if _, err := nc.Write(req); err != nil {
 			t.Fatal(err)
@@ -378,6 +348,9 @@ func TestReservedCodesAnswerErr(t *testing.T) {
 		if len(got) != 2 {
 			t.Fatalf("code %#x: replies %v, want one per request", uint8(code), got)
 		}
+	}
+	if bm := f.srv.Snapshot().BatchMax; bm != 16 {
+		t.Fatalf("batch_max = %d after a 0x06 frame, want the configured 16", bm)
 	}
 }
 

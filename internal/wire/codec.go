@@ -208,27 +208,6 @@ func ParseResults(p []byte, dst []Result) ([]Result, error) {
 	return dst, nil
 }
 
-// Ctrl is the TCtrl payload: live server reconfiguration. Zero fields
-// mean "leave unchanged".
-type Ctrl struct {
-	// BatchMax sets the admission stage's per-transaction op bound — the
-	// capacity knob the batch-window sweep turns.
-	BatchMax int `json:"batch_max,omitempty"`
-	// AdmitWaitUs sets the admission grace period in microseconds: how
-	// long an executor holding a non-full batch waits for more pipelined
-	// requests before committing. Positive sets, negative clears to
-	// zero, zero keeps the current value.
-	AdmitWaitUs int `json:"admit_wait_us,omitempty"`
-	// P99TargetUs sets the adaptive admission controller's server-side
-	// p99 service-latency target in microseconds, starting the
-	// controller if it is not running. Negative stops the controller
-	// (the knobs freeze at their converged values), zero keeps the
-	// current state. While the controller runs, it owns BatchMax and
-	// AdmitWaitUs: manual settings in the same Ctrl apply first and are
-	// then adjusted from.
-	P99TargetUs int `json:"p99_target_us,omitempty"`
-}
-
 // ServerStats is the TStats reply payload: everything a load generator
 // needs to label and difference a measurement window.
 type ServerStats struct {
@@ -297,7 +276,7 @@ type TelemetryStats struct {
 	AckWaitHist stats.HistogramSnapshot `json:"ack_wait_hist,omitzero"`
 }
 
-// EncodeJSON marshals a control-plane payload (Ctrl, ServerStats).
+// EncodeJSON marshals a control-plane payload (ServerStats, ReplStats).
 func EncodeJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -3,10 +3,11 @@
 // record framing). The data plane is one request type, TXN: an op list
 // over the workload engine's key-value vocabulary (get, put, del, scan,
 // rmw), executed atomically — a single operation is a one-op TXN. The
-// control plane carries batch-knob updates, server statistics, the
-// quiescent invariant check and replication. Type codes 0x01–0x04 are
-// reserved (they once named single-op point requests); a server answers
-// them, like any unknown type, with TErr.
+// control plane carries server statistics, the quiescent invariant
+// check and replication. Type codes 0x01–0x04 (once single-op point
+// requests) and 0x06 (once a live reconfiguration of the admission
+// knobs, which are now set at server start only) are reserved; a server
+// answers them, like any unknown type, with TErr.
 //
 // Frame layout (all fields little-endian):
 //
@@ -88,13 +89,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // response types have the high bit set.
 type Type uint8
 
-// The message vocabulary. Codes 0x01–0x04 are reserved.
+// The message vocabulary. Codes 0x01–0x04 and 0x06 are reserved.
 const (
 	// TTxn is the data-plane request: a transaction of one or more ops,
 	// executed atomically; payload: an op list (AppendOps).
 	TTxn Type = 0x05
-	// TCtrl reconfigures the server; payload: JSON Ctrl.
-	TCtrl Type = 0x06
 	// TStats requests server statistics; empty payload. Reply payload:
 	// JSON ServerStats.
 	TStats Type = 0x07
@@ -114,8 +113,8 @@ const (
 
 	// TReply answers any data-plane request; payload: a result list
 	// (AppendResults), one entry per op. Control-plane replies reuse
-	// TReply with a type-specific payload (JSON for TStats, empty for
-	// TCtrl and TCheck).
+	// TReply with a type-specific payload (JSON for TStats and
+	// TReplPromote, empty for TCheck).
 	TReply Type = 0x81
 	// TErr reports a failed request; payload: UTF-8 message.
 	TErr Type = 0x82
@@ -130,8 +129,6 @@ func (t Type) String() string {
 	switch t {
 	case TTxn:
 		return "TXN"
-	case TCtrl:
-		return "CTRL"
 	case TStats:
 		return "STATS"
 	case TCheck:

@@ -158,19 +158,6 @@ func (b *RemoteBackend) Promote() (wire.ReplStats, error) {
 	return rs, err
 }
 
-// Ctrl reconfigures the live server (the batch-size knob of the
-// admission stage).
-func (b *RemoteBackend) Ctrl(c wire.Ctrl) error {
-	t, payload, err := b.conns[0].roundTrip(wire.TCtrl, wire.EncodeJSON(c))
-	if err != nil {
-		return err
-	}
-	if t == wire.TErr {
-		return fmt.Errorf("engine: remote ctrl: %s", payload)
-	}
-	return nil
-}
-
 var _ Backend = (*RemoteBackend)(nil)
 
 // remoteNoOps is the Direct() placeholder: any dereference is a bug.

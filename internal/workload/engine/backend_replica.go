@@ -75,12 +75,6 @@ func (b *ReplicaBackend) Close() error {
 // Name implements Backend.
 func (b *ReplicaBackend) Name() string { return "replica" }
 
-// Leader exposes the leader pool (stats, ctrl).
-func (b *ReplicaBackend) Leader() *RemoteBackend { return b.leader }
-
-// Followers exposes the follower pools.
-func (b *ReplicaBackend) Followers() []*RemoteBackend { return b.followers }
-
 // NewSession implements Backend: a routing session over one leader
 // session and one follower session (followers assigned round-robin).
 func (b *ReplicaBackend) NewSession() Session {
