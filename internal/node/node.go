@@ -39,11 +39,13 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -222,7 +224,13 @@ func (n *Node) observe(cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("node: alert rules: %w", err)
 	}
-	n.TS.Start()
+	// The scrape loop inherits the labels pprof.Do sets around its start.
+	role := trace.RoleLeader
+	if n.Follower != nil {
+		role = trace.RoleFollower
+	}
+	pprof.Do(trace.StageLabels(trace.StageScrape, role), pprof.Labels(),
+		func(context.Context) { n.TS.Start() })
 	n.Metrics, err = telemetry.ListenAndServe(cfg.MetricsAddr, reg, readyProbe(n.Srv.Draining, n.Alerts),
 		telemetry.Extra{Path: "/debug/traces", Handler: trace.Handler(n.Srv.TraceRing())},
 		telemetry.Extra{Path: "/debug/timeseries", Handler: tsdb.Handler(n.TS)},
@@ -300,6 +308,8 @@ func startCheckpointer(store *durable.Store, path string, every time.Duration) (
 	stop, done := make(chan struct{}), make(chan struct{})
 	var err error
 	go func() {
+		// Only a durable leader has a store to checkpoint.
+		trace.LabelGoroutine(trace.StageCheckpoint, trace.RoleLeader)
 		defer close(done)
 		t := time.NewTicker(every)
 		defer t.Stop()

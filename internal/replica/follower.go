@@ -201,6 +201,7 @@ func (f *Follower) CatchUp(path string) error {
 
 // run is the streaming loop.
 func (f *Follower) run() {
+	trace.LabelGoroutine(trace.StageApply, trace.RoleFollower)
 	defer close(f.done)
 	for {
 		select {

@@ -13,7 +13,9 @@ import (
 // cliff (batch 1→256: htm capacity aborts 0→6%, p50 10µs→1.2ms). The
 // controller owns batch_max and admit_wait_us online, steering them by
 // two observed signals per interval — the server-side p99 service
-// latency (admission to reply encode, from the latency histogram) and
+// latency (from the latency histogram: admission to the moment the reply
+// may leave — its encoding on a volatile server, the end of its ack
+// wait on a durable one, as Server.release observes it) and
 // the capacity-abort share of transaction attempts (from the system's
 // collector) — against a configured p99 target:
 //

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sihtm/internal/wire"
 )
@@ -31,13 +33,41 @@ func hasWrite(ops []wire.Op) bool {
 }
 
 // connIO bundles a connection's pooled I/O state: the buffered reader
-// and writer plus the frame-read scratch buffer, recycled together
-// across connections through one pool so accepting a connection costs
-// no per-side allocations in steady state.
+// and writer, the frame-read scratch buffer and the per-shard task
+// chains, recycled together across connections through one pool so
+// accepting a connection costs no per-side allocations in steady state.
 type connIO struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	scratch []byte // wire.ReadFrame scratch, grown in place
+
+	// chains[i] links the tasks for shard i that the reader parsed since
+	// its last hand-off. Reader-owned.
+	chains []taskChain
+	// replies[i] links shard i's current batch's replies to this
+	// connection; only shard i's executor touches it.
+	replies []replySlot
+}
+
+// taskChain is a singly linked run of tasks (task.next).
+type taskChain struct {
+	head, tail *task
+	n          int
+}
+
+// replySlot is a taskChain alone on its cache line: two executors
+// linking replies to the same connection write neighbouring slots.
+type replySlot struct {
+	taskChain
+	_ [64 - unsafe.Sizeof(taskChain{})]byte
+}
+
+// reset sizes the chains for a server of the given shard count.
+func (io *connIO) reset(shards int) {
+	if len(io.chains) != shards {
+		io.chains = make([]taskChain, shards)
+		io.replies = make([]replySlot, shards)
+	}
 }
 
 var connIOPool = sync.Pool{New: func() any {
@@ -48,14 +78,17 @@ var connIOPool = sync.Pool{New: func() any {
 	}
 }}
 
-// replyQueueDepth bounds a connection's queued replies. Executors block
-// on a full queue: the backpressure against a slow client and, while
-// the writer holds a reply for the log, against a stalled disk.
+// replyQueueDepth bounds a connection's queued messages, each one
+// batch's replies to the connection (or one control-plane frame).
+// Executors block on a full queue: the backpressure against a slow
+// client and, while the writer holds a message for the log, against a
+// stalled disk.
 const replyQueueDepth = 256
 
-// outMsg is one queued reply: either a pooled task whose reply buffer
-// holds the encoded frame (data plane — the writer recycles the task
-// after the write), or a standalone encoded frame (control plane).
+// outMsg is one queued message: either a chain of pooled tasks from one
+// batch whose reply buffers hold the encoded frames (data plane — the
+// writer recycles the tasks after the write), or a standalone encoded
+// frame (control plane).
 type outMsg struct {
 	t     *task
 	frame []byte
@@ -84,7 +117,10 @@ type srvConn struct {
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
 	io := connIOPool.Get().(*connIO)
 	io.br.Reset(nc)
-	io.bw.Reset(nc)
+	// The deadline sits under the buffer: it is armed once per socket
+	// write, however many replies the write carries.
+	io.bw.Reset(deadlineWriter{nc})
+	io.reset(len(s.shards))
 	return &srvConn{
 		srv: s,
 		c:   nc,
@@ -98,10 +134,11 @@ func newSrvConn(s *Server, nc net.Conn) *srvConn {
 // out is not yet closed.
 func (c *srvConn) send(frame []byte) { c.out <- outMsg{frame: frame} }
 
-// sendTask queues an answered task: its reply buffer holds the encoded
-// frame, and its inflight reference is released by the writer after the
-// write (the executor's obligation ends here).
-func (c *srvConn) sendTask(t *task) { c.out <- outMsg{t: t} }
+// sendTasks queues a chain of answered tasks from one batch: their
+// reply buffers hold the encoded frames, and their inflight references
+// are released by the writer after the write (the executor's obligation
+// ends here).
+func (c *srvConn) sendTasks(head *task) { c.out <- outMsg{t: head} }
 
 // sendErr queues a TErr reply.
 func (c *srvConn) sendErr(id uint64, err error) {
@@ -113,10 +150,38 @@ func (c *srvConn) sendEmptyReply(id uint64) {
 	c.send(wire.AppendFrame(nil, id, wire.TReply, nil))
 }
 
-// taskDone releases one inflight reference.
-func (c *srvConn) taskDone() {
-	if c.inflight.Add(-1) == 0 {
+// tasksDone releases n inflight references.
+func (c *srvConn) tasksDone(n int) {
+	if c.inflight.Add(-int64(n)) == 0 {
 		c.maybeCloseOut()
+	}
+}
+
+// link appends a parsed task to its shard's chain.
+func (c *srvConn) link(t *task) {
+	ch := &c.io.chains[c.srv.shardFor(t.ops).id]
+	if ch.head == nil {
+		ch.head = t
+	} else {
+		ch.tail.next = t
+	}
+	ch.tail = t
+	ch.n++
+}
+
+// handOff sends each shard the chain the reader linked for it, one
+// channel send per shard. The reader calls it before every read that
+// may block and before it exits, so a parsed task never waits behind a
+// socket read.
+func (c *srvConn) handOff() {
+	for i := range c.io.chains {
+		ch := &c.io.chains[i]
+		if ch.head == nil {
+			continue
+		}
+		c.inflight.Add(int64(ch.n))
+		c.srv.shards[i].ch <- ch.head
+		*ch = taskChain{}
 	}
 }
 
@@ -141,29 +206,41 @@ func (c *srvConn) maybeCloseOut() {
 // readLoop parses and dispatches frames until the connection ends —
 // client EOF, a framing violation (fatal by protocol) or drain (the
 // deadline sweep unparks the read and the draining flag stops
-// admission).
+// admission). Frames the buffer already holds whole are parsed in place;
+// only when the next one is not all there does the reader hand its
+// chains over and read the socket. The clock is read once per such
+// read: that reading is the arrival time t0 of every frame it carried.
 func (c *srvConn) readLoop() {
+	pprof.SetGoroutineLabels(c.srv.labels.reader)
 	defer func() {
+		c.handOff()
 		c.readerExit()
 		c.srv.readers.Done()
 	}()
 	br := c.io.br
+	var t0 time.Time
 	for {
 		if c.srv.draining.Load() {
 			return
 		}
-		var (
-			id      uint64
-			t       wire.Type
-			tr      uint64
-			payload []byte
-			err     error
-		)
-		id, t, _, tr, payload, c.io.scratch, err = wire.ReadFrameT(br, c.io.scratch)
+		buffered, _ := br.Peek(br.Buffered())
+		id, t, _, tr, payload, size, err := wire.ParseFrameT(buffered)
+		if err == nil {
+			br.Discard(size)
+		} else if err == wire.ErrShortFrame {
+			c.handOff()
+			id, t, _, tr, payload, c.io.scratch, err = wire.ReadFrameT(br, c.io.scratch)
+			t0 = time.Now()
+		}
 		if err != nil {
 			return
 		}
 		c.srv.framesIn.Add(1)
+		if t != wire.TTxn {
+			// Control-plane frames are answered inline, after every TXN
+			// parsed before them was handed over.
+			c.handOff()
+		}
 		switch t {
 		case wire.TTxn:
 			// Decode straight into a pooled task's op slice; the task (ops,
@@ -184,9 +261,8 @@ func (c *srvConn) readLoop() {
 			tsk.c = c
 			tsk.id = id
 			tsk.trace = tr
-			tsk.t0 = time.Now()
-			c.inflight.Add(1)
-			c.srv.shardFor(tsk.ops).ch <- tsk
+			tsk.t0 = t0
+			c.link(tsk)
 
 		case wire.TStats:
 			c.send(wire.AppendFrame(nil, id, wire.TReply, wire.EncodeJSON(c.srv.Snapshot())))
@@ -224,6 +300,7 @@ func (c *srvConn) readLoop() {
 			// TReplSub is the only request ever sent on it), so the reader
 			// goroutine itself becomes the stream pump, writing frames
 			// straight to the socket until Drain closes drained.
+			pprof.SetGoroutineLabels(c.srv.labels.publisher)
 			c.srv.pub.Stream(deadlineWriter{c.c}, id, from, c.srv.drained)
 			return
 
@@ -253,25 +330,34 @@ func (c *srvConn) readLoop() {
 type deadlineWriter struct{ c net.Conn }
 
 func (w deadlineWriter) Write(p []byte) (int, error) {
+	if socketWrites != nil {
+		socketWrites.Add(1)
+	}
 	w.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return w.c.Write(p)
 }
 
-// writeTimeout bounds each reply write: a client that stops reading
+// socketWrites, when set, counts every socket write a deadlineWriter
+// makes. Only the package's tests set it.
+var socketWrites *atomic.Uint64
+
+// writeTimeout bounds each socket write: a client that stops reading
 // (closed TCP window) errors its connection out instead of backing
 // pressure up through the writer queue into the executors — which
 // would otherwise wedge Drain forever behind one stalled peer.
 const writeTimeout = 10 * time.Second
 
-// writeLoop streams reply frames, each task once Server.release lets it
-// go, flushing whenever the queue runs dry (coalesced flushes across
-// pipelined replies). A write error stops output but keeps draining the
-// queue — releasing inflight references and recycling tasks — so
+// writeLoop streams reply frames, each message once Server.release lets
+// it go, flushing whenever the queue runs dry (coalesced flushes across
+// messages). A message's replies share one ack wait and one clock read
+// for their flush stage. A write error stops output but keeps draining
+// the queue — releasing inflight references and recycling tasks — so
 // executors never block on a dead connection.
 // The writer exits last (out closes only after the reader is gone and
 // inflight hits zero), so it owns returning the connection's pooled
 // I/O state.
 func (c *srvConn) writeLoop() {
+	pprof.SetGoroutineLabels(c.srv.labels.writer)
 	defer func() {
 		c.c.Close()
 		c.io.br.Reset(nil)
@@ -282,44 +368,56 @@ func (c *srvConn) writeLoop() {
 		c.srv.mu.Unlock()
 		c.srv.writers.Done()
 	}()
+	s := c.srv
 	bw := c.io.bw
 	var werr error
 	for m := range c.out {
-		frame := m.frame
-		if m.t != nil {
-			frame = m.t.reply
-			// Before waiting for the log, send what is buffered: it may
-			// leave now, and would otherwise wait an fsync behind this one.
-			if werr == nil && bw.Buffered() > 0 && m.t.stamp != 0 && c.srv.cfg.Store.DurableSeq() < m.t.stamp {
-				werr = bw.Flush()
+		head := m.t
+		if head == nil {
+			if werr == nil {
+				if _, werr = bw.Write(m.frame); werr == nil && len(c.out) == 0 {
+					werr = bw.Flush()
+				}
+				s.framesOut.Add(1)
 			}
-			c.srv.release(m.t)
+			continue
+		}
+		// Before waiting for the log, send what is buffered: it may
+		// leave now, and would otherwise wait an fsync behind this one.
+		if werr == nil && bw.Buffered() > 0 && head.stamp != 0 && s.cfg.Store.DurableSeq() < head.stamp {
+			werr = bw.Flush()
+		}
+		s.release(head)
+		n := 0
+		for t := head; t != nil; t = t.next {
+			n++
+			if werr == nil {
+				_, werr = bw.Write(t.reply)
+			}
 		}
 		if werr == nil {
-			c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err := bw.Write(frame); err != nil {
-				werr = err
-			} else if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					werr = err
-				}
+			if len(c.out) == 0 {
+				werr = bw.Flush()
 			}
-			c.srv.framesOut.Add(1)
+			s.framesOut.Add(uint64(n))
 		}
-		if m.t != nil {
-			// Close the lifecycle trace at the socket write: flush stage,
-			// then span emission for sampled or slow requests.
-			c.srv.flushHist.Observe(time.Since(m.t.tDone) - time.Duration(m.t.ackNs))
-			total := time.Since(m.t.t0)
-			if m.t.trace != 0 || c.srv.traceSlow > 0 && int64(total) >= c.srv.traceSlow {
-				c.srv.recordSpans(m.t, total)
+		// Close the lifecycle traces at the socket write: flush stage,
+		// then span emission for sampled or slow requests.
+		tw := time.Now()
+		for t := head; t != nil; {
+			s.flushHist.Observe(tw.Sub(t.tDone) - time.Duration(t.ackNs))
+			total := tw.Sub(t.t0)
+			if t.trace != 0 || s.traceSlow > 0 && int64(total) >= s.traceSlow {
+				s.recordSpans(t, total)
 			}
-			taskPool.Put(m.t)
-			c.taskDone()
+			next := t.next
+			t.next = nil
+			taskPool.Put(t)
+			t = next
 		}
+		c.tasksDone(n)
 	}
 	if werr == nil {
-		c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		bw.Flush()
 	}
 }

@@ -1,5 +1,7 @@
 package server
 
+import "sync/atomic"
+
 // ReplyQueueDepth is a connection's reply-queue capacity.
 const ReplyQueueDepth = replyQueueDepth
 
@@ -14,3 +16,9 @@ func (s *Server) ClaimedShards() int {
 	}
 	return n
 }
+
+// SocketWrites counts the socket writes the connections of every server
+// in the test binary make, replication streams included.
+var SocketWrites atomic.Uint64
+
+func init() { socketWrites = &SocketWrites }

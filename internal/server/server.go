@@ -19,6 +19,13 @@
 // Sweeping BatchMax (one server per setting) reproduces the
 // capacity-vs-abort trade-off over the network.
 //
+// The hand-offs around the transaction amortize the same way: a reader
+// sends each shard one chain of the requests one socket read carried,
+// an executor queues each connection one message holding all of its
+// replies from one batch, and the writer sends a message with one
+// socket write (and one ack wait on a durable server). The clock is
+// read once per socket read, twice per batch and once per message.
+//
 // Atomicity is preserved per request: a TXN's ops always land in the
 // same batch, and a batch is one transaction, so clients get at-least
 // TXN-level isolation (batching only ever widens the atomic unit).
@@ -48,10 +55,12 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +171,11 @@ type Server struct {
 	seqTraces trace.SeqTraces
 	idGen     *trace.IDGen
 
+	// labels are the pprof stage labels the server's goroutines set at
+	// their entry (trace.StageLabels), built once here so that a
+	// connection's goroutines label themselves without allocating.
+	labels struct{ reader, executor, writer, publisher context.Context }
+
 	// Adaptive admission controller state (admission.go); ctrl is nil
 	// when Config.P99Target is zero.
 	ctrlEpochs  atomic.Uint64
@@ -187,13 +201,17 @@ type Server struct {
 
 // shard is one executor: a queue, a backend session and scratch state.
 type shard struct {
-	id   int
+	id int
+	// ch carries chains of tasks (linked by task.next), one per reader
+	// hand-off: the requests for this shard that one socket read carried.
 	ch   chan *task
 	sess engine.Session
 	// claimed is set on a durable leader: the shard's thread returns from
 	// Atomic at commit and its replies are stamped for the writer's wait.
 	claimed bool
 	batch   []*task
+	carry   *task       // the rest of a chain the last batch had no room for
+	conns   []*srvConn  // connections with replies in the current batch
 	timer   *time.Timer // admission-grace timer, reused across batches
 	// body is the transaction body handed to System.Atomic, bound once
 	// at construction — a per-batch closure literal would escape and
@@ -206,7 +224,12 @@ type shard struct {
 // reply in place, and the writer recycles the task after the socket
 // write — all three buffers keep their capacity across requests, which
 // is what makes the steady-state request path allocation-free.
+//
+// Tasks travel in chains linked through next: reader → executor, one
+// chain per shard and socket read; executor → writer, one chain per
+// connection and batch. Each hop's owner relinks them.
 type task struct {
+	next    *task
 	c       *srvConn
 	id      uint64
 	trace   uint64 // client-stamped trace id (0 = unsampled)
@@ -215,15 +238,15 @@ type task struct {
 	ackNs   int64  // reply encoded to released by the log (0 when unstamped)
 	ops     []wire.Op
 	results []wire.Result
-	reply   []byte // encoded TReply frame (wire.AppendResultsFrame)
-	t0      time.Time
+	reply   []byte    // encoded TReply frame (wire.AppendResultsFrame)
+	t0      time.Time // when the socket read that carried the request returned
 
 	// Lifecycle trace, stamped by the executor and consumed by the
 	// writer: when the batch started executing (admission wait = tExec -
-	// t0) and when the reply was encoded (reply flush = socket write time
-	// - tDone - ackNs). batchOps is the carrying batch's size,
-	// the exec span's argument. All plain scalars on the pooled struct:
-	// tracing allocates nothing.
+	// t0) and when its replies were encoded (reply flush = socket write
+	// time - tDone - ackNs). Every task of a batch shares both. batchOps
+	// is the carrying batch's size, the exec span's argument. All plain
+	// scalars on the pooled struct: tracing allocates nothing.
 	tExec    time.Time
 	tDone    time.Time
 	batchOps int32
@@ -263,6 +286,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.batchMax.Store(int64(cfg.BatchMax))
 	s.admitWait.Store(int64(cfg.AdmitWait))
+	role := trace.RoleLeader
+	if cfg.Follower != nil {
+		role = trace.RoleFollower
+	}
+	s.labels.reader = trace.StageLabels(trace.StageReader, role)
+	s.labels.executor = trace.StageLabels(trace.StageExecutor, role)
+	s.labels.writer = trace.StageLabels(trace.StageWriter, role)
+	s.labels.publisher = trace.StageLabels(trace.StagePublisher, role)
 	s.ring = trace.NewRing(trace.DefaultRingSpans)
 	s.idGen = trace.NewIDGen(uint64(time.Now().UnixNano()))
 	if cfg.Store != nil {
@@ -274,7 +305,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
-			id:   i,
+			id: i,
+			// 256 chains: readers block on a full queue, which is the
+			// backpressure of a saturated shard.
 			ch:   make(chan *task, 256),
 			sess: cfg.Backend.NewSession(),
 		}
@@ -493,16 +526,25 @@ func (s *Server) recordSpans(t *task, total time.Duration) {
 // Draining reports whether Drain has started — the readiness signal.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// run is the executor loop: admit one task (blocking), coalesce more up
-// to the batch bound — draining the queue opportunistically and, with a
-// non-zero admission grace, waiting briefly for stragglers — then
-// execute the batch as one transaction and queue every reply.
+// run is the executor loop: take one chain (blocking), coalesce tasks
+// up to the batch bound — from the chain, then from further chains the
+// queue already holds and, with a non-zero admission grace, from chains
+// that arrive within it — then execute the batch as one transaction and
+// queue its replies. The first task always goes in and a task never
+// splits; what a full batch leaves of a chain carries over to the next.
 func (sh *shard) run(s *Server) {
+	pprof.SetGoroutineLabels(s.labels.executor)
 	defer s.execs.Done()
-	for t := range sh.ch {
+	for {
+		if sh.carry == nil {
+			t, ok := <-sh.ch
+			if !ok {
+				return
+			}
+			sh.carry = t
+		}
 		sh.batch = sh.batch[:0]
-		sh.batch = append(sh.batch, t)
-		opsN := len(t.ops)
+		opsN := 0
 		max := int(s.batchMax.Load())
 		wait := time.Duration(s.admitWait.Load())
 		var deadline time.Time
@@ -510,16 +552,24 @@ func (sh *shard) run(s *Server) {
 			deadline = time.Now().Add(wait)
 		}
 	fill:
-		for opsN < max {
+		for {
+			for sh.carry != nil && opsN < max {
+				t := sh.carry
+				sh.carry, t.next = t.next, nil
+				sh.batch = append(sh.batch, t)
+				opsN += len(t.ops)
+			}
+			if opsN >= max {
+				break
+			}
 			select {
-			case t2, ok := <-sh.ch:
+			case t, ok := <-sh.ch:
 				if !ok {
-					// Queue closed mid-fill: run what we have, then exit via
-					// the range loop.
+					// Queue closed mid-fill: run what we have, then exit at
+					// the next receive.
 					break fill
 				}
-				sh.batch = append(sh.batch, t2)
-				opsN += len(t2.ops)
+				sh.carry = t
 				continue
 			default:
 			}
@@ -541,13 +591,12 @@ func (sh *shard) run(s *Server) {
 				sh.timer.Reset(rem)
 			}
 			select {
-			case t2, ok := <-sh.ch:
+			case t, ok := <-sh.ch:
 				sh.timer.Stop()
 				if !ok {
 					break fill
 				}
-				sh.batch = append(sh.batch, t2)
-				opsN += len(t2.ops)
+				sh.carry = t
 			case <-sh.timer.C:
 				break fill
 			}
@@ -557,8 +606,8 @@ func (sh *shard) run(s *Server) {
 }
 
 // exec runs one batch as a single transaction, stamps each task with the
-// log position its reply waits for, encodes the reply and queues it on
-// its connection.
+// log position its reply waits for, encodes the replies and queues them,
+// one message per connection.
 func (sh *shard) exec(s *Server, opsN int) {
 	tExec := time.Now()
 	for _, t := range sh.batch {
@@ -608,7 +657,7 @@ func (sh *shard) exec(s *Server, opsN int) {
 			seq, stamp = own, own
 			// The record can ship to followers as soon as it is durable,
 			// which nothing here waits for: its trace id has to be on file
-			// before the first task can block on a full reply queue.
+			// before the first message can block on a full reply queue.
 			for _, t := range sh.batch {
 				if t.trace != 0 {
 					s.seqTraces.Put(seq, t.trace)
@@ -618,34 +667,59 @@ func (sh *shard) exec(s *Server, opsN int) {
 	}
 	s.batches.Add(1)
 	s.batchedOps.Add(uint64(opsN))
-	s.execHist.Observe(time.Since(tExec))
 	for _, t := range sh.batch {
 		// The framed reply is encoded straight into the task's own buffer
-		// (no intermediate payload, no copy); the writer owns the task
-		// from here, and recycles it after the write.
-		t.seq, t.stamp, t.ackNs = seq, stamp, 0
+		// (no intermediate payload, no copy).
 		t.reply = wire.AppendResultsFrameT(t.reply[:0], t.id, t.trace, t.results)
-		t.tExec = tExec
-		t.batchOps = int32(opsN)
-		t.tDone = time.Now()
-		t.c.sendTask(t)
 	}
+	tDone := time.Now()
+	s.execHist.Observe(tDone.Sub(tExec))
+	for _, t := range sh.batch {
+		// The writer owns the task from here, and recycles it after the
+		// write.
+		t.seq, t.stamp, t.ackNs = seq, stamp, 0
+		t.tExec, t.tDone = tExec, tDone
+		t.batchOps = int32(opsN)
+		r := &t.c.io.replies[sh.id]
+		if r.head == nil {
+			r.head = t
+			sh.conns = append(sh.conns, t.c)
+		} else {
+			r.tail.next = t
+		}
+		r.tail = t
+	}
+	for i, c := range sh.conns {
+		r := &c.io.replies[sh.id]
+		head := r.head
+		r.head, r.tail = nil, nil
+		sh.conns[i] = nil
+		c.sendTasks(head)
+	}
+	sh.conns = sh.conns[:0]
 }
 
-// release holds a task until the log covers its stamp — the request's
-// ack stage — then observes service latency (admission to the moment
-// the reply may leave: what the admission controller and the SLO rules
-// steer on). It runs on the connection's writer, just before the write.
-func (s *Server) release(t *task) {
-	now := t.tDone
-	if t.stamp != 0 {
-		s.cfg.Store.Log().WaitDurable(t.stamp)
+// release holds a connection's message — one batch's replies, which
+// share one stamp — until the log covers the stamp (the requests' ack
+// stage), then observes each request's service latency (admission to
+// the moment the reply may leave: what the admission controller and the
+// SLO rules steer on). It runs on the connection's writer, just before
+// the write.
+func (s *Server) release(head *task) {
+	now := head.tDone
+	var ack time.Duration
+	if head.stamp != 0 {
+		s.cfg.Store.Log().WaitDurable(head.stamp)
 		now = time.Now()
-		ack := now.Sub(t.tDone)
-		t.ackNs = int64(ack)
-		s.cfg.Store.AckWaitHist().Observe(ack)
+		ack = now.Sub(head.tDone)
 	}
-	s.hist.Observe(now.Sub(t.t0))
+	for t := head; t != nil; t = t.next {
+		if head.stamp != 0 {
+			t.ackNs = int64(ack)
+			s.cfg.Store.AckWaitHist().Observe(ack)
+		}
+		s.hist.Observe(now.Sub(t.t0))
+	}
 }
 
 // execBody is the transaction body for the shard's current batch. The

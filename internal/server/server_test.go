@@ -64,7 +64,7 @@ func (s slowSystem) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 // startFixture builds a populated hash-map backend behind a loopback
 // server. delay > 0 wraps the system in slowSystem; durableOn attaches
 // a WAL store.
-func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration, durableOn bool) *fixture {
+func startFixture(t testing.TB, keys, shards, batchMax int, delay time.Duration, durableOn bool) *fixture {
 	t.Helper()
 	var dcfg *durable.Config
 	if durableOn {
@@ -76,7 +76,7 @@ func startFixture(t *testing.T, keys, shards, batchMax int, delay time.Duration,
 // startFixtureStore is startFixture with the admission knobs taken from
 // knobs (BatchMax, AdmitWait, P99Target) and the store's configuration
 // spelled out (nil = volatile).
-func startFixtureStore(t *testing.T, keys, shards int, knobs server.Config, delay time.Duration, dcfg *durable.Config) *fixture {
+func startFixtureStore(t testing.TB, keys, shards int, knobs server.Config, delay time.Duration, dcfg *durable.Config) *fixture {
 	t.Helper()
 	spec := testSpec(keys)
 	buckets := keys / 4

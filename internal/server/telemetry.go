@@ -23,7 +23,7 @@ func (s *Server) registerMetrics() {
 	s.admitHist = reg.MustHistogram("sihtm_server_admission_wait_seconds",
 		"Arrival to batch-execution start: time spent queued plus admission grace.")
 	s.execHist = reg.MustHistogram("sihtm_server_batch_exec_seconds",
-		"Batch execution wall time (one System.Atomic; the fsync ack is not part of it).")
+		"Batch execution wall time (one System.Atomic and the encoding of its replies; the fsync ack is not part of it).")
 	s.flushHist = reg.MustHistogram("sihtm_server_reply_flush_seconds",
 		"Reply release (encode, or fsync ack when durable) to socket write completion.")
 	reg.MustRegisterHistogram("sihtm_server_service_seconds",

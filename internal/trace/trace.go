@@ -35,11 +35,12 @@ const (
 	// KClient is the client's whole round trip: request sent to reply
 	// received (RemoteBackend.EnableTracing).
 	KClient Kind = iota
-	// KAdmit is the server admission stage: frame decoded to batch
-	// execution start.
+	// KAdmit is the server admission stage: the socket read that
+	// carried the request returned to batch execution start.
 	KAdmit
 	// KExec is the batch execution stage: HTM transaction(s) including
-	// commit-hook WAL append. Arg carries the batch's op count.
+	// commit-hook WAL append, then the encoding of the batch's replies.
+	// Arg carries the batch's op count.
 	KExec
 	// KAck is the durability ack stage: reply encoded to released by
 	// the group-commit fsync covering the log position the reply waits

@@ -272,6 +272,9 @@ func (l *Log) flush() error {
 // soon as the first returns. The fsync's own latency is the batching
 // window.
 func (l *Log) daemon() {
+	// Only a leader logs: a follower replays its leader's records and
+	// writes none of its own.
+	trace.LabelGoroutine(trace.StageWAL, trace.RoleLeader)
 	defer close(l.done)
 	for {
 		select {
