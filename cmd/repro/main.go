@@ -13,6 +13,7 @@
 //	repro run --figure=6 --scale=quick       # both panels of Figure 6
 //	repro run --id=fig9-low,capacity         # explicit entries
 //	repro compare --baseline=a.json --current=b.json   # regression check
+//	repro serve -h                           # any command's flags
 //
 // Scales: ci (seconds, smoke), quick (minutes), paper (the full ladder
 // to 80 threads; hours). The simulator's absolute throughput depends on
@@ -38,147 +39,82 @@ import (
 	"sihtm/internal/results"
 )
 
+// command is one subcommand. The table drives both the dispatch and the
+// top-level help; a command's flags are documented by its own FlagSet
+// (newFlags), which prints them for 'repro CMD -h'.
+type command struct {
+	name    string
+	args    string // positional arguments after the flags, if any
+	summary string
+	run     func(args []string) error
+}
+
+func commands() []command {
+	return []command{
+		{"list", "", "enumerate the experiment registry", cmdList},
+		{"run", "", "run experiments, write JSON + markdown results", cmdRun},
+		{"bench", "", "run the hot-path microbenchmark suite (BENCH_hotpath.json)", cmdBench},
+		{"recover", "", "crash-replay a served run directory (serve --durable-dir) and check invariants", cmdRecover},
+		{"serve", "", "run the networked transaction server (SIGTERM drains)", cmdServe},
+		{"loadgen", "", "drive one open-loop point against a live server, print its result line (exit 1 on an error reply or an empty window)", cmdLoadgen},
+		{"promote", "", "promote a follower after leader death (zero acked loss)", cmdPromote},
+		{"trace", "NODE=URL-or-FILE ... (e.g. leader=http://127.0.0.1:9464/debug/traces)", "merge /debug/traces rings (URLs or saved JSONL files) into a Chrome trace_event file", cmdTrace},
+		{"monitor", "NODE=URL ... (metrics listeners, e.g. leader=http://127.0.0.1:9464)", "live terminal dashboard over /debug/timeseries + /debug/alerts", cmdMonitor},
+		{"report", "NODE=URL ... (metrics listeners)", "post-run incident report from timeseries + alerts + traces", cmdReport},
+		{"compare", "", "compare two result files; a regression or a vanished (experiment, system) cell fails", cmdCompare},
+	}
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
 	switch os.Args[1] {
-	case "list":
-		err = cmdList(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "recover":
-		err = cmdRecover(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
-	case "promote":
-		err = cmdPromote(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "monitor":
-		err = cmdMonitor(os.Args[2:])
-	case "report":
-		err = cmdReport(os.Args[2:])
-	case "compare":
-		err = cmdCompare(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 		return
-	default:
-		fmt.Fprintf(os.Stderr, "repro: unknown command %q\n\n", os.Args[1])
-		usage()
-		os.Exit(2)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
+	for _, c := range commands() {
+		if c.name == os.Args[1] {
+			if err := c.run(os.Args[2:]); err != nil {
+				fmt.Fprintln(os.Stderr, "repro:", err)
+				os.Exit(1)
+			}
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "repro: unknown command %q\n\n", os.Args[1])
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `repro — reproduction pipeline for the SI-HTM evaluation
+	fmt.Fprint(os.Stderr, "repro — reproduction pipeline for the SI-HTM evaluation\n\ncommands:\n")
+	for _, c := range commands() {
+		fmt.Fprintf(os.Stderr, "  %-9s %s\n", c.name, c.summary)
+	}
+	fmt.Fprint(os.Stderr, "\n'repro CMD -h' lists a command's flags.\n")
+}
 
-commands:
-  list                      enumerate the experiment registry
-  run                       run experiments, write JSON + markdown results
-  bench                     run the hot-path microbenchmark suite (BENCH_hotpath.json)
-  recover                   crash-replay a served run directory (serve --durable-dir) and check invariants
-  serve                     run the networked transaction server (SIGTERM drains)
-  loadgen                   drive one open-loop point against a live server, print its result line
-  promote                   promote a follower after leader death (zero acked loss)
-  trace                     merge /debug/traces rings into a Chrome trace_event file
-  monitor                   live terminal dashboard over /debug/timeseries + /debug/alerts
-  report                    post-run incident report from timeseries + alerts + traces
-  compare                   compare two result files; a regression or a vanished (experiment, system) cell fails
-
-serve flags:
-  --addr=HOST:PORT          listen address (default 127.0.0.1:7654)
-  --scenario=ycsb-a         hosted workload build: ycsb-a|ycsb-b|ycsb-c
-  --system=si-htm           concurrency control (default si-htm)
-  --scale=ci|quick|paper    workload sizing preset (default ci)
-  --shards=N                executor goroutines (default 4)
-  --batch=N                 admission bound: max ops per transaction (default 32)
-  --admit-wait=DUR          admission grace: wait for fuller batches (default 0)
-  --p99-target=DUR          adaptive admission control: steer batch/grace toward this p99 (default off)
-  --durable-dir=DIR         serve durably (WAL + checkpoints + meta.json in DIR)
-  --checkpoint-every=DUR    fuzzy checkpoint interval (default 1s; 0 disables)
-  --follow=HOST:PORT        serve as a read replica of the durable leader at ADDR
-  --leader-log=PATH         shared-storage path of the leader's wal.log (for promotion)
-  --metrics-addr=HOST:PORT  observability plane: /metrics, /healthz, /readyz, /debug/pprof,
-                            /debug/traces, /debug/timeseries, /debug/alerts
-  --scrape-interval=DUR     tsdb self-scrape / alert evaluation cadence (default 1s)
-  --trace-slow=DUR          record server-origin spans (/debug/traces) for unsampled requests slower than DUR
-
-promote flags:
-  --addr=HOST:PORT          follower address to promote (required)
-
-trace flags + args:
-  --out=FILE                Chrome trace_event output (default trace.json; '-' = stdout)
-  --trace=ID                restrict to one trace id (decimal)
-  NODE=URL-or-FILE ...      sources: per-node /debug/traces URLs or saved JSONL files
-                            (e.g. leader=http://127.0.0.1:9464/debug/traces)
-
-monitor flags + args:
-  --interval=DUR            refresh cadence (default 1s)
-  --window=DUR              rate/percentile window (default 10s)
-  --once                    render a single frame and exit (no screen clearing)
-  --duration=DUR            stop after DUR (default 0: run until interrupted)
-  NODE=URL ...              metrics listeners to poll (e.g. leader=http://127.0.0.1:9464)
-
-report flags + args:
-  --out=FILE                markdown output (default report.md; '-' = stdout)
-  --title=STR               report title (default "run")
-  NODE=URL ...              metrics listeners to collect from (timeseries + alerts + traces)
-
-loadgen flags (exits non-zero on an error reply or an empty window):
-  --addr=HOST:PORT          server address (required)
-  --conns=N                 connections to drive at --arrival (default 32)
-  --arrival=poisson:RATE    arrival process, total ops/sec (or uniform:RATE; default poisson:20000)
-  --scale=ci|quick|paper    client scale: run windows (default ci)
-  --window=DUR              override the scale preset's measurement window
-  --trace-every=N           stamp every n-th request with a trace id (1 = all)
-
-recover flags:
-  --dir=DIR                 run directory written by 'repro serve --durable-dir'
-  --out=FILE                JSON recovery report (default BENCH_recover.json; '' = none)
-
-bench flags:
-  --time=DUR                per-case measurement budget (default 100ms)
-  --sweep=1,64,...          footprint ladder in cache lines (default 1,4,16,64,256,1024,4096)
-  --out=FILE                JSON results (default BENCH_hotpath.json)
-  --baseline=FILE           embed a previous bench report's records as the baseline
-  --quiet                   suppress per-case progress
-
-run flags:
-  --all                     run every registry entry
-  --figure=N[,M]            run a figure's panels (6..10)
-  --id=a,b                  entries, prefixes (ycsb, vacation) or groups
-                            (figures, scenarios, ablations) — see 'repro list'
-  --systems=a,b             restrict to these systems (default: all of each entry)
-  --scale=ci|quick|paper    scale preset (default ci)
-  --shards=N                parallel (experiment × system) cells (default GOMAXPROCS)
-  --out=FILE                JSON results (default BENCH_repro.json)
-  --md=FILE                 markdown tables ('-' = stdout, '' = none; default BENCH_repro.md)
-  --cpuprofile=FILE         write a pprof CPU profile of the run
-  --memprofile=FILE         write a pprof heap profile after the run
-  --quiet                   suppress per-cell progress
-
-compare flags (the only result comparison; check a run with it):
-  --baseline=FILE           previous JSON result file (required)
-  --current=FILE            fresh JSON result file (required)
-  --tolerance=F             regression tolerance as a fraction (default 0.5)
-  --min-commits=N           skip baseline cells with fewer commits (default 100)
-`)
+// newFlags is command name's FlagSet: its -h prints the command's line
+// and summary from the table, then every flag the command defines.
+func newFlags(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.Usage = func() {
+		for _, c := range commands() {
+			if c.name == name {
+				line := strings.TrimSpace("usage: repro " + name + " [flags] " + c.args)
+				fmt.Fprintf(fs.Output(), "%s\n\n%s\n\nflags:\n", line, c.summary)
+			}
+		}
+		fs.PrintDefaults()
+	}
+	return fs
 }
 
 func cmdList(args []string) error {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
+	fs := newFlags("list")
 	figure := fs.Int("figure", 0, "only this figure's entries")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -210,12 +146,12 @@ type cell struct {
 }
 
 func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	fs := newFlags("run")
 	var (
 		all        = fs.Bool("all", false, "run every registry entry")
 		figure     = fs.String("figure", "", "comma-separated figures (6..10)")
-		ids        = fs.String("id", "", "comma-separated entry ids")
-		systems    = fs.String("systems", "", "restrict to these systems")
+		ids        = fs.String("id", "", "comma-separated entries, prefixes (ycsb, vacation) or groups (figures, scenarios, ablations); see 'repro list'")
+		systems    = fs.String("systems", "", "restrict to these systems (comma-separated; default: all of each entry)")
 		scaleName  = fs.String("scale", "ci", "scale preset: "+strings.Join(experiments.ScaleNames(), "|"))
 		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "parallel cells")
 		out        = fs.String("out", "BENCH_repro.json", "JSON output path")
@@ -412,10 +348,10 @@ func runCells(cells []cell, sc experiments.Scale, scaleName string, shards int, 
 // records are embedded so one artifact carries before/after numbers and
 // the printed table gains a speed-up column.
 func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	fs := newFlags("bench")
 	var (
 		budget   = fs.Duration("time", 100*time.Millisecond, "per-case measurement budget")
-		sweepStr = fs.String("sweep", "", "comma-separated footprint ladder in cache lines")
+		sweepStr = fs.String("sweep", "", "comma-separated footprint ladder in cache lines (default 1,4,16,64,256,1024,4096)")
 		out      = fs.String("out", "BENCH_hotpath.json", "JSON output path")
 		baseline = fs.String("baseline", "", "previous bench report to embed as baseline")
 		quiet    = fs.Bool("quiet", false, "suppress per-case progress")
@@ -474,7 +410,7 @@ func cmdBench(args []string) error {
 // base, restore checkpoint + log, verify invariants, and write the
 // recovery report.
 func cmdRecover(args []string) error {
-	fs := flag.NewFlagSet("recover", flag.ExitOnError)
+	fs := newFlags("recover")
 	var (
 		dir = fs.String("dir", "", "run directory written by 'repro serve --durable-dir' (required)")
 		out = fs.String("out", "BENCH_recover.json", "JSON recovery report ('' = none)")
@@ -504,10 +440,10 @@ func cmdRecover(args []string) error {
 }
 
 func cmdCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+	fs := newFlags("compare")
 	var (
-		baseline   = fs.String("baseline", "", "baseline JSON file")
-		current    = fs.String("current", "", "current JSON file")
+		baseline   = fs.String("baseline", "", "baseline JSON result file (required)")
+		current    = fs.String("current", "", "current JSON result file (required)")
 		tolerance  = fs.Float64("tolerance", 0.5, "regression tolerance fraction")
 		minCommits = fs.Uint64("min-commits", 100, "skip baseline cells with fewer commits (noise)")
 	)

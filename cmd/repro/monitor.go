@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -14,7 +13,7 @@ import (
 // report's live panel — throughput, abort mix, stage p99s, WAL and
 // replication state, and the active alert set.
 func cmdMonitor(args []string) error {
-	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
+	fs := newFlags("monitor")
 	var (
 		interval = fs.Duration("interval", time.Second, "refresh cadence")
 		window   = fs.Duration("window", 10*time.Second, "trailing window for rates and percentiles")

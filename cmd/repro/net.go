@@ -1,11 +1,11 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -23,12 +23,12 @@ import (
 // gracefully — in-flight commits quiesce, replies flush, and a durable
 // store writes a final checkpoint — and exit 0.
 func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs := newFlags("serve")
 	var (
 		addr        = fs.String("addr", "127.0.0.1:7654", "listen address")
 		scenario    = fs.String("scenario", "ycsb-a", "hosted workload build: ycsb-a|ycsb-b|ycsb-c")
 		system      = fs.String("system", "si-htm", "concurrency control")
-		scaleName   = fs.String("scale", "ci", "workload sizing preset")
+		scaleName   = fs.String("scale", "ci", "workload sizing preset: "+strings.Join(experiments.ScaleNames(), "|"))
 		shards      = fs.Int("shards", 4, "executor goroutines (transaction threads)")
 		batch       = fs.Int("batch", 32, "admission bound: max ops per transaction")
 		admitWait   = fs.Duration("admit-wait", 0, "admission grace: wait this long for a fuller batch")
@@ -215,7 +215,7 @@ func followable(leader string, st wire.ServerStats, scenario, scaleName string, 
 // durable frontier, or if the promoted state fails its structural
 // check.
 func cmdPromote(args []string) error {
-	fs := flag.NewFlagSet("promote", flag.ExitOnError)
+	fs := newFlags("promote")
 	addr := fs.String("addr", "", "follower address (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -249,10 +249,10 @@ func cmdPromote(args []string) error {
 // knobs left exactly as the operator set them. A window with an error
 // reply or with no reply at all exits non-zero.
 func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	fs := newFlags("loadgen")
 	var (
 		addr      = fs.String("addr", "", "server address (required; see 'repro serve')")
-		scaleName = fs.String("scale", "ci", "client scale preset (run windows)")
+		scaleName = fs.String("scale", "ci", "client scale preset (run windows): "+strings.Join(experiments.ScaleNames(), "|"))
 		conns     = fs.Int("conns", 32, "connections to drive at --arrival")
 		arrival   = fs.String("arrival", "poisson:20000", "arrival process: poisson:RATE or uniform:RATE (total ops/sec)")
 		traceEv   = fs.Int("trace-every", 0, "stamp every n-th request with a trace id (1 = all, 0 = off)")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -14,7 +13,7 @@ import (
 // joins them into the alert timeline, SLO compliance, worst-trace
 // exemplars and abort attribution, and writes incident-style markdown.
 func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := newFlags("report")
 	var (
 		out   = fs.String("out", "report.md", "markdown output path ('-' = stdout)")
 		title = fs.String("title", "run", "report title")

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,7 +20,7 @@ import (
 // stages, fsync, follower replay — onto one timeline row. Load the
 // output in chrome://tracing or https://ui.perfetto.dev.
 func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := newFlags("trace")
 	var (
 		out    = fs.String("out", "trace.json", "Chrome trace_event output path ('-' = stdout)")
 		filter = fs.String("trace", "", "restrict to one trace id (decimal, as printed in span JSONL)")

@@ -3,7 +3,7 @@
 // panel's (system, thread-count) point or an ablation's parameter-sweep
 // point — becomes one Record, and a run of the pipeline becomes one
 // Report that serializes to JSON (the `BENCH_repro.json` artifact) and
-// renders to the markdown tables embedded in docs/experiments.md.
+// renders to the markdown tables of `BENCH_repro.md`.
 //
 // The package also implements baseline comparison: Compare matches the
 // records of two reports cell by cell and flags throughput regressions

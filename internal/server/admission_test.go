@@ -14,7 +14,7 @@ import (
 	"sihtm/internal/workload/engine"
 )
 
-// drive runs workers async sessions committing small transactions in a
+// drive runs workers deferring sessions committing small transactions in a
 // loop until stop is closed — background traffic for the controller to
 // observe.
 func drive(t *testing.T, rb *engine.RemoteBackend, workers int, stop chan struct{}) *sync.WaitGroup {
@@ -22,7 +22,7 @@ func drive(t *testing.T, rb *engine.RemoteBackend, workers int, stop chan struct
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		s := rb.NewSession().(engine.AsyncSession)
+		s := rb.NewSession().(deferSession)
 		key := uint64(w * 7)
 		go func() {
 			defer wg.Done()
@@ -33,8 +33,8 @@ func drive(t *testing.T, rb *engine.RemoteBackend, workers int, stop chan struct
 				default:
 				}
 				s.Reset()
-				s.ReadModifyWriteAsync(key%64, 1)
-				s.ReadAsync((key + 1) % 64)
+				s.Defer(wire.Op{Kind: wire.OpRMW, Key: key % 64, Arg: 1})
+				s.Defer(wire.Op{Kind: wire.OpGet, Key: (key + 1) % 64})
 				s.Commit()
 				key++
 			}

@@ -8,7 +8,7 @@ import (
 	"sihtm/internal/memsim"
 	"sihtm/internal/race"
 	"sihtm/internal/replica"
-	"sihtm/internal/workload/engine"
+	"sihtm/internal/wire"
 )
 
 // The hot-path allocation pins, in the mould of the PR 2 simulator pins
@@ -69,13 +69,13 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 				return last
 			}
 			rb := dial(t, f, 1)
-			s := rb.NewSession().(engine.AsyncSession)
+			s := rb.NewSession().(deferSession)
 
 			op := func() {
 				s.Reset()
-				s.ReadModifyWriteAsync(7, 1)
-				s.ReadAsync(9)
-				s.ScanAsync(3, 4)
+				s.Defer(wire.Op{Kind: wire.OpRMW, Key: 7, Arg: 1})
+				s.Defer(wire.Op{Kind: wire.OpGet, Key: 9})
+				s.Defer(wire.Op{Kind: wire.OpScan, Key: 3, Arg: 4})
 				s.Commit()
 			}
 			for i := 0; i < 512; i++ {
@@ -114,12 +114,12 @@ func TestServerTracedRequestPathZeroAllocs(t *testing.T) {
 	f := startFixture(t, 256, 1, 16, 0, false)
 	rb := dial(t, f, 1)
 	rb.EnableTracing(1)
-	s := rb.NewSession().(engine.AsyncSession)
+	s := rb.NewSession().(deferSession)
 
 	op := func() {
 		s.Reset()
-		s.ReadModifyWriteAsync(7, 1)
-		s.ReadAsync(9)
+		s.Defer(wire.Op{Kind: wire.OpRMW, Key: 7, Arg: 1})
+		s.Defer(wire.Op{Kind: wire.OpGet, Key: 9})
 		s.Commit()
 	}
 	for i := 0; i < 512; i++ {

@@ -11,11 +11,28 @@ import (
 	"sihtm/internal/replica"
 	"sihtm/internal/server"
 	"sihtm/internal/sihtm"
-	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
 	"sihtm/internal/workload/engine/enginetest"
 )
+
+// hashmapInstance is the in-process build every maker here serves: a
+// hash map under SI-HTM, its heap sized for the suite's
+// out-of-keyspace inserts (keys up to 2×keys plus a few far outliers;
+// the engine's slack absorbs them).
+func hashmapInstance(keys, threads int) enginetest.Instance {
+	spec := engine.Spec{Name: "conformance", Keys: keys * 2}
+	buckets := max(keys/4, 1)
+	heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
+	return enginetest.Instance{
+		Backend: engine.NewHashmapBackend(heap, buckets),
+		Heap:    heap,
+		Machine: m,
+		Sys:     sihtm.NewSystem(m, threads, sihtm.Config{}),
+		Cleanup: func() {},
+	}
+}
 
 // remoteMaker builds a RemoteBackend instance over a loopback server
 // for the shared engine conformance suite: the remote backend must
@@ -27,36 +44,20 @@ import (
 func remoteMaker(durableOn bool) enginetest.Maker {
 	return func(t *testing.T, keys, threads int) enginetest.Instance {
 		t.Helper()
-		// Size the heap for the suite's out-of-keyspace inserts (keys up
-		// to 2×keys plus a few far outliers); the engine's slack absorbs
-		// them.
-		spec := engine.Spec{Name: "conformance", Keys: keys * 2}
-		buckets := keys / 4
-		if buckets < 1 {
-			buckets = 1
-		}
-		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-		m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-		backend := engine.NewHashmapBackend(heap, buckets)
-
-		var sys tm.System = sihtm.NewSystem(m, threads, sihtm.Config{})
-		var served engine.Backend = backend
-		cfg := server.Config{Shards: threads, BatchMax: 8}
+		in := hashmapInstance(keys, threads)
+		cfg := server.Config{Backend: in.Backend, System: in.Sys, Shards: threads, BatchMax: 8}
 		var store *durable.Store
 		if durableOn {
-			dir := t.TempDir()
 			var err error
-			store, err = durable.Open(heap, filepath.Join(dir, "wal.log"),
-				m.Topology().MaxThreads(), durable.Config{})
+			store, err = durable.Open(in.Heap, filepath.Join(t.TempDir(), "wal.log"),
+				in.Machine.Topology().MaxThreads(), durable.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys = store.Attach(sys, m)
-			served = engine.NewDurableBackend(backend, store)
+			cfg.System = store.Attach(in.Sys, in.Machine)
+			cfg.Backend = engine.NewDurableBackend(in.Backend, store)
 			cfg.Store = store
 		}
-		cfg.Backend = served
-		cfg.System = sys
 
 		srv, err := server.New(cfg)
 		if err != nil {
@@ -73,19 +74,16 @@ func remoteMaker(durableOn bool) enginetest.Maker {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return enginetest.Instance{
-			Backend: rb,
-			Heap:    heap,
-			Machine: m,
-			Sys:     engine.NewRemoteSystem("si-htm", threads),
-			Cleanup: func() {
-				rb.Close()
-				srv.Drain()
-				if store != nil {
-					store.Close()
-				}
-			},
+		in.Backend = rb
+		in.Sys = engine.NewRemoteSystem("si-htm", threads)
+		in.Cleanup = func() {
+			rb.Close()
+			srv.Drain()
+			if store != nil {
+				store.Close()
+			}
 		}
+		return in
 	}
 }
 
@@ -95,6 +93,16 @@ func TestRemoteBackendConformance(t *testing.T) {
 
 func TestRemoteDurableBackendConformance(t *testing.T) {
 	enginetest.Run(t, "remote-durable", remoteMaker(true))
+}
+
+// TestLocalAndDeferredAgree: the driver's two paths leave the same
+// contents — each planned op through engine.Exec in process, and the
+// whole plan deferred over loopback for the server's Exec.
+func TestLocalAndDeferredAgree(t *testing.T) {
+	local := func(t *testing.T, keys, threads int) enginetest.Instance {
+		return hashmapInstance(keys, threads)
+	}
+	enginetest.Agree(t, local, remoteMaker(false))
 }
 
 // replicaMaker builds a two-node cluster — a durable leader and a
@@ -109,27 +117,18 @@ func TestRemoteDurableBackendConformance(t *testing.T) {
 func replicaMaker() enginetest.Maker {
 	return func(t *testing.T, keys, threads int) enginetest.Instance {
 		t.Helper()
-		spec := engine.Spec{Name: "conformance", Keys: keys * 2}
-		buckets := keys / 4
-		if buckets < 1 {
-			buckets = 1
-		}
-
 		// Leader: the standard durable server (every acknowledged commit
 		// sits at or below the WAL's durable frontier, which is what makes
 		// the catch-up gate sufficient).
-		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-		m := htm.NewMachine(heap, htm.Config{Topology: topology.Paper()})
-		backend := engine.NewHashmapBackend(heap, buckets)
-		store, err := durable.Open(heap, filepath.Join(t.TempDir(), "wal.log"),
-			m.Topology().MaxThreads(), durable.Config{})
+		in := hashmapInstance(keys, threads)
+		store, err := durable.Open(in.Heap, filepath.Join(t.TempDir(), "wal.log"),
+			in.Machine.Topology().MaxThreads(), durable.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys := store.Attach(sihtm.NewSystem(m, threads, sihtm.Config{}), m)
 		srv, err := server.New(server.Config{
-			Backend:  engine.NewDurableBackend(backend, store),
-			System:   sys,
+			Backend:  engine.NewDurableBackend(in.Backend, store),
+			System:   store.Attach(in.Sys, in.Machine),
 			Store:    store,
 			Shards:   threads,
 			BatchMax: 8,
@@ -146,20 +145,18 @@ func replicaMaker() enginetest.Maker {
 		// Follower: the identical deterministic backend build over its
 		// own heap (same base image the leader's log started from), fed
 		// by a replica.Follower streaming from the leader.
-		fheap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, buckets))
-		fm := htm.NewMachine(fheap, htm.Config{Topology: topology.Paper()})
-		fbackend := engine.NewHashmapBackend(fheap, buckets)
+		fin := hashmapInstance(keys, threads)
 		leaderAddr := addr.String()
 		fol, err := replica.NewFollower(replica.FollowerConfig{
-			Heap: fheap,
+			Heap: fin.Heap,
 			Dial: func() (net.Conn, error) { return net.Dial("tcp", leaderAddr) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fsrv, err := server.New(server.Config{
-			Backend:  fbackend,
-			System:   sihtm.NewSystem(fm, threads, sihtm.Config{}),
+			Backend:  fin.Backend,
+			System:   fin.Sys,
 			Shards:   threads,
 			BatchMax: 8,
 			Follower: fol,
@@ -180,19 +177,16 @@ func replicaMaker() enginetest.Maker {
 			t.Fatal(err)
 		}
 		rb.SyncReads = true
-		return enginetest.Instance{
-			Backend: rb,
-			Heap:    heap,
-			Machine: m,
-			Sys:     engine.NewRemoteSystem("si-htm", threads),
-			Cleanup: func() {
-				rb.Close()
-				fsrv.Drain()
-				fol.Close()
-				srv.Drain()
-				store.Close()
-			},
+		in.Backend = rb
+		in.Sys = engine.NewRemoteSystem("si-htm", threads)
+		in.Cleanup = func() {
+			rb.Close()
+			fsrv.Drain()
+			fol.Close()
+			srv.Drain()
+			store.Close()
 		}
+		return in
 	}
 }
 

@@ -729,24 +729,7 @@ func (sh *shard) execBody(ops tm.Ops) {
 	sh.sess.Reset()
 	for _, t := range sh.batch {
 		for i, op := range t.ops {
-			switch op.Kind {
-			case wire.OpGet:
-				v, ok := sh.sess.Read(ops, op.Key)
-				t.results[i] = wire.Result{OK: ok, Val: v}
-			case wire.OpPut:
-				wasNew := sh.sess.Insert(ops, op.Key, op.Arg)
-				t.results[i] = wire.Result{OK: wasNew, Val: op.Arg}
-			case wire.OpDel:
-				present := sh.sess.Delete(ops, op.Key)
-				t.results[i] = wire.Result{OK: present}
-			case wire.OpScan:
-				n := sh.sess.Scan(ops, op.Key, int(op.Arg))
-				t.results[i] = wire.Result{OK: true, Val: uint64(n)}
-			case wire.OpRMW:
-				v, _ := sh.sess.Read(ops, op.Key)
-				sh.sess.Insert(ops, op.Key, v+op.Arg)
-				t.results[i] = wire.Result{OK: true, Val: v + op.Arg}
-			}
+			t.results[i] = engine.Exec(sh.sess, ops, op)
 		}
 	}
 }

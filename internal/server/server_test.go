@@ -16,9 +16,17 @@ import (
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
+	"sihtm/internal/trace"
 	"sihtm/internal/wire"
 	"sihtm/internal/workload/engine"
 )
+
+// deferSession is a remote session's deferred path: ops queue
+// client-side and Commit ships them as one TXN.
+type deferSession interface {
+	engine.Session
+	engine.Deferrer
+}
 
 // testSpec is the workload shape shared by the server tests.
 func testSpec(keys int) engine.Spec {
@@ -73,8 +81,9 @@ func startFixture(t testing.TB, keys, shards, batchMax int, delay time.Duration,
 	return startFixtureStore(t, keys, shards, server.Config{BatchMax: batchMax}, delay, dcfg)
 }
 
-// startFixtureStore is startFixture with the admission knobs taken from
-// knobs (BatchMax, AdmitWait, P99Target) and the store's configuration
+// startFixtureStore is startFixture with the admission knobs and the
+// slow-trace threshold taken from knobs (BatchMax, AdmitWait, P99Target,
+// TraceSlow) and the store's configuration
 // spelled out (nil = volatile).
 func startFixtureStore(t testing.TB, keys, shards int, knobs server.Config, delay time.Duration, dcfg *durable.Config) *fixture {
 	t.Helper()
@@ -97,6 +106,7 @@ func startFixtureStore(t testing.TB, keys, shards int, knobs server.Config, dela
 		BatchMax:  knobs.BatchMax,
 		AdmitWait: knobs.AdmitWait,
 		P99Target: knobs.P99Target,
+		TraceSlow: knobs.TraceSlow,
 		Scenario:  "servertest",
 	}
 	if dcfg != nil {
@@ -184,18 +194,67 @@ func TestPointOpsOverLoopback(t *testing.T) {
 	}
 }
 
+// TestTraceSlow: a request the client did not sample gets server-origin
+// spans only when it ran past TraceSlow — its request span and stage
+// spans under one id with trace.ServerOriginBit set; with TraceSlow
+// zero it gets none.
+func TestTraceSlow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		slow time.Duration
+	}{{"1ns", time.Nanosecond}, {"off", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			f := startFixtureStore(t, 64, 1, server.Config{BatchMax: 16, TraceSlow: c.slow}, 0, nil)
+			rb := dial(t, f, 1)
+			s := rb.NewSession()
+			// The connection's writer records a request's spans before it
+			// writes the next reply, so once the second reply is in, the
+			// first request's spans are in the ring.
+			s.Read(rb.Direct(), 7)
+			s.Read(rb.Direct(), 8)
+			s.Commit()
+			byID := map[uint64]map[trace.Kind]int{}
+			for _, sp := range f.srv.TraceRing().Snapshot(nil) {
+				if sp.Trace&trace.ServerOriginBit == 0 {
+					t.Errorf("span %v of an unsampled request has client-origin id %#x", sp.Kind, sp.Trace)
+				}
+				if byID[sp.Trace] == nil {
+					byID[sp.Trace] = map[trace.Kind]int{}
+				}
+				byID[sp.Trace][sp.Kind]++
+			}
+			if c.slow == 0 {
+				if len(byID) != 0 {
+					t.Fatalf("TraceSlow off recorded spans under %d ids", len(byID))
+				}
+				return
+			}
+			// The second request's spans may still be landing.
+			whole := 0
+			for _, kinds := range byID {
+				if kinds[trace.KRequest] == 1 && kinds[trace.KAdmit] == 1 && kinds[trace.KExec] == 1 && kinds[trace.KFlush] == 1 {
+					whole++
+				}
+			}
+			if whole == 0 {
+				t.Fatalf("no id carries one each of request, admit, exec and flush spans: %v", byID)
+			}
+		})
+	}
+}
+
 func TestTxnAtomicRMWBatch(t *testing.T) {
 	f := startFixture(t, 64, 2, 32, 0, false)
 	rb := dial(t, f, 1)
-	s := rb.NewSession().(engine.AsyncSession)
+	s := rb.NewSession().(deferSession)
 
 	// One deferred transaction: rmw three keys, insert one, delete one.
 	s.Reset()
-	s.ReadModifyWriteAsync(1, 1)
-	s.ReadModifyWriteAsync(1, 1)
-	s.ReadModifyWriteAsync(2, 10)
-	s.InsertAsync(500, 42)
-	s.DeleteAsync(3)
+	s.Defer(wire.Op{Kind: wire.OpRMW, Key: 1, Arg: 1})
+	s.Defer(wire.Op{Kind: wire.OpRMW, Key: 1, Arg: 1})
+	s.Defer(wire.Op{Kind: wire.OpRMW, Key: 2, Arg: 10})
+	s.Defer(wire.Op{Kind: wire.OpPut, Key: 500, Arg: 42})
+	s.Defer(wire.Op{Kind: wire.OpDel, Key: 3})
 	s.Commit()
 
 	check := rb.NewSession()
@@ -227,11 +286,11 @@ func TestBatchingCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := rb.NewSession().(engine.AsyncSession)
+			s := rb.NewSession().(deferSession)
 			for i := 0; i < each; i++ {
 				s.Reset()
-				s.ReadModifyWriteAsync(uint64(w*100+i), 1)
-				s.ReadAsync(uint64(i))
+				s.Defer(wire.Op{Kind: wire.OpRMW, Key: uint64(w*100 + i), Arg: 1})
+				s.Defer(wire.Op{Kind: wire.OpGet, Key: uint64(i)})
 				s.Commit()
 			}
 		}(w)
@@ -263,11 +322,11 @@ func TestBatchingCoalesces(t *testing.T) {
 func TestReadOnlyBatchesRideTheFastPath(t *testing.T) {
 	f := startFixture(t, 64, 2, 16, 0, false)
 	rb := dial(t, f, 1)
-	s := rb.NewSession().(engine.AsyncSession)
+	s := rb.NewSession().(deferSession)
 	for i := 0; i < 20; i++ {
 		s.Reset()
-		s.ReadAsync(uint64(i))
-		s.ScanAsync(uint64(i), 4)
+		s.Defer(wire.Op{Kind: wire.OpGet, Key: uint64(i)})
+		s.Defer(wire.Op{Kind: wire.OpScan, Key: uint64(i), Arg: 4})
 		s.Commit()
 	}
 	st, err := rb.Stats()
@@ -360,10 +419,10 @@ func TestReservedCodesAnswerErr(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	f := startFixture(t, 128, 2, 16, 0, true)
 	rb := dial(t, f, 2)
-	s := rb.NewSession().(engine.AsyncSession)
+	s := rb.NewSession().(deferSession)
 	for i := 0; i < 50; i++ {
 		s.Reset()
-		s.ReadModifyWriteAsync(uint64(i), 1)
+		s.Defer(wire.Op{Kind: wire.OpRMW, Key: uint64(i), Arg: 1})
 		s.Commit()
 	}
 	if err := f.srv.Drain(); err != nil {
@@ -412,11 +471,11 @@ func TestDurableAckCrashConsistency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := rb.NewSession().(engine.AsyncSession)
+			s := rb.NewSession().(deferSession)
 			for i := 0; i < each; i++ {
 				s.Reset()
-				s.ReadModifyWriteAsync(uint64(w*31+i), 1)
-				s.ReadModifyWriteAsync(uint64(i), 2)
+				s.Defer(wire.Op{Kind: wire.OpRMW, Key: uint64(w*31 + i), Arg: 1})
+				s.Defer(wire.Op{Kind: wire.OpRMW, Key: uint64(i), Arg: 2})
 				s.Commit()
 			}
 		}(w)

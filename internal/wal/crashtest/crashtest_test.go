@@ -42,7 +42,7 @@ func TestKillAtRandomOffsets(t *testing.T) {
 	}
 	// Exhaustive sweep over the first few records' bytes, where header
 	// fields and CRC boundaries live.
-	limit := h.Bounds[minInt(4, h.Records)]
+	limit := h.Bounds[min(4, h.Records)]
 	for cut := 0; cut <= limit; cut++ {
 		if err := h.CheckImage(h.Image[:cut], h.DurableRecords(cut)); err != nil {
 			t.Fatalf("truncation at byte %d: %v", cut, err)
@@ -102,11 +102,4 @@ func TestGarbageTail(t *testing.T) {
 	if err := h.CheckImage(img, h.Records); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -246,22 +246,10 @@ func ParseFrame(b []byte) (id uint64, t Type, payload []byte, size int, err erro
 // returns the frame's flags byte and the trace id (zero when FlagTrace
 // is unset). Unknown flag bits are an ErrBadFrame.
 func ParseFrameT(b []byte) (id uint64, t Type, flags uint8, trace uint64, payload []byte, size int, err error) {
-	if len(b) < headerBytes {
-		return 0, 0, 0, 0, nil, 0, ErrShortFrame
-	}
-	if binary.LittleEndian.Uint32(b[0:]) != frameMagic {
-		return 0, 0, 0, 0, nil, 0, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	n := binary.LittleEndian.Uint32(b[4:])
-	if n > MaxPayload {
-		return 0, 0, 0, 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxPayload)
-	}
-	flags = b[17]
-	ext, err := extBytes(flags)
+	size, err = frameSize(b)
 	if err != nil {
 		return 0, 0, 0, 0, nil, 0, err
 	}
-	size = headerBytes + int(n) + ext + trailerBytes
 	if len(b) < size {
 		return 0, 0, 0, 0, nil, 0, ErrShortFrame
 	}
@@ -269,12 +257,35 @@ func ParseFrameT(b []byte) (id uint64, t Type, flags uint8, trace uint64, payloa
 	if crc32.Checksum(b[:size-trailerBytes], castagnoli) != want {
 		return 0, 0, 0, 0, nil, 0, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
 	}
+	n := binary.LittleEndian.Uint32(b[4:])
+	flags = b[17]
 	if flags&FlagTrace != 0 {
 		trace = binary.LittleEndian.Uint64(b[headerBytes+int(n):])
 	}
 	id = binary.LittleEndian.Uint64(b[8:])
 	t = Type(b[16])
 	return id, t, flags, trace, b[headerBytes : headerBytes+int(n)], size, nil
+}
+
+// frameSize is the header check every decoder shares: it validates the
+// magic, the length bound and the flag bits of the header at the head
+// of b and returns the framed size the header announces.
+func frameSize(b []byte) (int, error) {
+	if len(b) < headerBytes {
+		return 0, ErrShortFrame
+	}
+	if binary.LittleEndian.Uint32(b[0:]) != frameMagic {
+		return 0, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	}
+	n := binary.LittleEndian.Uint32(b[4:])
+	if n > MaxPayload {
+		return 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxPayload)
+	}
+	ext, err := extBytes(b[17])
+	if err != nil {
+		return 0, err
+	}
+	return headerBytes + int(n) + ext + trailerBytes, nil
 }
 
 // ErrShortFrame marks an incomplete (but so-far-valid) frame prefix: a
@@ -293,7 +304,10 @@ func ReadFrame(r io.Reader, buf []byte) (id uint64, t Type, payload, nbuf []byte
 
 // ReadFrameT is ReadFrame plus the flag extensions: it additionally
 // returns the frame's flags byte and the trace id (zero when FlagTrace
-// is unset). Unknown flag bits are an ErrBadFrame.
+// is unset). Unknown flag bits are an ErrBadFrame. It reads the header,
+// then as many bytes as the header announces, and decodes the frame
+// with ParseFrameT: a frame read from a stream is accepted exactly when
+// the same bytes parse in place.
 func ReadFrameT(r io.Reader, buf []byte) (id uint64, t Type, flags uint8, trace uint64, payload, nbuf []byte, err error) {
 	if cap(buf) < headerBytes {
 		buf = make([]byte, 0, 4096)
@@ -302,19 +316,10 @@ func ReadFrameT(r io.Reader, buf []byte) (id uint64, t Type, flags uint8, trace 
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, 0, 0, nil, buf, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return 0, 0, 0, 0, nil, buf, fmt.Errorf("%w: bad magic", ErrBadFrame)
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	if n > MaxPayload {
-		return 0, 0, 0, 0, nil, buf, fmt.Errorf("%w: payload length %d exceeds %d", ErrBadFrame, n, MaxPayload)
-	}
-	flags = hdr[17]
-	ext, err := extBytes(flags)
+	size, err := frameSize(hdr)
 	if err != nil {
 		return 0, 0, 0, 0, nil, buf, err
 	}
-	size := headerBytes + int(n) + ext + trailerBytes
 	if cap(buf) < size {
 		nb := make([]byte, size, size+size/2)
 		copy(nb, hdr)
@@ -327,14 +332,6 @@ func ReadFrameT(r io.Reader, buf []byte) (id uint64, t Type, flags uint8, trace 
 		}
 		return 0, 0, 0, 0, nil, buf, err
 	}
-	want := binary.LittleEndian.Uint32(frame[size-trailerBytes:])
-	if crc32.Checksum(frame[:size-trailerBytes], castagnoli) != want {
-		return 0, 0, 0, 0, nil, buf, fmt.Errorf("%w: CRC mismatch", ErrBadFrame)
-	}
-	if flags&FlagTrace != 0 {
-		trace = binary.LittleEndian.Uint64(frame[headerBytes+int(n):])
-	}
-	id = binary.LittleEndian.Uint64(frame[8:])
-	t = Type(frame[16])
-	return id, t, flags, trace, frame[headerBytes : headerBytes+int(n)], buf, nil
+	id, t, flags, trace, payload, _, err = ParseFrameT(frame)
+	return id, t, flags, trace, payload, buf, err
 }

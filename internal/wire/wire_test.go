@@ -252,3 +252,40 @@ func FuzzParseFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadFrame: the stream decoder accepts exactly what the in-place
+// decoder accepts. Over a reader of the same bytes, ReadFrameT returns
+// ParseFrameT's fields and consumes its size, or both reject: a short
+// frame in place is io.EOF (nothing there) or io.ErrUnexpectedEOF on
+// the stream, and any other rejection is the same error.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("garbage"))
+	f.Add(AppendOpsFrame(nil, 2, []Op{{Kind: OpRMW, Key: 3, Arg: 1}, {Kind: OpGet, Key: 9}}))
+	f.Add(AppendOpsFrameT(nil, 4, 0xfeed, []Op{{Kind: OpScan, Key: 5, Arg: 8}}))
+	big := AppendFrame(nil, 5, TReply, make([]byte, 5000)) // outgrows the default scratch
+	f.Add(big)
+	f.Add(big[:len(big)-1])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		id, typ, flags, trace, payload, size, perr := ParseFrameT(b)
+		r := bytes.NewReader(b)
+		rid, rtyp, rflags, rtrace, rpayload, _, rerr := ReadFrameT(r, nil)
+		switch {
+		case perr == ErrShortFrame:
+			if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+				t.Fatalf("in place: short frame; stream: %v", rerr)
+			}
+		case perr != nil:
+			if rerr == nil || rerr.Error() != perr.Error() {
+				t.Fatalf("in place: %v; stream: %v", perr, rerr)
+			}
+		case rerr != nil:
+			t.Fatalf("in place: accepted; stream: %v", rerr)
+		case rid != id || rtyp != typ || rflags != flags || rtrace != trace || !bytes.Equal(rpayload, payload):
+			t.Fatalf("in place (%d %v %#x %#x %d bytes), stream (%d %v %#x %#x %d bytes)",
+				id, typ, flags, trace, len(payload), rid, rtyp, rflags, rtrace, len(rpayload))
+		case len(b)-r.Len() != size:
+			t.Fatalf("stream consumed %d bytes of a %d-byte frame", len(b)-r.Len(), size)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"sihtm/internal/memsim"
 	"sihtm/internal/tm"
+	"sihtm/internal/wire"
 )
 
 // Backend is a transactional key-value substrate the engine can drive:
@@ -59,29 +60,41 @@ type Session interface {
 	Commit()
 }
 
-// AsyncSession is an optional Session capability for operations whose
-// results the caller discards: instead of executing eagerly, the
-// session may defer them and ship the whole set as one unit when
-// Commit is called. The driver prefers this interface when a session
-// offers it, which is what turns a planned transaction into exactly one
-// wire TXN on the remote backend (local backends have no reason to
-// implement it — their eager ops are already free). ReadModifyWriteAsync
-// exists because the dependent write (read value + delta) must be
-// computed wherever the read executes; a remote session encodes it as a
-// single server-side RMW op.
-type AsyncSession interface {
-	Session
-	// ReadAsync is Read with the result discarded.
-	ReadAsync(key uint64)
-	// ReadModifyWriteAsync upserts key ← read(key)+delta (read = 0 when
-	// absent), the engine's OpReadModifyWrite semantics.
-	ReadModifyWriteAsync(key, delta uint64)
-	// InsertAsync is Insert with the result discarded.
-	InsertAsync(key, value uint64)
-	// DeleteAsync is Delete with the result discarded.
-	DeleteAsync(key uint64)
-	// ScanAsync is Scan with the result discarded.
-	ScanAsync(key uint64, n int)
+// Deferrer is an optional Session capability for operations whose
+// results the caller discards: instead of executing eagerly, the session
+// queues each op and ships the whole set as one unit at Commit. The
+// driver prefers it when a session offers it, which is what turns a
+// planned transaction into exactly one wire TXN on the remote backends
+// (local backends have no reason to implement it — their eager ops are
+// already free). A deferred op means what Exec makes of it wherever the
+// unit executes; OpRMW is why the unit carries ops rather than values —
+// its dependent write must be computed where the read runs.
+type Deferrer interface {
+	Defer(op wire.Op)
+}
+
+// Exec executes one data-plane op against a session inside a
+// transaction body and returns the op's result (the wire.OpKind
+// constants document each): the one statement of what GET, PUT, DEL,
+// SCAN and RMW do. The server runs every admitted op through it, and
+// the driver every planned op of a session that does not defer.
+func Exec(s Session, ops tm.Ops, op wire.Op) wire.Result {
+	switch op.Kind {
+	case wire.OpGet:
+		v, ok := s.Read(ops, op.Key)
+		return wire.Result{OK: ok, Val: v}
+	case wire.OpPut:
+		return wire.Result{OK: s.Insert(ops, op.Key, op.Arg), Val: op.Arg}
+	case wire.OpDel:
+		return wire.Result{OK: s.Delete(ops, op.Key)}
+	case wire.OpScan:
+		return wire.Result{OK: true, Val: uint64(s.Scan(ops, op.Key, int(op.Arg)))}
+	case wire.OpRMW:
+		v, _ := s.Read(ops, op.Key)
+		s.Insert(ops, op.Key, v+op.Arg)
+		return wire.Result{OK: true, Val: v + op.Arg}
+	}
+	return wire.Result{}
 }
 
 // DirectOps adapts raw heap accesses to tm.Ops: the quiescent access

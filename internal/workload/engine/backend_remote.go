@@ -23,17 +23,15 @@ import (
 // in flight per connection and the server's admission stage sees the
 // concurrent stream its batching coalesces.
 //
-// Session semantics split by result use, mirroring the two client
-// modes a pipelined store offers:
+// A session ships ops two ways, by whether the caller uses the result:
 //
-//   - The plain Session methods are synchronous: each call ships the
-//     deferred buffer plus the new op as one TXN and returns the op's
-//     real result. Tests and interactive callers get exact key-value
-//     semantics.
-//   - The AsyncSession methods defer: ops accumulate client-side and
-//     Commit ships the whole transaction as one TXN frame — the
-//     engine's driver path, where one planned transaction becomes one
-//     atomic server-side unit.
+//   - The Session methods are synchronous: each call ships the deferred
+//     buffer plus the new op as one TXN and returns the op's real result
+//     — what the server's Exec made of it. Tests and interactive callers
+//     get exact key-value semantics.
+//   - Defer (Deferrer) queues an op client-side, and Commit ships the
+//     queue as one TXN frame — the driver's path, where one planned
+//     transaction becomes one atomic server-side unit.
 //
 // Transport failures are fatal to the workload (the session protocol
 // has no error channel) and surface as panics; orchestrate shutdown so
@@ -246,32 +244,11 @@ func (s *remoteSession) Scan(_ tm.Ops, key uint64, n int) int {
 	return int(s.syncOp(wire.Op{Kind: wire.OpScan, Key: key, Arg: uint64(n)}).Val)
 }
 
-// ReadAsync implements AsyncSession.
-func (s *remoteSession) ReadAsync(key uint64) {
-	s.pending = append(s.pending, wire.Op{Kind: wire.OpGet, Key: key})
-}
+// Defer implements Deferrer: the op waits in the pending buffer for
+// the next flush.
+func (s *remoteSession) Defer(op wire.Op) { s.pending = append(s.pending, op) }
 
-// ReadModifyWriteAsync implements AsyncSession.
-func (s *remoteSession) ReadModifyWriteAsync(key, delta uint64) {
-	s.pending = append(s.pending, wire.Op{Kind: wire.OpRMW, Key: key, Arg: delta})
-}
-
-// InsertAsync implements AsyncSession.
-func (s *remoteSession) InsertAsync(key, value uint64) {
-	s.pending = append(s.pending, wire.Op{Kind: wire.OpPut, Key: key, Arg: value})
-}
-
-// DeleteAsync implements AsyncSession.
-func (s *remoteSession) DeleteAsync(key uint64) {
-	s.pending = append(s.pending, wire.Op{Kind: wire.OpDel, Key: key})
-}
-
-// ScanAsync implements AsyncSession.
-func (s *remoteSession) ScanAsync(key uint64, n int) {
-	s.pending = append(s.pending, wire.Op{Kind: wire.OpScan, Key: key, Arg: uint64(n)})
-}
-
-var _ AsyncSession = (*remoteSession)(nil)
+var _ Deferrer = (*remoteSession)(nil)
 
 // RemoteSystem is the client-side tm.System of a networked workload:
 // transaction execution, retry and fall-back all happen server-side, so

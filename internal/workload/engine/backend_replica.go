@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sihtm/internal/tm"
+	"sihtm/internal/wire"
 )
 
 // ReplicaBackend is the cluster-aware remote backend: writes go to the
@@ -16,7 +17,7 @@ import (
 //   - A read-only transaction (the ycsb-c shape) defers onto one
 //     follower session and ships as one TXN — atomic on that
 //     follower's snapshot at its published watermark.
-//   - Any mutating op (sync or async) goes to the leader; a mixed
+//   - Any mutating op (synchronous or deferred) goes to the leader; a mixed
 //     transaction therefore splits into a leader TXN (the writes, with
 //     server-side RMW reading leader-fresh state) and a follower TXN
 //     (the reads). Reads may then trail writes by the replication lag
@@ -214,22 +215,15 @@ func (s *replicaSession) Scan(ops tm.Ops, key uint64, n int) int {
 	return s.r.Scan(ops, key, n)
 }
 
-// ReadAsync implements AsyncSession (follower).
-func (s *replicaSession) ReadAsync(key uint64) { s.r.ReadAsync(key) }
-
-// ReadModifyWriteAsync implements AsyncSession (leader: the dependent
-// write must read leader-fresh state).
-func (s *replicaSession) ReadModifyWriteAsync(key, delta uint64) {
-	s.w.ReadModifyWriteAsync(key, delta)
+// Defer implements Deferrer: read-only ops go to the follower, every
+// other op to the leader (an RMW's dependent write must read
+// leader-fresh state).
+func (s *replicaSession) Defer(op wire.Op) {
+	if op.Kind.ReadOnly() {
+		s.r.Defer(op)
+	} else {
+		s.w.Defer(op)
+	}
 }
 
-// InsertAsync implements AsyncSession (leader).
-func (s *replicaSession) InsertAsync(key, value uint64) { s.w.InsertAsync(key, value) }
-
-// DeleteAsync implements AsyncSession (leader).
-func (s *replicaSession) DeleteAsync(key uint64) { s.w.DeleteAsync(key) }
-
-// ScanAsync implements AsyncSession (follower).
-func (s *replicaSession) ScanAsync(key uint64, n int) { s.r.ScanAsync(key, n) }
-
-var _ AsyncSession = (*replicaSession)(nil)
+var _ Deferrer = (*replicaSession)(nil)

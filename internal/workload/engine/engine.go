@@ -22,6 +22,7 @@ import (
 
 	"sihtm/internal/rng"
 	"sihtm/internal/tm"
+	"sihtm/internal/wire"
 )
 
 // Driver executes one Spec against one Backend. It is immutable after
@@ -31,8 +32,11 @@ type Driver struct {
 	b    Backend
 	dist KeyDraw
 	// cum is the cumulative percent table behind op picking: the first
-	// index with cum[i] > draw identifies the mix entry.
+	// index with cum[i] > draw identifies the mix entry, and mix[i] is
+	// that entry's data-plane op with the argument the spec fixes (RMW
+	// adds 1, a scan visits ScanLen entries).
 	cum []int
+	mix []wire.Op
 }
 
 // New validates the spec and builds its driver over the backend.
@@ -50,6 +54,14 @@ func New(spec Spec, b Backend) (*Driver, error) {
 	for _, m := range spec.Mix {
 		total += m.Percent
 		d.cum = append(d.cum, total)
+		op := wire.Op{Kind: m.Op.Kind()}
+		switch m.Op {
+		case OpReadModifyWrite:
+			op.Arg = 1
+		case OpScan:
+			op.Arg = uint64(spec.ScanLen)
+		}
+		d.mix = append(d.mix, op)
 	}
 	return d, nil
 }
@@ -60,31 +72,31 @@ func (d *Driver) Spec() Spec { return d.spec }
 // Backend returns the substrate the driver runs against.
 func (d *Driver) Backend() Backend { return d.b }
 
-// pickOp draws one op from the mix.
-func (d *Driver) pickOp(r *rng.Rand) Op {
+// pickOp draws one op from the mix, key still unset.
+func (d *Driver) pickOp(r *rng.Rand) wire.Op {
 	v := r.Intn(100)
 	for i, c := range d.cum {
 		if v < c {
-			return d.spec.Mix[i].Op
+			return d.mix[i]
 		}
 	}
-	return d.spec.Mix[len(d.spec.Mix)-1].Op
+	return d.mix[len(d.mix)-1]
 }
 
 // NewWorker builds one thread's executor: its deterministic stream
 // (rng.Stream(spec.Seed, thread)) and its backend session. Sessions
-// offering AsyncSession get the deferred op path (one shipped unit per
+// offering Deferrer get the deferred op path (one shipped unit per
 // transaction on remote backends).
 func (d *Driver) NewWorker(sys tm.System, thread int) *Worker {
 	sess := d.b.NewSession()
-	async, _ := sess.(AsyncSession)
+	def, _ := sess.(Deferrer)
 	return &Worker{
 		d:      d,
 		sys:    sys,
 		thread: thread,
 		r:      rng.Stream(d.spec.Seed, uint64(thread)),
 		sess:   sess,
-		async:  async,
+		def:    def,
 	}
 }
 
@@ -97,12 +109,6 @@ func (d *Driver) Workers(sys tm.System) func(thread int) func() {
 	}
 }
 
-// plannedOp is one drawn operation of a planned transaction.
-type plannedOp struct {
-	op  Op
-	key uint64
-}
-
 // Worker is one thread's workload executor.
 type Worker struct {
 	d      *Driver
@@ -110,15 +116,16 @@ type Worker struct {
 	thread int
 	r      *rng.Rand
 	sess   Session
-	async  AsyncSession // non-nil when sess offers the deferred path
-	plan   []plannedOp
+	def    Deferrer // non-nil when sess offers the deferred path
+	plan   []wire.Op
 }
 
 // planTx draws the next transaction into w.plan: its size, then one
-// (op, key) pair per slot. Planning happens strictly outside the
-// transaction so aborted attempts replay the identical operations (the
-// TM idempotency contract), and it touches only the worker's own
-// stream, which is what makes sequences reproducible per thread.
+// (op, key) pair per slot; an insert stores InitialValue(key). Planning
+// happens strictly outside the transaction so aborted attempts replay
+// the identical operations (the TM idempotency contract), and it
+// touches only the worker's own stream, which is what makes sequences
+// reproducible per thread.
 func (w *Worker) planTx() (readOnly bool, inserts int) {
 	n := w.d.spec.OpsPerTxMin
 	if w.d.spec.OpsPerTxMax > n {
@@ -128,22 +135,25 @@ func (w *Worker) planTx() (readOnly bool, inserts int) {
 	readOnly = true
 	for i := 0; i < n; i++ {
 		op := w.d.pickOp(w.r)
-		key := w.d.dist.Draw(w.r)
-		if !op.ReadOnly() {
-			readOnly = false
+		op.Key = w.d.dist.Draw(w.r)
+		if op.Kind == wire.OpPut {
+			op.Arg = InitialValue(op.Key)
 		}
+		readOnly = readOnly && op.Kind.ReadOnly()
 		// Inserts and read-modify-writes may consume a fresh node if the
 		// key turns out to be absent; Prepare sizes pools for the worst
 		// case.
-		if op == OpInsert || op == OpReadModifyWrite {
+		if op.Kind.MayInsert() {
 			inserts++
 		}
-		w.plan = append(w.plan, plannedOp{op: op, key: key})
+		w.plan = append(w.plan, op)
 	}
 	return readOnly, inserts
 }
 
-// Op plans and runs exactly one transaction of the mix to commit.
+// Op plans and runs exactly one transaction of the mix to commit. All
+// of a planned transaction's results are discarded, so a deferring
+// session takes the whole plan and ships it as one unit at Commit.
 func (w *Worker) Op() {
 	readOnly, inserts := w.planTx()
 	kind := tm.KindUpdate
@@ -153,39 +163,14 @@ func (w *Worker) Op() {
 	w.sess.Prepare(inserts)
 	w.sys.Atomic(w.thread, kind, func(ops tm.Ops) {
 		w.sess.Reset()
-		if w.async != nil {
-			// All of a planned transaction's results are discarded, so the
-			// whole plan defers: the session ships it as one unit at Commit.
-			for _, p := range w.plan {
-				switch p.op {
-				case OpRead:
-					w.async.ReadAsync(p.key)
-				case OpReadModifyWrite:
-					w.async.ReadModifyWriteAsync(p.key, 1)
-				case OpInsert:
-					w.async.InsertAsync(p.key, InitialValue(p.key))
-				case OpDelete:
-					w.async.DeleteAsync(p.key)
-				case OpScan:
-					w.async.ScanAsync(p.key, w.d.spec.ScanLen)
-				}
+		if w.def != nil {
+			for _, op := range w.plan {
+				w.def.Defer(op)
 			}
 			return
 		}
-		for _, p := range w.plan {
-			switch p.op {
-			case OpRead:
-				w.sess.Read(ops, p.key)
-			case OpReadModifyWrite:
-				v, _ := w.sess.Read(ops, p.key)
-				w.sess.Insert(ops, p.key, v+1)
-			case OpInsert:
-				w.sess.Insert(ops, p.key, InitialValue(p.key))
-			case OpDelete:
-				w.sess.Delete(ops, p.key)
-			case OpScan:
-				w.sess.Scan(ops, p.key, w.d.spec.ScanLen)
-			}
+		for _, op := range w.plan {
+			Exec(w.sess, ops, op)
 		}
 	})
 	w.sess.Commit()

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"sihtm/internal/htm"
@@ -8,6 +10,7 @@ import (
 	"sihtm/internal/sgl"
 	"sihtm/internal/sihtm"
 	"sihtm/internal/topology"
+	"sihtm/internal/wire"
 )
 
 func testSpec() Spec {
@@ -82,6 +85,32 @@ func TestPlanDeterminism(t *testing.T) {
 	}
 }
 
+// The planned (op, key) sequence of a fixed seed is pinned: a change
+// to how the driver draws or represents its plans must not move a
+// single op. Each op also carries the argument its mix entry fixes.
+func TestPlanGolden(t *testing.T) {
+	spec := testSpec()
+	d, _, _ := newHashmapDriver(t, spec, 50)
+	h := fnv.New64a()
+	for _, th := range []int{0, 3} {
+		w := d.NewWorker(nil, th)
+		for tx := 0; tx < 1000; tx++ {
+			ro, ins := w.planTx()
+			fmt.Fprintf(h, "%v/%d;", ro, ins)
+			for _, op := range w.plan {
+				fmt.Fprintf(h, "%s:%d,", op.Kind, op.Key)
+				want := map[wire.OpKind]uint64{wire.OpPut: InitialValue(op.Key), wire.OpRMW: 1, wire.OpScan: uint64(spec.ScanLen)}[op.Kind]
+				if op.Arg != want {
+					t.Fatalf("tx %d: %s %d carries arg %d, want %d", tx, op.Kind, op.Key, op.Arg, want)
+				}
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x97e3d97c7ed5fa40); got != want {
+		t.Fatalf("plan hash %#x, want %#x", got, want)
+	}
+}
+
 // planTx must classify transactions: all-read plans launch read-only,
 // and the insert budget must cover every key-creating op.
 func TestPlanClassification(t *testing.T) {
@@ -104,10 +133,10 @@ func TestPlanClassification(t *testing.T) {
 		creators := 0
 		writers := 0
 		for _, p := range w.plan {
-			if p.op == OpInsert || p.op == OpReadModifyWrite {
+			if p.Kind == wire.OpPut || p.Kind == wire.OpRMW {
 				creators++
 			}
-			if !p.op.ReadOnly() {
+			if p.Kind != wire.OpGet && p.Kind != wire.OpScan {
 				writers++
 			}
 		}

@@ -58,6 +58,53 @@ func spec(keys int) engine.Spec {
 	}
 }
 
+// Agree runs one seeded single-thread driver over two backend families
+// and requires the same contents afterwards: every key of [0, 2·Keys)
+// holds the same value, or is absent, in both. Over an in-process
+// backend and a remote one, it checks that a plan executed op by op
+// (engine.Exec) and the same plan deferred and shipped as one TXN mean
+// the same thing.
+func Agree(t *testing.T, a, b Maker) {
+	const keys, txs = 64, 400
+	var got [2]map[uint64]uint64
+	for i, mk := range []Maker{a, b} {
+		in := mk(t, keys, 1)
+		sp := spec(keys)
+		engine.Populate(in.Backend, sp)
+		d, err := engine.New(sp, in.Backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := d.NewWorker(in.Sys, 0)
+		for n := 0; n < txs; n++ {
+			w.Op()
+		}
+		got[i] = map[uint64]uint64{}
+		s, ops := in.Backend.NewSession(), in.Backend.Direct()
+		s.Prepare(0)
+		s.Reset()
+		for k := uint64(0); k < 2*keys; k++ {
+			if v, ok := s.Read(ops, k); ok {
+				got[i][k] = v
+			}
+		}
+		s.Commit()
+		in.Cleanup()
+	}
+	changed := false
+	for k := uint64(0); k < 2*keys; k++ {
+		av, aok := got[0][k]
+		bv, bok := got[1][k]
+		if av != bv || aok != bok {
+			t.Fatalf("key %d: (%d, %v) against (%d, %v)", k, av, aok, bv, bok)
+		}
+		changed = changed || !aok || av != engine.InitialValue(k)
+	}
+	if !changed {
+		t.Fatal("the driver changed no key")
+	}
+}
+
 // checkPopulate: Populate fills exactly [0, Keys) with InitialValue,
 // visible both through Direct and through a transactional session.
 func checkPopulate(t *testing.T, mk Maker) {

@@ -3,18 +3,23 @@ package engine
 import (
 	"fmt"
 	"strings"
+
+	"sihtm/internal/wire"
 )
 
-// Op enumerates the primitive operations a workload mix composes.
+// Op enumerates the primitive operations a workload mix composes: the
+// mix vocabulary of Specs and registry strings. The driver plans each
+// as the data-plane op Kind names, and Exec gives it its meaning.
 type Op int
 
 // The operation vocabulary.
 const (
 	// OpRead is a point lookup.
 	OpRead Op = iota
-	// OpReadModifyWrite reads a key and writes back a derived value.
+	// OpReadModifyWrite reads a key and writes back the value plus 1.
 	OpReadModifyWrite
-	// OpInsert upserts a key (update if present, insert if absent).
+	// OpInsert upserts a key with InitialValue(key) (update if present,
+	// insert if absent).
 	OpInsert
 	// OpDelete removes a key.
 	OpDelete
@@ -42,10 +47,16 @@ func (o Op) String() string {
 	}
 }
 
-// ReadOnly reports whether the op performs no shared writes — a
-// transaction whose planned ops are all read-only launches as
-// tm.KindReadOnly and rides SI-HTM's uninstrumented fast path.
-func (o Op) ReadOnly() bool { return o == OpRead || o == OpScan }
+// Kind is the data-plane op a mix entry executes.
+func (o Op) Kind() wire.OpKind { return opKinds[o] }
+
+var opKinds = [numOps]wire.OpKind{
+	OpRead:            wire.OpGet,
+	OpReadModifyWrite: wire.OpRMW,
+	OpInsert:          wire.OpPut,
+	OpDelete:          wire.OpDel,
+	OpScan:            wire.OpScan,
+}
 
 // MixEntry gives one op a share of the mix, in percent.
 type MixEntry struct {

@@ -1,7 +1,6 @@
 package tpcc
 
 import (
-	"sihtm/internal/memsim"
 	"sihtm/internal/rng"
 	"sihtm/internal/tm"
 )
@@ -327,12 +326,3 @@ func (db *DB) stockLevel(ops tm.Ops, p stockLevelParams, seen []bool) int {
 	}
 	return lowStock
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-var _ = memsim.WordsPerLine // keep the import pinned for layout constants

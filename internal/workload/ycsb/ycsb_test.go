@@ -32,7 +32,7 @@ func TestCIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range mix {
-		if !m.Op.ReadOnly() {
+		if !m.Op.Kind().ReadOnly() {
 			t.Errorf("C contains writing op %s", m.Op)
 		}
 	}
