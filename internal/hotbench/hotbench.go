@@ -256,6 +256,8 @@ func atomicCase(lines int) Case {
 // chaseSizes are the chase family's ring sizes in lines: 2 MB, which
 // the last-level cache holds and 512 TLB entries of 4 KB cover, and
 // 32 MB, the Fig. 6 data set's order of magnitude, which neither does.
+// A node's words 0 and 2 sit in memsim's low bank, so a walk touches
+// half of that in host lines: 1 MB and 16 MB.
 var chaseSizes = []int{16384, 262144}
 
 // chaseCase measures what one node of a chain walk costs outside any

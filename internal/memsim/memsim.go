@@ -15,6 +15,19 @@
 // they are the substrate the HTM simulator (internal/htm) builds on, and
 // are also used for single-threaded setup and verification.
 //
+// Where the host keeps a word is this package's business alone. The
+// heap's slice holds two banks: first the low halves (words 0–7) of
+// every line, then the high halves (words 8–15), so word a of line
+// l = a>>4 sits at host index (a>>3&1)·H + 8l + (a&7), H being 8 × the
+// line count. Everything above Load, Store and CompareAndSwap — Size,
+// the allocators, Zero, Digest, checkpoints — sees logical addresses
+// only. The reason is the pointer chase of Fig. 6: a hash-map chain node
+// uses words 0–2 of its line, so banked, the nodes of a chain laid on
+// consecutive lines sit on consecutive 64-byte host lines. The walk's
+// host footprint is half what whole 128-byte lines would cost, and the
+// adjacent-line prefetcher fetches the next node instead of a node's
+// unused high half.
+//
 // On linux NewHeap advises the 2 MB-aligned interior of the heap (an
 // ordinary Go slice) MADV_HUGEPAGE before first touch. The paper's POWER8
 // Linux runs on 64 KB base pages; a pointer chase over Fig. 6's 26 MB on
@@ -72,7 +85,9 @@ func LinesSpanned(a Addr, words int) int {
 // safe under the race detector; isolation and conflict detection are the
 // job of the layers above.
 type Heap struct {
-	words []uint64
+	words []uint64      // the low bank, then the high bank (see slot)
+	size  uint64        // capacity in words, as addressed
+	half  uint64        // words per bank: 8 × the line count
 	next  atomic.Uint64 // bump pointer, in words
 
 	volatileMu sync.Mutex
@@ -85,7 +100,12 @@ func NewHeap(words int) *Heap {
 	if words <= 0 {
 		panic(fmt.Sprintf("memsim: heap size must be positive, got %d words", words))
 	}
-	h := &Heap{words: make([]uint64, words)}
+	lines := (words + lineWordsMask) >> lineShift
+	h := &Heap{
+		words: make([]uint64, lines*WordsPerLine),
+		size:  uint64(words),
+		half:  uint64(lines * WordsPerLine / 2),
+	}
 	_ = adviseHuge(h.words) // before first touch; a refusal costs speed only
 	h.next.Store(1)         // reserve Addr 0 as nil
 	return h
@@ -95,27 +115,42 @@ func NewHeap(words int) *Heap {
 func NewHeapLines(lines int) *Heap { return NewHeap(lines * WordsPerLine) }
 
 // Size returns the heap capacity in words.
-func (h *Heap) Size() int { return len(h.words) }
+func (h *Heap) Size() int { return int(h.size) }
 
 // Allocated returns the number of words handed out so far (including the
 // reserved null word and any alignment padding).
 func (h *Heap) Allocated() int { return int(h.next.Load()) }
 
+// slot returns the host index of word a: the low bank holds words 0–7
+// of every line and the high bank words 8–15, each half-line at 8 × its
+// line number, so bit 3 of a picks the bank and the rest of a, less
+// that bit, is the index within it. -(x>>3&1) is all ones for a high
+// word: the bank offset is an AND, not a multiply, on the path from an
+// address to its access. An address at or past Size() panics, including
+// one in the slack of a last line Size() ends inside.
+func (h *Heap) slot(a Addr) uint64 {
+	if uint64(a) >= h.size {
+		panic("memsim: address outside the heap")
+	}
+	x := uint64(a)
+	return h.half&-(x>>3&1) + (x>>1&^7 | x&7)
+}
+
 // Load atomically reads the word at a. It performs no conflict detection.
 func (h *Heap) Load(a Addr) uint64 {
-	return atomic.LoadUint64(&h.words[a])
+	return atomic.LoadUint64(&h.words[h.slot(a)])
 }
 
 // Store atomically writes the word at a. It performs no conflict detection.
 func (h *Heap) Store(a Addr, v uint64) {
-	atomic.StoreUint64(&h.words[a], v)
+	atomic.StoreUint64(&h.words[h.slot(a)], v)
 }
 
 // CompareAndSwap atomically replaces the word at a with new if it equals
 // old, reporting whether the swap happened. It performs no conflict
 // detection; the HTM layer wraps it for lock words that live in the heap.
 func (h *Heap) CompareAndSwap(a Addr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&h.words[a], old, new)
+	return atomic.CompareAndSwapUint64(&h.words[h.slot(a)], old, new)
 }
 
 // Alloc reserves size words with no particular alignment and returns the
@@ -172,9 +207,9 @@ func (h *Heap) AllocAligned(size, alignWords int) Addr {
 		cur := h.next.Load()
 		start := (cur + mask) &^ mask
 		end := start + uint64(size)
-		if end > uint64(len(h.words)) {
+		if end > h.size {
 			panic(fmt.Sprintf("memsim: heap exhausted: need %d words at %d, capacity %d",
-				size, start, len(h.words)))
+				size, start, h.size))
 		}
 		if h.next.CompareAndSwap(cur, end) {
 			return Addr(start)
@@ -187,21 +222,22 @@ func (h *Heap) AllocAligned(size, alignWords int) Addr {
 // the heap was handed out, or post-recovery allocations would overlap
 // live data. Quiescent use only.
 func (h *Heap) RestoreAllocated(words int) {
-	if words < 1 || words > len(h.words) {
-		panic(fmt.Sprintf("memsim: restore watermark %d out of [1,%d]", words, len(h.words)))
+	if words < 1 || uint64(words) > h.size {
+		panic(fmt.Sprintf("memsim: restore watermark %d out of [1,%d]", words, h.size))
 	}
 	h.next.Store(uint64(words))
 }
 
-// Digest fingerprints the heap image: FNV-1a over every word, then the
-// allocation watermark, as 16 hex digits. Two builds that are meant to
-// be the same base image (a leader's and its follower's, a run's and its
-// recovery's) must have the same digest. Quiescent use only.
+// Digest fingerprints the heap image: FNV-1a over every word in address
+// order, then the allocation watermark, as 16 hex digits. Two builds
+// that are meant to be the same base image (a leader's and its
+// follower's, a run's and its recovery's) must have the same digest.
+// Quiescent use only.
 func (h *Heap) Digest() string {
 	const prime = 1099511628211
 	d := uint64(14695981039346656037)
-	for i := range h.words {
-		d = (d ^ h.Load(Addr(i))) * prime
+	for a := Addr(0); a < Addr(h.size); a++ {
+		d = (d ^ h.Load(a)) * prime
 	}
 	d = (d ^ uint64(h.Allocated())) * prime
 	return fmt.Sprintf("%016x", d)

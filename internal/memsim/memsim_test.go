@@ -204,3 +204,74 @@ func TestDigest(t *testing.T) {
 		}
 	}
 }
+
+// The address → slot map is one to one from [0, Size()) into the slice,
+// and pins the banked layout: the low half-line of line l at 8l, its
+// high half at H+8l. A size that ends inside a line leaves exactly that
+// line's slack slots unused.
+func TestSlotIsABijection(t *testing.T) {
+	for _, words := range []int{1, 8, 9, 16, 17, 100, 1024, 1029} {
+		h := NewHeap(words)
+		lines := (words + WordsPerLine - 1) / WordsPerLine
+		if len(h.words) != lines*WordsPerLine || h.half != uint64(lines*8) {
+			t.Fatalf("NewHeap(%d): %d host words, bank of %d; want %d and %d", words, len(h.words), h.half, lines*WordsPerLine, lines*8)
+		}
+		seen := make(map[uint64]Addr)
+		for a := Addr(0); a < Addr(h.Size()); a++ {
+			s := h.slot(a)
+			l, w := uint64(LineOf(a)), uint64(WordInLine(a))
+			if want := w/8*h.half + 8*l + w%8; s != want {
+				t.Fatalf("NewHeap(%d): slot(%d) = %d, want %d (line %d word %d)", words, a, s, want, l, w)
+			}
+			if s >= uint64(len(h.words)) {
+				t.Fatalf("NewHeap(%d): slot(%d) = %d past %d host words", words, a, s, len(h.words))
+			}
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("NewHeap(%d): addresses %d and %d share slot %d", words, prev, a, s)
+			}
+			seen[s] = a
+		}
+		if unused := len(h.words) - len(seen); unused != lines*WordsPerLine-words {
+			t.Fatalf("NewHeap(%d): %d slots unused, want the last line's %d-word slack", words, unused, lines*WordsPerLine-words)
+		}
+		// Every word round-trips through Store and Load, and lands in
+		// the slot the map names.
+		for a := Addr(0); a < Addr(h.Size()); a++ {
+			h.Store(a, uint64(a)+1)
+		}
+		for a := Addr(0); a < Addr(h.Size()); a++ {
+			if got := h.Load(a); got != uint64(a)+1 || h.words[h.slot(a)] != uint64(a)+1 {
+				t.Fatalf("NewHeap(%d): word %d reads %d, want %d", words, a, got, uint64(a)+1)
+			}
+		}
+	}
+}
+
+// Load, Store and CompareAndSwap panic at Size(), inside the slack of a
+// last line that Size() ends inside, and far past the heap.
+func TestAccessOutsideHeapPanics(t *testing.T) {
+	for _, words := range []int{17, 32, 1029} {
+		h := NewHeap(words)
+		end := Addr(len(h.words)) // past the last line's slack
+		bad := []Addr{end, end + 1, end + WordsPerLine, 1 << 40}
+		for a := Addr(words); a < end; a++ {
+			bad = append(bad, a)
+		}
+		for _, a := range bad {
+			for name, access := range map[string]func(){
+				"Load":           func() { h.Load(a) },
+				"Store":          func() { h.Store(a, 1) },
+				"CompareAndSwap": func() { h.CompareAndSwap(a, 0, 1) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("NewHeap(%d): %s(%d) did not panic", words, name, a)
+						}
+					}()
+					access()
+				}()
+			}
+		}
+	}
+}

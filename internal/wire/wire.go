@@ -34,10 +34,11 @@
 // Unknown flag bits are a framing error.
 //
 // The framing is self-validating: a receiver accepts a frame only when
-// magic, length bound and CRC all check out, so a torn or corrupted
-// stream is detected at the first damaged frame instead of being
-// misparsed — mirroring the WAL's torn-tail rule. Framing errors are
-// fatal to the connection (there is no resynchronization).
+// magic, length bound, flag bits, the zero reserved bytes and CRC all
+// check out, so a torn or corrupted stream is detected at the first
+// damaged frame instead of being misparsed — mirroring the WAL's
+// torn-tail rule. Framing errors are fatal to the connection (there is
+// no resynchronization).
 package wire
 
 import (
@@ -268,8 +269,9 @@ func ParseFrameT(b []byte) (id uint64, t Type, flags uint8, trace uint64, payloa
 }
 
 // frameSize is the header check every decoder shares: it validates the
-// magic, the length bound and the flag bits of the header at the head
-// of b and returns the framed size the header announces.
+// magic, the length bound, the flag bits and the zero reserved bytes of
+// the header at the head of b and returns the framed size the header
+// announces.
 func frameSize(b []byte) (int, error) {
 	if len(b) < headerBytes {
 		return 0, ErrShortFrame
@@ -284,6 +286,9 @@ func frameSize(b []byte) (int, error) {
 	ext, err := extBytes(b[17])
 	if err != nil {
 		return 0, err
+	}
+	if b[18]|b[19] != 0 {
+		return 0, fmt.Errorf("%w: reserved header bytes %#x %#x", ErrBadFrame, b[18], b[19])
 	}
 	return headerBytes + int(n) + ext + trailerBytes, nil
 }

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -38,6 +41,36 @@ func TestFrameEmptyPayload(t *testing.T) {
 	id, typ, p, _, err := ParseFrame(buf)
 	if err != nil || id != 7 || typ != TStats || len(p) != 0 {
 		t.Fatalf("empty payload: (%d, %v, %q, %v)", id, typ, p, err)
+	}
+}
+
+// withReserved returns a copy of the unflagged frame b with header
+// byte i (18 or 19, "reserved (zero)") set to v and the CRC recomputed,
+// so only the reserved-byte check can reject it.
+func withReserved(b []byte, i int, v byte) []byte {
+	c := append([]byte(nil), b...)
+	c[i] = v
+	binary.LittleEndian.PutUint32(c[len(c)-trailerBytes:], crc32.Checksum(c[:len(c)-trailerBytes], castagnoli))
+	return c
+}
+
+// A frame whose reserved header bytes are not zero is a framing error,
+// in place and on a stream, even when its CRC covers them.
+func TestReservedHeaderBytesRejected(t *testing.T) {
+	ok := AppendOpsFrame(nil, 3, []Op{{Kind: OpGet, Key: 1}})
+	for _, i := range []int{18, 19} {
+		for _, v := range []byte{0x01, 0x80, 0xff} {
+			b := withReserved(ok, i, v)
+			if _, _, _, _, _, _, err := ParseFrameT(b); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("byte %d = %#x: ParseFrameT err = %v, want ErrBadFrame", i, v, err)
+			}
+			if _, _, _, _, _, _, err := ReadFrameT(bytes.NewReader(b), nil); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("byte %d = %#x: ReadFrameT err = %v, want ErrBadFrame", i, v, err)
+			}
+		}
+	}
+	if _, _, _, _, _, _, err := ParseFrameT(withReserved(ok, 18, 0)); err != nil {
+		t.Fatalf("re-sealed frame with zero reserved bytes: %v", err)
 	}
 }
 
@@ -238,6 +271,7 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(AppendOpsFrame(nil, 2, []Op{{Kind: OpRMW, Key: 3, Arg: 1}, {Kind: OpGet, Key: 9}}))
 	f.Add([]byte("garbage"))
 	f.Add(AppendOpsFrameT(nil, 4, 0xfeed, []Op{{Kind: OpScan, Key: 5, Arg: 8}}))
+	f.Add(withReserved(AppendFrame(nil, 6, TStats, nil), 19, 0x01))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		id, typ, flags, trace, payload, size, err := ParseFrameT(b)
 		if err != nil {
@@ -266,6 +300,7 @@ func FuzzReadFrame(f *testing.F) {
 	big := AppendFrame(nil, 5, TReply, make([]byte, 5000)) // outgrows the default scratch
 	f.Add(big)
 	f.Add(big[:len(big)-1])
+	f.Add(withReserved(AppendFrame(nil, 6, TStats, nil), 18, 0x01))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		id, typ, flags, trace, payload, size, perr := ParseFrameT(b)
 		r := bytes.NewReader(b)

@@ -11,10 +11,13 @@
 //
 // Where the nodes sit is the simulator's business, not the paper's: a
 // bulk-loaded map (Load, NewBenchmark) lays each chain on consecutive
-// lines in chain order, so walking it costs the host sequential loads
-// rather than a cache miss per node. The lines a transaction touches,
-// and so every footprint, capacity and conflict count, are the ones a
-// map built by inserts would give.
+// lines in chain order, and memsim keeps the low half of consecutive
+// lines — words 0–7, where a node's key, value and link live — on
+// consecutive 64-byte host lines. Walking a chain therefore costs the
+// host sequential loads over packed memory rather than a cache miss per
+// node. The lines a transaction touches, and so every footprint,
+// capacity and conflict count, are the ones a map built by inserts
+// would give.
 package hashmap
 
 import (
