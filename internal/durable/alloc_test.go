@@ -14,8 +14,8 @@ import (
 
 // TestDurableCommitZeroAllocs pins the acceptance criterion: a
 // steady-state durable commit adds zero heap allocations on the TM hot
-// path. The log runs without its daemon and the thread is claimed
-// (ClaimAck), so Atomic returns at commit and the measurement covers
+// path. The log runs without its daemon and Atomic returns at commit
+// (the store never waits for the log), so the measurement covers
 // exactly the capture path — PreCommit
 // (barrier + sequencing + record encoding into the retained append
 // buffer), write-back, PostCommit — with all file I/O excluded; Sync
@@ -38,7 +38,6 @@ func TestDurableCommitZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store.Close()
-			store.ClaimAck(0)
 			dsys := store.Attach(sys, m)
 
 			// The transaction body is hoisted out of the op loop so the

@@ -6,11 +6,10 @@
 // persistence (Giles/Doshi/Varman's HTPM): the hardware commit path is
 // never stalled by I/O — redo records are captured from the write
 // buffer inside the commit bracket, sequenced, and made durable
-// asynchronously by the log's group-commit daemon, with acknowledgement
-// (the durability guarantee to the caller) deferred to the end of
-// Atomic — or, for a caller that claimed its threads (ClaimAck: the
-// wire server), handed to that caller, which commits on and holds each
-// result back until DurableSeq covers it.
+// asynchronously by the log's group-commit daemon. The store logs and
+// acknowledges nothing: Atomic returns at commit, and whoever releases
+// a result waits for the log itself (the wire server's connection
+// writer: internal/server).
 //
 // Guarantees, in terms of the commit sequence number (LSN) the store
 // assigns inside each commit's critical section:
@@ -22,11 +21,13 @@
 //     valid prefix), and conflicting transactions carry sequence
 //     numbers in their serialization order, so replaying the prefix
 //     reproduces a legal history.
-//   - Acknowledged ⇒ present: on an unclaimed thread System.Atomic
-//     returns only after the transaction's record is fsynced; on a
-//     claimed thread the claimant releases no result before DurableSeq
-//     covers the log position it executed at. Either way
-//     every acknowledged transaction is inside the recovered prefix.
+//   - Acknowledged ⇒ present, under the one acknowledgement rule: a
+//     result is released only once DurableSeq covers ThreadSeq (if the
+//     transaction logged a record) or LastSeq read after Atomic
+//     returned (if it did not — a read-only transaction may have
+//     observed a committed-but-not-yet-durable write). Log().WaitDurable
+//     is the wait. Every acknowledged transaction is then inside the
+//     recovered prefix.
 //   - Checkpoints are fuzzy: they run concurrently with commits and
 //     never block the commit path for longer than two sequence-counter
 //     reads. See checkpoint.go for the watermark argument.
@@ -40,7 +41,6 @@ import (
 	"sihtm/internal/footprint"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
-	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/wal"
 )
@@ -48,8 +48,8 @@ import (
 // Config tunes a Store.
 type Config struct {
 	// Window and WaitAck are read by nothing. The log flushes the moment
-	// a record is pending, and Atomic on an unclaimed thread always
-	// waits for its record's fsync. The fields stay because
+	// a record is pending, and the caller, not the store, waits for the
+	// fsync that acknowledges a result. The fields stay because
 	// bench/seam.go, which is frozen, sets them.
 	Window  time.Duration
 	WaitAck bool
@@ -61,9 +61,8 @@ type Config struct {
 // threadSeq is a per-thread last-assigned-sequence slot, padded so
 // worker threads do not false-share.
 type threadSeq struct {
-	seq     uint64 // owned by the thread between PreCommit and ack
-	claimed bool   // the thread's caller performs the durability wait (ClaimAck)
-	_       [112]byte
+	seq uint64 // owned by the thread between PreCommit and ack
+	_   [120]byte
 }
 
 // Store is the durability manager for one heap: it implements
@@ -83,12 +82,6 @@ type Store struct {
 	barrier sync.RWMutex
 
 	last []threadSeq // per-thread last assigned sequence
-
-	// ackHist observes how long a committed result waited for the
-	// group-commit fsync before it could be acknowledged — the durability
-	// tax as the caller feels it. System.Atomic observes it for unclaimed
-	// threads, the claimant for claimed ones.
-	ackHist stats.Histogram
 }
 
 // Open creates a store logging to logPath. The caller sizes last for
@@ -133,32 +126,10 @@ func (s *Store) PreCommit(thread int, entries []footprint.Entry) {
 
 // PostCommit implements htm.CommitHook: the write set is now visible;
 // leave the checkpoint barrier. The durability wait happens later, off
-// the TM critical section, in System.Atomic.
+// the TM critical section, in whoever releases the result.
 func (s *Store) PostCommit(thread int) {
 	s.barrier.RUnlock()
 }
-
-// WaitThread blocks until the last transaction committed by the given
-// thread is durable. A thread whose last commit is already fsynced (or
-// that has only run read-only transactions) returns immediately.
-func (s *Store) WaitThread(thread int) {
-	if seq := s.last[thread].seq; seq != 0 {
-		s.log.WaitDurable(seq)
-	}
-}
-
-// ClaimAck hands the durability wait of one thread's commits to the
-// thread's caller: System.Atomic on a claimed thread returns at commit,
-// and the claimant must release no result of a transaction — not even a
-// read-only one, which may have observed a committed-but-not-yet-durable
-// write — before DurableSeq covers ThreadSeq (if the transaction logged
-// a record) or LastSeq read after Atomic returned (if it did not), and
-// observes the wait into AckWaitHist. Call before the thread runs.
-func (s *Store) ClaimAck(thread int) { s.last[thread].claimed = true }
-
-// AckWaitHist returns the live ack-wait histogram: what telemetry
-// registers and what a claimant (ClaimAck) observes into.
-func (s *Store) AckWaitHist() *stats.Histogram { return &s.ackHist }
 
 // ThreadSeq returns the sequence number the thread's last committed
 // update transaction was assigned (zero before the first). Only the
@@ -178,10 +149,11 @@ func (s *Store) Sync() error { return s.log.Sync() }
 func (s *Store) Close() error { return s.log.Close() }
 
 // Attach installs the store on a system: the machine-level hook covers
-// hardware commits, the system-level hook (when the system implements
-// tm.HookableSystem) covers its software publication paths, and the
-// returned wrapper adds the end-of-Atomic durability wait. Call before
-// any transaction runs. m may be nil for machine-less systems (Silo).
+// hardware commits, and the system-level hook (when the system
+// implements tm.HookableSystem) covers its software publication paths.
+// It returns sys itself: Atomic returns at commit, and the caller
+// acknowledges with Log().WaitDurable (package comment). Call before any
+// transaction runs. m may be nil for machine-less systems (Silo).
 func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
 	if m != nil {
 		m.SetCommitHook(s)
@@ -189,42 +161,7 @@ func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
 	if h, ok := sys.(tm.HookableSystem); ok {
 		h.SetCommitHook(s)
 	}
-	return &System{inner: sys, store: s}
+	return sys
 }
 
-// System is the durable tm.System wrapper: Atomic commits through the
-// inner system (whose hooks feed the store) and then, on a thread
-// nobody claimed, blocks until the transaction's redo record is
-// fsynced — group-commit acknowledgement. The fsync wait happens after
-// the inner commit fully published (no TM locks held), so log latency
-// never stalls conflicting threads, only the caller.
-type System struct {
-	inner tm.System
-	store *Store
-}
-
-// Name implements tm.System (the durable wrapper keeps the inner name:
-// registry records compare like against like).
-func (d *System) Name() string { return d.inner.Name() }
-
-// Threads implements tm.System.
-func (d *System) Threads() int { return d.inner.Threads() }
-
-// Collector implements tm.System.
-func (d *System) Collector() *stats.Collector { return d.inner.Collector() }
-
-// Atomic implements tm.System.
-func (d *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
-	d.inner.Atomic(thread, kind, body)
-	if !d.store.last[thread].claimed {
-		t0 := time.Now()
-		d.store.WaitThread(thread)
-		d.store.ackHist.Observe(time.Since(t0))
-	}
-}
-
-// Unwrap returns the inner system.
-func (d *System) Unwrap() tm.System { return d.inner }
-
-var _ tm.System = (*System)(nil)
 var _ htm.CommitHook = (*Store)(nil)

@@ -92,8 +92,9 @@ func factories() []sysFactory {
 }
 
 // TestRecoveryMatchesLiveState: for every system, a concurrent mixed
-// workload committed through the durable wrapper recovers — from the
-// base image plus the log alone — to exactly the live final heap.
+// workload committed on a system the store is attached to recovers —
+// from the base image plus the log alone — to exactly the live final
+// heap.
 func TestRecoveryMatchesLiveState(t *testing.T) {
 	const threads, perThread, accounts = 4, 300, 8
 	for _, f := range factories() {
@@ -345,7 +346,8 @@ func TestCrashPrefixAndAcks(t *testing.T) {
 				dsys.Atomic(id, tm.KindUpdate, func(ops tm.Ops) {
 					ops.Write(counter, ops.Read(counter)+1)
 				})
-				acked.Add(1) // Atomic returned ⇒ record fsynced
+				store.Log().WaitDurable(store.ThreadSeq(id)) // the acknowledgement
+				acked.Add(1)
 			}
 		}(id)
 	}
@@ -440,10 +442,11 @@ func TestAtomicBatchFallbackIsLogged(t *testing.T) {
 	heapsEqual(t, heap, recovered, "si-htm batch")
 }
 
-// TestClaimAckMovesTheWait: on a claimed thread Atomic returns at commit
-// with the record not yet durable — the claimant owns the wait — while
-// an unclaimed thread of the same store keeps "return = durable".
-func TestClaimAckMovesTheWait(t *testing.T) {
+// TestAttachLeavesTheWaitToTheCaller: Attach returns the very system it
+// was given, whose Atomic returns at commit with the record logged but
+// not durable; the caller's acknowledgement, Log().WaitDurable on the
+// thread's sequence, blocks until the log is synced.
+func TestAttachLeavesTheWaitToTheCaller(t *testing.T) {
 	heap := memsim.NewHeapLines(16)
 	word := heap.AllocLine()
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(2, 2)})
@@ -452,36 +455,36 @@ func TestClaimAckMovesTheWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	dsys := store.Attach(sihtm.NewSystem(m, 2, sihtm.Config{}), m)
-	incr := func(ops tm.Ops) { ops.Write(word, ops.Read(word)+1) }
+	sys := sihtm.NewSystem(m, 2, sihtm.Config{})
+	if got := store.Attach(sys, m); got != tm.System(sys) {
+		t.Fatalf("Attach returned %T %p, want the system it was given (%p)", got, got, sys)
+	}
 
-	store.ClaimAck(0)
-	dsys.Atomic(0, tm.KindUpdate, incr) // would block for ever if it waited: nothing syncs
+	// Nothing syncs the log: an Atomic that waited for it would never
+	// return.
+	sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) { ops.Write(word, ops.Read(word)+1) })
 	if seq := store.ThreadSeq(0); seq != 1 || store.DurableSeq() != 0 {
-		t.Fatalf("claimed commit: seq %d, durable %d; want 1 and 0", seq, store.DurableSeq())
-	}
-	if n := store.AckWaitHist().Snapshot().Count(); n != 0 {
-		t.Fatalf("a claimed Atomic observed %d ack waits; the claimant observes them", n)
+		t.Fatalf("after Atomic: seq %d, durable %d; want 1 and 0", seq, store.DurableSeq())
 	}
 
-	returned := make(chan struct{})
+	acked := make(chan struct{})
 	go func() {
-		dsys.Atomic(1, tm.KindUpdate, incr)
-		close(returned)
+		store.Log().WaitDurable(1)
+		close(acked)
 	}()
-	for store.LastSeq() < 2 { // thread 1 committed and is waiting
+	for i := 0; i < 100; i++ {
 		runtime.Gosched()
 	}
 	select {
-	case <-returned:
-		t.Fatal("unclaimed Atomic returned before its record was durable")
+	case <-acked:
+		t.Fatal("WaitDurable(1) returned before the log was synced")
 	default:
 	}
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	<-returned
-	if store.DurableSeq() != 2 || store.AckWaitHist().Snapshot().Count() != 1 {
-		t.Fatalf("durable %d, %d ack waits; want 2 and 1", store.DurableSeq(), store.AckWaitHist().Snapshot().Count())
+	<-acked
+	if store.DurableSeq() != 1 {
+		t.Fatalf("durable %d after Sync, want 1", store.DurableSeq())
 	}
 }

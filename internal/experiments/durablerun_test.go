@@ -17,12 +17,12 @@ import (
 )
 
 // runDurablePoint measures one point of w under system on a headless
-// durable node — every update's write set captured at the commit hook,
-// group-commit fsynced and acknowledged before Atomic returns, fuzzy
-// checkpoints every third of the window — then proves recovery: the
-// base rebuilt by calling w again, restored from the checkpoint and log
-// the node left, must equal the live heap word for word and pass the
-// workload's check. It returns what recovery replayed.
+// durable node — every update's write set captured at the commit hook
+// and group-commit fsynced, fuzzy checkpoints every third of the
+// window — then proves recovery: the base rebuilt by calling w again,
+// restored from the checkpoint and log the node left, must equal the
+// live heap word for word and pass the workload's check. It returns
+// what recovery replayed.
 func runDurablePoint(t *testing.T, w workload, system string, threads int, sc Scale) durable.Report {
 	t.Helper()
 	b, err := w(sc, threads)
@@ -73,8 +73,8 @@ func runDurablePoint(t *testing.T, w workload, system string, threads int, sc Sc
 // TestDurableCellPoint runs one point of YCSB-A and of low-contention
 // vacation under each scenario system on a headless durable node, with
 // fuzzy checkpoints during the window and a word-for-word recovery check
-// after it. Headless, no server claims the store's threads, so each
-// Atomic waits for its own record to be durable. sgl holds the global
+// after it. Headless, nothing acknowledges: Atomic returns at commit and
+// Shutdown syncs the log before recovery reads it. sgl holds the global
 // lock for every transaction: a fuzzy checkpoint that imaged the lock
 // word held would fail the comparison (CI draws this 50 times).
 func TestDurableCellPoint(t *testing.T) {

@@ -55,7 +55,3 @@ type CommitHook interface {
 // synchronization on the commit hot path. A nil hook (the default)
 // disables interception.
 func (m *Machine) SetCommitHook(h CommitHook) { m.hook = h }
-
-// CommitHookInstalled reports whether a commit hook is set (tests and
-// introspection).
-func (m *Machine) CommitHookInstalled() bool { return m.hook != nil }

@@ -16,9 +16,6 @@ type Thread struct {
 // ID returns the hardware thread id.
 func (t *Thread) ID() int { return t.id }
 
-// Core returns the core this thread is pinned to.
-func (t *Thread) Core() int { return t.core }
-
 // Machine returns the owning machine.
 func (t *Thread) Machine() *Machine { return t.m }
 

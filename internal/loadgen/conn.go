@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"sihtm/internal/rng"
 	"sihtm/internal/wire"
 )
 
@@ -25,7 +26,9 @@ type loadConn struct {
 	// firstNs staggers connection start offsets across one mean gap so
 	// the ramp does not begin with a synchronized burst.
 	firstNs float64
-	rng     rng
+	// r draws this connection's arrival gaps and request keys:
+	// rng.Stream(Seed, connection index).
+	r *rng.Rand
 }
 
 // newLoadConn splits the run's arrival process across connections.
@@ -37,14 +40,14 @@ func newLoadConn(g *gen, nc net.Conn, idx int) *loadConn {
 		bw:      bufio.NewWriterSize(nc, 4096),
 		meanNs:  mean,
 		firstNs: mean * float64(idx) / float64(g.cfg.Conns),
-		rng:     rng{state: g.cfg.Seed ^ (uint64(idx)*0x9e3779b97f4a7c15 + 1)},
+		r:       rng.Stream(g.cfg.Seed, uint64(idx)),
 	}
 }
 
 // gap draws one inter-arrival time in nanoseconds.
 func (c *loadConn) gap() float64 {
 	if c.g.cfg.Arrival.Process == "poisson" {
-		return c.meanNs * c.rng.exp()
+		return c.meanNs * -math.Log(1-c.r.Float64()) // unit-mean exponential
 	}
 	return c.meanNs
 }
@@ -89,8 +92,8 @@ func (c *loadConn) sendLoop() {
 				c.g.maxLag.Store(int64(lag))
 			}
 		}
-		key := c.rng.next() % uint64(c.g.cfg.Keys)
-		if c.rng.float() < c.g.cfg.ReadFrac {
+		key := c.r.Uint64() % uint64(c.g.cfg.Keys)
+		if c.r.Float64() < c.g.cfg.ReadFrac {
 			ops[0] = wire.Op{Kind: wire.OpGet, Key: key}
 		} else {
 			ops[0] = wire.Op{Kind: wire.OpRMW, Key: key, Arg: 1}
@@ -138,21 +141,3 @@ func (c *loadConn) recvLoop() {
 		}
 	}
 }
-
-// rng is a splitmix64 stream: deterministic per connection, allocation
-// free, and good enough for arrival gaps and key draws.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9f9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform draw in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// exp returns a unit-mean exponential draw.
-func (r *rng) exp() float64 { return -math.Log(1 - r.float()) }

@@ -60,10 +60,8 @@ type Dialer struct {
 	r      *rng.Rand
 	refuse int // dials left to refuse (partition window)
 
-	dials   atomic.Uint64
 	refused atomic.Uint64
 	cuts    atomic.Uint64
-	tears   atomic.Uint64
 }
 
 // NewDialer builds a chaos dialer for addr.
@@ -74,7 +72,6 @@ func NewDialer(addr string, cfg Config) *Dialer {
 // Dial opens one connection through the schedule, or refuses it inside
 // a partition window.
 func (d *Dialer) Dial() (net.Conn, error) {
-	d.dials.Add(1)
 	d.mu.Lock()
 	if d.refuse > 0 {
 		d.refuse--
@@ -130,12 +127,10 @@ func (d *Dialer) tearLen(n int) int {
 	return 1 + d.r.Intn(n-1)
 }
 
-// Dials, Refused, Cuts and Tears expose the schedule's activity for
-// test assertions ("the chaos actually bit").
-func (d *Dialer) Dials() uint64   { return d.dials.Load() }
+// Refused and Cuts expose the schedule's activity for test assertions
+// ("the chaos actually bit").
 func (d *Dialer) Refused() uint64 { return d.refused.Load() }
 func (d *Dialer) Cuts() uint64    { return d.cuts.Load() }
-func (d *Dialer) Tears() uint64   { return d.tears.Load() }
 
 // chaosConn is one scheduled connection. budget counts I/O calls until
 // the kill (-1 = never); the mutex serializes the budget against the
@@ -177,7 +172,6 @@ func (c *chaosConn) Read(p []byte) (int, error) {
 			// torn frame before the connection dies.
 			k := c.d.tearLen(len(p))
 			n, _ := c.Conn.Read(p[:k])
-			c.d.tears.Add(1)
 			c.d.noteCut()
 			c.Conn.Close()
 			return n, nil
@@ -199,7 +193,6 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 			// Flush a prefix so the peer's parser chews on a torn frame.
 			k := c.d.tearLen(len(p))
 			c.Conn.Write(p[:k])
-			c.d.tears.Add(1)
 		}
 		c.d.noteCut()
 		c.Conn.Close()

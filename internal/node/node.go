@@ -71,8 +71,9 @@ type Config struct {
 	// Addr is the wire listen address ("127.0.0.1:0" picks an ephemeral
 	// loopback port). Empty starts the node headless: a durable store and
 	// its checkpointer without a wire server, for tests that run
-	// transactions on Node.System in process. No server claims the
-	// store's threads there, so Atomic itself waits for the log.
+	// transactions on Node.System in process. Nothing acknowledges there:
+	// Atomic returns at commit, and a test that needs a commit durable
+	// waits with Store.Log().WaitDurable or syncs.
 	Addr string
 	// Machine is the simulated machine Server.System runs on; its heap is
 	// what the store logs and what a follower replays into.
@@ -107,7 +108,8 @@ type Config struct {
 // (final statistics, heap comparison).
 type Node struct {
 	// System and Backend are what transactions run on: the caller's
-	// build, durably decorated when the node has a store.
+	// build (the System with the store's commit hooks installed, the
+	// Backend durably decorated, when the node has a store).
 	System  tm.System
 	Backend engine.Backend
 
@@ -161,7 +163,7 @@ func Start(cfg Config) (*Node, error) {
 		if err != nil {
 			return fail(err)
 		}
-		n.System = n.Store.Attach(n.System, cfg.Machine)
+		n.Store.Attach(n.System, cfg.Machine)
 		if n.Backend != nil {
 			n.Backend = engine.NewDurableBackend(n.Backend, n.Store)
 		}

@@ -41,9 +41,6 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 	}{{"volatile", false, false}, {"durable", true, false}, {"durable-follower", true, true}} {
 		t.Run(c.name, func(t *testing.T) {
 			f := startFixture(t, 256, 1, 16, 0, c.durable)
-			if got, want := f.srv.ClaimedShards(), map[bool]int{false: 0, true: 1}[c.durable]; got != want {
-				t.Fatalf("%d shards claimed their ack, want %d", got, want)
-			}
 			var fol *replica.Follower
 			if c.follower {
 				addr := f.addr.String()
@@ -81,12 +78,7 @@ func TestServerRequestPathZeroAllocs(t *testing.T) {
 			for i := 0; i < 512; i++ {
 				op()
 			}
-			ackWaits := func() uint64 {
-				if f.store == nil {
-					return 0
-				}
-				return f.store.AckWaitHist().Snapshot().Count()
-			}
+			ackWaits := func() uint64 { return f.srv.Snapshot().Telemetry.AckWaitHist.Count() }
 			before, waitsBefore := caughtUp(), ackWaits()
 			allocs := testing.AllocsPerRun(500, op)
 			if shipped := caughtUp() - before; fol != nil && shipped < 500 {

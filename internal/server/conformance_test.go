@@ -38,9 +38,8 @@ func hashmapInstance(keys, threads int) enginetest.Instance {
 // for the shared engine conformance suite: the remote backend must
 // expose exactly the key-value semantics of the in-process backends it
 // proxies. durableOn runs the server with the WAL store attached, so
-// the suite also covers the durable wrapper end to end (every
-// conformance transaction is acknowledged only after its redo record
-// is fsynced).
+// the suite also covers durable serving end to end (every conformance
+// transaction is acknowledged only after its redo record is fsynced).
 func remoteMaker(durableOn bool) enginetest.Maker {
 	return func(t *testing.T, keys, threads int) enginetest.Instance {
 		t.Helper()

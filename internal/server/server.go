@@ -32,11 +32,11 @@
 // A batch of exclusively read-only ops launches as tm.KindReadOnly and
 // rides SI-HTM's uninstrumented read-only fast path.
 //
-// Durable serving takes the fsync off the executor. The server claims
-// its shard threads on the store (durable.Store.ClaimAck), so Atomic
-// returns at commit; the executor stamps the batch's tasks with the log
-// position their replies depend on, encodes the replies, queues them on
-// their connections and takes the next batch. Each connection's writer
+// Durable serving takes the fsync off the executor. The store only logs
+// (Atomic returns at commit); the executor stamps the batch's tasks
+// with the log position their replies depend on, encodes the replies,
+// queues them on their connections and takes the next batch. Each
+// connection's writer, the one place a durable result is acknowledged,
 // holds a stamped reply, asleep on the log's flush signal, until the
 // durable frontier passes the stamp. The ordering rule: no reply leaves
 // the node before DurableSeq covers the log position at which its batch
@@ -106,11 +106,11 @@ type Config struct {
 	// controller.
 	P99Target time.Duration
 	// Store, when non-nil, is the durability manager already attached to
-	// System. The server claims thread ids 0..Shards-1 on it and holds
-	// each reply until the log covers it (package comment); Drain syncs
-	// the log and forces a final checkpoint to CheckpointPath (if set). A
-	// durable server is automatically a replication leader: TReplSub
-	// subscribers stream its log.
+	// System. The server holds each reply until the log covers it
+	// (package comment); Drain syncs the log and forces a final
+	// checkpoint to CheckpointPath (if set). A durable server is
+	// automatically a replication leader: TReplSub subscribers stream
+	// its log.
 	Store *durable.Store
 	// CheckpointPath receives Drain's final checkpoint.
 	CheckpointPath string
@@ -153,12 +153,13 @@ type Server struct {
 	batchedOps atomic.Uint64
 
 	// Telemetry: the registry (tel), the lifecycle stage histograms
-	// beyond hist (admission wait, per-batch exec, reply flush), and the
-	// frame counters the STATS reply carries.
+	// beyond hist (admission wait, per-batch exec, reply flush and, when
+	// durable, ack wait), and the frame counters the STATS reply carries.
 	tel       *telemetry.Registry
 	admitHist *stats.Histogram
 	execHist  *stats.Histogram
 	flushHist *stats.Histogram
+	ackHist   *stats.Histogram // nil unless Store is set
 	framesIn  atomic.Uint64
 	framesOut atomic.Uint64
 	traceSlow int64 // Config.TraceSlow in ns (0 = off)
@@ -204,15 +205,12 @@ type shard struct {
 	id int
 	// ch carries chains of tasks (linked by task.next), one per reader
 	// hand-off: the requests for this shard that one socket read carried.
-	ch   chan *task
-	sess engine.Session
-	// claimed is set on a durable leader: the shard's thread returns from
-	// Atomic at commit and its replies are stamped for the writer's wait.
-	claimed bool
-	batch   []*task
-	carry   *task       // the rest of a chain the last batch had no room for
-	conns   []*srvConn  // connections with replies in the current batch
-	timer   *time.Timer // admission-grace timer, reused across batches
+	ch    chan *task
+	sess  engine.Session
+	batch []*task
+	carry *task       // the rest of a chain the last batch had no room for
+	conns []*srvConn  // connections with replies in the current batch
+	timer *time.Timer // admission-grace timer, reused across batches
 	// body is the transaction body handed to System.Atomic, bound once
 	// at construction — a per-batch closure literal would escape and
 	// cost one heap allocation per batch.
@@ -312,10 +310,6 @@ func New(cfg Config) (*Server, error) {
 			sess: cfg.Backend.NewSession(),
 		}
 		sh.body = sh.execBody
-		if cfg.Store != nil && cfg.Follower == nil {
-			cfg.Store.ClaimAck(i)
-			sh.claimed = true
-		}
 		s.shards = append(s.shards, sh)
 	}
 	s.registerMetrics()
@@ -466,7 +460,7 @@ func (s *Server) Snapshot() wire.ServerStats {
 		tel.WalBytes = ws.Bytes
 		tel.WalFsyncs = ws.Fsyncs
 		tel.FsyncHist = st.Log().FsyncHist().Snapshot()
-		tel.AckWaitHist = st.AckWaitHist().Snapshot()
+		tel.AckWaitHist = s.ackHist.Snapshot()
 	}
 	return wire.ServerStats{
 		Repl:        repl,
@@ -637,9 +631,10 @@ func (sh *shard) exec(s *Server, opsN int) {
 		}
 	}
 	sh.sess.Prepare(inserts)
+	st := s.cfg.Store
 	var prevSeq uint64
-	if sh.claimed {
-		prevSeq = s.cfg.Store.ThreadSeq(sh.id)
+	if st != nil {
+		prevSeq = st.ThreadSeq(sh.id)
 	}
 	s.cfg.System.Atomic(sh.id, kind, sh.body)
 	sh.sess.Commit()
@@ -651,9 +646,9 @@ func (sh *shard) exec(s *Server, opsN int) {
 	// The ordering rule (package comment). seq is the record this batch
 	// logged, if any; stamp is the log position its replies wait for.
 	var seq, stamp uint64
-	if sh.claimed {
-		stamp = s.cfg.Store.LastSeq()
-		if own := s.cfg.Store.ThreadSeq(sh.id); own != prevSeq {
+	if st != nil {
+		stamp = st.LastSeq()
+		if own := st.ThreadSeq(sh.id); own != prevSeq {
 			seq, stamp = own, own
 			// The record can ship to followers as soon as it is durable,
 			// which nothing here waits for: its trace id has to be on file
@@ -716,7 +711,7 @@ func (s *Server) release(head *task) {
 	for t := head; t != nil; t = t.next {
 		if head.stamp != 0 {
 			t.ackNs = int64(ack)
-			s.cfg.Store.AckWaitHist().Observe(ack)
+			s.ackHist.Observe(ack)
 		}
 		s.hist.Observe(now.Sub(t.t0))
 	}

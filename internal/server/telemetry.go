@@ -41,9 +41,8 @@ func (s *Server) registerMetrics() {
 			func() float64 { return float64(l.DurableSeq()) })
 		reg.MustRegisterHistogram("sihtm_wal_fsync_seconds",
 			"Wall time of each fsync.", l.FsyncHist())
-		reg.MustRegisterHistogram("sihtm_durable_ack_wait_seconds",
-			"Time a committed result waited for the fsync that acknowledges it.",
-			st.AckWaitHist())
+		s.ackHist = reg.MustHistogram("sihtm_durable_ack_wait_seconds",
+			"Time a committed result waited for the fsync that acknowledges it.")
 	}
 
 	if f := s.cfg.Follower; f != nil {

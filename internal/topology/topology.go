@@ -66,12 +66,6 @@ func (t Topology) Place(thread int) (core, smtSlot int) {
 	return thread % t.cores, thread / t.cores
 }
 
-// CoreOf is shorthand for the core component of Place.
-func (t Topology) CoreOf(thread int) int {
-	core, _ := t.Place(thread)
-	return core
-}
-
 // ActiveSMTLevel reports the maximum number of SMT threads that share any
 // single core when the first n threads are placed. This is the "SMT-n"
 // level the paper refers to (e.g. 16 threads on 10 cores → SMT-2).

@@ -40,9 +40,9 @@ func btreeMaker(t *testing.T, keys, threads int) Instance {
 }
 
 // durableMaker decorates an inner maker with a real store (log on
-// disk, group-commit daemon running, acknowledgements on) and attaches
-// it to the machine and system, so the conformance suite exercises the
-// full durable write path.
+// disk, group-commit daemon running) and attaches it to the machine and
+// system, so the conformance suite exercises the full durable write
+// path.
 func durableMaker(inner Maker) Maker {
 	return func(t *testing.T, keys, threads int) Instance {
 		in := inner(t, keys, threads)

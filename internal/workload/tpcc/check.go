@@ -1,10 +1,6 @@
 package tpcc
 
-import (
-	"fmt"
-
-	"sihtm/internal/memsim"
-)
+import "fmt"
 
 // CheckConsistency verifies the TPC-C consistency conditions that remain
 // decidable under this implementation's ring-buffer storage (see
@@ -106,11 +102,3 @@ func (db *DB) TotalOrders() uint64 {
 func (db *DB) WarehouseYTD(w int) uint64 {
 	return db.heap.Load(db.ws[w].w + wYTD)
 }
-
-// CustomerBalance returns customer (w,d,c)'s balance in cents (signed).
-func (db *DB) CustomerBalance(w, d, c int) int64 {
-	nc := db.cfg.CustomersPerDistrict()
-	return int64(db.heap.Load(db.ws[w].customers.row(d*nc+c) + cBalance))
-}
-
-var _ = memsim.WordsPerLine
