@@ -185,28 +185,6 @@ func TestAbortReleasesCapacity(t *testing.T) {
 	checkQuiescent(t, m)
 }
 
-// The ROT read-sampling knob (the paper's footnote 1) makes ROTs charge
-// some reads.
-func TestROTReadSampling(t *testing.T) {
-	heap := memsim.NewHeapLines(1 << 12)
-	m := htm.NewMachine(heap, htm.Config{
-		Topology:          topology.New(1, 1),
-		TMCAMLines:        4,
-		ROTReadTrackEvery: 2, // every 2nd ROT read is tracked
-	})
-	lines := allocLines(m, 16)
-	th := m.Thread(0)
-	ab := htm.Run(th, htm.ModeROT, func(tx *htm.Tx) {
-		for _, a := range lines {
-			tx.Read(a)
-		}
-	})
-	if ab == nil || ab.Code != htm.CodeCapacity {
-		t.Fatalf("abort = %v, want capacity once sampled reads fill the TMCAM", ab)
-	}
-	checkQuiescent(t, m)
-}
-
 func TestConfigDefaults(t *testing.T) {
 	heap := memsim.NewHeapLines(16)
 	m := htm.NewMachine(heap, htm.Config{})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sihtm/internal/htm"
+	"sihtm/internal/memsim"
 )
 
 // The tests in this file script the exact conflict scenarios of the
@@ -150,6 +151,42 @@ func TestPlainStoreKillsAllOwners(t *testing.T) {
 		t.Fatal("plain stores lost")
 	}
 	checkQuiescent(t, m)
+}
+
+// A reader that subscribes to a line while a plain store or CAS to it
+// is under way either loads the new value or is doomed by the store: it
+// never commits on the old one. The hook runs thread 0's subscription
+// between the two steps of thread 1's store. Scanning the readers before
+// publishing (the order that let an HTM transaction read the SGL word as
+// free and commit over the fall-back body) fails here on every run.
+func TestPlainStoreReachesAReaderInItsWindow(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		store func(th *htm.Thread, a memsim.Addr)
+	}{
+		{"Store", func(th *htm.Thread, a memsim.Addr) { th.Store(a, 1) }},
+		{"CompareAndSwap", func(th *htm.Thread, a memsim.Addr) { th.CompareAndSwap(a, 0, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newMachine(t, 2, 1, 64)
+			lock := m.Heap().AllocLine()
+			var sub *htm.Tx
+			var seen uint64
+			m.SetPlainPublished(func() {
+				m.SetPlainPublished(nil)
+				sub = m.Thread(0).Begin(htm.ModeHTM)
+				seen = sub.Read(lock)
+			})
+			c.store(m.Thread(1), lock)
+			if sub == nil {
+				t.Fatal("the hook did not run")
+			}
+			if ab := tryTx(func() { sub.Commit() }); ab == nil && seen != 1 {
+				t.Fatalf("subscriber read %d and committed after the plain write of 1", seen)
+			}
+			checkQuiescent(t, m)
+		})
+	}
 }
 
 // Suspended accesses are non-transactional: they do not grow the

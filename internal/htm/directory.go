@@ -55,11 +55,14 @@ import (
 //     one's PostCommit (see hook.go).
 //  4. Writers and tracked readers see each other without a common lock,
 //     Dekker-style on sync/atomic's sequential consistency: trackRead
-//     registers in the reader table and then loads the ownership word;
-//     claimWrite CASes the word and then loads shard.readers, locking
-//     the shard to doom the line's readers only if it is non-zero;
-//     conflictStore goes writer-then-readers the same way. Whichever
-//     side comes second sees the first.
+//     registers in the reader table and then loads; every writer
+//     publishes and then loads shard.readers, locking the shard to doom
+//     the line's readers only if it is non-zero. claimWrite publishes by
+//     CASing the ownership word; a plain store or CAS by writing the heap
+//     word, after dooming the line's live writer. Whichever side comes
+//     second sees the first. A plain store that scanned before it
+//     published would let a reader load the old value in between and
+//     commit on it: an HTM transaction reading the SGL word as free.
 //  5. Release. Commit stores 0 into each word it owns (a committing
 //     transaction cannot be doomed, so none was stolen); cleanup CASes
 //     its own word back to 0 and leaves a stolen one alone. Both drop

@@ -33,8 +33,11 @@
 // a public API boundary.
 //
 // What is deliberately not modelled: instruction-level timing, cache
-// associativity, and the POWER9 L2 LVDIR read-tracking structure (the
-// paper argues it is incompatible with SMT workloads and does not use it).
+// associativity, the POWER9 L2 LVDIR read-tracking structure (the paper
+// argues it is incompatible with SMT workloads and does not use it), and
+// the §3 footnote that the TMCAM may track "a small fraction of reads in
+// a ROT": here a ROT tracks no read at all, so its capacity is bounded by
+// its write set alone.
 //
 // Conflict detection costs what the paper says it costs in hardware:
 // nothing shared in software. Write ownership is one atomic word per

@@ -25,3 +25,9 @@ func (m *Machine) OwnerWord(a memsim.Addr) (word uint32, thread int) {
 	}
 	return word, m.ownerTx(word).th.id
 }
+
+// SetPlainPublished installs f to run inside every plain store and CAS,
+// after the heap word is written and before the line's tracked readers
+// are doomed; nil removes it. Set it only while no other thread issues
+// plain stores.
+func (m *Machine) SetPlainPublished(f func()) { m.plainPublished = f }

@@ -34,12 +34,6 @@ type Config struct {
 	// TMCAMLines is the per-core transactional buffer capacity in cache
 	// lines, shared by the core's SMT threads. 0 means DefaultTMCAMLines.
 	TMCAMLines int
-	// ROTReadTrackEvery models the footnote in §3: "due to
-	// implementation-specific reasons, the TMCAM can also track a small
-	// fraction of reads in a ROT". If > 0, every n-th distinct line read
-	// by a ROT is tracked (and charged) as if it were a regular
-	// transactional read. 0 (the default) disables the effect.
-	ROTReadTrackEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -79,6 +73,10 @@ type Machine struct {
 	// publication (see CommitHook). Set before workers start; read
 	// unsynchronized on the commit hot path.
 	hook CommitHook
+
+	// plainPublished, when set, runs between a plain store's publication
+	// and its reader scan. Only tests set it (export_test.go).
+	plainPublished func()
 
 	// idMask covers the hardware-thread field of an ownership word,
 	// bits.Len(MaxThreads) wide; the incarnation tag takes the rest.

@@ -70,8 +70,11 @@ func (t *Thread) Store(a memsim.Addr, v uint64) {
 // swap succeeds, as the exclusive-ownership request alone invalidates).
 func (t *Thread) CompareAndSwap(a memsim.Addr, old, new uint64) bool {
 	t.assertPlainContext()
-	t.m.conflictStore(memsim.LineOf(a))
-	return t.m.heap.CompareAndSwap(a, old, new)
+	line := memsim.LineOf(a)
+	t.m.conflictRead(line, nil)
+	ok := t.m.heap.CompareAndSwap(a, old, new)
+	t.m.doomPlainReaders(line)
+	return ok
 }
 
 // plainLoad is a non-transactional load with conflict side effects.
@@ -80,17 +83,20 @@ func (m *Machine) plainLoad(a memsim.Addr) uint64 {
 	return m.heap.Load(a)
 }
 
-// plainStore is a non-transactional store with conflict side effects.
+// plainStore is a non-transactional store with conflict side effects, in
+// directory rule 4's order: doom the writer, publish, doom the readers.
 func (m *Machine) plainStore(a memsim.Addr, v uint64) {
-	m.conflictStore(memsim.LineOf(a))
+	line := memsim.LineOf(a)
+	m.conflictRead(line, nil)
 	m.heap.Store(a, v)
+	m.doomPlainReaders(line)
 }
 
-// conflictStore performs the coherence action of a plain store: dooming
-// the line's live writer and every transaction tracking the line as read.
-// If the writer is mid-commit, the store waits for the write-back to
-// drain (it would lose the exclusive-ownership race on real hardware).
-func (m *Machine) conflictStore(line memsim.Line) {
-	m.conflictRead(line, nil)
+// doomPlainReaders dooms the tracked readers of line for a plain store or
+// CAS that has published its value (directory rule 4).
+func (m *Machine) doomPlainReaders(line memsim.Line) {
+	if m.plainPublished != nil {
+		m.plainPublished()
+	}
 	m.doomReaders(line, nil, CodeNonTxConflict)
 }

@@ -65,7 +65,6 @@ type Tx struct {
 	writeLines footprint.LineSet     // distinct lines in the write set
 	readLines  footprint.LineSet     // distinct tracked read lines
 	charged    int64                 // TMCAM lines charged on the core
-	rotReads   int                   // ROT reads seen, for the sampling knob
 }
 
 // Mode returns the transaction's flavour.
@@ -163,7 +162,6 @@ func (tx *Tx) resetFootprint() {
 	tx.writes.Reset()
 	tx.writeLines.Reset()
 	tx.readLines.Reset()
-	tx.rotReads = 0
 }
 
 // cleanup withdraws the transaction from the directory, releases its
@@ -199,8 +197,8 @@ func (tx *Tx) bufferedRead(a memsim.Addr) (uint64, bool) {
 // Read performs a transactional load of the word at a.
 //
 // In ModeHTM the line is tracked in the read set (consuming TMCAM
-// capacity); in ModeROT the load is untracked and capacity-free but, like
-// any load, dooms a concurrent transactional writer of the line. While
+// capacity); in ModeROT every load is untracked and capacity-free but,
+// like any load, dooms a concurrent transactional writer of the line. While
 // suspended, the load is executed non-transactionally.
 func (tx *Tx) Read(a memsim.Addr) uint64 {
 	tx.checkDoomed()
@@ -223,15 +221,6 @@ func (tx *Tx) Read(a memsim.Addr) uint64 {
 		// coexist with a live writer (either registration dooms the
 		// other), so the heap value is committed data.
 		return m.heap.Load(a)
-	}
-	// ROT read: optionally sample some reads into the TMCAM, modelling
-	// the paper's footnote that ROTs may track a small fraction of reads.
-	if every := m.cfg.ROTReadTrackEvery; every > 0 {
-		tx.rotReads++
-		if tx.rotReads%every == 0 && !tx.readLines.Contains(line) {
-			tx.trackRead(line)
-			return m.heap.Load(a)
-		}
 	}
 	m.conflictRead(line, tx)
 	return m.heap.Load(a)
@@ -359,7 +348,7 @@ func (tx *Tx) Commit() {
 	if tx.writes.Len() > 0 {
 		// A committing transaction cannot be doomed, so it owns every
 		// line of its write set until it lets go below, and every access
-		// to one of them waits for that (conflictRead, conflictStore) or
+		// to one of them waits for that (conflictRead, plainStore) or
 		// self-aborts (claimWrite). The commit hook brackets the
 		// write-back inside that section: a conflicting later transaction
 		// cannot reach its own PreCommit until the words are cleared, so

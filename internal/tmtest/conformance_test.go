@@ -3,16 +3,38 @@ package tmtest
 import (
 	"testing"
 
+	"sihtm/internal/htmtm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/p8tm"
+	"sihtm/internal/sihtm"
 	"sihtm/internal/tm"
 )
 
 // The conformance suite runs every isolation property against every
 // concurrency control. SI-HTM is asserted to *allow* write skew (that is
-// the semantics the paper proves); everything else must forbid it.
+// the semantics the paper proves); everything else must forbid it. The
+// contended checks also run each HTM-based system with every abort
+// taking the SGL fall-back.
+
+// contendedFactories is every system at its default budget plus htm,
+// si-htm and p8tm at a one-attempt budget, under which every abort takes
+// the fall-back and the serial path runs beside hardware commits.
+func contendedFactories() []Factory {
+	return append(StandardFactories(0),
+		Factory{Name: "htm/retries=1", Serializable: true, New: func(h *memsim.Heap, n int) tm.System {
+			return htmtm.NewSystem(newMachine(h, 0), n, htmtm.Config{Retries: 1})
+		}},
+		Factory{Name: "si-htm/retries=1", Serializable: false, New: func(h *memsim.Heap, n int) tm.System {
+			return sihtm.NewSystem(newMachine(h, 0), n, sihtm.Config{Retries: 1})
+		}},
+		Factory{Name: "p8tm/retries=1", Serializable: true, New: func(h *memsim.Heap, n int) tm.System {
+			return p8tm.NewSystem(newMachine(h, 0), n, p8tm.Config{Retries: 1})
+		}},
+	)
+}
 
 func TestCounterConformance(t *testing.T) {
-	for _, f := range StandardFactories(0) {
+	for _, f := range contendedFactories() {
 		t.Run(f.Name, func(t *testing.T) {
 			heap := memsim.NewHeapLines(1 << 10)
 			x := heap.AllocLine()
@@ -23,7 +45,7 @@ func TestCounterConformance(t *testing.T) {
 }
 
 func TestSnapshotConsistencyConformance(t *testing.T) {
-	for _, f := range StandardFactories(0) {
+	for _, f := range contendedFactories() {
 		t.Run(f.Name, func(t *testing.T) {
 			heap := memsim.NewHeapLines(1 << 10)
 			x := heap.AllocLine()
@@ -89,7 +111,7 @@ func TestFallbackConformance(t *testing.T) {
 }
 
 func TestTransfersConformance(t *testing.T) {
-	for _, f := range StandardFactories(0) {
+	for _, f := range contendedFactories() {
 		t.Run(f.Name, func(t *testing.T) {
 			heap := memsim.NewHeapLines(1 << 10)
 			accounts := make([]memsim.Addr, 8)

@@ -15,7 +15,7 @@
 //
 //	rt := sihtm.New(sihtm.Config{HeapLines: 1 << 16})
 //	x := rt.Heap().AllocLine()
-//	sys := rt.NewSIHTM(4, sihtm.SIHTMOptions{})
+//	sys := rt.NewSIHTM(4)
 //	sys.Atomic(0, sihtm.KindUpdate, func(ops sihtm.Ops) {
 //	    ops.Write(x, ops.Read(x)+1)
 //	})
@@ -29,11 +29,14 @@
 // thread→core placement (and therefore TMCAM sharing between SMT
 // siblings) follows the paper's 10-core × SMT-8 POWER8 unless configured
 // otherwise.
+//
+// The package's Examples (example_test.go) are its demonstrations, and
+// go test checks their output: the write skew SI admits and read
+// promotion forbids (§2.1), and the capacity and SMT effects that stop
+// plain HTM but not SI-HTM (§2.2, Fig. 6).
 package sihtm
 
 import (
-	"fmt"
-
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	isihtm "sihtm/internal/sihtm"
@@ -93,18 +96,13 @@ const (
 // Config sizes a Runtime.
 type Config struct {
 	// Cores and SMTWays define the simulated machine. Zero values mean
-	// the paper's POWER8: 10 cores × SMT-8.
+	// the paper's POWER8: 10 cores × SMT-8. Every core has the
+	// hardware's 64-line TMCAM, shared by its SMT siblings.
 	Cores   int
 	SMTWays int
-	// TMCAMLines is the per-core transactional buffer in cache lines,
-	// shared by SMT siblings. 0 means the hardware's 64.
-	TMCAMLines int
 	// HeapLines is the simulated memory size in cache lines. 0 means
 	// 1<<16 lines (8 MiB).
 	HeapLines int
-	// ROTReadTrackEvery > 0 makes every n-th ROT read consume TMCAM
-	// capacity (the paper's footnote 1). 0 disables.
-	ROTReadTrackEvery int
 }
 
 // Runtime owns a simulated machine and its heap. All systems created from
@@ -127,11 +125,7 @@ func New(cfg Config) *Runtime {
 		cfg.HeapLines = 1 << 16
 	}
 	heap := memsim.NewHeapLines(cfg.HeapLines)
-	machine := htm.NewMachine(heap, htm.Config{
-		Topology:          topology.New(cfg.Cores, cfg.SMTWays),
-		TMCAMLines:        cfg.TMCAMLines,
-		ROTReadTrackEvery: cfg.ROTReadTrackEvery,
-	})
+	machine := htm.NewMachine(heap, htm.Config{Topology: topology.New(cfg.Cores, cfg.SMTWays)})
 	return &Runtime{heap: heap, machine: machine}
 }
 
@@ -150,38 +144,22 @@ func (r *Runtime) MaxThreads() int { return r.machine.Topology().MaxThreads() }
 // the System interface.
 type SIHTM = isihtm.System
 
-// SIHTMOptions tunes SI-HTM.
-type SIHTMOptions struct {
-	// Retries is the ROT attempt budget before the SGL fall-back
-	// (default 10).
-	Retries int
-	// DisableROFastPath routes read-only transactions through the update
-	// path (for ablations).
-	DisableROFastPath bool
-	// KillerSpins enables the paper's §6 killing policy after that many
-	// wait-loop spins (0 disables).
-	KillerSpins int
-}
-
-// NewSIHTM builds the paper's SI-HTM system for the given worker count.
-func (r *Runtime) NewSIHTM(threads int, o SIHTMOptions) *SIHTM {
-	return isihtm.NewSystem(r.machine, threads, isihtm.Config{
-		Retries:           o.Retries,
-		DisableROFastPath: o.DisableROFastPath,
-		KillerSpins:       o.KillerSpins,
-	})
+// NewSIHTM builds the paper's SI-HTM system for the given worker count,
+// with the artifact's retry budget and read-only fast path.
+func (r *Runtime) NewSIHTM(threads int) *SIHTM {
+	return isihtm.NewSystem(r.machine, threads, isihtm.Config{})
 }
 
 // NewHTM builds the plain-HTM baseline (regular transactions, early lock
-// subscription, SGL fall-back). retries 0 means the default budget.
-func (r *Runtime) NewHTM(threads, retries int) System {
-	return htmtm.NewSystem(r.machine, threads, htmtm.Config{Retries: retries})
+// subscription, SGL fall-back).
+func (r *Runtime) NewHTM(threads int) System {
+	return htmtm.NewSystem(r.machine, threads, htmtm.Config{})
 }
 
 // NewP8TM builds the P8TM baseline (ROTs + software read logging +
-// quiescence; serializable). retries 0 means the default budget.
-func (r *Runtime) NewP8TM(threads, retries int) System {
-	return p8tm.NewSystem(r.machine, threads, p8tm.Config{Retries: retries})
+// quiescence; serializable).
+func (r *Runtime) NewP8TM(threads int) System {
+	return p8tm.NewSystem(r.machine, threads, p8tm.Config{})
 }
 
 // NewSilo builds the Silo baseline (software OCC, no hardware support).
@@ -192,28 +170,6 @@ func (r *Runtime) NewSilo(threads int) System {
 // NewSGL builds the single-global-lock reference system.
 func (r *Runtime) NewSGL(threads int) System {
 	return sgl.NewSystem(r.machine, threads)
-}
-
-// SystemNames lists the constructor keys understood by NewSystemByName,
-// in the order the paper's figures present them.
-func SystemNames() []string { return []string{"htm", "si-htm", "p8tm", "silo", "sgl"} }
-
-// NewSystemByName builds a system by its benchmark name.
-func (r *Runtime) NewSystemByName(name string, threads int) (System, error) {
-	switch name {
-	case "si-htm", "sihtm":
-		return r.NewSIHTM(threads, SIHTMOptions{}), nil
-	case "htm":
-		return r.NewHTM(threads, 0), nil
-	case "p8tm":
-		return r.NewP8TM(threads, 0), nil
-	case "silo":
-		return r.NewSilo(threads), nil
-	case "sgl":
-		return r.NewSGL(threads), nil
-	default:
-		return nil, fmt.Errorf("sihtm: unknown system %q (known: %v)", name, SystemNames())
-	}
 }
 
 // PromoteRead performs a promoted read: the value is read and immediately

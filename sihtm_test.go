@@ -10,7 +10,7 @@ import (
 func TestQuickstartFlow(t *testing.T) {
 	rt := sihtm.New(sihtm.Config{HeapLines: 1 << 10})
 	x := rt.Heap().AllocLine()
-	sys := rt.NewSIHTM(2, sihtm.SIHTMOptions{})
+	sys := rt.NewSIHTM(2)
 
 	var wg sync.WaitGroup
 	for id := 0; id < 2; id++ {
@@ -43,35 +43,18 @@ func TestDefaultsMatchPaperMachine(t *testing.T) {
 	}
 }
 
-func TestNewSystemByName(t *testing.T) {
-	rt := sihtm.New(sihtm.Config{HeapLines: 1 << 8})
-	for _, name := range sihtm.SystemNames() {
-		sys, err := rt.NewSystemByName(name, 2)
-		if err != nil {
-			t.Fatalf("NewSystemByName(%q): %v", name, err)
-		}
-		if sys.Name() != name {
-			t.Fatalf("system %q reports name %q", name, sys.Name())
-		}
-		if sys.Threads() != 2 {
-			t.Fatalf("system %q threads = %d", name, sys.Threads())
-		}
-	}
-	if _, err := rt.NewSystemByName("nope", 2); err == nil {
-		t.Fatal("unknown system name accepted")
-	}
-	// The alias spelling.
-	if sys, err := rt.NewSystemByName("sihtm", 1); err != nil || sys.Name() != "si-htm" {
-		t.Fatalf("alias sihtm: %v, %v", sys, err)
-	}
-}
-
 func TestEverySystemRunsTheSameBody(t *testing.T) {
 	rt := sihtm.New(sihtm.Config{HeapLines: 1 << 10, Cores: 4, SMTWays: 2})
-	for _, name := range sihtm.SystemNames() {
-		sys, err := rt.NewSystemByName(name, 2)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		sys  sihtm.System
+	}{
+		{"htm", rt.NewHTM(2)}, {"si-htm", rt.NewSIHTM(2)}, {"p8tm", rt.NewP8TM(2)},
+		{"silo", rt.NewSilo(2)}, {"sgl", rt.NewSGL(2)},
+	} {
+		sys := c.sys
+		if sys.Name() != c.name || sys.Threads() != 2 {
+			t.Fatalf("system %q reports name %q, threads %d", c.name, sys.Name(), sys.Threads())
 		}
 		a := rt.Heap().AllocLine()
 		sys.Atomic(0, sihtm.KindUpdate, func(ops sihtm.Ops) {
@@ -79,14 +62,14 @@ func TestEverySystemRunsTheSameBody(t *testing.T) {
 			ops.Write(a, ops.Read(a)+1)
 		})
 		if got := rt.Heap().Load(a); got != 42 {
-			t.Fatalf("%s: value = %d, want 42", name, got)
+			t.Fatalf("%s: value = %d, want 42", sys.Name(), got)
 		}
 	}
 }
 
 func TestPromoteReadPreventsWriteSkew(t *testing.T) {
 	rt := sihtm.New(sihtm.Config{HeapLines: 1 << 10, Cores: 2, SMTWays: 1})
-	sys := rt.NewSIHTM(2, sihtm.SIHTMOptions{})
+	sys := rt.NewSIHTM(2)
 	x := rt.Heap().AllocLine()
 	y := rt.Heap().AllocLine()
 
