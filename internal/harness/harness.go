@@ -29,9 +29,19 @@ func (r Result) AbortPercent(kind stats.AbortKind) float64 {
 	return 100 * r.Stats.AbortShare(kind)
 }
 
+// maxWindows caps how many measurement windows Run spends waiting for a
+// first commit.
+const maxWindows = 10
+
 // Run drives `threads` workers against sys for the given windows. Each
 // worker repeatedly invokes the op closure returned by mkWorker for its
 // thread id. Only activity inside the measurement window is reported.
+//
+// A busy host can hold the workers off the CPU for a whole short window.
+// A window that ends with no commit is therefore extended by another of
+// the same length, up to maxWindows in all, and the Result carries the
+// time actually measured, so the throughput is still commits over
+// elapsed time. A window with a commit ends on time.
 func Run(sys tm.System, threads int, warmup, measure time.Duration, mkWorker func(thread int) func()) Result {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -48,8 +58,13 @@ func Run(sys tm.System, threads int, warmup, measure time.Duration, mkWorker fun
 	time.Sleep(warmup)
 	before := sys.Collector().Snapshot()
 	start := time.Now()
-	time.Sleep(measure)
-	after := sys.Collector().Snapshot()
+	var after stats.Stats
+	for range maxWindows {
+		time.Sleep(measure)
+		if after = sys.Collector().Snapshot(); after.Commits > before.Commits {
+			break
+		}
+	}
 	elapsed := time.Since(start)
 	stop.Store(true)
 	wg.Wait()

@@ -45,6 +45,53 @@ func TestRunMeasuresOnlyTheWindow(t *testing.T) {
 	}
 }
 
+// A window that sees no commit is extended a window at a time, and the
+// result reports the time actually measured.
+func TestRunExtendsAWindowWithNoCommit(t *testing.T) {
+	const window = 5 * time.Millisecond
+	sys, heap := newSIHTM(1)
+	x := heap.AllocLine()
+	start := time.Now()
+	r := harness.Run(sys, 1, 0, window, func(int) func() {
+		return func() {
+			if time.Since(start) < 3*window {
+				time.Sleep(time.Millisecond) // held off the CPU
+				return
+			}
+			sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
+				ops.Write(x, ops.Read(x)+1)
+			})
+		}
+	})
+	if r.Stats.Commits == 0 {
+		t.Fatal("no commits measured")
+	}
+	if r.Elapsed < 3*window {
+		t.Fatalf("Elapsed = %v, want at least the %v before the first commit", r.Elapsed, 3*window)
+	}
+	if want := float64(r.Stats.Commits) / r.Elapsed.Seconds(); r.Throughput != want {
+		t.Fatalf("Throughput = %v, want commits over elapsed time %v", r.Throughput, want)
+	}
+}
+
+// A workload that never commits ends after the stated cap of windows.
+func TestRunGivesUpAfterTenWindows(t *testing.T) {
+	const window = 2 * time.Millisecond
+	sys, _ := newSIHTM(1)
+	r := harness.Run(sys, 1, 0, window, func(int) func() {
+		return func() { time.Sleep(100 * time.Microsecond) }
+	})
+	if r.Stats.Commits != 0 {
+		t.Fatalf("commits = %d, want 0", r.Stats.Commits)
+	}
+	if r.Elapsed < 10*window {
+		t.Fatalf("Elapsed = %v, want at least ten windows (%v)", r.Elapsed, 10*window)
+	}
+	if r.Elapsed > time.Second {
+		t.Fatalf("Elapsed = %v: Run did not stop at ten windows", r.Elapsed)
+	}
+}
+
 func TestRunOpsIsExact(t *testing.T) {
 	sys, heap := newSIHTM(3)
 	x := heap.AllocLine()

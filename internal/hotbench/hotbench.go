@@ -3,9 +3,11 @@
 // simulated transactional operation (Read, Write, Commit, an aborted
 // attempt, two threads committing side by side, or a full sihtm Atomic
 // block) as a function of the transaction's footprint in cache lines,
-// plus fixed-size cases about the simulated memory itself: a dependent
-// pointer chase over a data set larger than cache, and two over the
-// Fig. 6 hash map, one lookup and the linear-time load.
+// plus fixed-size cases: two plain accesses outside any transaction (a
+// load, and the global lock's acquire and release), and three about the
+// simulated memory itself: a dependent pointer chase over a data set
+// larger than cache, and two over the Fig. 6 hash map, one lookup and
+// the linear-time load.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -31,6 +33,7 @@ import (
 	"sihtm/internal/memsim"
 	"sihtm/internal/results"
 	"sihtm/internal/rng"
+	"sihtm/internal/sgl"
 	isihtm "sihtm/internal/sihtm"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
@@ -44,20 +47,25 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // Case is one microbenchmark: Setup builds a fresh simulated machine and
 // returns a runner executing n operations of the scenario.
 type Case struct {
-	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t", "atomic", "chase", "lookup" or "populate".
+	// Op is the operation family: "plain", "read", "write", "commit",
+	// "abort", "commit-2t", "atomic", "chase", "lookup" or "populate".
 	Op string
-	// Mode is the transaction flavour ("HTM"/"ROT"); "" for the rest.
+	// Mode is the transaction flavour ("HTM"/"ROT"), or for plain the
+	// access ("Load"/"LockPair"); "" for the rest.
 	Mode string
 	// Lines is the transaction footprint in cache lines; for chase,
-	// lookup and populate, the size of the data set.
+	// lookup and populate, the size of the data set; 0 for plain.
 	Lines int
 	// Setup constructs the scenario and returns its runner.
 	Setup func() func(n int)
 }
 
-// Sub is the case's sub-benchmark name, e.g. "HTM/lines=1024".
+// Sub is the case's sub-benchmark name, e.g. "HTM/lines=1024", or
+// "Load" for a plain case.
 func (c Case) Sub() string {
+	if c.Lines == 0 {
+		return c.Mode
+	}
 	if c.Mode == "" {
 		return fmt.Sprintf("lines=%d", c.Lines)
 	}
@@ -66,7 +74,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "populate": "Populate"}[c.Op]
+	title := map[string]string{"plain": "Plain", "read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "populate": "Populate"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -88,6 +96,34 @@ func allocLines(heap *memsim.Heap, n int) []memsim.Addr {
 		addrs[i] = heap.AllocLine()
 	}
 	return addrs
+}
+
+// plainCase measures one plain access outside any transaction on an
+// idle one-thread machine. "Load" is a Thread.Load of a word of a line
+// no transaction owns: the step a read-only transaction's body repeats.
+// "LockPair" is one sgl.Lock Acquire plus Release, the global lock's
+// load and compare-and-swap, then its load and store: what every
+// fall-back and every lock check outside the hardware pays.
+func plainCase(access string) Case {
+	return Case{Op: "plain", Mode: access, Setup: func() func(int) {
+		heap, m := newMachine(1)
+		th := m.Thread(0)
+		if access == "LockPair" {
+			lock := sgl.New(m)
+			return func(n int) {
+				for k := 0; k < n; k++ {
+					lock.Acquire(th)
+					lock.Release(th)
+				}
+			}
+		}
+		a := heap.AllocLine()
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				th.Load(a)
+			}
+		}
+	}}
 }
 
 // readCase measures the steady-state cost of Tx.Read inside a live
@@ -338,7 +374,7 @@ func Cases(sweep []int) []Case {
 	if len(sweep) == 0 {
 		sweep = DefaultSweep
 	}
-	var cs []Case
+	cs := []Case{plainCase("Load"), plainCase("LockPair")}
 	for _, mk := range []func(htm.Mode, int) Case{readCase, writeCase, commitCase, abortCase} {
 		for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
 			for _, lines := range sweep {

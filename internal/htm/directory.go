@@ -44,7 +44,12 @@ import (
 //     land on that thread's next incarnation in the same window: a
 //     spurious abort (quiesce's stale Kill handle can already cause
 //     one), never a missed doom.
-//  3. Load of an owned line (conflictRead). Own line: return. Otherwise
+//  3. Load of an owned line (conflictRead). Every load site — a plain
+//     load, a ROT or suspended Tx.Read, an HTM read's first touch, the
+//     writer check of a plain store or CAS — first tests the line's word
+//     in its own frame (snoop, inlined) and goes on to the heap word when
+//     it is 0, which is almost every load: no call, no shared write.
+//     Only a non-zero word takes conflictRead. Own line: return. Otherwise
 //     doom the owner; if that fails because the owner is already dead,
 //     return (its buffered stores were never visible); if it fails
 //     because the owner is committing, deliver the requester's own
@@ -67,6 +72,16 @@ import (
 //     transaction cannot be doomed, so none was stolen); cleanup CASes
 //     its own word back to 0 and leaves a stolen one alone. Both drop
 //     the reader registration of every line in the read set.
+
+// snoop is the coherence action of a load of line by requester (nil for
+// a plain access), inlined into each load site (rule 3): a zero ownership
+// word means no writer to doom or wait for, so only a non-zero one calls
+// conflictRead, which loads the word again.
+func (m *Machine) snoop(line memsim.Line, requester *Tx) {
+	if m.owner[line].Load() != 0 {
+		m.conflictRead(line, requester)
+	}
+}
 
 // ownerTx returns the transaction slot an ownership word names.
 func (m *Machine) ownerTx(word uint32) *Tx {

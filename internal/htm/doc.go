@@ -45,7 +45,11 @@
 // store; tracked readers live in a sparse side table that only HTM-mode
 // reads ever lock. A ROT that writes, reads untracked and commits — the
 // whole of SI-HTM — takes no mutex and touches no map (directory.go has
-// the protocol).
+// the protocol). The unowned case is handled at each load site: a plain
+// load, a ROT or suspended read, and the writer check of a plain store
+// or CAS test the line's word in their own frame and, when it is zero,
+// reach the heap word with no call and no shared write; only an owned
+// line calls into the coherence action.
 //
 // Per-transaction footprint state (read/write line sets, the store
 // buffer) lives in the O(1), pooled structures of internal/footprint,

@@ -26,6 +26,10 @@ func benchCases(b *testing.B, op string) {
 	}
 }
 
+// BenchmarkPlain measures one plain Thread.Load, and one global-lock
+// acquire plus release, outside any transaction.
+func BenchmarkPlain(b *testing.B) { benchCases(b, "plain") }
+
 // BenchmarkRead measures steady-state Tx.Read at footprints of 1→4096
 // tracked lines, in both HTM and ROT modes.
 func BenchmarkRead(b *testing.B) { benchCases(b, "read") }

@@ -54,15 +54,22 @@ func (t *Thread) assertPlainContext() {
 // lever behind both the SGL fall-back and SI-HTM's safety wait.
 func (t *Thread) Load(a memsim.Addr) uint64 {
 	t.assertPlainContext()
-	return t.m.plainLoad(a)
+	m := t.m
+	m.snoop(memsim.LineOf(a), nil)
+	return m.heap.Load(a)
 }
 
 // Store performs a plain store. It dooms any live transactional writer of
 // the line and any transaction tracking the line in its read set (e.g.
-// SGL subscribers).
+// SGL subscribers), in directory rule 4's order: doom the writer,
+// publish, doom the readers.
 func (t *Thread) Store(a memsim.Addr, v uint64) {
 	t.assertPlainContext()
-	t.m.plainStore(a, v)
+	m := t.m
+	line := memsim.LineOf(a)
+	m.snoop(line, nil)
+	m.heap.Store(a, v)
+	m.doomPlainReaders(line)
 }
 
 // CompareAndSwap performs a plain atomic compare-and-swap on the word at
@@ -70,26 +77,12 @@ func (t *Thread) Store(a memsim.Addr, v uint64) {
 // swap succeeds, as the exclusive-ownership request alone invalidates).
 func (t *Thread) CompareAndSwap(a memsim.Addr, old, new uint64) bool {
 	t.assertPlainContext()
+	m := t.m
 	line := memsim.LineOf(a)
-	t.m.conflictRead(line, nil)
-	ok := t.m.heap.CompareAndSwap(a, old, new)
-	t.m.doomPlainReaders(line)
-	return ok
-}
-
-// plainLoad is a non-transactional load with conflict side effects.
-func (m *Machine) plainLoad(a memsim.Addr) uint64 {
-	m.conflictRead(memsim.LineOf(a), nil)
-	return m.heap.Load(a)
-}
-
-// plainStore is a non-transactional store with conflict side effects, in
-// directory rule 4's order: doom the writer, publish, doom the readers.
-func (m *Machine) plainStore(a memsim.Addr, v uint64) {
-	line := memsim.LineOf(a)
-	m.conflictRead(line, nil)
-	m.heap.Store(a, v)
+	m.snoop(line, nil)
+	ok := m.heap.CompareAndSwap(a, old, new)
 	m.doomPlainReaders(line)
+	return ok
 }
 
 // doomPlainReaders dooms the tracked readers of line for a plain store or

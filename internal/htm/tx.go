@@ -199,30 +199,30 @@ func (tx *Tx) bufferedRead(a memsim.Addr) (uint64, bool) {
 // In ModeHTM the line is tracked in the read set (consuming TMCAM
 // capacity); in ModeROT every load is untracked and capacity-free but,
 // like any load, dooms a concurrent transactional writer of the line. While
-// suspended, the load is executed non-transactionally.
+// suspended, the load is executed non-transactionally. An untracked load
+// of a line no transaction owns, nearly every ROT read, tests the
+// ownership word and reads the heap here, with no call (directory rule 3).
 func (tx *Tx) Read(a memsim.Addr) uint64 {
 	tx.checkDoomed()
-	if tx.suspended {
-		return tx.th.m.plainLoad(a)
-	}
 	m := tx.th.m
 	line := memsim.LineOf(a)
-	if tx.writeLines.Contains(line) {
+	switch {
+	case tx.suspended:
+		m.snoop(line, nil) // a plain load
+	case tx.writeLines.Contains(line):
 		if v, ok := tx.bufferedRead(a); ok {
 			return v // reads-own-writes (restriction R3 in the paper)
 		}
-		return m.heap.Load(a)
-	}
-	if tx.mode == ModeHTM {
+	case tx.mode == ModeHTM:
 		if !tx.readLines.Contains(line) {
 			tx.trackRead(line)
 		}
 		// A live transaction holding the line in its read set cannot
 		// coexist with a live writer (either registration dooms the
 		// other), so the heap value is committed data.
-		return m.heap.Load(a)
+	default:
+		m.snoop(line, tx)
 	}
-	m.conflictRead(line, tx)
 	return m.heap.Load(a)
 }
 
@@ -236,7 +236,7 @@ func (tx *Tx) trackRead(line memsim.Line) {
 	m := tx.th.m
 	m.shardOf(line).addReader(line, tx)
 	tx.readLines.Add(line)
-	m.conflictRead(line, tx)
+	m.snoop(line, tx)
 	if !m.charge(tx.th.core, 1) {
 		tx.abort(CodeCapacity)
 	}
@@ -250,7 +250,7 @@ func (tx *Tx) trackRead(line memsim.Line) {
 func (tx *Tx) Write(a memsim.Addr, v uint64) {
 	tx.checkDoomed()
 	if tx.suspended {
-		tx.th.m.plainStore(a, v)
+		tx.th.Store(a, v)
 		return
 	}
 	line := memsim.LineOf(a)
@@ -348,7 +348,7 @@ func (tx *Tx) Commit() {
 	if tx.writes.Len() > 0 {
 		// A committing transaction cannot be doomed, so it owns every
 		// line of its write set until it lets go below, and every access
-		// to one of them waits for that (conflictRead, plainStore) or
+		// to one of them waits for that (conflictRead, Thread.Store) or
 		// self-aborts (claimWrite). The commit hook brackets the
 		// write-back inside that section: a conflicting later transaction
 		// cannot reach its own PreCommit until the words are cleared, so

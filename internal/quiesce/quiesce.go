@@ -1,16 +1,21 @@
 // Package quiesce is the single home of the state array that the paper's
 // Algorithms 1 and 2 share: one padded word per thread holding inactive,
-// completed or a begin timestamp, the logical clock that issues the
-// timestamps, and the handshake with the single global lock. SI-HTM and
-// P8TM both quiesce through it; what distinguishes them (read
-// instrumentation, validation, the killing policy's threshold) stays in
-// their own packages.
+// completed or a begin stamp, and the handshake with the single global
+// lock. SI-HTM and P8TM both quiesce through it; what distinguishes them
+// (read instrumentation, validation, the killing policy's threshold)
+// stays in their own packages.
 //
-// The paper uses the POWER timebase register (mftb) to timestamp the
-// per-thread state word when a transaction begins. The algorithm only
-// requires that timestamps be strictly monotonic and never collide with
-// the two reserved state values (inactive = 0 and completed = 1), so a
-// shared atomic counter is a faithful substitute.
+// The paper stamps a thread's state word at begin with the POWER
+// timebase register (mftb), read on the thread's own core. Stamps here
+// are per thread as well: each slot counts its own begins, and only the
+// slot's thread advances the count, so a transaction's announcement
+// writes no line another thread writes. Algorithm 1 never orders two
+// threads' stamps. A completed transaction snapshots every slot and
+// waits on each only while that slot still holds its snapshot value, so
+// all a stamp needs is to differ from every earlier value of its own
+// slot (a later transaction on that thread must not pass for the one the
+// waiter saw) and from the reserved inactive and completed. Equal stamps
+// in two slots are harmless: no one compares them.
 package quiesce
 
 import (
@@ -23,7 +28,7 @@ import (
 	"sihtm/internal/tm"
 )
 
-// Reserved state-word values from Algorithm 1. A timestamp returned by
+// Reserved state-word values from Algorithm 1. A stamp returned by
 // now is always strictly greater than completed.
 const (
 	inactive  uint64 = 0
@@ -32,12 +37,21 @@ const (
 
 // slot is one thread's entry in Algorithm 1's shared state array, padded
 // to its own cache line. v holds inactive (0), completed (1), or the
-// begin timestamp; cur exposes the thread's live ROT to the killing
-// policy.
+// begin stamp; cur exposes the thread's live ROT to the killing policy;
+// stamp is the last begin stamp issued, which only the slot's thread
+// reads or writes.
 type slot struct {
-	v   atomic.Uint64
-	cur atomic.Pointer[htm.Tx]
-	_   [112]byte
+	v     atomic.Uint64
+	cur   atomic.Pointer[htm.Tx]
+	stamp uint64
+	_     [104]byte
+}
+
+// now issues the slot's next begin stamp, strictly greater than every
+// stamp it issued before and than completed (the first is completed+1).
+func (s *slot) now() uint64 {
+	s.stamp++
+	return s.stamp + completed
 }
 
 // Array is the state array plus everything Algorithms 1 and 2 do with it.
@@ -46,19 +60,6 @@ type Array struct {
 	killerSpins uint64
 	slots       []slot
 	snaps       [][]uint64 // per-thread scratch for the state snapshot
-
-	// Every Enter ticks the clock, so it gets a line of its own instead
-	// of sharing one with the read-mostly fields above.
-	_   [128]byte
-	clk atomic.Uint64
-	_   [120]byte
-}
-
-// now ticks the strictly monotonic logical clock: it returns a fresh
-// timestamp, strictly greater than any previously returned one and
-// strictly greater than completed (the first tick is completed+1).
-func (a *Array) now() uint64 {
-	return a.clk.Add(1) + completed
 }
 
 // New builds the state array for `threads` threads quiescing against
@@ -79,15 +80,16 @@ func New(lock *sgl.Lock, threads, killerSpins int) *Array {
 }
 
 // Enter is Algorithm 2's SyncWithGL: announce activity with a fresh
-// begin timestamp, then retract and wait if the global lock is held,
+// begin stamp, then retract and wait if the global lock is held,
 // retrying until the announcement sticks while the lock is free. As the
 // paper's footnote 2 notes, early lock subscription is impossible for
 // ROTs and non-transactional readers, so the lock is checked here, at
 // begin time, and the lock holder explicitly drains (Drain).
 func (a *Array) Enter(thread int, th *htm.Thread) {
-	v := &a.slots[thread].v
+	s := &a.slots[thread]
+	v := &s.v
 	for {
-		v.Store(a.now())
+		v.Store(s.now())
 		if !a.lock.IsLocked(th) {
 			return
 		}
@@ -99,7 +101,7 @@ func (a *Array) Enter(thread int, th *htm.Thread) {
 // Exit marks the thread inactive. Every Enter is paired with an Exit on
 // every path out of the transaction — commit, abort, or a panic
 // unwinding through the body — because a word left at its begin
-// timestamp stalls every peer's safety wait and the lock holder's drain.
+// stamp stalls every peer's safety wait and the lock holder's drain.
 func (a *Array) Exit(thread int) {
 	a.slots[thread].v.Store(inactive)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -96,32 +97,17 @@ func (rep *BenchReport) Sort() {
 	ord(rep.Baseline)
 }
 
-// benchOpRank presents operations in hot-path order: the per-access
-// primitives first, then whole transactions (committed, aborted, two
-// threads at once), then end-to-end.
+// benchOps presents operations in hot-path order: the per-access
+// primitives first (plain, then transactional), then whole transactions
+// (committed, aborted, two threads at once), then end-to-end.
+var benchOps = []string{"plain", "read", "write", "commit", "abort", "commit-2t", "atomic", "chase", "lookup", "populate"}
+
+// benchOpRank is op's place in benchOps; unknown operations sort last.
 func benchOpRank(op string) int {
-	switch op {
-	case "read":
-		return 0
-	case "write":
-		return 1
-	case "commit":
-		return 2
-	case "abort":
-		return 3
-	case "commit-2t":
-		return 4
-	case "atomic":
-		return 5
-	case "chase":
-		return 6
-	case "lookup":
-		return 7
-	case "populate":
-		return 8
-	default:
-		return 9
+	if i := slices.Index(benchOps, op); i >= 0 {
+		return i
 	}
+	return len(benchOps)
 }
 
 // WriteJSON serializes the report (indented, trailing newline).

@@ -188,7 +188,7 @@ func TestDumpAndHandler(t *testing.T) {
 
 // TestScrapeZeroAllocs pins the tentpole property: after warm-up, a
 // scrape of a realistic registry performs zero allocations. The name
-// matches CI's alloc-pin filter (-run 'Alloc|ReuseBuffers').
+// matches CI's alloc-pin filter (-run 'Alloc|ReuseBuffers|Inline').
 func TestScrapeZeroAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var c atomic.Uint64
