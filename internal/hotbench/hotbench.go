@@ -6,8 +6,8 @@
 // plus fixed-size cases: two plain accesses outside any transaction (a
 // load, and the global lock's acquire and release), and three about the
 // simulated memory itself: a dependent pointer chase over a data set
-// larger than cache, and two over the Fig. 6 hash map, one lookup and
-// the linear-time load.
+// larger than cache, and three over the Fig. 6 hash map: a lookup, a
+// read-modify-write and the linear-time load.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -48,13 +48,14 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // returns a runner executing n operations of the scenario.
 type Case struct {
 	// Op is the operation family: "plain", "read", "write", "commit",
-	// "abort", "commit-2t", "atomic", "chase", "lookup" or "populate".
+	// "abort", "commit-2t", "atomic", "chase", "lookup", "rmw" or
+	// "populate".
 	Op string
 	// Mode is the transaction flavour ("HTM"/"ROT"), or for plain the
 	// access ("Load"/"LockPair"); "" for the rest.
 	Mode string
 	// Lines is the transaction footprint in cache lines; for chase,
-	// lookup and populate, the size of the data set; 0 for plain.
+	// lookup, rmw and populate, the size of the data set; 0 for plain.
 	Lines int
 	// Setup constructs the scenario and returns its runner.
 	Setup func() func(n int)
@@ -74,7 +75,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"plain": "Plain", "read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "populate": "Populate"}[c.Op]
+	title := map[string]string{"plain": "Plain", "read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "rmw": "RMW", "populate": "Populate"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -328,23 +329,57 @@ func chaseCase(lines int) Case {
 // populate cases build: 1000 chains of 200, keys 0..199 999.
 const fig6Buckets, fig6Keys = 1000, 1000 * 200
 
+// fig6Map builds the populated Fig. 6 map on a one-thread machine and
+// returns it with that thread.
+func fig6Map() (*engine.HashmapBackend, *htm.Thread) {
+	spec := engine.Spec{Keys: fig6Keys}
+	heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, fig6Buckets))
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1)})
+	b := engine.NewHashmapBackend(heap, fig6Buckets)
+	engine.Populate(b, spec)
+	return b, m.Thread(0)
+}
+
 // lookupCase measures one read-only hashmap.Map.Lookup of a uniformly
 // drawn key over the populated Fig. 6 map, through the uninstrumented
-// tm.ReadOnlyPlainOps that SI-HTM's read-only path hands a body: a walk
+// htm.ReadOnlyOps that SI-HTM's read-only path hands a body: a walk
 // of about 100 nodes, so the figure is the chain walk itself, the one
 // the map's layout decides (compare it with Chase per node).
 func lookupCase() Case {
 	return Case{Op: "lookup", Lines: fig6Keys, Setup: func() func(int) {
-		spec := engine.Spec{Keys: fig6Keys}
-		heap := memsim.NewHeapLines(engine.HashmapHeapLines(spec, fig6Buckets))
-		m := htm.NewMachine(heap, htm.Config{Topology: topology.New(1, 1)})
-		b := engine.NewHashmapBackend(heap, fig6Buckets)
-		engine.Populate(b, spec)
-		var ops tm.Ops = tm.ReadOnlyPlainOps{Th: m.Thread(0)}
+		b, th := fig6Map()
+		var ops tm.Ops = th.ReadOnly()
 		r := rng.New(1)
 		return func(n int) {
 			for k := 0; k < n; k++ {
 				b.Map().Lookup(ops, r.Uint64()%fig6Keys)
+			}
+		}
+	}}
+}
+
+// rmwCase measures one read-modify-write of a uniformly drawn key over
+// the populated Fig. 6 map, as engine.Exec runs OpRMW: a hash-map
+// session's Read, then its Insert of the value plus one, through tm.TxOps
+// inside one ROT on an idle machine, Begin to Commit. The Insert reuses
+// the node the Read found (the Session protocol's memo rule), so the
+// figure is Lookup's walk plus one buffered write and its commit.
+func rmwCase() Case {
+	return Case{Op: "rmw", Lines: fig6Keys, Setup: func() func(int) {
+		b, th := fig6Map()
+		s := b.NewSession()
+		r := rng.New(1)
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				key := r.Uint64() % fig6Keys
+				s.Prepare(1)
+				s.Reset()
+				tx := th.Begin(htm.ModeROT)
+				ops := tm.TxOps{Tx: tx}
+				v, _ := s.Read(ops, key)
+				s.Insert(ops, key, v+1)
+				tx.Commit()
+				s.Commit()
 			}
 		}
 	}}
@@ -391,7 +426,7 @@ func Cases(sweep []int) []Case {
 	for _, lines := range chaseSizes {
 		cs = append(cs, chaseCase(lines))
 	}
-	return append(cs, lookupCase(), populateCase())
+	return append(cs, lookupCase(), rmwCase(), populateCase())
 }
 
 // CasesFor returns the suite restricted to one operation family.

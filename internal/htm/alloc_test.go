@@ -50,13 +50,17 @@ func TestCommittedTxSteadyStateAllocs(t *testing.T) {
 }
 
 // TestLookupAllocs pins the Fig. 6 read-only lookup (hotbench's lookup
-// case: a chain walk of ~100 plain loads through tm.ReadOnlyPlainOps) at
-// zero allocations: the walk is the whole of hashmap-large's read path.
+// case: a chain walk of ~100 plain loads through htm.ReadOnlyOps) and
+// its read-modify-write (the rmw case: a session's Read then Insert in
+// one ROT) at zero allocations: they are the whole of hashmap-large's
+// read and update paths.
 func TestLookupAllocs(t *testing.T) {
-	run := hotbench.CasesFor("lookup", nil)[0].Setup()
-	run(1)
-	if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {
-		t.Fatalf("a Fig. 6 lookup allocates %.1f/op, want 0", allocs)
+	for _, op := range []string{"lookup", "rmw"} {
+		run := hotbench.CasesFor(op, nil)[0].Setup()
+		run(1)
+		if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {
+			t.Fatalf("a Fig. 6 %s allocates %.1f/op, want 0", op, allocs)
+		}
 	}
 }
 

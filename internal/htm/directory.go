@@ -45,29 +45,33 @@ import (
 //     spurious abort (quiesce's stale Kill handle can already cause
 //     one), never a missed doom.
 //  3. Load of an owned line (conflictRead). Every load site — a plain
-//     load, a ROT or suspended Tx.Read, an HTM read's first touch, the
-//     writer check of a plain store or CAS — first tests the line's word
-//     in its own frame (snoop, inlined) and goes on to the heap word when
-//     it is 0, which is almost every load: no call, no shared write.
-//     Only a non-zero word takes conflictRead. Own line: return. Otherwise
-//     doom the owner; if that fails because the owner is already dead,
-//     return (its buffered stores were never visible); if it fails
-//     because the owner is committing, deliver the requester's own
-//     pending doom and poll until the word changes. Commit clears its
-//     words only after the whole write-back and PostCommit, so a load
-//     of any written line never sees a torn prefix, and a conflicting
-//     later transaction cannot reach its PreCommit before the earlier
-//     one's PostCommit (see hook.go).
+//     load, a read-only transaction's (ReadOnlyOps), a ROT or suspended
+//     Tx.Read, an HTM read's first touch, the writer check of a plain
+//     store or CAS — first tests the line's word in its own frame
+//     (snoop, inlined) and goes on to the heap word when it is 0, which
+//     is almost every load: no call, no shared write. Only a non-zero
+//     word takes conflictRead. Own line: return. Otherwise doom the
+//     owner; if that fails because the owner is already dead, return
+//     (its buffered stores were never visible); if it fails because the
+//     owner is committing, deliver the requester's own pending doom and
+//     poll until the word changes. Commit clears its words only after
+//     the whole write-back and PostCommit, so a load of any written line
+//     never sees a torn prefix, and a conflicting later transaction
+//     cannot reach its PreCommit before the earlier one's PostCommit
+//     (see hook.go).
 //  4. Writers and tracked readers see each other without a common lock,
 //     Dekker-style on sync/atomic's sequential consistency: trackRead
 //     registers in the reader table and then loads; every writer
 //     publishes and then loads shard.readers, locking the shard to doom
 //     the line's readers only if it is non-zero. claimWrite publishes by
 //     CASing the ownership word; a plain store or CAS by writing the heap
-//     word, after dooming the line's live writer. Whichever side comes
-//     second sees the first. A plain store that scanned before it
-//     published would let a reader load the old value in between and
-//     commit on it: an HTM transaction reading the SGL word as free.
+//     word, after dooming the line's live writer. The plain side loads
+//     shard.readers in its own frame (mayTrack, inlined), so a store to
+//     a line whose shard tracks no reader, nearly every one, makes no
+//     call after it publishes. Whichever side comes second sees the
+//     first. A plain store that scanned before it published would let a
+//     reader load the old value in between and commit on it: an HTM
+//     transaction reading the SGL word as free.
 //  5. Release. Commit stores 0 into each word it owns (a committing
 //     transaction cannot be doomed, so none was stolen); cleanup CASes
 //     its own word back to 0 and leaves a stolen one alone. Both drop

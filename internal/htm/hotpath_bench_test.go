@@ -59,5 +59,10 @@ func BenchmarkChase(b *testing.B) { benchCases(b, "chase") }
 
 // BenchmarkLookup measures one read-only hash-map lookup of a uniformly
 // drawn key over the populated Fig. 6 map (1000 chains of 200) through
-// tm.ReadOnlyPlainOps: the chain walk SI-HTM's read-only path runs.
+// htm.ReadOnlyOps: the chain walk SI-HTM's read-only path runs.
 func BenchmarkLookup(b *testing.B) { benchCases(b, "lookup") }
+
+// BenchmarkRMW measures one read-modify-write of a uniformly drawn key
+// over the same map, a session's Read then Insert inside one ROT: the
+// update engine.Exec runs for OpRMW.
+func BenchmarkRMW(b *testing.B) { benchCases(b, "rmw") }

@@ -210,6 +210,7 @@ func TestMisusePanics(t *testing.T) {
 	expectPanic("nested Begin", func() { th.Begin(htm.ModeROT) })
 	expectPanic("plain Load in tx", func() { th.Load(a) })
 	expectPanic("plain Store in tx", func() { th.Store(a, 1) })
+	expectPanic("read-only path in tx", func() { th.ReadOnly() })
 	expectPanic("Resume when not suspended", func() { tx.Resume() })
 	tx.Suspend()
 	expectPanic("double Suspend", func() { tx.Suspend() })

@@ -18,11 +18,16 @@ import (
 // must inline: a load or store of a line no transaction owns, which is
 // nearly all of them, tests the ownership word (snoop) and reaches the
 // heap word in its own frame (directory.go, rule 3), so it pays no call.
+// ReadOnlyOps.Read is what tm.Ops dispatches to on SI-HTM's read-only
+// path, so that load costs the interface call and nothing more. A plain
+// store or CAS also tests its shard's reader count in its own frame
+// (mayTrack, rule 4), so it calls out only to doom a tracked reader.
 var accessInlines = map[string][]string{
 	"(*Thread).Load":           {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
+	"ReadOnlyOps.Read":         {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
 	"(*Tx).Read":               {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
-	"(*Thread).Store":          {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Store", "memsim.(*Heap).slot"},
-	"(*Thread).CompareAndSwap": {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).CompareAndSwap", "memsim.(*Heap).slot"},
+	"(*Thread).Store":          {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Store", "memsim.(*Heap).slot", "(*Machine).mayTrack", "(*Machine).shardOf"},
+	"(*Thread).CompareAndSwap": {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).CompareAndSwap", "memsim.(*Heap).slot", "(*Machine).mayTrack", "(*Machine).shardOf"},
 }
 
 // slowPath is the out-of-line call an owned line takes. Inlining it

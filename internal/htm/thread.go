@@ -59,6 +59,33 @@ func (t *Thread) Load(a memsim.Addr) uint64 {
 	return m.heap.Load(a)
 }
 
+// ReadOnly returns the access path of a read-only transaction's body on
+// this thread: plain loads, and a panic on any write. It checks once
+// that no transaction is live here, so each load need not.
+func (t *Thread) ReadOnly() ReadOnlyOps {
+	t.assertPlainContext()
+	return ReadOnlyOps{t.m}
+}
+
+// ReadOnlyOps is the tm.Ops of SI-HTM's uninstrumented read-only path
+// (Thread.ReadOnly). It is one pointer, a direct interface type, so
+// handing it to a body as tm.Ops allocates nothing. Its Read is
+// Thread.Load's load in its own frame: reached by one interface call,
+// it makes no other unless the line is owned.
+type ReadOnlyOps struct{ m *Machine }
+
+// Read implements tm.Ops: a plain load.
+func (o ReadOnlyOps) Read(a memsim.Addr) uint64 {
+	o.m.snoop(memsim.LineOf(a), nil)
+	return o.m.heap.Load(a)
+}
+
+// Write implements tm.Ops by panicking: a write would silently break
+// the promise a read-only transaction was launched with.
+func (ReadOnlyOps) Write(memsim.Addr, uint64) {
+	panic("htm: Write inside a transaction declared read-only")
+}
+
 // Store performs a plain store. It dooms any live transactional writer of
 // the line and any transaction tracking the line in its read set (e.g.
 // SGL subscribers), in directory rule 4's order: doom the writer,
@@ -69,7 +96,9 @@ func (t *Thread) Store(a memsim.Addr, v uint64) {
 	line := memsim.LineOf(a)
 	m.snoop(line, nil)
 	m.heap.Store(a, v)
-	m.doomPlainReaders(line)
+	if m.mayTrack(line) {
+		m.doomPlainReaders(line)
+	}
 }
 
 // CompareAndSwap performs a plain atomic compare-and-swap on the word at
@@ -81,8 +110,18 @@ func (t *Thread) CompareAndSwap(a memsim.Addr, old, new uint64) bool {
 	line := memsim.LineOf(a)
 	m.snoop(line, nil)
 	ok := m.heap.CompareAndSwap(a, old, new)
-	m.doomPlainReaders(line)
+	if m.mayTrack(line) {
+		m.doomPlainReaders(line)
+	}
 	return ok
+}
+
+// mayTrack is the reader test of a plain store or CAS that has
+// published its value, inlined into each (rule 4): a zero reader count
+// in the line's shard means no tracked reader to doom, so only a
+// non-zero count, or the test hook, calls doomPlainReaders.
+func (m *Machine) mayTrack(line memsim.Line) bool {
+	return m.shardOf(line).readers.Load() != 0 || m.plainPublished != nil
 }
 
 // doomPlainReaders dooms the tracked readers of line for a plain store or

@@ -109,13 +109,14 @@ func (a *Array) Exit(thread int) {
 // ReadOnly is Algorithm 2's read-only fast path: the body runs
 // uninstrumented, outside the hardware, with unbounded capacity, and
 // never aborts. The state announcement is what makes writers quiesce on
-// it.
+// it. Thread.ReadOnly checks once per transaction that the thread runs
+// no hardware transaction, so the body's loads need not.
 func (a *Array) ReadOnly(thread int, th *htm.Thread, body func(tm.Ops)) {
 	a.Enter(thread, th)
 	// The atomic store in Exit plays the role of the lwsync: all reads
 	// above complete before the state change is visible.
 	defer a.Exit(thread)
-	body(tm.ReadOnlyPlainOps{Th: th})
+	body(th.ReadOnly())
 }
 
 // Expose publishes the thread's live ROT so that a completed peer whose

@@ -20,13 +20,13 @@ type BenchRecord struct {
 	// Name is the benchmark's display id, e.g. "Read/HTM/lines=1024".
 	Name string `json:"name"`
 	// Op is the operation family: "read", "write", "commit", "abort",
-	// "commit-2t", "atomic", "chase", "lookup" or "populate".
+	// "commit-2t", "atomic", "chase", "lookup", "rmw" or "populate".
 	Op string `json:"op"`
 	// Mode is the transaction flavour ("HTM", "ROT"), or "" for
 	// end-to-end benchmarks that exercise a full system.
 	Mode string `json:"mode,omitempty"`
 	// Lines is the transaction footprint in cache lines at this point
-	// (chase, lookup, populate: the size of the data set).
+	// (chase, lookup, rmw, populate: the size of the data set).
 	Lines int `json:"lines"`
 	// Iters is how many operations the measurement averaged over.
 	Iters uint64 `json:"iters"`
@@ -100,7 +100,7 @@ func (rep *BenchReport) Sort() {
 // benchOps presents operations in hot-path order: the per-access
 // primitives first (plain, then transactional), then whole transactions
 // (committed, aborted, two threads at once), then end-to-end.
-var benchOps = []string{"plain", "read", "write", "commit", "abort", "commit-2t", "atomic", "chase", "lookup", "populate"}
+var benchOps = []string{"plain", "read", "write", "commit", "abort", "commit-2t", "atomic", "chase", "lookup", "rmw", "populate"}
 
 // benchOpRank is op's place in benchOps; unknown operations sort last.
 func benchOpRank(op string) int {

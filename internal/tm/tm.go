@@ -78,7 +78,9 @@ func (o TxOps) Read(a memsim.Addr) uint64 { return o.Tx.Read(a) }
 func (o TxOps) Write(a memsim.Addr, v uint64) { o.Tx.Write(a, v) }
 
 // PlainOps adapts a hardware thread's plain (non-transactional) accesses
-// to Ops. It is the access path of the SGL fall-backs.
+// to Ops. It is the access path of the SGL fall-backs. The read-only
+// fast path uses htm.Thread.ReadOnly instead, whose loads are the same
+// but whose writes panic, enforcing the KindReadOnly promise.
 type PlainOps struct{ Th *htm.Thread }
 
 // Read implements Ops.
@@ -87,23 +89,9 @@ func (o PlainOps) Read(a memsim.Addr) uint64 { return o.Th.Load(a) }
 // Write implements Ops.
 func (o PlainOps) Write(a memsim.Addr, v uint64) { o.Th.Store(a, v) }
 
-// ReadOnlyPlainOps is PlainOps that panics on Write: the uninstrumented
-// read-only fast path uses it to enforce the KindReadOnly promise, where
-// a stray write would otherwise silently corrupt isolation. It is one
-// flat pointer field, not a wrapper around an inner Ops, because that
-// matters on the hot path: a one-pointer struct is a direct interface
-// type, so passing it to a body as Ops stores the pointer in the
-// interface word itself, where a two-word composition would heap-allocate
-// a box on every read-only transaction.
-type ReadOnlyPlainOps struct{ Th *htm.Thread }
-
-// Read implements Ops.
-func (o ReadOnlyPlainOps) Read(a memsim.Addr) uint64 { return o.Th.Load(a) }
-
-// Write implements Ops by panicking.
-func (o ReadOnlyPlainOps) Write(memsim.Addr, uint64) {
-	panic("tm: Write inside a transaction declared read-only")
-}
+// The read-only fast path's Ops, htm.Thread.ReadOnly, lives in htm so
+// that its loads reach the heap with no call.
+var _ Ops = htm.ReadOnlyOps{}
 
 // AbortKindOf maps a hardware abort cause to the paper's abort taxonomy:
 // explicit aborts are raised by the lock-subscription check when the SGL

@@ -58,14 +58,14 @@ func TestOpsAdapters(t *testing.T) {
 		t.Fatal("TxOps write not committed")
 	}
 
-	// ReadOnlyPlainOps forwards reads and rejects writes.
-	ro := tm.ReadOnlyPlainOps{Th: th}
+	// The read-only path forwards reads and rejects writes.
+	var ro tm.Ops = th.ReadOnly()
 	if ro.Read(a) != 6 {
-		t.Fatal("ReadOnlyPlainOps read failed")
+		t.Fatal("read-only read failed")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ReadOnlyPlainOps.Write did not panic")
+			t.Fatal("read-only Write did not panic")
 		}
 	}()
 	ro.Write(a, 7)

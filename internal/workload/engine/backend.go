@@ -44,6 +44,16 @@ type Loader interface {
 //	Read/Insert/...   inside the body, in planned order
 //	Commit()          after the transaction committed — permanently
 //	                  consume used pool nodes and recycle deleted ones
+//
+// The memo rule: an Insert that directly follows a Read of the same key
+// through the same tm.Ops may reuse what that Read found, so a
+// read-modify-write walks the structure once (the hash map does; the
+// B+tree walks twice). Any other call in between, Reset and Commit
+// included, drops the memo, so it never outlives an attempt. The reuse
+// is sound because the attempt's own reads keep the path valid: the
+// ROT's safety wait (SI-HTM), tracked reads (HTM), commit-time
+// validation (Silo, P8TM), or a serial fall-back. A tm.Ops passed to a
+// session must therefore be comparable with ==.
 type Session interface {
 	Prepare(inserts int)
 	Reset()

@@ -59,21 +59,52 @@ func (b *HashmapBackend) NewSession() Session {
 }
 
 // hashmapSession wraps a LinePool in the Session protocol: spares feed
-// inserts, and nodes a committed remove unlinked are recycled.
+// inserts, and nodes a committed remove unlinked are recycled. It keeps
+// the node its last call, a Read, found, so that a read-modify-write
+// walks the chain once (the Session protocol's memo rule). Every Read
+// and Insert writes the memo, so the padding keeps two threads'
+// sessions, allocated side by side, off one host cache line.
 type hashmapSession struct {
 	b    *HashmapBackend
 	pool *LinePool
+	memo readMemo
+	_    [64]byte
 }
 
-func (s *hashmapSession) Prepare(inserts int) { s.pool.Prepare(inserts) }
+// readMemo is a Read's finding: key's node, found through ops. The zero
+// value holds nothing.
+type readMemo struct {
+	ops  tm.Ops
+	key  uint64
+	node memsim.Addr
+}
 
-func (s *hashmapSession) Reset() { s.pool.Reset() }
+func (s *hashmapSession) Prepare(inserts int) {
+	s.memo = readMemo{}
+	s.pool.Prepare(inserts)
+}
+
+func (s *hashmapSession) Reset() {
+	s.memo = readMemo{}
+	s.pool.Reset()
+}
 
 func (s *hashmapSession) Read(ops tm.Ops, key uint64) (uint64, bool) {
-	return s.b.m.Lookup(ops, key)
+	s.memo = readMemo{}
+	node, value := s.b.m.Find(ops, key)
+	if node != 0 {
+		s.memo = readMemo{ops: ops, key: key, node: node}
+	}
+	return value, node != 0
 }
 
 func (s *hashmapSession) Insert(ops tm.Ops, key, value uint64) bool {
+	memo := s.memo
+	s.memo = readMemo{}
+	if memo.node != 0 && memo.key == key && memo.ops == ops {
+		s.b.m.Set(ops, memo.node, value)
+		return false
+	}
 	if s.b.m.Insert(ops, key, value, s.pool.Peek()) {
 		s.pool.Consume()
 		return true
@@ -82,6 +113,7 @@ func (s *hashmapSession) Insert(ops tm.Ops, key, value uint64) bool {
 }
 
 func (s *hashmapSession) Delete(ops tm.Ops, key uint64) bool {
+	s.memo = readMemo{}
 	if node := s.b.m.Remove(ops, key); node != 0 {
 		s.pool.Release(node)
 		return true
@@ -90,6 +122,7 @@ func (s *hashmapSession) Delete(ops tm.Ops, key uint64) bool {
 }
 
 func (s *hashmapSession) Scan(ops tm.Ops, key uint64, n int) int {
+	s.memo = readMemo{}
 	found := 0
 	for i := 0; i < n; i++ {
 		if _, ok := s.b.m.Lookup(ops, key+uint64(i)); ok {
@@ -99,4 +132,7 @@ func (s *hashmapSession) Scan(ops tm.Ops, key uint64, n int) int {
 	return found
 }
 
-func (s *hashmapSession) Commit() { s.pool.Commit() }
+func (s *hashmapSession) Commit() {
+	s.memo = readMemo{}
+	s.pool.Commit()
+}

@@ -2,12 +2,17 @@ package enginetest
 
 import (
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"sihtm/internal/durable"
+	"sihtm/internal/experiments"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/rng"
 	"sihtm/internal/sihtm"
+	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
 )
@@ -93,5 +98,94 @@ func TestDurableBackendIdentity(t *testing.T) {
 	}
 	if db.Store() == nil {
 		t.Error("Store() = nil")
+	}
+}
+
+// TestOneBucketChurn is ConcurrentDriver's one-bucket variant, on every
+// system: two threads churn the eight keys of one hash chain with
+// read-modify-writes, deletes and re-inserts. A node one thread's
+// Delete frees goes back to that thread's pool and is relinked under
+// another key, while the other thread may hold a Read's memo of it.
+// Each transaction's change to the sum of all values is known, so the
+// final sum is the model; the chain must also hold each key once.
+func TestOneBucketChurn(t *testing.T) {
+	const keys, threads, perThread = 8, 2, 1000
+	for _, name := range []string{"si-htm", "htm", "p8tm", "silo", "sgl"} {
+		t.Run(name, func(t *testing.T) {
+			heap := heapFor(keys, 1)
+			b := engine.NewHashmapBackend(heap, 1)
+			m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2)})
+			s, err := experiments.NewSystem(name, m, heap, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine.Populate(b, spec(keys))
+			var want uint64
+			for k := uint64(0); k < keys; k++ {
+				want += engine.InitialValue(k)
+			}
+
+			sums := make([]uint64, threads) // each thread's net change, mod 2^64
+			var wg sync.WaitGroup
+			for th := range threads {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sess := b.NewSession()
+					r := rng.Stream(1, uint64(th))
+					for range perThread {
+						k, other, op := uint64(r.Intn(keys)), uint64(r.Intn(keys)), r.Intn(3)
+						var d uint64
+						var disagree bool // an attempt's view; Silo's doomed ones may be torn
+						sess.Prepare(1)
+						s.Atomic(th, tm.KindUpdate, func(ops tm.Ops) {
+							sess.Reset()
+							v, ok := sess.Read(ops, k)
+							switch op {
+							case 0: // read-modify-write on the memo; links a node if k is absent
+								sess.Insert(ops, k, v+1)
+								d = 1
+							case 1: // delete, freeing the node for this thread's next insert
+								disagree = sess.Delete(ops, k) != ok
+								d = -v
+							case 2: // a Read of another key drops the memo
+								sess.Read(ops, other)
+								sess.Insert(ops, k, v+1)
+								d = 1
+							}
+						})
+						sess.Commit()
+						if disagree {
+							t.Errorf("committed Delete(%d) disagrees with the Read before it", k)
+						}
+						sums[th] += d
+					}
+				}()
+			}
+			wg.Wait()
+
+			for _, d := range sums {
+				want += d
+			}
+			got, ops := uint64(0), b.Direct()
+			chain := b.Map().Keys()
+			for _, k := range chain {
+				v, _ := b.Map().Lookup(ops, k)
+				got += v
+			}
+			slices.Sort(chain)
+			if len(chain) > keys || len(slices.Compact(chain)) != len(chain) || (len(chain) > 0 && chain[len(chain)-1] >= keys) {
+				t.Errorf("chain holds keys %v, want each of [0, %d) at most once", chain, keys)
+			}
+			if got != want {
+				t.Errorf("values sum to %d, the committed transactions to %d", got, want)
+			}
+			if err := b.Check(); err != nil {
+				t.Error(err)
+			}
+			if !m.DirectoryQuiescent() {
+				t.Error("directory not quiescent after the churn")
+			}
+		})
 	}
 }

@@ -38,6 +38,7 @@ func Run(t *testing.T, name string, mk Maker) {
 	t.Run(name+"/PopulateAndLookup", func(t *testing.T) { checkPopulate(t, mk) })
 	t.Run(name+"/SessionProtocol", func(t *testing.T) { checkSessionProtocol(t, mk) })
 	t.Run(name+"/ResetRewind", func(t *testing.T) { checkResetRewind(t, mk) })
+	t.Run(name+"/ReadThenInsert", func(t *testing.T) { checkReadThenInsert(t, mk) })
 	t.Run(name+"/ModelChurn", func(t *testing.T) { checkModelChurn(t, mk) })
 	t.Run(name+"/ConcurrentDriver", func(t *testing.T) { checkConcurrentDriver(t, mk) })
 }
@@ -218,6 +219,145 @@ func checkResetRewind(t *testing.T, mk Maker) {
 	if _, ok := s.Read(ops, 3); ok {
 		t.Error("key 3 still present after replayed delete")
 	}
+	s.Commit()
+	if err := in.Backend.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingOps counts the accesses a session makes through it.
+type countingOps struct {
+	tm.Ops
+	reads, writes int
+}
+
+func (o *countingOps) Read(a memsim.Addr) uint64 {
+	o.reads++
+	return o.Ops.Read(a)
+}
+
+func (o *countingOps) Write(a memsim.Addr, v uint64) {
+	o.writes++
+	o.Ops.Write(a, v)
+}
+
+// walksOnce reports whether b's sessions keep the memo rule's node, so
+// that an Insert right after a Read of its key reads nothing: the hash
+// map does, the B+tree walks twice.
+func walksOnce(b engine.Backend) bool {
+	if d, ok := b.(*engine.DurableBackend); ok {
+		b = d.Unwrap()
+	}
+	_, ok := b.(*engine.HashmapBackend)
+	return ok
+}
+
+// checkReadThenInsert pins the Session protocol's memo rule. A Read of
+// a key then an Insert of it through the same Ops is one walk on the
+// hash map; any call or Ops change in between makes the Insert walk
+// again, whatever it did to the key. Return codes and values are the
+// same on every backend, so the one-walk path means what the B+tree's
+// two walks mean.
+func checkReadThenInsert(t *testing.T, mk Maker) {
+	const keys = 16
+	in := mk(t, keys, 1)
+	defer in.Cleanup()
+	engine.Populate(in.Backend, spec(keys))
+	s, direct := in.Backend.NewSession(), in.Backend.Direct()
+	once := walksOnce(in.Backend)
+	want := map[uint64]uint64{}
+	for k := uint64(0); k < keys; k++ {
+		want[k] = engine.InitialValue(k)
+	}
+	const absent = 1000 // never inserted, so a Delete of it changes nothing
+
+	// read reads key through c, checks it against want, and returns the
+	// value and the reads the walk took.
+	read := func(c *countingOps, key uint64) (uint64, int) {
+		t.Helper()
+		r0 := c.reads
+		v, ok := s.Read(c, key)
+		if wv, wok := want[key]; v != wv || ok != wok {
+			t.Fatalf("Read(%d) = (%d, %v), want (%d, %v)", key, v, ok, wv, wok)
+		}
+		return v, c.reads - r0
+	}
+	// insert upserts key through c and returns the reads it took.
+	insert := func(c *countingOps, key, value uint64) int {
+		t.Helper()
+		r0 := c.reads
+		_, present := want[key]
+		if isNew := s.Insert(c, key, value); isNew == present {
+			t.Fatalf("Insert(%d) reported new=%v, want %v", key, isNew, !present)
+		}
+		want[key] = value
+		return c.reads - r0
+	}
+
+	s.Prepare(1)
+	s.Reset()
+	c := &countingOps{Ops: direct}
+	v, walk := read(c, 5)
+	if n := insert(c, 5, v+1); once && (n != 0 || c.writes != 1) {
+		t.Errorf("Insert right after Read of its key: %d reads, %d writes, want 0 and 1", n, c.writes)
+	}
+	s.Commit()
+
+	between := []struct {
+		name string
+		call func(c *countingOps) *countingOps // returns the Ops the Insert uses
+	}{
+		{"Reset", func(c *countingOps) *countingOps { s.Reset(); return c }},
+		{"Commit", func(c *countingOps) *countingOps { s.Commit(); return c }},
+		{"Prepare", func(c *countingOps) *countingOps { s.Prepare(1); return c }},
+		{"Read of another key", func(c *countingOps) *countingOps { read(c, 6); return c }},
+		{"Insert of another key", func(c *countingOps) *countingOps { insert(c, 6, 66); return c }},
+		{"Delete of another key", func(c *countingOps) *countingOps { s.Delete(c, absent); return c }},
+		{"Scan", func(c *countingOps) *countingOps { s.Scan(c, 6, 2); return c }},
+		{"other Ops", func(c *countingOps) *countingOps { return &countingOps{Ops: direct} }},
+	}
+	for _, b := range between {
+		s.Prepare(1)
+		s.Reset()
+		c := &countingOps{Ops: direct}
+		v, walk = read(c, 5)
+		ic := b.call(c)
+		if n := insert(ic, 5, v+1); once && n != walk-1 {
+			t.Errorf("Insert after Read, %s: %d reads, want a fresh walk of %d", b.name, n, walk-1)
+		}
+		s.Commit()
+	}
+
+	// The memo's node unlinked in between: the Insert links a new one.
+	s.Prepare(1)
+	s.Reset()
+	c = &countingOps{Ops: direct}
+	v, _ = read(c, 7)
+	if !s.Delete(c, 7) {
+		t.Fatal("Delete(7) of a present key reported absent")
+	}
+	delete(want, 7)
+	if n := insert(c, 7, v+1); once && n == 0 {
+		t.Error("Insert after Read and Delete of its key made no walk")
+	}
+	s.Commit()
+
+	// A Read that misses, then an Insert, links a new node.
+	s.Prepare(1)
+	s.Reset()
+	c = &countingOps{Ops: direct}
+	read(c, absent+1)
+	insert(c, absent+1, 9)
+	s.Commit()
+
+	s.Prepare(0)
+	s.Reset()
+	c = &countingOps{Ops: direct}
+	for k := uint64(0); k < 2*keys; k++ {
+		read(c, k)
+	}
+	read(c, absent)
+	read(c, absent+1)
 	s.Commit()
 	if err := in.Backend.Check(); err != nil {
 		t.Fatal(err)

@@ -69,16 +69,36 @@ func (m *Map) bucket(key uint64) int {
 	return int(h % uint64(len(m.buckets)))
 }
 
-// Lookup returns the value stored under key.
-func (m *Map) Lookup(ops tm.Ops, key uint64) (uint64, bool) {
+// walk returns the address of key's node, or 0 if key is absent: the
+// bucket head, then each node's key word, and its next word if the key
+// differs.
+func (m *Map) walk(ops tm.Ops, key uint64) memsim.Addr {
 	node := memsim.Addr(ops.Read(m.bucketOf(key)))
-	for node != 0 {
-		if ops.Read(node+nodeKey) == key {
-			return ops.Read(node + nodeValue), true
-		}
+	for node != 0 && ops.Read(node+nodeKey) != key {
 		node = memsim.Addr(ops.Read(node + nodeNext))
 	}
-	return 0, false
+	return node
+}
+
+// Find returns key's node and the value it holds, or node 0 if key is
+// absent. A caller that keeps the node may Set its value later in the
+// same transaction without walking the chain again.
+func (m *Map) Find(ops tm.Ops, key uint64) (node memsim.Addr, value uint64) {
+	if node = m.walk(ops, key); node != 0 {
+		value = ops.Read(node + nodeValue)
+	}
+	return node, value
+}
+
+// Set writes value into node, a node Find returned in this transaction.
+func (m *Map) Set(ops tm.Ops, node memsim.Addr, value uint64) {
+	ops.Write(node+nodeValue, value)
+}
+
+// Lookup returns the value stored under key.
+func (m *Map) Lookup(ops tm.Ops, key uint64) (uint64, bool) {
+	node, value := m.Find(ops, key)
+	return value, node != 0
 }
 
 // Insert stores value under key, using freeNode (a line-aligned spare
@@ -86,15 +106,11 @@ func (m *Map) Lookup(ops tm.Ops, key uint64) (uint64, bool) {
 // if the key already existed only its value is updated. freeNode must be
 // allocated outside the transaction so the body stays idempotent.
 func (m *Map) Insert(ops tm.Ops, key, value uint64, freeNode memsim.Addr) bool {
-	head := m.bucketOf(key)
-	node := memsim.Addr(ops.Read(head))
-	for node != 0 {
-		if ops.Read(node+nodeKey) == key {
-			ops.Write(node+nodeValue, value)
-			return false
-		}
-		node = memsim.Addr(ops.Read(node + nodeNext))
+	if node := m.walk(ops, key); node != 0 {
+		m.Set(ops, node, value)
+		return false
 	}
+	head := m.bucketOf(key)
 	ops.Write(freeNode+nodeKey, key)
 	ops.Write(freeNode+nodeValue, value)
 	ops.Write(freeNode+nodeNext, ops.Read(head))
