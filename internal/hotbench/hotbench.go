@@ -3,11 +3,12 @@
 // simulated transactional operation (Read, Write, Commit, an aborted
 // attempt, two threads committing side by side, or a full sihtm Atomic
 // block) as a function of the transaction's footprint in cache lines,
-// plus fixed-size cases: two plain accesses outside any transaction (a
-// load, and the global lock's acquire and release), and three about the
-// simulated memory itself: a dependent pointer chase over a data set
-// larger than cache, and three over the Fig. 6 hash map: a lookup, a
-// read-modify-write and the linear-time load.
+// plus fixed-size cases: whole read-only transactions of 1, 10 and 100
+// first-touch reads on the paper topology, two plain accesses outside
+// any transaction (a load, and the global lock's acquire and release),
+// and three about the simulated memory itself: a dependent pointer
+// chase over a data set larger than cache, and three over the Fig. 6
+// hash map: a lookup, a read-modify-write and the linear-time load.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -48,8 +49,8 @@ var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 // returns a runner executing n operations of the scenario.
 type Case struct {
 	// Op is the operation family: "plain", "read", "write", "commit",
-	// "abort", "commit-2t", "atomic", "chase", "lookup", "rmw" or
-	// "populate".
+	// "abort", "commit-2t", "readtx", "atomic", "chase", "lookup", "rmw"
+	// or "populate".
 	Op string
 	// Mode is the transaction flavour ("HTM"/"ROT"), or for plain the
 	// access ("Load"/"LockPair"); "" for the rest.
@@ -75,7 +76,7 @@ func (c Case) Sub() string {
 
 // Name is the case's full display name, e.g. "Read/HTM/lines=1024".
 func (c Case) Name() string {
-	title := map[string]string{"plain": "Plain", "read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "rmw": "RMW", "populate": "Populate"}[c.Op]
+	title := map[string]string{"plain": "Plain", "read": "Read", "write": "Write", "commit": "Commit", "abort": "Abort", "commit-2t": "Commit2T", "readtx": "ReadTx", "atomic": "Atomic", "chase": "Chase", "lookup": "Lookup", "rmw": "RMW", "populate": "Populate"}[c.Op]
 	return title + "/" + c.Sub()
 }
 
@@ -270,6 +271,37 @@ func commit2TCase(lines int) Case {
 	}}
 }
 
+// readTxSizes are the readtx family's footprints in lines: one, a few,
+// and the 100-line reads of a Fig. 6 chain walk.
+var readTxSizes = []int{1, 10, 100}
+
+// readTxCase measures a whole read-only transaction on the paper's
+// 80-thread topology: Begin, a first-touch Read of each of `lines`
+// lines, Commit. In HTM mode every read registers the line in the
+// directory's reader table, charges the TMCAM and is released at
+// commit, so the gap to ROT, whose reads are plain loads, is what a
+// tracked read costs the simulator.
+func readTxCase(mode htm.Mode, lines int) Case {
+	return Case{Op: "readtx", Mode: mode.String(), Lines: lines, Setup: func() func(int) {
+		heap := memsim.NewHeapLines(lines + 64)
+		m := htm.NewMachine(heap, htm.Config{
+			Topology:   topology.Paper(),
+			TMCAMLines: lines + 8,
+		})
+		addrs := allocLines(heap, lines)
+		th := m.Thread(0)
+		return func(n int) {
+			for k := 0; k < n; k++ {
+				tx := th.Begin(mode)
+				for _, a := range addrs {
+					tx.Read(a)
+				}
+				tx.Commit()
+			}
+		}
+	}}
+}
+
 // atomicCase measures the end-to-end sihtm update path — ROT attempt,
 // commit, quiescence — for a transaction reading and writing `lines`
 // cache lines, through the same Atomic entry point workloads use.
@@ -360,10 +392,11 @@ func lookupCase() Case {
 
 // rmwCase measures one read-modify-write of a uniformly drawn key over
 // the populated Fig. 6 map, as engine.Exec runs OpRMW: a hash-map
-// session's Read, then its Insert of the value plus one, through tm.TxOps
-// inside one ROT on an idle machine, Begin to Commit. The Insert reuses
-// the node the Read found (the Session protocol's memo rule), so the
-// figure is Lookup's walk plus one buffered write and its commit.
+// session's Read, then its Insert of the value plus one, through the
+// *htm.Tx itself inside one ROT on an idle machine, Begin to Commit.
+// The Insert reuses the node the Read found (the Session protocol's memo
+// rule), so the figure is Lookup's walk plus one buffered write and its
+// commit.
 func rmwCase() Case {
 	return Case{Op: "rmw", Lines: fig6Keys, Setup: func() func(int) {
 		b, th := fig6Map()
@@ -375,9 +408,8 @@ func rmwCase() Case {
 				s.Prepare(1)
 				s.Reset()
 				tx := th.Begin(htm.ModeROT)
-				ops := tm.TxOps{Tx: tx}
-				v, _ := s.Read(ops, key)
-				s.Insert(ops, key, v+1)
+				v, _ := s.Read(tx, key)
+				s.Insert(tx, key, v+1)
 				tx.Commit()
 				s.Commit()
 			}
@@ -419,6 +451,11 @@ func Cases(sweep []int) []Case {
 	}
 	for _, lines := range sweep {
 		cs = append(cs, commit2TCase(lines))
+	}
+	for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
+		for _, lines := range readTxSizes {
+			cs = append(cs, readTxCase(mode, lines))
+		}
 	}
 	for _, lines := range sweep {
 		cs = append(cs, atomicCase(lines))

@@ -64,6 +64,20 @@ func TestLookupAllocs(t *testing.T) {
 	}
 }
 
+// TestReadTxAllocs pins hotbench's readtx cases, whole read-only
+// transactions on the paper topology, at zero allocations: the first
+// tracked read allocates the reader table once, and no read after it
+// allocates anything.
+func TestReadTxAllocs(t *testing.T) {
+	for _, c := range hotbench.CasesFor("readtx", nil) {
+		run := c.Setup()
+		run(1)
+		if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {
+			t.Fatalf("%s allocates %.1f/op, want 0", c.Name(), allocs)
+		}
+	}
+}
+
 // TestAbortedTxSteadyStateAllocs is the same pin for the other way out of
 // a transaction: Begin, writes, an abort of each cause a workload meets,
 // the unwind to htm.Run and the clean-up. A conflict-heavy workload

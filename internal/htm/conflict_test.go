@@ -189,6 +189,42 @@ func TestPlainStoreReachesAReaderInItsWindow(t *testing.T) {
 	}
 }
 
+// A writer that claims a line while a tracked read of it is under way
+// either is seen by the read or dooms the reader: the reader never
+// commits on a snapshot torn across that writer. The hook runs between
+// the reader's registration on x and its snoop: thread 1's ROT claims x
+// and y there, and commits once the reader's read of x has returned, so
+// the reader then reads the new y. Snooping before registering lets the
+// claim of x miss the reader, which then commits having seen the old x
+// and the new y; that order fails here on every run.
+func TestWriterReachesAReaderInItsWindow(t *testing.T) {
+	m := newMachine(t, 2, 1, 64)
+	lines := allocLines(m, 2)
+	x, y := lines[0], lines[1]
+	var writer *htm.Tx
+	m.SetReadRegistered(func() {
+		m.SetReadRegistered(nil)
+		writer = m.Thread(1).Begin(htm.ModeROT)
+		writer.Write(x, 1)
+		writer.Write(y, 1)
+	})
+	reader := m.Thread(0).Begin(htm.ModeHTM)
+	var oldX, newY bool
+	ab := tryTx(func() {
+		oldX = reader.Read(x) == 0
+		if writer == nil {
+			t.Fatal("the hook did not run")
+		}
+		tryTx(func() { writer.Commit() })
+		newY = reader.Read(y) == 1
+		reader.Commit()
+	})
+	if ab == nil && oldX && newY {
+		t.Fatal("the reader committed having seen the old x and the new y")
+	}
+	checkQuiescent(t, m)
+}
+
 // Suspended accesses are non-transactional: they do not grow the
 // footprint and they conflict as plain accesses do.
 func TestSuspendResumeSemantics(t *testing.T) {

@@ -1,8 +1,8 @@
 package htm
 
 import (
+	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sihtm/internal/memsim"
@@ -19,11 +19,15 @@ import (
 // incarnation<<idBits | hardware-thread id+1. The thread field names the
 // owner (&m.threads[id].tx, one indexed load); the incarnation, bumped by
 // every Thread.Begin, tells that thread's transactions apart. The read
-// side is a sparse, sharded mutex+map table of tracked readers (HTM-mode
-// reads, SGL subscription), gated by the lock-free shard.readers count.
-// A ROT that writes, reads untracked and commits — all of SI-HTM — never
-// takes a mutex or touches a map, which is the paper's premise: conflicts
-// are resolved per line in the fabric at no software cost.
+// side is the reader table, Machine.readers: per heap line,
+// ⌈MaxThreads/64⌉ words with one bit per hardware thread, set while that
+// thread's transaction tracks the line (HTM-mode reads, SGL
+// subscription). It takes 8 bytes per line per 64 hardware threads (16
+// on the paper's 80-thread topology) and is allocated by the machine's
+// first tracked read: a machine that runs no HTM-mode transaction, as
+// under si-htm, p8tm, silo or sgl, never holds one. Neither side takes a
+// lock or touches a map, which is the paper's premise: conflicts are
+// resolved per line in the fabric at no software cost.
 //
 // The protocol:
 //
@@ -43,7 +47,9 @@ import (
 //     load→CAS window. A doom aimed at the owner named by a word can
 //     land on that thread's next incarnation in the same window: a
 //     spurious abort (quiesce's stale Kill handle can already cause
-//     one), never a missed doom.
+//     one), never a missed doom. A reader bit has the same window: a
+//     writer that loads it just before the reader clears it (rule 5)
+//     may doom that thread's next transaction, again spuriously.
 //  3. Load of an owned line (conflictRead). Every load site — a plain
 //     load, a read-only transaction's (ReadOnlyOps), a ROT or suspended
 //     Tx.Read, an HTM read's first touch, the writer check of a plain
@@ -61,21 +67,27 @@ import (
 //     (see hook.go).
 //  4. Writers and tracked readers see each other without a common lock,
 //     Dekker-style on sync/atomic's sequential consistency: trackRead
-//     registers in the reader table and then loads; every writer
-//     publishes and then loads shard.readers, locking the shard to doom
-//     the line's readers only if it is non-zero. claimWrite publishes by
-//     CASing the ownership word; a plain store or CAS by writing the heap
-//     word, after dooming the line's live writer. The plain side loads
-//     shard.readers in its own frame (mayTrack, inlined), so a store to
-//     a line whose shard tracks no reader, nearly every one, makes no
-//     call after it publishes. Whichever side comes second sees the
+//     Ors its thread's bit into the line's reader word and then loads the
+//     ownership word; every writer publishes and then loads the line's
+//     reader words, dooming each set bit's transaction but its own.
+//     claimWrite publishes by CASing the ownership word; a plain store or
+//     CAS by writing the heap word, after dooming the line's live writer.
+//     The plain side loads the table pointer in its own frame (mayTrack,
+//     inlined), so on a machine that never tracked a read a store makes
+//     no call after it publishes. Whichever side comes second sees the
 //     first. A plain store that scanned before it published would let a
 //     reader load the old value in between and commit on it: an HTM
-//     transaction reading the SGL word as free.
+//     transaction reading the SGL word as free. The table's lazy
+//     allocation keeps the order: a writer that loads a nil pointer
+//     precedes the first reader's store of it in the sequentially
+//     consistent order, so that reader's Or and its loads of the
+//     ownership and heap words come after the writer's CAS or heap store,
+//     and the reader sees the writer.
 //  5. Release. Commit stores 0 into each word it owns (a committing
 //     transaction cannot be doomed, so none was stolen); cleanup CASes
-//     its own word back to 0 and leaves a stolen one alone. Both drop
-//     the reader registration of every line in the read set.
+//     its own word back to 0 and leaves a stolen one alone. Both clear
+//     their thread's bit, And(^bit), in the reader word of every line in
+//     the read set.
 
 // snoop is the coherence action of a load of line by requester (nil for
 // a plain access), inlined into each load site (rule 3): a zero ownership
@@ -92,85 +104,41 @@ func (m *Machine) ownerTx(word uint32) *Tx {
 	return &m.threads[word&m.idMask-1].tx
 }
 
-// lineEntry records the tracked readers of one cache line.
-type lineEntry struct {
-	readers []*Tx
+// readerWords returns the reader table, allocating it on the machine's
+// first tracked read. Every later call is one load.
+func (m *Machine) readerWords() []atomic.Uint64 {
+	if p := m.readers.Load(); p != nil {
+		return *p
+	}
+	m.readersOnce.Do(func() {
+		w := make([]atomic.Uint64, len(m.owner)*m.readerStride)
+		m.readers.Store(&w)
+	})
+	return *m.readers.Load()
 }
 
-// shard is one partition of the tracked-reader table.
-type shard struct {
-	readers atomic.Int64 // total reader registrations in this shard
-	mu      sync.Mutex
-	lines   map[memsim.Line]*lineEntry
-	free    []*lineEntry // entry pool, guarded by mu
-	_       [64]byte
-}
-
-// shardOf maps a line to its shard with a Fibonacci hash.
-func (m *Machine) shardOf(line memsim.Line) *shard {
-	return &m.shards[uint64(line)*0x9e3779b97f4a7c15>>dirShardShift]
-}
-
-// addReader registers tx as a tracked reader of line.
-func (s *shard) addReader(line memsim.Line, tx *Tx) {
-	s.mu.Lock()
-	e, ok := s.lines[line]
-	if !ok {
-		if n := len(s.free); n > 0 {
-			e = s.free[n-1]
-			s.free = s.free[:n-1]
-		} else {
-			e = &lineEntry{}
-		}
-		s.lines[line] = e
-	}
-	e.readers = append(e.readers, tx)
-	s.readers.Add(1)
-	s.mu.Unlock()
-}
-
-// removeReader unregisters tx from line, recycling the entry once it
-// tracks no one.
-func (s *shard) removeReader(line memsim.Line, tx *Tx) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.lines[line]
-	if !ok {
-		return
-	}
-	for i, r := range e.readers {
-		if r == tx {
-			last := len(e.readers) - 1
-			e.readers[i] = e.readers[last]
-			e.readers[last] = nil
-			e.readers = e.readers[:last]
-			s.readers.Add(-1)
-			break
-		}
-	}
-	if len(e.readers) == 0 {
-		delete(s.lines, line)
-		s.free = append(s.free, e)
-	}
+// readerBit locates hardware thread id's bit among the reader words of
+// line: the word's index in the table and the bit within it.
+func (m *Machine) readerBit(line memsim.Line, id int) (int, uint64) {
+	return int(line)*m.readerStride + id>>6, 1 << (id & 63)
 }
 
 // doomReaders kills every tracked reader of line but except — the
-// invalidation a store's exclusive-ownership request broadcasts. The
-// lock-free count keeps the untracked common case off the mutex.
+// invalidation a store's exclusive-ownership request broadcasts. A
+// machine that never tracked a read has no table and nothing to doom.
 func (m *Machine) doomReaders(line memsim.Line, except *Tx, code AbortCode) {
-	s := m.shardOf(line)
-	if s.readers.Load() == 0 {
+	p := m.readers.Load()
+	if p == nil {
 		return
 	}
-	s.mu.Lock()
-	if e, ok := s.lines[line]; ok {
-		for _, r := range e.readers {
-			if r != except {
+	words := (*p)[int(line)*m.readerStride:][:m.readerStride]
+	for w := range words {
+		for set := words[w].Load(); set != 0; set &= set - 1 {
+			if r := &m.threads[w<<6+bits.TrailingZeros64(set)].tx; r != except {
 				r.doom(code)
 			}
 		}
 	}
-	s.mu.Unlock()
 }
 
 // conflictRead performs the coherence action of a load of line by

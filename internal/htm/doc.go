@@ -42,10 +42,12 @@
 // Conflict detection costs what the paper says it costs in hardware:
 // nothing shared in software. Write ownership is one atomic word per
 // heap cache line, claimed with a compare-and-swap and released with a
-// store; tracked readers live in a sparse side table that only HTM-mode
-// reads ever lock. A ROT that writes, reads untracked and commits — the
-// whole of SI-HTM — takes no mutex and touches no map (directory.go has
-// the protocol). The unowned case is handled at each load site: a plain
+// store; a tracked read sets its hardware thread's bit in the line's
+// reader word and clears it at release. The reader words are allocated
+// by the machine's first tracked read, so a machine that runs only ROTs
+// and plain accesses — the whole of SI-HTM — never holds them. No
+// access takes a mutex or touches a map (directory.go has the
+// protocol). The unowned case is handled at each load site: a plain
 // load, a ROT or suspended read, and the writer check of a plain store
 // or CAS test the line's word in their own frame and, when it is zero,
 // reach the heap word with no call and no shared write; only an owned

@@ -2,19 +2,9 @@ package htm
 
 import "sihtm/internal/memsim"
 
-// LockReaderTable takes the mutex of every reader-table shard and returns
-// the function that releases them, so a test can show which operations
-// never reach for one.
-func (m *Machine) LockReaderTable() (unlock func()) {
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-	}
-	return func() {
-		for i := range m.shards {
-			m.shards[i].mu.Unlock()
-		}
-	}
-}
+// HasReaderTable reports whether the machine has allocated its reader
+// table, which only a tracked read does.
+func (m *Machine) HasReaderTable() bool { return m.readers.Load() != nil }
 
 // OwnerWord returns the ownership word of the line holding a, and the
 // hardware thread it names (-1 when the line is free).
@@ -31,3 +21,9 @@ func (m *Machine) OwnerWord(a memsim.Addr) (word uint32, thread int) {
 // are doomed; nil removes it. Set it only while no other thread issues
 // plain stores.
 func (m *Machine) SetPlainPublished(f func()) { m.plainPublished = f }
+
+// SetReadRegistered installs f to run inside every tracked read, after
+// the reader's bit is set and before the line's ownership word is
+// loaded; nil removes it. Set it only while no other thread tracks
+// reads.
+func (m *Machine) SetReadRegistered(f func()) { m.readRegistered = f }

@@ -52,6 +52,11 @@ func BenchmarkAbort(b *testing.B) { benchCases(b, "abort") }
 // what BenchmarkCommit costs once a second core shares the directory.
 func BenchmarkCommit2T(b *testing.B) { benchCases(b, "commit-2t") }
 
+// BenchmarkReadTx measures a whole read-only transaction on the paper
+// topology, Begin + N first-touch Reads + Commit, for N of 1, 10 and
+// 100 lines in both modes: HTM's gap over ROT is the cost of tracking.
+func BenchmarkReadTx(b *testing.B) { benchCases(b, "readtx") }
+
 // BenchmarkChase measures one node of a dependent pointer chase with
 // plain Thread.Load over rings of 16 384 and 262 144 lines: the cost of
 // the simulated memory itself, host page walk included.

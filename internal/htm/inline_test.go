@@ -20,14 +20,14 @@ import (
 // heap word in its own frame (directory.go, rule 3), so it pays no call.
 // ReadOnlyOps.Read is what tm.Ops dispatches to on SI-HTM's read-only
 // path, so that load costs the interface call and nothing more. A plain
-// store or CAS also tests its shard's reader count in its own frame
-// (mayTrack, rule 4), so it calls out only to doom a tracked reader.
+// store or CAS also tests for the reader table in its own frame
+// (mayTrack, rule 4), so it calls out only on a machine that tracks reads.
 var accessInlines = map[string][]string{
 	"(*Thread).Load":           {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
 	"ReadOnlyOps.Read":         {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
 	"(*Tx).Read":               {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
-	"(*Thread).Store":          {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Store", "memsim.(*Heap).slot", "(*Machine).mayTrack", "(*Machine).shardOf"},
-	"(*Thread).CompareAndSwap": {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).CompareAndSwap", "memsim.(*Heap).slot", "(*Machine).mayTrack", "(*Machine).shardOf"},
+	"(*Thread).Store":          {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Store", "memsim.(*Heap).slot", "(*Machine).mayTrack"},
+	"(*Thread).CompareAndSwap": {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).CompareAndSwap", "memsim.(*Heap).slot", "(*Machine).mayTrack"},
 }
 
 // slowPath is the out-of-line call an owned line takes. Inlining it

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"sihtm/internal/memsim"
@@ -12,14 +13,6 @@ import (
 
 // DefaultTMCAMLines is the paper's TMCAM: 8 KB of 128-byte lines.
 const DefaultTMCAMLines = 64
-
-// dirShards is the number of shards of the directory's tracked-reader
-// table, a power of two; dirShardShift maps a line hash to its shard
-// index (64 - log2(dirShards)).
-const (
-	dirShards     = 1024
-	dirShardShift = 64 - 10
-)
 
 // maxThreadIDBits bounds the hardware-thread field of an ownership word
 // (see directory.go), leaving at least 16 of its 32 bits to the
@@ -66,8 +59,14 @@ type Machine struct {
 	heap    *memsim.Heap
 	cores   []coreState
 	owner   []atomic.Uint32 // one ownership word per heap line (directory.go)
-	shards  []shard         // tracked-reader side table
 	threads []Thread
+
+	// readers is the reader table (directory.go): readerStride words
+	// per heap line, one bit per hardware thread. It stays nil until the
+	// first tracked read, which allocates it once through readersOnce.
+	readers      atomic.Pointer[[]atomic.Uint64]
+	readersOnce  sync.Once
+	readerStride int
 
 	// hook, when non-nil, brackets every committed write set's
 	// publication (see CommitHook). Set before workers start; read
@@ -77,6 +76,10 @@ type Machine struct {
 	// plainPublished, when set, runs between a plain store's publication
 	// and its reader scan. Only tests set it (export_test.go).
 	plainPublished func()
+
+	// readRegistered, when set, runs between a tracked read's
+	// registration and its snoop. Only tests set it (export_test.go).
+	readRegistered func()
 
 	// idMask covers the hardware-thread field of an ownership word,
 	// bits.Len(MaxThreads) wide; the incarnation tag takes the rest.
@@ -95,15 +98,12 @@ func NewMachine(heap *memsim.Heap, cfg Config) *Machine {
 			cfg.Topology.MaxThreads(), 1<<maxThreadIDBits-1))
 	}
 	m := &Machine{
-		cfg:    cfg,
-		heap:   heap,
-		cores:  make([]coreState, cfg.Topology.Cores()),
-		owner:  make([]atomic.Uint32, (heap.Size()+memsim.WordsPerLine-1)/memsim.WordsPerLine),
-		shards: make([]shard, dirShards),
-		idMask: 1<<idBits - 1,
-	}
-	for i := range m.shards {
-		m.shards[i].lines = make(map[memsim.Line]*lineEntry)
+		cfg:          cfg,
+		heap:         heap,
+		cores:        make([]coreState, cfg.Topology.Cores()),
+		owner:        make([]atomic.Uint32, (heap.Size()+memsim.WordsPerLine-1)/memsim.WordsPerLine),
+		readerStride: (cfg.Topology.MaxThreads() + 63) / 64,
+		idMask:       1<<idBits - 1,
 	}
 	m.threads = make([]Thread, cfg.Topology.MaxThreads())
 	for i := range m.threads {
@@ -155,14 +155,11 @@ func (m *Machine) DirectoryQuiescent() bool {
 			return false
 		}
 	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n := len(s.lines)
-		r := s.readers.Load()
-		s.mu.Unlock()
-		if n != 0 || r != 0 {
-			return false
+	if p := m.readers.Load(); p != nil {
+		for i := range *p {
+			if (*p)[i].Load() != 0 {
+				return false
+			}
 		}
 	}
 	return true

@@ -5,10 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sihtm/internal/footprint"
 	"sihtm/internal/htm"
+	"sihtm/internal/htmtm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/race"
 	isihtm "sihtm/internal/sihtm"
@@ -293,62 +293,70 @@ func TestNewMachineRejectsTooManyThreads(t *testing.T) {
 	htm.NewMachine(memsim.NewHeapLines(1), htm.Config{Topology: topology.New(1<<13, 8)})
 }
 
-// SI-HTM is ROT writes, untracked reads and a read-only fast path: none
-// of it may reach for a reader-table mutex. Two threads run a
-// kv-update-shaped mix with every shard mutex held by the test; a single
-// acquisition anywhere on that path would park them for good.
-func TestSIHTMPathTakesNoDirectoryMutex(t *testing.T) {
+// runKVMix drives a kv-update-shaped mix through sys on two threads:
+// every fourth transaction reads eight words, the others read eight and
+// increment four of them. It checks that each increment landed once.
+func runKVMix(t *testing.T, m *htm.Machine, sys tm.System) {
+	t.Helper()
 	const threads, keys, txs = 2, 64, 2000
-	m := newMachine(t, threads, 1, htm.DefaultTMCAMLines)
-	sys := isihtm.NewSystem(m, threads, isihtm.Config{})
 	addrs := allocLines(m, keys)
-
-	unlock := m.LockReaderTable()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for id := 0; id < threads; id++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				for i := 0; i < txs; i++ {
-					k := (i*7 + id) % (keys - 8)
-					if i%4 == 3 {
-						sys.Atomic(id, tm.KindReadOnly, func(ops tm.Ops) {
-							for j := 0; j < 8; j++ {
-								ops.Read(addrs[k+j])
-							}
-						})
-						continue
-					}
-					sys.Atomic(id, tm.KindUpdate, func(ops tm.Ops) {
+	var wg sync.WaitGroup
+	for id := 0; id < threads; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for i := 0; i < txs; i++ {
+				k := (i*7 + id) % (keys - 8)
+				if i%4 == 3 {
+					sys.Atomic(id, tm.KindReadOnly, func(ops tm.Ops) {
 						for j := 0; j < 8; j++ {
-							v := ops.Read(addrs[k+j])
-							if j%2 == 0 {
-								ops.Write(addrs[k+j], v+1)
-							}
+							ops.Read(addrs[k+j])
 						}
 					})
+					continue
 				}
-			}(id)
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Minute):
-		t.Fatal("SI-HTM transactions made no progress with the reader-table mutexes held")
+				sys.Atomic(id, tm.KindUpdate, func(ops tm.Ops) {
+					for j := 0; j < 8; j++ {
+						v := ops.Read(addrs[k+j])
+						if j%2 == 0 {
+							ops.Write(addrs[k+j], v+1)
+						}
+					}
+				})
+			}
+		}(id)
 	}
-	unlock()
+	wg.Wait()
 
-	// Each update transaction incremented four words exactly once.
 	var sum uint64
 	for _, a := range addrs {
 		sum += m.Thread(0).Load(a)
 	}
 	if want := uint64(threads * (txs - txs/4) * 4); sum != want {
 		t.Fatalf("words sum to %d, want %d", sum, want)
+	}
+}
+
+// SI-HTM is ROT writes, untracked reads and a read-only fast path: none
+// of it tracks a read, so a machine that runs it never allocates the
+// reader table.
+func TestSIHTMPathAllocatesNoReaderTable(t *testing.T) {
+	m := newMachine(t, 2, 1, htm.DefaultTMCAMLines)
+	runKVMix(t, m, isihtm.NewSystem(m, 2, isihtm.Config{}))
+	if m.HasReaderTable() {
+		t.Fatal("an SI-HTM run allocated the reader table")
+	}
+	checkQuiescent(t, m)
+}
+
+// The converse: htm's regular transactions track every read and the SGL
+// subscription, so they allocate the table, and once they have finished
+// every reader word is clear again.
+func TestHTMPathClearsItsReaderBits(t *testing.T) {
+	m := newMachine(t, 2, 1, htm.DefaultTMCAMLines)
+	runKVMix(t, m, htmtm.NewSystem(m, 2, htmtm.Config{}))
+	if !m.HasReaderTable() {
+		t.Fatal("an HTM run left the reader table unallocated")
 	}
 	checkQuiescent(t, m)
 }

@@ -96,7 +96,7 @@ func (t *Thread) Store(a memsim.Addr, v uint64) {
 	line := memsim.LineOf(a)
 	m.snoop(line, nil)
 	m.heap.Store(a, v)
-	if m.mayTrack(line) {
+	if m.mayTrack() {
 		m.doomPlainReaders(line)
 	}
 }
@@ -110,18 +110,18 @@ func (t *Thread) CompareAndSwap(a memsim.Addr, old, new uint64) bool {
 	line := memsim.LineOf(a)
 	m.snoop(line, nil)
 	ok := m.heap.CompareAndSwap(a, old, new)
-	if m.mayTrack(line) {
+	if m.mayTrack() {
 		m.doomPlainReaders(line)
 	}
 	return ok
 }
 
 // mayTrack is the reader test of a plain store or CAS that has
-// published its value, inlined into each (rule 4): a zero reader count
-// in the line's shard means no tracked reader to doom, so only a
-// non-zero count, or the test hook, calls doomPlainReaders.
-func (m *Machine) mayTrack(line memsim.Line) bool {
-	return m.shardOf(line).readers.Load() != 0 || m.plainPublished != nil
+// published its value, inlined into each (rule 4): a machine without a
+// reader table has no tracked reader to doom, so only one that has a
+// table, or the test hook, calls doomPlainReaders.
+func (m *Machine) mayTrack() bool {
+	return m.readers.Load() != nil || m.plainPublished != nil
 }
 
 // doomPlainReaders dooms the tracked readers of line for a plain store or

@@ -176,13 +176,17 @@ func (tx *Tx) cleanup() {
 	tx.release()
 }
 
-// release is the common tail of commit and abort: drop the read set's
-// registrations in the reader table, return the TMCAM charge and empty
-// the footprint.
+// release is the common tail of commit and abort: clear the thread's
+// reader bit on every line of the read set, return the TMCAM charge and
+// empty the footprint.
 func (tx *Tx) release() {
 	m := tx.th.m
-	for _, line := range tx.readLines.Lines() {
-		m.shardOf(line).removeReader(line, tx)
+	if lines := tx.readLines.Lines(); len(lines) > 0 {
+		words := m.readerWords()
+		for _, line := range lines {
+			w, bit := m.readerBit(line, tx.th.id)
+			words[w].And(^bit)
+		}
 	}
 	m.uncharge(tx.th.core, tx.charged)
 	tx.charged = 0
@@ -226,16 +230,21 @@ func (tx *Tx) Read(a memsim.Addr) uint64 {
 	return m.heap.Load(a)
 }
 
-// trackRead registers tx as a reader of line, dooming any live writer
-// (last reader kills previous writer) and charging one TMCAM entry. The
-// registration comes first so that a writer claiming the line meanwhile
+// trackRead registers tx as a reader of line by setting its thread's
+// bit in the line's reader word, dooms any live writer (last reader
+// kills previous writer) and charges one TMCAM entry. The registration
+// comes before the snoop so that a writer claiming the line meanwhile
 // sees it (protocol rule 4); an abort from here on — a pending doom
 // delivered while a committing writer drains, or capacity — withdraws it
 // through cleanup.
 func (tx *Tx) trackRead(line memsim.Line) {
 	m := tx.th.m
-	m.shardOf(line).addReader(line, tx)
+	w, bit := m.readerBit(line, tx.th.id)
+	m.readerWords()[w].Or(bit)
 	tx.readLines.Add(line)
+	if m.readRegistered != nil {
+		m.readRegistered()
+	}
 	m.snoop(line, tx)
 	if !m.charge(tx.th.core, 1) {
 		tx.abort(CodeCapacity)

@@ -74,7 +74,7 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 			if tx.Read(s.lock.Addr()) != 0 {
 				tx.AbortExplicit()
 			}
-			body(tm.TxOps{Tx: tx})
+			body(tx)
 		})
 	})
 	if !committed {

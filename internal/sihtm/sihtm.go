@@ -114,7 +114,7 @@ func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(t
 	l.HWBegin(true)
 	return htm.Run(th, htm.ModeROT, func(tx *htm.Tx) {
 		s.state.Expose(thread, tx)
-		body(tm.TxOps{Tx: tx})
+		body(tx)
 		s.state.CompleteAndWait(thread, tx, l)
 	})
 }

@@ -68,14 +68,9 @@ type System interface {
 	Collector() *stats.Collector
 }
 
-// TxOps adapts a hardware transaction to Ops.
-type TxOps struct{ Tx *htm.Tx }
-
-// Read implements Ops.
-func (o TxOps) Read(a memsim.Addr) uint64 { return o.Tx.Read(a) }
-
-// Write implements Ops.
-func (o TxOps) Write(a memsim.Addr, v uint64) { o.Tx.Write(a, v) }
+// A hardware transaction is its own Ops: a body reaches Tx.Read and
+// Tx.Write through one interface call.
+var _ Ops = (*htm.Tx)(nil)
 
 // PlainOps adapts a hardware thread's plain (non-transactional) accesses
 // to Ops. It is the access path of the SGL fall-backs. The read-only

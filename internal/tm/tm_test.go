@@ -44,18 +44,18 @@ func TestOpsAdapters(t *testing.T) {
 		t.Fatal("PlainOps round-trip failed")
 	}
 
-	// TxOps round-trip inside a transaction.
+	// A hardware transaction as Ops, round-trip.
 	if ab := htm.Run(th, htm.ModeROT, func(tx *htm.Tx) {
-		to := tm.TxOps{Tx: tx}
+		var to tm.Ops = tx
 		to.Write(a, 6)
 		if to.Read(a) != 6 {
-			t.Fatal("TxOps round-trip failed")
+			t.Fatal("*htm.Tx round-trip failed")
 		}
 	}); ab != nil {
 		t.Fatalf("unexpected abort: %v", ab)
 	}
 	if heap.Load(a) != 6 {
-		t.Fatal("TxOps write not committed")
+		t.Fatal("*htm.Tx write not committed")
 	}
 
 	// The read-only path forwards reads and rejects writes.
