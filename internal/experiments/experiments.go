@@ -32,11 +32,17 @@ import (
 // paper's shape (10-core ladder to 80 threads, full workload sizes);
 // larger values shrink workload sizes and the thread ladder for
 // CI-friendly runs. Named presets live in ScaleByName.
+//
+// The rule: a scale may shrink what sizes a run — threads, windows, and
+// table sizes no figure sweeps — but never a variable a figure sweeps,
+// or the scaled run no longer shows the effect the figure is named for.
+// The hash-map figures sweep read footprint against the TMCAM, so their
+// chain length is never scaled.
 type Scale struct {
 	// MaxThreads caps the thread ladder (0 = no cap).
 	MaxThreads int
-	// WorkloadDiv divides workload sizes (hash-map population, TPC-C
-	// warehouse cap). 0 = 1.
+	// WorkloadDiv divides workload sizes that no figure sweeps (TPC-C
+	// table sizes and warehouse cap, scenario key counts). 0 = 1.
 	WorkloadDiv int
 	// Warmup and Measure override the run windows if non-zero.
 	Warmup, Measure time.Duration

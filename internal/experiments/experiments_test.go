@@ -462,3 +462,38 @@ func TestCapacityCliffShape(t *testing.T) {
 		t.Errorf("SI-HTM not flat at 96 lines: %+v", recs)
 	}
 }
+
+// Scale's rule, that a scale never shrinks the variable a figure
+// sweeps, guarded where it matters most: at ci scale fig6-low keeps the
+// paper's 200-node chains, so one htm thread's lookups overflow the
+// 64-line TMCAM (every node is a line), while si-htm's untracked ROT
+// and read-only reads never do. A scale that shortened the chains again
+// would read 0 % for htm here, as the committed artifact once did.
+func TestCIScaleKeepsTheCapacityCliff(t *testing.T) {
+	sc, err := ScaleByName("ci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := Lookup("fig6-low")
+	if !ok {
+		t.Fatal("fig6-low entry missing")
+	}
+	for _, system := range []string{"htm", "si-htm"} {
+		sys, mkWorker, check, err := e.BuildPoint(system, 1, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr := harness.RunOps(sys, 1, 500, mkWorker)
+		if err := check(); err != nil {
+			t.Fatalf("%s: %v", system, err)
+		}
+		share := hr.AbortPercent(stats.AbortCapacity)
+		t.Logf("%s: capacity aborts %.1f%% of attempts over 500 transactions", system, share)
+		if system == "htm" && share <= 0 {
+			t.Errorf("htm capacity-abort share is 0 at ci scale: fig6-low's chains no longer reach the TMCAM")
+		}
+		if system == "si-htm" && share != 0 {
+			t.Errorf("si-htm capacity-abort share is %.1f%%, want 0", share)
+		}
+	}
+}

@@ -79,10 +79,10 @@ func (h hashmapSpec) params() string {
 	return fmt.Sprintf("buckets=%d chain=%d ro=%d%%", h.buckets, h.chain, h.roPct)
 }
 
-func (h hashmapSpec) build(sc Scale, threads int) (*built, error) {
+func (h hashmapSpec) build(_ Scale, threads int) (*built, error) {
 	cfg := hashmap.BenchConfig{
 		Buckets:           h.buckets,
-		ElementsPerBucket: max(h.chain/sc.WorkloadDiv, 2),
+		ElementsPerBucket: h.chain, // the swept footprint: no scale shrinks it
 		ReadOnlyPercent:   h.roPct,
 		Seed:              h.seed,
 	}

@@ -1,16 +1,18 @@
-// Package footprint provides the per-transaction footprint-tracking
-// data structures of the HTM simulator: a set of cache lines (the read
-// and write sets) and an address-indexed write buffer, both with O(1)
-// membership, insertion and lookup regardless of transaction size.
+// Package footprint provides the HTM simulator's store buffer: an
+// address-indexed map from each word a transaction wrote to the value it
+// will publish at commit, with O(1) insertion and lookup regardless of
+// transaction size. The read and write sets need no structure of their
+// own: the conflict directory's ownership word and reader bit per line
+// answer membership (internal/htm, directory.go).
 //
 // The paper's whole argument concerns transactions far larger than the
 // TMCAM — SI-HTM stretches ROT capacity to ~100× the 64-line limit — so
 // the simulator's per-access software cost must not grow with the very
-// footprint the evaluation sweeps. These structures replace the linear
-// scans the simulator started with (O(N) per access, O(N²) per
-// transaction) and are engineered for the two regimes that matter:
+// footprint the evaluation sweeps. The buffer replaces the linear scan
+// the simulator started with (O(N) per access, O(N²) per transaction)
+// and is engineered for the two regimes that matter:
 //
-//   - Tiny transactions (the common case): elements live in a small
+//   - Tiny transactions (the common case): entries live in a small
 //     inline array scanned linearly — no hashing, no heap allocation,
 //     hot in the owner's cache line.
 //   - Large transactions: an open-addressing, power-of-two hash table
@@ -19,11 +21,10 @@
 //     nothing to reset, and the backing arrays are retained (up to a
 //     cap) across transactions so steady-state commits allocate zero.
 //
-// A transaction owns one LineSet for its write lines, one for its read
-// lines and one WriteBuffer for buffered stores; all three are recycled
-// across attempts by the owning hardware thread. The package also ships
-// reference linear-scan implementations (reference.go) used as oracles
-// by the differential tests.
+// A transaction owns one WriteBuffer, recycled across attempts by the
+// owning hardware thread. The package also ships a reference
+// linear-scan implementation (reference.go) used as the oracle of the
+// differential test.
 package footprint
 
 import (
@@ -33,13 +34,13 @@ import (
 )
 
 const (
-	// inlineCap is how many elements are tracked by linear scan over the
+	// inlineCap is how many entries are kept by linear scan over the
 	// inline array before a hash table is built. 8 covers the bulk of
 	// OLTP-style transactions (TPC-C payment touches ~6 lines).
 	inlineCap = 8
 
-	// firstTableSize is the initial hash-table size once a set outgrows
-	// the inline array. Must be a power of two.
+	// firstTableSize is the initial hash-table size once a buffer
+	// outgrows the inline array. Must be a power of two.
 	firstTableSize = 64
 
 	// maxRetainedElems caps the element-slice capacity kept across
@@ -59,133 +60,13 @@ const (
 	growNum, growDen = 3, 4
 )
 
-// hashLine mixes a line number for table placement (Fibonacci hashing:
+// hashAddr mixes a word address for table placement (Fibonacci hashing:
 // multiply by 2^64/φ and take the top bits via the table's shift).
-func hashLine(l memsim.Line) uint64 { return uint64(l) * 0x9e3779b97f4a7c15 }
-
-// hashAddr mixes a word address for table placement.
 func hashAddr(a memsim.Addr) uint64 { return uint64(a) * 0x9e3779b97f4a7c15 }
 
 // tableShift returns the right-shift that maps a 64-bit hash onto a
 // power-of-two table of n slots.
 func tableShift(n int) uint { return uint(64 - bits.TrailingZeros(uint(n))) }
-
-// lineSlot is one open-addressing slot of a LineSet. A slot holds a live
-// key iff its generation matches the set's current generation, which
-// lets Reset invalidate the whole table by bumping one counter instead
-// of zeroing it.
-type lineSlot struct {
-	key memsim.Line
-	gen uint64
-}
-
-// LineSet is a set of cache lines: the transaction read set or write
-// set. The zero value is ready to use. Not safe for concurrent use; in
-// the simulator it is only touched by the transaction's own thread.
-type LineSet struct {
-	gen    uint64
-	elems  []memsim.Line // members in insertion order; backs iteration
-	table  []lineSlot    // nil while the inline linear scan suffices
-	shift  uint          // maps a hash onto table; 64 - log2(len(table))
-	inline [inlineCap]memsim.Line
-}
-
-// Len returns the number of lines in the set.
-func (s *LineSet) Len() int { return len(s.elems) }
-
-// Lines returns the members in insertion order. The slice aliases the
-// set's storage: it is valid until the next Add or Reset.
-func (s *LineSet) Lines() []memsim.Line { return s.elems }
-
-// Contains reports whether l is in the set.
-func (s *LineSet) Contains(l memsim.Line) bool {
-	if s.table == nil {
-		for _, e := range s.elems {
-			if e == l {
-				return true
-			}
-		}
-		return false
-	}
-	mask := uint64(len(s.table) - 1)
-	for i := hashLine(l) >> s.shift; ; i = (i + 1) & mask {
-		sl := &s.table[i]
-		if sl.gen != s.gen {
-			return false
-		}
-		if sl.key == l {
-			return true
-		}
-	}
-}
-
-// Add inserts l, reporting whether it was newly added.
-func (s *LineSet) Add(l memsim.Line) bool {
-	if s.table == nil {
-		for _, e := range s.elems {
-			if e == l {
-				return false
-			}
-		}
-		if s.elems == nil {
-			s.elems = s.inline[:0]
-		}
-		s.elems = append(s.elems, l)
-		if len(s.elems) > inlineCap {
-			s.grow(firstTableSize)
-		}
-		return true
-	}
-	mask := uint64(len(s.table) - 1)
-	for i := hashLine(l) >> s.shift; ; i = (i + 1) & mask {
-		sl := &s.table[i]
-		if sl.gen != s.gen {
-			sl.key, sl.gen = l, s.gen
-			s.elems = append(s.elems, l)
-			if len(s.elems)*growDen >= len(s.table)*growNum {
-				s.grow(len(s.table) * 2)
-			}
-			return true
-		}
-		if sl.key == l {
-			return false
-		}
-	}
-}
-
-// grow (re)builds the hash table with n slots (a power of two) and
-// reinserts every member.
-func (s *LineSet) grow(n int) {
-	if s.gen == 0 {
-		s.gen = 1 // zero-valued slots must never look live
-	}
-	s.table = make([]lineSlot, n)
-	s.shift = tableShift(n)
-	mask := uint64(n - 1)
-	for _, l := range s.elems {
-		i := hashLine(l) >> s.shift
-		for s.table[i].gen == s.gen {
-			i = (i + 1) & mask
-		}
-		s.table[i] = lineSlot{key: l, gen: s.gen}
-	}
-}
-
-// Reset empties the set in O(1): the generation bump invalidates every
-// table slot without touching it. Backing storage is retained up to the
-// package caps so steady-state reuse allocates nothing.
-func (s *LineSet) Reset() {
-	if cap(s.elems) > maxRetainedElems {
-		s.elems = s.inline[:0]
-	} else if s.elems != nil {
-		s.elems = s.elems[:0]
-	}
-	if len(s.table) > maxRetainedSlots {
-		s.table = nil
-		s.shift = 0
-	}
-	s.gen++
-}
 
 // Entry is one buffered store: the word address and the value that will
 // be published at commit.

@@ -7,39 +7,6 @@ import (
 	"sihtm/internal/rng"
 )
 
-// TestLineSetBasic exercises the inline→table transition by hand.
-func TestLineSetBasic(t *testing.T) {
-	var s LineSet
-	if s.Len() != 0 || s.Contains(0) {
-		t.Fatal("zero-value set not empty")
-	}
-	// Line 0 is a valid member (Addr 0 is merely the heap's nil word).
-	for i := 0; i < 3*inlineCap; i++ {
-		l := memsim.Line(i)
-		if !s.Add(l) {
-			t.Fatalf("Add(%d) reported duplicate on first insert", i)
-		}
-		if s.Add(l) {
-			t.Fatalf("Add(%d) reported new on second insert", i)
-		}
-		if !s.Contains(l) {
-			t.Fatalf("Contains(%d) false after Add", i)
-		}
-	}
-	if s.Len() != 3*inlineCap {
-		t.Fatalf("Len=%d want %d", s.Len(), 3*inlineCap)
-	}
-	for i, l := range s.Lines() {
-		if l != memsim.Line(i) {
-			t.Fatalf("Lines()[%d]=%d: insertion order not preserved", i, l)
-		}
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Contains(0) || s.Contains(memsim.Line(inlineCap)) {
-		t.Fatal("set not empty after Reset")
-	}
-}
-
 // TestWriteBufferBasic exercises upsert and reads-own-writes by hand.
 func TestWriteBufferBasic(t *testing.T) {
 	var b WriteBuffer
@@ -65,47 +32,11 @@ func TestWriteBufferBasic(t *testing.T) {
 	}
 }
 
-// TestLineSetDifferential drives the open-addressing set and the linear
-// reference through 10k mixed random operations — adds, membership
-// probes and occasional resets, over an address range small enough to
-// force collisions and duplicates — and demands identical answers.
-func TestLineSetDifferential(t *testing.T) {
-	r := rng.New(0xf007)
-	var fast LineSet
-	var ref RefLineSet
-	for op := 0; op < 10_000; op++ {
-		switch r.Intn(10) {
-		case 0, 1, 2, 3: // Add
-			l := memsim.Line(r.Intn(512))
-			if g, w := fast.Add(l), ref.Add(l); g != w {
-				t.Fatalf("op %d: Add(%d)=%v, reference says %v", op, l, g, w)
-			}
-		case 4, 5, 6, 7: // Contains
-			l := memsim.Line(r.Intn(512))
-			if g, w := fast.Contains(l), ref.Contains(l); g != w {
-				t.Fatalf("op %d: Contains(%d)=%v, reference says %v", op, l, g, w)
-			}
-		case 8: // full-state check
-			if fast.Len() != ref.Len() {
-				t.Fatalf("op %d: Len=%d, reference says %d", op, fast.Len(), ref.Len())
-			}
-			for i, l := range ref.Lines() {
-				if fast.Lines()[i] != l {
-					t.Fatalf("op %d: Lines()[%d]=%d, reference says %d", op, i, fast.Lines()[i], l)
-				}
-			}
-		case 9:
-			if r.Intn(20) == 0 { // occasional transaction boundary
-				fast.Reset()
-				ref.Reset()
-			}
-		}
-	}
-}
-
-// TestWriteBufferDifferential is the same 10k-operation differential
-// drive for the write buffer: Put upserts, Get lookups, entry iteration
-// and resets must match the linear reference exactly.
+// TestWriteBufferDifferential drives the open-addressing buffer and the
+// linear reference through 10k mixed random operations — Put upserts,
+// Get lookups, entry iteration and occasional resets, over an address
+// range small enough to force collisions and overwrites — and demands
+// identical answers.
 func TestWriteBufferDifferential(t *testing.T) {
 	r := rng.New(0xbeef)
 	var fast WriteBuffer
@@ -142,87 +73,36 @@ func TestWriteBufferDifferential(t *testing.T) {
 	}
 }
 
-// TestLineSetLargeFootprint pushes one set through the bench suite's
-// largest footprint and verifies exact membership against a map oracle,
-// including across a Reset that must retain (capped) capacity.
-func TestLineSetLargeFootprint(t *testing.T) {
-	r := rng.New(7)
-	var s LineSet
-	for round := 0; round < 3; round++ {
-		oracle := map[memsim.Line]bool{}
-		for i := 0; i < maxRetainedElems; i++ {
-			l := memsim.Line(r.Uint64() % (4 * maxRetainedElems))
-			if g, w := s.Add(l), !oracle[l]; g != w {
-				t.Fatalf("round %d: Add(%d)=%v want %v", round, l, g, w)
-			}
-			oracle[l] = true
-		}
-		for l := range oracle {
-			if !s.Contains(l) {
-				t.Fatalf("round %d: lost line %d", round, l)
-			}
-		}
-		if s.Len() != len(oracle) {
-			t.Fatalf("round %d: Len=%d want %d", round, s.Len(), len(oracle))
-		}
-		s.Reset()
-		if s.Len() != 0 {
-			t.Fatalf("round %d: non-empty after Reset", round)
-		}
-	}
-}
-
-// TestResetCapsRetention verifies the pooled-capacity caps: a set grown
-// past the retention limits must shed its backing storage on Reset.
+// TestResetCapsRetention verifies the pooled-capacity caps: a buffer
+// grown past the retention limits must shed its backing storage on
+// Reset, and still work afterwards.
 func TestResetCapsRetention(t *testing.T) {
-	var s LineSet
+	var b WriteBuffer
 	for i := 0; i < 2*maxRetainedElems; i++ {
-		s.Add(memsim.Line(i))
+		b.Put(memsim.Addr(i), uint64(i))
 	}
-	if cap(s.elems) <= maxRetainedElems || len(s.table) <= maxRetainedSlots {
-		t.Skipf("set did not outgrow retention caps (cap=%d slots=%d)", cap(s.elems), len(s.table))
+	if cap(b.elems) <= maxRetainedElems || len(b.table) <= maxRetainedSlots {
+		t.Skipf("buffer did not outgrow retention caps (cap=%d slots=%d)", cap(b.elems), len(b.table))
 	}
-	s.Reset()
-	if cap(s.elems) > maxRetainedElems {
-		t.Fatalf("Reset retained %d elems capacity, cap is %d", cap(s.elems), maxRetainedElems)
+	b.Reset()
+	if cap(b.elems) > maxRetainedElems {
+		t.Fatalf("Reset retained %d entries of capacity, cap is %d", cap(b.elems), maxRetainedElems)
 	}
-	if len(s.table) > maxRetainedSlots {
-		t.Fatalf("Reset retained %d table slots, cap is %d", len(s.table), maxRetainedSlots)
+	if len(b.table) > maxRetainedSlots {
+		t.Fatalf("Reset retained %d table slots, cap is %d", len(b.table), maxRetainedSlots)
 	}
-	// The shed set must still work.
-	if !s.Add(3) || !s.Contains(3) || s.Contains(4) {
-		t.Fatal("set broken after capacity shed")
+	b.Put(3, 30)
+	if v, ok := b.Get(3); !ok || v != 30 || b.Len() != 1 {
+		t.Fatal("buffer broken after capacity shed")
 	}
-}
-
-// TestLineSetSteadyStateAllocs pins the steady-state access path at zero
-// heap allocations: once a set has grown its table, Add/Contains/Reset
-// cycles over the same footprint must never allocate.
-func TestLineSetSteadyStateAllocs(t *testing.T) {
-	var s LineSet
-	const lines = 1024
-	for i := 0; i < lines; i++ { // warm up: grow table and elems once
-		s.Add(memsim.Line(i))
-	}
-	s.Reset()
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < lines; i++ {
-			if s.Add(memsim.Line(i)) == false {
-				t.Fatal("duplicate in fresh generation")
-			}
-			if !s.Contains(memsim.Line(i)) {
-				t.Fatal("lost line")
-			}
-		}
-		s.Reset()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state LineSet cycle allocates %.1f/run, want 0", allocs)
+	if _, ok := b.Get(4); ok {
+		t.Fatal("stale entry visible after capacity shed")
 	}
 }
 
-// TestWriteBufferSteadyStateAllocs is the same zero-alloc pin for the
-// write buffer's Put/Get/Reset cycle.
+// TestWriteBufferSteadyStateAllocs pins the steady-state access path at
+// zero heap allocations: once the buffer has grown its table, a
+// Put/Get/Reset cycle over the same footprint must never allocate.
 func TestWriteBufferSteadyStateAllocs(t *testing.T) {
 	var b WriteBuffer
 	const words = 1024

@@ -2,48 +2,16 @@ package footprint
 
 import "sihtm/internal/memsim"
 
-// This file keeps the pre-optimisation linear-scan implementations as
-// differential-testing oracles: they implement the same contract as
-// LineSet and WriteBuffer with the simplest possible code (the exact
-// shape internal/htm used before the O(1) structures), so the property
-// tests can drive both over long random operation sequences and demand
+// This file keeps the pre-optimisation linear-scan implementation as a
+// differential-testing oracle: it implements the same contract as
+// WriteBuffer with the simplest possible code (the exact shape
+// internal/htm used before the O(1) structure), so the property test
+// can drive both over long random operation sequences and demand
 // identical answers.
 
-// RefLineSet is a linear-scan set of cache lines.
-type RefLineSet struct {
-	lines []memsim.Line
-}
-
-// Len returns the number of lines in the set.
-func (s *RefLineSet) Len() int { return len(s.lines) }
-
-// Lines returns the members in insertion order.
-func (s *RefLineSet) Lines() []memsim.Line { return s.lines }
-
-// Contains reports whether l is in the set.
-func (s *RefLineSet) Contains(l memsim.Line) bool {
-	for _, e := range s.lines {
-		if e == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Add inserts l, reporting whether it was newly added.
-func (s *RefLineSet) Add(l memsim.Line) bool {
-	if s.Contains(l) {
-		return false
-	}
-	s.lines = append(s.lines, l)
-	return true
-}
-
-// Reset empties the set.
-func (s *RefLineSet) Reset() { s.lines = s.lines[:0] }
-
 // RefWriteBuffer is a linear-scan write buffer. Get reverse-scans so the
-// most recent store wins, exactly as the original bufferedRead did.
+// most recent store wins, exactly as the simulator's first store
+// buffer did.
 type RefWriteBuffer struct {
 	entries []Entry
 }

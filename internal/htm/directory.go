@@ -29,14 +29,22 @@ import (
 // lock or touches a map, which is the paper's premise: conflicts are
 // resolved per line in the fabric at no software cost.
 //
+// The directory is also every transaction's footprint, as the TMCAM's
+// entries are on POWER8 (§2.2): a line is in a transaction's write set
+// iff its ownership word is the transaction's word, and in its read set
+// iff its thread's bit is set in the line's reader word (never, on a
+// machine without a reader table). Tx keeps no membership structure of
+// its own, only lists of the lines it took, to release and count them.
+//
 // The protocol:
 //
 //  1. Claim (claimWrite). Load the word. If it names a live transaction,
 //     re-load, and if unchanged self-abort with CodeTxConflict ("the last
 //     writer is killed"); conflict is checked before capacity. Charge the
-//     TMCAM unless the line is already in the claimant's read set. Then
-//     CompareAndSwap(old, mine). A non-zero word whose owner is doomed
-//     but has not yet cleaned up is stolen by that same CAS.
+//     TMCAM unless the claimant's reader bit is set (a read→write upgrade
+//     reuses the read's entry). Then CompareAndSwap(old, mine). A
+//     non-zero word whose owner is doomed but has not yet cleaned up is
+//     stolen by that same CAS.
 //  2. The incarnation tag is what makes the steal safe. Without it a
 //     stealer could find the owner dead, the owner could clean up,
 //     restart and re-claim the same line, and the stealer's CAS would
@@ -49,13 +57,22 @@ import (
 //     spurious abort (quiesce's stale Kill handle can already cause
 //     one), never a missed doom. A reader bit has the same window: a
 //     writer that loads it just before the reader clears it (rule 5)
-//     may doom that thread's next transaction, again spuriously.
+//     may doom that thread's next transaction, again spuriously. A
+//     steal also takes the line out of the doomed owner's write set, so
+//     until its doom is delivered the owner may treat the line as new:
+//     re-claim it from a stealer that is dead too, or, reading it, snoop
+//     the stealer and doom it, and read committed data rather than its
+//     own buffered store. Those are spurious aborts of the same class,
+//     never a missed doom, and no value escapes: the owner was doomed
+//     before the steal, so its next operation aborts it.
 //  3. Load of an owned line (conflictRead). Every load site — a plain
 //     load, a read-only transaction's (ReadOnlyOps), a ROT or suspended
 //     Tx.Read, an HTM read's first touch, the writer check of a plain
 //     store or CAS — first tests the line's word in its own frame
-//     (snoop, inlined) and goes on to the heap word when it is 0, which
-//     is almost every load: no call, no shared write. Only a non-zero
+//     (snoop, inlined; Tx.Read loads the word in its body, where the
+//     same load is its write-set test) and goes on to the heap word
+//     when it is 0, which is almost every load: no call, no shared
+//     write. Only a non-zero
 //     word takes conflictRead. Own line: return. Otherwise doom the
 //     owner; if that fails because the owner is already dead, return
 //     (its buffered stores were never visible); if it fails because the

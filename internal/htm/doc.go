@@ -53,10 +53,11 @@
 // reach the heap word with no call and no shared write; only an owned
 // line calls into the coherence action.
 //
-// Per-transaction footprint state (read/write line sets, the store
-// buffer) lives in the O(1), pooled structures of internal/footprint,
-// so the cost of a simulated access is independent of transaction size
-// and a transaction, committed or aborted, allocates no heap memory in
-// steady state — properties the hot-path benchmark suite
-// (internal/hotbench, docs/performance.md) guards.
+// The same words are each transaction's read and write sets. A
+// transaction keeps only its buffered stores, in the O(1) write buffer
+// of internal/footprint, and pooled lists of the lines it took, so the
+// cost of a simulated access is independent of transaction size and a
+// transaction, committed or aborted, allocates no heap memory in steady
+// state — properties the hot-path benchmark suite (internal/hotbench,
+// docs/performance.md) guards.
 package htm

@@ -22,10 +22,17 @@ import (
 // path, so that load costs the interface call and nothing more. A plain
 // store or CAS also tests for the reader table in its own frame
 // (mayTrack, rule 4), so it calls out only on a machine that tracks reads.
+// A transactional access asks the directory whether the line is already
+// its own — the ownership word for the write set (inWriteSet), the
+// thread's reader bit for the read set (inReadSet) — in its own frame
+// too. Tx.Read loads the ownership word once, in its body, and that one
+// load is both its write-set test and its snoop.
 var accessInlines = map[string][]string{
 	"(*Thread).Load":           {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
 	"ReadOnlyOps.Read":         {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
-	"(*Tx).Read":               {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
+	"(*Tx).Read":               {"memsim.LineOf", "(*Tx).inReadSet", "memsim.(*Heap).Load", "memsim.(*Heap).slot"},
+	"(*Tx).Write":              {"memsim.LineOf", "(*Tx).inWriteSet"},
+	"(*Tx).claimWrite":         {"(*Tx).inReadSet"},
 	"(*Thread).Store":          {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).Store", "memsim.(*Heap).slot", "(*Machine).mayTrack"},
 	"(*Thread).CompareAndSwap": {"memsim.LineOf", "(*Machine).snoop", "memsim.(*Heap).CompareAndSwap", "memsim.(*Heap).slot", "(*Machine).mayTrack"},
 }

@@ -47,10 +47,11 @@ func codeOfStatus(s int32) AbortCode    { return AbortCode(s - statusDoomedBase)
 // the transaction's next operation, mirroring asynchronous hardware
 // abort delivery.
 //
-// All footprint state (the read/write line sets and the store buffer)
-// lives in pooled structures recycled across the thread's transactions,
-// so a transaction, committed or aborted, amortizes to zero heap
-// allocations; see internal/footprint.
+// The directory is the transaction's footprint (directory.go). Tx keeps
+// only what the directory cannot give back — the store buffer, and lists
+// of the lines it took, to release and count them — recycled across the
+// thread's transactions, so a transaction, committed or aborted,
+// amortizes to zero heap allocations.
 type Tx struct {
 	th        *Thread
 	mode      Mode
@@ -62,10 +63,15 @@ type Tx struct {
 	word uint32
 
 	writes     footprint.WriteBuffer // buffered stores, invisible until commit
-	writeLines footprint.LineSet     // distinct lines in the write set
-	readLines  footprint.LineSet     // distinct tracked read lines
+	writeLines []memsim.Line         // lines claimWrite took, in order
+	readLines  []memsim.Line         // lines trackRead took, in order
 	charged    int64                 // TMCAM lines charged on the core
 }
+
+// maxRetainedLines caps the line-list capacity kept across transactions,
+// above the bench suite's largest footprint (4096 lines) plus append's
+// overshoot, so one giant transaction does not pin memory forever.
+const maxRetainedLines = 8192
 
 // Mode returns the transaction's flavour.
 func (tx *Tx) Mode() Mode { return tx.mode }
@@ -95,10 +101,29 @@ func (tx *Tx) Poll() { tx.checkDoomed() }
 func (tx *Tx) Kill() bool { return tx.doom(CodeExplicit) }
 
 // WriteSetLines returns the number of distinct cache lines written.
-func (tx *Tx) WriteSetLines() int { return tx.writeLines.Len() }
+func (tx *Tx) WriteSetLines() int { return len(tx.writeLines) }
 
 // ReadSetLines returns the number of distinct cache lines tracked as read.
-func (tx *Tx) ReadSetLines() int { return tx.readLines.Len() }
+func (tx *Tx) ReadSetLines() int { return len(tx.readLines) }
+
+// inWriteSet reports whether line is in the transaction's write set: its
+// ownership word is this transaction's.
+func (tx *Tx) inWriteSet(line memsim.Line) bool {
+	return tx.th.m.owner[line].Load() == tx.word
+}
+
+// inReadSet reports whether the transaction tracks line in its read set:
+// its thread's bit is set in the line's reader word. A machine without a
+// reader table has tracked no read, and the test allocates none.
+func (tx *Tx) inReadSet(line memsim.Line) bool {
+	m := tx.th.m
+	p := m.readers.Load()
+	if p == nil {
+		return false
+	}
+	w, bit := m.readerBit(line, tx.th.id)
+	return (*p)[w].Load()&bit != 0
+}
 
 func (tx *Tx) isLive() bool {
 	s := tx.status.Load()
@@ -160,8 +185,17 @@ func (tx *Tx) forceAbortQuiet() {
 // bounded by the footprint package's caps.
 func (tx *Tx) resetFootprint() {
 	tx.writes.Reset()
-	tx.writeLines.Reset()
-	tx.readLines.Reset()
+	tx.writeLines = resetLines(tx.writeLines)
+	tx.readLines = resetLines(tx.readLines)
+}
+
+// resetLines empties a line list, dropping it once it outgrew
+// maxRetainedLines.
+func resetLines(l []memsim.Line) []memsim.Line {
+	if cap(l) > maxRetainedLines {
+		return nil
+	}
+	return l[:0]
 }
 
 // cleanup withdraws the transaction from the directory, releases its
@@ -170,7 +204,7 @@ func (tx *Tx) resetFootprint() {
 // transaction carries the stealer's word by now and is left alone.
 func (tx *Tx) cleanup() {
 	m := tx.th.m
-	for _, line := range tx.writeLines.Lines() {
+	for _, line := range tx.writeLines {
 		m.owner[line].CompareAndSwap(tx.word, 0)
 	}
 	tx.release()
@@ -181,9 +215,9 @@ func (tx *Tx) cleanup() {
 // empty the footprint.
 func (tx *Tx) release() {
 	m := tx.th.m
-	if lines := tx.readLines.Lines(); len(lines) > 0 {
+	if len(tx.readLines) > 0 {
 		words := m.readerWords()
-		for _, line := range lines {
+		for _, line := range tx.readLines {
 			w, bit := m.readerBit(line, tx.th.id)
 			words[w].And(^bit)
 		}
@@ -191,11 +225,6 @@ func (tx *Tx) release() {
 	m.uncharge(tx.th.core, tx.charged)
 	tx.charged = 0
 	tx.resetFootprint()
-}
-
-// bufferedRead returns the transaction's own buffered value for addr.
-func (tx *Tx) bufferedRead(a memsim.Addr) (uint64, bool) {
-	return tx.writes.Get(a)
 }
 
 // Read performs a transactional load of the word at a.
@@ -206,26 +235,30 @@ func (tx *Tx) bufferedRead(a memsim.Addr) (uint64, bool) {
 // suspended, the load is executed non-transactionally. An untracked load
 // of a line no transaction owns, nearly every ROT read, tests the
 // ownership word and reads the heap here, with no call (directory rule 3).
+// That one load of the word also answers whether the line is in the write
+// set (it is this transaction's word).
 func (tx *Tx) Read(a memsim.Addr) uint64 {
 	tx.checkDoomed()
 	m := tx.th.m
 	line := memsim.LineOf(a)
-	switch {
+	switch w := m.owner[line].Load(); {
 	case tx.suspended:
-		m.snoop(line, nil) // a plain load
-	case tx.writeLines.Contains(line):
-		if v, ok := tx.bufferedRead(a); ok {
+		if w != 0 { // a plain load
+			m.conflictRead(line, nil)
+		}
+	case w == tx.word:
+		if v, ok := tx.writes.Get(a); ok {
 			return v // reads-own-writes (restriction R3 in the paper)
 		}
 	case tx.mode == ModeHTM:
-		if !tx.readLines.Contains(line) {
+		if !tx.inReadSet(line) {
 			tx.trackRead(line)
 		}
 		// A live transaction holding the line in its read set cannot
 		// coexist with a live writer (either registration dooms the
 		// other), so the heap value is committed data.
-	default:
-		m.snoop(line, tx)
+	case w != 0:
+		m.conflictRead(line, tx)
 	}
 	return m.heap.Load(a)
 }
@@ -241,7 +274,7 @@ func (tx *Tx) trackRead(line memsim.Line) {
 	m := tx.th.m
 	w, bit := m.readerBit(line, tx.th.id)
 	m.readerWords()[w].Or(bit)
-	tx.readLines.Add(line)
+	tx.readLines = append(tx.readLines, line)
 	if m.readRegistered != nil {
 		m.readRegistered()
 	}
@@ -263,7 +296,7 @@ func (tx *Tx) Write(a memsim.Addr, v uint64) {
 		return
 	}
 	line := memsim.LineOf(a)
-	if !tx.writeLines.Contains(line) {
+	if !tx.inWriteSet(line) {
 		tx.claimWrite(line)
 	}
 	tx.writes.Put(a, v)
@@ -271,15 +304,15 @@ func (tx *Tx) Write(a memsim.Addr, v uint64) {
 
 // claimWrite takes exclusive transactional ownership of line: it
 // self-aborts if another live writer holds it ("the last writer is
-// killed", §2.2), charges TMCAM capacity unless the line was already
-// tracked by this transaction's read set (a read→write upgrade reuses the
-// entry), installs its ownership word — stealing the line of a doomed
+// killed", §2.2), charges TMCAM capacity unless the line is already in
+// this transaction's read set (a read→write upgrade reuses the entry),
+// installs its ownership word — stealing the line of a doomed
 // owner that has not cleaned up yet — and kills the line's tracked
 // readers (invalidation). See directory.go for the protocol.
 func (tx *Tx) claimWrite(line memsim.Line) {
 	m := tx.th.m
 	w := &m.owner[line]
-	needCharge := !tx.readLines.Contains(line)
+	needCharge := !tx.inReadSet(line)
 	for {
 		old := w.Load()
 		if old != 0 && m.ownerTx(old).isLive() {
@@ -299,7 +332,7 @@ func (tx *Tx) claimWrite(line memsim.Line) {
 			break
 		}
 	}
-	tx.writeLines.Add(line)
+	tx.writeLines = append(tx.writeLines, line)
 	m.doomReaders(line, tx, CodeTxConflict)
 }
 
@@ -372,7 +405,7 @@ func (tx *Tx) Commit() {
 		if h := m.hook; h != nil {
 			h.PostCommit(tx.th.id)
 		}
-		for _, line := range tx.writeLines.Lines() {
+		for _, line := range tx.writeLines {
 			m.owner[line].Store(0)
 		}
 	}
