@@ -126,7 +126,7 @@ func BenchmarkFig10TPCCReadDominatedHighContention(b *testing.B) {
 // software overhead. The same scenario backs `repro bench` and
 // BENCH_hotpath.json (see docs/performance.md).
 func BenchmarkAtomic(b *testing.B) {
-	for _, c := range hotbench.CasesFor("atomic", hotbench.DefaultSweep) {
+	for _, c := range hotbench.CasesFor("atomic") {
 		b.Run(c.Sub(), func(b *testing.B) {
 			run := c.Setup()
 			run(1)

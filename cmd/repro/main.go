@@ -28,7 +28,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -351,25 +350,12 @@ func cmdBench(args []string) error {
 	fs := newFlags("bench")
 	var (
 		budget   = fs.Duration("time", 100*time.Millisecond, "per-case measurement budget")
-		sweepStr = fs.String("sweep", "", "comma-separated footprint ladder in cache lines (default 1,4,16,64,256,1024,4096)")
 		out      = fs.String("out", "BENCH_hotpath.json", "JSON output path")
 		baseline = fs.String("baseline", "", "previous bench report to embed as baseline")
 		quiet    = fs.Bool("quiet", false, "suppress per-case progress")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	sweep := hotbench.DefaultSweep
-	if *sweepStr != "" {
-		sweep = nil
-		for _, s := range strings.Split(*sweepStr, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("bad --sweep entry %q", s)
-			}
-			sweep = append(sweep, n)
-		}
 	}
 
 	rep := &results.BenchReport{
@@ -385,9 +371,9 @@ func cmdBench(args []string) error {
 		rep.Baseline = base.Records
 	}
 
-	total := len(hotbench.Cases(sweep))
+	total := len(hotbench.Cases())
 	done := 0
-	rep.Records = hotbench.RunAll(sweep, *budget, func(r results.BenchRecord) {
+	rep.Records = hotbench.RunAll(*budget, func(r results.BenchRecord) {
 		done++
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-22s %12.1f ns/op %8.2f allocs/op\n",

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,10 @@ var (
 	internalPath = regexp.MustCompile(`^internal(?:/[\w-]+)+(?:\.go(?::\d+)?|/|/\.\.\.)?$`)
 	internalRef  = regexp.MustCompile(`^(internal(?:/[\w-]+)+)\.([A-Z]\w*)(?:\.(\w+))?(?:[({\[].*)?$`)
 	codeSpan     = regexp.MustCompile("`([^`\n]+)`")
+	// A repro command line: the command, then everything after it.
+	reproLine = regexp.MustCompile(`\brepro +([a-z]+)\b(.*)`)
+	// The FlagSet methods that define a flag and take its name first.
+	flagDefiner = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Func|BoolFunc)$`)
 )
 
 // loadTree parses every Go file under the module root, indexing each
@@ -242,6 +247,92 @@ func (tr *goTree) resolve(span string) (found, judged bool) {
 	return false, false
 }
 
+// reproFlags reads cmd/repro's sources for the flags each command
+// defines: in a function that calls newFlags("cmd"), the name of every
+// flag-defining call (fs.String("name", …) and the like). Every command
+// also takes -h and -help.
+func reproFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/repro/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			var cmd string
+			names := []string{"h", "help"}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				arg, _ := strconv.Unquote(lit.Value)
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					if fun.Name == "newFlags" {
+						cmd = arg
+					}
+				case *ast.SelectorExpr:
+					if flagDefiner.MatchString(fun.Sel.Name) {
+						names = append(names, arg)
+					}
+				}
+				return true
+			})
+			if cmd == "" {
+				continue
+			}
+			flags[cmd] = map[string]bool{}
+			for _, name := range names {
+				flags[cmd][name] = true
+			}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatal("found no newFlags call in cmd/repro")
+	}
+	return flags
+}
+
+// unknownReproFlags returns each flag of a `repro CMD --flag` in text
+// that CMD does not define. A command line ends at a shell operator or a
+// comment.
+func unknownReproFlags(flags map[string]map[string]bool, text string) []string {
+	var bad []string
+	for _, m := range reproLine.FindAllStringSubmatch(text, -1) {
+		for _, tok := range strings.Fields(m[2]) {
+			if strings.HasPrefix(tok, "#") || strings.ContainsAny(tok, "|&;") {
+				break
+			}
+			if len(tok) < 2 || tok[0] != '-' {
+				continue
+			}
+			name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+			if !flags[m[1]][name] {
+				bad = append(bad, "repro "+m[1]+" "+tok)
+			}
+		}
+	}
+	return bad
+}
+
 // TestDocsResolve checks that every backticked Go name in README.md and
 // docs/*.md that points into the tree names something that exists, so a
 // change that deletes or renames code cannot leave a document describing
@@ -254,8 +345,14 @@ func (tr *goTree) resolve(span string) (found, judged bool) {
 //   - a bare CamelCase Name, which the standard library must declare or
 //     the module's sources must use (a benchmark case, a step of the
 //     paper's algorithms, a kernel field the code reads).
+//
+// It also checks every `repro CMD --flag` in an inline span or in a
+// line of a fenced block (other than a go block, and joined with the
+// lines its trailing backslashes continue it onto): cmd/repro's CMD
+// must define the flag.
 func TestDocsResolve(t *testing.T) {
 	tr := loadTree(t)
+	flags := reproFlags(t)
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
@@ -265,18 +362,34 @@ func TestDocsResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inFence := false
-		for i, line := range strings.Split(string(body), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
+		inFence, goFence := false, false
+		lines := strings.Split(string(body), "\n")
+		for i := 0; i < len(lines); i++ {
+			line := lines[i]
+			if fence, ok := strings.CutPrefix(strings.TrimSpace(line), "```"); ok {
+				inFence, goFence = !inFence, fence == "go"
 				continue
 			}
 			if inFence {
+				if goFence {
+					continue
+				}
+				n := i + 1
+				for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+					i++
+					line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+				}
+				for _, bad := range unknownReproFlags(flags, line) {
+					t.Errorf("%s:%d: `%s` names a flag the command does not define", doc, n, bad)
+				}
 				continue
 			}
 			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
 				if found, judged := tr.resolve(m[1]); judged && !found {
 					t.Errorf("%s:%d: `%s` is not in the tree", doc, i+1, m[1])
+				}
+				for _, bad := range unknownReproFlags(flags, m[1]) {
+					t.Errorf("%s:%d: `%s` names a flag the command does not define", doc, i+1, bad)
 				}
 			}
 		}

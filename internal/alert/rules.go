@@ -46,16 +46,16 @@ type RuleOptions struct {
 }
 
 // attemptsSignal lists every series summing to transaction attempts for
-// one system: both commit paths plus all five abort causes.
+// one system: both commit paths plus every abort cause.
 func attemptsSignal(system string) []Series {
 	sys := telemetry.L("system", system)
 	out := []Series{
 		{Name: "sihtm_tm_commits_total", Labels: []telemetry.Label{telemetry.L("path", "update"), sys}},
 		{Name: "sihtm_tm_commits_total", Labels: []telemetry.Label{telemetry.L("path", "read_only"), sys}},
 	}
-	for _, cause := range []string{"conflict", "non_transactional", "capacity", "explicit", "other"} {
+	for k := range stats.AbortKind(stats.NumAbortKinds) {
 		out = append(out, Series{Name: "sihtm_tm_aborts_total",
-			Labels: []telemetry.Label{telemetry.L("cause", cause), sys}})
+			Labels: []telemetry.Label{telemetry.L("cause", k.String()), sys}})
 	}
 	return out
 }
@@ -79,7 +79,7 @@ func DefaultRules(o RuleOptions) []Rule {
 		Kind:     KindBurnRate,
 		Signal: Signal{
 			Series: []Series{{Name: "sihtm_tm_aborts_total",
-				Labels: []telemetry.Label{telemetry.L("cause", "capacity"), sys}}},
+				Labels: []telemetry.Label{telemetry.L("cause", stats.AbortCapacity.String()), sys}}},
 			Reduce: ReduceRate,
 			Den:    attemptsSignal(o.System),
 		},

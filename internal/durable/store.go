@@ -1,7 +1,7 @@
 // Package durable makes the transactional engine survive restarts: it
 // couples the simulated heap with a write-ahead log (internal/wal) and
-// fuzzy checkpoints, behind the commit-hook seam every TM backend in
-// the repository exposes (htm.CommitHook / tm.HookableSystem). The
+// fuzzy checkpoints, behind the commit-hook seam of the machine every
+// TM backend in the repository is built on (htm.CommitHook). The
 // design follows the back-end-logging school of hardware transactional
 // persistence (Giles/Doshi/Varman's HTPM): the hardware commit path is
 // never stalled by I/O — redo records are captured from the write
@@ -66,9 +66,9 @@ type threadSeq struct {
 }
 
 // Store is the durability manager for one heap: it implements
-// htm.CommitHook (= tm.CommitHook), so installing it on a machine and
-// on a system's fall-back path routes every committed write set into
-// the log.
+// htm.CommitHook (= tm.CommitHook), so installing it on the machine
+// routes every committed write set of every system built on that
+// machine into the log.
 type Store struct {
 	heap    *memsim.Heap
 	log     *wal.Log
@@ -148,19 +148,13 @@ func (s *Store) Sync() error { return s.log.Sync() }
 // Close flushes and closes the log.
 func (s *Store) Close() error { return s.log.Close() }
 
-// Attach installs the store on a system: the machine-level hook covers
-// hardware commits, and the system-level hook (when the system
-// implements tm.HookableSystem) covers its software publication paths.
-// It returns sys itself: Atomic returns at commit, and the caller
-// acknowledges with Log().WaitDurable (package comment). Call before any
-// transaction runs. m may be nil for machine-less systems (Silo).
+// Attach installs the store as m's commit hook, which covers every
+// commit of sys (built on m): hardware commits, SGL fall-backs and
+// Silo's installs alike. It returns sys itself: Atomic returns at
+// commit, and the caller acknowledges with Log().WaitDurable (package
+// comment). Call before any transaction runs.
 func (s *Store) Attach(sys tm.System, m *htm.Machine) tm.System {
-	if m != nil {
-		m.SetCommitHook(s)
-	}
-	if h, ok := sys.(tm.HookableSystem); ok {
-		h.SetCommitHook(s)
-	}
+	m.SetCommitHook(s)
 	return sys
 }
 

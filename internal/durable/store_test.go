@@ -86,7 +86,8 @@ func factories() []sysFactory {
 			return sgl.NewSystem(m, n), m
 		}},
 		{"silo", func(h *memsim.Heap, n int) (tm.System, *htm.Machine) {
-			return silo.NewSystem(h, n), nil
+			m := newMachine(h)
+			return silo.NewSystem(m, n), m
 		}},
 	}
 }
@@ -440,6 +441,58 @@ func TestAtomicBatchFallbackIsLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	heapsEqual(t, heap, recovered, "si-htm batch")
+}
+
+// TestMachineHookLogsEveryPath: the machine is the commit hook's only
+// seat. With the store installed by m.SetCommitHook alone, no Attach,
+// an SI-HTM and an htm transaction that overflow the 8-line TMCAM
+// commit on their SGL fall-backs, a Silo transaction commits by its OCC
+// install, and all three reach the log: recovery of the log equals the
+// live heap.
+func TestMachineHookLogsEveryPath(t *testing.T) {
+	heap := memsim.NewHeapLines(256)
+	big := heap.AllocLines(32) // 4x the 8-line TMCAM
+	cell := heap.AllocLine()
+	base, baseAlloc := snapshotHeap(heap)
+
+	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2), TMCAMLines: 8})
+	logPath := filepath.Join(t.TempDir(), "wal.log")
+	store, err := Open(heap, logPath, 8, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetCommitHook(store)
+
+	overflow := func(ops tm.Ops) {
+		for l := 0; l < 32; l++ {
+			a := big + memsim.Addr(l*memsim.WordsPerLine)
+			ops.Write(a, ops.Read(a)+uint64(l)+1)
+		}
+	}
+	for _, sys := range []tm.System{
+		sihtm.NewSystem(m, 1, sihtm.Config{}),
+		htmtm.NewSystem(m, 1, htmtm.Config{}),
+	} {
+		sys.Atomic(0, tm.KindUpdate, overflow)
+		if st := sys.Collector().Snapshot(); st.Fallbacks != 1 {
+			t.Fatalf("%s: fallbacks = %d, want the transaction on the SGL fall-back", sys.Name(), st.Fallbacks)
+		}
+	}
+	silo.NewSystem(m, 1).Atomic(0, tm.KindUpdate, func(ops tm.Ops) { ops.Write(cell, ops.Read(cell)+7) })
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := memsim.NewHeap(heap.Size())
+	restoreHeap(recovered, base, baseAlloc)
+	rep, err := Recover(recovered, "", logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RecoveredSeq != 3 {
+		t.Errorf("recovered %d records, want 3 (two fall-backs, one Silo install)", rep.RecoveredSeq)
+	}
+	heapsEqual(t, heap, recovered, "machine hook")
 }
 
 // TestAttachLeavesTheWaitToTheCaller: Attach returns the very system it

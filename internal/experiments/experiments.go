@@ -92,10 +92,12 @@ func machine(heapLines int) (*memsim.Heap, *htm.Machine) {
 	return heap, m
 }
 
-// NewSystem builds a named system over the given machine/heap — the one
+// NewSystem builds a named system over the given machine — the one
 // benchmark-name → constructor mapping shared by every binary and test
-// in the repository.
-func NewSystem(name string, m *htm.Machine, heap *memsim.Heap, threads int) (tm.System, error) {
+// in the repository. Every system reads the heap from m; the unused heap
+// parameter stays only because the benchmark's program seam
+// (bench/seam.go) calls NewSystem with it.
+func NewSystem(name string, m *htm.Machine, _ *memsim.Heap, threads int) (tm.System, error) {
 	switch name {
 	case "htm":
 		return htmtm.NewSystem(m, threads, htmtm.Config{}), nil
@@ -108,7 +110,7 @@ func NewSystem(name string, m *htm.Machine, heap *memsim.Heap, threads int) (tm.
 	case "p8tm":
 		return p8tm.NewSystem(m, threads, p8tm.Config{}), nil
 	case "silo":
-		return silo.NewSystem(heap, threads), nil
+		return silo.NewSystem(m, threads), nil
 	case "sgl":
 		return sgl.NewSystem(m, threads), nil
 	default:

@@ -41,9 +41,9 @@ import (
 	"sihtm/internal/workload/engine"
 )
 
-// DefaultSweep is the footprint ladder, in cache lines: from well under
-// the 64-line TMCAM to ~64× past it, the regime SI-HTM stretches into.
-var DefaultSweep = []int{1, 4, 16, 64, 256, 1024, 4096}
+// Sweep is the footprint ladder, in cache lines: from well under the
+// 64-line TMCAM to ~64× past it, the regime SI-HTM stretches into.
+var Sweep = []int{1, 4, 16, 64, 256, 1024, 4096}
 
 // Case is one microbenchmark: Setup builds a fresh simulated machine and
 // returns a runner executing n operations of the scenario.
@@ -436,20 +436,17 @@ func populateCase() Case {
 	}}
 }
 
-// Cases enumerates the full suite over the given footprint sweep.
-func Cases(sweep []int) []Case {
-	if len(sweep) == 0 {
-		sweep = DefaultSweep
-	}
+// Cases enumerates the full suite over the footprint Sweep.
+func Cases() []Case {
 	cs := []Case{plainCase("Load"), plainCase("LockPair")}
 	for _, mk := range []func(htm.Mode, int) Case{readCase, writeCase, commitCase, abortCase} {
 		for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
-			for _, lines := range sweep {
+			for _, lines := range Sweep {
 				cs = append(cs, mk(mode, lines))
 			}
 		}
 	}
-	for _, lines := range sweep {
+	for _, lines := range Sweep {
 		cs = append(cs, commit2TCase(lines))
 	}
 	for _, mode := range []htm.Mode{htm.ModeHTM, htm.ModeROT} {
@@ -457,7 +454,7 @@ func Cases(sweep []int) []Case {
 			cs = append(cs, readTxCase(mode, lines))
 		}
 	}
-	for _, lines := range sweep {
+	for _, lines := range Sweep {
 		cs = append(cs, atomicCase(lines))
 	}
 	for _, lines := range chaseSizes {
@@ -467,9 +464,9 @@ func Cases(sweep []int) []Case {
 }
 
 // CasesFor returns the suite restricted to one operation family.
-func CasesFor(op string, sweep []int) []Case {
+func CasesFor(op string) []Case {
 	var out []Case
-	for _, c := range Cases(sweep) {
+	for _, c := range Cases() {
 		if c.Op == op {
 			out = append(out, c)
 		}
@@ -558,11 +555,11 @@ func Run(c Case, budget time.Duration) results.BenchRecord {
 	return best
 }
 
-// RunAll measures every case in the suite over the sweep, invoking
-// progress after each point if non-nil.
-func RunAll(sweep []int, budget time.Duration, progress func(results.BenchRecord)) []results.BenchRecord {
+// RunAll measures every case in the suite, invoking progress after each
+// point if non-nil.
+func RunAll(budget time.Duration, progress func(results.BenchRecord)) []results.BenchRecord {
 	var recs []results.BenchRecord
-	for _, c := range Cases(sweep) {
+	for _, c := range Cases() {
 		r := Run(c, budget)
 		if progress != nil {
 			progress(r)

@@ -56,7 +56,7 @@ func TestCommittedTxSteadyStateAllocs(t *testing.T) {
 // read and update paths.
 func TestLookupAllocs(t *testing.T) {
 	for _, op := range []string{"lookup", "rmw"} {
-		run := hotbench.CasesFor(op, nil)[0].Setup()
+		run := hotbench.CasesFor(op)[0].Setup()
 		run(1)
 		if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {
 			t.Fatalf("a Fig. 6 %s allocates %.1f/op, want 0", op, allocs)
@@ -69,7 +69,7 @@ func TestLookupAllocs(t *testing.T) {
 // tracked read allocates the reader table once, and no read after it
 // allocates anything.
 func TestReadTxAllocs(t *testing.T) {
-	for _, c := range hotbench.CasesFor("readtx", nil) {
+	for _, c := range hotbench.CasesFor("readtx") {
 		run := c.Setup()
 		run(1)
 		if allocs := testing.AllocsPerRun(100, func() { run(1) }); allocs != 0 && !race.Enabled {

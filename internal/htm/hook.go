@@ -35,10 +35,11 @@ import "sihtm/internal/footprint"
 // plain heap accesses: one that touched a line of the committing write
 // set would wait for the very commit it is running inside.
 //
-// Software systems with non-hardware publication paths (the SGL
-// fall-back of SI-HTM/HTM/P8TM, the all-serial SGL system, Silo's OCC
-// install) route those paths through the same interface — see
-// tm.Recorder and each system's SetCommitHook.
+// The machine is the hook's one seat. Software publication paths (the
+// SGL fall-back of SI-HTM/HTM/P8TM and the all-serial SGL system, all
+// through tm.Fallback.RunSerial, and Silo's OCC install) read the same
+// hook back through Machine.CommitHook, so installing it here covers
+// every commit of every system built on this machine.
 type CommitHook interface {
 	// PreCommit captures the write set of the committing transaction on
 	// the given hardware thread. Called before any of the writes are
@@ -55,3 +56,7 @@ type CommitHook interface {
 // synchronization on the commit hot path. A nil hook (the default)
 // disables interception.
 func (m *Machine) SetCommitHook(h CommitHook) { m.hook = h }
+
+// CommitHook returns the installed commit hook, or nil. The software
+// publication paths call it for each commit they bracket.
+func (m *Machine) CommitHook() CommitHook { return m.hook }

@@ -15,7 +15,7 @@ import (
 )
 
 func benchCases(b *testing.B, op string) {
-	for _, c := range hotbench.CasesFor(op, hotbench.DefaultSweep) {
+	for _, c := range hotbench.CasesFor(op) {
 		b.Run(c.Sub(), func(b *testing.B) {
 			run := c.Setup()
 			run(1)

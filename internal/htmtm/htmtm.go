@@ -95,5 +95,3 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	}
 	l.Commit(kind == tm.KindReadOnly)
 }
-
-var _ tm.HookableSystem = (*System)(nil)

@@ -10,9 +10,10 @@
 //  1. Durable store: create the run directory, sweep a checkpoint left
 //     by an earlier run (a fresh WAL truncates wal.log, so an old
 //     heap.ckpt belongs to a different history), open the log, and
-//     attach the commit hook to the System. The hook is attached before
-//     anything can commit, so sequence numbers respect the commit
-//     order from the first transaction on.
+//     install it as the machine's commit hook, which every commit of
+//     the System reaches. The hook is installed before anything can
+//     commit, so sequence numbers respect the commit order from the
+//     first transaction on.
 //  2. Follower applier (built, not yet streaming).
 //  3. Wire server: New, Listen, and the Serve goroutine.
 //  4. Periodic checkpointer, then the follower's stream — only once the

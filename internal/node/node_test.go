@@ -50,7 +50,7 @@ var systems = map[string]func(m *htm.Machine) tm.System{
 	"htm":    func(m *htm.Machine) tm.System { return htmtm.NewSystem(m, testShards, htmtm.Config{}) },
 	"si-htm": func(m *htm.Machine) tm.System { return sihtm.NewSystem(m, testShards, sihtm.Config{}) },
 	"p8tm":   func(m *htm.Machine) tm.System { return p8tm.NewSystem(m, testShards, p8tm.Config{}) },
-	"silo":   func(m *htm.Machine) tm.System { return silo.NewSystem(m.Heap(), testShards) },
+	"silo":   func(m *htm.Machine) tm.System { return silo.NewSystem(m, testShards) },
 	"sgl":    func(m *htm.Machine) tm.System { return sgl.NewSystem(m, testShards) },
 }
 

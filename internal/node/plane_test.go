@@ -116,12 +116,6 @@ func parsePrometheus(t *testing.T, body string) map[string]float64 {
 	return out
 }
 
-// abortCauseLabels is the metric label value of every abort cause, in
-// stats.AbortKind order: the /metrics contract.
-var abortCauseLabels = [stats.NumAbortKinds]string{
-	"conflict", "non_transactional", "capacity", "explicit", "other",
-}
-
 // TestScrapeUnderLoadMatchesFinalStats: a durable node with the adaptive
 // admission controller on serves closed-loop YCSB-A, and mid-load its
 // live /metrics is scraped the way an external Prometheus would, beside
@@ -154,14 +148,23 @@ func TestScrapeUnderLoadMatchesFinalStats(t *testing.T) {
 			mid := n.Srv.Snapshot()
 
 			// Every abort cause is a registered series for this system,
-			// present on the scrape even at zero.
-			abortKey := func(cause string) string {
-				return fmt.Sprintf(`sihtm_tm_aborts_total{cause=%q,system=%q}`, cause, system)
+			// present on the scrape even at zero, and there are no others.
+			abortKey := func(k stats.AbortKind) string {
+				return fmt.Sprintf(`sihtm_tm_aborts_total{cause=%q,system=%q}`, k, system)
 			}
-			for _, cause := range abortCauseLabels {
-				if _, ok := scraped[abortKey(cause)]; !ok {
-					t.Fatalf("scrape is missing %s", abortKey(cause))
+			for k := range stats.AbortKind(stats.NumAbortKinds) {
+				if _, ok := scraped[abortKey(k)]; !ok {
+					t.Fatalf("scrape is missing %s", abortKey(k))
 				}
+			}
+			series := 0
+			for key := range scraped {
+				if strings.HasPrefix(key, "sihtm_tm_aborts_total{") && strings.Contains(key, fmt.Sprintf("system=%q", system)) {
+					series++
+				}
+			}
+			if series != stats.NumAbortKinds {
+				t.Fatalf("scrape carries %d sihtm_tm_aborts_total series for %s, want %d", series, system, stats.NumAbortKinds)
 			}
 			if v := scraped["sihtm_wal_fsync_seconds_count"]; v < 1 {
 				t.Fatalf("fsync histogram empty mid-load (count=%v)", v)
@@ -186,9 +189,9 @@ func TestScrapeUnderLoadMatchesFinalStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			final := n.Srv.Snapshot()
-			for k, cause := range abortCauseLabels {
-				if got, max := scraped[abortKey(cause)], final.Stats.Aborts[stats.AbortKind(k)]; got > float64(max) {
-					t.Errorf("scraped %s = %v exceeds final total %d", abortKey(cause), got, max)
+			for k := range stats.AbortKind(stats.NumAbortKinds) {
+				if got, max := scraped[abortKey(k)], final.Stats.Aborts[k]; got > float64(max) {
+					t.Errorf("scraped %s = %v exceeds final total %d", abortKey(k), got, max)
 				}
 			}
 			if final.Telemetry == nil {

@@ -46,8 +46,9 @@ type workerState struct {
 }
 
 // System is the P8TM concurrency control: SI-HTM's state array and SGL
-// fall-back (the embedded tm.Fallback; ROT commits reach a commit hook
-// through the machine) plus the read log and its validation.
+// fall-back (the embedded tm.Fallback; its commits and the ROT commits
+// alike reach the machine's commit hook) plus the read log and its
+// validation.
 type System struct {
 	tm.Fallback
 	m       *htm.Machine
@@ -190,5 +191,3 @@ func (w *workerState) wrote(a memsim.Addr) bool {
 	}
 	return false
 }
-
-var _ tm.HookableSystem = (*System)(nil)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sihtm/internal/alert"
+	"sihtm/internal/stats"
 	"sihtm/internal/telemetry"
 	"sihtm/internal/tsdb"
 )
@@ -27,9 +28,12 @@ func scrapedStore(tb testing.TB) (*telemetry.Registry, *tsdb.Store, *alert.Engin
 	zero := func() uint64 { return 0 }
 	reg.MustCounterFunc("sihtm_tm_commits_total", "commits", commits.Load, telemetry.L("path", "update"), sys)
 	reg.MustCounterFunc("sihtm_tm_commits_total", "commits", zero, telemetry.L("path", "read_only"), sys)
-	reg.MustCounterFunc("sihtm_tm_aborts_total", "aborts", caps.Load, telemetry.L("cause", "capacity"), sys)
-	for _, cause := range []string{"conflict", "non_transactional", "explicit", "other"} {
-		reg.MustCounterFunc("sihtm_tm_aborts_total", "aborts", zero, telemetry.L("cause", cause), sys)
+	for k := range stats.AbortKind(stats.NumAbortKinds) {
+		count := zero
+		if k == stats.AbortCapacity {
+			count = caps.Load
+		}
+		reg.MustCounterFunc("sihtm_tm_aborts_total", "aborts", count, telemetry.L("cause", k.String()), sys)
 	}
 	svc := reg.MustHistogram("sihtm_server_service_seconds", "service")
 	ack := reg.MustHistogram("sihtm_durable_ack_wait_seconds", "ack")

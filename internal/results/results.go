@@ -60,8 +60,6 @@ type Record struct {
 	AbortsTransactional    uint64 `json:"aborts_transactional"`
 	AbortsNonTransactional uint64 `json:"aborts_non_transactional"`
 	AbortsCapacity         uint64 `json:"aborts_capacity"`
-	AbortsExplicit         uint64 `json:"aborts_explicit"`
-	AbortsOther            uint64 `json:"aborts_other"`
 	Fallbacks              uint64 `json:"fallbacks"`
 	// AbortRate is total aborts / attempts (attempts = commits + aborts).
 	AbortRate float64 `json:"abort_rate"`
@@ -82,7 +80,7 @@ func (r Record) Key() Key {
 
 // TotalAborts sums the abort counts across causes.
 func (r Record) TotalAborts() uint64 {
-	return r.AbortsTransactional + r.AbortsNonTransactional + r.AbortsCapacity + r.AbortsExplicit + r.AbortsOther
+	return r.AbortsTransactional + r.AbortsNonTransactional + r.AbortsCapacity
 }
 
 // AbortPercent returns aborts of one cause as a percentage of attempts.
@@ -112,8 +110,6 @@ func FromHarness(experiment string, figure int, panel, workload, param string, h
 		AbortsTransactional:    hr.Stats.Aborts[stats.AbortTransactional],
 		AbortsNonTransactional: hr.Stats.Aborts[stats.AbortNonTransactional],
 		AbortsCapacity:         hr.Stats.Aborts[stats.AbortCapacity],
-		AbortsExplicit:         hr.Stats.Aborts[stats.AbortExplicit],
-		AbortsOther:            hr.Stats.Aborts[stats.AbortOther],
 		Fallbacks:              hr.Stats.Fallbacks,
 		AbortRate:              hr.Stats.AbortRate(),
 	}

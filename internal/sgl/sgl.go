@@ -79,8 +79,8 @@ func (l *Lock) WaitUnlocked(th *htm.Thread) {
 
 // System is the all-serial concurrency control: every transaction runs
 // under the global lock, on the serial path the other systems fall back
-// to (the embedded tm.Fallback, which with a commit hook installed routes
-// every write set into the durability seam). It is the degenerate
+// to (the embedded tm.Fallback, which with a commit hook installed on the
+// machine routes every write set into the durability seam). It is the degenerate
 // baseline and the correctness oracle for the others.
 type System struct {
 	tm.Fallback
@@ -118,5 +118,3 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	s.RunSerial(thread, th, l, body)
 	l.Commit(kind == tm.KindReadOnly)
 }
-
-var _ tm.HookableSystem = (*System)(nil)

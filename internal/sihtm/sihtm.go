@@ -43,8 +43,8 @@ type Config struct {
 }
 
 // System is the SI-HTM concurrency control. Its SGL fall-back is the
-// embedded tm.Fallback; ROT commits reach a commit hook through the
-// machine (htm.CommitHook).
+// embedded tm.Fallback; its ROT commits and its fall-back commits alike
+// reach the machine's commit hook (htm.CommitHook).
 type System struct {
 	tm.Fallback
 	m     *htm.Machine
@@ -118,5 +118,3 @@ func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(t
 		s.state.CompleteAndWait(thread, tx, l)
 	})
 }
-
-var _ tm.HookableSystem = (*System)(nil)

@@ -15,7 +15,9 @@
 //
 // Silo needs no hardware support and has no capacity limits, but pays
 // software instrumentation on every access — the trade-off the paper's
-// TPC-C figures illustrate.
+// TPC-C figures illustrate. It is built on an htm.Machine all the same,
+// for two things only: the machine's heap, and the machine's commit
+// hook, the one seat every system's commits are captured from.
 package silo
 
 import (
@@ -25,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"sihtm/internal/footprint"
+	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
@@ -51,25 +54,23 @@ type worker struct {
 
 // System is the Silo concurrency control.
 type System struct {
+	m       *htm.Machine // its commit hook brackets every install
 	heap    *memsim.Heap
 	tids    []atomic.Uint64 // one per heap cache line
 	threads int
 	col     *stats.Collector
 	workers []worker
-
-	// hook, when set, brackets the commit-time install of every write
-	// set (Silo publishes in software, so the machine-level hook does
-	// not apply here).
-	hook tm.CommitHook
 }
 
-// NewSystem builds Silo over heap for the given worker count.
-func NewSystem(heap *memsim.Heap, threads int) *System {
+// NewSystem builds Silo over m's heap for the given worker count.
+func NewSystem(m *htm.Machine, threads int) *System {
 	if threads <= 0 {
 		panic(fmt.Sprintf("silo: thread count must be positive, got %d", threads))
 	}
+	heap := m.Heap()
 	lines := (heap.Size() + memsim.WordsPerLine - 1) / memsim.WordsPerLine
 	return &System{
+		m:       m,
 		heap:    heap,
 		tids:    make([]atomic.Uint64, lines),
 		threads: threads,
@@ -86,10 +87,6 @@ func (s *System) Threads() int { return s.threads }
 
 // Collector implements tm.System.
 func (s *System) Collector() *stats.Collector { return s.col }
-
-// SetCommitHook implements tm.HookableSystem. Call before any
-// transaction runs.
-func (s *System) SetCommitHook(h tm.CommitHook) { s.hook = h }
 
 // ops is the instrumented access path for one attempt.
 type ops struct {
@@ -192,19 +189,20 @@ func (s *System) commit(w *worker, thread int) bool {
 		}
 	}
 	// Phase 3: install writes and bump versions (which also unlocks).
-	// With a commit hook installed, the install is bracketed like the
-	// hardware write-back: a conflicting later commit blocks on the line
-	// locks until this one unlocks, so sequence numbers drawn in
-	// PreCommit respect the OCC serialization order.
-	hooked := s.hook != nil && len(w.writes) > 0
+	// With a commit hook installed on the machine, the install is
+	// bracketed like the hardware write-back: a conflicting later commit
+	// blocks on the line locks until this one unlocks, so sequence
+	// numbers drawn in PreCommit respect the OCC serialization order.
+	hook := s.m.CommitHook()
+	hooked := hook != nil && len(w.writes) > 0
 	if hooked {
-		s.hook.PreCommit(thread, w.writes)
+		hook.PreCommit(thread, w.writes)
 	}
 	for _, we := range w.writes {
 		s.heap.Store(we.Addr, we.Val)
 	}
 	if hooked {
-		s.hook.PostCommit(thread)
+		hook.PostCommit(thread)
 	}
 	s.unlock(w, locked, true)
 	return true

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/silo"
 	"sihtm/internal/stats"
@@ -13,7 +14,7 @@ import (
 func newSystem(t testing.TB, threads int) (*silo.System, *memsim.Heap) {
 	t.Helper()
 	heap := memsim.NewHeapLines(1 << 10)
-	return silo.NewSystem(heap, threads), heap
+	return silo.NewSystem(htm.NewMachine(heap, htm.Config{}), threads), heap
 }
 
 func TestName(t *testing.T) {
@@ -24,13 +25,13 @@ func TestName(t *testing.T) {
 }
 
 func TestNewSystemValidation(t *testing.T) {
-	heap := memsim.NewHeapLines(4)
+	m := htm.NewMachine(memsim.NewHeapLines(4), htm.Config{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewSystem(heap, 0) did not panic")
+			t.Fatal("NewSystem(m, 0) did not panic")
 		}
 	}()
-	silo.NewSystem(heap, 0)
+	silo.NewSystem(m, 0)
 }
 
 func TestReadOwnWrites(t *testing.T) {

@@ -16,8 +16,8 @@ import (
 	"sync/atomic"
 )
 
-// AbortKind classifies why a transaction aborted, matching the paper's
-// abort taxonomy.
+// AbortKind classifies why a transaction aborted: the paper's three
+// causes, and no others.
 type AbortKind int
 
 const (
@@ -26,15 +26,11 @@ const (
 	AbortTransactional AbortKind = iota
 	// AbortNonTransactional: killed by a non-transactional access — in
 	// practice an SGL acquisition, a quiescence-phase read, or any plain
-	// store into a tracked line.
+	// store into a tracked line — or aborted by the transaction's own
+	// lock-subscription check on a busy SGL.
 	AbortNonTransactional
 	// AbortCapacity: the transaction exceeded the (shared) TMCAM budget.
 	AbortCapacity
-	// AbortExplicit: the program aborted the transaction itself (e.g. the
-	// lock-subscription check observed a busy SGL).
-	AbortExplicit
-	// AbortOther: anything else (illegal operation inside a transaction).
-	AbortOther
 
 	numAbortKinds
 )
@@ -42,19 +38,16 @@ const (
 // NumAbortKinds is the number of distinct AbortKind values.
 const NumAbortKinds = int(numAbortKinds)
 
-// String implements fmt.Stringer.
+// String returns the cause's one name, which is also its metric label
+// value (the cause label of sihtm_tm_aborts_total).
 func (k AbortKind) String() string {
 	switch k {
 	case AbortTransactional:
-		return "transactional"
+		return "conflict"
 	case AbortNonTransactional:
-		return "non-transactional"
+		return "non_transactional"
 	case AbortCapacity:
 		return "capacity"
-	case AbortExplicit:
-		return "explicit"
-	case AbortOther:
-		return "other"
 	default:
 		return fmt.Sprintf("AbortKind(%d)", int(k))
 	}
@@ -62,7 +55,7 @@ func (k AbortKind) String() string {
 
 // threadSlot holds one thread's counters, padded to two cache lines so
 // adjacent threads never share a line. The counter fields occupy
-// (2+numAbortKinds+4)*8 = 88 bytes; the padding rounds the slot up to 256.
+// (6+numAbortKinds)*8 = 72 bytes; the padding rounds the slot up to 256.
 type threadSlot struct {
 	commits   atomic.Uint64
 	commitsRO atomic.Uint64 // subset of commits that took a read-only path
@@ -113,9 +106,6 @@ func (t Thread) Commit(readOnly bool) {
 
 // Abort records an aborted transaction attempt of the given kind.
 func (t Thread) Abort(kind AbortKind) {
-	if kind < 0 || kind >= numAbortKinds {
-		kind = AbortOther
-	}
 	t.slot.aborts[kind].Add(1)
 }
 

@@ -48,15 +48,6 @@ func TestBasicCounting(t *testing.T) {
 	}
 }
 
-func TestAbortKindOutOfRangeMapsToOther(t *testing.T) {
-	c := New(1)
-	c.Thread(0).Abort(AbortKind(99))
-	c.Thread(0).Abort(AbortKind(-1))
-	if got := c.Snapshot().Aborts[AbortOther]; got != 2 {
-		t.Fatalf("out-of-range kinds recorded %d in Other, want 2", got)
-	}
-}
-
 func TestSubDelta(t *testing.T) {
 	c := New(1)
 	th := c.Thread(0)
@@ -93,14 +84,12 @@ func TestRates(t *testing.T) {
 
 // Property: shares over all kinds sum to the abort rate.
 func TestSharesSumToRateProperty(t *testing.T) {
-	f := func(commits uint16, a0, a1, a2, a3, a4 uint16) bool {
+	f := func(commits uint16, aborts [NumAbortKinds]uint16) bool {
 		var s Stats
 		s.Commits = uint64(commits)
-		s.Aborts[0] = uint64(a0)
-		s.Aborts[1] = uint64(a1)
-		s.Aborts[2] = uint64(a2)
-		s.Aborts[3] = uint64(a3)
-		s.Aborts[4] = uint64(a4)
+		for k, n := range aborts {
+			s.Aborts[k] = uint64(n)
+		}
 		var sum float64
 		for k := 0; k < NumAbortKinds; k++ {
 			sum += s.AbortShare(AbortKind(k))
@@ -140,11 +129,9 @@ func TestConcurrentCountingLosesNothing(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	want := map[AbortKind]string{
-		AbortTransactional:    "transactional",
-		AbortNonTransactional: "non-transactional",
+		AbortTransactional:    "conflict",
+		AbortNonTransactional: "non_transactional",
 		AbortCapacity:         "capacity",
-		AbortExplicit:         "explicit",
-		AbortOther:            "other",
 	}
 	for k, s := range want {
 		if k.String() != s {

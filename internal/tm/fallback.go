@@ -41,11 +41,10 @@ func Retry(retries int, l stats.Thread, attempt func() *htm.Abort) bool {
 
 // Fallback is the serial publication path every lock-based system ends
 // in (the SGL fall-backs of SI-HTM, HTM and P8TM, and every transaction
-// of the all-serial SGL system). Systems embed it, which gives them
-// HookableSystem's SetCommitHook; hardware commits reach the hook
-// through the machine instead (htm.CommitHook).
+// of the all-serial SGL system). Systems embed it. Its commits reach the
+// machine's commit hook, the same one hardware commits reach
+// (htm.CommitHook).
 type Fallback struct {
-	hook CommitHook
 	recs []Recorder // one per thread
 }
 
@@ -54,26 +53,23 @@ func NewFallback(threads int) Fallback {
 	return Fallback{recs: make([]Recorder, threads)}
 }
 
-// SetCommitHook implements HookableSystem for the serial path. Call
-// before any transaction runs.
-func (f *Fallback) SetCommitHook(h CommitHook) { f.hook = h }
-
 // RunSerial executes body for the lock holder — serially and
 // non-transactionally over th's plain accesses — and accounts the
 // fall-back on l. The caller holds the global lock and has quiesced
 // whatever its protocol requires, so no hardware commit is still
-// publishing. With a commit hook installed the body runs against the
-// thread's Recorder, so the write set is captured and published through
-// the durability seam, and the record's sequence number agrees with the
-// serialization order.
+// publishing. With a commit hook installed on th's machine the body runs
+// against the thread's Recorder, so the write set is captured and
+// published through the durability seam, and the record's sequence
+// number agrees with the serialization order.
 func (f *Fallback) RunSerial(thread int, th *htm.Thread, l stats.Thread, body func(Ops)) {
 	l.Fallback()
-	if f.hook == nil {
+	hook := th.Machine().CommitHook()
+	if hook == nil {
 		body(PlainOps{Th: th})
 		return
 	}
 	rec := &f.recs[thread]
 	rec.Begin(PlainOps{Th: th})
 	body(rec)
-	rec.Flush(thread, f.hook)
+	rec.Flush(thread, hook)
 }

@@ -8,21 +8,21 @@ import (
 
 // CommitHook is the durability seam: one interface observes the write
 // set of every committed update transaction, whichever path committed
-// it. Hardware commits reach the hook through htm.Machine.SetCommitHook
-// (the machine brackets the write-back, see htm.CommitHook); software
-// publication paths — the SGL fall-backs of SI-HTM, HTM and P8TM, the
-// all-serial SGL system and Silo's OCC install — reach it through each
-// system's SetCommitHook plus a Recorder. The interface is defined in
-// internal/htm (the machine cannot import this package); this alias is
-// the name the system-facing layers use.
+// it. It is installed once, on the machine (htm.Machine.SetCommitHook).
+// Hardware commits reach it inside the machine's write-back bracket
+// (see htm.CommitHook); the software publication paths,
+// Fallback.RunSerial (the SGL fall-backs of SI-HTM, HTM and P8TM and
+// the all-serial SGL system) and Silo's OCC install, read it back from
+// the machine and bracket their own publication, the serial path
+// through a Recorder. The interface is defined in internal/htm (the
+// machine cannot import this package); this alias is the name the
+// system-facing layers use.
 type CommitHook = htm.CommitHook
 
-// HookableSystem is implemented by every concurrency control whose
-// commits can be intercepted for durability. SetCommitHook must be
-// called before any transaction runs; installing a hook on the system
-// covers only its software publication paths — callers that want
-// hardware commits too must also install the hook on the underlying
-// htm.Machine (internal/durable.Attach does both).
+// HookableSystem is a system with a commit-hook seat of its own. No
+// system has one: the machine is the hook's only seat. The interface
+// stays declared only because the benchmark's program seam
+// (bench/seam.go) names it.
 type HookableSystem interface {
 	System
 	SetCommitHook(CommitHook)

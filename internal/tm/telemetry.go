@@ -28,30 +28,10 @@ func RegisterMetrics(reg *telemetry.Registry, sys System) {
 		func() uint64 { return col.Snapshot().CommitsRO },
 		sysL, telemetry.L("path", "read_only"))
 
-	for k := 0; k < stats.NumAbortKinds; k++ {
-		kind := stats.AbortKind(k)
+	for k := range stats.AbortKind(stats.NumAbortKinds) {
 		reg.MustCounterFunc("sihtm_tm_aborts_total",
-			"Aborted transaction attempts by cause (the paper's abort taxonomy).",
-			func() uint64 { return col.Snapshot().Aborts[kind] },
-			sysL, telemetry.L("cause", causeLabel(kind)))
-	}
-}
-
-// causeLabel maps an AbortKind to its metric label value: the String()
-// form with label-safe underscores.
-func causeLabel(k stats.AbortKind) string {
-	switch k {
-	case stats.AbortTransactional:
-		return "conflict"
-	case stats.AbortNonTransactional:
-		return "non_transactional"
-	case stats.AbortCapacity:
-		return "capacity"
-	case stats.AbortExplicit:
-		return "explicit"
-	case stats.AbortOther:
-		return "other"
-	default:
-		return "unknown"
+			"Aborted transaction attempts by cause (the paper's three abort causes).",
+			func() uint64 { return col.Snapshot().Aborts[k] },
+			sysL, telemetry.L("cause", k.String()))
 	}
 }

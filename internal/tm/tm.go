@@ -88,21 +88,17 @@ func (o PlainOps) Write(a memsim.Addr, v uint64) { o.Th.Store(a, v) }
 // that its loads reach the heap with no call.
 var _ Ops = htm.ReadOnlyOps{}
 
-// AbortKindOf maps a hardware abort cause to the paper's abort taxonomy:
-// explicit aborts are raised by the lock-subscription check when the SGL
-// is busy, so they count as non-transactional, like the SGL kills
-// themselves.
+// AbortKindOf maps a hardware abort cause to the paper's three abort
+// causes: explicit aborts are raised by the lock-subscription check when
+// the SGL is busy, so they count as non-transactional, like the SGL
+// kills themselves.
 func AbortKindOf(code htm.AbortCode) stats.AbortKind {
 	switch code {
 	case htm.CodeTxConflict:
 		return stats.AbortTransactional
-	case htm.CodeNonTxConflict:
-		return stats.AbortNonTransactional
 	case htm.CodeCapacity:
 		return stats.AbortCapacity
-	case htm.CodeExplicit:
+	default: // htm.CodeNonTxConflict, htm.CodeExplicit
 		return stats.AbortNonTransactional
-	default:
-		return stats.AbortOther
 	}
 }

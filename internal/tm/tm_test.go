@@ -22,7 +22,6 @@ func TestAbortKindOf(t *testing.T) {
 		htm.CodeNonTxConflict: stats.AbortNonTransactional,
 		htm.CodeCapacity:      stats.AbortCapacity,
 		htm.CodeExplicit:      stats.AbortNonTransactional,
-		htm.AbortCode(99):     stats.AbortOther,
 	}
 	for code, want := range cases {
 		if got := tm.AbortKindOf(code); got != want {

@@ -61,7 +61,7 @@ func StandardFactories(tmcamLines int) []Factory {
 			return p8tm.NewSystem(newMachine(h, tmcamLines), n, p8tm.Config{})
 		}},
 		{Name: "silo", Serializable: true, New: func(h *memsim.Heap, n int) tm.System {
-			return silo.NewSystem(h, n)
+			return silo.NewSystem(newMachine(h, tmcamLines), n)
 		}},
 	}
 }

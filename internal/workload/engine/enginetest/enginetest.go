@@ -24,7 +24,7 @@ import (
 type Instance struct {
 	Backend engine.Backend
 	Heap    *memsim.Heap
-	Machine *htm.Machine // nil for machine-less systems
+	Machine *htm.Machine // the machine Sys is built on
 	Sys     tm.System
 	Cleanup func()
 }

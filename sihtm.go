@@ -164,7 +164,7 @@ func (r *Runtime) NewP8TM(threads int) System {
 
 // NewSilo builds the Silo baseline (software OCC, no hardware support).
 func (r *Runtime) NewSilo(threads int) System {
-	return silo.NewSystem(r.heap, threads)
+	return silo.NewSystem(r.machine, threads)
 }
 
 // NewSGL builds the single-global-lock reference system.
