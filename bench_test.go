@@ -119,12 +119,12 @@ func BenchmarkFig10TPCCReadDominatedHighContention(b *testing.B) {
 	benchFigure(b, "fig10-high", benchTPCCScale)
 }
 
-// BenchmarkAtomic is the end-to-end hot-path benchmark: one SI-HTM
-// Atomic update transaction reading and writing 1→4096 cache lines on a
-// single thread — the whole software stack (ROT attempt, commit,
-// quiescence) with zero contention, so it isolates per-footprint
-// software overhead. The same scenario backs `repro bench` and
-// BENCH_hotpath.json (see docs/performance.md).
+// BenchmarkAtomic is the end-to-end hot-path benchmark: one Atomic
+// update transaction of SI-HTM (lines=N), Silo (Silo/lines=N) or P8TM
+// (P8TM/lines=N) reading and writing 1→4096 cache lines on a single
+// thread — the whole software stack with zero contention, so it isolates
+// per-footprint software overhead. The same scenarios back `repro bench`
+// and BENCH_hotpath.json (see docs/performance.md).
 func BenchmarkAtomic(b *testing.B) {
 	for _, c := range hotbench.CasesFor("atomic") {
 		b.Run(c.Sub(), func(b *testing.B) {

@@ -426,12 +426,19 @@ func cmdRecover(args []string) error {
 }
 
 func cmdCompare(args []string) error {
+	// The gate's one setting. A cell is one timed window of tens of
+	// milliseconds, which spreads 2.5x between runs of the same code on
+	// a shared host, so only a fall below a tenth of the baseline (a
+	// cell that stopped doing work) is a signal; a baseline cell with
+	// fewer than 100 commits is noise and is skipped.
+	const (
+		tolerance  = 0.9
+		minCommits = 100
+	)
 	fs := newFlags("compare")
 	var (
-		baseline   = fs.String("baseline", "", "baseline JSON result file (required)")
-		current    = fs.String("current", "", "current JSON result file (required)")
-		tolerance  = fs.Float64("tolerance", 0.5, "regression tolerance fraction")
-		minCommits = fs.Uint64("min-commits", 100, "skip baseline cells with fewer commits (noise)")
+		baseline = fs.String("baseline", "", "baseline JSON result file (required)")
+		current  = fs.String("current", "", "current JSON result file (required)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -447,7 +454,7 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	c := results.Compare(base, cur, *tolerance, *minCommits)
+	c := results.Compare(base, cur, tolerance, minCommits)
 	c.WriteText(os.Stdout)
 	if len(c.MissingPairs) > 0 {
 		return fmt.Errorf("%d baseline (experiment, system) pair(s) have no record in current: %v", len(c.MissingPairs), c.MissingPairs)

@@ -4,10 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"sihtm/internal/footprint"
 	"sihtm/internal/htm"
 	"sihtm/internal/htmtm"
 	"sihtm/internal/memsim"
@@ -18,6 +20,7 @@ import (
 	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
+	"sihtm/internal/wal"
 )
 
 // snapshotHeap copies the heap image (words + allocation watermark).
@@ -448,11 +451,16 @@ func TestAtomicBatchFallbackIsLogged(t *testing.T) {
 // an SI-HTM and an htm transaction that overflow the 8-line TMCAM
 // commit on their SGL fall-backs, a Silo transaction commits by its OCC
 // install, and all three reach the log: recovery of the log equals the
-// live heap.
+// live heap. Then Silo (its Recorder's install) and P8TM (a ROT commit)
+// each commit a write set past the store buffer's 8-entry inline array,
+// read before it is written, partly rewritten and read back: each logged
+// record is the final write set in first-write order, and P8TM's
+// validation skips the words it wrote, so it commits with no abort.
 func TestMachineHookLogsEveryPath(t *testing.T) {
 	heap := memsim.NewHeapLines(256)
 	big := heap.AllocLines(32) // 4x the 8-line TMCAM
 	cell := heap.AllocLine()
+	wide := heap.AllocLines(3) // 12 words over 3 lines, within the TMCAM
 	base, baseAlloc := snapshotHeap(heap)
 
 	m := htm.NewMachine(heap, htm.Config{Topology: topology.New(4, 2), TMCAMLines: 8})
@@ -479,18 +487,69 @@ func TestMachineHookLogsEveryPath(t *testing.T) {
 		}
 	}
 	silo.NewSystem(m, 1).Atomic(0, tm.KindUpdate, func(ops tm.Ops) { ops.Write(cell, ops.Read(cell)+7) })
+
+	// The wide write set: words 0-3 of each of the three lines, written
+	// line by line, then words 0, 5 and 11 of that order rewritten.
+	var words []memsim.Addr
+	for l := 0; l < 3; l++ {
+		for w := 0; w < 4; w++ {
+			words = append(words, wide+memsim.Addr(l*memsim.WordsPerLine+w))
+		}
+	}
+	rewritten := []int{11, 0, 5}
+	var want [][]footprint.Entry
+	for round, sys := range []tm.System{silo.NewSystem(m, 1), p8tm.NewSystem(m, 1, p8tm.Config{})} {
+		bump := uint64(100 * (round + 1))
+		sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
+			for _, a := range words {
+				ops.Write(a, ops.Read(a)+bump)
+			}
+			for _, i := range rewritten {
+				ops.Write(words[i], ops.Read(words[i])+1)
+			}
+			for i, a := range words {
+				want := heap.Load(a) + bump // the heap still holds the committed value
+				if slices.Contains(rewritten, i) {
+					want++
+				}
+				if got := ops.Read(a); got != want {
+					t.Errorf("%s: read of own write %d = %d, want %d", sys.Name(), a, got, want)
+				}
+			}
+		})
+		if st := sys.Collector().Snapshot(); st.TotalAborts() != 0 || st.Fallbacks != 0 {
+			t.Errorf("%s: %d aborts, %d fall-backs; want a first-attempt commit", sys.Name(), st.TotalAborts(), st.Fallbacks)
+		}
+		rec := make([]footprint.Entry, len(words))
+		for i, a := range words {
+			rec[i] = footprint.Entry{Addr: a, Val: heap.Load(a)}
+		}
+		want = append(want, rec)
+	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	recovered := memsim.NewHeap(heap.Size())
-	restoreHeap(recovered, base, baseAlloc)
-	rep, err := Recover(recovered, "", logPath)
-	if err != nil {
+	var logged [][]footprint.Entry
+	if _, err := wal.Replay(logPath, func(_ uint64, entries []footprint.Entry) error {
+		logged = append(logged, slices.Clone(entries))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.RecoveredSeq != 3 {
-		t.Errorf("recovered %d records, want 3 (two fall-backs, one Silo install)", rep.RecoveredSeq)
+	if len(logged) != 5 {
+		t.Fatalf("logged %d records, want 5 (two fall-backs, three Silo and P8TM commits)", len(logged))
+	}
+	for i, name := range []string{"silo", "p8tm"} {
+		if got := logged[3+i]; !slices.Equal(got, want[i]) {
+			t.Errorf("%s: logged %v, want the final write set in first-write order %v", name, got, want[i])
+		}
+	}
+
+	recovered := memsim.NewHeap(heap.Size())
+	restoreHeap(recovered, base, baseAlloc)
+	if _, err := Recover(recovered, "", logPath); err != nil {
+		t.Fatal(err)
 	}
 	heapsEqual(t, heap, recovered, "machine hook")
 }

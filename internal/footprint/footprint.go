@@ -1,16 +1,21 @@
-// Package footprint provides the HTM simulator's store buffer: an
-// address-indexed map from each word a transaction wrote to the value it
-// will publish at commit, with O(1) insertion and lookup regardless of
-// transaction size. The read and write sets need no structure of their
-// own: the conflict directory's ownership word and reader bit per line
-// answer membership (internal/htm, directory.go).
+// Package footprint provides the one store buffer every write set in
+// this repository lives in: an address-indexed map from each word a
+// transaction wrote to the value it will publish at commit, with O(1)
+// insertion and lookup regardless of transaction size. It backs the
+// hardware transaction (htm.Tx) and the software publication path
+// (tm.Recorder), and through the Recorder the serial fall-back and
+// every Silo attempt. The read and write sets of a hardware transaction
+// need no structure of their own: the conflict directory's ownership
+// word and reader bit per line answer membership (internal/htm,
+// directory.go).
 //
 // The paper's whole argument concerns transactions far larger than the
 // TMCAM — SI-HTM stretches ROT capacity to ~100× the 64-line limit — so
 // the simulator's per-access software cost must not grow with the very
-// footprint the evaluation sweeps. The buffer replaces the linear scan
-// the simulator started with (O(N) per access, O(N²) per transaction)
-// and is engineered for the two regimes that matter:
+// footprint the evaluation sweeps, nor may a baseline's (Silo, P8TM)
+// grow where SI-HTM's does not. The buffer replaces the linear scans
+// the simulator and the baselines started with (O(N) per access, O(N²)
+// per transaction) and is engineered for the two regimes that matter:
 //
 //   - Tiny transactions (the common case): entries live in a small
 //     inline array scanned linearly — no hashing, no heap allocation,
@@ -21,10 +26,10 @@
 //     nothing to reset, and the backing arrays are retained (up to a
 //     cap) across transactions so steady-state commits allocate zero.
 //
-// A transaction owns one WriteBuffer, recycled across attempts by the
-// owning hardware thread. The package also ships a reference
-// linear-scan implementation (reference.go) used as the oracle of the
-// differential test.
+// Each owner — a hardware thread's Tx, a Recorder per worker slot —
+// keeps one WriteBuffer and recycles it across attempts. The package
+// also ships a reference linear-scan implementation (reference.go) used
+// as the oracle of the differential test.
 package footprint
 
 import (

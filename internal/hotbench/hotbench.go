@@ -1,14 +1,15 @@
 // Package hotbench is the simulator's hot-path microbenchmark suite: a
 // set of self-timing scenarios that measure the software cost of one
 // simulated transactional operation (Read, Write, Commit, an aborted
-// attempt, two threads committing side by side, or a full sihtm Atomic
-// block) as a function of the transaction's footprint in cache lines,
-// plus fixed-size cases: whole read-only transactions of 1, 10 and 100
-// first-touch reads on the paper topology, two plain accesses outside
-// any transaction (a load, and the global lock's acquire and release),
-// and three about the simulated memory itself: a dependent pointer
-// chase over a data set larger than cache, and three over the Fig. 6
-// hash map: a lookup, a read-modify-write and the linear-time load.
+// attempt, two threads committing side by side, or a full Atomic block
+// of SI-HTM, Silo or P8TM) as a function of the transaction's footprint
+// in cache lines, plus fixed-size cases: whole read-only transactions of
+// 1, 10 and 100 first-touch reads on the paper topology, two plain
+// accesses outside any transaction (a load, and the global lock's
+// acquire and release), and three about the simulated memory itself: a
+// dependent pointer chase over a data set larger than cache, and three
+// over the Fig. 6 hash map: a lookup, a read-modify-write and the
+// linear-time load.
 //
 // The paper's argument is about large-footprint transactions, so the
 // simulator's per-access cost must not grow with footprint — otherwise
@@ -32,10 +33,12 @@ import (
 
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
+	"sihtm/internal/p8tm"
 	"sihtm/internal/results"
 	"sihtm/internal/rng"
 	"sihtm/internal/sgl"
 	isihtm "sihtm/internal/sihtm"
+	"sihtm/internal/silo"
 	"sihtm/internal/tm"
 	"sihtm/internal/topology"
 	"sihtm/internal/workload/engine"
@@ -52,8 +55,9 @@ type Case struct {
 	// "abort", "commit-2t", "readtx", "atomic", "chase", "lookup", "rmw"
 	// or "populate".
 	Op string
-	// Mode is the transaction flavour ("HTM"/"ROT"), or for plain the
-	// access ("Load"/"LockPair"); "" for the rest.
+	// Mode is the transaction flavour ("HTM"/"ROT"), for plain the
+	// access ("Load"/"LockPair"), for atomic the system ("" for SI-HTM,
+	// "Silo", "P8TM"); "" for the rest.
 	Mode string
 	// Lines is the transaction footprint in cache lines; for chase,
 	// lookup, rmw and populate, the size of the data set; 0 for plain.
@@ -302,21 +306,36 @@ func readTxCase(mode htm.Mode, lines int) Case {
 	}}
 }
 
-// atomicCase measures the end-to-end sihtm update path — ROT attempt,
-// commit, quiescence — for a transaction reading and writing `lines`
-// cache lines, through the same Atomic entry point workloads use.
-func atomicCase(lines int) Case {
-	return Case{Op: "atomic", Lines: lines, Setup: func() func(int) {
+// atomicSystems are the atomic family's systems, by Mode: SI-HTM under
+// "", and the two software-instrumented baselines of the paper's §4.2,
+// whose write sets and read logs are what their cases time.
+var atomicSystems = []struct {
+	mode string
+	mk   func(m *htm.Machine) tm.System
+}{
+	{"", func(m *htm.Machine) tm.System { return isihtm.NewSystem(m, 1, isihtm.Config{}) }},
+	{"Silo", func(m *htm.Machine) tm.System { return silo.NewSystem(m, 1) }},
+	{"P8TM", func(m *htm.Machine) tm.System { return p8tm.NewSystem(m, 1, p8tm.Config{}) }},
+}
+
+// atomicCase measures a system's whole update path — for SI-HTM the ROT
+// attempt, commit and quiescence; for Silo the OCC reads, locking,
+// validation and install; for P8TM SI-HTM's path plus the read log and
+// its validation — for a transaction reading and writing `lines` cache
+// lines, through the same Atomic entry point workloads use.
+func atomicCase(mode string, mk func(*htm.Machine) tm.System, lines int) Case {
+	return Case{Op: "atomic", Mode: mode, Lines: lines, Setup: func() func(int) {
 		heap, m := newMachine(lines)
 		addrs := allocLines(heap, lines)
-		sys := isihtm.NewSystem(m, 1, isihtm.Config{})
+		sys := mk(m)
+		body := func(ops tm.Ops) {
+			for _, a := range addrs {
+				ops.Write(a, ops.Read(a)+1)
+			}
+		}
 		return func(n int) {
 			for k := 0; k < n; k++ {
-				sys.Atomic(0, tm.KindUpdate, func(ops tm.Ops) {
-					for _, a := range addrs {
-						ops.Write(a, ops.Read(a)+1)
-					}
-				})
+				sys.Atomic(0, tm.KindUpdate, body)
 			}
 		}
 	}}
@@ -454,8 +473,10 @@ func Cases() []Case {
 			cs = append(cs, readTxCase(mode, lines))
 		}
 	}
-	for _, lines := range Sweep {
-		cs = append(cs, atomicCase(lines))
+	for _, sys := range atomicSystems {
+		for _, lines := range Sweep {
+			cs = append(cs, atomicCase(sys.mode, sys.mk, lines))
+		}
 	}
 	for _, lines := range chaseSizes {
 		cs = append(cs, chaseCase(lines))

@@ -78,6 +78,20 @@ func TestReadTxAllocs(t *testing.T) {
 	}
 }
 
+// TestAtomicAllocs pins hotbench's atomic cases, whole update
+// transactions of SI-HTM, Silo and P8TM at every swept footprint, at zero
+// allocations: Silo's write set lives in its worker's pooled
+// tm.Recorder, and P8TM hands its body a pointer-shaped tm.Ops.
+func TestAtomicAllocs(t *testing.T) {
+	for _, c := range hotbench.CasesFor("atomic") {
+		run := c.Setup()
+		run(1)
+		if allocs := testing.AllocsPerRun(20, func() { run(1) }); allocs != 0 && !race.Enabled {
+			t.Fatalf("%s allocates %.1f/op, want 0", c.Name(), allocs)
+		}
+	}
+}
+
 // TestAbortedTxSteadyStateAllocs is the same pin for the other way out of
 // a transaction: Begin, writes, an abort of each cause a workload meets,
 // the unwind to htm.Run and the clean-up. A conflict-heavy workload

@@ -106,6 +106,13 @@ func (tx *Tx) WriteSetLines() int { return len(tx.writeLines) }
 // ReadSetLines returns the number of distinct cache lines tracked as read.
 func (tx *Tx) ReadSetLines() int { return len(tx.readLines) }
 
+// Wrote reports whether the transaction has buffered a store to the
+// word at a: a word it will publish at commit.
+func (tx *Tx) Wrote(a memsim.Addr) bool {
+	_, ok := tx.writes.Get(a)
+	return ok
+}
+
 // inWriteSet reports whether line is in the transaction's write set: its
 // ownership word is this transaction's.
 func (tx *Tx) inWriteSet(line memsim.Line) bool {

@@ -14,7 +14,6 @@ package htmtm
 import (
 	"sihtm/internal/htm"
 	"sihtm/internal/sgl"
-	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 )
 
@@ -28,40 +27,31 @@ type Config struct {
 // System is the plain-HTM concurrency control. Its SGL fall-back is the
 // embedded tm.Fallback.
 type System struct {
+	tm.Base
 	tm.Fallback
 	m       *htm.Machine
 	lock    *sgl.Lock
 	retries int
-	col     *stats.Collector
 }
 
 // NewSystem builds the baseline for the first `threads` hardware threads
 // of m.
 func NewSystem(m *htm.Machine, threads int, cfg Config) *System {
 	return &System{
+		Base:     tm.NewBase("htm", threads),
 		Fallback: tm.NewFallback(threads),
 		m:        m,
 		lock:     sgl.New(m),
 		retries:  cfg.Retries,
-		col:      stats.New(threads),
 	}
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "htm" }
-
-// Threads implements tm.System.
-func (s *System) Threads() int { return s.col.Threads() }
-
-// Collector implements tm.System.
-func (s *System) Collector() *stats.Collector { return s.col }
 
 // Atomic implements tm.System: regular hardware transaction with early
 // lock subscription, retried under tm.Retry's budget (capacity aborts
 // carry the POWER TEXASR persistence hint), then the SGL path.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	th := s.m.Thread(thread)
-	l := s.col.Thread(thread)
+	l := s.Collector().Thread(thread)
 	committed := tm.Retry(s.retries, l, func() *htm.Abort {
 		// Don't even start while the lock is held — we would abort
 		// immediately on subscription.

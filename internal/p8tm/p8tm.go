@@ -39,24 +39,37 @@ type readLogEntry struct {
 	val  uint64
 }
 
-// workerState is the per-thread scratch (read log, write filter).
+// workerState is the per-thread scratch, and the update transaction's
+// access path: reads go through the live attempt's hardware transaction
+// (untracked, capacity-free) but are logged in software for commit-time
+// validation — the per-read cost SI-HTM eliminates.
 type workerState struct {
-	readLog  []readLogEntry
-	writeSet []memsim.Addr
+	tx      *htm.Tx // the live attempt's transaction
+	readLog []readLogEntry
 }
+
+// Read implements tm.Ops: a ROT load, logged.
+func (w *workerState) Read(a memsim.Addr) uint64 {
+	v := w.tx.Read(a)
+	w.readLog = append(w.readLog, readLogEntry{addr: a, val: v})
+	return v
+}
+
+// Write implements tm.Ops: a ROT store, buffered by the hardware.
+func (w *workerState) Write(a memsim.Addr, v uint64) { w.tx.Write(a, v) }
 
 // System is the P8TM concurrency control: SI-HTM's state array and SGL
 // fall-back (the embedded tm.Fallback; its commits and the ROT commits
 // alike reach the machine's commit hook) plus the read log and its
 // validation.
 type System struct {
+	tm.Base
 	tm.Fallback
 	m       *htm.Machine
 	retries int
 	lock    *sgl.Lock
 	state   *quiesce.Array
 	commit  sync.Mutex // serializes validate+write-back
-	col     *stats.Collector
 	workers []workerState
 }
 
@@ -64,42 +77,14 @@ type System struct {
 func NewSystem(m *htm.Machine, threads int, cfg Config) *System {
 	lock := sgl.New(m)
 	return &System{
+		Base:     tm.NewBase("p8tm", threads),
 		Fallback: tm.NewFallback(threads),
 		m:        m,
 		retries:  cfg.Retries,
 		lock:     lock,
 		state:    quiesce.New(lock, threads, 0),
-		col:      stats.New(threads),
 		workers:  make([]workerState, threads),
 	}
-}
-
-// Name implements tm.System.
-func (s *System) Name() string { return "p8tm" }
-
-// Threads implements tm.System.
-func (s *System) Threads() int { return s.col.Threads() }
-
-// Collector implements tm.System.
-func (s *System) Collector() *stats.Collector { return s.col }
-
-// instrumentedOps is the update-transaction access path: reads go through
-// the hardware (untracked, capacity-free) but are logged in software for
-// commit-time validation — the per-read cost SI-HTM eliminates.
-type instrumentedOps struct {
-	tx *htm.Tx
-	w  *workerState
-}
-
-func (o instrumentedOps) Read(a memsim.Addr) uint64 {
-	v := o.tx.Read(a)
-	o.w.readLog = append(o.w.readLog, readLogEntry{addr: a, val: v})
-	return v
-}
-
-func (o instrumentedOps) Write(a memsim.Addr, v uint64) {
-	o.tx.Write(a, v)
-	o.w.writeSet = append(o.w.writeSet, a)
 }
 
 // validationFailed is what attempt reports when the read log did not
@@ -110,7 +95,7 @@ var validationFailed = &htm.Abort{Code: htm.CodeTxConflict}
 // Atomic implements tm.System.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	th := s.m.Thread(thread)
-	l := s.col.Thread(thread)
+	l := s.Collector().Thread(thread)
 
 	if kind == tm.KindReadOnly {
 		// Uninstrumented read-only path behind quiescence, as in SI-HTM.
@@ -134,7 +119,6 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(tm.Ops)) *htm.Abort {
 	w := &s.workers[thread]
 	w.readLog = w.readLog[:0]
-	w.writeSet = w.writeSet[:0]
 
 	s.state.Enter(thread, th)
 	locked, validFail := false, false
@@ -146,7 +130,8 @@ func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(t
 	}()
 	l.HWBegin(true)
 	ab := htm.Run(th, htm.ModeROT, func(tx *htm.Tx) {
-		body(instrumentedOps{tx: tx, w: w})
+		w.tx = tx
+		body(w)
 		s.state.CompleteAndWait(thread, tx, l)
 
 		// Validate + write back under the commit lock so no other update
@@ -169,25 +154,13 @@ func (s *System) attempt(thread int, th *htm.Thread, l stats.Thread, body func(t
 }
 
 // validate re-reads the logged read set and compares values, skipping
-// addresses the transaction itself wrote afterwards (those are protected
-// by the hardware's write-write conflict detection).
+// words the transaction itself wrote (those are protected by the
+// hardware's write-write conflict detection).
 func (s *System) validate(tx *htm.Tx, w *workerState) bool {
 	for _, e := range w.readLog {
-		if w.wrote(e.addr) {
-			continue
-		}
-		if tx.Read(e.addr) != e.val {
+		if !tx.Wrote(e.addr) && tx.Read(e.addr) != e.val {
 			return false
 		}
 	}
 	return true
-}
-
-func (w *workerState) wrote(a memsim.Addr) bool {
-	for _, wa := range w.writeSet {
-		if wa == a {
-			return true
-		}
-	}
-	return false
 }

@@ -16,7 +16,6 @@ import (
 
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
-	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 )
 
@@ -83,36 +82,27 @@ func (l *Lock) WaitUnlocked(th *htm.Thread) {
 // machine routes every write set into the durability seam). It is the degenerate
 // baseline and the correctness oracle for the others.
 type System struct {
+	tm.Base
 	tm.Fallback
 	m    *htm.Machine
 	lock *Lock
-	col  *stats.Collector
 }
 
 // NewSystem builds an SGL system for the first `threads` hardware threads
 // of m.
 func NewSystem(m *htm.Machine, threads int) *System {
 	return &System{
+		Base:     tm.NewBase("sgl", threads),
 		Fallback: tm.NewFallback(threads),
 		m:        m,
 		lock:     New(m),
-		col:      stats.New(threads),
 	}
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "sgl" }
-
-// Threads implements tm.System.
-func (s *System) Threads() int { return s.col.Threads() }
-
-// Collector implements tm.System.
-func (s *System) Collector() *stats.Collector { return s.col }
 
 // Atomic implements tm.System by serialising body under the global lock.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	th := s.m.Thread(thread)
-	l := s.col.Thread(thread)
+	l := s.Collector().Thread(thread)
 	s.lock.Acquire(th)
 	defer s.lock.Release(th)
 	s.RunSerial(thread, th, l, body)

@@ -46,41 +46,32 @@ type Config struct {
 // embedded tm.Fallback; its ROT commits and its fall-back commits alike
 // reach the machine's commit hook (htm.CommitHook).
 type System struct {
+	tm.Base
 	tm.Fallback
 	m     *htm.Machine
 	cfg   Config
 	lock  *sgl.Lock
 	state *quiesce.Array
-	col   *stats.Collector
 }
 
 // NewSystem builds SI-HTM for the first `threads` hardware threads of m.
 func NewSystem(m *htm.Machine, threads int, cfg Config) *System {
 	lock := sgl.New(m)
 	return &System{
+		Base:     tm.NewBase("si-htm", threads),
 		Fallback: tm.NewFallback(threads),
 		m:        m,
 		cfg:      cfg,
 		lock:     lock,
 		state:    quiesce.New(lock, threads, cfg.KillerSpins),
-		col:      stats.New(threads),
 	}
 }
-
-// Name implements tm.System.
-func (s *System) Name() string { return "si-htm" }
-
-// Threads implements tm.System.
-func (s *System) Threads() int { return s.col.Threads() }
-
-// Collector implements tm.System.
-func (s *System) Collector() *stats.Collector { return s.col }
 
 // Atomic implements tm.System.
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	if kind == tm.KindReadOnly && !s.cfg.DisableROFastPath {
 		s.state.ReadOnly(thread, s.m.Thread(thread), body)
-		s.col.Thread(thread).Commit(true)
+		s.Collector().Thread(thread).Commit(true)
 		return
 	}
 	s.update(thread, kind == tm.KindReadOnly, 1, body)
@@ -91,7 +82,7 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 // `commits` committed transactions (more than one for AtomicBatch).
 func (s *System) update(thread int, readOnly bool, commits int, body func(tm.Ops)) {
 	th := s.m.Thread(thread)
-	l := s.col.Thread(thread)
+	l := s.Collector().Thread(thread)
 	if !tm.Retry(s.cfg.Retries, l, func() *htm.Abort { return s.attempt(thread, th, l, body) }) {
 		// Fall-back: acquire the global lock, drain every active
 		// transaction, then run serially and non-transactionally.

@@ -8,7 +8,8 @@
 //   - every cache line has a TID word (lock bit + version);
 //   - reads snapshot the line version before and after the load and
 //     record (line, version) in the read set;
-//   - writes are buffered;
+//   - writes are buffered in the worker's tm.Recorder, the store buffer
+//     and publication bracket every software write set shares;
 //   - commit locks the write lines in address order, validates that every
 //     read-set entry still carries its recorded version and is not locked
 //     by another transaction, installs the writes, and bumps versions.
@@ -21,12 +22,10 @@
 package silo
 
 import (
-	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
-	"sihtm/internal/footprint"
 	"sihtm/internal/htm"
 	"sihtm/internal/memsim"
 	"sihtm/internal/stats"
@@ -43,110 +42,75 @@ type readEntry struct {
 }
 
 // worker is one thread's transaction scratch, reused across attempts.
-// Buffered writes use footprint.Entry so the write set can be handed to
-// the durability commit hook without conversion.
+// The body runs against rec, whose inner Ops is the worker itself: Read
+// is the OCC read, Write the heap install rec.Flush calls in phase 3.
 type worker struct {
+	s          *System
+	rec        tm.Recorder
 	reads      []readEntry
-	writes     []footprint.Entry
-	writeLines []memsim.Line
+	writeLines []memsim.Line // the write set's lines, sorted, distinct
 	_          [64]byte
 }
 
 // System is the Silo concurrency control.
 type System struct {
+	tm.Base
 	m       *htm.Machine // its commit hook brackets every install
 	heap    *memsim.Heap
 	tids    []atomic.Uint64 // one per heap cache line
-	threads int
-	col     *stats.Collector
 	workers []worker
 }
 
 // NewSystem builds Silo over m's heap for the given worker count.
 func NewSystem(m *htm.Machine, threads int) *System {
-	if threads <= 0 {
-		panic(fmt.Sprintf("silo: thread count must be positive, got %d", threads))
-	}
 	heap := m.Heap()
 	lines := (heap.Size() + memsim.WordsPerLine - 1) / memsim.WordsPerLine
-	return &System{
+	s := &System{
+		Base:    tm.NewBase("silo", threads),
 		m:       m,
 		heap:    heap,
 		tids:    make([]atomic.Uint64, lines),
-		threads: threads,
-		col:     stats.New(threads),
 		workers: make([]worker, threads),
 	}
-}
-
-// Name implements tm.System.
-func (s *System) Name() string { return "silo" }
-
-// Threads implements tm.System.
-func (s *System) Threads() int { return s.threads }
-
-// Collector implements tm.System.
-func (s *System) Collector() *stats.Collector { return s.col }
-
-// ops is the instrumented access path for one attempt.
-type ops struct {
-	s *System
-	w *worker
-}
-
-// Read implements tm.Ops: an OCC consistent read with read-set logging.
-func (o ops) Read(a memsim.Addr) uint64 {
-	// Reads-own-writes first.
-	for i := len(o.w.writes) - 1; i >= 0; i-- {
-		if o.w.writes[i].Addr == a {
-			return o.w.writes[i].Val
-		}
+	for i := range s.workers {
+		s.workers[i].s = s
 	}
+	return s
+}
+
+// Read implements tm.Ops for the worker's Recorder: an OCC consistent
+// read with read-set logging (the Recorder has served reads-own-writes).
+func (w *worker) Read(a memsim.Addr) uint64 {
 	line := memsim.LineOf(a)
-	tid := &o.s.tids[line]
+	tid := &w.s.tids[line]
 	for {
 		v1 := tid.Load()
 		if v1&lockBit != 0 {
 			runtime.Gosched()
 			continue
 		}
-		val := o.s.heap.Load(a)
+		val := w.s.heap.Load(a)
 		if tid.Load() == v1 {
-			o.w.reads = append(o.w.reads, readEntry{line: line, tid: v1})
+			w.reads = append(w.reads, readEntry{line: line, tid: v1})
 			return val
 		}
 	}
 }
 
-// Write implements tm.Ops: buffered until commit.
-func (o ops) Write(a memsim.Addr, v uint64) {
-	for i := range o.w.writes {
-		if o.w.writes[i].Addr == a {
-			o.w.writes[i].Val = v
-			return
-		}
-	}
-	o.w.writes = append(o.w.writes, footprint.Entry{Addr: a, Val: v})
-	line := memsim.LineOf(a)
-	for _, l := range o.w.writeLines {
-		if l == line {
-			return
-		}
-	}
-	o.w.writeLines = append(o.w.writeLines, line)
-}
+// Write implements tm.Ops for the worker's Recorder: the install of one
+// buffered store, under the line's lock.
+func (w *worker) Write(a memsim.Addr, v uint64) { w.s.heap.Store(a, v) }
 
 // Atomic implements tm.System: optimistic execution with commit-time
 // validation, retried until it succeeds (Silo has no fall-back path and
 // guarantees progress probabilistically, as in the original system).
 func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	w := &s.workers[thread]
-	l := s.col.Thread(thread)
+	l := s.Collector().Thread(thread)
 	for {
 		w.reads = w.reads[:0]
-		w.writes = w.writes[:0]
-		w.writeLines = w.writeLines[:0]
-		body(ops{s: s, w: w})
+		w.rec.Begin(w)
+		body(&w.rec)
 		if s.commit(w, thread) {
 			l.Commit(kind == tm.KindReadOnly)
 			return
@@ -160,7 +124,12 @@ func (s *System) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 // all locks are released and nothing was installed.
 func (s *System) commit(w *worker, thread int) bool {
 	// Phase 1: lock the write set in canonical (address) order.
-	sort.Slice(w.writeLines, func(i, j int) bool { return w.writeLines[i] < w.writeLines[j] })
+	w.writeLines = w.writeLines[:0]
+	for _, e := range w.rec.Entries() {
+		w.writeLines = append(w.writeLines, memsim.LineOf(e.Addr))
+	}
+	slices.Sort(w.writeLines)
+	w.writeLines = slices.Compact(w.writeLines)
 	locked := 0
 	for _, line := range w.writeLines {
 		tid := &s.tids[line]
@@ -189,21 +158,11 @@ func (s *System) commit(w *worker, thread int) bool {
 		}
 	}
 	// Phase 3: install writes and bump versions (which also unlocks).
-	// With a commit hook installed on the machine, the install is
-	// bracketed like the hardware write-back: a conflicting later commit
+	// With a commit hook installed on the machine, Flush brackets the
+	// install like the hardware write-back: a conflicting later commit
 	// blocks on the line locks until this one unlocks, so sequence
 	// numbers drawn in PreCommit respect the OCC serialization order.
-	hook := s.m.CommitHook()
-	hooked := hook != nil && len(w.writes) > 0
-	if hooked {
-		hook.PreCommit(thread, w.writes)
-	}
-	for _, we := range w.writes {
-		s.heap.Store(we.Addr, we.Val)
-	}
-	if hooked {
-		hook.PostCommit(thread)
-	}
+	w.rec.Flush(thread, s.m.CommitHook())
 	s.unlock(w, locked, true)
 	return true
 }
@@ -223,12 +182,8 @@ func (s *System) unlock(w *worker, n int, bump bool) {
 }
 
 func (w *worker) ownsLine(line memsim.Line) bool {
-	for _, l := range w.writeLines {
-		if l == line {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(w.writeLines, line)
+	return ok
 }
 
 var _ tm.System = (*System)(nil)

@@ -13,10 +13,9 @@ import (
 // (see htm.CommitHook); the software publication paths,
 // Fallback.RunSerial (the SGL fall-backs of SI-HTM, HTM and P8TM and
 // the all-serial SGL system) and Silo's OCC install, read it back from
-// the machine and bracket their own publication, the serial path
-// through a Recorder. The interface is defined in internal/htm (the
-// machine cannot import this package); this alias is the name the
-// system-facing layers use.
+// the machine and publish through Recorder.Flush. The interface is
+// defined in internal/htm (the machine cannot import this package); this
+// alias is the name the system-facing layers use.
 type CommitHook = htm.CommitHook
 
 // HookableSystem is a system with a commit-hook seat of its own. No
@@ -28,28 +27,29 @@ type HookableSystem interface {
 	SetCommitHook(CommitHook)
 }
 
-// Recorder turns an immediate-visibility publication path (plain stores
-// under a global lock) into the capture-then-publish shape the commit
-// hook requires: the transaction body runs against the Recorder, which
-// buffers writes (serving reads-own-writes) instead of issuing them;
-// Flush then captures the write set via PreCommit, publishes it through
-// the inner Ops and closes with PostCommit. Deferring the stores to
-// Flush is safe on the paths that use it — they hold the SGL (or Silo's
-// line locks), so no concurrent reader can observe the body's
-// intermediate states anyway — and it is what makes the redo record's
-// sequence number agree with the publication order.
+// Recorder is the one software write set and the one software
+// publication bracket: a body runs against the Recorder, which buffers
+// its writes in a footprint.WriteBuffer (serving reads-own-writes, last
+// write wins) instead of issuing them; Flush then captures the write set
+// via PreCommit, publishes it through the inner Ops and closes with
+// PostCommit. The serial fall-back (Fallback.RunSerial) runs its body on
+// one over plain stores, and Silo runs every attempt on one whose inner
+// Ops is its OCC read and heap install. Deferring the stores to Flush is
+// safe on both paths — they hold the SGL or Silo's line locks, so no
+// concurrent reader can observe the body's intermediate states anyway —
+// and it is what makes the redo record's sequence number agree with the
+// publication order.
 //
-// The write buffer is pooled and retained across transactions, so a
-// steady-state fall-back commit allocates nothing. A Recorder belongs
-// to one thread; systems keep one per worker slot.
+// The write buffer is retained across transactions, so a steady-state
+// commit allocates nothing. A Recorder belongs to one thread; systems
+// keep one per worker slot.
 type Recorder struct {
 	inner Ops
 	buf   footprint.WriteBuffer
 }
 
 // Begin arms the recorder over the real publication path for one
-// transaction. Fall-back bodies are never re-executed (the serial path
-// cannot abort), so Begin is called once per fall-back transaction.
+// attempt, emptying the write set.
 func (r *Recorder) Begin(inner Ops) {
 	r.inner = inner
 	r.buf.Reset()
@@ -67,18 +67,27 @@ func (r *Recorder) Read(a memsim.Addr) uint64 {
 // Write implements Ops by buffering the store until Flush.
 func (r *Recorder) Write(a memsim.Addr, v uint64) { r.buf.Put(a, v) }
 
-// Flush publishes the buffered write set through the hook bracket:
-// PreCommit (capture), inner writes (publish), PostCommit. A read-only
-// body (empty buffer) publishes nothing and is not reported to the
-// hook.
+// Entries returns the buffered write set, one entry per distinct word in
+// first-write order (footprint.WriteBuffer.Entries); it is valid until
+// the next Write, Begin or Flush.
+func (r *Recorder) Entries() []footprint.Entry { return r.buf.Entries() }
+
+// Flush publishes the buffered write set through the inner writes,
+// bracketed by the hook's PreCommit (capture) and PostCommit when h is
+// not nil. A read-only body (empty buffer) publishes nothing and is not
+// reported to the hook.
 func (r *Recorder) Flush(thread int, h CommitHook) {
 	if r.buf.Len() == 0 {
 		return
 	}
-	h.PreCommit(thread, r.buf.Entries())
+	if h != nil {
+		h.PreCommit(thread, r.buf.Entries())
+	}
 	for _, e := range r.buf.Entries() {
 		r.inner.Write(e.Addr, e.Val)
 	}
-	h.PostCommit(thread)
+	if h != nil {
+		h.PostCommit(thread)
+	}
 	r.buf.Reset()
 }

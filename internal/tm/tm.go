@@ -68,6 +68,28 @@ type System interface {
 	Collector() *stats.Collector
 }
 
+// Base is a system's identity, stated once for every system: its name
+// and its statistics collector, sized to its thread count. Systems embed
+// it for Name, Threads and Collector.
+type Base struct {
+	name string
+	col  *stats.Collector
+}
+
+// NewBase names a system sized for `threads` worker threads.
+func NewBase(name string, threads int) Base {
+	return Base{name: name, col: stats.New(threads)}
+}
+
+// Name implements System.
+func (b Base) Name() string { return b.name }
+
+// Threads implements System.
+func (b Base) Threads() int { return b.col.Threads() }
+
+// Collector implements System.
+func (b Base) Collector() *stats.Collector { return b.col }
+
 // A hardware transaction is its own Ops: a body reaches Tx.Read and
 // Tx.Write through one interface call.
 var _ Ops = (*htm.Tx)(nil)

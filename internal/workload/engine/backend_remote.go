@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sihtm/internal/memsim"
-	"sihtm/internal/stats"
 	"sihtm/internal/tm"
 	"sihtm/internal/trace"
 	"sihtm/internal/wire"
@@ -258,34 +257,21 @@ var _ Deferrer = (*remoteSession)(nil)
 // Atomic returns; the durable acknowledgement wait happens in the
 // session's Commit flush, one call later in the driver's protocol, so
 // a measured window's commit count can lead its acked flushes by at
-// most one transaction per worker.
-type RemoteSystem struct {
-	name    string
-	threads int
-	col     *stats.Collector
-}
+// most one transaction per worker. Its Collector holds client-observed
+// commits only (the server's collector holds the abort taxonomy).
+type RemoteSystem struct{ tm.Base }
 
 // NewRemoteSystem builds the client system. name labels records — pass
 // the server's concurrency control so remote cells compare like local
 // ones.
 func NewRemoteSystem(name string, threads int) *RemoteSystem {
-	return &RemoteSystem{name: name, threads: threads, col: stats.New(threads)}
+	return &RemoteSystem{tm.NewBase(name, threads)}
 }
-
-// Name implements tm.System.
-func (s *RemoteSystem) Name() string { return s.name }
-
-// Threads implements tm.System.
-func (s *RemoteSystem) Threads() int { return s.threads }
-
-// Collector implements tm.System: client-observed commits only (the
-// server's collector holds the abort taxonomy).
-func (s *RemoteSystem) Collector() *stats.Collector { return s.col }
 
 // Atomic implements tm.System.
 func (s *RemoteSystem) Atomic(thread int, kind tm.Kind, body func(tm.Ops)) {
 	body(remoteNoOps{})
-	s.col.Thread(thread).Commit(kind == tm.KindReadOnly)
+	s.Collector().Thread(thread).Commit(kind == tm.KindReadOnly)
 }
 
 var _ tm.System = (*RemoteSystem)(nil)
